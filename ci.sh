@@ -54,7 +54,7 @@ for seed in 1 42 1337; do
 done
 
 echo "==> property suites at CI case counts"
-PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test aggregate_props --test rescale_props --test durable_props --test controller_props
+PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test aggregate_props --test rescale_props --test checkpoint_props --test durable_props --test controller_props
 PROPTEST_CASES=256 cargo test -q -p slb-sketch --test proptests
 PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
 PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props
@@ -68,7 +68,7 @@ echo "==> examples (quickstart and imbalance_study already ran via tests/example
 cargo run --quiet --release --example trending_topics > /dev/null
 cargo run --quiet --release --example storm_like_topology > /dev/null
 
-echo "==> perf smoke (batched engine + phased scenario loop + TCP and SPSC backends at zero service time must clear their floors; SPSC must not lose to InProc; idle controller within 5%; telemetry within 5%)"
+echo "==> perf smoke (batched engine + phased scenario loop + TCP and SPSC backends at zero service time must clear their floors; SPSC must not lose to InProc; checkpoints within 10%, and within 20% at 100k-key worker state; idle controller within 5%; telemetry within 5%)"
 cargo run --quiet --release -p slb-bench --bin perf_smoke
 
 echo "==> criterion benches (quick mode, compile + run)"

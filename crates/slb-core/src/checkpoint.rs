@@ -1,4 +1,4 @@
-//! Worker checkpoints: the durable snapshot a worker takes at every window
+//! Worker checkpoints: the durable records a worker writes at every window
 //! finalization so that a crash mid-window loses at most the open window.
 //!
 //! A checkpoint captures everything the worker's deterministic result depends
@@ -6,9 +6,32 @@
 //! per-phase counters, the per-source sequence cursor (which prefix of every
 //! source's stream it has consumed), the distinct-key set, and the in-flight
 //! partial aggregates of still-open windows. Partials cross the snapshot
-//! boundary through their [`WirePartial`](crate::WirePartial) encoding, each
+//! boundary through their [`WirePartial`] encoding, each
 //! wrapped in a length-prefixed blob so the checkpoint itself decodes without
 //! knowing the aggregate type.
+//!
+//! ## Base and delta records
+//!
+//! Everything in a checkpoint is window-sized except the key set, which
+//! grows with the whole run. So a worker's checkpoint log is one **base**
+//! record — a full [`WorkerCheckpoint`] — followed by **delta** records
+//! ([`CheckpointDelta`]): the same counters, cursors and open windows, but
+//! only the keys first seen since the previous record. The state at any
+//! close is the base with every delta up to that close
+//! [applied](WorkerCheckpoint::apply) in order; [`WorkerCheckpoint::restore`]
+//! is that fold, shared by the simulated crash and the process respawn.
+//!
+//! A writer starts a new base when the deltas appended since the last one
+//! outweigh it in bytes ([`deltas_outweigh_base`]). That keeps the log — what
+//! a restore reads — within twice one base plus one record. And a base is
+//! only rewritten after more delta bytes than it holds have been paid for,
+//! so over a run the bases add at most twice the deltas' bytes to what is
+//! written (once, in steady state, where a new base is no larger than the
+//! old). Both bounds follow from the rule alone, so there is nothing to
+//! tune.
+//!
+//! The worker stage encodes both record kinds straight from its live state
+//! through [`CheckpointView`], into one reused buffer.
 //!
 //! Timing state (latency samples, phase spans) is deliberately *not*
 //! checkpointed: it does not feed the deterministic windowed counts, and
@@ -19,7 +42,43 @@
 //! width integers, `u32`-counted collections, self-delimiting, and total —
 //! malformed bytes produce a [`PartialDecodeError`], never a panic.
 
-use crate::wire::{read_u32, read_u64, write_u32, write_u64, PartialDecodeError};
+use crate::wire::{read_u32, read_u64, write_u32, write_u64, PartialDecodeError, WirePartial};
+
+/// First byte of an encoded [`CheckpointDelta`]. A base record starts with
+/// its worker index instead, so the two kinds cannot be decoded as each
+/// other by a log reader that lost its place.
+const DELTA_TAG: u8 = 0xD1;
+
+/// The rebase rule: true when a log whose base record is `base_bytes` long
+/// has accumulated more than that in delta records, so the next close
+/// should write a fresh base instead of another delta.
+pub fn deltas_outweigh_base(base_bytes: usize, delta_bytes: usize) -> bool {
+    delta_bytes > base_bytes
+}
+
+/// Merges the ascending run `fresh` into the ascending `keys`, in place.
+/// Works from the back, so it moves only the part of `keys` above the
+/// smallest fresh key and needs no scratch buffer. The runs are expected to
+/// be disjoint; equal keys are kept side by side.
+pub fn merge_ascending(keys: &mut Vec<u64>, fresh: &[u64]) {
+    let mut from = keys.len();
+    // Exact: the set this maintains only grows to stay, and by doubling's
+    // slack it would pin up to a second copy of itself.
+    keys.reserve_exact(fresh.len());
+    keys.resize(from + fresh.len(), 0);
+    let mut to = keys.len();
+    let mut pending = fresh.len();
+    while pending > 0 {
+        to -= 1;
+        if from > 0 && keys[from - 1] > fresh[pending - 1] {
+            from -= 1;
+            keys[to] = keys[from];
+        } else {
+            pending -= 1;
+            keys[to] = fresh[pending];
+        }
+    }
+}
 
 /// The state of one still-open window inside a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +94,7 @@ pub struct OpenWindowState {
 }
 
 /// A consistent snapshot of a worker's deterministic state, taken at a
-/// window-finalization boundary.
+/// window-finalization boundary: the base record of a checkpoint log.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkerCheckpoint {
     /// Index of the worker that took the snapshot.
@@ -55,6 +114,154 @@ pub struct WorkerCheckpoint {
     pub open: Vec<OpenWindowState>,
 }
 
+/// What changed since the previous record of a checkpoint log: the counters,
+/// cursors and open windows as of this close (they replace the previous
+/// ones), and only the keys first seen since the previous record.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct CheckpointDelta {
+    /// Index of the worker that wrote the record.
+    pub worker: u64,
+    /// Windows finalized as of this close; strictly greater than the
+    /// previous record's.
+    pub windows_closed: u64,
+    /// Total tuples processed so far.
+    pub processed: u64,
+    /// Tuples processed per scenario phase.
+    pub phase_counts: Vec<u64>,
+    /// Per-source sequence cursors as of this close.
+    pub next_seq: Vec<u64>,
+    /// Keys first seen since the previous record, sorted ascending; disjoint
+    /// from every key the log already holds.
+    pub fresh_keys: Vec<u64>,
+    /// Still-open windows, sorted ascending by window id.
+    pub open: Vec<OpenWindowState>,
+}
+
+/// One still-open window as the worker holds it: the partial borrowed, not
+/// yet encoded.
+#[derive(Debug)]
+pub struct OpenWindowView<'a, P> {
+    /// The window's id.
+    pub window: u64,
+    /// Close markers seen so far.
+    pub closes_seen: u64,
+    /// The in-flight partial, if the window has seen tuples.
+    pub partial: Option<&'a P>,
+}
+
+/// A checkpoint record's fields borrowed from live worker state, so the
+/// worker encodes a record into its reused buffer without first copying the
+/// key list or the partials into an owned [`WorkerCheckpoint`] /
+/// [`CheckpointDelta`]. The bytes are identical to those the owned types
+/// produce.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointView<'a> {
+    /// Index of the worker.
+    pub worker: u64,
+    /// Windows finalized as of this close.
+    pub windows_closed: u64,
+    /// Total tuples processed so far.
+    pub processed: u64,
+    /// Tuples processed per scenario phase.
+    pub phase_counts: &'a [u64],
+    /// Per-source sequence cursors.
+    pub next_seq: &'a [u64],
+    /// Every state key (for a base) or the keys first seen since the
+    /// previous record (for a delta), sorted strictly ascending.
+    pub keys: &'a [u64],
+}
+
+impl CheckpointView<'_> {
+    /// Appends a base record: byte-for-byte [`WorkerCheckpoint::encode`].
+    ///
+    /// # Panics
+    /// Panics if `keys` or `open` are not sorted strictly ascending.
+    pub fn encode_base<'p, P, I>(&self, open: I, out: &mut Vec<u8>)
+    where
+        P: WirePartial + 'p,
+        I: ExactSizeIterator<Item = OpenWindowView<'p, P>>,
+    {
+        let open = open.map(|w| {
+            let partial = w.partial.map(|p| |out: &mut Vec<u8>| p.encode_partial(out));
+            (w.window, w.closes_seen, partial)
+        });
+        self.write_record(open, out);
+    }
+
+    /// Appends a delta record: byte-for-byte [`CheckpointDelta::encode`].
+    ///
+    /// # Panics
+    /// Panics if `keys` or `open` are not sorted strictly ascending.
+    pub fn encode_delta<'p, P, I>(&self, open: I, out: &mut Vec<u8>)
+    where
+        P: WirePartial + 'p,
+        I: ExactSizeIterator<Item = OpenWindowView<'p, P>>,
+    {
+        out.push(DELTA_TAG);
+        self.encode_base(open, out);
+    }
+
+    /// Same, from records whose partials are already encoded.
+    fn encode_owned(&self, open: &[OpenWindowState], out: &mut Vec<u8>) {
+        let open = open.iter().map(|w| {
+            let partial = w
+                .partial
+                .as_ref()
+                .map(|blob| |out: &mut Vec<u8>| out.extend_from_slice(blob));
+            (w.window, w.closes_seen, partial)
+        });
+        self.write_record(open, out);
+    }
+
+    /// The layout both record kinds share. Each open window is `(window,
+    /// closes_seen, partial)`, where `partial` appends the partial's
+    /// encoding; its length prefix is patched in afterwards, so it needs no
+    /// staging buffer.
+    fn write_record<F: FnOnce(&mut Vec<u8>)>(
+        &self,
+        open: impl ExactSizeIterator<Item = (u64, u64, Option<F>)>,
+        out: &mut Vec<u8>,
+    ) {
+        assert!(
+            self.keys.windows(2).all(|w| w[0] < w[1]),
+            "checkpoint state keys must be sorted and distinct"
+        );
+        let lists = [self.phase_counts, self.next_seq, self.keys];
+        out.reserve(24 + lists.iter().map(|list| 4 + 8 * list.len()).sum::<usize>());
+        write_u64(out, self.worker);
+        write_u64(out, self.windows_closed);
+        write_u64(out, self.processed);
+        for list in lists {
+            write_u32(out, list.len() as u32);
+            for &value in list {
+                write_u64(out, value);
+            }
+        }
+        write_u32(out, open.len() as u32);
+        let mut last_window = None;
+        for (window, closes_seen, partial) in open {
+            assert!(
+                last_window.map_or(true, |last| last < window),
+                "checkpoint open windows must be sorted and distinct"
+            );
+            last_window = Some(window);
+            write_u64(out, window);
+            write_u64(out, closes_seen);
+            match partial {
+                None => out.push(0),
+                Some(write_partial) => {
+                    out.push(1);
+                    let len_at = out.len();
+                    write_u32(out, 0);
+                    write_partial(out);
+                    let len = (out.len() - len_at - 4) as u32;
+                    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+                }
+            }
+        }
+    }
+}
+
 impl WorkerCheckpoint {
     /// Appends the checkpoint's self-delimiting encoding to `out`.
     ///
@@ -62,42 +269,15 @@ impl WorkerCheckpoint {
     /// Panics if `state_keys` or `open` are not sorted strictly ascending —
     /// the canonical form the worker stage produces.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        assert!(
-            self.state_keys.windows(2).all(|w| w[0] < w[1]),
-            "checkpoint state keys must be sorted and distinct"
-        );
-        assert!(
-            self.open.windows(2).all(|w| w[0].window < w[1].window),
-            "checkpoint open windows must be sorted and distinct"
-        );
-        write_u64(out, self.worker);
-        write_u64(out, self.windows_closed);
-        write_u64(out, self.processed);
-        write_u32(out, self.phase_counts.len() as u32);
-        for &c in &self.phase_counts {
-            write_u64(out, c);
-        }
-        write_u32(out, self.next_seq.len() as u32);
-        for &s in &self.next_seq {
-            write_u64(out, s);
-        }
-        write_u32(out, self.state_keys.len() as u32);
-        for &k in &self.state_keys {
-            write_u64(out, k);
-        }
-        write_u32(out, self.open.len() as u32);
-        for w in &self.open {
-            write_u64(out, w.window);
-            write_u64(out, w.closes_seen);
-            match &w.partial {
-                None => out.push(0),
-                Some(blob) => {
-                    out.push(1);
-                    write_u32(out, blob.len() as u32);
-                    out.extend_from_slice(blob);
-                }
-            }
-        }
+        let view = CheckpointView {
+            worker: self.worker,
+            windows_closed: self.windows_closed,
+            processed: self.processed,
+            phase_counts: &self.phase_counts,
+            next_seq: &self.next_seq,
+            keys: &self.state_keys,
+        };
+        view.encode_owned(&self.open, out);
     }
 
     /// Decodes one checkpoint from the front of `input`, advancing it past
@@ -106,9 +286,9 @@ impl WorkerCheckpoint {
         let worker = read_u64(input)?;
         let windows_closed = read_u64(input)?;
         let processed = read_u64(input)?;
-        let phase_counts = read_u64_list(input, "phase counts")?;
-        let next_seq = read_u64_list(input, "sequence cursors")?;
-        let state_keys = read_u64_list(input, "state keys")?;
+        let phase_counts = read_u64_list(input)?;
+        let next_seq = read_u64_list(input)?;
+        let state_keys = read_u64_list(input)?;
         if !state_keys.windows(2).all(|w| w[0] < w[1]) {
             return Err(PartialDecodeError("state keys not sorted and distinct"));
         }
@@ -156,6 +336,96 @@ impl WorkerCheckpoint {
             open,
         })
     }
+
+    /// Advances this state by one delta: counters, cursors and open windows
+    /// are replaced, the delta's fresh keys are merged into the key set.
+    ///
+    /// Errors — leaving `self` untouched — when the delta cannot be the next
+    /// record of this log: another worker's, a `windows_closed` that does
+    /// not advance, or a "fresh" key the state already holds.
+    pub fn apply(&mut self, delta: &CheckpointDelta) -> Result<(), PartialDecodeError> {
+        if delta.worker != self.worker {
+            return Err(PartialDecodeError("delta belongs to another worker"));
+        }
+        if delta.windows_closed <= self.windows_closed {
+            return Err(PartialDecodeError("delta does not advance windows_closed"));
+        }
+        let fresh = &delta.fresh_keys;
+        if fresh
+            .iter()
+            .any(|key| self.state_keys.binary_search(key).is_ok())
+        {
+            return Err(PartialDecodeError(
+                "delta re-adds a key already in the state",
+            ));
+        }
+        merge_ascending(&mut self.state_keys, fresh);
+        self.windows_closed = delta.windows_closed;
+        self.processed = delta.processed;
+        self.phase_counts.clone_from(&delta.phase_counts);
+        self.next_seq.clone_from(&delta.next_seq);
+        self.open.clone_from(&delta.open);
+        Ok(())
+    }
+
+    /// Rebuilds the state a checkpoint log describes: decodes `base`, then
+    /// applies every delta in order. Each slice of `deltas` holds zero or
+    /// more back-to-back [`CheckpointDelta`] encodings, so an in-memory log
+    /// passes its one concatenated buffer and an on-disk log its records.
+    pub fn restore<'a>(
+        base: &[u8],
+        deltas: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<Self, PartialDecodeError> {
+        let mut input = base;
+        let mut state = Self::decode(&mut input)?;
+        if !input.is_empty() {
+            return Err(PartialDecodeError("trailing bytes after the base record"));
+        }
+        for mut records in deltas {
+            while !records.is_empty() {
+                state.apply(&CheckpointDelta::decode(&mut records)?)?;
+            }
+        }
+        Ok(state)
+    }
+}
+
+impl CheckpointDelta {
+    /// Appends the delta's self-delimiting encoding to `out`: a tag byte,
+    /// then the base record's layout with `fresh_keys` in the key list.
+    ///
+    /// # Panics
+    /// Panics if `fresh_keys` or `open` are not sorted strictly ascending.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.push(DELTA_TAG);
+        let view = CheckpointView {
+            worker: self.worker,
+            windows_closed: self.windows_closed,
+            processed: self.processed,
+            phase_counts: &self.phase_counts,
+            next_seq: &self.next_seq,
+            keys: &self.fresh_keys,
+        };
+        view.encode_owned(&self.open, out);
+    }
+
+    /// Decodes one delta from the front of `input`, advancing it past the
+    /// consumed bytes. Total: malformed input errors, never panics.
+    pub fn decode(input: &mut &[u8]) -> Result<Self, PartialDecodeError> {
+        if take_u8(input)? != DELTA_TAG {
+            return Err(PartialDecodeError("not a checkpoint delta"));
+        }
+        let body = WorkerCheckpoint::decode(input)?;
+        Ok(Self {
+            worker: body.worker,
+            windows_closed: body.windows_closed,
+            processed: body.processed,
+            phase_counts: body.phase_counts,
+            next_seq: body.next_seq,
+            fresh_keys: body.state_keys,
+            open: body.open,
+        })
+    }
 }
 
 fn take_u8(input: &mut &[u8]) -> Result<u8, PartialDecodeError> {
@@ -166,10 +436,9 @@ fn take_u8(input: &mut &[u8]) -> Result<u8, PartialDecodeError> {
     Ok(byte)
 }
 
-fn read_u64_list(input: &mut &[u8], what: &'static str) -> Result<Vec<u64>, PartialDecodeError> {
+fn read_u64_list(input: &mut &[u8]) -> Result<Vec<u64>, PartialDecodeError> {
     let len = read_u32(input)? as usize;
     if input.len() < len.saturating_mul(8) {
-        let _ = what;
         return Err(PartialDecodeError("list shorter than its length"));
     }
     let mut out = Vec::with_capacity(len);
@@ -277,6 +546,195 @@ mod tests {
             WorkerCheckpoint::decode(&mut buf.as_slice()),
             Err(PartialDecodeError("bad partial-presence flag"))
         );
+    }
+
+    fn sample_delta() -> CheckpointDelta {
+        CheckpointDelta {
+            worker: 3,
+            windows_closed: 8,
+            processed: 13_000,
+            phase_counts: vec![5_000, 8_000],
+            next_seq: vec![44, 45, 43],
+            fresh_keys: vec![0, 7, 300],
+            open: vec![OpenWindowState {
+                window: 8,
+                closes_seen: 2,
+                partial: Some(vec![1, 2, 3]),
+            }],
+        }
+    }
+
+    #[test]
+    fn delta_roundtrips_and_every_strict_prefix_errors() {
+        let delta = sample_delta();
+        let mut buf = Vec::new();
+        delta.encode(&mut buf);
+        for cut in 0..buf.len() {
+            assert!(
+                CheckpointDelta::decode(&mut &buf[..cut]).is_err(),
+                "prefix of {cut} bytes must not decode"
+            );
+        }
+        buf.extend_from_slice(b"next");
+        let mut input = buf.as_slice();
+        assert_eq!(CheckpointDelta::decode(&mut input), Ok(delta));
+        assert_eq!(input, b"next");
+    }
+
+    #[test]
+    fn base_and_delta_records_do_not_decode_as_each_other() {
+        let mut base = Vec::new();
+        sample().encode(&mut base);
+        assert_eq!(
+            CheckpointDelta::decode(&mut base.as_slice()),
+            Err(PartialDecodeError("not a checkpoint delta"))
+        );
+        let mut delta = Vec::new();
+        sample_delta().encode(&mut delta);
+        assert!(WorkerCheckpoint::decode(&mut delta.as_slice()).is_err());
+    }
+
+    #[test]
+    fn apply_merges_fresh_keys_and_replaces_the_rest() {
+        let mut state = sample();
+        let delta = sample_delta();
+        state.apply(&delta).expect("the next record applies");
+        assert_eq!(state.state_keys, vec![0, 1, 5, 7, 9, 200, 300]);
+        assert_eq!(state.windows_closed, 8);
+        assert_eq!(state.processed, 13_000);
+        assert_eq!(state.phase_counts, delta.phase_counts);
+        assert_eq!(state.next_seq, delta.next_seq);
+        assert_eq!(state.open, delta.open);
+    }
+
+    #[test]
+    fn apply_rejects_records_that_cannot_be_next_and_leaves_the_state_alone() {
+        let base = sample();
+        let stale = CheckpointDelta {
+            windows_closed: base.windows_closed,
+            ..sample_delta()
+        };
+        let foreign = CheckpointDelta {
+            worker: 4,
+            ..sample_delta()
+        };
+        let overlapping = CheckpointDelta {
+            fresh_keys: vec![0, 9],
+            ..sample_delta()
+        };
+        for bad in [stale, foreign, overlapping] {
+            let mut state = base.clone();
+            assert!(state.apply(&bad).is_err(), "{bad:?} must not apply");
+            assert_eq!(state, base);
+        }
+    }
+
+    #[test]
+    fn restore_folds_concatenated_and_separate_delta_slices_alike() {
+        let mut base = Vec::new();
+        sample().encode(&mut base);
+        let first = sample_delta();
+        let second = CheckpointDelta {
+            windows_closed: 9,
+            fresh_keys: vec![2],
+            open: Vec::new(),
+            ..sample_delta()
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        first.encode(&mut a);
+        second.encode(&mut b);
+        let mut expected = sample();
+        expected.apply(&first).unwrap();
+        expected.apply(&second).unwrap();
+        let separate = WorkerCheckpoint::restore(&base, [a.as_slice(), b.as_slice()]);
+        assert_eq!(separate.as_ref(), Ok(&expected));
+        let joined = [a.clone(), b.clone()].concat();
+        assert_eq!(
+            WorkerCheckpoint::restore(&base, [joined.as_slice()]),
+            Ok(expected)
+        );
+        assert_eq!(
+            WorkerCheckpoint::restore(&base, std::iter::empty()),
+            Ok(sample())
+        );
+        // Out of order, or a torn record, is an error rather than a mix.
+        assert!(WorkerCheckpoint::restore(&base, [b.as_slice(), a.as_slice()]).is_err());
+        assert!(WorkerCheckpoint::restore(&base, [&a[..a.len() - 1]]).is_err());
+    }
+
+    #[test]
+    fn views_encode_the_same_bytes_as_the_owned_records() {
+        use std::collections::HashMap;
+        let partial: HashMap<u64, u64> = [(4, 2), (9, 1)].into_iter().collect();
+        let mut blob = Vec::new();
+        partial.encode_partial(&mut blob);
+        let owned_open = vec![
+            OpenWindowState {
+                window: 7,
+                closes_seen: 1,
+                partial: Some(blob),
+            },
+            OpenWindowState {
+                window: 8,
+                closes_seen: 1,
+                partial: None,
+            },
+        ];
+        let base = WorkerCheckpoint {
+            open: owned_open.clone(),
+            ..sample()
+        };
+        let delta = CheckpointDelta {
+            open: owned_open,
+            ..sample_delta()
+        };
+        let open_views = || {
+            [
+                OpenWindowView {
+                    window: 7,
+                    closes_seen: 1,
+                    partial: Some(&partial),
+                },
+                OpenWindowView {
+                    window: 8,
+                    closes_seen: 1,
+                    partial: None,
+                },
+            ]
+            .into_iter()
+        };
+        let (mut owned, mut viewed) = (Vec::new(), Vec::new());
+        base.encode(&mut owned);
+        CheckpointView {
+            worker: base.worker,
+            windows_closed: base.windows_closed,
+            processed: base.processed,
+            phase_counts: &base.phase_counts,
+            next_seq: &base.next_seq,
+            keys: &base.state_keys,
+        }
+        .encode_base(open_views(), &mut viewed);
+        assert_eq!(viewed, owned);
+        owned.clear();
+        viewed.clear();
+        delta.encode(&mut owned);
+        CheckpointView {
+            worker: delta.worker,
+            windows_closed: delta.windows_closed,
+            processed: delta.processed,
+            phase_counts: &delta.phase_counts,
+            next_seq: &delta.next_seq,
+            keys: &delta.fresh_keys,
+        }
+        .encode_delta(open_views(), &mut viewed);
+        assert_eq!(viewed, owned);
+    }
+
+    #[test]
+    fn rebase_rule_is_strictly_more_delta_than_base() {
+        assert!(!deltas_outweigh_base(100, 0));
+        assert!(!deltas_outweigh_base(100, 100));
+        assert!(deltas_outweigh_base(100, 101));
     }
 
     #[test]

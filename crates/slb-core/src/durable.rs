@@ -7,47 +7,60 @@
 //! bytes it reads back must survive a crash at **any** instruction of the
 //! writer — including mid-`write` and mid-`rename`.
 //!
-//! Two mechanisms provide that:
+//! The store holds a checkpoint *log*: one base record and the delta
+//! records appended since (see [`crate::checkpoint`]). Three mechanisms
+//! make it crash-safe:
 //!
-//! * **Atomic replace.** A save writes the framed checkpoint to a
-//!   temporary file, `sync_all`s it, renames the current checkpoint to the
-//!   `.prev` generation, and renames the temporary file into place.
-//!   Renames within a directory are atomic on POSIX, so at every instant
-//!   the directory holds at least one intact generation.
-//! * **Self-validating framing.** Each file carries a magic, a
-//!   monotonically increasing generation counter, the payload length, and
-//!   a CRC-32 of the payload. [`decode_checkpoint_file`] is **total**:
-//!   truncated, bit-flipped, or arbitrary bytes produce a
-//!   [`CheckpointFileError`], never a panic — and the store's
-//!   [`DurableCheckpointStore::load`] treats a corrupt current file as
-//!   recoverable by falling back to the previous generation.
+//! * **Atomic replace of the base.** [`DurableCheckpointStore::save`]
+//!   writes the framed base to a temporary file, `sync_all`s it, renames
+//!   the current log to the `.prev` generation, and renames the temporary
+//!   file into place. Renames within a directory are atomic on POSIX, so at
+//!   every instant the directory holds at least one intact log.
+//! * **Append-only deltas.** [`DurableCheckpointStore::append`] adds one
+//!   CRC-framed record to the end of the current log and `sync_data`s it.
+//!   Nothing before the append position is ever rewritten, so a crash
+//!   mid-append can only damage the record being appended.
+//! * **Self-validating framing.** The base carries a magic and a
+//!   monotonically increasing generation counter; every record carries its
+//!   payload length and a CRC-32 of the payload.
+//!   [`decode_checkpoint_log`] is **total**: truncated, bit-flipped, or
+//!   arbitrary bytes never panic. A damaged base is a
+//!   [`CheckpointFileError`] — [`DurableCheckpointStore::load`] then falls
+//!   back to the previous generation — and a damaged delta ends the log at
+//!   the last intact record before it, which is simply an earlier close.
 //!
-//! The payload is opaque here (the store neither knows nor cares that the
-//! engine puts an encoded [`crate::WorkerCheckpoint`] in it); totality of
-//! the *payload* decode is the checkpoint codec's own property.
+//! The payloads are opaque here (the store neither knows nor cares that the
+//! engine puts an encoded [`crate::WorkerCheckpoint`] and
+//! [`crate::CheckpointDelta`]s in them); totality of the *payload* decode is
+//! the checkpoint codec's own property.
 //!
 //! ## On-disk format
 //!
 //! ```text
-//! file := magic:"SLBCKPT1" generation:u64le payload_len:u32le crc32:u32le payload
+//! log    := magic:"SLBCKPT1" generation:u64le record record*
+//! record := payload_len:u32le crc32:u32le payload
 //! ```
 //!
-//! `crc32` is the IEEE CRC-32 (the zlib/PNG polynomial, reflected,
-//! init/xorout `0xFFFF_FFFF`) of the payload bytes alone — the header
-//! fields are covered implicitly because a corrupt `payload_len` changes
-//! which bytes the CRC is computed over.
+//! The first record is the base, the rest are deltas in append order; a
+//! delta's payload is never empty. `crc32` is the IEEE CRC-32 (the zlib/PNG
+//! polynomial, reflected, init/xorout `0xFFFF_FFFF`) of the payload bytes
+//! alone — the length is covered implicitly because a corrupt
+//! `payload_len` changes which bytes the CRC is computed over.
 
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// File magic: identifies a checkpoint file and pins format version 1.
+/// File magic: identifies a checkpoint log and pins format version 1.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"SLBCKPT1";
 
-/// Fixed header length: magic + generation + payload length + CRC.
-const HEADER_LEN: usize = 8 + 8 + 4 + 4;
+/// Bytes before the base record: magic + generation.
+const PREFIX_LEN: usize = 8 + 8;
 
-/// Why a checkpoint file failed to load. `Corrupt` is *expected* after a
+/// Per-record header length: payload length + CRC.
+const RECORD_HEADER_LEN: usize = 4 + 4;
+
+/// Why a checkpoint log failed to load. `Corrupt` is *expected* after a
 /// crash mid-save (a torn write to the temporary file that a later crash
 /// left in place never reaches the current name, but defense in depth is
 /// the point of the CRC); the store recovers by falling back one
@@ -56,8 +69,8 @@ const HEADER_LEN: usize = 8 + 8 + 4 + 4;
 pub enum CheckpointFileError {
     /// The file could not be read (not found, permissions, I/O error).
     Io(std::io::Error),
-    /// The bytes are not an intact checkpoint file: bad magic, truncated
-    /// header or payload, length/CRC mismatch, or trailing garbage.
+    /// The bytes do not start with an intact base: bad magic, truncated
+    /// header or payload, or a length/CRC mismatch.
     Corrupt(&'static str),
 }
 
@@ -109,56 +122,108 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Frames `payload` as one checkpoint file image for `generation`.
-pub fn encode_checkpoint_file(generation: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&generation.to_le_bytes());
+/// Appends one record (`payload_len crc32 payload`) to `out`.
+fn write_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// Reads one intact record from the front of `input`, advancing it.
+fn read_record<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CheckpointFileError> {
+    if input.len() < RECORD_HEADER_LEN {
+        return Err(CheckpointFileError::Corrupt("record header truncated"));
+    }
+    let payload_len = u32::from_le_bytes(input[..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(input[4..8].try_into().expect("4 bytes"));
+    let rest = &input[RECORD_HEADER_LEN..];
+    if rest.len() < payload_len {
+        return Err(CheckpointFileError::Corrupt("payload truncated"));
+    }
+    let (payload, rest) = rest.split_at(payload_len);
+    if crc32(payload) != crc {
+        return Err(CheckpointFileError::Corrupt("payload CRC mismatch"));
+    }
+    *input = rest;
+    Ok(payload)
+}
+
+/// Frames `base` as the image of a new checkpoint log for `generation`:
+/// the file a [`DurableCheckpointStore::save`] puts in place, before any
+/// delta is appended.
+pub fn encode_checkpoint_file(generation: u64, base: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(PREFIX_LEN + RECORD_HEADER_LEN + base.len());
+    out.extend_from_slice(&CHECKPOINT_MAGIC);
+    out.extend_from_slice(&generation.to_le_bytes());
+    write_record(&mut out, base);
     out
 }
 
-/// Decodes one checkpoint file image into `(generation, payload)`.
+/// What one checkpoint log file holds: the base payload and the payloads of
+/// the delta records appended to it, in order, up to the first record that
+/// is not intact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointLog {
+    /// Generation of the base (one per [`DurableCheckpointStore::save`]).
+    pub generation: u64,
+    /// The base record's payload.
+    pub base: Vec<u8>,
+    /// The intact delta payloads, oldest first.
+    pub deltas: Vec<Vec<u8>>,
+}
+
+/// Decodes a checkpoint log image.
 ///
-/// Total: any byte sequence that is not an intact file — wrong magic,
-/// truncation anywhere, a payload length disagreeing with the file size,
-/// a CRC mismatch from a bit flip — returns
-/// [`CheckpointFileError::Corrupt`]; no input panics.
-pub fn decode_checkpoint_file(bytes: &[u8]) -> Result<(u64, Vec<u8>), CheckpointFileError> {
-    if bytes.len() < HEADER_LEN {
+/// Total: any byte sequence that does not start with an intact base —
+/// wrong magic, truncation, a CRC mismatch from a bit flip — returns
+/// [`CheckpointFileError::Corrupt`]. After the base, records are taken
+/// while they are intact; a torn, bit-flipped or empty one ends the log
+/// there (everything after it is unreachable, since record boundaries are
+/// only known by walking them). No input panics.
+pub fn decode_checkpoint_log(bytes: &[u8]) -> Result<CheckpointLog, CheckpointFileError> {
+    if bytes.len() < PREFIX_LEN {
         return Err(CheckpointFileError::Corrupt("shorter than the header"));
     }
     if bytes[..8] != CHECKPOINT_MAGIC {
         return Err(CheckpointFileError::Corrupt("bad magic"));
     }
     let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let payload_len = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() < payload_len {
-        return Err(CheckpointFileError::Corrupt("payload truncated"));
+    let mut input = &bytes[PREFIX_LEN..];
+    let base = read_record(&mut input)?.to_vec();
+    let mut deltas = Vec::new();
+    while let Ok(payload) = read_record(&mut input) {
+        // Eight zero bytes frame an "intact" empty record; no writer emits
+        // one, so it marks a zero-filled tail, not a delta.
+        if payload.is_empty() {
+            break;
+        }
+        deltas.push(payload.to_vec());
     }
-    if payload.len() > payload_len {
-        return Err(CheckpointFileError::Corrupt("trailing bytes after payload"));
-    }
-    if crc32(payload) != crc {
-        return Err(CheckpointFileError::Corrupt("payload CRC mismatch"));
-    }
-    Ok((generation, payload.to_vec()))
+    Ok(CheckpointLog {
+        generation,
+        base,
+        deltas,
+    })
 }
 
-/// A per-worker durable checkpoint slot backed by files in a directory:
-/// `worker-{w}.ckpt` (current generation), `worker-{w}.ckpt.prev` (the one
-/// before it), and a transient `worker-{w}.ckpt.tmp` that exists only
-/// mid-save. See the module docs for the crash-safety argument.
+/// A per-worker durable checkpoint log backed by files in a directory:
+/// `worker-{w}.ckpt` (current generation: a base plus appended deltas),
+/// `worker-{w}.ckpt.prev` (the generation before it, complete up to the
+/// close that preceded the current base), and a transient
+/// `worker-{w}.ckpt.tmp` that exists only mid-save. See the module docs for
+/// the crash-safety argument.
 #[derive(Debug)]
 pub struct DurableCheckpointStore {
     current: PathBuf,
     prev: PathBuf,
     tmp: PathBuf,
     generation: u64,
+    /// The current log, open for appending — only once *this* store has
+    /// written its base: a predecessor's log may end in a torn record, and
+    /// anything appended after that would be unreachable.
+    log: Option<fs::File>,
+    /// Reused framing buffer, so an append is one `write_all`.
+    frame: Vec<u8>,
 }
 
 impl DurableCheckpointStore {
@@ -174,23 +239,27 @@ impl DurableCheckpointStore {
             tmp: base.with_extension("ckpt.tmp"),
             current: base,
             generation: 0,
+            log: None,
+            frame: Vec::new(),
         };
-        if let Some((generation, _)) = store.load() {
-            store.generation = generation;
+        if let Some(log) = store.load() {
+            store.generation = log.generation;
         }
         Ok(store)
     }
 
-    /// Atomically replaces the current checkpoint with `payload` under the
-    /// next generation number, keeping the previous generation on disk.
-    /// Returns the generation written.
+    /// Atomically replaces the current log with a new one holding only the
+    /// base record `payload`, under the next generation number, keeping the
+    /// previous log on disk. Returns the generation written.
     pub fn save(&mut self, payload: &[u8]) -> std::io::Result<u64> {
+        // Whatever happens below, the old handle must not take appends
+        // meant for the new base.
+        self.log = None;
         let generation = self.generation + 1;
         let image = encode_checkpoint_file(generation, payload);
         let mut file = fs::File::create(&self.tmp)?;
         file.write_all(&image)?;
         file.sync_all()?;
-        drop(file);
         // Demote the current generation before promoting the new one: a
         // crash between the two renames leaves `.prev` intact and no
         // current file, which `load` handles by falling back.
@@ -201,30 +270,55 @@ impl DurableCheckpointStore {
         }
         fs::rename(&self.tmp, &self.current)?;
         self.generation = generation;
+        // The handle follows the file through the rename and sits at its
+        // end, where the deltas go.
+        self.log = Some(file);
         Ok(generation)
     }
 
-    /// Loads the newest intact checkpoint: the current file if it decodes,
+    /// Appends one delta record to the current log and makes it durable.
+    ///
+    /// Errors without writing if this store has not [`save`](Self::save)d a
+    /// base itself (see the `log` field), and after any failed append (the
+    /// tail may be torn): the next `save` starts a clean log either way.
+    ///
+    /// # Panics
+    /// Panics on an empty `payload`, which the log format reserves.
+    pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        assert!(!payload.is_empty(), "delta records must not be empty");
+        let Some(mut file) = self.log.take() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "no base saved by this store to append a delta to",
+            ));
+        };
+        self.frame.clear();
+        write_record(&mut self.frame, payload);
+        file.write_all(&self.frame)?;
+        file.sync_data()?;
+        self.log = Some(file);
+        Ok(())
+    }
+
+    /// Loads the newest intact log: the current file if its base decodes,
     /// else the previous generation if that does. Total — I/O errors,
     /// missing files, and corruption all fold into `None` (a worker with
     /// no loadable checkpoint starts from empty state and replays from
     /// sequence zero, which is always correct).
-    pub fn load(&self) -> Option<(u64, Vec<u8>)> {
-        self.load_path(&self.current)
-            .or_else(|| self.load_path(&self.prev))
+    pub fn load(&self) -> Option<CheckpointLog> {
+        [&self.current, &self.prev]
+            .into_iter()
+            .find_map(|path| Self::load_path(path).ok())
     }
 
     /// Like [`load`](Self::load), but reporting *why* each generation was
     /// skipped: one result per generation file, newest first. Lets callers
     /// (and the proptests) distinguish "no checkpoint yet" from "current
     /// corrupt, recovered from previous".
-    pub fn load_generations(&self) -> Vec<Result<(u64, Vec<u8>), CheckpointFileError>> {
+    pub fn load_generations(&self) -> Vec<Result<CheckpointLog, CheckpointFileError>> {
         [&self.current, &self.prev]
             .into_iter()
-            .map(|path| {
-                let bytes = fs::read(path)?;
-                decode_checkpoint_file(&bytes)
-            })
+            .map(|path| Self::load_path(path))
             .collect()
     }
 
@@ -249,9 +343,8 @@ impl DurableCheckpointStore {
         &self.tmp
     }
 
-    fn load_path(&self, path: &Path) -> Option<(u64, Vec<u8>)> {
-        let bytes = fs::read(path).ok()?;
-        decode_checkpoint_file(&bytes).ok()
+    fn load_path(path: &Path) -> Result<CheckpointLog, CheckpointFileError> {
+        decode_checkpoint_log(&fs::read(path)?)
     }
 }
 
@@ -269,6 +362,14 @@ mod tests {
         dir
     }
 
+    fn log(generation: u64, base: &[u8], deltas: &[&[u8]]) -> CheckpointLog {
+        CheckpointLog {
+            generation,
+            base: base.to_vec(),
+            deltas: deltas.iter().map(|d| d.to_vec()).collect(),
+        }
+    }
+
     #[test]
     fn crc32_matches_the_standard_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -281,12 +382,44 @@ mod tests {
         let mut store = DurableCheckpointStore::open(&dir, 3).unwrap();
         assert_eq!(store.load(), None);
         assert_eq!(store.save(b"alpha").unwrap(), 1);
-        assert_eq!(store.load(), Some((1, b"alpha".to_vec())));
+        assert_eq!(store.load(), Some(log(1, b"alpha", &[])));
         assert_eq!(store.save(b"beta").unwrap(), 2);
-        assert_eq!(store.load(), Some((2, b"beta".to_vec())));
+        assert_eq!(store.load(), Some(log(2, b"beta", &[])));
         // The demoted generation is still on disk.
         let generations = store.load_generations();
-        assert!(matches!(&generations[1], Ok((1, p)) if p == b"alpha"));
+        assert!(matches!(&generations[1], Ok(l) if *l == log(1, b"alpha", &[])));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appended_deltas_load_in_order_and_a_new_base_demotes_the_whole_log() {
+        let dir = scratch_dir("append");
+        let mut store = DurableCheckpointStore::open(&dir, 0).unwrap();
+        store.save(b"base-1").unwrap();
+        store.append(b"d1").unwrap();
+        store.append(b"d2").unwrap();
+        assert_eq!(store.load(), Some(log(1, b"base-1", &[b"d1", b"d2"])));
+        store.save(b"base-2").unwrap();
+        store.append(b"d3").unwrap();
+        assert_eq!(store.load(), Some(log(2, b"base-2", &[b"d3"])));
+        let generations = store.load_generations();
+        assert!(matches!(&generations[1], Ok(l) if *l == log(1, b"base-1", &[b"d1", b"d2"])));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_needs_a_base_saved_by_this_store() {
+        let dir = scratch_dir("append-no-base");
+        let mut store = DurableCheckpointStore::open(&dir, 0).unwrap();
+        assert!(store.append(b"orphan").is_err());
+        store.save(b"base").unwrap();
+        store.append(b"d1").unwrap();
+        drop(store);
+        // A respawn must not extend its predecessor's log, whose tail it
+        // cannot vouch for.
+        let mut respawned = DurableCheckpointStore::open(&dir, 0).unwrap();
+        assert!(respawned.append(b"d2").is_err());
+        assert_eq!(respawned.load(), Some(log(1, b"base", &[b"d1"])));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -298,28 +431,63 @@ mod tests {
         store.save(b"two").unwrap();
         drop(store);
         let mut respawned = DurableCheckpointStore::open(&dir, 0).unwrap();
-        assert_eq!(respawned.load(), Some((2, b"two".to_vec())));
+        assert_eq!(respawned.load(), Some(log(2, b"two", &[])));
         assert_eq!(respawned.save(b"three").unwrap(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_current_falls_back_to_previous_generation() {
+    fn corrupt_base_falls_back_to_previous_generation() {
         let dir = scratch_dir("fallback");
         let mut store = DurableCheckpointStore::open(&dir, 1).unwrap();
         store.save(b"good-old").unwrap();
+        store.append(b"old-delta").unwrap();
         store.save(b"good-new").unwrap();
-        // Flip a payload bit in the current file.
+        // Flip a payload bit in the current file's base.
         let mut bytes = fs::read(store.current_path()).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         fs::write(store.current_path(), &bytes).unwrap();
-        assert_eq!(store.load(), Some((1, b"good-old".to_vec())));
+        assert_eq!(store.load(), Some(log(1, b"good-old", &[b"old-delta"])));
         let generations = store.load_generations();
         assert!(matches!(
             &generations[0],
             Err(CheckpointFileError::Corrupt("payload CRC mismatch"))
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_or_flipped_delta_ends_the_log_at_the_last_intact_record() {
+        let dir = scratch_dir("torn-tail");
+        let mut store = DurableCheckpointStore::open(&dir, 1).unwrap();
+        store.save(b"base").unwrap();
+        store.append(b"first").unwrap();
+        store.append(b"second").unwrap();
+        let image = fs::read(store.current_path()).unwrap();
+        // Torn mid-append: every cut inside the last record drops just it.
+        let second_at = image.len() - (RECORD_HEADER_LEN + b"second".len());
+        for cut in second_at..image.len() {
+            assert_eq!(
+                decode_checkpoint_log(&image[..cut]).unwrap(),
+                log(1, b"base", &[b"first"]),
+                "cut {cut}"
+            );
+        }
+        // A flipped bit in the first delta hides the second too.
+        let mut flipped = image.clone();
+        flipped[second_at - 1] ^= 1;
+        assert_eq!(
+            decode_checkpoint_log(&flipped).unwrap(),
+            log(1, b"base", &[])
+        );
+        // A zero-filled tail is not a run of empty deltas.
+        let mut zeros = image.clone();
+        zeros.extend_from_slice(&[0; 32]);
+        assert_eq!(
+            decode_checkpoint_log(&zeros).unwrap(),
+            log(1, b"base", &[b"first", b"second"])
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -330,28 +498,32 @@ mod tests {
         store.save(b"committed").unwrap();
         // Simulate a crash mid-save: a torn tmp file never renamed.
         fs::write(store.tmp_path(), b"garbage from a dying writer").unwrap();
-        assert_eq!(store.load(), Some((1, b"committed".to_vec())));
+        assert_eq!(store.load(), Some(log(1, b"committed", &[])));
         drop(store);
         let reopened = DurableCheckpointStore::open(&dir, 2).unwrap();
-        assert_eq!(reopened.load(), Some((1, b"committed".to_vec())));
+        assert_eq!(reopened.load(), Some(log(1, b"committed", &[])));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn decode_rejects_everything_that_is_not_an_intact_file() {
+    fn decode_rejects_everything_that_does_not_start_with_an_intact_base() {
         let image = encode_checkpoint_file(7, b"payload");
-        assert!(matches!(
-            decode_checkpoint_file(&image),
-            Ok((7, ref p)) if p == b"payload"
-        ));
+        assert_eq!(
+            decode_checkpoint_log(&image).unwrap(),
+            log(7, b"payload", &[])
+        );
         for cut in 0..image.len() {
-            assert!(decode_checkpoint_file(&image[..cut]).is_err(), "cut {cut}");
+            assert!(decode_checkpoint_log(&image[..cut]).is_err(), "cut {cut}");
         }
         let mut bad_magic = image.clone();
         bad_magic[0] ^= 1;
-        assert!(decode_checkpoint_file(&bad_magic).is_err());
+        assert!(decode_checkpoint_log(&bad_magic).is_err());
+        // Bytes after the base that are not a record are a torn tail.
         let mut trailing = image.clone();
         trailing.push(0);
-        assert!(decode_checkpoint_file(&trailing).is_err());
+        assert_eq!(
+            decode_checkpoint_log(&trailing).unwrap(),
+            log(7, b"payload", &[])
+        );
     }
 }

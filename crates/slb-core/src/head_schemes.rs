@@ -16,7 +16,7 @@
 
 use std::hash::Hash;
 
-use slb_hash::{HashFamily, KeyHash};
+use slb_hash::{FixedHashMap, HashFamily, KeyHash};
 
 use crate::config::{PartitionConfig, SolverMode};
 use crate::dchoices::{find_optimal_choices, ChoicesDecision};
@@ -60,7 +60,7 @@ pub struct HeadAwarePartitioner<K: Eq + Hash + Clone> {
     /// membership is bounded by the sketch capacity, so the map stays small;
     /// entries are pure functions of `(key, d)` and the whole map is dropped
     /// whenever the tracker generation or the solver's `d` changes.
-    candidate_cache: std::collections::HashMap<K, Vec<usize>>,
+    candidate_cache: FixedHashMap<K, Vec<usize>>,
     cache_generation: u64,
     cache_d: usize,
     cache_capacity: usize,
@@ -89,7 +89,7 @@ impl<K: KeyHash + Eq + Hash + Clone> HeadAwarePartitioner<K> {
             rr_next: (config.seed as usize) % config.workers,
             messages: 0,
             scratch: Vec::with_capacity(config.workers),
-            candidate_cache: std::collections::HashMap::new(),
+            candidate_cache: FixedHashMap::default(),
             cache_generation: 0,
             cache_d: 0,
             cache_capacity: config.sketch_capacity,

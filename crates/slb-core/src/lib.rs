@@ -49,7 +49,10 @@ pub mod wire;
 pub use aggregate::{
     shard_of, CountAggregate, SumAggregate, TopKAggregate, WindowAggregate, SHARD_SEED,
 };
-pub use checkpoint::{OpenWindowState, WorkerCheckpoint};
+pub use checkpoint::{
+    deltas_outweigh_base, merge_ascending, CheckpointDelta, CheckpointView, OpenWindowState,
+    OpenWindowView, WorkerCheckpoint,
+};
 pub use config::{HeadThreshold, PartitionConfig, SolverMode};
 pub use controller::{
     decode_decision, encode_decision, ControllerAction, ControllerConfig, ControllerEvent,
@@ -59,7 +62,7 @@ pub use dchoices::{
     constraints_hold, d_fraction, expected_worker_set_size, find_optimal_choices, ChoicesDecision,
 };
 pub use durable::{
-    crc32, decode_checkpoint_file, encode_checkpoint_file, CheckpointFileError,
+    crc32, decode_checkpoint_log, encode_checkpoint_file, CheckpointFileError, CheckpointLog,
     DurableCheckpointStore, CHECKPOINT_MAGIC,
 };
 pub use head::{HeadSnapshot, HeadTracker};
@@ -69,6 +72,11 @@ pub use memory::{estimated_replicas, relative_overhead_pct, MemoryScheme};
 pub use partitioner::{KeyGrouping, Partitioner, ShuffleGrouping};
 pub use pkg::PartialKeyGrouping;
 pub use wire::{PartialDecodeError, WirePartial};
+
+// The fixed build-hasher behind the workspace's private integer-keyed maps,
+// re-exported so crates that depend on slb-core but not on slb-hash (the
+// engine) reach it without a new dependency edge.
+pub use slb_hash::{FixedHashMap, FixedHashSet, FixedState};
 
 use std::hash::Hash;
 

@@ -27,7 +27,7 @@
 //! Faults fire **once**: a restored worker whose counters rewound below a
 //! kill threshold does not re-trip it.
 
-use std::sync::Mutex;
+use slb_core::{deltas_outweigh_base, WorkerCheckpoint};
 
 /// One injected fault, pinned to a deterministic logical offset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,55 +192,104 @@ impl FaultPlan {
     }
 }
 
-/// The in-memory durable store workers checkpoint into: one slot per worker
-/// holding the latest encoded [`slb_core::WorkerCheckpoint`].
+/// One record of a worker's checkpoint log, as the worker stage hands it to
+/// a durable mirror: which kind it is decides whether the mirror starts a
+/// new log or appends to the current one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointRecord<'a> {
+    /// An encoded [`slb_core::WorkerCheckpoint`]: starts a new log.
+    Base(&'a [u8]),
+    /// An encoded [`slb_core::CheckpointDelta`]: extends the current log.
+    Delta(&'a [u8]),
+}
+
+impl CheckpointRecord<'_> {
+    /// The record's encoded bytes.
+    pub fn bytes(&self) -> &[u8] {
+        match self {
+            CheckpointRecord::Base(bytes) | CheckpointRecord::Delta(bytes) => bytes,
+        }
+    }
+}
+
+/// The in-memory durable store one worker checkpoints into: its checkpoint
+/// log, as the encoded base record ([`slb_core::WorkerCheckpoint`]) and the
+/// encoded delta records ([`slb_core::CheckpointDelta`]) appended since.
 ///
 /// A simulated crash discards everything the worker holds on its stack and
 /// restores *only* from these bytes, so the store stands in for the durable
 /// medium (local disk, replicated log) a production deployment would use —
-/// the recovery path decodes exactly what a real restart would read.
+/// the recovery path decodes exactly what a real restart would read. It
+/// also owns the rebase decision ([`Self::wants_base`]), so the worker
+/// stage and its durable mirror in `slb-net` cannot disagree on it.
+///
+/// Each worker stage owns its store alone; nothing here is shared.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
-    slots: Mutex<Vec<Option<Vec<u8>>>>,
-    saves: Mutex<u64>,
+    base: Vec<u8>,
+    /// The delta records since `base`, back to back (each self-delimiting).
+    deltas: Vec<u8>,
+    saves: u64,
+    bytes_saved: u64,
 }
 
 impl CheckpointStore {
-    /// Creates a store with one empty slot per worker.
-    pub fn new(workers: usize) -> Self {
-        Self {
-            slots: Mutex::new(vec![None; workers]),
-            saves: Mutex::new(0),
-        }
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Replaces `worker`'s checkpoint with `bytes`. Takes a slice rather
-    /// than an owned vector so the slot's allocation is reused save after
-    /// save — workers checkpoint at every window close, and the store
-    /// sits on that path.
-    pub fn save(&self, worker: usize, bytes: &[u8]) {
-        let mut slots = self.slots.lock().unwrap();
-        if worker >= slots.len() {
-            slots.resize(worker + 1, None);
-        }
-        match &mut slots[worker] {
-            Some(slot) => {
-                slot.clear();
-                slot.extend_from_slice(bytes);
-            }
-            empty => *empty = Some(bytes.to_vec()),
-        }
-        *self.saves.lock().unwrap() += 1;
+    /// True when the next record must be a base: nothing is stored yet, or
+    /// the deltas since the last base outweigh it
+    /// ([`slb_core::deltas_outweigh_base`]).
+    pub fn wants_base(&self) -> bool {
+        self.base.is_empty() || deltas_outweigh_base(self.base.len(), self.deltas.len())
     }
 
-    /// Returns a copy of `worker`'s latest checkpoint, if it has taken one.
-    pub fn load(&self, worker: usize) -> Option<Vec<u8>> {
-        self.slots.lock().unwrap().get(worker).cloned().flatten()
+    /// Starts a new log: `encode` appends the base record to the (cleared)
+    /// base buffer, and the previous base and its deltas are dropped. Both
+    /// buffers keep their allocations. Returns the record written.
+    pub fn save_base(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> CheckpointRecord<'_> {
+        self.base.clear();
+        self.deltas.clear();
+        encode(&mut self.base);
+        assert!(!self.base.is_empty(), "a base record is never empty");
+        self.saves += 1;
+        self.bytes_saved += self.base.len() as u64;
+        CheckpointRecord::Base(&self.base)
     }
 
-    /// Total checkpoints saved across all workers (for tests and metrics).
+    /// Appends one delta record: `encode` appends it to the delta buffer.
+    /// Returns the record written.
+    pub fn append_delta(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> CheckpointRecord<'_> {
+        let at = self.deltas.len();
+        encode(&mut self.deltas);
+        self.saves += 1;
+        self.bytes_saved += (self.deltas.len() - at) as u64;
+        CheckpointRecord::Delta(&self.deltas[at..])
+    }
+
+    /// Rebuilds the state as of the latest record, or `None` before the
+    /// first save.
+    ///
+    /// # Panics
+    /// Panics if the stored bytes do not decode — they are this worker's
+    /// own encodings, so that is a bug, not an input error.
+    pub fn restore(&self) -> Option<WorkerCheckpoint> {
+        (!self.base.is_empty()).then(|| {
+            WorkerCheckpoint::restore(&self.base, [self.deltas.as_slice()])
+                .expect("a worker's own checkpoint log decodes")
+        })
+    }
+
+    /// Records saved, bases and deltas alike: one per window close.
     pub fn saves(&self) -> u64 {
-        *self.saves.lock().unwrap()
+        self.saves
+    }
+
+    /// Total bytes of every record ever saved (not the current log size).
+    pub fn bytes_saved(&self) -> u64 {
+        self.bytes_saved
     }
 }
 
@@ -308,15 +357,46 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_store_keeps_the_latest_per_worker() {
-        let store = CheckpointStore::new(2);
-        assert_eq!(store.load(0), None);
-        store.save(0, &[1, 2]);
-        store.save(1, &[3]);
-        store.save(0, &[9, 9, 9]);
-        assert_eq!(store.load(0), Some(vec![9, 9, 9]));
-        assert_eq!(store.load(1), Some(vec![3]));
-        assert_eq!(store.load(7), None, "unknown worker loads nothing");
-        assert_eq!(store.saves(), 3);
+    fn checkpoint_store_restores_base_plus_deltas_and_rebases_by_weight() {
+        use slb_core::CheckpointDelta;
+        let mut store = CheckpointStore::new();
+        assert!(store.wants_base(), "the first record is always a base");
+        assert_eq!(store.restore(), None);
+        let base = WorkerCheckpoint {
+            windows_closed: 1,
+            state_keys: (0..10).collect(),
+            ..WorkerCheckpoint::default()
+        };
+        let saved = store.save_base(|out| base.encode(out));
+        assert!(matches!(saved, CheckpointRecord::Base(_)));
+        let base_len = saved.bytes().len();
+        assert_eq!(store.restore(), Some(base.clone()));
+        // Deltas accumulate until they outweigh the base.
+        let mut expected = base;
+        let mut delta_bytes = 0;
+        let mut closes = 1;
+        while !store.wants_base() {
+            closes += 1;
+            let delta = CheckpointDelta {
+                windows_closed: closes,
+                fresh_keys: vec![100 + closes],
+                ..CheckpointDelta::default()
+            };
+            let saved = store.append_delta(|out| delta.encode(out));
+            assert!(matches!(saved, CheckpointRecord::Delta(_)));
+            let mut appended = saved.bytes();
+            assert_eq!(CheckpointDelta::decode(&mut appended), Ok(delta.clone()));
+            delta_bytes += saved.bytes().len();
+            expected.apply(&delta).unwrap();
+            assert_eq!(store.restore().as_ref(), Some(&expected));
+        }
+        assert!(delta_bytes > base_len);
+        assert_eq!(store.saves(), closes);
+        assert_eq!(store.bytes_saved(), (base_len + delta_bytes) as u64);
+        // A new base drops the old log.
+        store.save_base(|out| expected.encode(out));
+        assert!(!store.wants_base());
+        assert_eq!(store.restore(), Some(expected));
+        assert_eq!(store.saves(), closes + 1);
     }
 }

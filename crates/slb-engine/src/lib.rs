@@ -57,7 +57,7 @@ pub mod topology;
 pub mod transport;
 pub mod windows;
 
-pub use fault::{CheckpointStore, ConnectionDrop, FaultEvent, FaultPlan};
+pub use fault::{CheckpointRecord, CheckpointStore, ConnectionDrop, FaultEvent, FaultPlan};
 pub use latency::{LatencySummary, LatencyTracker, PhaseMetrics, RecoveryMetrics, StageMetrics};
 pub use spsc::{Spsc, SpscReceiver, SpscSender};
 pub use topology::{

@@ -84,10 +84,10 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use slb_core::{
-    build_partitioner, ControllerAction, ControllerConfig, ControllerEvent, ControllerMetrics,
-    CountAggregate, ElasticityController, OpenWindowState, PartitionConfig, Partitioner,
-    PartitionerKind, PerWindowLoads, PhaseLoadMatrix, SolverMode, WindowAggregate, WirePartial,
-    WorkerCheckpoint,
+    build_partitioner, merge_ascending, CheckpointView, ControllerAction, ControllerConfig,
+    ControllerEvent, ControllerMetrics, CountAggregate, ElasticityController, FixedHashSet,
+    OpenWindowView, PartitionConfig, Partitioner, PartitionerKind, PerWindowLoads, PhaseLoadMatrix,
+    SolverMode, WindowAggregate, WirePartial, WorkerCheckpoint,
 };
 use slb_telemetry::{
     sort_canonical, trace_kind, trace_stage, HopStats, HopTelemetry, LogHistogram, TraceBuf,
@@ -95,7 +95,7 @@ use slb_telemetry::{
 };
 use slb_workloads::{Arrival, KeyId, KeyStream, Scenario};
 
-use crate::fault::{CheckpointStore, ConnectionDrop, FaultPlan};
+use crate::fault::{CheckpointRecord, CheckpointStore, ConnectionDrop, FaultPlan};
 use crate::latency::{LatencySummary, LatencyTracker, PhaseMetrics, RecoveryMetrics, StageMetrics};
 use crate::transport::{
     capacity_in_batches, feedback_channel_capacity, partial_channel_capacity, FeedbackReceiver,
@@ -1091,13 +1091,18 @@ impl Topology {
     /// the *measurement baseline* for the checkpoint path's cost, used by
     /// the CI perf smoke to assert that fault-free runs pay less than a
     /// fixed overhead budget for always-on checkpointing. Results are
-    /// bit-identical to [`Self::run_windowed`]; only the durable writes are
-    /// skipped. No faults can be injected here: recovery depends on the
+    /// bit-identical to [`Self::run_windowed_on`]; only the durable writes
+    /// are skipped. No faults can be injected here: recovery depends on the
     /// checkpoints this entry point elides.
-    pub fn run_windowed_without_checkpoints<A>(&self, aggregate: A) -> WindowedRun<A::Partial>
+    pub fn run_windowed_without_checkpoints<A, T>(
+        &self,
+        aggregate: A,
+        transport: &T,
+    ) -> WindowedRun<A::Partial>
     where
         A: WindowAggregate<KeyId>,
         A::Partial: WirePartial,
+        T: Transport<A::Partial>,
     {
         let mut plan = self.config.stage_plan();
         plan.checkpointing = false;
@@ -1105,7 +1110,7 @@ impl Topology {
         let streams = Arc::new(move |_phase: usize, source: usize| {
             crate::windows::source_stream(&cfg, source)
         });
-        run_plan(&plan, streams, aggregate, &InProc)
+        run_plan(&plan, streams, aggregate, transport)
     }
 
     /// Runs the topology with telemetry collection disabled — the
@@ -2034,6 +2039,11 @@ pub struct WorkerStageReport {
     /// Checkpoints this worker saved (one per window finalization,
     /// including re-finalizations after a restore).
     pub checkpoints: u64,
+    /// Bytes of every checkpoint record this worker saved, bases and deltas
+    /// together. Which closes write a base depends on how much of the next
+    /// window was already open, so this is a cost diagnostic, not part of
+    /// the deterministic result; it is not carried on the wire.
+    pub checkpoint_bytes: u64,
     /// The deterministic logical trace of this worker (window closes,
     /// checkpoint saves/restores, replay requests); empty when the plan
     /// disables telemetry.
@@ -2085,101 +2095,142 @@ where
     )
 }
 
-/// The worker's distinct-key set (the memory-footprint metric), kept in
-/// checkpoint order incrementally: per-tuple membership rides the hash
-/// set, and a *new* key — rare, bounded by the key-space size — is also
-/// placed into a sorted vector at its ordered position. The checkpoint
-/// encoding then borrows the vector as-is instead of collecting and
-/// re-sorting the whole set at every window close, which dominated the
-/// checkpoint path's cost at zero service time.
-struct StateKeys {
-    set: std::collections::HashSet<KeyId>,
-    sorted: Vec<KeyId>,
-}
-
-impl StateKeys {
-    fn new() -> Self {
-        Self {
-            set: std::collections::HashSet::new(),
-            sorted: Vec::new(),
-        }
-    }
-
-    /// Rebuilds the set from a checkpoint's (strictly ascending) key list.
-    fn restore(keys: &[KeyId]) -> Self {
-        Self {
-            set: keys.iter().copied().collect(),
-            sorted: keys.to_vec(),
-        }
-    }
-
-    fn insert(&mut self, key: KeyId) {
-        if self.set.insert(key) {
-            let at = self.sorted.partition_point(|&k| k < key);
-            self.sorted.insert(at, key);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    fn sorted(&self) -> &[KeyId] {
-        &self.sorted
-    }
-}
-
-/// Builds the consistent snapshot a worker saves at a window finalization:
-/// counters, per-source sequence cursors, the (already sorted) state-key
-/// set, and every still-open window's close count and encoded partial —
-/// written into `out`, which the caller reuses across closes so the
-/// steady-state encode allocates nothing for the checkpoint bytes. The
-/// snapshot is a pure function of the per-source message prefixes recorded
-/// in `next_seq`, which is what makes restore + bounded replay land the
-/// worker in exactly the state it lost.
-#[allow(clippy::too_many_arguments)]
-fn encode_checkpoint_into<A>(
-    aggregate: &A,
-    worker: usize,
-    windows_closed: u64,
+/// Every piece of volatile worker state a checkpoint covers — what a crash
+/// loses and a restore rebuilds. Timing diagnostics and recovery counters
+/// live outside it: they describe the wall clock and the recovery itself,
+/// not the recovered state.
+struct WorkerState<P> {
     processed: u64,
-    phase_counts: &[u64],
-    next_seq: &[u64],
-    state_keys: &[KeyId],
-    open: &HashMap<WindowId, A::Partial>,
-    closes: &HashMap<WindowId, usize>,
-    out: &mut Vec<u8>,
-) where
-    A: WindowAggregate<KeyId>,
-    A::Partial: WirePartial,
-{
-    let _ = aggregate;
-    let mut windows: Vec<WindowId> = open.keys().chain(closes.keys()).copied().collect();
-    windows.sort_unstable();
-    windows.dedup();
-    let open_states: Vec<OpenWindowState> = windows
-        .into_iter()
-        .map(|window| OpenWindowState {
+    windows_closed: u64,
+    phase_counts: Vec<u64>,
+    /// Per-source sequence cursor: the next message expected from each.
+    expected_seq: Vec<u64>,
+    /// Distinct keys this worker has ever held state for (the
+    /// memory-footprint metric); the per-key counts themselves live in the
+    /// window partials.
+    keys: FixedHashSet<KeyId>,
+    /// `keys` as of the last base record this state wrote (or was restored
+    /// from), ascending: what the next base merges the newer keys into, so
+    /// that no close ever sorts the whole set.
+    base_keys: Vec<KeyId>,
+    /// The keys first seen since `base_keys`. `[..delta_from]` already
+    /// went out in delta records, one ascending run per record; the rest is
+    /// fresh — in arrival order, and all the next delta has to say about
+    /// the key set.
+    since_base: Vec<KeyId>,
+    delta_from: usize,
+    open: HashMap<WindowId, P>,
+    closes: HashMap<WindowId, usize>,
+}
+
+impl<P: WirePartial> WorkerState<P> {
+    fn new(n_phases: usize, sources: usize) -> Self {
+        Self {
+            processed: 0,
+            windows_closed: 0,
+            phase_counts: vec![0; n_phases],
+            expected_seq: vec![0; sources],
+            keys: FixedHashSet::default(),
+            base_keys: Vec::new(),
+            since_base: Vec::new(),
+            delta_from: 0,
+            open: HashMap::new(),
+            closes: HashMap::new(),
+        }
+    }
+
+    /// Rebuilds the state from a restored checkpoint (a log's base with its
+    /// deltas applied, see [`WorkerCheckpoint::restore`]). Shared by the
+    /// simulated-crash restore (same process) and the respawn restore (new
+    /// process, log read from disk).
+    fn restore(checkpoint: &WorkerCheckpoint, n_phases: usize, sources: usize) -> Self {
+        let mut phase_counts = checkpoint.phase_counts.clone();
+        phase_counts.resize(n_phases, 0);
+        let mut expected_seq = checkpoint.next_seq.clone();
+        expected_seq.resize(sources, 0);
+        let open = checkpoint
+            .open
+            .iter()
+            .filter_map(|w| {
+                w.partial.as_ref().map(|blob| {
+                    let partial = P::decode_partial(&mut blob.as_slice())
+                        .expect("a worker's own checkpoint decodes");
+                    (w.window, partial)
+                })
+            })
+            .collect();
+        let closes = checkpoint
+            .open
+            .iter()
+            .filter(|w| w.closes_seen > 0)
+            .map(|w| (w.window, w.closes_seen as usize))
+            .collect();
+        Self {
+            processed: checkpoint.processed,
+            windows_closed: checkpoint.windows_closed,
+            phase_counts,
+            expected_seq,
+            keys: checkpoint.state_keys.iter().copied().collect(),
+            base_keys: checkpoint.state_keys.clone(),
+            since_base: Vec::new(),
+            delta_from: 0,
+            open,
+            closes,
+        }
+    }
+
+    /// Writes the checkpoint record for the close that just finalized into
+    /// `store`, encoded straight from this state: a delta (counters,
+    /// cursors, the fresh keys, the open windows) unless the store wants a
+    /// base, which carries every key instead. Either way the record is a
+    /// pure function of the per-source message prefixes recorded in
+    /// `expected_seq`, which is what makes restore + bounded replay land
+    /// the worker in exactly the state it lost.
+    fn save_checkpoint<'s>(
+        &mut self,
+        worker: usize,
+        store: &'s mut CheckpointStore,
+    ) -> CheckpointRecord<'s> {
+        let mut windows: Vec<WindowId> = self
+            .open
+            .keys()
+            .chain(self.closes.keys())
+            .copied()
+            .collect();
+        windows.sort_unstable();
+        windows.dedup();
+        let open = windows.iter().map(|&window| OpenWindowView {
             window,
-            closes_seen: closes.get(&window).copied().unwrap_or(0) as u64,
-            partial: open.get(&window).map(|partial| {
-                let mut blob = Vec::new();
-                partial.encode_partial(&mut blob);
-                blob
-            }),
-        })
-        .collect();
-    let checkpoint = WorkerCheckpoint {
-        worker: worker as u64,
-        windows_closed,
-        processed,
-        phase_counts: phase_counts.to_vec(),
-        next_seq: next_seq.to_vec(),
-        state_keys: state_keys.to_vec(),
-        open: open_states,
-    };
-    out.clear();
-    checkpoint.encode(out);
+            closes_seen: self.closes.get(&window).copied().unwrap_or(0) as u64,
+            partial: self.open.get(&window),
+        });
+        let base = store.wants_base();
+        self.since_base[self.delta_from..].sort_unstable();
+        let keys: &[KeyId] = if base {
+            // `since_base` is a handful of ascending runs, which the
+            // (run-adaptive) stable sort merges rather than re-sorts.
+            self.since_base.sort();
+            merge_ascending(&mut self.base_keys, &self.since_base);
+            self.since_base.clear();
+            &self.base_keys
+        } else {
+            &self.since_base[self.delta_from..]
+        };
+        self.delta_from = self.since_base.len();
+        let view = CheckpointView {
+            worker: worker as u64,
+            windows_closed: self.windows_closed,
+            processed: self.processed,
+            phase_counts: &self.phase_counts,
+            next_seq: &self.expected_seq,
+            keys,
+        };
+        if base {
+            store.save_base(|out| view.encode_base(open, out))
+        } else {
+            store.append_delta(|out| view.encode_delta(open, out))
+        }
+    }
 }
 
 /// [`run_worker_stage`] plus the recovery protocol. Three mechanisms stack
@@ -2191,13 +2242,15 @@ fn encode_checkpoint_into<A>(
 ///    [`ReplayRequest`] per missing cursor position and drops until the
 ///    expected message arrives; exactly at it — processed, cursor advances.
 /// 2. **Per-window checkpoints.** At every window finalization the worker
-///    saves an encoded [`WorkerCheckpoint`].
+///    appends one record to its checkpoint log: a delta sized by the
+///    window, or — when the deltas outweigh the last one — a new base
+///    ([`WorkerCheckpoint`]).
 /// 3. **Crash + restore.** At a [`FaultPlan`] kill point the worker
-///    discards *all* volatile state, decodes its last checkpoint (or starts
-///    empty if it never took one), and asks every source to replay from the
-///    checkpoint's cursors. Closed windows are never reprocessed — their
-///    tuples sit below the checkpoint cursors — so aggregators see each
-///    (worker, window) partial at most once per finalization.
+///    discards *all* volatile state, rebuilds it from its checkpoint log (or
+///    starts empty if it never took one), and asks every source to replay
+///    from the checkpoint's cursors. Closed windows are never reprocessed —
+///    their tuples sit below the checkpoint cursors — so aggregators see
+///    each (worker, window) partial at most once per finalization.
 ///
 /// After finalizing the plan's last window the worker drops its feedback
 /// senders (letting sources finish their replay-service loops) and keeps
@@ -2241,10 +2294,11 @@ where
 /// [`run_worker_stage`] for the process-level fault-tolerant runner. Two
 /// differences from the in-process recoverable variant:
 ///
-/// - The worker may *start* from a durable checkpoint (`initial`, decoded
-///   from the on-disk [`slb_core::DurableCheckpointStore`] by the respawned
-///   process), and every checkpoint it takes is mirrored to `persist` (the
-///   durable store's `save`) right after the in-memory save.
+/// - The worker may *start* from a durable checkpoint (`initial`, restored
+///   from the on-disk [`slb_core::DurableCheckpointStore`] log by the
+///   respawned process), and every record it saves is mirrored to `persist`
+///   (the durable store's `save` for a base, `append` for a delta) right
+///   after the in-memory save. A fresh process always begins with a base.
 /// - There is no feedback channel: replay is requested on the worker's
 ///   behalf by the orchestrator — the `Rejoin` control frame carries the
 ///   restored cursors to every source. Consequently the stage *returns* as
@@ -2269,7 +2323,7 @@ pub fn run_worker_stage_durable<A, Rx, Tx>(
     receiver: Rx,
     partial_senders: &[Tx],
     initial: Option<&WorkerCheckpoint>,
-    persist: &mut dyn FnMut(&[u8]),
+    persist: &mut dyn FnMut(CheckpointRecord<'_>),
     live: Option<Arc<HopTelemetry>>,
 ) -> WorkerStageReport
 where
@@ -2293,63 +2347,9 @@ where
     )
 }
 
-/// Rebuilds every piece of volatile worker state a checkpoint covers:
-/// `(processed, windows_closed, phase_counts, state, expected_seq, open,
-/// closes)`. Shared by the simulated-crash restore (same process) and the
-/// respawn restore (new process, checkpoint read from disk).
-#[allow(clippy::type_complexity)]
-fn restore_checkpoint_state<A>(
-    checkpoint: &WorkerCheckpoint,
-    n_phases: usize,
-    sources: usize,
-) -> (
-    u64,
-    u64,
-    Vec<u64>,
-    StateKeys,
-    Vec<u64>,
-    HashMap<WindowId, A::Partial>,
-    HashMap<WindowId, usize>,
-)
-where
-    A: WindowAggregate<KeyId>,
-    A::Partial: WirePartial,
-{
-    let mut phase_counts = checkpoint.phase_counts.clone();
-    phase_counts.resize(n_phases, 0);
-    let mut expected_seq = checkpoint.next_seq.clone();
-    expected_seq.resize(sources, 0);
-    let open = checkpoint
-        .open
-        .iter()
-        .filter_map(|w| {
-            w.partial.as_ref().map(|blob| {
-                let partial = A::Partial::decode_partial(&mut blob.as_slice())
-                    .expect("a worker's own checkpoint decodes");
-                (w.window, partial)
-            })
-        })
-        .collect();
-    let closes = checkpoint
-        .open
-        .iter()
-        .filter(|w| w.closes_seen > 0)
-        .map(|w| (w.window, w.closes_seen as usize))
-        .collect();
-    (
-        checkpoint.processed,
-        checkpoint.windows_closed,
-        phase_counts,
-        StateKeys::restore(&checkpoint.state_keys),
-        expected_seq,
-        open,
-        closes,
-    )
-}
-
-/// The durable worker's checkpoint-persist hook: called with the encoded
-/// [`WorkerCheckpoint`] bytes at every window-finalization boundary.
-type PersistFn<'a> = &'a mut dyn FnMut(&[u8]);
+/// The durable worker's checkpoint-persist hook: called with the record
+/// just saved at every window-finalization boundary.
+type PersistFn<'a> = &'a mut dyn FnMut(CheckpointRecord<'_>);
 
 #[allow(clippy::too_many_arguments)]
 fn run_worker_stage_inner<A, Rx, Tx, Ftx>(
@@ -2377,16 +2377,15 @@ where
     let aggregators = plan.aggregators;
     let total_windows = plan.total_windows();
     // Stands in for this worker's durable medium (local disk, replicated
-    // log): a simulated crash discards everything on the stack below and
-    // restores only from these bytes.
-    let store = CheckpointStore::new(1);
+    // log): a simulated crash discards `state` below and restores only
+    // from these bytes.
+    let mut store = CheckpointStore::new();
     let mut kill_points: VecDeque<u64> = plan.faults.kill_points(worker_idx).into();
     assert!(
         kill_points.is_empty() || !feedback_senders.is_empty(),
         "kill-worker faults require a recovery feedback channel"
     );
-    let mut processed = 0u64;
-    let mut phase_counts = vec![0u64; n_phases];
+    let mut state: WorkerState<A::Partial> = WorkerState::new(n_phases, sources);
     let mut phase_latencies: Vec<LatencyTracker> = (0..n_phases)
         .map(|_| LatencyTracker::with_capacity(1_024))
         .collect();
@@ -2394,15 +2393,6 @@ where
     // per-phase throughput span. Timing diagnostics survive a simulated
     // crash (they describe the wall clock, not the recovered state).
     let mut phase_spans: Vec<Option<(u64, u64)>> = vec![None; n_phases];
-    // Distinct keys this worker has ever held state for (the
-    // memory-footprint metric); the per-key counts themselves
-    // live in the window partials.
-    let mut state = StateKeys::new();
-    let mut open: HashMap<WindowId, A::Partial> = HashMap::new();
-    let mut closes: HashMap<WindowId, usize> = HashMap::new();
-    let mut windows_closed = 0u64;
-    // Per-source sequence dedup state.
-    let mut expected_seq = vec![0u64; sources];
     // One past the highest sequence number ever observed per source; feeds
     // only the replayed-items diagnostic (a delivery behind the frontier
     // is a replay), never a recovery decision, so it survives crashes.
@@ -2417,9 +2407,6 @@ where
     let local_hop = (live.is_none() && plan.telemetry).then(HopTelemetry::default);
     let hop = live.as_deref().or(local_hop.as_ref());
     let mut trace = TraceBuf::new(trace_stage::WORKER, worker_idx as u32, plan.telemetry);
-    // Reused across window closes so the steady-state checkpoint encode
-    // allocates nothing for the snapshot bytes.
-    let mut checkpoint_buf: Vec<u8> = Vec::new();
     if let Some(checkpoint) = initial {
         // Respawn restore: this process starts where its predecessor's
         // last durable checkpoint left off. The replay that fills the
@@ -2427,16 +2414,13 @@ where
         // carried these cursors to every source).
         recovery.restores += 1;
         recovery.replay_requests += sources as u64;
-        let (p, w, pc, st, es, op, cl) =
-            restore_checkpoint_state::<A>(checkpoint, n_phases, sources);
-        processed = p;
-        windows_closed = w;
-        phase_counts = pc;
-        state = st;
-        expected_seq = es;
-        open = op;
-        closes = cl;
-        trace.push(trace_kind::CHECKPOINT_RESTORE, windows_closed, processed, 0);
+        state = WorkerState::restore(checkpoint, n_phases, sources);
+        trace.push(
+            trace_kind::CHECKPOINT_RESTORE,
+            state.windows_closed,
+            state.processed,
+            0,
+        );
     }
     if total_windows == 0 {
         // Degenerate empty run: no window will ever finalize, so release
@@ -2468,18 +2452,18 @@ where
         for message in drained.drain(..) {
             let (src, seq) = message.source_seq();
             frontier[src] = frontier[src].max(seq + 1);
-            if seq < expected_seq[src] {
+            if seq < state.expected_seq[src] {
                 // Replay overlap (or a frame re-sent past our progress):
-                // already processed, drop it.
+                // already state.processed, drop it.
                 recovery.duplicates_dropped += 1;
                 continue;
             }
-            if seq > expected_seq[src] {
+            if seq > state.expected_seq[src] {
                 // Gap: a frame was lost ahead of us. Ask the source to
                 // replay from the missing cursor (once per cursor value)
                 // and shed everything until it arrives — FIFO per sender
                 // means the replayed run will precede any newer frames.
-                if pending_request[src] != Some(expected_seq[src]) {
+                if pending_request[src] != Some(state.expected_seq[src]) {
                     assert!(
                         !feedback_senders.is_empty(),
                         "sequence gap from source {src} without a recovery feedback channel"
@@ -2487,17 +2471,22 @@ where
                     feedback_senders[src]
                         .send(ReplayRequest {
                             worker: worker_idx,
-                            from_seq: expected_seq[src],
+                            from_seq: state.expected_seq[src],
                         })
                         .expect("feedback channel closed prematurely");
-                    trace.push(trace_kind::REPLAY_REQUEST, 0, src as u64, expected_seq[src]);
-                    pending_request[src] = Some(expected_seq[src]);
+                    trace.push(
+                        trace_kind::REPLAY_REQUEST,
+                        0,
+                        src as u64,
+                        state.expected_seq[src],
+                    );
+                    pending_request[src] = Some(state.expected_seq[src]);
                     recovery.replay_requests += 1;
                 }
                 recovery.duplicates_dropped += 1;
                 continue;
             }
-            expected_seq[src] += 1;
+            state.expected_seq[src] += 1;
             pending_request[src] = None;
             let is_replay = seq + 1 < frontier[src];
             match message {
@@ -2523,11 +2512,14 @@ where
                             std::hint::spin_loop();
                         }
                     }
-                    let partial = open
+                    let partial = state
+                        .open
                         .entry(batch.window)
                         .or_insert_with(|| aggregate.empty());
                     for key in &batch.keys {
-                        state.insert(*key);
+                        if state.keys.insert(*key) {
+                            state.since_base.push(*key);
+                        }
                         aggregate.observe(partial, key, 1);
                     }
                     if is_replay {
@@ -2536,50 +2528,41 @@ where
                     let done = Instant::now();
                     let batch_latency_us = done.duration_since(batch.emitted_at).as_micros() as u64;
                     phase_latencies[phase].record_many_us(batch_latency_us, n);
-                    phase_counts[phase] += n;
-                    processed += n;
+                    state.phase_counts[phase] += n;
+                    state.processed += n;
                     let done_us = done.saturating_duration_since(epoch).as_micros() as u64;
                     let span = phase_spans[phase].get_or_insert((done_us, done_us));
                     span.1 = done_us;
-                    // Injected crash: trips once when lifetime processed
+                    // Injected crash: trips once when lifetime state.processed
                     // tuples reach the threshold. Consumed before the
                     // restore so the rewound counter cannot re-trip it.
-                    while kill_points.front().is_some_and(|&at| processed >= at) {
+                    while kill_points.front().is_some_and(|&at| state.processed >= at) {
                         kill_points.pop_front();
                         recovery.restores += 1;
-                        // -- crash -- every live variable below is lost.
-                        let checkpoint = store
-                            .load(0)
-                            .map(|bytes| {
-                                WorkerCheckpoint::decode(&mut bytes.as_slice())
-                                    .expect("a worker's own checkpoint decodes")
-                            })
-                            .unwrap_or_default();
+                        // -- crash -- everything in `state` is lost.
+                        let checkpoint = store.restore().unwrap_or_default();
                         // -- restart -- restore from the checkpoint alone.
-                        let (p, w, pc, st, es, op, cl) =
-                            restore_checkpoint_state::<A>(&checkpoint, n_phases, sources);
-                        processed = p;
-                        windows_closed = w;
-                        phase_counts = pc;
-                        state = st;
-                        expected_seq = es;
-                        open = op;
-                        closes = cl;
-                        trace.push(trace_kind::CHECKPOINT_RESTORE, windows_closed, processed, 0);
+                        state = WorkerState::restore(&checkpoint, n_phases, sources);
+                        trace.push(
+                            trace_kind::CHECKPOINT_RESTORE,
+                            state.windows_closed,
+                            state.processed,
+                            0,
+                        );
                         for (src, sender) in feedback_senders.iter().enumerate() {
                             sender
                                 .send(ReplayRequest {
                                     worker: worker_idx,
-                                    from_seq: expected_seq[src],
+                                    from_seq: state.expected_seq[src],
                                 })
                                 .expect("feedback channel closed prematurely");
                             trace.push(
                                 trace_kind::REPLAY_REQUEST,
                                 0,
                                 src as u64,
-                                expected_seq[src],
+                                state.expected_seq[src],
                             );
-                            pending_request[src] = Some(expected_seq[src]);
+                            pending_request[src] = Some(state.expected_seq[src]);
                             recovery.replay_requests += 1;
                         }
                     }
@@ -2589,7 +2572,7 @@ where
                     receiver.recycle(batch.keys);
                 }
                 SourceMessage::CloseWindow { window, .. } => {
-                    let seen = closes.entry(window).or_insert(0);
+                    let seen = state.closes.entry(window).or_insert(0);
                     *seen += 1;
                     if *seen < sources {
                         continue;
@@ -2599,8 +2582,11 @@ where
                     // markers in hand this worker holds every tuple of
                     // the window that was routed to it: finalize and
                     // ship the shard slices.
-                    closes.remove(&window);
-                    let partial = open.remove(&window).unwrap_or_else(|| aggregate.empty());
+                    state.closes.remove(&window);
+                    let partial = state
+                        .open
+                        .remove(&window)
+                        .unwrap_or_else(|| aggregate.empty());
                     let closed_at = Instant::now();
                     let timed = hop.map(|h| (h, Instant::now()));
                     for (shard, slice) in aggregate
@@ -2622,42 +2608,34 @@ where
                         h.batches_sent.add(aggregators as u64);
                         h.tuples_sent.add(aggregators as u64);
                     }
-                    windows_closed += 1;
-                    trace.push(trace_kind::WINDOW_CLOSE, window, windows_closed, 0);
+                    state.windows_closed += 1;
+                    trace.push(trace_kind::WINDOW_CLOSE, window, state.windows_closed, 0);
                     // Checkpoint at the finalization boundary: shipping
                     // the partials and persisting the cursor that covers
                     // them happen back to back, so a later restore never
                     // re-finalizes this window.
                     if plan.checkpointing {
-                        encode_checkpoint_into(
-                            aggregate,
-                            worker_idx,
-                            windows_closed,
-                            processed,
-                            &phase_counts,
-                            &expected_seq,
-                            state.sorted(),
-                            &open,
-                            &closes,
-                            &mut checkpoint_buf,
-                        );
-                        store.save(0, &checkpoint_buf);
+                        let record = state.save_checkpoint(worker_idx, &mut store);
                         // Mirror to the durable medium: the hook runs
                         // back to back with shipping the partials, so a
                         // respawn restoring these bytes never
                         // re-finalizes this window.
                         if let Some(hook) = persist.as_mut() {
-                            hook(&checkpoint_buf);
+                            hook(record);
                         }
                         checkpoints += 1;
-                        trace.push(trace_kind::CHECKPOINT_SAVE, window, windows_closed, 0);
+                        // One event per close whichever kind the record
+                        // was: which state.closes rebase depends on how much of
+                        // the next window was already state.open, and the trace
+                        // is interleaving-free.
+                        trace.push(trace_kind::CHECKPOINT_SAVE, window, state.windows_closed, 0);
                     }
-                    if windows_closed == total_windows {
+                    if state.windows_closed == total_windows {
                         // Last window done: release the sources' replay
                         // service, then keep draining to EOF (anything
                         // still in flight is a replay overlap) — unless
                         // this is the durable runner, whose sockets stay
-                        // open until the orchestrator's Release: return
+                        // state.open until the orchestrator's Release: return
                         // instead of waiting for an EOF that only
                         // arrives after the release.
                         feedback_senders.clear();
@@ -2670,18 +2648,19 @@ where
         }
     }
     debug_assert!(
-        open.is_empty() && closes.is_empty(),
+        state.open.is_empty() && state.closes.is_empty(),
         "all windows must be closed by end of stream"
     );
     WorkerStageReport {
-        processed,
-        phase_counts,
+        processed: state.processed,
+        phase_counts: state.phase_counts,
         phase_latencies,
-        state_keys: state.len() as u64,
-        windows_closed,
+        state_keys: state.keys.len() as u64,
+        windows_closed: state.windows_closed,
         phase_spans,
         recovery,
         checkpoints,
+        checkpoint_bytes: store.bytes_saved(),
         trace: trace.into_events(),
         transport: hop.map(HopTelemetry::snapshot).unwrap_or_default(),
     }
@@ -4015,6 +3994,8 @@ mod tests {
             <InProc as Transport<CountPartial>>::partial_channels(&InProc, 1, 16);
         let receiver = partial_receivers.into_iter().next().unwrap();
         let (exclude_tx, exclude_rx) = crossbeam_channel::bounded(16);
+        let live = Arc::new(HopTelemetry::default());
+        let stage_live = Arc::clone(&live);
         let handle = thread::spawn(move || {
             run_aggregator_stage_supervised(
                 2,
@@ -4024,7 +4005,7 @@ mod tests {
                 &exclude_rx,
                 0,
                 true,
-                None,
+                Some(stage_live),
             )
         });
         let ship = |worker: usize, window: WindowId, key: KeyId, count: u64| {
@@ -4044,6 +4025,13 @@ mod tests {
         ship(1, 0, 7, 3);
         ship(0, 1, 7, 5);
         ship(0, 2, 9, 1);
+        // The exclusion must follow worker 1's window-0 partial *at the
+        // aggregator*, not just in this thread's program order: the stage
+        // polls exclusions ahead of each receive, so one sent before the
+        // partials are taken off the queue would shed that partial.
+        while live.batches_received.get() < 4 {
+            thread::yield_now();
+        }
         exclude_tx.send(1).unwrap();
         // Data-side progress follows the exclusion: close the queue.
         drop(partial_senders);
@@ -4056,18 +4044,243 @@ mod tests {
         assert_eq!(report.transport_errors, 0);
     }
 
+    /// The worker's checkpoint log, driven by hand so every close is
+    /// checked: whatever the log holds — a bare base, or a base with any
+    /// number of deltas — restoring it gives the live state, a state rebuilt
+    /// from it carries on writing a log that still does, and the rebase
+    /// rule really produces both shapes at 20 k+ keys (a crash late in such
+    /// a run restores from a base plus deltas, several rebases in).
+    #[test]
+    fn checkpoint_log_restores_the_live_state_at_every_close() {
+        let mut store = CheckpointStore::new();
+        let mut state: WorkerState<CountPartial> = WorkerState::new(1, 2);
+        let mut expected_keys = std::collections::BTreeSet::new();
+        let mut rng = 0x5eed_u64;
+        let mut next = move || {
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let (mut bases, mut restores_from_deltas_after_rebases) = (0u64, 0u64);
+        for close in 1..=400u64 {
+            // One window of tuples, then a head start on the next window,
+            // which is still open (with one close marker in) at the close.
+            let mut ahead = CountAggregate.empty();
+            for tuple in 0..256 {
+                let key = next() % 30_000;
+                if state.keys.insert(key) {
+                    state.since_base.push(key);
+                }
+                expected_keys.insert(key);
+                if tuple >= 200 {
+                    CountAggregate.observe(&mut ahead, &key, 1);
+                }
+            }
+            state.processed += 256;
+            state.phase_counts[0] += 256;
+            state.expected_seq[0] += 5;
+            state.expected_seq[1] += 4;
+            state.windows_closed = close;
+            state.open.clear();
+            state.closes.clear();
+            state.open.insert(close, ahead.clone());
+            state.closes.insert(close, 1);
+            let was_base = store.wants_base();
+            let record = state.save_checkpoint(7, &mut store);
+            assert_eq!(matches!(record, CheckpointRecord::Base(_)), was_base);
+            bases += u64::from(was_base);
+
+            let restored = store.restore().expect("a record was just saved");
+            assert_eq!(restored.worker, 7);
+            assert_eq!(restored.windows_closed, close);
+            assert_eq!(restored.processed, state.processed);
+            assert_eq!(restored.next_seq, state.expected_seq);
+            assert!(
+                restored.state_keys.iter().eq(expected_keys.iter()),
+                "close {close}"
+            );
+            assert_eq!(restored.open.len(), 1);
+            assert_eq!(restored.open[0].closes_seen, 1);
+            let blob = restored.open[0]
+                .partial
+                .as_ref()
+                .expect("the open window saw tuples");
+            assert_eq!(
+                CountPartial::decode_partial(&mut blob.as_slice()),
+                Ok(ahead)
+            );
+
+            // Every tenth close the worker "crashes": everything but the
+            // store is rebuilt from it, and must carry on as if nothing
+            // had happened — including through later rebases.
+            if close % 10 == 0 {
+                if !was_base && bases >= 3 && expected_keys.len() >= 20_000 {
+                    restores_from_deltas_after_rebases += 1;
+                }
+                state = WorkerState::restore(&restored, 1, 2);
+                assert_eq!(state.keys.len(), expected_keys.len());
+                assert_eq!(state.open.len(), 1);
+                assert_eq!(state.closes[&close], 1);
+            }
+        }
+        assert!(bases >= 5, "only {bases} bases in 400 closes");
+        assert!(bases <= 40, "{bases} bases in 400 closes is not amortised");
+        assert!(
+            restores_from_deltas_after_rebases >= 5,
+            "the large-state restores must include base + delta logs"
+        );
+    }
+
+    /// The cost contract of the checkpoint path: a close writes what the
+    /// window changed, not what the worker has ever seen. Every record is
+    /// captured off the persist hook and measured exactly — nothing here
+    /// depends on timing except *which* closes rebase, and the bound holds
+    /// for every such placement:
+    ///
+    /// * each record is `8 × keys + rest`, where `rest` (counters, cursors,
+    ///   open windows) is window-sized;
+    /// * a base is only written once the deltas since the last one outweigh
+    ///   it, so all bases together cost under the deltas' bytes plus every
+    ///   key once more — in total `3 × 8 × state_keys + 2 × Σ rest`.
+    ///
+    /// A close that snapshots the whole key set costs
+    /// `windows × 8 × state_keys` instead, two orders of magnitude past it.
+    #[test]
+    fn checkpoint_bytes_scale_with_the_windows_not_with_the_state() {
+        use slb_core::CheckpointDelta;
+        let mut cfg = EngineConfig::smoke(PartitionerKind::ShuffleGrouping, 0.0)
+            .with_messages(262_144)
+            .with_service_time_us(0)
+            .with_batch_size(64)
+            .with_window_size(512);
+        cfg.keys = 65_536;
+        // One source, so a close never finds a later window already open
+        // and `rest` is the fixed header: with several, however far one
+        // source ran ahead of another is re-encoded at every close, and
+        // that (timing-dependent, and unchanged by this design) would be
+        // the measurement instead of the key set.
+        cfg.sources = 1;
+        cfg.workers = 1;
+        cfg.aggregators = 1;
+        cfg.queue_capacity = 16_384;
+        let plan = cfg.stage_plan();
+        let windows = plan.total_windows();
+        let (senders, receivers) = <InProc as Transport<CountPartial>>::tuple_channels(
+            &InProc,
+            1,
+            capacity_in_batches(plan.queue_capacity, plan.batch_size),
+        );
+        let receiver = receivers.into_iter().next().unwrap();
+        let (partial_senders, partial_receivers) =
+            <InProc as Transport<CountPartial>>::partial_channels(
+                &InProc,
+                1,
+                partial_channel_capacity(1),
+            );
+        let partial_receiver = partial_receivers.into_iter().next().unwrap();
+        let sources: Vec<_> = (0..cfg.sources)
+            .map(|source| {
+                let stream_cfg = cfg.clone();
+                let source_plan = plan.clone();
+                let senders = senders.clone();
+                thread::spawn(move || {
+                    run_source_stage(
+                        &source_plan,
+                        source,
+                        |_phase| crate::windows::source_stream(&stream_cfg, source),
+                        &senders,
+                    )
+                })
+            })
+            .collect();
+        drop(senders);
+        let sink = thread::spawn(move || {
+            let mut buf = Vec::new();
+            while PartialReceiver::recv_batch(&partial_receiver, &mut buf).is_ok() {
+                buf.clear();
+            }
+        });
+        // (is_base, keys in the record, bytes in the record)
+        let mut records: Vec<(bool, u64, u64)> = Vec::new();
+        let report = run_worker_stage_durable(
+            &plan,
+            0,
+            Instant::now(),
+            &CountAggregate,
+            receiver,
+            &partial_senders,
+            None,
+            &mut |record: CheckpointRecord<'_>| {
+                let mut bytes = record.bytes();
+                let keys = match record {
+                    CheckpointRecord::Base(_) => WorkerCheckpoint::decode(&mut bytes)
+                        .expect("own base decodes")
+                        .state_keys
+                        .len(),
+                    CheckpointRecord::Delta(_) => CheckpointDelta::decode(&mut bytes)
+                        .expect("own delta decodes")
+                        .fresh_keys
+                        .len(),
+                };
+                assert!(bytes.is_empty(), "a record is exactly one encoding");
+                records.push((
+                    matches!(record, CheckpointRecord::Base(_)),
+                    keys as u64,
+                    record.bytes().len() as u64,
+                ));
+            },
+            None,
+        );
+        drop(partial_senders);
+        for source in sources {
+            source.join().expect("source thread panicked");
+        }
+        sink.join().expect("sink thread panicked");
+
+        assert!(report.state_keys >= 50_000, "{} keys", report.state_keys);
+        assert_eq!(report.windows_closed, windows);
+        assert_eq!(report.checkpoints, windows);
+        assert_eq!(records.len() as u64, windows, "one record per close");
+        let bytes: u64 = records.iter().map(|r| r.2).sum();
+        assert_eq!(report.checkpoint_bytes, bytes);
+        // Every key is announced exactly once by a delta or the first base.
+        let first_base_keys = records[0].1;
+        let delta_keys: u64 = records.iter().filter(|r| !r.0).map(|r| r.1).sum();
+        assert!(records[0].0, "a log starts with a base");
+        assert!(first_base_keys + delta_keys <= report.state_keys);
+        let rest: u64 = records.iter().map(|r| r.2 - 8 * r.1).sum();
+        let bound = 3 * 8 * report.state_keys + 2 * rest;
+        assert!(
+            bytes <= bound,
+            "{bytes} checkpoint bytes over {windows} closes of {} keys exceed {bound}",
+            report.state_keys
+        );
+        // ... which is nowhere near one key-set snapshot per close.
+        assert!(bound < windows * 8 * report.state_keys / 50);
+        // The rule that earns the bound: never two bases in a row, and the
+        // state did outgrow its first bases.
+        assert!(records.windows(2).all(|pair| !(pair[0].0 && pair[1].0)));
+        assert!(records.iter().filter(|r| r.0).count() >= 3);
+    }
+
     #[test]
     fn durable_worker_restores_from_checkpoint_and_dedups_replay() {
         let cfg = tiny_supervised_config();
         let plan = cfg.stage_plan();
         let windows = plan.total_windows();
-        assert!(windows >= 2, "test needs at least two windows");
+        assert!(
+            windows >= 3,
+            "test needs a base, a delta and a window to replay"
+        );
         let per_source = plan.phases[0].tuples_per_source;
         let start = Instant::now();
         // First life: run the full stream through a durable worker,
-        // capturing every checkpoint the persist hook mirrors out.
-        let checkpoints: Arc<std::sync::Mutex<Vec<Vec<u8>>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
+        // capturing every record the persist hook mirrors out, with
+        // whether it was a base.
+        type Saved = Vec<(bool, Vec<u8>)>;
+        let checkpoints: Arc<std::sync::Mutex<Saved>> = Arc::default();
         let run_once = |initial: Option<&WorkerCheckpoint>| {
             let (senders, receivers) = <InProc as Transport<CountPartial>>::tuple_channels(
                 &InProc,
@@ -4111,7 +4324,13 @@ mod tests {
                 receiver,
                 &partial_senders,
                 initial,
-                &mut |bytes: &[u8]| sink_checkpoints.lock().unwrap().push(bytes.to_vec()),
+                &mut |record: CheckpointRecord<'_>| {
+                    let is_base = matches!(record, CheckpointRecord::Base(_));
+                    sink_checkpoints
+                        .lock()
+                        .unwrap()
+                        .push((is_base, record.bytes().to_vec()));
+                },
                 None,
             );
             drop(partial_senders);
@@ -4124,12 +4343,30 @@ mod tests {
         assert_eq!(first_report.recovery.restores, 0);
         let saved = checkpoints.lock().unwrap().clone();
         assert_eq!(saved.len() as u64, windows, "one persist per window close");
-        // Second life: restore from the FIRST window's checkpoint and
-        // replay the whole stream from sequence zero — everything below
-        // the restored cursor must shed as duplicates, everything above
-        // must process once, and the merged output must match.
-        let checkpoint = WorkerCheckpoint::decode(&mut saved[0].as_slice())
-            .expect("a worker's own checkpoint decodes");
+        // A fresh process starts its log with a base, and a base is never
+        // followed directly by another (no delta bytes to outweigh it yet).
+        assert!(saved[0].0, "the first record of a life is a base");
+        assert!(!saved[1].0, "the record after a base is a delta");
+        // Second life: restore from the first two closes' records — base
+        // plus one delta — and replay the whole stream from sequence zero:
+        // everything below the restored cursor must shed as duplicates,
+        // everything above must process once, and the merged output must
+        // match.
+        let checkpoint = WorkerCheckpoint::restore(&saved[0].1, [saved[1].1.as_slice()])
+            .expect("a worker's own checkpoint log decodes");
+        assert_eq!(checkpoint.windows_closed, 2);
+        assert_eq!(
+            checkpoint.state_keys.len() as u64,
+            {
+                let mut seen = std::collections::BTreeSet::new();
+                let mut stream = crate::windows::source_stream(&cfg, 0);
+                for _ in 0..checkpoint.processed {
+                    seen.insert(stream.next_key());
+                }
+                seen.len() as u64
+            },
+            "base + delta must hold exactly the keys of the processed prefix"
+        );
         let (second_report, second_merged) = run_once(Some(&checkpoint));
         assert_eq!(second_report.recovery.restores, 1);
         assert_eq!(second_report.recovery.replay_requests, 1);
@@ -4139,7 +4376,7 @@ mod tests {
         // The restored life re-finalizes only the windows past its
         // checkpoint; merged window totals for those match the first life.
         for (window, total) in &second_merged {
-            if *window >= 1 {
+            if *window >= 2 {
                 assert_eq!(total, &first_merged[window], "window {window}");
             }
         }

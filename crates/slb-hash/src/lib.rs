@@ -13,7 +13,8 @@
 //!   `fieldsGrouping` historically used.
 //! * [`fnv::Fnv1a64`] — simple byte-at-a-time hash, useful for tiny keys.
 //! * [`splitmix::SplitMix64`] — integer mixer used to derive independent
-//!   seeds and to hash already-numeric keys.
+//!   seeds and to hash already-numeric keys; [`FixedState`] packages it as
+//!   the `BuildHasher` of the workspace's private integer-keyed maps.
 //!
 //! On top of the raw functions, [`family::HashFamily`] packages *d*
 //! independently-seeded functions mapping arbitrary keys to a worker index in
@@ -34,7 +35,7 @@ pub mod xxhash;
 
 pub use family::{HashFamily, KeyHash, StreamHasher, DIGEST_SEED};
 pub use fnv::Fnv1a64;
-pub use splitmix::SplitMix64;
+pub use splitmix::{FixedHashMap, FixedHashSet, FixedHasher, FixedState, SplitMix64};
 pub use xxhash::XxHash64;
 
 /// A hash function over byte slices producing a 64-bit digest.

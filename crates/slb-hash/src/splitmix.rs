@@ -1,10 +1,17 @@
 //! SplitMix64: a statistically strong 64-bit integer mixer.
 //!
-//! Used in two places:
+//! Used in three places:
 //! * deriving `d` independent seeds from a single master seed when building a
-//!   [`crate::HashFamily`], and
+//!   [`crate::HashFamily`],
 //! * hashing keys that are already integers (e.g. pre-assigned key ranks in
-//!   the synthetic Zipf workloads) without the overhead of byte serialization.
+//!   the synthetic Zipf workloads) without the overhead of byte serialization,
+//!   and
+//! * as the fixed [`std::hash::BuildHasher`] ([`FixedState`]) behind the
+//!   workspace's private integer-keyed hash maps and sets, where std's keyed
+//!   SipHash costs several times the work it guards.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 
 use crate::Hasher64;
 
@@ -43,6 +50,84 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 }
+
+/// A [`Hasher`] that mixes each integer write with one SplitMix64 round.
+///
+/// Integer keys (`u64` key ids, `usize` indices) reach it through
+/// `write_u64`/`write_usize`/… and cost one round; anything else (strings,
+/// byte slices) falls back to folding its bytes eight at a time through the
+/// same mixer, so the hasher is correct — just not specialised — for every
+/// `Hash` type.
+///
+/// It is unkeyed: identical in every process, so tables iterate in the same
+/// order run after run, and it offers no protection against keys crafted to
+/// collide. Use it for maps whose keys the program derives itself, never for
+/// keys taken verbatim from an untrusted peer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FixedHasher {
+    state: u64,
+}
+
+impl Hasher for FixedHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(buf) ^ (chunk.len() as u64) << 56);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.write_u64(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.state = splitmix64(self.state ^ i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+}
+
+/// The fixed (unkeyed, zero-sized) [`BuildHasher`] producing
+/// [`FixedHasher`]s. See there for when it is appropriate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FixedState;
+
+impl BuildHasher for FixedState {
+    type Hasher = FixedHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FixedHasher {
+        FixedHasher::default()
+    }
+}
+
+/// A `HashMap` under [`FixedState`].
+pub type FixedHashMap<K, V> = HashMap<K, V, FixedState>;
+
+/// A `HashSet` under [`FixedState`].
+pub type FixedHashSet<K> = HashSet<K, FixedState>;
 
 impl Hasher64 for SplitMix64 {
     /// Hashes up to the first 8 bytes directly and folds longer inputs
@@ -91,6 +176,41 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(b, c);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn fixed_state_hashes_integers_with_one_round_and_is_process_independent() {
+        assert_eq!(FixedState.hash_one(7u64), splitmix64(7));
+        assert_eq!(FixedState.hash_one(7usize), splitmix64(7));
+        assert_eq!(FixedState.hash_one(7u32), splitmix64(7));
+        assert_ne!(FixedState.hash_one(7u64), FixedState.hash_one(8u64));
+    }
+
+    #[test]
+    fn fixed_state_falls_back_to_bytes_for_non_integer_keys() {
+        let hash = |s: &str| FixedState.hash_one(s);
+        assert_eq!(hash("page/1"), hash("page/1"));
+        assert_ne!(hash("page/1"), hash("page/2"));
+        // Chunk lengths are mixed in, so zero padding cannot alias.
+        assert_ne!(hash("a"), hash("a\0"));
+        let mut map: FixedHashMap<String, u32> = FixedHashMap::default();
+        for i in 0..1_000u32 {
+            map.insert(format!("key-{i}"), i);
+        }
+        assert_eq!(map.len(), 1_000);
+        assert_eq!(map.get("key-999"), Some(&999));
+    }
+
+    #[test]
+    fn fixed_hash_set_holds_dense_and_strided_integers() {
+        let mut set: FixedHashSet<u64> = FixedHashSet::default();
+        for i in 1..=50_000u64 {
+            assert!(set.insert(i));
+            assert!(set.insert(i << 32));
+            assert!(!set.insert(i));
+        }
+        assert!((1..=50_000u64).all(|i| set.contains(&i) && set.contains(&(i << 32))));
+        assert_eq!(set.len(), 100_000);
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //! ## Fault tolerance
 //!
 //! With [`OrchestrateOptions::fault_tolerant`] the orchestrator becomes a
-//! *supervisor*: workers persist a [`WorkerCheckpoint`] through a
-//! [`DurableCheckpointStore`] at every window boundary and stream
+//! *supervisor*: workers persist a checkpoint record — a
+//! [`WorkerCheckpoint`] base or a window-sized delta on top of it — through
+//! a [`DurableCheckpointStore`] at every window boundary and stream
 //! `Heartbeat` frames; the orchestrator watches three death signals (control
 //! connection close, child-process exit, heartbeat silence) and answers a
 //! worker death by respawning the process with `--rejoin`:
@@ -82,9 +83,9 @@ use slb_engine::windows::source_stream;
 use slb_engine::{
     assemble_result, exact_scenario_windowed_counts, exact_windowed_counts, run_aggregator_stage,
     run_aggregator_stage_supervised, run_source_stage, run_source_stage_supervised,
-    run_worker_stage, run_worker_stage_durable, AggregatorStageReport, EngineResult,
-    LatencyTracker, RecoveryMetrics, SourceControlEvent, SourceStageReport, WindowId, WindowedRun,
-    WorkerStageReport,
+    run_worker_stage, run_worker_stage_durable, AggregatorStageReport, CheckpointRecord,
+    EngineResult, LatencyTracker, RecoveryMetrics, SourceControlEvent, SourceStageReport, WindowId,
+    WindowedRun, WorkerStageReport,
 };
 use slb_telemetry::{log, snapshot_stage, HopTelemetry, LogHistogram, MetricsSnapshot};
 use slb_workloads::KeyId;
@@ -394,10 +395,19 @@ pub fn run_node_with(
         let opened = DurableCheckpointStore::open(dir, index)
             .map_err(|e| io_err("opening durable checkpoint store", e))?;
         if options.rejoin {
-            if let Some((_generation, bytes)) = opened.load() {
-                let mut input = bytes.as_slice();
-                let ckpt = WorkerCheckpoint::decode(&mut input)
-                    .map_err(|e| io_err("decoding restored checkpoint", e))?;
+            if let Some(log) = opened.load() {
+                let ckpt =
+                    WorkerCheckpoint::restore(&log.base, log.deltas.iter().map(Vec::as_slice))
+                        .map_err(|e| io_err("decoding restored checkpoint", e))?;
+                log::info(
+                    "slb-node",
+                    &format!(
+                        "worker {index}: restored close {} from base generation {} + {} deltas",
+                        ckpt.windows_closed,
+                        log.generation,
+                        log.deltas.len()
+                    ),
+                );
                 initial = Some(ckpt);
             }
         }
@@ -545,7 +555,7 @@ pub fn run_node_with(
                     receiver,
                     &partial_senders,
                     initial.as_ref(),
-                    &mut |bytes| {
+                    &mut |record| {
                         // Deterministic crash injection: the hook runs after
                         // the window's partials shipped but before the save
                         // below makes the close durable — aborting here is
@@ -557,7 +567,11 @@ pub fn run_node_with(
                         }
                         // A failed save degrades durability (a later crash
                         // replays more), never correctness — keep running.
-                        if let Err(e) = store.save(bytes) {
+                        let saved = match record {
+                            CheckpointRecord::Base(bytes) => store.save(bytes).map(drop),
+                            CheckpointRecord::Delta(bytes) => store.append(bytes),
+                        };
+                        if let Err(e) = saved {
                             log::error(
                                 "slb-node",
                                 &format!("worker {index}: checkpoint save failed: {e}"),
@@ -616,6 +630,7 @@ pub fn run_node_with(
             let capacity = partial_channel_capacity(plan.spawned_workers);
             let shared = Arc::new(Mutex::new(control_stream));
             let metrics_seq = Arc::new(AtomicU64::new(0));
+            let mut control_thread = None;
             let report = if options.fault_tolerant {
                 let live = plan.telemetry.then(|| Arc::new(HopTelemetry::default()));
                 let stop = Arc::new(AtomicBool::new(false));
@@ -630,7 +645,7 @@ pub fn run_node_with(
                         Arc::clone(&metrics_seq),
                     )
                 });
-                let report = run_aggregator_node_supervised(
+                let (report, control) = run_aggregator_node_supervised(
                     &plan,
                     listener,
                     incoming,
@@ -640,6 +655,7 @@ pub fn run_node_with(
                     index,
                     live,
                 )?;
+                control_thread = Some(control);
                 stop.store(true, Ordering::Relaxed);
                 if let Some(ticker) = ticker {
                     let _ = ticker.join();
@@ -675,7 +691,16 @@ pub fn run_node_with(
                     trace: report.trace,
                     transport: report.transport,
                 }),
-            )
+            )?;
+            // Stay until the orchestrator's Release has been read (or its
+            // connection is gone). Exiting with that frame still unread
+            // closes the socket with pending input, which resets the
+            // connection — and a reset discards the report just sent if it
+            // overtakes the orchestrator's read of it.
+            if let Some(control) = control_thread {
+                let _ = control.join();
+            }
+            Ok(())
         }
     }
 }
@@ -847,7 +872,7 @@ fn run_aggregator_node_supervised(
     mut control_reader: BufReader<TcpStream>,
     shard: usize,
     live: Option<Arc<HopTelemetry>>,
-) -> Result<AggregatorStageReport<CountPartial>, String> {
+) -> Result<(AggregatorStageReport<CountPartial>, thread::JoinHandle<()>), String> {
     let (receiver, attach) =
         TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity);
     listener
@@ -878,10 +903,10 @@ fn run_aggregator_node_supervised(
     };
     let (excl_tx, excl_rx) = bounded::<usize>(16);
     let control_stop = Arc::clone(&stop);
-    // Deliberately not joined: the thread exits on Release or when the
-    // orchestrator drops the connection, either of which may come after the
-    // stage (and this process's useful life) is already over.
-    thread::spawn(move || {
+    // Exits on Release or when the orchestrator drops the connection, either
+    // of which may come after the stage is already over: the caller joins
+    // it once the report is on its way.
+    let control_thread = thread::spawn(move || {
         loop {
             match recv_control(&mut control_reader) {
                 Ok(ControlFrame::Exclude { worker }) => {
@@ -905,7 +930,7 @@ fn run_aggregator_node_supervised(
     );
     stop.store(true, Ordering::Relaxed);
     let _ = accept_thread.join();
-    Ok(report)
+    Ok((report, control_thread))
 }
 
 fn worker_report_to_wire(index: usize, report: &WorkerStageReport) -> WorkerReportWire {
@@ -952,6 +977,8 @@ fn worker_report_from_wire(report: WorkerReportWire) -> WorkerStageReport {
             transport_errors: report.transport_errors,
         },
         checkpoints: report.checkpoints,
+        // Engine-side diagnostic; the wire report does not carry it.
+        checkpoint_bytes: 0,
         trace: report.trace,
         transport: report.transport,
     }

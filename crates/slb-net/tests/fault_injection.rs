@@ -237,6 +237,86 @@ fn worker_killed_mid_window_recovers_on_both_backends() {
     }
 }
 
+/// Large state, late kills: every worker ends up holding tens of thousands
+/// of keys, so by the time the kills land its checkpoint log has been
+/// rebased several times and the restore has to fold a base *and* the
+/// deltas after it — the path a small-state run (whose log is rewritten
+/// every couple of closes) barely touches.
+///
+/// Why the log looks like that at the kill, whatever the interleaving:
+/// a new base is only written once the deltas since the last one outweigh
+/// it, so a base holds at most about twice the keys of the one before and
+/// reaching ≥ 20 000 keys from a first base of a few hundred takes at least
+/// five rebases; and a base is never followed directly by another (there
+/// are no delta bytes to outweigh it yet), so of the two kills per worker
+/// below — one window apart, late in the run — only one can find a bare
+/// base, unless the worker got a whole window ahead of a close. Shuffle
+/// grouping gives every worker exactly 256 tuples per window (2 sources ×
+/// 512 / 4 workers), which is what places the kills. The restored key sets
+/// are checked against a run that never crashed.
+#[test]
+fn late_kills_on_large_state_restore_from_base_plus_deltas_on_every_backend() {
+    for seed in seeds() {
+        let cfg = EngineConfig {
+            keys: 60_000,
+            ..EngineConfig::smoke(PartitionerKind::ShuffleGrouping, 0.6)
+                .with_seed(seed)
+                .with_messages(409_600)
+                .with_service_time_us(0)
+                .with_window_size(512)
+                .with_batch_size(64)
+        };
+        let per_worker = cfg.messages / cfg.workers as u64;
+        let per_window = 2 * cfg.window_size / cfg.workers as u64;
+        // 80 % in, mid-window; then the same offset one window later.
+        let first = per_worker / 5 * 4 + per_window / 2;
+        let faults = FaultPlan::none()
+            .kill_worker(1, first)
+            .kill_worker(1, first + per_window)
+            .kill_worker(3, first + 7 * per_window)
+            .kill_worker(3, first + 8 * per_window);
+        let reference = exact_windowed_counts(&cfg);
+        let unfaulted = Topology::new(cfg.clone()).run_windowed(CountAggregate);
+        let inproc =
+            Topology::new(cfg.clone()).run_windowed_faulted_on(CountAggregate, &InProc, &faults);
+        let spsc =
+            Topology::new(cfg.clone()).run_windowed_faulted_on(CountAggregate, &Spsc, &faults);
+        let tcp = Topology::new(cfg.clone()).run_windowed_faulted_on(
+            CountAggregate,
+            &TcpTransport::loopback(),
+            &faults,
+        );
+        for (name, run) in [("InProc", &inproc), ("SPSC", &spsc), ("TCP", &tcp)] {
+            assert_windows_match(
+                &run.windows,
+                &reference,
+                &format!("seed={seed} [{name}]: late kills on large state changed the windows"),
+            );
+            let smallest = *run
+                .result
+                .worker_state_keys
+                .iter()
+                .min()
+                .expect("at least one worker");
+            assert!(
+                smallest >= 20_000,
+                "[{name}] the run must build large worker state, smallest is {smallest} keys"
+            );
+            assert_eq!(
+                run.result.worker_state_keys, unfaulted.result.worker_state_keys,
+                "[{name}] a restore lost or invented state keys"
+            );
+            let recovery = &run.result.worker_stage.recovery;
+            assert_eq!(recovery.restores, 4, "[{name}] every kill must restore");
+            assert!(recovery.replay_requests > 0, "[{name}]");
+            assert_eq!(
+                run.result.aggregator_stage.recovery.duplicates_dropped, 0,
+                "[{name}] a closed window was re-finalized after restore"
+            );
+        }
+    }
+}
+
 /// Connection drops are healed by gap detection + bounded replay: no
 /// restore happens, yet the merged windows stay exact.
 #[test]

@@ -13,7 +13,10 @@
 //! * **Exact duplicate accounting** — the deterministic `--crash-worker W@N`
 //!   injector aborts between shipping a window and saving its checkpoint,
 //!   so the re-shipped tail window is guaranteed: `duplicates_dropped` must
-//!   equal `aggregators` exactly, with exactly one restore.
+//!   equal `aggregators` exactly, with exactly one restore. A single-source
+//!   variant (where record sizes, hence rebase points, repeat exactly) runs
+//!   at two adjacent closes, so one of its respawns provably restores from a
+//!   base record *plus deltas* (two bases are never written back to back).
 //! * **Degrade path** — with a zero respawn budget the worker is excluded,
 //!   the survivors rescale it out at a window boundary, and the run
 //!   terminates with a degraded report instead of hanging.
@@ -62,15 +65,19 @@ fn ckpt_dir(name: &str) -> PathBuf {
 fn killed_worker_respawns_from_checkpoint_and_counts_match_exactly() {
     // ~820 ms of pure service time spread over 3 workers: the kill at
     // 250 ms is deep mid-run, with dozens of checkpointed windows behind
-    // it and dozens of windows left to replay and process.
+    // it and dozens of windows left to replay and process. 20 000 keys at
+    // a mild skew keep new keys arriving all run long, so by then each
+    // worker's base record is tens of kilobytes against deltas of one or
+    // two: the log is rebased every dozen-odd closes and the respawn
+    // restores from a base plus whatever deltas followed it.
     let spec = format!(
         "# fault golden: SIGKILL worker 1 mid-run, respawn, replay, verify\n\
          mode engine\n\
          scheme PKG\n\
          sources 2\n\
          workers 3\n\
-         keys 500\n\
-         skew 1.6\n\
+         keys 20000\n\
+         skew 0.8\n\
          messages 49152\n\
          service_time_us 50\n\
          queue_capacity 256\n\
@@ -133,20 +140,40 @@ fn killed_worker_respawns_from_checkpoint_and_counts_match_exactly() {
     );
 }
 
-#[test]
-fn deterministic_crash_after_ship_yields_exactly_one_reshipped_tail_window() {
-    // `--crash-worker 1@10` makes worker 1 abort at its 10th window
-    // finalization, after shipping that window's partials but *before* the
-    // durable save — the worst interleaving of the tail-window re-ship
-    // race, pinned to a fixed point instead of a wall-clock kill. The
-    // restored worker replays exactly that window and re-ships it, so the
-    // aggregators must drop exactly `aggregators` duplicate partials — no
-    // more (dedup works), no fewer (the race really happened).
+/// Pulls `(close, deltas)` out of the respawned worker's
+/// `restored close C from base generation G + D deltas` log line.
+fn parse_restore_line(stderr: &str) -> (u64, u64) {
+    let line = stderr
+        .lines()
+        .find(|l| l.contains("restored close "))
+        .unwrap_or_else(|| panic!("no restore line in the respawned worker's log:\n{stderr}"));
+    let number_after = |marker: &str| -> u64 {
+        line.split(marker)
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("malformed restore line: {line}"))
+    };
+    (number_after("restored close "), number_after(" + "))
+}
+
+/// Runs the deterministic `--crash-worker 1@crash_at` cluster with
+/// `sources` sources, asserts the exact tail-window accounting, and returns
+/// how many delta records the respawned worker restored through.
+///
+/// `--crash-worker 1@N` makes worker 1 abort at its N-th window
+/// finalization, after shipping that window's partials but *before* the
+/// durable save — the worst interleaving of the tail-window re-ship race,
+/// pinned to a fixed point instead of a wall-clock kill. The restored
+/// worker replays exactly that window and re-ships it, so the aggregators
+/// must drop exactly `aggregators` duplicate partials — no more (dedup
+/// works), no fewer (the race really happened).
+fn crash_after_ship_restores_exactly(sources: usize, crash_at: u64) -> u64 {
     let spec = format!(
         "# fault golden: deterministic abort between ship and save\n\
          mode engine\n\
          scheme PKG\n\
-         sources 2\n\
+         sources {sources}\n\
          workers 3\n\
          keys 500\n\
          skew 1.6\n\
@@ -159,8 +186,9 @@ fn deterministic_crash_after_ship_yields_exactly_one_reshipped_tail_window() {
          aggregators 2\n",
         seed()
     );
-    let path = write_spec("fault-crash-exact", &spec);
-    let dir = ckpt_dir("crash-exact");
+    let name = format!("crash-exact-{sources}-{crash_at}");
+    let path = write_spec(&name, &spec);
+    let dir = ckpt_dir(&name);
     let output = Command::new(node_exe())
         .arg("orchestrate")
         .arg("--spec")
@@ -172,7 +200,9 @@ fn deterministic_crash_after_ship_yields_exactly_one_reshipped_tail_window() {
         .arg("--ckpt-dir")
         .arg(&dir)
         .arg("--crash-worker")
-        .arg("1@10")
+        .arg(format!("1@{crash_at}"))
+        // The restore line parsed below is logged at `info`.
+        .env("SLB_LOG", "info")
         .output()
         .expect("spawn slb-node orchestrate");
     let _ = std::fs::remove_file(&path);
@@ -201,6 +231,35 @@ fn deterministic_crash_after_ship_yields_exactly_one_reshipped_tail_window() {
     assert!(
         !stdout.contains("degraded workers="),
         "a budgeted respawn must not degrade the run\n{stdout}"
+    );
+    let (close, deltas) = parse_restore_line(&stderr);
+    assert_eq!(
+        close,
+        crash_at - 1,
+        "the respawn must restore the last close whose save completed\n{stderr}"
+    );
+    deltas
+}
+
+#[test]
+fn deterministic_crash_after_ship_yields_exactly_one_reshipped_tail_window() {
+    crash_after_ship_restores_exactly(2, 10);
+}
+
+/// The same crash where the respawn provably restores from a base record
+/// *plus deltas*. With a single source a worker sees one FIFO stream, so
+/// what each close writes — and therefore which closes rebase — is the same
+/// in every run of a seed; and a base is never followed directly by another
+/// (there are no delta bytes to outweigh it yet). So of the restores at
+/// closes 9 and 10, at least one goes through a delta.
+#[test]
+fn deterministic_crash_restores_through_deltas_at_one_of_two_adjacent_closes() {
+    let deltas_restored =
+        [10u64, 11].map(|crash_at| crash_after_ship_restores_exactly(1, crash_at));
+    assert!(
+        deltas_restored.iter().any(|&deltas| deltas >= 1),
+        "adjacent closes cannot both be bare bases, yet neither respawn restored \
+         through a delta: {deltas_restored:?}"
     );
 }
 

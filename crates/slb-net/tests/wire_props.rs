@@ -20,8 +20,8 @@ use std::collections::HashMap;
 
 use slb_core::wire::WirePartial;
 use slb_core::{
-    ControllerAction, ControllerConfig, ControllerEvent, OpenWindowState, PartitionerKind,
-    SolverMode, WorkerCheckpoint,
+    CheckpointDelta, ControllerAction, ControllerConfig, ControllerEvent, OpenWindowState,
+    PartitionerKind, SolverMode, WorkerCheckpoint,
 };
 use slb_engine::{EngineConfig, ScenarioConfig};
 use slb_net::cluster::{decode_run_spec, encode_run_spec, RunSpec};
@@ -369,6 +369,96 @@ proptest! {
     }
 
     #[test]
+    fn checkpoint_deltas_round_trip_and_reject_what_cannot_be_next(
+        worker in any::<u64>(),
+        windows_closed in 1u64..u64::MAX,
+        processed in any::<u64>(),
+        phase_counts in proptest::collection::vec(any::<u64>(), 0..6),
+        next_seq in proptest::collection::vec(any::<u64>(), 0..6),
+        keys in proptest::collection::vec(any::<u64>(), 2..64),
+        open_windows in proptest::collection::vec(0u64..1_000, 0..4),
+        partial_keys in proptest::collection::vec(any::<u64>(), 0..32),
+    ) {
+        // The encoder demands sorted fresh keys and open windows.
+        let mut fresh_keys = keys.clone();
+        fresh_keys.sort_unstable();
+        fresh_keys.dedup();
+        let mut windows = open_windows.clone();
+        windows.sort_unstable();
+        windows.dedup();
+        let open: Vec<OpenWindowState> = windows
+            .iter()
+            .enumerate()
+            .map(|(i, &window)| OpenWindowState {
+                window,
+                closes_seen: i as u64,
+                partial: (i % 2 == 0).then(|| {
+                    let mut blob = Vec::new();
+                    counts_from(&partial_keys).encode_partial(&mut blob);
+                    blob
+                }),
+            })
+            .collect();
+        let delta = CheckpointDelta {
+            worker,
+            windows_closed,
+            processed,
+            phase_counts: phase_counts.clone(),
+            next_seq: next_seq.clone(),
+            fresh_keys: fresh_keys.clone(),
+            open,
+        };
+        let mut buf = Vec::new();
+        delta.encode(&mut buf);
+        let mut input = buf.as_slice();
+        let back = CheckpointDelta::decode(&mut input).expect("own encoding decodes");
+        prop_assert!(input.is_empty(), "decode consumed exactly the encoding");
+        prop_assert_eq!(&back, &delta);
+        // Totality: every strict prefix errors, never panics.
+        for cut in 0..buf.len() {
+            let mut slice = &buf[..cut];
+            prop_assert!(CheckpointDelta::decode(&mut slice).is_err(), "cut at {}", cut);
+        }
+        // The leading tag is what tells a delta from a base record.
+        let mut untagged = buf.clone();
+        untagged[0] ^= 1;
+        prop_assert!(CheckpointDelta::decode(&mut untagged.as_slice()).is_err());
+        // Unsorted or duplicated fresh keys are rejected on decode. The key
+        // list sits after the tag, three counters and two counted lists.
+        if fresh_keys.len() >= 2 {
+            let keys_at = 1 + 24 + 4 + 8 * phase_counts.len() + 4 + 8 * next_seq.len() + 4;
+            let (first, second) = (keys_at..keys_at + 8, keys_at + 8..keys_at + 16);
+            let mut swapped = buf.clone();
+            swapped.copy_within(second.clone(), keys_at);
+            swapped[second.clone()].copy_from_slice(&buf[first.clone()]);
+            prop_assert!(CheckpointDelta::decode(&mut swapped.as_slice()).is_err());
+            let mut duplicated = buf.clone();
+            duplicated.copy_within(first, keys_at + 8);
+            prop_assert!(CheckpointDelta::decode(&mut duplicated.as_slice()).is_err());
+        }
+        // Applying: only onto the same worker's state, only forward, and
+        // only keys the state does not already hold.
+        let before = WorkerCheckpoint {
+            worker,
+            windows_closed: windows_closed - 1,
+            ..WorkerCheckpoint::default()
+        };
+        let mut state = before.clone();
+        prop_assert!(state.apply(&delta).is_ok());
+        prop_assert_eq!(&state.state_keys, &fresh_keys);
+        for bad in [
+            WorkerCheckpoint { windows_closed, ..before.clone() },
+            WorkerCheckpoint { windows_closed: u64::MAX, ..before.clone() },
+            WorkerCheckpoint { worker: worker.wrapping_add(1), ..before.clone() },
+            WorkerCheckpoint { state_keys: vec![fresh_keys[0]], ..before.clone() },
+        ] {
+            let mut state = bad.clone();
+            prop_assert!(state.apply(&delta).is_err(), "applied onto {:?}", bad);
+            prop_assert_eq!(state, bad);
+        }
+    }
+
+    #[test]
     fn count_partial_frames_round_trip(
         window in any::<u64>(),
         closed_us in any::<u64>(),
@@ -483,6 +573,10 @@ proptest! {
         let _ = decode_control_frame(&bytes);
         let _ = decode_run_spec(&bytes);
         let _ = WorkerCheckpoint::decode(&mut bytes.as_slice());
+        let _ = CheckpointDelta::decode(&mut bytes.as_slice());
+        // A delta tag followed by soup reaches the body decoder too.
+        let tagged = [&[0xD1][..], &bytes].concat();
+        let _ = CheckpointDelta::decode(&mut tagged.as_slice());
     }
 
     #[test]

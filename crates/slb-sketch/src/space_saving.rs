@@ -16,8 +16,9 @@
 //! slab vectors and reference each other by index, keeping the structure
 //! fully safe (no raw pointers) while avoiding per-update allocation.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use slb_hash::{FixedHashMap, FixedState};
 
 use crate::FrequencyEstimator;
 
@@ -68,7 +69,10 @@ struct Bucket {
 pub struct SpaceSaving<K: Eq + Hash + Clone> {
     capacity: usize,
     total: u64,
-    index: HashMap<K, usize>,
+    /// Key → slab node. Fixed-hasher map: the keys are the stream's own
+    /// (integer ids cost one SplitMix64 round, other types fall back to a
+    /// byte-wise fold); [`Self::counters`] promises no order.
+    index: FixedHashMap<K, usize>,
     nodes: Vec<Node<K>>,
     buckets: Vec<Bucket>,
     /// Bucket with the smallest count (start of the bucket list), NIL if empty.
@@ -91,7 +95,7 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         Self {
             capacity,
             total: 0,
-            index: HashMap::with_capacity(capacity),
+            index: FixedHashMap::with_capacity_and_hasher(capacity, FixedState),
             nodes: Vec::with_capacity(capacity),
             buckets: Vec::with_capacity(capacity.min(64)),
             min_bucket: NIL,
@@ -449,8 +453,8 @@ impl<K: Eq + Hash + Clone> FrequencyEstimator<K> for SpaceSaving<K> {
 mod tests {
     use super::*;
 
-    fn exact_counts(stream: &[u64]) -> HashMap<u64, u64> {
-        let mut m = HashMap::new();
+    fn exact_counts(stream: &[u64]) -> std::collections::HashMap<u64, u64> {
+        let mut m = std::collections::HashMap::new();
         for &k in stream {
             *m.entry(k).or_insert(0) += 1;
         }
