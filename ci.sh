@@ -57,7 +57,7 @@ echo "==> property suites at CI case counts"
 PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test aggregate_props --test rescale_props --test checkpoint_props --test durable_props --test controller_props
 PROPTEST_CASES=256 cargo test -q -p slb-sketch --test proptests
 PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
-PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props
+PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props --test replay_props
 PROPTEST_CASES=256 cargo test -q -p slb-telemetry --test histogram_props
 PROPTEST_CASES=256 cargo test -q -p slb-net --test wire_props
 
@@ -73,5 +73,14 @@ cargo run --quiet --release -p slb-bench --bin perf_smoke
 
 echo "==> criterion benches (quick mode, compile + run)"
 SLB_BENCH_QUICK=1 cargo bench -p slb-bench --quiet > /dev/null
+
+echo "==> benchmark package builds and smoke-tests against the workspace (an engine API change that breaks benchmark/ fails here, not at the benchmark gate)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+if [ -n "$(git status --porcelain -- benchmark)" ]; then
+    echo "benchmark/ is dirty after its build and tests:"
+    git status --short -- benchmark
+    exit 1
+fi
 
 echo "CI PASSED"

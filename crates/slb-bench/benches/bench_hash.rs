@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use slb_hash::{murmur::murmur3_64, xxhash::xxhash64, HashFamily};
+use slb_hash::{xxhash::xxhash64, HashFamily};
 
 fn digest_throughput(c: &mut Criterion) {
     let keys: Vec<String> = (0..1_000)
@@ -19,15 +19,6 @@ fn digest_throughput(c: &mut Criterion) {
             let mut acc = 0u64;
             for k in &keys {
                 acc ^= xxhash64(black_box(k.as_bytes()), 7);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("murmur3_64", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for k in &keys {
-                acc ^= murmur3_64(black_box(k.as_bytes()), 7);
             }
             black_box(acc)
         })

@@ -1,0 +1,325 @@
+//! The aggregator stage: merges the workers' per-window partials and
+//! declares a window final once every (live) worker has contributed.
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+use std::time::Instant;
+
+use slb_core::WindowAggregate;
+use slb_telemetry::{trace_kind, trace_stage, HopStats, HopTelemetry, TraceBuf, TraceEvent};
+use slb_workloads::KeyId;
+
+use super::config::StagePlan;
+use crate::latency::LatencyTracker;
+use crate::transport::{PartialReceiver, PartialWindow, RecvError};
+use crate::windows::WindowId;
+
+/// What one aggregator reports: the windows it finalized, the close→merge
+/// latency distribution, how many partial messages it merged, and how many
+/// it dropped as duplicates.
+pub struct AggregatorStageReport<P> {
+    /// Final merged aggregate per window this shard owned.
+    pub finalized: BTreeMap<WindowId, P>,
+    /// Close→merge latency samples.
+    pub latencies: LatencyTracker,
+    /// Partial-window messages merged (each counted at most once per
+    /// distinct `(worker, window)`).
+    pub merged: u64,
+    /// Partial-window messages dropped because their `(worker, window)` had
+    /// already contributed — a recovered worker re-shipping a partial. Zero
+    /// on a fault-free run, and zero even under kill faults (checkpoints at
+    /// finalization mean closed windows are never re-finalized); the dedup
+    /// is the aggregator's own exactly-once guarantee regardless.
+    pub duplicates_dropped: u64,
+    /// Transport-level receive errors survived (a reader thread reporting
+    /// a malformed frame or failed read instead of a clean EOF — e.g. a
+    /// SIGKILLed worker's connection tearing mid-frame).
+    pub transport_errors: u64,
+    /// The deterministic logical trace of this shard (one `WINDOW_CLOSE`
+    /// per finalized window, in finalization order); empty when telemetry
+    /// is disabled.
+    pub trace: Vec<TraceEvent>,
+    /// Transport counters for this shard's receive side; all-zero when
+    /// telemetry is disabled.
+    pub transport: HopStats,
+}
+
+/// The supervisor hookup of a fault-tolerant aggregator — the one per-role
+/// argument of [`run_aggregator_stage`] (`None` is the unsupervised
+/// default).
+pub struct AggregatorSupervision<'a> {
+    /// Workers the supervisor gave up on. An exclusion drops a permanently
+    /// dead worker from every finalization quorum — windows already waiting
+    /// only on it finalize immediately, and later windows no longer expect
+    /// it. (Graceful degradation: window counts lose the dead worker's
+    /// share, but the run *terminates* with a report instead of hanging.)
+    pub exclusions: &'a crossbeam_channel::Receiver<usize>,
+    /// A shared [`HopTelemetry`] the stage updates in place so a metrics
+    /// ticker on another thread can snapshot it mid-run; `None` makes the
+    /// stage keep a private (plan-gated) one.
+    pub live: Option<Arc<HopTelemetry>>,
+}
+
+/// Everything aggregator `shard` contributes to a run: merges
+/// partial-window slices from `receiver` as they arrive; a window is final
+/// once every one of the plan's spawned workers has contributed its slice.
+/// Contributions are counted by *distinct* worker — a duplicate
+/// `(worker, window)` partial (a recovered worker re-shipping) is dropped,
+/// never double-merged.
+///
+/// Unsupervised, the stage drains `receiver` to EOF. Supervised, it also
+/// serves [`AggregatorSupervision::exclusions`] and returns as soon as the
+/// plan's last window has finalized: under a respawn the data queue's
+/// senders (the listener accepting reconnections) outlive the stage on
+/// purpose.
+pub fn run_aggregator_stage<A, Rx>(
+    plan: &StagePlan,
+    shard: usize,
+    aggregate: &A,
+    receiver: Rx,
+    supervision: Option<AggregatorSupervision<'_>>,
+) -> AggregatorStageReport<A::Partial>
+where
+    A: WindowAggregate<KeyId>,
+    Rx: PartialReceiver<A::Partial>,
+{
+    let spawned_workers = plan.spawned_workers;
+    let telemetry = plan.telemetry;
+    let total_windows = supervision.as_ref().map(|_| plan.total_windows());
+    let exclusions = supervision.as_ref().map(|s| s.exclusions);
+    let live = supervision.and_then(|s| s.live);
+    // Hop telemetry and the logical trace; see the source stage for the
+    // live-vs-private convention.
+    let local_hop = (live.is_none() && telemetry).then(HopTelemetry::default);
+    let hop = live.as_deref().or(local_hop.as_ref());
+    let mut trace = TraceBuf::new(trace_stage::AGGREGATOR, shard as u32, telemetry);
+    let mut latencies = LatencyTracker::with_capacity(256);
+    let mut merged = 0u64;
+    let mut duplicates_dropped = 0u64;
+    let mut transport_errors = 0u64;
+    // Supervisor-excluded workers: no longer part of any quorum.
+    let mut excluded = vec![false; spawned_workers];
+    let mut excluded_any = false;
+    // Per open window: the merged partial, which workers contributed, and
+    // the distinct-contributor count.
+    #[allow(clippy::type_complexity)]
+    let mut open: HashMap<WindowId, (A::Partial, Vec<bool>, usize)> = HashMap::new();
+    let mut finalized: BTreeMap<WindowId, A::Partial> = BTreeMap::new();
+    let mut drained: Vec<PartialWindow<A::Partial>> = Vec::new();
+    let all_done = |finalized: &BTreeMap<WindowId, A::Partial>| {
+        total_windows.is_some_and(|t| finalized.len() as u64 >= t)
+    };
+    'recv: while !all_done(&finalized) {
+        // Serve supervisor exclusions between receive rounds (the shim's
+        // channels have no select, so the data queue is polled with its
+        // own blocking receive and exclusions are drained non-blockingly;
+        // the orchestrator follows every Exclude broadcast with data-side
+        // progress — at minimum the queue closing — so this never
+        // deadlocks).
+        if take_exclusions(exclusions, &mut excluded) {
+            excluded_any = true;
+            finalize_quorate_windows(&mut open, &mut finalized, &excluded, &mut trace);
+            // Back to the loop condition: that may have been the last window.
+            continue;
+        }
+        let wait = hop.map(|h| (h, Instant::now()));
+        let received = receiver.recv_batch(&mut drained);
+        if let Some((h, before)) = wait {
+            h.recv_wait_us.add(before.elapsed().as_micros() as u64);
+        }
+        match received {
+            Ok(_) => {}
+            Err(RecvError::Transport(_)) => {
+                // One connection tore mid-frame (e.g. its worker was
+                // SIGKILLed); the queue and every other connection
+                // feeding it live on. Count and keep draining.
+                transport_errors += 1;
+                continue;
+            }
+            Err(RecvError::Closed) => break,
+        }
+        if let Some(h) = hop {
+            // Each drained element is one partial-window message.
+            let n = drained.len() as u64;
+            h.batches_received.add(n);
+            h.tuples_received.add(n);
+            h.queue_depth_hwm.record(n);
+            h.batch_occupancy.record(n);
+        }
+        for pw in drained.drain(..) {
+            if finalized.contains_key(&pw.window) {
+                // Every worker already contributed; a straggler can only
+                // be a re-shipped duplicate (or, under degradation, a
+                // dead worker's late partial outrun by its exclusion).
+                duplicates_dropped += 1;
+                continue;
+            }
+            if excluded[pw.worker] {
+                // A late partial from a worker already dropped from the
+                // quorum: merging it now would double-count against the
+                // exclusion-finalized windows, so shed it.
+                duplicates_dropped += 1;
+                continue;
+            }
+            let slot = open
+                .entry(pw.window)
+                .or_insert_with(|| (aggregate.empty(), vec![false; spawned_workers], 0));
+            if slot.1[pw.worker] {
+                duplicates_dropped += 1;
+                continue;
+            }
+            slot.1[pw.worker] = true;
+            slot.2 += 1;
+            latencies.record_us(pw.closed_at.elapsed().as_micros() as u64);
+            merged += 1;
+            aggregate.merge(&mut slot.0, pw.partial);
+            let complete = if excluded_any {
+                (0..spawned_workers).all(|w| excluded[w] || slot.1[w])
+            } else {
+                slot.2 == spawned_workers
+            };
+            if complete {
+                let (partial, _, _) = open.remove(&pw.window).expect("window is open");
+                finalized.insert(pw.window, partial);
+                trace.push(trace_kind::WINDOW_CLOSE, pw.window, 0, 0);
+                if all_done(&finalized) {
+                    break 'recv;
+                }
+            }
+        }
+    }
+    // The data queue may close (or the window budget fill) with an
+    // Exclude still queued; apply it so windows waiting only on the dead
+    // worker still finalize and the caller terminates with a report.
+    if take_exclusions(exclusions, &mut excluded) {
+        finalize_quorate_windows(&mut open, &mut finalized, &excluded, &mut trace);
+    }
+    debug_assert!(
+        open.is_empty(),
+        "every window must receive a partial from every (live) worker"
+    );
+    AggregatorStageReport {
+        finalized,
+        latencies,
+        merged,
+        duplicates_dropped,
+        transport_errors,
+        trace: trace.into_events(),
+        transport: hop.map(HopTelemetry::snapshot).unwrap_or_default(),
+    }
+}
+
+/// Drains the queued exclusions into `excluded` without blocking; true if
+/// that dropped anyone new from the quorum.
+fn take_exclusions(
+    exclusions: Option<&crossbeam_channel::Receiver<usize>>,
+    excluded: &mut [bool],
+) -> bool {
+    let mut changed = false;
+    while let Some(Ok(worker)) = exclusions.map(|rx| rx.try_recv()) {
+        if worker < excluded.len() && !excluded[worker] {
+            excluded[worker] = true;
+            changed = true;
+        }
+    }
+    changed
+}
+
+/// Moves every open window whose quorum is now satisfied — every worker
+/// either contributed or is excluded — into the finalized map, in window
+/// order (the candidate set comes off a `HashMap`, whose iteration order
+/// is arbitrary — sorting keeps the trace deterministic).
+fn finalize_quorate_windows<P>(
+    open: &mut HashMap<WindowId, (P, Vec<bool>, usize)>,
+    finalized: &mut BTreeMap<WindowId, P>,
+    excluded: &[bool],
+    trace: &mut TraceBuf,
+) {
+    let mut ready: Vec<WindowId> = open
+        .iter()
+        .filter(|(_, slot)| (0..excluded.len()).all(|w| excluded[w] || slot.1[w]))
+        .map(|(&window, _)| window)
+        .collect();
+    ready.sort_unstable();
+    for window in ready {
+        let (partial, _, _) = open.remove(&window).expect("window is open");
+        finalized.insert(window, partial);
+        trace.push(trace_kind::WINDOW_CLOSE, window, 0, 0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::thread;
+
+    use slb_core::{CountAggregate, PartitionerKind};
+
+    use super::super::test_support::partial_channels;
+    use super::super::EngineConfig;
+    use super::*;
+
+    #[test]
+    fn supervised_aggregator_finalizes_without_an_excluded_worker() {
+        let aggregate = CountAggregate;
+        // Two workers, one shard, three windows.
+        let mut cfg = EngineConfig::smoke(PartitionerKind::Pkg, 1.0)
+            .with_window_size(64)
+            .with_messages(3 * 64)
+            .with_aggregators(1);
+        cfg.sources = 1;
+        cfg.workers = 2;
+        let plan = cfg.stage_plan();
+        assert_eq!(plan.total_windows(), 3);
+        let (partial_senders, partial_receivers) = partial_channels(&plan);
+        let receiver = partial_receivers.into_iter().next().unwrap();
+        let (exclude_tx, exclude_rx) = crossbeam_channel::bounded(16);
+        let live = Arc::new(HopTelemetry::default());
+        let stage_live = Arc::clone(&live);
+        let handle = thread::spawn(move || {
+            run_aggregator_stage(
+                &plan,
+                0,
+                &CountAggregate,
+                receiver,
+                Some(AggregatorSupervision {
+                    exclusions: &exclude_rx,
+                    live: Some(stage_live),
+                }),
+            )
+        });
+        let ship = |worker: usize, window: WindowId, key: KeyId, count: u64| {
+            let mut partial = aggregate.empty();
+            aggregate.observe(&mut partial, &key, count);
+            partial_senders[0]
+                .send(PartialWindow {
+                    window,
+                    worker,
+                    partial,
+                    closed_at: Instant::now(),
+                })
+                .unwrap();
+        };
+        // Worker 0 contributes every window; worker 1 dies after window 0.
+        ship(0, 0, 7, 2);
+        ship(1, 0, 7, 3);
+        ship(0, 1, 7, 5);
+        ship(0, 2, 9, 1);
+        // The exclusion must follow worker 1's window-0 partial *at the
+        // aggregator*, not just in this thread's program order: the stage
+        // polls exclusions ahead of each receive, so one sent before the
+        // partials are taken off the queue would shed that partial.
+        while live.batches_received.get() < 4 {
+            thread::yield_now();
+        }
+        exclude_tx.send(1).unwrap();
+        // Data-side progress follows the exclusion: close the queue.
+        drop(partial_senders);
+        let report = handle.join().expect("aggregator thread panicked");
+        assert_eq!(report.finalized.len(), 3, "degraded windows must finalize");
+        assert_eq!(report.merged, 4);
+        assert_eq!(report.finalized[&0][&7], 5);
+        assert_eq!(report.finalized[&1][&7], 5);
+        assert_eq!(report.finalized[&2][&9], 1);
+        assert_eq!(report.transport_errors, 0);
+    }
+}

@@ -9,9 +9,6 @@
 //! dependency-free implementations of the same class of functions:
 //!
 //! * [`xxhash::XxHash64`] — fast 64-bit hash, default choice for routing.
-//! * [`murmur::murmur3_32`] / [`murmur::murmur3_x64_128`] — the hash Storm's
-//!   `fieldsGrouping` historically used.
-//! * [`fnv::Fnv1a64`] — simple byte-at-a-time hash, useful for tiny keys.
 //! * [`splitmix::SplitMix64`] — integer mixer used to derive independent
 //!   seeds and to hash already-numeric keys; [`FixedState`] packages it as
 //!   the `BuildHasher` of the workspace's private integer-keyed maps.
@@ -28,13 +25,10 @@
 //! reproducible run-to-run.
 
 pub mod family;
-pub mod fnv;
-pub mod murmur;
 pub mod splitmix;
 pub mod xxhash;
 
 pub use family::{HashFamily, KeyHash, StreamHasher, DIGEST_SEED};
-pub use fnv::Fnv1a64;
 pub use splitmix::{FixedHashMap, FixedHashSet, FixedHasher, FixedState, SplitMix64};
 pub use xxhash::XxHash64;
 

@@ -5,7 +5,7 @@
 //! dataflow changes: each node process runs *the same stage function* the
 //! in-process engine threads run ([`run_source_stage`], [`run_worker_stage`],
 //! [`run_aggregator_stage`]), against TCP endpoints instead of crossbeam
-//! ones, over a [`StagePlan`](slb_engine::StagePlan) every process
+//! ones, over a [`StagePlan`] every process
 //! resolves locally from the same
 //! binary-encoded config. That is the whole equivalence argument: the merged
 //! windowed counts cannot depend on process placement because no routing,
@@ -82,10 +82,10 @@ use slb_engine::transport::{capacity_in_batches, partial_channel_capacity};
 use slb_engine::windows::source_stream;
 use slb_engine::{
     assemble_result, exact_scenario_windowed_counts, exact_windowed_counts, run_aggregator_stage,
-    run_aggregator_stage_supervised, run_source_stage, run_source_stage_supervised,
-    run_worker_stage, run_worker_stage_durable, AggregatorStageReport, CheckpointRecord,
-    EngineResult, LatencyTracker, RecoveryMetrics, SourceControlEvent, SourceStageReport, WindowId,
-    WindowedRun, WorkerStageReport,
+    run_source_stage, run_worker_stage, AggregatorStageReport, AggregatorSupervision,
+    CheckpointRecord, EngineResult, LatencyTracker, NoRecovery, RecoveryMetrics, SourceControl,
+    SourceControlEvent, SourceStageReport, StagePlan, Supervised, TupleSender, WindowId,
+    WindowedRun, WorkerRecovery, WorkerStageReport,
 };
 use slb_telemetry::{log, snapshot_stage, HopTelemetry, LogHistogram, MetricsSnapshot};
 use slb_workloads::KeyId;
@@ -186,6 +186,16 @@ fn epoch_from_unix_micros(epoch_unix_micros: u64) -> Instant {
 fn dial(port: u16) -> Result<TcpStream, String> {
     connect_with_retry(&format!("127.0.0.1:{port}"), DIAL_ATTEMPTS, DIAL_BASE_DELAY)
         .map_err(|e| io_err("dialing data port failed", e))
+}
+
+/// Accepts the data connections of a stage's `peers` upstream instances.
+fn accept_peers(listener: &TcpListener, peers: usize) -> Result<Vec<TcpStream>, String> {
+    (0..peers)
+        .map(|_| match listener.accept() {
+            Ok((stream, _)) => Ok(stream),
+            Err(e) => Err(io_err("accepting data connection", e)),
+        })
+        .collect()
 }
 
 fn tracker_from_rle(runs: &[(u64, u64)]) -> LatencyTracker {
@@ -465,42 +475,13 @@ pub fn run_node_with(
             for &port in &worker_ports {
                 senders.push(TcpTupleSender::new(dial(port)?, epoch));
             }
-            let report = match &spec.run {
-                RunSpec::Engine(cfg) => {
-                    run_source_stage(&plan, index, |_phase| source_stream(cfg, index), &senders)
-                }
-                RunSpec::Scenario(cfg) => run_source_stage(
-                    &plan,
-                    index,
-                    |phase| cfg.scenario.phase_stream(phase, index),
-                    &senders,
-                ),
-            };
+            let report = run_source(&spec, &plan, index, &senders, NoRecovery);
             drop(senders); // EOF to every worker
-            send_control(
-                &mut control_stream,
-                &ControlFrame::Metrics(source_final_snapshot(index, &report, 0)),
-            )?;
-            send_control(
-                &mut control_stream,
-                &ControlFrame::SourceReport {
-                    source: index as u32,
-                    sent: report.sent,
-                    controller_events: report.controller_events,
-                    trace: report.trace,
-                    transport: report.transport,
-                },
-            )
+            send_source_report(&Mutex::new(control_stream), index, report, 0)
         }
         NodeRole::Worker => {
             let listener = listener.expect("workers bind a listener");
-            let mut incoming = Vec::with_capacity(plan.sources);
-            for _ in 0..plan.sources {
-                let (stream, _) = listener
-                    .accept()
-                    .map_err(|e| io_err("accepting source connection", e))?;
-                incoming.push(stream);
-            }
+            let incoming = accept_peers(&listener, plan.sources)?;
             let receiver = TcpTupleReceiver::spawn(
                 incoming,
                 epoch,
@@ -511,30 +492,31 @@ pub fn run_node_with(
             for &port in &aggregator_ports {
                 partial_senders.push(TcpPartialSender::new(dial(port)?, epoch));
             }
-            let report = if options.fault_tolerant {
-                let mut store = store.expect("fault-tolerant workers open a store");
-                // The shared write half lets the heartbeat and metrics
-                // threads and the final report use one control connection.
-                let shared = Arc::new(Mutex::new(control_stream));
-                let stop = Arc::new(AtomicBool::new(false));
-                let heartbeats = {
-                    let stream = Arc::clone(&shared);
-                    let stop = Arc::clone(&stop);
-                    let worker = index as u32;
-                    thread::spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            if send_control_shared(&stream, &ControlFrame::Heartbeat { worker })
-                                .is_err()
-                            {
-                                break;
-                            }
-                            thread::sleep(HEARTBEAT_INTERVAL);
+            // The shared write half lets the heartbeat and metrics threads
+            // and the final report use one control connection.
+            let shared = Arc::new(Mutex::new(control_stream));
+            let metrics_seq = Arc::new(AtomicU64::new(0));
+            // Fault-tolerant extras: heartbeats, live metrics, and the
+            // persist hook mirroring every checkpoint record to disk.
+            let stop = Arc::new(AtomicBool::new(false));
+            let mut background = Vec::new();
+            let mut live = None;
+            if options.fault_tolerant {
+                let stream = Arc::clone(&shared);
+                let heartbeat_stop = Arc::clone(&stop);
+                let worker = index as u32;
+                background.push(thread::spawn(move || {
+                    while !heartbeat_stop.load(Ordering::Relaxed) {
+                        if send_control_shared(&stream, &ControlFrame::Heartbeat { worker })
+                            .is_err()
+                        {
+                            break;
                         }
-                    })
-                };
-                let live = plan.telemetry.then(|| Arc::new(HopTelemetry::default()));
-                let metrics_seq = Arc::new(AtomicU64::new(0));
-                let ticker = metrics_interval.zip(live.clone()).map(|(interval, hop)| {
+                        thread::sleep(HEARTBEAT_INTERVAL);
+                    }
+                }));
+                live = plan.telemetry.then(|| Arc::new(HopTelemetry::default()));
+                background.extend(metrics_interval.zip(live.clone()).map(|(interval, hop)| {
                     spawn_metrics_ticker(
                         Arc::clone(&shared),
                         snapshot_stage::WORKER,
@@ -544,97 +526,131 @@ pub fn run_node_with(
                         Arc::clone(&stop),
                         Arc::clone(&metrics_seq),
                     )
-                });
+                }));
+            }
+            let crash_after_closes = options.crash_after_closes;
+            // Only a fault-tolerant worker opened a store.
+            let mut persist = store.as_mut().map(|store| {
                 let mut closes_persisted = 0u64;
-                let crash_after_closes = options.crash_after_closes;
-                let report = run_worker_stage_durable(
-                    &plan,
-                    index,
-                    epoch,
-                    &CountAggregate,
-                    receiver,
-                    &partial_senders,
-                    initial.as_ref(),
-                    &mut |record| {
-                        // Deterministic crash injection: the hook runs after
-                        // the window's partials shipped but before the save
-                        // below makes the close durable — aborting here is
-                        // exactly the tail-window re-ship race, pinned to a
-                        // fixed window instead of a wall-clock kill.
-                        closes_persisted += 1;
-                        if crash_after_closes == Some(closes_persisted) {
-                            std::process::abort();
-                        }
-                        // A failed save degrades durability (a later crash
-                        // replays more), never correctness — keep running.
-                        let saved = match record {
-                            CheckpointRecord::Base(bytes) => store.save(bytes).map(drop),
-                            CheckpointRecord::Delta(bytes) => store.append(bytes),
-                        };
-                        if let Err(e) = saved {
-                            log::error(
-                                "slb-node",
-                                &format!("worker {index}: checkpoint save failed: {e}"),
-                            );
-                        }
-                    },
-                    live,
-                );
-                drop(partial_senders); // EOF to every aggregator
-                stop.store(true, Ordering::Relaxed);
-                let _ = heartbeats.join();
-                if let Some(ticker) = ticker {
-                    let _ = ticker.join();
+                move |record: CheckpointRecord<'_>| {
+                    // Deterministic crash injection: the hook runs after the
+                    // window's partials shipped but before the save below
+                    // makes the close durable — aborting here is exactly the
+                    // tail-window re-ship race, pinned to a fixed window
+                    // instead of a wall-clock kill.
+                    closes_persisted += 1;
+                    if crash_after_closes == Some(closes_persisted) {
+                        std::process::abort();
+                    }
+                    // A failed save degrades durability (a later crash
+                    // replays more), never correctness — keep running.
+                    let saved = match record {
+                        CheckpointRecord::Base(bytes) => store.save(bytes).map(drop),
+                        CheckpointRecord::Delta(bytes) => store.append(bytes),
+                    };
+                    if let Err(e) = saved {
+                        log::error(
+                            "slb-node",
+                            &format!("worker {index}: checkpoint save failed: {e}"),
+                        );
+                    }
                 }
-                send_control_shared(
-                    &shared,
-                    &ControlFrame::Metrics(worker_final_snapshot(
-                        index,
-                        &report,
-                        metrics_seq.load(Ordering::Relaxed),
-                    )),
-                )?;
-                return send_control_shared(
-                    &shared,
-                    &ControlFrame::WorkerReport(worker_report_to_wire(index, &report)),
-                );
-            } else {
-                run_worker_stage(
-                    &plan,
-                    index,
-                    epoch,
-                    &CountAggregate,
-                    receiver,
-                    &partial_senders,
-                )
+            });
+            let recovery = match persist.as_mut() {
+                Some(persist) => WorkerRecovery::Durable {
+                    initial: initial.as_ref(),
+                    persist,
+                    live,
+                },
+                None => WorkerRecovery::none(),
             };
+            let report = run_worker_stage(
+                &plan,
+                index,
+                epoch,
+                &CountAggregate,
+                receiver,
+                &partial_senders,
+                recovery,
+            );
             drop(partial_senders); // EOF to every aggregator
-            send_control(
-                &mut control_stream,
-                &ControlFrame::Metrics(worker_final_snapshot(index, &report, 0)),
+            stop.store(true, Ordering::Relaxed);
+            for thread in background {
+                let _ = thread.join();
+            }
+            send_control_shared(
+                &shared,
+                &ControlFrame::Metrics(worker_final_snapshot(
+                    index,
+                    &report,
+                    metrics_seq.load(Ordering::Relaxed),
+                )),
             )?;
-            send_control(
-                &mut control_stream,
+            send_control_shared(
+                &shared,
                 &ControlFrame::WorkerReport(worker_report_to_wire(index, &report)),
             )
         }
         NodeRole::Aggregator => {
             let listener = listener.expect("aggregators bind a listener");
-            let mut incoming = Vec::with_capacity(plan.spawned_workers);
-            for _ in 0..plan.spawned_workers {
-                let (stream, _) = listener
-                    .accept()
-                    .map_err(|e| io_err("accepting worker connection", e))?;
-                incoming.push(stream);
-            }
+            let incoming = accept_peers(&listener, plan.spawned_workers)?;
             let capacity = partial_channel_capacity(plan.spawned_workers);
             let shared = Arc::new(Mutex::new(control_stream));
             let metrics_seq = Arc::new(AtomicU64::new(0));
+            // Fault-tolerant extras: an attachable merge queue with a
+            // late-accept loop for respawned workers' fresh connections, a
+            // control-reader thread feeding exclusions into the stage, and
+            // live metrics.
+            let stop = Arc::new(AtomicBool::new(false));
+            let accepting = Arc::new(AtomicBool::new(true));
+            let mut background = Vec::new();
             let mut control_thread = None;
-            let report = if options.fault_tolerant {
+            let (excl_tx, excl_rx) = bounded::<usize>(16);
+            let (receiver, supervision) = if options.fault_tolerant {
+                let (receiver, attach) =
+                    TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity);
+                listener
+                    .set_nonblocking(true)
+                    .map_err(|e| io_err("setting data listener non-blocking", e))?;
+                let still_accepting = Arc::clone(&accepting);
+                background.push(thread::spawn(move || {
+                    loop {
+                        match listener.accept() {
+                            Ok((stream, _)) => {
+                                let _ = stream.set_nonblocking(false);
+                                attach.attach(stream);
+                            }
+                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                                if !still_accepting.load(Ordering::Relaxed) {
+                                    break;
+                                }
+                                thread::sleep(Duration::from_millis(20));
+                            }
+                            Err(_) => break,
+                        }
+                    }
+                    // Dropping the attach handle here is what lets the merge
+                    // queue disconnect once every connected worker has sent
+                    // EOF.
+                }));
+                let released = Arc::clone(&accepting);
+                // Exits on Release or when the orchestrator drops the
+                // connection, either of which may come after the stage is
+                // already over: joined once the report is on its way.
+                control_thread = Some(thread::spawn(move || {
+                    loop {
+                        match recv_control(&mut control_reader) {
+                            Ok(ControlFrame::Exclude { worker }) => {
+                                let _ = excl_tx.send(worker as usize);
+                            }
+                            Ok(ControlFrame::Release) | Err(_) => break,
+                            Ok(_) => {}
+                        }
+                    }
+                    released.store(false, Ordering::Relaxed);
+                }));
                 let live = plan.telemetry.then(|| Arc::new(HopTelemetry::default()));
-                let stop = Arc::new(AtomicBool::new(false));
-                let ticker = metrics_interval.zip(live.clone()).map(|(interval, hop)| {
+                background.extend(metrics_interval.zip(live.clone()).map(|(interval, hop)| {
                     spawn_metrics_ticker(
                         Arc::clone(&shared),
                         snapshot_stage::AGGREGATOR,
@@ -644,33 +660,22 @@ pub fn run_node_with(
                         Arc::clone(&stop),
                         Arc::clone(&metrics_seq),
                     )
-                });
-                let (report, control) = run_aggregator_node_supervised(
-                    &plan,
-                    listener,
-                    incoming,
-                    epoch,
-                    capacity,
-                    control_reader,
-                    index,
+                }));
+                let supervision = AggregatorSupervision {
+                    exclusions: &excl_rx,
                     live,
-                )?;
-                control_thread = Some(control);
-                stop.store(true, Ordering::Relaxed);
-                if let Some(ticker) = ticker {
-                    let _ = ticker.join();
-                }
-                report
+                };
+                (receiver, Some(supervision))
             } else {
                 let receiver = TcpPartialReceiver::<CountPartial>::spawn(incoming, epoch, capacity);
-                run_aggregator_stage(
-                    plan.spawned_workers,
-                    &CountAggregate,
-                    receiver,
-                    index,
-                    plan.telemetry,
-                )
+                (receiver, None)
             };
+            let report = run_aggregator_stage(&plan, index, &CountAggregate, receiver, supervision);
+            stop.store(true, Ordering::Relaxed);
+            accepting.store(false, Ordering::Relaxed);
+            for thread in background {
+                let _ = thread.join();
+            }
             send_control_shared(
                 &shared,
                 &ControlFrame::Metrics(aggregator_final_snapshot(
@@ -813,42 +818,62 @@ fn run_source_node_supervised(
             Arc::clone(&metrics_seq),
         )
     });
-    let report = match &spec.run {
-        RunSpec::Engine(cfg) => run_source_stage_supervised(
-            &plan,
-            index,
-            |_phase| source_stream(cfg, index),
-            &senders,
-            &event_rx,
-            reattach,
-            live.clone(),
-        ),
-        RunSpec::Scenario(cfg) => run_source_stage_supervised(
-            &plan,
-            index,
-            |phase| cfg.scenario.phase_stream(phase, index),
-            &senders,
-            &event_rx,
-            reattach,
-            live.clone(),
-        ),
+    let control = Supervised {
+        events: &event_rx,
+        reattach,
+        live: live.clone(),
     };
+    let report = run_source(spec, &plan, index, &senders, control);
     drop(senders); // EOF to every worker
     let _ = control_thread.join(); // exited on Release
     stop.store(true, Ordering::Relaxed);
     if let Some(ticker) = ticker {
         let _ = ticker.join();
     }
-    send_control_shared(
-        &shared,
-        &ControlFrame::Metrics(source_final_snapshot(
+    send_source_report(&shared, index, report, metrics_seq.load(Ordering::Relaxed))
+}
+
+/// Runs source `index` of `spec` over `senders`: the one call site of
+/// [`run_source_stage`], shared by the plain and the supervised node (the
+/// two run specs yield different stream types, hence the two arms).
+fn run_source<Tx: TupleSender>(
+    spec: &ClusterSpec,
+    plan: &StagePlan,
+    index: usize,
+    senders: &[Tx],
+    control: impl SourceControl,
+) -> SourceStageReport {
+    match &spec.run {
+        RunSpec::Engine(cfg) => run_source_stage(
+            plan,
             index,
-            &report,
-            metrics_seq.load(Ordering::Relaxed),
-        )),
+            |_phase| source_stream(cfg, index),
+            senders,
+            control,
+        ),
+        RunSpec::Scenario(cfg) => run_source_stage(
+            plan,
+            index,
+            |phase| cfg.scenario.phase_stream(phase, index),
+            senders,
+            control,
+        ),
+    }
+}
+
+/// A source's end of run: the exact final snapshot, then the report.
+fn send_source_report(
+    stream: &Mutex<TcpStream>,
+    index: usize,
+    report: SourceStageReport,
+    metrics_seq: u64,
+) -> Result<(), String> {
+    send_control_shared(
+        stream,
+        &ControlFrame::Metrics(source_final_snapshot(index, &report, metrics_seq)),
     )?;
     send_control_shared(
-        &shared,
+        stream,
         &ControlFrame::SourceReport {
             source: index as u32,
             sent: report.sent,
@@ -857,80 +882,6 @@ fn run_source_node_supervised(
             transport: report.transport,
         },
     )
-}
-
-/// The fault-tolerant aggregator body: an attachable merge queue with a
-/// late-accept loop for respawned workers' fresh connections, and a
-/// control-reader thread feeding exclusions into the supervised stage.
-#[allow(clippy::too_many_arguments)]
-fn run_aggregator_node_supervised(
-    plan: &slb_engine::StagePlan,
-    listener: TcpListener,
-    incoming: Vec<TcpStream>,
-    epoch: Instant,
-    capacity: usize,
-    mut control_reader: BufReader<TcpStream>,
-    shard: usize,
-    live: Option<Arc<HopTelemetry>>,
-) -> Result<(AggregatorStageReport<CountPartial>, thread::JoinHandle<()>), String> {
-    let (receiver, attach) =
-        TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity);
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| io_err("setting data listener non-blocking", e))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = {
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        attach.attach(stream);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Dropping the attach handle here is what lets the merge queue
-            // disconnect once every connected worker has sent EOF.
-        })
-    };
-    let (excl_tx, excl_rx) = bounded::<usize>(16);
-    let control_stop = Arc::clone(&stop);
-    // Exits on Release or when the orchestrator drops the connection, either
-    // of which may come after the stage is already over: the caller joins
-    // it once the report is on its way.
-    let control_thread = thread::spawn(move || {
-        loop {
-            match recv_control(&mut control_reader) {
-                Ok(ControlFrame::Exclude { worker }) => {
-                    let _ = excl_tx.send(worker as usize);
-                }
-                Ok(ControlFrame::Release) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-        control_stop.store(true, Ordering::Relaxed);
-    });
-    let report = run_aggregator_stage_supervised(
-        plan.spawned_workers,
-        plan.total_windows(),
-        &CountAggregate,
-        receiver,
-        &excl_rx,
-        shard,
-        plan.telemetry,
-        live,
-    );
-    stop.store(true, Ordering::Relaxed);
-    let _ = accept_thread.join();
-    Ok((report, control_thread))
 }
 
 fn worker_report_to_wire(index: usize, report: &WorkerStageReport) -> WorkerReportWire {

@@ -10,8 +10,6 @@
 //!   classic Stream-Summary data structure (O(1) amortized per update).
 //! * [`MisraGries`] — the deterministic frequent-elements algorithm, used as
 //!   an alternative tracker and as a cross-check in tests.
-//! * [`CountMinSketch`] — a linear sketch giving per-key frequency upper
-//!   bounds; used for validation and for workloads with enormous key spaces.
 //! * [`ExactCounter`] — exact frequencies (hash map), the ground truth for
 //!   experiments and tests.
 //! * [`merge`] — merging of per-source summaries into a global view, needed
@@ -20,13 +18,11 @@
 //! All trackers implement [`FrequencyEstimator`], so the partitioners in
 //! `slb-core` are generic over the tracking strategy.
 
-pub mod count_min;
 pub mod exact;
 pub mod merge;
 pub mod misra_gries;
 pub mod space_saving;
 
-pub use count_min::CountMinSketch;
 pub use exact::ExactCounter;
 pub use misra_gries::MisraGries;
 pub use space_saving::{Counter, SpaceSaving};
@@ -51,7 +47,7 @@ pub trait FrequencyEstimator<K: Eq + Hash + Clone> {
 
     /// Estimated number of occurrences of `key` seen so far.
     ///
-    /// For SpaceSaving / Count-Min this is an upper bound on the true count;
+    /// For SpaceSaving this is an upper bound on the true count;
     /// for Misra-Gries it is a lower bound.
     fn estimate(&self, key: &K) -> u64;
 
