@@ -10,13 +10,25 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> one codec: byte primitives only in slb-core/src/wire.rs, no second run-spec form"
+if grep -rnE 'fn (read|take|write)_(u8|u16|u32|u64|f64|str|u64_list)\b' \
+    crates/slb-core/src crates/slb-engine/src crates/slb-net/src |
+    grep -v '^crates/slb-core/src/wire.rs'; then
+    echo "byte primitives are defined once, in crates/slb-core/src/wire.rs: import them"
+    exit 1
+fi
+if grep -rnE 'encode_run_spec|decode_run_spec' crates; then
+    echo "the Start frame carries the text cluster spec; the binary run-spec codec was deleted"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> release build"
 cargo build --release
 
-echo "==> workspace tests (all crates; superset of the tier-1 \`cargo test -q\`)"
+echo "==> workspace tests (all crates; superset of the tier-1 \`cargo test -q\`; includes the golden_bytes wire fixture)"
 # The golden suite inside this run executes every expt_* binary at smoke
 # scale and asserts the deterministic scheme orderings in their output
 # (crates/slb-bench/tests/golden.rs), so there is no separate exit-code-only

@@ -42,7 +42,10 @@
 //! width integers, `u32`-counted collections, self-delimiting, and total —
 //! malformed bytes produce a [`PartialDecodeError`], never a panic.
 
-use crate::wire::{read_u32, read_u64, write_u32, write_u64, PartialDecodeError, WirePartial};
+use crate::wire::{
+    read_count, read_u64, read_u64_list, read_u8, write_u32, write_u64, PartialDecodeError,
+    WirePartial,
+};
 
 /// First byte of an encoded [`CheckpointDelta`]. A base record starts with
 /// its worker index instead, so the two kinds cannot be decoded as each
@@ -292,12 +295,8 @@ impl WorkerCheckpoint {
         if !state_keys.windows(2).all(|w| w[0] < w[1]) {
             return Err(PartialDecodeError("state keys not sorted and distinct"));
         }
-        let windows = read_u32(input)? as usize;
-        // Each open-window entry is at least 17 bytes (window + closes +
-        // flag); guards allocation from a corrupt length prefix.
-        if input.len() < windows.saturating_mul(17) {
-            return Err(PartialDecodeError("open windows shorter than their count"));
-        }
+        // Each open-window entry is at least 17 bytes: window, closes, flag.
+        let windows = read_count(input, 17)?;
         let mut open = Vec::with_capacity(windows);
         let mut last_window = None;
         for _ in 0..windows {
@@ -307,13 +306,10 @@ impl WorkerCheckpoint {
             }
             last_window = Some(window);
             let closes_seen = read_u64(input)?;
-            let partial = match take_u8(input)? {
+            let partial = match read_u8(input)? {
                 0 => None,
                 1 => {
-                    let len = read_u32(input)? as usize;
-                    if input.len() < len {
-                        return Err(PartialDecodeError("partial blob shorter than its length"));
-                    }
+                    let len = read_count(input, 1)?;
                     let (blob, rest) = input.split_at(len);
                     *input = rest;
                     Some(blob.to_vec())
@@ -412,7 +408,7 @@ impl CheckpointDelta {
     /// Decodes one delta from the front of `input`, advancing it past the
     /// consumed bytes. Total: malformed input errors, never panics.
     pub fn decode(input: &mut &[u8]) -> Result<Self, PartialDecodeError> {
-        if take_u8(input)? != DELTA_TAG {
+        if read_u8(input)? != DELTA_TAG {
             return Err(PartialDecodeError("not a checkpoint delta"));
         }
         let body = WorkerCheckpoint::decode(input)?;
@@ -426,26 +422,6 @@ impl CheckpointDelta {
             open: body.open,
         })
     }
-}
-
-fn take_u8(input: &mut &[u8]) -> Result<u8, PartialDecodeError> {
-    let (&byte, rest) = input
-        .split_first()
-        .ok_or(PartialDecodeError("truncated u8"))?;
-    *input = rest;
-    Ok(byte)
-}
-
-fn read_u64_list(input: &mut &[u8]) -> Result<Vec<u64>, PartialDecodeError> {
-    let len = read_u32(input)? as usize;
-    if input.len() < len.saturating_mul(8) {
-        return Err(PartialDecodeError("list shorter than its length"));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(read_u64(input)?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

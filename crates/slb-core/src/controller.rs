@@ -117,24 +117,39 @@ impl ControllerConfig {
         self
     }
 
-    /// Panics if any knob is out of range.
-    pub fn validate(&self) {
-        assert!(self.min_workers >= 1, "min_workers must be at least 1");
-        assert!(
+    /// Checks that every knob is in range; the error names the first one
+    /// that is not. This is what a config arriving from outside the program
+    /// (a cluster spec) is held to.
+    pub fn check(&self) -> Result<(), String> {
+        fn ensure(ok: bool, message: impl Into<String>) -> Result<(), String> {
+            ok.then_some(()).ok_or_else(|| message.into())
+        }
+        ensure(self.min_workers >= 1, "min_workers must be at least 1")?;
+        ensure(
             self.max_workers >= self.min_workers,
-            "max_workers {} below min_workers {}",
-            self.max_workers,
-            self.min_workers
-        );
-        assert!(self.worker_capacity > 0, "worker_capacity must be positive");
-        assert!(
+            format!(
+                "max_workers {} below min_workers {}",
+                self.max_workers, self.min_workers
+            ),
+        )?;
+        ensure(self.worker_capacity > 0, "worker_capacity must be positive")?;
+        ensure(
             self.scale_in_occupancy > 0.0 && self.scale_in_occupancy <= 1.0,
-            "scale_in_occupancy must be in (0, 1], got {}",
-            self.scale_in_occupancy
-        );
-        assert!(self.patience >= 1, "patience must be at least 1");
-        assert!(self.step >= 1, "step must be at least 1");
-        assert!(self.epsilon > 0.0, "epsilon must be positive");
+            format!(
+                "scale_in_occupancy must be in (0, 1], got {}",
+                self.scale_in_occupancy
+            ),
+        )?;
+        ensure(self.patience >= 1, "patience must be at least 1")?;
+        ensure(self.step >= 1, "step must be at least 1")?;
+        ensure(self.epsilon > 0.0, "epsilon must be positive")
+    }
+
+    /// Panics if any knob is out of range (see [`Self::check`]).
+    pub fn validate(&self) {
+        if let Err(message) = self.check() {
+            panic!("{message}");
+        }
     }
 
     /// Clamps a phase-advisory worker count into the controller's bounds.

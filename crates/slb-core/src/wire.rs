@@ -20,7 +20,16 @@
 //! decoding consumes exactly the bytes encoding produced and leaves the rest
 //! of the input untouched, so partials can be embedded inside larger frames.
 //! Round-trip identity (`decode(encode(p)) == p` up to aggregate content) is
-//! pinned by the wire property suite in `slb-net`.
+//! pinned by the wire property suite in `slb-net`, the exact bytes by its
+//! `golden_bytes` fixture.
+//!
+//! ## Byte primitives
+//!
+//! The fixed-width readers and writers below, and [`read_count`] — the one
+//! place a decoded element count is checked against the bytes present before
+//! anything is allocated — are the only definitions of their kind in the
+//! workspace: the checkpoint codec next door and the frame codec in `slb-net`
+//! import them (`ci.sh` greps for strays).
 
 use std::collections::HashMap;
 
@@ -39,24 +48,37 @@ impl std::fmt::Display for PartialDecodeError {
 
 impl std::error::Error for PartialDecodeError {}
 
-/// Reads a little-endian `u64`, advancing the input slice.
-pub fn read_u64(input: &mut &[u8]) -> Result<u64, PartialDecodeError> {
-    if input.len() < 8 {
-        return Err(PartialDecodeError("truncated u64"));
+/// Splits `N` bytes off the front of `input`, advancing it.
+fn read_array<const N: usize>(
+    input: &mut &[u8],
+    what: &'static str,
+) -> Result<[u8; N], PartialDecodeError> {
+    if input.len() < N {
+        return Err(PartialDecodeError(what));
     }
-    let (bytes, rest) = input.split_at(8);
+    let (bytes, rest) = input.split_at(N);
     *input = rest;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte split")))
+    Ok(bytes.try_into().expect("split at N"))
+}
+
+/// Reads one byte, advancing the input slice.
+pub fn read_u8(input: &mut &[u8]) -> Result<u8, PartialDecodeError> {
+    read_array::<1>(input, "truncated u8").map(|[byte]| byte)
+}
+
+/// Reads a little-endian `u16`, advancing the input slice.
+pub fn read_u16(input: &mut &[u8]) -> Result<u16, PartialDecodeError> {
+    read_array(input, "truncated u16").map(u16::from_le_bytes)
 }
 
 /// Reads a little-endian `u32`, advancing the input slice.
 pub fn read_u32(input: &mut &[u8]) -> Result<u32, PartialDecodeError> {
-    if input.len() < 4 {
-        return Err(PartialDecodeError("truncated u32"));
-    }
-    let (bytes, rest) = input.split_at(4);
-    *input = rest;
-    Ok(u32::from_le_bytes(bytes.try_into().expect("4-byte split")))
+    read_array(input, "truncated u32").map(u32::from_le_bytes)
+}
+
+/// Reads a little-endian `u64`, advancing the input slice.
+pub fn read_u64(input: &mut &[u8]) -> Result<u64, PartialDecodeError> {
+    read_array(input, "truncated u64").map(u64::from_le_bytes)
 }
 
 /// Appends a little-endian `u64`.
@@ -67,6 +89,32 @@ pub fn write_u64(out: &mut Vec<u8>, value: u64) {
 /// Appends a little-endian `u32`.
 pub fn write_u32(out: &mut Vec<u8>, value: u32) {
     out.extend_from_slice(&value.to_le_bytes());
+}
+
+/// Reads a collection's `u32` element count and holds it against the bytes
+/// actually present: every element encodes to at least `min_element_bytes`,
+/// so a count the remaining input cannot back is an error *before* anything
+/// is allocated for it. Every counted collection in the workspace — partial,
+/// checkpoint, frame — decodes its count here.
+pub fn read_count(
+    input: &mut &[u8],
+    min_element_bytes: usize,
+) -> Result<usize, PartialDecodeError> {
+    let count = read_u32(input)? as usize;
+    if input.len() < count.saturating_mul(min_element_bytes) {
+        return Err(PartialDecodeError("collection shorter than its length"));
+    }
+    Ok(count)
+}
+
+/// Reads a `u32`-counted list of little-endian `u64`s.
+pub fn read_u64_list(input: &mut &[u8]) -> Result<Vec<u64>, PartialDecodeError> {
+    let count = read_count(input, 8)?;
+    let mut values = Vec::with_capacity(count);
+    for _ in 0..count {
+        values.push(read_u64(input)?);
+    }
+    Ok(values)
 }
 
 /// A per-window partial aggregate that can be transported as bytes.
@@ -98,12 +146,7 @@ impl WirePartial for HashMap<u64, u64> {
     }
 
     fn decode_partial(input: &mut &[u8]) -> Result<Self, PartialDecodeError> {
-        let entries = read_u32(input)? as usize;
-        // 16 bytes per entry must still be present; guards allocation from a
-        // corrupt length prefix.
-        if input.len() < entries.saturating_mul(16) {
-            return Err(PartialDecodeError("count map shorter than its length"));
-        }
+        let entries = read_count(input, 16)?;
         let mut map = HashMap::with_capacity(entries);
         for _ in 0..entries {
             let key = read_u64(input)?;
@@ -151,12 +194,9 @@ impl WirePartial for SpaceSaving<u64> {
             return Err(PartialDecodeError("summary capacity must be positive"));
         }
         let total = read_u64(input)?;
-        let counters = read_u32(input)? as usize;
+        let counters = read_count(input, 24)?;
         if counters > capacity {
             return Err(PartialDecodeError("more counters than capacity"));
-        }
-        if input.len() < counters.saturating_mul(24) {
-            return Err(PartialDecodeError("summary shorter than its length"));
         }
         let mut list = Vec::with_capacity(counters);
         let mut seen = std::collections::HashSet::with_capacity(counters);

@@ -228,10 +228,24 @@ impl EngineConfig {
     /// Panics if any structural parameter is zero or the attached
     /// controller is invalid.
     pub fn stage_plan(&self) -> StagePlan {
-        assert!(self.sources > 0, "need at least one source");
-        assert!(self.workers > 0, "need at least one worker");
-        assert!(self.keys > 0, "need at least one key");
-        assert!(self.window_size > 0, "windows need at least one tuple");
+        self.try_stage_plan()
+            .unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// [`Self::stage_plan`] for a configuration from outside the program (a
+    /// cluster spec): an invalid one is an `Err` naming the first rule it
+    /// breaks, not a panic.
+    pub fn try_stage_plan(&self) -> Result<StagePlan, String> {
+        ensure(&[
+            (self.sources > 0, "need at least one source"),
+            (self.workers > 0, "need at least one worker"),
+            (self.keys > 0, "need at least one key"),
+            (self.window_size > 0, "windows need at least one tuple"),
+            (
+                self.skew.is_finite() && self.skew >= 0.0,
+                "skew must be finite and non-negative",
+            ),
+        ])?;
         let per_source = self.messages / self.sources as u64;
         let spawned = spawned_workers(self.workers, self.controller.as_ref());
         let phase = PhasePlan {
@@ -263,6 +277,14 @@ impl EngineConfig {
             controller: self.controller.clone(),
         }
         .resolved()
+    }
+}
+
+/// The first failed rule of a list of `(holds, message)` checks.
+fn ensure(rules: &[(bool, &str)]) -> Result<(), String> {
+    match rules.iter().find(|(holds, _)| !holds) {
+        Some((_, message)) => Err((*message).to_string()),
+        None => Ok(()),
     }
 }
 
@@ -376,29 +398,36 @@ impl ScenarioConfig {
     /// Panics if the scenario, the engine knobs, or the attached controller
     /// are invalid.
     pub fn stage_plan(&self) -> StagePlan {
-        if let Err(message) = self.scenario.validate() {
-            panic!("invalid scenario: {message}");
-        }
+        self.try_stage_plan()
+            .unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// [`Self::stage_plan`] with an invalid configuration reported as an
+    /// `Err` (see [`EngineConfig::try_stage_plan`]).
+    pub fn try_stage_plan(&self) -> Result<StagePlan, String> {
+        self.scenario
+            .validate()
+            .map_err(|message| format!("invalid scenario: {message}"))?;
         let scenario = &self.scenario;
         let base_us = self.service_time_us;
         let spawned = spawned_workers(scenario.max_workers(), self.controller.as_ref());
-        let phases: Vec<PhasePlan> = scenario
-            .phases
-            .iter()
-            .enumerate()
-            .map(|(p, phase)| PhasePlan {
+        let mut phases = Vec::with_capacity(scenario.phases.len());
+        for (p, phase) in scenario.phases.iter().enumerate() {
+            // Fallible: a huge base time times a huge multiplier is a
+            // well-formed spec that no `Duration` can hold.
+            let service = (0..spawned)
+                .map(|w| Duration::try_from_secs_f64(base_us as f64 * phase.speed_of(w) / 1e6))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| format!("phase {p}: service time {e}"))?;
+            phases.push(PhasePlan {
                 tuples_per_source: scenario.phase_tuples_per_source(p),
                 start_window: scenario.phase_start_window(p),
                 windows: phase.windows,
                 workers: phase.workers,
-                service: Arc::new(
-                    (0..spawned)
-                        .map(|w| Duration::from_secs_f64(base_us as f64 * phase.speed_of(w) / 1e6))
-                        .collect(),
-                ),
+                service: Arc::new(service),
                 arrival: phase.arrival,
-            })
-            .collect();
+            });
+        }
         StagePlan {
             kind: self.kind,
             seed: scenario.seed,
@@ -475,7 +504,7 @@ pub struct StagePlan {
     pub phases: Arc<Vec<PhasePlan>>,
     /// Deterministic fault schedule for the run (empty for plain runs).
     /// Never serialized: fault plans travel beside a config, not inside it,
-    /// so the wire `RunSpec` of a distributed run stays unchanged.
+    /// so the cluster spec of a distributed run stays unchanged.
     pub faults: Arc<FaultPlan>,
     /// Whether workers persist a checkpoint at every window finalization.
     /// Always `true` for every public run entry point — recovery depends on
@@ -506,13 +535,15 @@ impl StagePlan {
 
     /// The last step of both config front-ends, and the one place the
     /// engine knobs they share are checked and resolved — so a config
-    /// filled in through its public fields (a decoded run spec,
+    /// filled in through its public fields (a parsed cluster spec,
     /// struct-update syntax) is held to the same rules as one built through
     /// the `with_*` methods.
-    fn resolved(mut self) -> Self {
-        assert!(self.queue_capacity > 0, "queues need capacity");
-        assert!(self.batch_size > 0, "batches need at least one tuple");
-        assert!(self.aggregators > 0, "need at least one aggregator");
+    fn resolved(mut self) -> Result<Self, String> {
+        ensure(&[
+            (self.queue_capacity > 0, "queues need capacity"),
+            (self.batch_size > 0, "batches need at least one tuple"),
+            (self.aggregators > 0, "need at least one aggregator"),
+        ])?;
         // The batch size a plan runs with is the configured size clamped to
         // the queue capacity. `capacity_in_batches` floors at two batches so
         // senders can double-buffer, which means a batch larger than the
@@ -523,12 +554,12 @@ impl StagePlan {
         // defaults) bit-for-bit unchanged.
         self.batch_size = self.batch_size.min(self.queue_capacity);
         if let Some(controller) = &self.controller {
-            controller.validate();
+            controller.check()?;
             // A controller is the single adaptation authority: it implies
             // `External` whatever mode was configured.
             self.solver = SolverMode::External;
         }
-        self
+        Ok(self)
     }
 }
 
@@ -595,7 +626,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "min_workers")]
     fn scenario_controller_set_through_the_public_field_is_validated() {
-        // `with_controller` validates eagerly, but a decoded run spec or
+        // `with_controller` validates eagerly, but a parsed cluster spec or
         // struct-update syntax fills the field directly: the plan builder
         // must hold it to the same rules `EngineConfig::validate` applies.
         let mut controller = ControllerConfig::new(1, 4, 1_000);

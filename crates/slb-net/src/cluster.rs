@@ -3,26 +3,23 @@
 //! A [`ClusterSpec`] names one run — an [`EngineConfig`] (single-phase) or a
 //! [`ScenarioConfig`] (multi-phase [`Scenario`]) — and the node counts
 //! follow from it: one process per source, per worker, and per aggregator.
-//! The spec exists in two forms:
 //!
-//! * a **text format** for humans and the `slb-node orchestrate --spec`
-//!   flag: one `key value` pair per line, `#` comments, phases as
-//!   `phase key=value ...` lines (see [`ClusterSpec::parse`] /
-//!   [`ClusterSpec::render`] — exact round-trip is unit-tested);
-//! * a **binary form** for the control plane: the orchestrator encodes the
-//!   [`RunSpec`] into the `Start` frame so child processes never read the
-//!   spec file ([`encode_run_spec`] / [`decode_run_spec`]). Floats travel as
-//!   IEEE-754 bit patterns, so the config a node runs is bit-identical to
-//!   the orchestrator's.
+//! The spec has one serialized form, a **text format**: one `key value` pair
+//! per line, `#` comments, phases as `phase key=value ...` lines (see
+//! [`ClusterSpec::parse`] / [`ClusterSpec::render`]). It is what a human
+//! writes for `slb-node orchestrate --spec`, and it is what the orchestrator
+//! puts in the `Start` frame, so child processes never read the spec file.
+//! Rust prints the shortest decimal that parses back to the same `f64`, so
+//! `parse(render(spec)) == spec` bit for bit and the config a node runs is
+//! identical to the orchestrator's (unit- and property-tested; the
+//! orchestrator refuses a spec that does not survive the trip).
 //!
-//! Both forms resolve to the same [`StagePlan`] via
-//! [`ClusterSpec::stage_plan`], which is also exactly what the in-process
-//! engine runs — a cluster spec cannot describe anything the differential
-//! suite cannot check.
+//! A spec resolves to a [`StagePlan`] via [`ClusterSpec::stage_plan`], which
+//! is also exactly what the in-process engine runs — a cluster spec cannot
+//! describe anything the differential suite cannot check.
 
 use std::str::FromStr;
 
-use slb_core::wire::{read_u32, read_u64, write_u32, write_u64};
 use slb_core::{ControllerConfig, PartitionerKind, SolverMode};
 use slb_engine::{EngineConfig, ScenarioConfig, StagePlan};
 use slb_workloads::{Arrival, Scenario, ScenarioPhase};
@@ -131,19 +128,26 @@ impl ClusterSpec {
         }
     }
 
-    /// The resolved plan every node runs its stage of.
-    ///
-    /// # Panics
-    /// Panics if the underlying config is structurally invalid.
-    pub fn stage_plan(&self) -> StagePlan {
+    /// The resolved plan every node runs its stage of, or the first rule a
+    /// structurally invalid config breaks.
+    pub fn stage_plan(&self) -> Result<StagePlan, String> {
         match &self.run {
-            RunSpec::Engine(cfg) => cfg.stage_plan(),
-            RunSpec::Scenario(cfg) => cfg.stage_plan(),
+            RunSpec::Engine(cfg) => cfg.try_stage_plan(),
+            RunSpec::Scenario(cfg) => cfg.try_stage_plan(),
         }
     }
 
-    /// Parses the text spec format.
+    /// Parses the text spec format. A spec that parses also resolves: a
+    /// well-formed file describing a run no engine can execute (zero
+    /// workers, an out-of-range controller) is an error here, not a panic
+    /// later.
     pub fn parse(text: &str) -> Result<Self, String> {
+        let spec = Self::parse_fields(text)?;
+        spec.stage_plan()?;
+        Ok(spec)
+    }
+
+    fn parse_fields(text: &str) -> Result<Self, String> {
         let mut mode: Option<String> = None;
         let mut fields: Vec<(String, String)> = Vec::new();
         let mut phases: Vec<ScenarioPhase> = Vec::new();
@@ -233,18 +237,30 @@ impl ClusterSpec {
                     .with_batch_size(int("batch_size")? as usize)
                     .with_aggregators(int("aggregators")? as usize)
                     .with_solver(solver);
-                if let Some(controller) = controller {
-                    cfg = cfg.with_controller(controller);
-                }
-                cfg.scenario
-                    .validate()
-                    .map_err(|e| format!("invalid scenario: {e}"))?;
+                // Through the field: `with_controller` asserts, and this one
+                // came from outside the program (`parse` checks it).
+                cfg.controller = controller;
                 Ok(Self {
                     run: RunSpec::Scenario(cfg),
                 })
             }
             Some(other) => Err(format!("unknown mode: {other}")),
             None => Err("missing field: mode".into()),
+        }
+    }
+
+    /// The text the control plane ships to every node, or an error when it
+    /// is not what its own rendering parses back to — a scenario name that is
+    /// empty, spans lines or has edge whitespace, which a spec file could not
+    /// have expressed either. Refusing keeps a cluster from silently running
+    /// a renamed or truncated config.
+    pub(crate) fn shipped_text(&self) -> Result<String, String> {
+        let text = self.render();
+        match Self::parse(&text) {
+            Ok(parsed) if parsed == *self => Ok(text),
+            _ => Err("cluster spec does not survive its text form \
+                      (a scenario name with a newline or edge whitespace?)"
+                .into()),
         }
     }
 
@@ -462,261 +478,6 @@ fn render_controller(cfg: &ControllerConfig) -> String {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Binary form (control plane)
-// ---------------------------------------------------------------------------
-
-fn kind_to_u8(kind: PartitionerKind) -> u8 {
-    match kind {
-        PartitionerKind::KeyGrouping => 0,
-        PartitionerKind::ShuffleGrouping => 1,
-        PartitionerKind::Pkg => 2,
-        PartitionerKind::DChoices => 3,
-        PartitionerKind::WChoices => 4,
-        PartitionerKind::RoundRobin => 5,
-    }
-}
-
-fn kind_from_u8(byte: u8) -> Result<PartitionerKind, WireError> {
-    Ok(match byte {
-        0 => PartitionerKind::KeyGrouping,
-        1 => PartitionerKind::ShuffleGrouping,
-        2 => PartitionerKind::Pkg,
-        3 => PartitionerKind::DChoices,
-        4 => PartitionerKind::WChoices,
-        5 => PartitionerKind::RoundRobin,
-        _ => return Err(WireError::Malformed("unknown scheme byte")),
-    })
-}
-
-fn write_f64(out: &mut Vec<u8>, value: f64) {
-    write_u64(out, value.to_bits());
-}
-
-fn read_f64(input: &mut &[u8]) -> Result<f64, WireError> {
-    Ok(f64::from_bits(read_u64(input)?))
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(input: &mut &[u8]) -> Result<String, WireError> {
-    let len = read_u32(input)? as usize;
-    if input.len() < len {
-        return Err(WireError::Malformed("string shorter than its length"));
-    }
-    let s = std::str::from_utf8(&input[..len])
-        .map_err(|_| WireError::Malformed("string is not UTF-8"))?
-        .to_string();
-    *input = &input[len..];
-    Ok(s)
-}
-
-fn write_solver(out: &mut Vec<u8>, solver: SolverMode) {
-    match solver {
-        SolverMode::Online => out.push(0),
-        SolverMode::Fixed(d) => {
-            out.push(1);
-            write_u64(out, d as u64);
-        }
-        SolverMode::External => out.push(2),
-    }
-}
-
-fn read_solver(input: &mut &[u8]) -> Result<SolverMode, WireError> {
-    use crate::wire::read_u8;
-    Ok(match read_u8(input)? {
-        0 => SolverMode::Online,
-        1 => SolverMode::Fixed(read_u64(input)? as usize),
-        2 => SolverMode::External,
-        _ => return Err(WireError::Malformed("unknown solver-mode tag")),
-    })
-}
-
-fn write_controller(out: &mut Vec<u8>, controller: &Option<ControllerConfig>) {
-    match controller {
-        None => out.push(0),
-        Some(c) => {
-            out.push(1);
-            write_u64(out, c.min_workers as u64);
-            write_u64(out, c.max_workers as u64);
-            write_u64(out, c.worker_capacity);
-            write_f64(out, c.scale_in_occupancy);
-            write_u32(out, c.patience);
-            write_u32(out, c.cooldown);
-            write_u64(out, c.step as u64);
-            write_f64(out, c.epsilon);
-        }
-    }
-}
-
-fn read_controller(input: &mut &[u8]) -> Result<Option<ControllerConfig>, WireError> {
-    use crate::wire::read_u8;
-    Ok(match read_u8(input)? {
-        0 => None,
-        1 => Some(ControllerConfig {
-            min_workers: read_u64(input)? as usize,
-            max_workers: read_u64(input)? as usize,
-            worker_capacity: read_u64(input)?,
-            scale_in_occupancy: read_f64(input)?,
-            patience: read_u32(input)?,
-            cooldown: read_u32(input)?,
-            step: read_u64(input)? as usize,
-            epsilon: read_f64(input)?,
-        }),
-        _ => return Err(WireError::Malformed("unknown controller tag")),
-    })
-}
-
-/// Encodes a run spec for the control plane's `Start` frame.
-pub fn encode_run_spec(spec: &RunSpec) -> Vec<u8> {
-    let mut out = Vec::new();
-    match spec {
-        RunSpec::Engine(cfg) => {
-            out.push(0);
-            out.push(kind_to_u8(cfg.kind));
-            write_u64(&mut out, cfg.sources as u64);
-            write_u64(&mut out, cfg.workers as u64);
-            write_u64(&mut out, cfg.keys as u64);
-            write_f64(&mut out, cfg.skew);
-            write_u64(&mut out, cfg.messages);
-            write_u64(&mut out, cfg.service_time_us);
-            write_u64(&mut out, cfg.queue_capacity as u64);
-            write_u64(&mut out, cfg.seed);
-            write_u64(&mut out, cfg.batch_size as u64);
-            write_u64(&mut out, cfg.window_size);
-            write_u64(&mut out, cfg.aggregators as u64);
-            write_solver(&mut out, cfg.solver);
-            write_controller(&mut out, &cfg.controller);
-        }
-        RunSpec::Scenario(cfg) => {
-            out.push(1);
-            out.push(kind_to_u8(cfg.kind));
-            write_u64(&mut out, cfg.service_time_us);
-            write_u64(&mut out, cfg.queue_capacity as u64);
-            write_u64(&mut out, cfg.batch_size as u64);
-            write_u64(&mut out, cfg.aggregators as u64);
-            write_solver(&mut out, cfg.solver);
-            write_controller(&mut out, &cfg.controller);
-            write_str(&mut out, &cfg.scenario.name);
-            write_u64(&mut out, cfg.scenario.sources as u64);
-            write_u64(&mut out, cfg.scenario.window_size);
-            write_u64(&mut out, cfg.scenario.seed);
-            write_u32(&mut out, cfg.scenario.phases.len() as u32);
-            for phase in &cfg.scenario.phases {
-                write_u64(&mut out, phase.windows);
-                write_u64(&mut out, phase.keys as u64);
-                write_f64(&mut out, phase.skew);
-                write_u64(&mut out, phase.workers as u64);
-                write_u64(&mut out, phase.drift_epochs);
-                write_u32(&mut out, phase.worker_speed.len() as u32);
-                for &speed in &phase.worker_speed {
-                    write_f64(&mut out, speed);
-                }
-                match phase.arrival {
-                    Arrival::Steady => out.push(0),
-                    Arrival::Bursty {
-                        burst_tuples,
-                        pause_us,
-                    } => {
-                        out.push(1);
-                        write_u64(&mut out, burst_tuples);
-                        write_u64(&mut out, pause_us);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Decodes a run spec from the control plane's `Start` frame.
-pub fn decode_run_spec(bytes: &[u8]) -> Result<RunSpec, WireError> {
-    use crate::wire::{checked_count, read_u8};
-    let mut input = bytes;
-    let spec = match read_u8(&mut input)? {
-        0 => {
-            let kind = kind_from_u8(read_u8(&mut input)?)?;
-            RunSpec::Engine(EngineConfig {
-                kind,
-                sources: read_u64(&mut input)? as usize,
-                workers: read_u64(&mut input)? as usize,
-                keys: read_u64(&mut input)? as usize,
-                skew: read_f64(&mut input)?,
-                messages: read_u64(&mut input)?,
-                service_time_us: read_u64(&mut input)?,
-                queue_capacity: read_u64(&mut input)? as usize,
-                seed: read_u64(&mut input)?,
-                batch_size: read_u64(&mut input)? as usize,
-                window_size: read_u64(&mut input)?,
-                aggregators: read_u64(&mut input)? as usize,
-                solver: read_solver(&mut input)?,
-                controller: read_controller(&mut input)?,
-            })
-        }
-        1 => {
-            let kind = kind_from_u8(read_u8(&mut input)?)?;
-            let service_time_us = read_u64(&mut input)?;
-            let queue_capacity = read_u64(&mut input)? as usize;
-            let batch_size = read_u64(&mut input)? as usize;
-            let aggregators = read_u64(&mut input)? as usize;
-            let solver = read_solver(&mut input)?;
-            let controller = read_controller(&mut input)?;
-            let name = read_str(&mut input)?;
-            let sources = read_u64(&mut input)? as usize;
-            let window_size = read_u64(&mut input)?;
-            let seed = read_u64(&mut input)?;
-            let n_phases = read_u32(&mut input)? as usize;
-            let mut scenario = Scenario::new(name, sources, window_size, seed);
-            for _ in 0..n_phases {
-                let windows = read_u64(&mut input)?;
-                let keys = read_u64(&mut input)? as usize;
-                let skew = read_f64(&mut input)?;
-                let workers = read_u64(&mut input)? as usize;
-                let drift_epochs = read_u64(&mut input)?;
-                let n_speeds = read_u32(&mut input)?;
-                let n_speeds = checked_count(input, n_speeds, 8)?;
-                let mut worker_speed = Vec::with_capacity(n_speeds);
-                for _ in 0..n_speeds {
-                    worker_speed.push(read_f64(&mut input)?);
-                }
-                let arrival = match read_u8(&mut input)? {
-                    0 => Arrival::Steady,
-                    1 => Arrival::Bursty {
-                        burst_tuples: read_u64(&mut input)?,
-                        pause_us: read_u64(&mut input)?,
-                    },
-                    _ => return Err(WireError::Malformed("unknown arrival tag")),
-                };
-                let mut phase = ScenarioPhase::new(windows, keys, skew, workers)
-                    .with_drift_epochs(drift_epochs);
-                if !worker_speed.is_empty() {
-                    phase = phase.with_worker_speed(worker_speed);
-                }
-                phase = phase.with_arrival(arrival);
-                scenario = scenario.phase(phase);
-            }
-            let mut cfg = ScenarioConfig::new(kind, scenario)
-                .with_service_time_us(service_time_us)
-                .with_queue_capacity(queue_capacity)
-                .with_batch_size(batch_size)
-                .with_aggregators(aggregators)
-                .with_solver(solver);
-            if let Some(controller) = controller {
-                cfg = cfg.with_controller(controller);
-            }
-            RunSpec::Scenario(cfg)
-        }
-        _ => return Err(WireError::Malformed("unknown run-spec tag")),
-    };
-    if !input.is_empty() {
-        return Err(WireError::TrailingBytes(input.len()));
-    }
-    Ok(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,15 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_spec_round_trips() {
-        for spec in [engine_spec(), scenario_spec()] {
-            let bytes = encode_run_spec(&spec.run);
-            let back = decode_run_spec(&bytes).expect("own encoding decodes");
-            assert_eq!(back, spec.run);
-        }
-    }
-
-    #[test]
     fn node_counts_follow_the_config() {
         let engine = engine_spec();
         assert_eq!(engine.sources(), 2);
@@ -790,14 +542,83 @@ mod tests {
         // Comments and blank lines are fine.
         let text = format!("# cluster\n\n{}", engine_spec().render());
         assert!(ClusterSpec::parse(&text).is_ok());
+        // Well-formed text describing a run no engine can execute is an
+        // error naming the broken rule — these used to parse, then panic in
+        // `stage_plan`.
+        let with = |text: &str, line: &str, replacement: &str| {
+            assert!(text.contains(line), "fixture lost its `{line}` line");
+            ClusterSpec::parse(&text.replace(line, replacement))
+        };
+        let engine = engine_spec().render();
+        for (line, replacement, rule) in [
+            ("sources 2", "sources 0", "need at least one source"),
+            ("workers 4", "workers 0", "need at least one worker"),
+            ("keys 1000", "keys 0", "need at least one key"),
+            (
+                "window_size 2048",
+                "window_size 0",
+                "windows need at least one tuple",
+            ),
+            (
+                "queue_capacity 128",
+                "queue_capacity 0",
+                "queues need capacity",
+            ),
+            (
+                "batch_size 256",
+                "batch_size 0",
+                "batches need at least one tuple",
+            ),
+            ("aggregators 2", "aggregators 0", "at least one aggregator"),
+            ("skew 1.4", "skew NaN", "skew must be finite"),
+        ] {
+            let err = with(&engine, line, replacement).expect_err(replacement);
+            assert!(err.contains(rule), "{replacement}: {err}");
+        }
+        for (controller, rule) in [
+            ("min=0 max=4 capacity=100", "min_workers must be at least 1"),
+            ("min=3 max=2 capacity=100", "below min_workers"),
+            ("min=1 max=4 capacity=0", "worker_capacity must be positive"),
+            ("min=1 max=4 capacity=9 occupancy=1.5", "scale_in_occupancy"),
+            ("min=1 max=4 capacity=9 patience=0", "patience"),
+            ("min=1 max=4 capacity=9 step=0", "step must be at least 1"),
+            (
+                "min=1 max=4 capacity=9 epsilon=0",
+                "epsilon must be positive",
+            ),
+        ] {
+            for spec in [engine_spec(), scenario_spec()] {
+                let text = format!("{}controller {controller}\n", spec.render());
+                let err = ClusterSpec::parse(&text).expect_err(controller);
+                assert!(err.contains(rule), "{controller}: {err}");
+            }
+        }
+        let scenario = scenario_spec().render();
+        let err = with(&scenario, "aggregators 2", "aggregators 0").expect_err("aggregators 0");
+        assert!(err.contains("at least one aggregator"), "{err}");
+        let err = with(&scenario, "workers=3", "workers=0").expect_err("workers=0");
+        assert!(err.contains("invalid scenario"), "{err}");
     }
 
     #[test]
-    fn truncated_binary_specs_error() {
-        let bytes = encode_run_spec(&scenario_spec().run);
-        for cut in 0..bytes.len() {
-            assert!(decode_run_spec(&bytes[..cut]).is_err(), "cut at {cut}");
+    fn only_specs_that_survive_their_text_form_are_shipped() {
+        for spec in [engine_spec(), scenario_spec()] {
+            assert_eq!(spec.shipped_text(), Ok(spec.render()));
         }
+        for name in ["two\nlines", " padded", "padded ", ""] {
+            let mut spec = scenario_spec();
+            let RunSpec::Scenario(cfg) = &mut spec.run else {
+                unreachable!("scenario_spec is a scenario");
+            };
+            cfg.scenario.name = name.into();
+            assert!(spec.shipped_text().is_err(), "name {name:?} was shipped");
+        }
+        let mut spec = engine_spec();
+        let RunSpec::Engine(cfg) = &mut spec.run else {
+            unreachable!("engine_spec is an engine run");
+        };
+        cfg.workers = 0;
+        assert!(spec.shipped_text().is_err(), "an invalid spec was shipped");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! dataflow changes: each node process runs *the same stage function* the
 //! in-process engine threads run ([`run_source_stage`], [`run_worker_stage`],
 //! [`run_aggregator_stage`]), against TCP endpoints instead of crossbeam
-//! ones, over a [`StagePlan`] every process
-//! resolves locally from the same
-//! binary-encoded config. That is the whole equivalence argument: the merged
+//! ones, over a [`StagePlan`] every process resolves locally from the same
+//! cluster spec — the orchestrator's rendered text, carried in the `Start`
+//! frame. That is the whole equivalence argument: the merged
 //! windowed counts cannot depend on process placement because no routing,
 //! windowing, or merging code branches on it.
 //!
@@ -90,13 +90,13 @@ use slb_engine::{
 use slb_telemetry::{log, snapshot_stage, HopTelemetry, LogHistogram, MetricsSnapshot};
 use slb_workloads::KeyId;
 
-use crate::cluster::{decode_run_spec, encode_run_spec, ClusterSpec, NodeRole, RunSpec};
+use crate::cluster::{ClusterSpec, NodeRole, RunSpec};
 use crate::tcp::{
     connect_with_retry, ReattachableTupleSender, TcpPartialReceiver, TcpPartialSender,
     TcpTupleReceiver, TcpTupleSender,
 };
 use crate::wire::{
-    encode_control_frame, read_frame, AggregatorReportWire, ControlFrame, WireError,
+    decode_payload, encode_frame, read_frame, AggregatorReportWire, ControlFrame, WireError,
     WorkerReportWire,
 };
 
@@ -136,7 +136,7 @@ fn io_err(what: &str, e: impl std::fmt::Display) -> String {
 /// Writes one control frame to `stream`.
 fn send_control(stream: &mut TcpStream, frame: &ControlFrame) -> Result<(), String> {
     let mut buf = Vec::new();
-    encode_control_frame(frame, &mut buf);
+    encode_frame(frame, &mut buf);
     stream
         .write_all(&buf)
         .map_err(|e| io_err("control write failed", e))
@@ -154,8 +154,7 @@ fn send_control_shared(stream: &Mutex<TcpStream>, frame: &ControlFrame) -> Resul
 fn recv_control(reader: &mut BufReader<TcpStream>) -> Result<ControlFrame, String> {
     let mut scratch = Vec::new();
     match read_frame(reader, &mut scratch) {
-        Ok(true) => crate::wire::decode_control_payload(&scratch)
-            .map_err(|e| io_err("control frame malformed", e)),
+        Ok(true) => decode_payload(&scratch).map_err(|e| io_err("control frame malformed", e)),
         Ok(false) => Err("control peer closed the connection".into()),
         Err(WireError::Io(e)) => Err(io_err("control read failed", e)),
         Err(e) => Err(io_err("control read failed", e)),
@@ -454,9 +453,11 @@ pub fn run_node_with(
     else {
         return Err("expected Start frame".into());
     };
-    let run = decode_run_spec(&config).map_err(|e| io_err("decoding run config", e))?;
-    let spec = ClusterSpec { run };
-    let plan = spec.stage_plan();
+    let spec = std::str::from_utf8(&config)
+        .map_err(|e| e.to_string())
+        .and_then(ClusterSpec::parse)
+        .map_err(|e| io_err("parsing run config", e))?;
+    let plan = spec.stage_plan()?;
     let epoch = epoch_from_unix_micros(epoch_unix_micros);
     let metrics_interval = options.metrics_interval.or_else(metrics_interval_from_env);
 
@@ -722,7 +723,7 @@ fn run_source_node_supervised(
     mut control_reader: BufReader<TcpStream>,
     metrics_interval: Option<Duration>,
 ) -> Result<(), String> {
-    let plan = spec.stage_plan();
+    let plan = spec.stage_plan()?;
     let mut senders = Vec::with_capacity(worker_ports.len());
     for &port in worker_ports {
         senders.push(ReattachableTupleSender::new(dial(port)?, epoch));
@@ -1203,7 +1204,7 @@ fn handle_worker_death(
         // windows without a partial from it.
         worker_reports[w] = Some(WorkerStageReport::default());
         let mut bytes = Vec::new();
-        encode_control_frame(&ControlFrame::Exclude { worker: w as u32 }, &mut bytes);
+        encode_frame(&ControlFrame::Exclude { worker: w as u32 }, &mut bytes);
         // Best-effort: a peer that already finished (and closed) simply no
         // longer needs the exclusion.
         for stream in source_streams.iter_mut() {
@@ -1249,7 +1250,12 @@ fn orchestrate_inner(
     children: &Arc<Mutex<Vec<Child>>>,
     options: &OrchestrateOptions,
 ) -> Result<OrchestratorOutcome, String> {
-    let plan = spec.stage_plan();
+    let plan = spec
+        .stage_plan()
+        .map_err(|e| io_err("invalid cluster spec", e))?;
+    // Nodes run what they parse back out of this text, so it has to say
+    // exactly what `spec` says.
+    let config = spec.shipped_text()?;
     let ft = options.fault_tolerant;
     let ckpt_dir = options.ckpt_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("slb-node-ckpt-{}", std::process::id()))
@@ -1377,12 +1383,12 @@ fn orchestrate_inner(
         epoch_unix_micros,
         worker_ports,
         aggregator_ports,
-        config: encode_run_spec(&spec.run),
+        config: config.into_bytes(),
     };
     // The encoded Start is cached: a respawned worker gets the *same* bytes
     // after its Rejoin, so every incarnation resolves the identical plan.
     let mut start_bytes = Vec::new();
-    encode_control_frame(&start_frame, &mut start_bytes);
+    encode_frame(&start_frame, &mut start_bytes);
     for conn in &mut conns {
         conn.stream
             .write_all(&start_bytes)
@@ -1497,7 +1503,7 @@ fn orchestrate_inner(
             // and the aggregators' late-accept loops.
             released = true;
             let mut bytes = Vec::new();
-            encode_control_frame(&ControlFrame::Release, &mut bytes);
+            encode_frame(&ControlFrame::Release, &mut bytes);
             for stream in source_streams.iter_mut() {
                 let _ = stream.write_all(&bytes);
             }
@@ -1545,7 +1551,7 @@ fn orchestrate_inner(
                     // *before* the worker starts accepting, so their
                     // re-dial always finds the listener bound.
                     let mut bytes = Vec::new();
-                    encode_control_frame(
+                    encode_frame(
                         &ControlFrame::Rejoin {
                             worker,
                             data_port,

@@ -64,8 +64,8 @@ use slb_engine::transport::{
 use slb_engine::WindowId;
 
 use crate::wire::{
-    self, encode_feedback_frame, encode_partial_frame, encode_tuple_frame, read_frame, tag,
-    FeedbackFrame, PartialFrame, TupleFrame,
+    self, decode_payload, encode_frame, encode_tuple_frame, read_frame, tag, FeedbackFrame,
+    PartialFrame, TupleFrame,
 };
 
 /// Converts an [`Instant`] to wire form: µs since the transport epoch.
@@ -271,7 +271,7 @@ where
                 closed_us: instant_to_us(epoch, message.closed_at),
                 partial: message.partial,
             };
-            encode_partial_frame(&frame, buf);
+            encode_frame(&frame, buf);
         })
     }
 }
@@ -414,7 +414,7 @@ fn decode_tuple_message(
     payload: &[u8],
     epoch: Instant,
 ) -> Result<Option<SourceMessage>, wire::WireError> {
-    Ok(match wire::decode_tuple_payload(payload)? {
+    Ok(match decode_payload(payload)? {
         TupleFrame::Batch {
             window,
             source,
@@ -477,7 +477,7 @@ fn decode_partial_message<P: WirePartial>(
     payload: &[u8],
     epoch: Instant,
 ) -> Result<Option<PartialWindow<P>>, wire::WireError> {
-    Ok(match wire::decode_partial_payload::<P>(payload)? {
+    Ok(match decode_payload(payload)? {
         PartialFrame::Partial {
             window,
             worker,
@@ -605,7 +605,7 @@ impl TcpFeedbackSender {
 impl FeedbackSender for TcpFeedbackSender {
     fn send(&self, request: ReplayRequest) -> Result<(), ChannelClosed> {
         self.core.send_frame(|buf, _epoch| {
-            encode_feedback_frame(
+            encode_frame(
                 &FeedbackFrame::Request {
                     worker: request.worker as u32,
                     from_seq: request.from_seq,
@@ -636,7 +636,7 @@ impl TcpFeedbackReceiver {
         }
         let (tx, rx) = bounded::<Result<ReplayRequest, TransportError>>(capacity_messages);
         spawn_readers(streams, tx, move |payload| {
-            Ok(match wire::decode_feedback_payload(payload)? {
+            Ok(match decode_payload(payload)? {
                 FeedbackFrame::Request { worker, from_seq } => Some(ReplayRequest {
                     worker: worker as usize,
                     from_seq,

@@ -142,6 +142,34 @@ fn orchestrate_rejects_a_bad_spec() {
 }
 
 #[test]
+fn orchestrate_rejects_a_structurally_invalid_spec_without_panicking() {
+    // Every line parses; the run it describes has no workers. This used to
+    // get past the parser and die with a backtrace in `stage_plan`.
+    let path = write_spec(
+        "zero-workers",
+        "mode engine\nscheme PKG\nsources 2\nworkers 0\nkeys 500\nskew 1.6\n\
+         messages 12000\nservice_time_us 0\nqueue_capacity 256\nseed 1\n\
+         batch_size 64\nwindow_size 1024\naggregators 2\n",
+    );
+    let output = Command::new(node_exe())
+        .arg("orchestrate")
+        .arg("--spec")
+        .arg(&path)
+        .output()
+        .expect("spawn slb-node orchestrate");
+    let _ = std::fs::remove_file(&path);
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("parsing ")).collect();
+    assert_eq!(errors.len(), 1, "expected one `parsing …:` line:\n{stderr}");
+    assert!(
+        errors[0].contains("need at least one worker"),
+        "expected the broken rule, got:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "must not panic:\n{stderr}");
+}
+
+#[test]
 fn node_cli_rejects_unknown_modes() {
     let output = Command::new(node_exe())
         .arg("conduct")
@@ -178,4 +206,24 @@ fn orchestrate_fails_fast_when_children_exit_without_hello() {
         "fast-fail took {:?}",
         started.elapsed()
     );
+}
+
+#[test]
+fn orchestrate_refuses_a_spec_its_text_form_cannot_carry() {
+    // Nodes run what they parse out of the `Start` frame's text, so a name
+    // that text cannot carry must stop the run before anything is spawned
+    // (with `true` as the node binary a spawned cluster fails differently).
+    use slb_net::cluster::{ClusterSpec, RunSpec};
+    use slb_workloads::{Scenario, ScenarioPhase};
+    let scenario = Scenario::new("two\nlines", 1, 64, 1).phase(ScenarioPhase::new(1, 10, 1.0, 1));
+    let spec = ClusterSpec {
+        run: RunSpec::Scenario(slb_engine::ScenarioConfig::new(
+            slb_core::PartitionerKind::Pkg,
+            scenario,
+        )),
+    };
+    let err = slb_net::node::orchestrate(&spec, std::path::Path::new("true"))
+        .err()
+        .expect("an unshippable spec must not run");
+    assert!(err.contains("does not survive its text form"), "{err}");
 }

@@ -3,13 +3,16 @@
 //! Two families of properties, over randomly generated frames and partials:
 //!
 //! 1. **Round-trip identity** — `decode(encode(x)) == x` for every frame
-//!    type (tuple, partial over all three aggregate partial kinds, control)
-//!    and for the binary run-spec encoding, consuming exactly the bytes the
-//!    encoder produced (so frames concatenate on a stream).
+//!    type (tuple, partial over all three aggregate partial kinds, feedback,
+//!    control), consuming exactly the bytes the encoder produced (so frames
+//!    concatenate on a stream), and `parse(render(spec)) == spec` bit for bit
+//!    for the text cluster spec the `Start` frame carries.
 //! 2. **Totality on bad input** — every strict prefix of a valid encoding
 //!    decodes to an *error*, flipped tags decode to an error, and arbitrary
-//!    byte soup never panics a decoder. A remote peer's bytes are
-//!    untrusted; decoding must fail loudly but gracefully.
+//!    byte soup or text never panics a decoder or the spec parser. A remote
+//!    peer's bytes are untrusted; decoding must fail loudly but gracefully.
+//!
+//! The exact bytes are pinned separately, by `golden_bytes.rs`.
 //!
 //! The offline proptest shim has no `prop_map`, so frames are constructed
 //! in the test bodies from primitive inputs; coverage across frame variants
@@ -24,12 +27,10 @@ use slb_core::{
     PartitionerKind, SolverMode, WorkerCheckpoint,
 };
 use slb_engine::{EngineConfig, ScenarioConfig};
-use slb_net::cluster::{decode_run_spec, encode_run_spec, RunSpec};
+use slb_net::cluster::{ClusterSpec, RunSpec};
 use slb_net::wire::{
-    decode_control_frame, decode_feedback_frame, decode_partial_frame, decode_tuple_frame,
-    encode_control_frame, encode_feedback_frame, encode_partial_frame, encode_tuple_frame,
-    rle_encode, AggregatorReportWire, ControlFrame, FeedbackFrame, PartialFrame, TupleFrame,
-    WorkerReportWire,
+    decode_frame, decode_tuple_frame, encode_frame, encode_tuple_frame, rle_encode,
+    AggregatorReportWire, ControlFrame, FeedbackFrame, PartialFrame, TupleFrame, WorkerReportWire,
 };
 use slb_sketch::{FrequencyEstimator, SpaceSaving};
 use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
@@ -67,6 +68,39 @@ fn controller_from(seed: u64, workers: usize) -> Option<ControllerConfig> {
         step: 1 + (seed % 2) as usize,
         epsilon: 1e-4 + (seed % 9) as f64 * 1e-5,
     })
+}
+
+/// The bit patterns of a controller's two float knobs (`PartialEq` on the
+/// config compares them as floats).
+fn controller_bits(controller: &Option<ControllerConfig>) -> Option<(u64, u64)> {
+    controller
+        .as_ref()
+        .map(|c| (c.scale_in_occupancy.to_bits(), c.epsilon.to_bits()))
+}
+
+/// One engine and one scenario spec using every optional text field.
+fn sample_specs() -> [ClusterSpec; 2] {
+    let engine = EngineConfig::smoke(PartitionerKind::DChoices, 1.4)
+        .with_fixed_d(3)
+        .with_controller(ControllerConfig::new(2, 6, 1_000));
+    let scenario = Scenario::new("soup", 2, 64, 7)
+        .phase(ScenarioPhase::new(2, 100, 1.5, 2).with_worker_speed(vec![2.0, 1.0]))
+        .phase(
+            ScenarioPhase::new(2, 100, 0.5, 3)
+                .with_drift_epochs(2)
+                .with_arrival(Arrival::Bursty {
+                    burst_tuples: 32,
+                    pause_us: 5,
+                }),
+        );
+    [
+        ClusterSpec {
+            run: RunSpec::Engine(engine),
+        },
+        ClusterSpec {
+            run: RunSpec::Scenario(ScenarioConfig::new(PartitionerKind::WChoices, scenario)),
+        },
+    ]
 }
 
 /// Derives a logical trace from the sample vector: every sample becomes one
@@ -290,11 +324,11 @@ proptest! {
     ) {
         let request = FeedbackFrame::Request { worker, from_seq };
         let mut buf = Vec::new();
-        encode_feedback_frame(&request, &mut buf);
-        encode_feedback_frame(&FeedbackFrame::Eof, &mut buf);
-        let (first, consumed) = decode_feedback_frame(&buf).expect("first frame decodes");
+        encode_frame(&request, &mut buf);
+        encode_frame(&FeedbackFrame::Eof, &mut buf);
+        let (first, consumed) = decode_frame::<FeedbackFrame>(&buf).expect("first frame decodes");
         prop_assert_eq!(first, request);
-        let (second, rest) = decode_feedback_frame(&buf[consumed..]).expect("second frame decodes");
+        let (second, rest) = decode_frame::<FeedbackFrame>(&buf[consumed..]).expect("second frame decodes");
         prop_assert_eq!(second, FeedbackFrame::Eof);
         prop_assert_eq!(consumed + rest, buf.len());
     }
@@ -306,13 +340,13 @@ proptest! {
         tag in 6u8..255,
     ) {
         let mut buf = Vec::new();
-        encode_feedback_frame(&FeedbackFrame::Request { worker, from_seq }, &mut buf);
+        encode_frame(&FeedbackFrame::Request { worker, from_seq }, &mut buf);
         for cut in 0..buf.len() {
-            prop_assert!(decode_feedback_frame(&buf[..cut]).is_err(), "cut at {}", cut);
+            prop_assert!(decode_frame::<FeedbackFrame>(&buf[..cut]).is_err(), "cut at {}", cut);
         }
         // A feedback channel accepts only REPLAY_REQUEST (5) and EOF (4).
         buf[4] = tag;
-        prop_assert!(decode_feedback_frame(&buf).is_err());
+        prop_assert!(decode_frame::<FeedbackFrame>(&buf).is_err());
     }
 
     #[test]
@@ -466,8 +500,8 @@ proptest! {
     ) {
         let frame = PartialFrame::Partial { window, worker: 5, closed_us, partial: counts_from(&keys) };
         let mut buf = Vec::new();
-        encode_partial_frame(&frame, &mut buf);
-        let (back, consumed) = decode_partial_frame::<HashMap<u64, u64>>(&buf).expect("decodes");
+        encode_frame(&frame, &mut buf);
+        let (back, consumed) = decode_frame::<PartialFrame<HashMap<u64, u64>>>(&buf).expect("decodes");
         prop_assert_eq!(back, frame);
         prop_assert_eq!(consumed, buf.len());
     }
@@ -481,8 +515,8 @@ proptest! {
     ) {
         let frame = PartialFrame::Partial { window, worker, closed_us, partial: sum };
         let mut buf = Vec::new();
-        encode_partial_frame(&frame, &mut buf);
-        let (back, consumed) = decode_partial_frame::<u64>(&buf).expect("decodes");
+        encode_frame(&frame, &mut buf);
+        let (back, consumed) = decode_frame::<PartialFrame<u64>>(&buf).expect("decodes");
         prop_assert_eq!(back, frame);
         prop_assert_eq!(consumed, buf.len());
     }
@@ -499,8 +533,8 @@ proptest! {
         }
         let frame = PartialFrame::Partial { window, worker: 1, closed_us: 9, partial: summary.clone() };
         let mut buf = Vec::new();
-        encode_partial_frame(&frame, &mut buf);
-        let (back, consumed) = decode_partial_frame::<SpaceSaving<u64>>(&buf).expect("decodes");
+        encode_frame(&frame, &mut buf);
+        let (back, consumed) = decode_frame::<PartialFrame<SpaceSaving<u64>>>(&buf).expect("decodes");
         prop_assert_eq!(consumed, buf.len());
         let PartialFrame::Partial { partial: decoded, window: w, .. } = back else {
             panic!("expected a partial frame back");
@@ -524,9 +558,9 @@ proptest! {
     ) {
         let frame = PartialFrame::Partial { window: 3, worker: 0, closed_us: 4, partial: counts_from(&keys) };
         let mut buf = Vec::new();
-        encode_partial_frame(&frame, &mut buf);
+        encode_frame(&frame, &mut buf);
         let cut = ((buf.len() - 1) as f64 * fraction) as usize;
-        prop_assert!(decode_partial_frame::<HashMap<u64, u64>>(&buf[..cut]).is_err());
+        prop_assert!(decode_frame::<PartialFrame<HashMap<u64, u64>>>(&buf[..cut]).is_err());
     }
 
     #[test]
@@ -538,8 +572,8 @@ proptest! {
     ) {
         for frame in control_frames(&raw, &ports, &samples, &keys) {
             let mut buf = Vec::new();
-            encode_control_frame(&frame, &mut buf);
-            let (back, consumed) = decode_control_frame(&buf).expect("own encoding decodes");
+            encode_frame(&frame, &mut buf);
+            let (back, consumed) = decode_frame::<ControlFrame>(&buf).expect("own encoding decodes");
             prop_assert_eq!(back, frame);
             prop_assert_eq!(consumed, buf.len());
         }
@@ -555,9 +589,9 @@ proptest! {
     ) {
         for frame in control_frames(&raw, &ports, &samples, &keys) {
             let mut buf = Vec::new();
-            encode_control_frame(&frame, &mut buf);
+            encode_frame(&frame, &mut buf);
             let cut = ((buf.len() - 1) as f64 * fraction) as usize;
-            prop_assert!(decode_control_frame(&buf[..cut]).is_err());
+            prop_assert!(decode_frame::<ControlFrame>(&buf[..cut]).is_err());
         }
     }
 
@@ -566,12 +600,11 @@ proptest! {
         // The result may be Ok (the bytes can accidentally form a frame) —
         // the property is that no input panics.
         let _ = decode_tuple_frame(&bytes);
-        let _ = decode_partial_frame::<HashMap<u64, u64>>(&bytes);
-        let _ = decode_partial_frame::<u64>(&bytes);
-        let _ = decode_partial_frame::<SpaceSaving<u64>>(&bytes);
-        let _ = decode_feedback_frame(&bytes);
-        let _ = decode_control_frame(&bytes);
-        let _ = decode_run_spec(&bytes);
+        let _ = decode_frame::<PartialFrame<HashMap<u64, u64>>>(&bytes);
+        let _ = decode_frame::<PartialFrame<u64>>(&bytes);
+        let _ = decode_frame::<PartialFrame<SpaceSaving<u64>>>(&bytes);
+        let _ = decode_frame::<FeedbackFrame>(&bytes);
+        let _ = decode_frame::<ControlFrame>(&bytes);
         let _ = WorkerCheckpoint::decode(&mut bytes.as_slice());
         let _ = CheckpointDelta::decode(&mut bytes.as_slice());
         // A delta tag followed by soup reaches the body decoder too.
@@ -594,34 +627,32 @@ proptest! {
         aggregators in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let spec = RunSpec::Engine(EngineConfig {
-            kind: PartitionerKind::ALL[kind_idx],
-            sources,
-            workers,
-            keys,
-            skew,
-            messages,
-            service_time_us,
-            queue_capacity,
-            seed,
-            batch_size,
-            window_size,
-            aggregators,
-            solver: solver_from(seed),
-            controller: controller_from(seed, workers),
-        });
-        let bytes = encode_run_spec(&spec);
-        let back = decode_run_spec(&bytes).expect("own encoding decodes");
+        let spec = ClusterSpec {
+            run: RunSpec::Engine(EngineConfig {
+                kind: PartitionerKind::ALL[kind_idx],
+                sources,
+                workers,
+                keys,
+                skew,
+                messages,
+                service_time_us,
+                queue_capacity,
+                seed,
+                batch_size,
+                window_size,
+                aggregators,
+                solver: solver_from(seed),
+                controller: controller_from(seed, workers),
+            }),
+        };
+        let back = ClusterSpec::parse(&spec.render()).expect("own rendering parses");
         prop_assert_eq!(&back, &spec);
-        // PartialEq compares floats; additionally pin the bit pattern.
-        let (RunSpec::Engine(a), RunSpec::Engine(b)) = (&back, &spec) else {
+        // PartialEq compares floats; additionally pin the bit patterns.
+        let (RunSpec::Engine(a), RunSpec::Engine(b)) = (&back.run, &spec.run) else {
             panic!("variant changed in round trip");
         };
         prop_assert_eq!(a.skew.to_bits(), b.skew.to_bits());
-        // Every strict prefix errors.
-        for cut in 0..bytes.len() {
-            prop_assert!(decode_run_spec(&bytes[..cut]).is_err(), "cut at {}", cut);
-        }
+        prop_assert_eq!(controller_bits(&a.controller), controller_bits(&b.controller));
     }
 
     #[test]
@@ -642,7 +673,9 @@ proptest! {
         // Derived rather than drawn: the shim's debug tuple caps at 12 inputs.
         let aggregators = 1 + speed_len % 3;
         let n = phase_windows.len();
-        let mut scenario = Scenario::new(name.clone(), sources, window_size, seed);
+        // What the text form can carry: non-empty, one line, no edge whitespace.
+        let name = format!("<{name}>");
+        let mut scenario = Scenario::new(name, sources, window_size, seed);
         for p in 0..n {
             let keys = phase_keys[p % phase_keys.len()];
             let skew = phase_skews[p % phase_skews.len()];
@@ -666,18 +699,43 @@ proptest! {
         if let Some(controller) = controller_from(seed, phase_workers.iter().copied().max().unwrap_or(1)) {
             cfg = cfg.with_controller(controller);
         }
-        let spec = RunSpec::Scenario(cfg);
-        let bytes = encode_run_spec(&spec);
-        let back = decode_run_spec(&bytes).expect("own encoding decodes");
+        let spec = ClusterSpec { run: RunSpec::Scenario(cfg) };
+        let back = ClusterSpec::parse(&spec.render()).expect("own rendering parses");
         prop_assert_eq!(&back, &spec);
-        let (RunSpec::Scenario(a), RunSpec::Scenario(b)) = (&back, &spec) else {
+        let (RunSpec::Scenario(a), RunSpec::Scenario(b)) = (&back.run, &spec.run) else {
             panic!("variant changed in round trip");
         };
         for (pa, pb) in a.scenario.phases.iter().zip(&b.scenario.phases) {
             prop_assert_eq!(pa.skew.to_bits(), pb.skew.to_bits());
+            let bits = |speeds: &[f64]| speeds.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&pa.worker_speed), bits(&pb.worker_speed));
         }
-        for cut in 0..bytes.len() {
-            prop_assert!(decode_run_spec(&bytes[..cut]).is_err(), "cut at {}", cut);
+        prop_assert_eq!(controller_bits(&a.controller), controller_bits(&b.controller));
+    }
+
+    #[test]
+    fn spec_text_never_panics_the_parser(
+        lines in proptest::collection::vec(".{0,40}", 0..12),
+        soup in ".{0,40}",
+    ) {
+        // The result may be Ok or Err — the property is that nothing a spec
+        // file or a `Start` frame can say panics `ClusterSpec::parse`.
+        let _ = ClusterSpec::parse(&lines.join("\n"));
+        for spec in sample_specs() {
+            let text = spec.render();
+            // Every prefix (a torn config), …
+            for (cut, _) in text.char_indices() {
+                let _ = ClusterSpec::parse(&text[..cut]);
+            }
+            // … and every line's value in turn replaced by soup.
+            let rendered: Vec<&str> = text.lines().collect();
+            for i in 0..rendered.len() {
+                let key = rendered[i].split(' ').next().unwrap_or_default();
+                let mut mutated = rendered.clone();
+                let line = format!("{key} {soup}");
+                mutated[i] = &line;
+                let _ = ClusterSpec::parse(&mutated.join("\n"));
+            }
         }
     }
 
