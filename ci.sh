@@ -22,6 +22,14 @@ if grep -rnE 'encode_run_spec|decode_run_spec' crates; then
     exit 1
 fi
 
+echo "==> one receive path: slb-net's tcp.rs owns no thread and no merge queue"
+# Everything above the unit-test module: each stage reads its own sockets
+# through the reactor's one poll(2) loop.
+if sed '/^#\[cfg(test)\]/,$d' crates/slb-net/src/tcp.rs | grep -nE 'thread::spawn|crossbeam_channel'; then
+    echo "tcp.rs must not start threads or queue between them: receivers are read by the stage that owns them"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -71,7 +79,7 @@ PROPTEST_CASES=256 cargo test -q -p slb-sketch --test proptests
 PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
 PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props --test replay_props
 PROPTEST_CASES=256 cargo test -q -p slb-telemetry --test histogram_props
-PROPTEST_CASES=256 cargo test -q -p slb-net --test wire_props
+PROPTEST_CASES=256 cargo test -q -p slb-net --test wire_props --test reactor_props
 
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
@@ -80,7 +88,7 @@ echo "==> examples (quickstart and imbalance_study already ran via tests/example
 cargo run --quiet --release --example trending_topics > /dev/null
 cargo run --quiet --release --example storm_like_topology > /dev/null
 
-echo "==> perf smoke (batched engine + phased scenario loop + TCP and SPSC backends at zero service time must clear their floors; SPSC must not lose to InProc; checkpoints within 10%, and within 20% at 100k-key worker state; idle controller within 5%; telemetry within 5%)"
+echo "==> perf smoke (batched engine + phased scenario loop + TCP (stage-owned poll loop, no reader threads) and SPSC backends at zero service time must clear their floors; SPSC must not lose to InProc; checkpoints within 10%, and within 20% at 100k-key worker state; idle controller within 5%; telemetry within 5%)"
 cargo run --quiet --release -p slb-bench --bin perf_smoke
 
 echo "==> criterion benches (quick mode, compile + run)"

@@ -16,10 +16,11 @@
 //!    but an accidental per-tuple allocation or re-hash would drop below it.
 //! 3. **TCP-backend run** — the same single-phase config over the `slb-net`
 //!    loopback TCP transport: frame encode/decode, one write syscall per
-//!    batch, reader threads, and the bounded merge queue. Its floor is far
-//!    below the in-process one by design — sockets are not crossbeam — but
-//!    well above what a per-tuple (rather than per-batch) framing bug or an
-//!    accidental per-frame flush storm would deliver.
+//!    batch, and each stage reading its own sockets through one `poll(2)`
+//!    loop (no reader threads, no merge queue). Its floor is far below the
+//!    in-process one by design — sockets are not crossbeam — but well above
+//!    what a per-tuple (rather than per-batch) framing bug or an accidental
+//!    per-frame flush storm would deliver.
 //! 4. **SPSC-backend run** — the same single-phase config over the
 //!    thread-per-core SPSC ring transport (lock-free rings, batch
 //!    recycling, core pinning). Gated two ways: an absolute floor, and a

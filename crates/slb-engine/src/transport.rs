@@ -129,8 +129,8 @@ impl std::fmt::Display for ChannelClosed {
 
 impl std::error::Error for ChannelClosed {}
 
-/// A transport-level receive failure that is *not* a clean shutdown: a
-/// reader thread observed a malformed frame or a failed read from one peer
+/// A transport-level receive failure that is *not* a clean shutdown: the
+/// receiver met a malformed frame or a failed read on one peer
 /// connection. Distinct from [`ChannelClosed`] so stage loops can tell a
 /// crashed peer from an orderly EOF — the stage counts it
 /// ([`crate::RecoveryMetrics::transport_errors`]) and keeps receiving from

@@ -27,6 +27,7 @@
 
 pub mod cluster;
 pub mod node;
+mod poll;
 pub mod tcp;
 pub mod wire;
 

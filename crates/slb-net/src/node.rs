@@ -598,7 +598,7 @@ pub fn run_node_with(
             let capacity = partial_channel_capacity(plan.spawned_workers);
             let shared = Arc::new(Mutex::new(control_stream));
             let metrics_seq = Arc::new(AtomicU64::new(0));
-            // Fault-tolerant extras: an attachable merge queue with a
+            // Fault-tolerant extras: an attachable receiver with a
             // late-accept loop for respawned workers' fresh connections, a
             // control-reader thread feeding exclusions into the stage, and
             // live metrics.
@@ -617,10 +617,7 @@ pub fn run_node_with(
                 background.push(thread::spawn(move || {
                     loop {
                         match listener.accept() {
-                            Ok((stream, _)) => {
-                                let _ = stream.set_nonblocking(false);
-                                attach.attach(stream);
-                            }
+                            Ok((stream, _)) => attach.attach(stream),
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                                 if !still_accepting.load(Ordering::Relaxed) {
                                     break;
@@ -630,9 +627,8 @@ pub fn run_node_with(
                             Err(_) => break,
                         }
                     }
-                    // Dropping the attach handle here is what lets the merge
-                    // queue disconnect once every connected worker has sent
-                    // EOF.
+                    // Dropping the attach handle here is what lets the
+                    // receiver close once every connected worker has sent EOF.
                 }));
                 let released = Arc::clone(&accepting);
                 // Exits on Release or when the orchestrator drops the

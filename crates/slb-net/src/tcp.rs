@@ -10,18 +10,19 @@
 //!   back-pressure to the sending stage). Handles are cloned per sending
 //!   stage instance; when the **last** clone drops, an [`tag::EOF`] frame is
 //!   written and the write side shuts down.
-//! * a **receiver handle** owns one reader thread per incoming connection;
-//!   readers decode frames and push messages into one shared *bounded*
-//!   crossbeam queue sized by the engine's `queue_capacity`-derived batch
-//!   budget ([`slb_engine::capacity_in_batches`]). A full queue blocks the
-//!   readers, the kernel's TCP window fills, and the remote senders block —
-//!   the same back-pressure chain as the in-process backend, with the
-//!   kernel's socket buffers as the only extra slack.
+//! * a **receiver handle** owns its incoming connections and no thread: the
+//!   receiving stage's own `recv_batch` blocks in one `poll(2)` over the
+//!   (non-blocking) sockets, reads each readable one into that connection's
+//!   buffer and decodes *complete* frames in place, the connections taking
+//!   turns frame by frame — at most the engine's `queue_capacity`-derived
+//!   budget ([`slb_engine::capacity_in_batches`]) per call. A batch crosses
+//!   one thread hand-off. A stage that is not receiving is not reading, so
+//!   the TCP window fills and the remote senders block: the kernel's socket
+//!   buffers are the only slack in the back-pressure chain.
 //!
-//! FIFO per sender holds: each sending stage writes its frames in order to
-//! one socket, TCP preserves byte order, and the reader enqueues in frame
-//! order. That is exactly the ordering the window-punctuation protocol
-//! needs.
+//! FIFO per sender — the ordering the window-punctuation protocol needs —
+//! holds: each sending stage writes its frames in order to one socket, TCP
+//! preserves byte order, and a connection's buffer is decoded front to back.
 //!
 //! `Instant`s never cross a socket. A [`TcpTransport`] carries the run's
 //! *epoch*; timestamps travel as µs-since-epoch and are rebased on arrival.
@@ -29,32 +30,30 @@
 //! epoch, so latency metrics are exact up to µs quantization; across
 //! processes `slb-node` aligns epochs through the orchestrator's wall-clock
 //! handshake, so metrics additionally absorb (same-machine) clock offset.
-//! Merged *counts* — the correctness obligation — never depend on
-//! timestamps.
+//! Merged *counts* — the correctness obligation — never depend on them.
 //!
-//! A reader thread that receives a *malformed* frame (or whose read fails
-//! mid-stream) does not die silently and does not abort the process: it
-//! pushes a [`TransportError`] into the merge queue and stops reading that
-//! connection. The receiving stage sees the error as a distinct
-//! `Err(RecvError::Transport(_))` from `recv_batch` — clearly told apart
-//! from the clean-EOF `RecvError::Closed` — counts it in its report's
-//! `transport_errors`, and keeps draining the queue's surviving
-//! connections. This is what a SIGKILLed peer looks like from the other
-//! end of its sockets: usually a clean FIN (kernel closes the dead
-//! process's sockets), occasionally a frame torn mid-write; either way the
-//! run continues and the recovery protocol (durable checkpoints + replay,
-//! see `docs/FAULTS.md`) restores exactness, with the error on the record
-//! instead of a healthy-looking truncated run. The codec itself stays
-//! total (errors, not panics) — see the `wire_props` suite.
+//! A connection that delivers a *malformed* frame, fails a read, or ends
+//! inside a frame is retired without aborting the process: the receiving
+//! stage sees one `Err(RecvError::Transport(_))` — on a `recv_batch` call
+//! with no data to deliver, and told apart from the clean-EOF
+//! `RecvError::Closed` — counts it in its report's `transport_errors`, and
+//! keeps receiving from the surviving connections. This is what a SIGKILLed
+//! peer looks like from the other end: usually a clean FIN, occasionally a
+//! frame torn mid-write; the recovery protocol (`docs/FAULTS.md`) restores
+//! exactness, with the error on the record. Peer bytes can neither panic the
+//! receive path nor make it allocate ahead of what has arrived (`reactor_props`).
 
-use std::io::{BufReader, Write};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, Receiver, Sender, TryRecvError};
 use slb_core::WirePartial;
 use slb_engine::transport::{
     ChannelClosed, FeedbackReceiver, FeedbackSender, PartialReceiver, PartialSender, PartialWindow,
@@ -63,9 +62,10 @@ use slb_engine::transport::{
 };
 use slb_engine::WindowId;
 
+use crate::poll;
 use crate::wire::{
-    self, decode_payload, encode_frame, encode_tuple_frame, read_frame, tag, FeedbackFrame,
-    PartialFrame, TupleFrame,
+    decode_payload, encode_frame, encode_tuple_frame, split_frame, tag, FeedbackFrame,
+    PartialFrame, TupleFrame, WireError,
 };
 
 /// Converts an [`Instant`] to wire form: µs since the transport epoch.
@@ -78,6 +78,117 @@ pub fn us_to_instant(epoch: Instant, us: u64) -> Instant {
     epoch
         .checked_add(Duration::from_micros(us))
         .unwrap_or(epoch)
+}
+
+/// A message one of the three channel kinds carries: how it is framed on
+/// the way out and recovered on the way in (timestamps as µs since `epoch`).
+pub trait Framed: Sized {
+    /// Appends the message's complete frame to `buf`.
+    fn encode(self, epoch: Instant, buf: &mut Vec<u8>);
+
+    /// Decodes one frame payload; `None` is the channel's EOF frame.
+    fn decode(payload: &[u8], epoch: Instant) -> Result<Option<Self>, WireError>;
+}
+
+impl Framed for SourceMessage {
+    fn encode(self, epoch: Instant, buf: &mut Vec<u8>) {
+        let frame = match self {
+            SourceMessage::Batch(batch) => TupleFrame::Batch {
+                window: batch.window,
+                source: batch.source as u32,
+                seq: batch.seq,
+                emitted_us: instant_to_us(epoch, batch.emitted_at),
+                keys: batch.keys,
+            },
+            SourceMessage::CloseWindow {
+                window,
+                source,
+                seq,
+            } => TupleFrame::Close {
+                window,
+                source: source as u32,
+                seq,
+            },
+        };
+        encode_tuple_frame(&frame, buf);
+    }
+
+    fn decode(payload: &[u8], epoch: Instant) -> Result<Option<Self>, WireError> {
+        Ok(match decode_payload(payload)? {
+            TupleFrame::Batch {
+                window,
+                source,
+                seq,
+                emitted_us,
+                keys,
+            } => Some(SourceMessage::Batch(TupleBatch {
+                keys,
+                window: window as WindowId,
+                source: source as usize,
+                seq,
+                emitted_at: us_to_instant(epoch, emitted_us),
+            })),
+            TupleFrame::Close {
+                window,
+                source,
+                seq,
+            } => Some(SourceMessage::CloseWindow {
+                window,
+                source: source as usize,
+                seq,
+            }),
+            TupleFrame::Eof => None,
+        })
+    }
+}
+
+impl<P: WirePartial> Framed for PartialWindow<P> {
+    fn encode(self, epoch: Instant, buf: &mut Vec<u8>) {
+        let frame = PartialFrame::Partial {
+            window: self.window,
+            worker: self.worker as u32,
+            closed_us: instant_to_us(epoch, self.closed_at),
+            partial: self.partial,
+        };
+        encode_frame(&frame, buf);
+    }
+
+    fn decode(payload: &[u8], epoch: Instant) -> Result<Option<Self>, WireError> {
+        Ok(match decode_payload(payload)? {
+            PartialFrame::Partial {
+                window,
+                worker,
+                closed_us,
+                partial,
+            } => Some(PartialWindow {
+                window,
+                worker: worker as usize,
+                partial,
+                closed_at: us_to_instant(epoch, closed_us),
+            }),
+            PartialFrame::Eof => None,
+        })
+    }
+}
+
+impl Framed for ReplayRequest {
+    fn encode(self, _epoch: Instant, buf: &mut Vec<u8>) {
+        let frame = FeedbackFrame::Request {
+            worker: self.worker as u32,
+            from_seq: self.from_seq,
+        };
+        encode_frame(&frame, buf);
+    }
+
+    fn decode(payload: &[u8], _epoch: Instant) -> Result<Option<Self>, WireError> {
+        Ok(match decode_payload(payload)? {
+            FeedbackFrame::Request { worker, from_seq } => Some(ReplayRequest {
+                worker: worker as usize,
+                from_seq,
+            }),
+            FeedbackFrame::Eof => None,
+        })
+    }
 }
 
 /// Socket + reusable encode buffer, locked per send.
@@ -104,12 +215,12 @@ impl SenderCore {
         }
     }
 
-    /// Encodes with `encode` into the shared buffer and writes one frame.
-    fn send_frame(&self, encode: impl FnOnce(&mut Vec<u8>, Instant)) -> Result<(), ChannelClosed> {
+    /// Encodes `message` into the shared buffer and writes its one frame.
+    fn send(&self, message: impl Framed) -> Result<(), ChannelClosed> {
         let mut writer = self.writer.lock().expect("sender lock poisoned");
         let FramedWriter { stream, buf } = &mut *writer;
         buf.clear();
-        encode(buf, self.epoch);
+        message.encode(self.epoch, buf);
         stream.write_all(buf).map_err(|_| ChannelClosed)
     }
 }
@@ -128,52 +239,56 @@ impl Drop for SenderCore {
     }
 }
 
-/// Source → worker sender over one TCP connection. Clonable; the connection
-/// carries an EOF frame when the last clone drops.
-#[derive(Clone)]
-pub struct TcpTupleSender {
+/// The sending handle of a channel, over one TCP connection. Clonable; the
+/// connection carries an EOF frame when the last clone drops — for the
+/// feedback hop, how the source learns no further replay can be requested.
+pub struct TcpSender<T> {
     core: Arc<SenderCore>,
+    _message: PhantomData<fn(T)>,
 }
 
-impl TcpTupleSender {
+/// Source → worker sender.
+pub type TcpTupleSender = TcpSender<SourceMessage>;
+/// Worker → aggregator sender.
+pub type TcpPartialSender<P> = TcpSender<PartialWindow<P>>;
+/// Worker → source feedback sender.
+pub type TcpFeedbackSender = TcpSender<ReplayRequest>;
+
+impl<T> Clone for TcpSender<T> {
+    fn clone(&self) -> Self {
+        Self {
+            core: Arc::clone(&self.core),
+            _message: PhantomData,
+        }
+    }
+}
+
+impl<T: Framed> TcpSender<T> {
     /// Wraps a connected stream. `epoch` anchors the wire timestamps.
     pub fn new(stream: TcpStream, epoch: Instant) -> Self {
         let _ = stream.set_nodelay(true);
         Self {
             core: Arc::new(SenderCore::new(stream, epoch)),
+            _message: PhantomData,
         }
     }
 }
 
 impl TupleSender for TcpTupleSender {
     fn send(&self, message: SourceMessage) -> Result<(), ChannelClosed> {
-        self.core.send_frame(|buf, epoch| {
-            let frame = match message {
-                SourceMessage::Batch(TupleBatch {
-                    keys,
-                    window,
-                    source,
-                    seq,
-                    emitted_at,
-                }) => TupleFrame::Batch {
-                    window,
-                    source: source as u32,
-                    seq,
-                    emitted_us: instant_to_us(epoch, emitted_at),
-                    keys,
-                },
-                SourceMessage::CloseWindow {
-                    window,
-                    source,
-                    seq,
-                } => TupleFrame::Close {
-                    window,
-                    source: source as u32,
-                    seq,
-                },
-            };
-            encode_tuple_frame(&frame, buf);
-        })
+        self.core.send(message)
+    }
+}
+
+impl<P: WirePartial + Send + 'static> PartialSender<P> for TcpPartialSender<P> {
+    fn send(&self, message: PartialWindow<P>) -> Result<(), ChannelClosed> {
+        self.core.send(message)
+    }
+}
+
+impl FeedbackSender for TcpFeedbackSender {
+    fn send(&self, request: ReplayRequest) -> Result<(), ChannelClosed> {
+        self.core.send(request)
     }
 }
 
@@ -233,440 +348,332 @@ impl TupleSender for ReattachableTupleSender {
     }
 }
 
-/// Worker → aggregator sender over one TCP connection.
-pub struct TcpPartialSender<P> {
-    core: Arc<SenderCore>,
-    _partial: PhantomData<fn(P)>,
+/// A connection buffer's first size, and so the most one `read` takes. A
+/// larger frame doubles it, but only once received bytes have filled it.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// What a connection has next.
+enum Step<T> {
+    Message(T),
+    /// No complete frame is buffered; the socket may bring more.
+    Dry,
+    /// Over: cleanly (an EOF frame, a FIN between frames) or with a report.
+    End(Result<(), String>),
 }
 
-impl<P> Clone for TcpPartialSender<P> {
-    fn clone(&self) -> Self {
+/// One incoming connection and the received bytes not yet decoded,
+/// `buf[head..tail]`.
+struct Conn {
+    stream: TcpStream,
+    peer: String,
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// What the socket said last; frames already buffered come first.
+    end: Option<Result<(), String>>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        // Reads only follow a readable verdict: blocking would still work.
+        let _ = stream.set_nonblocking(true);
+        let peer = stream
+            .peer_addr()
+            .map_or("<unknown>".into(), |a| a.to_string());
         Self {
-            core: Arc::clone(&self.core),
-            _partial: PhantomData,
+            stream,
+            peer,
+            buf: Vec::new(),
+            head: 0,
+            tail: 0,
+            end: None,
+        }
+    }
+
+    /// Whether only a `read` can move the connection on: it is open and
+    /// what is buffered is less than a frame.
+    fn is_dry(&self) -> bool {
+        let pending = split_frame(&self.buf[self.head..self.tail]);
+        self.end.is_none() && matches!(pending, Err(WireError::Truncated))
+    }
+
+    /// One `read`, for a dry connection: the incomplete frame moves to the
+    /// front and the rest of the buffer is free. The buffer grows only once
+    /// received bytes have filled it — never on a length prefix's say-so.
+    fn read_once(&mut self) {
+        self.buf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        if self.tail == self.buf.len() {
+            self.buf.resize((2 * self.buf.len()).max(READ_CHUNK), 0);
+        }
+        match self.stream.read(&mut self.buf[self.tail..]) {
+            // A FIN: clean on a frame boundary, a torn frame inside one.
+            Ok(0) if self.tail == 0 => self.end = Some(Ok(())),
+            Ok(0) => self.end = Some(Err(WireError::Truncated.to_string())),
+            Ok(n) => self.tail += n,
+            // Nothing this time: the next `poll` says readable again.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            Err(e) => self.end = Some(Err(WireError::Io(e).to_string())),
+        }
+    }
+
+    /// Decodes the next complete frame, if one is buffered.
+    fn step<T: Framed>(&mut self, epoch: Instant) -> Step<T> {
+        let payload = match split_frame(&self.buf[self.head..self.tail]) {
+            Ok(payload) => payload,
+            Err(WireError::Truncated) => return self.end.take().map_or(Step::Dry, Step::End),
+            Err(e) => return Step::End(Err(e.to_string())),
+        };
+        let consumed = 4 + payload.len();
+        match T::decode(payload, epoch) {
+            Ok(Some(message)) => {
+                self.head += consumed;
+                Step::Message(message)
+            }
+            Ok(None) => Step::End(Ok(())),
+            Err(e) => Step::End(Err(e.to_string())),
         }
     }
 }
 
-impl<P> TcpPartialSender<P> {
-    /// Wraps a connected stream. `epoch` anchors the wire timestamps.
-    pub fn new(stream: TcpStream, epoch: Instant) -> Self {
-        let _ = stream.set_nodelay(true);
+/// Connections a [`PartialAttach`] hands over mid-run: the streams travel
+/// in the channel; `wake`, one end of a socket pair, sits in the poll set
+/// and turns readable on every attach (a byte) and at the handle's drop.
+struct Late {
+    streams: mpsc::Receiver<TcpStream>,
+    wake: UnixStream,
+}
+
+/// The receiving handle of a channel: it owns its incoming connections and
+/// no thread; the receiving stage's own call does the waiting and reading.
+pub struct TcpReceiver<T> {
+    /// Single-owner state: a `RefCell`, not a lock.
+    reactor: RefCell<Reactor>,
+    epoch: Instant,
+    /// The most messages one `recv_batch` hands over.
+    capacity: usize,
+    _message: PhantomData<fn() -> T>,
+}
+
+/// Source → worker receiver; `capacity` realizes the engine's
+/// `queue_capacity`, in batches.
+pub type TcpTupleReceiver = TcpReceiver<SourceMessage>;
+/// Worker → aggregator receiver.
+pub type TcpPartialReceiver<P> = TcpReceiver<PartialWindow<P>>;
+/// Worker → source feedback receiver: the source polls it between chunks
+/// (one zero-timeout `poll`, no read unless a request is there), a request
+/// per call, so its `capacity` bounds nothing. [`FeedbackReceiver`] has no
+/// transport-error arm, so a connection that dies uncleanly counts as ended:
+/// safe, because feedback is an optimization trigger, never an obligation.
+pub type TcpFeedbackReceiver = TcpReceiver<ReplayRequest>;
+
+/// A receiver's connections and what waiting on them needs.
+#[derive(Default)]
+struct Reactor {
+    conns: Vec<Conn>,
+    /// The connection the next message is asked of first.
+    turn: usize,
+    /// The poll set, rebuilt per wait: `conns` in order, then `late`'s wake.
+    fds: Vec<poll::PollFd>,
+    /// Reports of retired connections not yet handed to the stage.
+    errors: VecDeque<TransportError>,
+    late: Option<Late>,
+}
+
+impl<T: Framed> TcpReceiver<T> {
+    /// Takes ownership of `streams`; no thread is started. The channel
+    /// ends (clean `Closed`) once every connection has.
+    pub fn spawn(streams: Vec<TcpStream>, epoch: Instant, capacity: usize) -> Self {
         Self {
-            core: Arc::new(SenderCore::new(stream, epoch)),
-            _partial: PhantomData,
+            reactor: RefCell::new(Reactor {
+                conns: streams.into_iter().map(Conn::new).collect(),
+                ..Reactor::default()
+            }),
+            epoch,
+            capacity: capacity.max(1),
+            _message: PhantomData,
         }
     }
-}
 
-impl<P> PartialSender<P> for TcpPartialSender<P>
-where
-    P: WirePartial + Send + 'static,
-{
-    fn send(&self, message: PartialWindow<P>) -> Result<(), ChannelClosed> {
-        self.core.send_frame(|buf, epoch| {
-            let frame = PartialFrame::Partial {
-                window: message.window,
-                worker: message.worker as u32,
-                closed_us: instant_to_us(epoch, message.closed_at),
-                partial: message.partial,
-            };
-            encode_frame(&frame, buf);
-        })
+    /// Like [`spawn`](Self::spawn), but also returns a [`PartialAttach`]
+    /// handle that can hand the receiver *additional* connections later —
+    /// how an aggregator re-admits a respawned worker mid-run. The channel
+    /// only ends after every connection has **and** the handle has dropped.
+    pub fn spawn_attachable(
+        streams: Vec<TcpStream>,
+        epoch: Instant,
+        capacity_messages: usize,
+    ) -> (Self, PartialAttach) {
+        let (wake_tx, wake_rx) = UnixStream::pair().expect("socket pair for the attach wake-up");
+        // An attach must never block: a full pipe already holds a wake-up.
+        let _ = wake_tx.set_nonblocking(true);
+        let (streams_tx, streams_rx) = mpsc::channel();
+        let receiver = Self::spawn(streams, epoch, capacity_messages);
+        receiver.reactor.borrow_mut().late = Some(Late {
+            streams: streams_rx,
+            wake: wake_rx,
+        });
+        let attach = PartialAttach {
+            streams: streams_tx,
+            wake: wake_tx,
+        };
+        (receiver, attach)
     }
-}
 
-/// Spawns one reader thread per connection; all feed `queue_tx`. `decode`
-/// turns one frame payload into a message (`None` for EOF) or reports the
-/// frame as corrupt.
-///
-/// A reader that hits a malformed frame or a failed read pushes the error
-/// *into the queue* as a [`TransportError`] and stops reading that
-/// connection — the receiving stage can then tell a crashed peer
-/// (`RecvError::Transport`) from a clean end of stream (`RecvError::Closed`)
-/// and survive the former. The erroring connection contributes nothing
-/// further; its sibling connections keep the queue alive.
-fn spawn_readers<T, F>(
-    streams: Vec<TcpStream>,
-    queue_tx: Sender<Result<T, TransportError>>,
-    decode: F,
-) where
-    T: Send + 'static,
-    F: Fn(&[u8]) -> Result<Option<T>, wire::WireError> + Send + Clone + 'static,
-{
-    for stream in streams {
-        let tx = queue_tx.clone();
-        let decode = decode.clone();
-        spawn_reader(stream, tx, decode);
-    }
-    drop(queue_tx);
-}
-
-/// One reader thread for one connection, feeding a shared merge queue.
-fn spawn_reader<T, F>(stream: TcpStream, tx: Sender<Result<T, TransportError>>, decode: F)
-where
-    T: Send + 'static,
-    F: Fn(&[u8]) -> Result<Option<T>, wire::WireError> + Send + 'static,
-{
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "<unknown>".into());
-    thread::spawn(move || {
-        let mut reader = BufReader::with_capacity(256 * 1024, stream);
-        let mut scratch: Vec<u8> = Vec::new();
+    /// The engine's `recv_batch` contract (module doc): hands up to `limit`
+    /// buffered messages to `sink` — connections taking turns frame by frame,
+    /// so none runs ahead of another that has frames too — and returns how
+    /// many, waiting for the first if `block`, else `Ok(0)` when none is there.
+    fn recv_some(
+        &self,
+        block: bool,
+        limit: usize,
+        mut sink: impl FnMut(T),
+    ) -> Result<usize, RecvError> {
+        let reactor = &mut *self.reactor.borrow_mut();
+        // A sibling's backlog must not hold back frames that have arrived
+        // on a dry connection's socket since: look there first, no waiting.
+        let dry = reactor.conns.iter().filter(|c| c.is_dry()).count();
+        if 0 < dry && dry < reactor.conns.len() {
+            reactor.fill(false);
+        }
         loop {
-            match read_frame(&mut reader, &mut scratch) {
-                Ok(false) => break, // clean socket EOF
-                Ok(true) => match decode(&scratch) {
-                    Ok(None) => break, // EOF frame
-                    Ok(Some(message)) => {
-                        if tx.send(Ok(message)).is_err() {
-                            // Receiver gone: the run is tearing down.
-                            break;
-                        }
+            let (mut taken, mut passed) = (0, 0);
+            while taken < limit && passed < reactor.conns.len() {
+                let turn = reactor.turn % reactor.conns.len();
+                reactor.turn = turn + 1;
+                match reactor.conns[turn].step(self.epoch) {
+                    Step::Message(message) => {
+                        sink(message);
+                        taken += 1;
+                        passed = 0;
                     }
-                    Err(e) => {
-                        let _ = tx.send(Err(TransportError {
-                            peer,
-                            detail: e.to_string(),
-                        }));
-                        break;
+                    Step::Dry => passed += 1,
+                    Step::End(end) => {
+                        // Its successor moves into its place and is next.
+                        reactor.turn = turn;
+                        let peer = reactor.conns.remove(turn).peer;
+                        let report = end.err().map(|detail| TransportError { peer, detail });
+                        reactor.errors.extend(report);
                     }
-                },
-                Err(e) => {
-                    let _ = tx.send(Err(TransportError {
-                        peer,
-                        detail: e.to_string(),
-                    }));
-                    break;
                 }
             }
-        }
-        // Dropping `tx` disconnects the queue once every sibling reader
-        // is done too.
-    });
-}
-
-/// The shared merge side of a TCP receiver: reader threads feed it
-/// `Ok(message)` per decoded frame and at most one `Err(TransportError)`
-/// each; `recv_batch` surfaces data eagerly and errors on the calls where
-/// no data arrived with them.
-struct MergedQueue<T> {
-    queue: Receiver<Result<T, TransportError>>,
-    /// Errors drained alongside data, held for the next call so the data
-    /// they arrived with is never delayed behind the error report.
-    pending_errors: Mutex<std::collections::VecDeque<TransportError>>,
-    /// Reused drain buffer, so a batch still moves under one queue lock.
-    scratch: Mutex<Vec<Result<T, TransportError>>>,
-}
-
-impl<T> MergedQueue<T> {
-    fn new(queue: Receiver<Result<T, TransportError>>) -> Self {
-        Self {
-            queue,
-            pending_errors: Mutex::new(std::collections::VecDeque::new()),
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The `recv_batch` contract of the engine's receiver traits:
-    /// appends every available message and returns how many;
-    /// `Err(RecvError::Transport)` reports a dead connection on a call
-    /// with nothing else to deliver (survivable — keep calling);
-    /// `Err(RecvError::Closed)` is the terminal clean end of stream.
-    fn recv_batch(&self, out: &mut Vec<T>) -> Result<usize, RecvError> {
-        if let Some(error) = self
-            .pending_errors
-            .lock()
-            .expect("receiver lock poisoned")
-            .pop_front()
-        {
-            return Err(RecvError::Transport(error));
-        }
-        let mut scratch = self.scratch.lock().expect("receiver lock poisoned");
-        if self.queue.recv_batch(&mut scratch, usize::MAX).is_err() {
-            return Err(RecvError::Closed);
-        }
-        let mut appended = 0usize;
-        let mut pending = self.pending_errors.lock().expect("receiver lock poisoned");
-        for item in scratch.drain(..) {
-            match item {
-                Ok(message) => {
-                    out.push(message);
-                    appended += 1;
-                }
-                Err(error) => pending.push_back(error),
+            if taken > 0 {
+                return Ok(taken);
             }
-        }
-        if appended == 0 {
-            if let Some(error) = pending.pop_front() {
+            if let Some(error) = reactor.errors.pop_front() {
                 return Err(RecvError::Transport(error));
             }
+            if reactor.conns.is_empty() && reactor.late.is_none() {
+                return Err(RecvError::Closed);
+            }
+            // Every connection left is dry: wait and read.
+            if !reactor.fill(block) && !block {
+                return Ok(0);
+            }
         }
-        Ok(appended)
     }
 }
 
-/// Decodes one tuple-channel frame payload (shared by `spawn` and the
-/// attachable path).
-fn decode_tuple_message(
-    payload: &[u8],
-    epoch: Instant,
-) -> Result<Option<SourceMessage>, wire::WireError> {
-    Ok(match decode_payload(payload)? {
-        TupleFrame::Batch {
-            window,
-            source,
-            seq,
-            emitted_us,
-            keys,
-        } => Some(SourceMessage::Batch(TupleBatch {
-            keys,
-            window: window as WindowId,
-            source: source as usize,
-            seq,
-            emitted_at: us_to_instant(epoch, emitted_us),
-        })),
-        TupleFrame::Close {
-            window,
-            source,
-            seq,
-        } => Some(SourceMessage::CloseWindow {
-            window,
-            source: source as usize,
-            seq,
-        }),
-        TupleFrame::Eof => None,
-    })
-}
-
-/// Source → worker receiver: merges any number of incoming connections into
-/// one bounded queue the worker drains with `recv_batch`.
-pub struct TcpTupleReceiver {
-    queue: MergedQueue<SourceMessage>,
-}
-
-impl TcpTupleReceiver {
-    /// Spawns the reader threads. `capacity_batches` bounds the shared
-    /// queue — the transport-side realization of the engine's
-    /// `queue_capacity`.
-    pub fn spawn(streams: Vec<TcpStream>, epoch: Instant, capacity_batches: usize) -> Self {
-        for s in &streams {
-            let _ = s.set_nodelay(true);
+impl Reactor {
+    /// Waits for a dry connection's socket to turn readable (not at all
+    /// unless `block`), reads each that has once and admits late
+    /// connections. Returns whether any was readable.
+    fn fill(&mut self, block: bool) -> bool {
+        self.fds.clear();
+        // `poll` passes over a negative descriptor.
+        let dry = |c: &Conn| if c.is_dry() { c.stream.as_raw_fd() } else { -1 };
+        let wake = self.late.as_ref().map(|late| late.wake.as_raw_fd());
+        let fds = self.conns.iter().map(dry).chain(wake);
+        self.fds.extend(fds.map(poll::PollFd::readable));
+        if let Err(e) = poll::wait_readable(&mut self.fds, if block { -1 } else { 0 }) {
+            // Not a peer's doing (out of memory, a bad descriptor): nothing
+            // can be waited on, so every connection ends here.
+            let report = WireError::Io(e).to_string();
+            for conn in &mut self.conns {
+                conn.end = Some(Err(report.clone()));
+            }
+            self.late = None;
+            return true;
         }
-        let (tx, rx) = bounded::<Result<SourceMessage, TransportError>>(capacity_batches);
-        spawn_readers(streams, tx, move |payload| {
-            decode_tuple_message(payload, epoch)
-        });
-        Self {
-            queue: MergedQueue::new(rx),
+        let mut readable = false;
+        for (conn, fd) in self.conns.iter_mut().zip(&self.fds) {
+            // Hang-ups and socket errors count: the read tells which.
+            if fd.is_ready() {
+                conn.read_once();
+                readable = true;
+            }
         }
+        if let Some(late) = self.late.as_mut() {
+            if self.fds.last().is_some_and(poll::PollFd::is_ready) {
+                readable = true;
+                let dropped = !matches!(late.wake.read(&mut [0; 64]), Ok(1..));
+                // Every attach sent its stream before its wake byte, and
+                // the handle cannot drop while an attach is running.
+                self.conns.extend(late.streams.try_iter().map(Conn::new));
+                if dropped {
+                    self.late = None;
+                }
+            }
+        }
+        readable
     }
 }
 
 impl TupleReceiver for TcpTupleReceiver {
     fn recv_batch(&self, out: &mut Vec<SourceMessage>) -> Result<usize, RecvError> {
-        self.queue.recv_batch(out)
+        self.recv_some(true, self.capacity, |m| out.push(m))
     }
 }
 
-/// Decodes one partial-channel frame payload (shared by `spawn` and
-/// [`PartialAttach`]).
-fn decode_partial_message<P: WirePartial>(
-    payload: &[u8],
-    epoch: Instant,
-) -> Result<Option<PartialWindow<P>>, wire::WireError> {
-    Ok(match decode_payload(payload)? {
-        PartialFrame::Partial {
-            window,
-            worker,
-            closed_us,
-            partial,
-        } => Some(PartialWindow {
-            window,
-            worker: worker as usize,
-            partial,
-            closed_at: us_to_instant(epoch, closed_us),
-        }),
-        PartialFrame::Eof => None,
-    })
-}
-
-/// Worker → aggregator receiver: merges any number of incoming connections
-/// into one bounded queue the aggregator drains with `recv_batch`.
-pub struct TcpPartialReceiver<P> {
-    queue: MergedQueue<PartialWindow<P>>,
-}
-
-impl<P> TcpPartialReceiver<P>
-where
-    P: WirePartial + Send + 'static,
-{
-    /// Spawns the reader threads over `streams` with a bounded merge queue.
-    /// The queue disconnects (clean `Closed`) once every connection ends.
-    pub fn spawn(streams: Vec<TcpStream>, epoch: Instant, capacity_messages: usize) -> Self {
-        for s in &streams {
-            let _ = s.set_nodelay(true);
-        }
-        let (tx, rx) = bounded::<Result<PartialWindow<P>, TransportError>>(capacity_messages);
-        spawn_readers(streams, tx, move |payload| {
-            decode_partial_message::<P>(payload, epoch)
-        });
-        Self {
-            queue: MergedQueue::new(rx),
-        }
-    }
-
-    /// Like [`spawn`](Self::spawn), but also returns a [`PartialAttach`]
-    /// handle that can feed *additional* connections into the same merge
-    /// queue later — how an aggregator re-admits a respawned worker
-    /// mid-run. The queue only disconnects after every attached connection
-    /// ends **and** the attach handle has been dropped.
-    pub fn spawn_attachable(
-        streams: Vec<TcpStream>,
-        epoch: Instant,
-        capacity_messages: usize,
-    ) -> (Self, PartialAttach<P>) {
-        for s in &streams {
-            let _ = s.set_nodelay(true);
-        }
-        let (tx, rx) = bounded::<Result<PartialWindow<P>, TransportError>>(capacity_messages);
-        let attach = PartialAttach {
-            tx: tx.clone(),
-            epoch,
-            _partial: PhantomData,
-        };
-        spawn_readers(streams, tx, move |payload| {
-            decode_partial_message::<P>(payload, epoch)
-        });
-        (
-            Self {
-                queue: MergedQueue::new(rx),
-            },
-            attach,
-        )
-    }
-}
-
-/// Feeds additional worker connections into an existing
-/// [`TcpPartialReceiver`]'s merge queue (see
-/// [`TcpPartialReceiver::spawn_attachable`]). Keeping the handle alive
-/// keeps the queue connected; drop it once no further attachment can occur
-/// so the receiver's end-of-stream can fire.
-pub struct PartialAttach<P> {
-    tx: Sender<Result<PartialWindow<P>, TransportError>>,
-    epoch: Instant,
-    _partial: PhantomData<fn(P)>,
-}
-
-impl<P> PartialAttach<P>
-where
-    P: WirePartial + Send + 'static,
-{
-    /// Spawns one more reader thread over `stream`, feeding the shared
-    /// merge queue.
-    pub fn attach(&self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let epoch = self.epoch;
-        spawn_reader(stream, self.tx.clone(), move |payload| {
-            decode_partial_message::<P>(payload, epoch)
-        });
-    }
-}
-
-impl<P> PartialReceiver<P> for TcpPartialReceiver<P>
-where
-    P: WirePartial + Send + 'static,
-{
+impl<P: WirePartial + Send + 'static> PartialReceiver<P> for TcpPartialReceiver<P> {
     fn recv_batch(&self, out: &mut Vec<PartialWindow<P>>) -> Result<usize, RecvError> {
-        self.queue.recv_batch(out)
+        self.recv_some(true, self.capacity, |m| out.push(m))
     }
-}
-
-/// Worker → source feedback sender over one TCP connection. Clonable; the
-/// connection carries an EOF frame when the last clone drops, which is how
-/// the source learns no further replay can be requested.
-#[derive(Clone)]
-pub struct TcpFeedbackSender {
-    core: Arc<SenderCore>,
-}
-
-impl TcpFeedbackSender {
-    /// Wraps a connected stream.
-    pub fn new(stream: TcpStream, epoch: Instant) -> Self {
-        let _ = stream.set_nodelay(true);
-        Self {
-            core: Arc::new(SenderCore::new(stream, epoch)),
-        }
-    }
-}
-
-impl FeedbackSender for TcpFeedbackSender {
-    fn send(&self, request: ReplayRequest) -> Result<(), ChannelClosed> {
-        self.core.send_frame(|buf, _epoch| {
-            encode_frame(
-                &FeedbackFrame::Request {
-                    worker: request.worker as u32,
-                    from_seq: request.from_seq,
-                },
-                buf,
-            );
-        })
-    }
-}
-
-/// Worker → source feedback receiver: merges incoming connections into one
-/// bounded queue the source polls between chunks and drains after emission.
-///
-/// The feedback contract has no transport-error arm ([`FeedbackReceiver`]
-/// only distinguishes "request" from "no more requests"), so a connection
-/// that dies uncleanly is treated like its clean end: the source simply
-/// stops hearing from that worker, which is safe — feedback is purely an
-/// optimization trigger, never a correctness obligation.
-pub struct TcpFeedbackReceiver {
-    queue: Receiver<Result<ReplayRequest, TransportError>>,
 }
 
 impl TcpFeedbackReceiver {
-    /// Spawns the reader threads over `streams` with a bounded merge queue.
-    pub fn spawn(streams: Vec<TcpStream>, capacity_messages: usize) -> Self {
-        for s in &streams {
-            let _ = s.set_nodelay(true);
+    /// One request if there is one — waiting for it if `block` — with dead
+    /// connections counted as ended.
+    fn next(&self, block: bool) -> Result<Option<ReplayRequest>, ChannelClosed> {
+        let mut request = None;
+        loop {
+            match self.recv_some(block, 1, |r| request = Some(r)) {
+                Ok(_) => return Ok(request),
+                Err(RecvError::Transport(_)) => continue,
+                Err(RecvError::Closed) => return Err(ChannelClosed),
+            }
         }
-        let (tx, rx) = bounded::<Result<ReplayRequest, TransportError>>(capacity_messages);
-        spawn_readers(streams, tx, move |payload| {
-            Ok(match decode_payload(payload)? {
-                FeedbackFrame::Request { worker, from_seq } => Some(ReplayRequest {
-                    worker: worker as usize,
-                    from_seq,
-                }),
-                FeedbackFrame::Eof => None,
-            })
-        });
-        Self { queue: rx }
     }
 }
 
 impl FeedbackReceiver for TcpFeedbackReceiver {
     fn try_recv(&self) -> Result<Option<ReplayRequest>, ChannelClosed> {
-        loop {
-            match Receiver::try_recv(&self.queue) {
-                Ok(Ok(request)) => return Ok(Some(request)),
-                Ok(Err(_)) => continue, // dead connection: same as its EOF
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(ChannelClosed),
-            }
-        }
+        self.next(false)
     }
 
     fn recv(&self) -> Result<ReplayRequest, ChannelClosed> {
-        loop {
-            match Receiver::recv(&self.queue) {
-                Ok(Ok(request)) => return Ok(request),
-                Ok(Err(_)) => continue, // dead connection: same as its EOF
-                Err(_) => return Err(ChannelClosed),
-            }
+        // A blocking receive never returns empty-handed.
+        self.next(true)?.ok_or(ChannelClosed)
+    }
+}
+
+/// Hands additional worker connections to an existing receiver (see
+/// [`TcpReceiver::spawn_attachable`]), waking it if it is blocked in
+/// `recv_batch`. The handle keeps the channel open: drop it once no further
+/// attachment can occur, so the receiver's end-of-stream can fire.
+pub struct PartialAttach {
+    streams: mpsc::Sender<TcpStream>,
+    wake: UnixStream,
+}
+
+impl PartialAttach {
+    /// Adds `stream` to the receiver's poll set; no thread is started.
+    pub fn attach(&self, stream: TcpStream) {
+        // A receiver that is gone has no use for the stream or the wake.
+        if self.streams.send(stream).is_ok() {
+            let _ = (&self.wake).write(&[1]);
         }
     }
 }
@@ -752,6 +759,23 @@ impl TcpTransport {
     pub fn epoch(&self) -> Instant {
         self.epoch
     }
+
+    /// `count` loopback connections, each as a sender/receiver handle pair.
+    fn channels<T: Framed>(
+        &self,
+        count: usize,
+        capacity: usize,
+    ) -> (Vec<TcpSender<T>>, Vec<TcpReceiver<T>>) {
+        (0..count)
+            .map(|_| {
+                let (client, server) = loopback_pair();
+                (
+                    TcpSender::new(client, self.epoch),
+                    TcpReceiver::spawn(vec![server], self.epoch, capacity),
+                )
+            })
+            .unzip()
+    }
 }
 
 impl Default for TcpTransport {
@@ -776,15 +800,7 @@ where
         workers: usize,
         capacity_batches: usize,
     ) -> (Vec<Self::TupleTx>, Vec<Self::TupleRx>) {
-        (0..workers)
-            .map(|_| {
-                let (client, server) = loopback_pair();
-                (
-                    TcpTupleSender::new(client, self.epoch),
-                    TcpTupleReceiver::spawn(vec![server], self.epoch, capacity_batches),
-                )
-            })
-            .unzip()
+        self.channels(workers, capacity_batches)
     }
 
     fn partial_channels(
@@ -792,15 +808,7 @@ where
         aggregators: usize,
         capacity_messages: usize,
     ) -> (Vec<Self::PartialTx>, Vec<Self::PartialRx>) {
-        (0..aggregators)
-            .map(|_| {
-                let (client, server) = loopback_pair();
-                (
-                    TcpPartialSender::new(client, self.epoch),
-                    TcpPartialReceiver::spawn(vec![server], self.epoch, capacity_messages),
-                )
-            })
-            .unzip()
+        self.channels(aggregators, capacity_messages)
     }
 
     fn feedback_channels(
@@ -808,15 +816,7 @@ where
         sources: usize,
         capacity_messages: usize,
     ) -> (Vec<Self::FeedbackTx>, Vec<Self::FeedbackRx>) {
-        (0..sources)
-            .map(|_| {
-                let (client, server) = loopback_pair();
-                (
-                    TcpFeedbackSender::new(client, self.epoch),
-                    TcpFeedbackReceiver::spawn(vec![server], capacity_messages),
-                )
-            })
-            .unzip()
+        self.channels(sources, capacity_messages)
     }
 }
 
@@ -909,7 +909,7 @@ mod tests {
         tx.send(request).unwrap();
         assert_eq!(rx.recv(), Ok(request));
         drop(tx);
-        // EOF propagates: the queue disconnects once the reader drains.
+        // EOF propagates: the channel closes once the EOF frame is read.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match rx.try_recv() {
@@ -986,6 +986,41 @@ mod tests {
                 seq: 1
             }
         ));
+    }
+
+    #[test]
+    fn an_announced_length_reserves_nothing_and_spares_the_sibling() {
+        let epoch = Instant::now();
+        let (mut silent_client, silent_server) = loopback_pair();
+        let (good_client, good_server) = loopback_pair();
+        let rx = TcpTupleReceiver::spawn(vec![silent_server, good_server], epoch, 8);
+        // Four hostile bytes announce the largest frame; nothing follows.
+        let announced = (crate::wire::MAX_FRAME_LEN as u32).to_le_bytes();
+        silent_client.write_all(&announced).unwrap();
+        let tx = TcpTupleSender::new(good_client, epoch);
+        let mut got: Vec<SourceMessage> = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let seq = got.len() as u64;
+            tx.send(SourceMessage::CloseWindow {
+                window: seq,
+                source: 0,
+                seq,
+            })
+            .unwrap();
+            assert_eq!(TupleReceiver::recv_batch(&rx, &mut got), Ok(1));
+            let reactor = rx.reactor.borrow();
+            let silent = &reactor.conns[0];
+            if silent.tail == announced.len() {
+                assert!(
+                    silent.buf.capacity() <= READ_CHUNK,
+                    "{} bytes reserved for a frame that never came",
+                    silent.buf.capacity()
+                );
+                break;
+            }
+            assert!(Instant::now() < deadline, "the prefix never arrived");
+        }
     }
 
     #[test]

@@ -786,15 +786,12 @@ pub fn read_frame<R: Read>(reader: &mut R, scratch: &mut Vec<u8>) -> Result<bool
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(WireError::BadLength(len));
     }
+    // `scratch` grows as bytes arrive, never to the announced length up
+    // front: a prefix followed by silence must not cost `len` bytes.
     scratch.clear();
-    scratch.resize(len, 0);
-    reader.read_exact(scratch).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e)
-        }
-    })?;
+    if reader.take(len as u64).read_to_end(scratch)? < len {
+        return Err(WireError::Truncated);
+    }
     Ok(true)
 }
 
@@ -926,6 +923,22 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn an_announced_length_allocates_nothing_before_its_bytes_arrive() {
+        // Four hostile bytes, then the peer goes away.
+        let mut reader = io::Cursor::new((MAX_FRAME_LEN as u32).to_le_bytes().to_vec());
+        let mut scratch = Vec::new();
+        assert!(matches!(
+            read_frame(&mut reader, &mut scratch),
+            Err(WireError::Truncated)
+        ));
+        assert!(
+            scratch.capacity() < 64 * 1024,
+            "{} bytes reserved for a frame that never came",
+            scratch.capacity()
+        );
     }
 
     #[test]
