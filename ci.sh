@@ -30,6 +30,28 @@ if sed '/^#\[cfg(test)\]/,$d' crates/slb-net/src/tcp.rs | grep -nE 'thread::spaw
     exit 1
 fi
 
+echo "==> one poll loop on the control plane: no sleeps, no locks, no shim channels, one thread, a process-free supervisor"
+# The same cut as above: everything before each file's unit-test module.
+control_plane="crates/slb-net/src/node.rs crates/slb-net/src/orchestrator.rs crates/slb-net/src/supervisor.rs"
+for file in $control_plane; do
+    if sed '/^#\[cfg(test)\]/,$d' "$file" | grep -nE 'thread::sleep|Mutex|crossbeam_channel'; then
+        echo "$file: the control plane waits in poll(2) and shares nothing: no sleep, no lock, no shim channel"
+        exit 1
+    fi
+done
+spawns=$(for file in crates/slb-net/src/*.rs crates/slb-net/src/bin/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$file"
+done | grep -c 'thread::spawn' || true)
+if [ "$spawns" != 1 ]; then
+    echo "slb-net starts $spawns threads; exactly one is allowed, the fault-tolerant node's control loop"
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/slb-net/src/supervisor.rs |
+    grep -nE 'TcpStream|TcpListener|Child|Command|Instant::now|SystemTime'; then
+    echo "supervisor.rs is policy only: no socket, no process, no clock read (the driver in orchestrator.rs has those)"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -80,6 +102,9 @@ PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
 PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props --test replay_props
 PROPTEST_CASES=256 cargo test -q -p slb-telemetry --test histogram_props
 PROPTEST_CASES=256 cargo test -q -p slb-net --test wire_props --test reactor_props
+# The orchestrator's state machine under arbitrary event sequences (no
+# process, no socket: the whole module's tests run in well under a second).
+PROPTEST_CASES=256 cargo test -q -p slb-net --lib supervisor
 
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

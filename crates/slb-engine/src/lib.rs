@@ -64,9 +64,9 @@ pub use topology::{
     assemble_result, compare_schemes, compare_schemes_scenario, run_aggregator_stage,
     run_source_stage, run_worker_stage, AggregatorStageReport, AggregatorSupervision, EngineConfig,
     EngineResult, Feedback, NoFeedback, NoRecovery, PhasePlan, ScenarioConfig, SourceControl,
-    SourceControlEvent, SourceStageReport, StagePlan, Supervised, Topology, TransportStats,
-    WorkerRecovery, WorkerStageReport, DEFAULT_AGGREGATORS, DEFAULT_BATCH_SIZE,
-    DEFAULT_QUEUE_CAPACITY, DEFAULT_WINDOW_SIZE,
+    SourceControlEvent, SourceStageReport, StagePlan, Topology, TransportStats, WorkerRecovery,
+    WorkerStageReport, DEFAULT_AGGREGATORS, DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_CAPACITY,
+    DEFAULT_WINDOW_SIZE,
 };
 pub use transport::{
     capacity_in_batches, feedback_channel_capacity, partial_channel_capacity, ChannelClosed,

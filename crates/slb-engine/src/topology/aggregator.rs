@@ -2,7 +2,7 @@
 //! declares a window final once every (live) worker has contributed.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use slb_core::WindowAggregate;
@@ -53,7 +53,7 @@ pub struct AggregatorSupervision<'a> {
     /// only on it finalize immediately, and later windows no longer expect
     /// it. (Graceful degradation: window counts lose the dead worker's
     /// share, but the run *terminates* with a report instead of hanging.)
-    pub exclusions: &'a crossbeam_channel::Receiver<usize>,
+    pub exclusions: &'a mpsc::Receiver<usize>,
     /// A shared [`HopTelemetry`] the stage updates in place so a metrics
     /// ticker on another thread can snapshot it mid-run; `None` makes the
     /// stage keep a private (plan-gated) one.
@@ -211,10 +211,7 @@ where
 
 /// Drains the queued exclusions into `excluded` without blocking; true if
 /// that dropped anyone new from the quorum.
-fn take_exclusions(
-    exclusions: Option<&crossbeam_channel::Receiver<usize>>,
-    excluded: &mut [bool],
-) -> bool {
+fn take_exclusions(exclusions: Option<&mpsc::Receiver<usize>>, excluded: &mut [bool]) -> bool {
     let mut changed = false;
     while let Some(Ok(worker)) = exclusions.map(|rx| rx.try_recv()) {
         if worker < excluded.len() && !excluded[worker] {
@@ -272,7 +269,7 @@ mod tests {
         assert_eq!(plan.total_windows(), 3);
         let (partial_senders, partial_receivers) = partial_channels(&plan);
         let receiver = partial_receivers.into_iter().next().unwrap();
-        let (exclude_tx, exclude_rx) = crossbeam_channel::bounded(16);
+        let (exclude_tx, exclude_rx) = mpsc::channel();
         let live = Arc::new(HopTelemetry::default());
         let stage_live = Arc::clone(&live);
         let handle = thread::spawn(move || {

@@ -24,8 +24,8 @@
 //!   every frame, the replay sink re-ships a recovering worker's missing
 //!   suffix from a cloned driver. Recovery arrives as
 //!   [`SourceControlEvent`]s from a [`SourceControl`]: [`NoRecovery`],
-//!   [`Feedback`] (the in-process worker → source channel) or
-//!   [`Supervised`] (the process supervisor's control plane).
+//!   [`Feedback`] (the in-process worker → source channel) or `slb-node`'s
+//!   own (the process supervisor's control plane).
 //! * `worker` — [`run_worker_stage`] and its [`WorkerRecovery`] argument
 //!   (none, in-process feedback, or durable respawn).
 //! * `aggregator` — [`run_aggregator_stage`] and its optional
@@ -115,6 +115,5 @@ pub use runner::{
 };
 pub use source::{
     run_source_stage, Feedback, NoRecovery, SourceControl, SourceControlEvent, SourceStageReport,
-    Supervised,
 };
 pub use worker::{run_worker_stage, NoFeedback, WorkerRecovery, WorkerStageReport};

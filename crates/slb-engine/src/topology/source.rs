@@ -83,8 +83,11 @@ pub enum SourceControlEvent {
 /// Where a source's [`SourceControlEvent`]s come from — the one per-role
 /// argument of [`run_source_stage`]. The three in-tree sources of events are
 /// [`NoRecovery`] (none, ever), [`Feedback`] (the in-process worker → source
-/// feedback channel) and [`Supervised`] (the process supervisor's control
-/// plane).
+/// feedback channel) and `slb-node`'s own implementation over the process
+/// supervisor's control plane (see docs/FAULTS.md): a respawned worker
+/// cannot keep a feedback socket across its own death, so its restored
+/// cursors travel in the `Rejoin` control frame instead, and `reattach`
+/// re-dials the respawned process.
 pub trait SourceControl {
     /// Whether a `Rejoin` can ever arrive. `false` lets the stage skip the
     /// window-boundary snapshots replay needs.
@@ -160,38 +163,6 @@ impl<Frx> Feedback<Frx> {
             worker: request.worker,
             from_seq: request.from_seq,
         }
-    }
-}
-
-/// The process supervisor's control plane (see docs/FAULTS.md): the
-/// orchestrator's frames arrive as events on a queue — a respawned worker
-/// cannot keep a feedback socket across its own death, so its restored
-/// cursors travel in the `Rejoin` control frame instead — and `reattach`
-/// re-dials the respawned process.
-pub struct Supervised<'a, F> {
-    /// The event queue; it closing counts as `Release`.
-    pub events: &'a crossbeam_channel::Receiver<SourceControlEvent>,
-    /// See [`SourceControl::reattach`].
-    pub reattach: F,
-    /// See [`SourceControl::live`].
-    pub live: Option<Arc<HopTelemetry>>,
-}
-
-impl<F: FnMut(usize)> SourceControl for Supervised<'_, F> {
-    fn poll(&mut self) -> Option<SourceControlEvent> {
-        self.events.try_recv().ok()
-    }
-
-    fn wait(&mut self) -> SourceControlEvent {
-        self.events.recv().unwrap_or(SourceControlEvent::Release)
-    }
-
-    fn reattach(&mut self, worker: usize) {
-        (self.reattach)(worker)
-    }
-
-    fn live(&self) -> Option<Arc<HopTelemetry>> {
-        self.live.clone()
     }
 }
 
@@ -845,7 +816,7 @@ where
 /// `p`; the engine and `slb-node` both construct it from the shared config
 /// so every backend emits the identical stream.
 ///
-/// With a recoverable `control` ([`Feedback`], [`Supervised`]) the source
+/// With a recoverable `control` ([`Feedback`], `slb-node`'s) the source
 /// keeps a ring of window-boundary snapshots, polls for events between
 /// chunks, serves a `Rejoin` by re-driving the newest covering snapshot, and
 /// — after its own emission completes — keeps serving until `Release`. With
@@ -945,10 +916,10 @@ where
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::Ordering;
 
     use super::super::test_support::{
-        drain_exactly, drain_to_end, tiny_supervised_config, tuple_channels,
+        drain_exactly, drain_to_end, scripted_control, tiny_supervised_config, tuple_channels,
     };
     use super::*;
     use crate::windows::source_stream;
@@ -979,9 +950,8 @@ mod tests {
         let windows = plan.total_windows() as usize;
         let (senders, receivers) = tuple_channels(&plan);
         let receiver = receivers.into_iter().next().unwrap();
-        let (event_tx, event_rx) = crossbeam_channel::bounded(64);
-        let reattached = Arc::new(AtomicUsize::new(0));
-        let reattached_in_source = reattached.clone();
+        let (event_tx, control) = scripted_control();
+        let reattached = control.reattached.clone();
         let source_plan = plan.clone();
         let source = thread::spawn(move || {
             run_source_stage(
@@ -989,13 +959,7 @@ mod tests {
                 0,
                 |_phase| source_stream(&cfg, 0),
                 &senders,
-                Supervised {
-                    events: &event_rx,
-                    reattach: |worker| {
-                        reattached_in_source.fetch_add(worker + 1, Ordering::SeqCst);
-                    },
-                    live: None,
-                },
+                control,
             )
         });
         // Live emission: the whole stream fits in the queue.
@@ -1041,25 +1005,21 @@ mod tests {
         let (senders, receivers) = tuple_channels(&plan);
         let mut receivers = receivers.into_iter();
         let (rx0, rx1) = (receivers.next().unwrap(), receivers.next().unwrap());
-        let (event_tx, event_rx) = crossbeam_channel::bounded(64);
+        let (event_tx, control) = scripted_control();
+        let reattached = control.reattached.clone();
         // Queued before the source starts: served at the first chunk,
         // applied at the first window boundary.
         event_tx
             .send(SourceControlEvent::Exclude { worker: 1 })
             .unwrap();
         event_tx.send(SourceControlEvent::Release).unwrap();
-        let report = run_source_stage(
-            &plan,
-            0,
-            |_phase| source_stream(&cfg, 0),
-            &senders,
-            Supervised {
-                events: &event_rx,
-                reattach: |_| panic!("no rejoin in this test"),
-                live: None,
-            },
-        );
+        let report = run_source_stage(&plan, 0, |_phase| source_stream(&cfg, 0), &senders, control);
         drop(senders);
+        assert_eq!(
+            reattached.load(Ordering::SeqCst),
+            0,
+            "no rejoin in this test"
+        );
         assert_eq!(report.sent, plan.phases[0].tuples_per_source);
         // Worker 1 saw only window 0 (its exclusion landed at window 0's
         // boundary): batches and exactly one close, nothing later.

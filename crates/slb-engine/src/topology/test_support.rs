@@ -1,10 +1,13 @@
 //! Helpers shared by the stage modules' unit tests.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+
 use crossbeam_channel::{bounded, Receiver, Sender};
 use slb_core::PartitionerKind;
 use slb_workloads::{Arrival, KeyId, Scenario, ScenarioPhase};
 
-use super::{EngineConfig, StagePlan};
+use super::{EngineConfig, SourceControl, SourceControlEvent, StagePlan};
 use crate::transport::{
     capacity_in_batches, partial_channel_capacity, PartialWindow, SourceMessage, TupleReceiver,
 };
@@ -27,6 +30,39 @@ pub fn tuple_channels(plan: &StagePlan) -> Channels<SourceMessage> {
 pub fn partial_channels(plan: &StagePlan) -> Channels<PartialWindow<CountPartial>> {
     let capacity = partial_channel_capacity(plan.spawned_workers);
     (0..plan.aggregators).map(|_| bounded(capacity)).unzip()
+}
+
+/// A recoverable [`SourceControl`] a test scripts from outside the source's
+/// thread: events arrive over a queue whose closing counts as `Release`, as
+/// over `slb-node`'s control plane, and every reattach is tallied.
+pub struct ScriptedControl {
+    events: mpsc::Receiver<SourceControlEvent>,
+    /// Sum of `worker + 1` over the reattach calls so far.
+    pub reattached: Arc<AtomicUsize>,
+}
+
+/// A [`ScriptedControl`] and the handle that feeds it.
+pub fn scripted_control() -> (mpsc::Sender<SourceControlEvent>, ScriptedControl) {
+    let (tx, events) = mpsc::channel();
+    let control = ScriptedControl {
+        events,
+        reattached: Arc::default(),
+    };
+    (tx, control)
+}
+
+impl SourceControl for ScriptedControl {
+    fn poll(&mut self) -> Option<SourceControlEvent> {
+        self.events.try_recv().ok()
+    }
+
+    fn wait(&mut self) -> SourceControlEvent {
+        self.events.recv().unwrap_or(SourceControlEvent::Release)
+    }
+
+    fn reattach(&mut self, worker: usize) {
+        self.reattached.fetch_add(worker + 1, Ordering::SeqCst);
+    }
 }
 
 /// A single-source, single-worker config whose entire stream (live + one

@@ -20,14 +20,18 @@
 //!   [`ScenarioConfig`](slb_engine::ScenarioConfig) plus node counts.
 //! * [`node`] — the `slb-node` roles (source / worker / aggregator) and the
 //!   orchestrator that spawns them, wires the sockets, and merges the
-//!   stages' reports back into an [`EngineResult`](slb_engine::EngineResult).
+//!   stages' reports back into an [`EngineResult`](slb_engine::EngineResult):
+//!   one `poll(2)` loop per process on the control plane, with the
+//!   orchestrator's policy a process-free state machine (`supervisor.rs`).
 //!
 //! See `docs/DISTRIBUTED.md` for the wire format, the cluster spec, and the
 //! equivalence argument.
 
 pub mod cluster;
 pub mod node;
+mod orchestrator;
 mod poll;
+mod supervisor;
 pub mod tcp;
 pub mod wire;
 

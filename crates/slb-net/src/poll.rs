@@ -3,6 +3,7 @@
 //! so no new dependency is needed. The only `unsafe` in this crate.
 
 use std::ffi::{c_int, c_short, c_ulong};
+use std::time::Instant;
 
 /// One descriptor to wait on, and the kernel's verdict about it.
 #[repr(C)]
@@ -55,4 +56,14 @@ pub fn wait_readable(fds: &mut [PollFd], timeout_ms: c_int) -> std::io::Result<(
             return Err(error);
         }
     }
+}
+
+/// The `timeout_ms` that ends a wait at `deadline` (forever for `None`),
+/// rounded up to a whole millisecond: a wait that ended just short of its
+/// deadline would only go round again.
+pub fn timeout_until(deadline: Option<Instant>, now: Instant) -> c_int {
+    deadline.map_or(-1, |at| {
+        let micros = at.saturating_duration_since(now).as_micros();
+        c_int::try_from(micros.div_ceil(1000)).unwrap_or(c_int::MAX)
+    })
 }

@@ -64,8 +64,8 @@ use slb_engine::WindowId;
 
 use crate::poll;
 use crate::wire::{
-    decode_payload, encode_frame, encode_tuple_frame, split_frame, tag, FeedbackFrame,
-    PartialFrame, TupleFrame, WireError,
+    decode_payload, encode_frame, encode_tuple_frame, split_frame, tag, ControlFrame,
+    FeedbackFrame, PartialFrame, TupleFrame, WireError,
 };
 
 /// Converts an [`Instant`] to wire form: µs since the transport epoch.
@@ -188,6 +188,19 @@ impl Framed for ReplayRequest {
             }),
             FeedbackFrame::Eof => None,
         })
+    }
+}
+
+/// The control plane reads its frames through the same `Conn` as the data
+/// plane; a control frame carries no timestamp and its channel has no EOF
+/// frame (a FIN between frames is the clean end).
+impl Framed for ControlFrame {
+    fn encode(self, _epoch: Instant, buf: &mut Vec<u8>) {
+        encode_frame(&self, buf);
+    }
+
+    fn decode(payload: &[u8], _epoch: Instant) -> Result<Option<Self>, WireError> {
+        decode_payload(payload).map(Some)
     }
 }
 
@@ -353,7 +366,7 @@ impl TupleSender for ReattachableTupleSender {
 const READ_CHUNK: usize = 64 * 1024;
 
 /// What a connection has next.
-enum Step<T> {
+pub(crate) enum Step<T> {
     Message(T),
     /// No complete frame is buffered; the socket may bring more.
     Dry,
@@ -363,8 +376,8 @@ enum Step<T> {
 
 /// One incoming connection and the received bytes not yet decoded,
 /// `buf[head..tail]`.
-struct Conn {
-    stream: TcpStream,
+pub(crate) struct Conn {
+    pub(crate) stream: TcpStream,
     peer: String,
     buf: Vec<u8>,
     head: usize,
@@ -374,7 +387,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
+    pub(crate) fn new(stream: TcpStream) -> Self {
         // Reads only follow a readable verdict: blocking would still work.
         let _ = stream.set_nonblocking(true);
         let peer = stream
@@ -400,7 +413,7 @@ impl Conn {
     /// One `read`, for a dry connection: the incomplete frame moves to the
     /// front and the rest of the buffer is free. The buffer grows only once
     /// received bytes have filled it — never on a length prefix's say-so.
-    fn read_once(&mut self) {
+    pub(crate) fn read_once(&mut self) {
         self.buf.copy_within(self.head..self.tail, 0);
         self.tail -= self.head;
         self.head = 0;
@@ -419,7 +432,7 @@ impl Conn {
     }
 
     /// Decodes the next complete frame, if one is buffered.
-    fn step<T: Framed>(&mut self, epoch: Instant) -> Step<T> {
+    pub(crate) fn step<T: Framed>(&mut self, epoch: Instant) -> Step<T> {
         let payload = match split_frame(&self.buf[self.head..self.tail]) {
             Ok(payload) => payload,
             Err(WireError::Truncated) => return self.end.take().map_or(Step::Dry, Step::End),

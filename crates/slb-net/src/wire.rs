@@ -51,7 +51,7 @@
 //! `tests/wire_props.rs` pins this down, along with round-trip identity).
 
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 
 use slb_core::wire::{
     read_count, read_u16, read_u32, read_u64, read_u8, write_u32, PartialDecodeError, WirePartial,
@@ -132,12 +132,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-impl From<io::Error> for WireError {
-    fn from(e: io::Error) -> Self {
-        WireError::Io(e)
-    }
-}
 
 impl From<PartialDecodeError> for WireError {
     fn from(e: PartialDecodeError) -> Self {
@@ -705,7 +699,7 @@ wire_type! {
 }
 
 // ---------------------------------------------------------------------------
-// Framing over byte slices and sockets
+// Framing over byte slices
 // ---------------------------------------------------------------------------
 
 /// Appends one complete frame — length prefix, tag, body — to `out`.
@@ -760,39 +754,6 @@ pub fn split_frame(buf: &[u8]) -> Result<&[u8], WireError> {
         return Err(WireError::Truncated);
     }
     Ok(&rest[..len])
-}
-
-/// Reads one frame's payload (tag + body) from `reader` into `scratch`.
-/// Returns `Ok(false)` on a clean end of stream (EOF exactly at a frame
-/// boundary); EOF inside a frame is [`WireError::Truncated`].
-pub fn read_frame<R: Read>(reader: &mut R, scratch: &mut Vec<u8>) -> Result<bool, WireError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match reader.read(&mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(WireError::Truncated)
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Err(WireError::BadLength(len));
-    }
-    // `scratch` grows as bytes arrive, never to the announced length up
-    // front: a prefix followed by silence must not cost `len` bytes.
-    scratch.clear();
-    if reader.take(len as u64).read_to_end(scratch)? < len {
-        return Err(WireError::Truncated);
-    }
-    Ok(true)
 }
 
 /// Run-length encodes a latency tracker's samples as `(value_us, count)`
@@ -895,50 +856,6 @@ mod tests {
             split_frame(&[huge[0], huge[1], huge[2], huge[3]]),
             Err(WireError::BadLength(_))
         ));
-    }
-
-    #[test]
-    fn read_frame_distinguishes_clean_eof_from_truncation() {
-        let close = TupleFrame::Close {
-            window: 5,
-            source: 2,
-            seq: 8,
-        };
-        let mut buf = Vec::new();
-        encode_tuple_frame(&close, &mut buf);
-        // Clean: whole frame then EOF.
-        let mut reader = io::Cursor::new(buf.clone());
-        let mut scratch = Vec::new();
-        assert!(read_frame(&mut reader, &mut scratch).unwrap());
-        assert_eq!(decode_payload::<TupleFrame>(&scratch).unwrap(), close);
-        assert!(!read_frame(&mut reader, &mut scratch).unwrap());
-        // Truncated: EOF mid-frame.
-        for cut in 1..buf.len() {
-            let mut reader = io::Cursor::new(buf[..cut].to_vec());
-            assert!(
-                matches!(
-                    read_frame(&mut reader, &mut scratch),
-                    Err(WireError::Truncated)
-                ),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn an_announced_length_allocates_nothing_before_its_bytes_arrive() {
-        // Four hostile bytes, then the peer goes away.
-        let mut reader = io::Cursor::new((MAX_FRAME_LEN as u32).to_le_bytes().to_vec());
-        let mut scratch = Vec::new();
-        assert!(matches!(
-            read_frame(&mut reader, &mut scratch),
-            Err(WireError::Truncated)
-        ));
-        assert!(
-            scratch.capacity() < 64 * 1024,
-            "{} bytes reserved for a frame that never came",
-            scratch.capacity()
-        );
     }
 
     #[test]

@@ -54,10 +54,11 @@ fn json_u64(line: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("`{needle}` not followed by an integer in: {line}"))
 }
 
-#[test]
-fn orchestrate_streams_metrics_jsonl_with_consistent_rollup() {
-    // ~400 ms of pure service time across 3 workers, sampled every 25 ms:
-    // periodic snapshots are guaranteed several times over.
+/// Runs the suite's one cluster — ~400 ms of pure service time across 3
+/// workers, supervised, `--verify`, `--metrics-dir` — with periodic
+/// snapshots every `interval_ms`, and returns the report and the metrics
+/// stream of a run that succeeded and matched the exact reference.
+fn run_with_metrics_every(interval_ms: u64) -> (String, std::io::Result<String>) {
     let seed = std::env::var("SLB_TEST_SEED").unwrap_or_else(|_| "42".into());
     let spec = format!(
         "# metrics golden: supervised run with a live metrics stream\n\
@@ -75,14 +76,10 @@ fn orchestrate_streams_metrics_jsonl_with_consistent_rollup() {
          window_size 256\n\
          aggregators 2\n"
     );
-    let mut spec_path = std::env::temp_dir();
-    spec_path.push(format!("slb-node-metrics-{}.spec", std::process::id()));
+    let tag = format!("{}-{interval_ms}", std::process::id());
+    let spec_path = std::env::temp_dir().join(format!("slb-node-metrics-{tag}.spec"));
     std::fs::write(&spec_path, &spec).expect("write spec file");
-    let dir: PathBuf = {
-        let mut d = std::env::temp_dir();
-        d.push(format!("slb-node-metrics-dir-{}", std::process::id()));
-        d
-    };
+    let dir: PathBuf = std::env::temp_dir().join(format!("slb-node-metrics-dir-{tag}"));
     let output = Command::new(node_exe())
         .arg("orchestrate")
         .arg("--spec")
@@ -92,13 +89,13 @@ fn orchestrate_streams_metrics_jsonl_with_consistent_rollup() {
         .arg("--metrics-dir")
         .arg(&dir)
         .arg("--metrics-interval-ms")
-        .arg("25")
+        .arg(interval_ms.to_string())
         .output()
         .expect("spawn slb-node orchestrate");
     let _ = std::fs::remove_file(&spec_path);
     let jsonl = std::fs::read_to_string(dir.join("metrics.jsonl"));
     let _ = std::fs::remove_dir_all(&dir);
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         output.status.success(),
@@ -108,6 +105,36 @@ fn orchestrate_streams_metrics_jsonl_with_consistent_rollup() {
         stdout.contains("exact-reference=MATCH"),
         "metrics collection must not perturb the counts\n{stdout}\n{stderr}"
     );
+    (stdout, jsonl)
+}
+
+/// A metrics interval far longer than the run must cost nothing: the timer
+/// is one entry in each node's control loop, and the end of the stage wakes
+/// that loop at once — nobody sits out the interval before reporting.
+#[test]
+fn a_long_metrics_interval_does_not_delay_the_run() {
+    let started = std::time::Instant::now();
+    let (_, jsonl) = run_with_metrics_every(30_000);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(10),
+        "a ~0.5 s run took {elapsed:?} under a 30 s metrics interval"
+    );
+    let jsonl = jsonl.expect("orchestrate must write metrics.jsonl under --metrics-dir");
+    let periodic = jsonl.lines().filter(|l| l.contains("\"final\":false"));
+    assert_eq!(periodic.count(), 0, "no tick was due\n{jsonl}");
+    assert_eq!(
+        jsonl.lines().count(),
+        8,
+        "seven finals and the rollup\n{jsonl}"
+    );
+}
+
+#[test]
+fn orchestrate_streams_metrics_jsonl_with_consistent_rollup() {
+    // Sampled every 25 ms: periodic snapshots are guaranteed several times
+    // over.
+    let (stdout, jsonl) = run_with_metrics_every(25);
     let jsonl = jsonl.expect("orchestrate must write metrics.jsonl under --metrics-dir");
     let lines: Vec<&str> = jsonl.lines().collect();
     assert!(!lines.is_empty(), "metrics.jsonl is empty");
