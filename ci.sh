@@ -52,6 +52,16 @@ if sed '/^#\[cfg(test)\]/,$d' crates/slb-net/src/supervisor.rs |
     exit 1
 fi
 
+echo "==> one heavy-hitter structure: SpaceSaving over one sorted array, no second estimator, no linked slabs"
+if grep -rnE 'MisraGries|misra_gries|MergedSummary' crates; then
+    echo "SpaceSaving is the only heavy-hitter summary; a merge returns a SpaceSaving"
+    exit 1
+fi
+if grep -rnE 'struct (Node|Bucket)|free_(nodes|buckets)|NIL' crates/slb-sketch/src; then
+    echo "space_saving.rs keeps its counters in one sorted Vec: no nodes, buckets, free lists or NIL links"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

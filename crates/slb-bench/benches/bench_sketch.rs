@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks for the heavy-hitter substrate: SpaceSaving
-//! and Misra-Gries update cost on a skewed stream, and the cost of merging
-//! per-source summaries.
+//! update cost on a skewed stream (z = 1.2, mostly hits) and a flat one
+//! (z = 0.6, mostly evictions), and the cost of merging per-source summaries.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use slb_sketch::{merge::merge_space_saving, FrequencyEstimator, MisraGries, SpaceSaving};
+use slb_sketch::{merge::merge_space_saving, FrequencyEstimator, SpaceSaving};
 use slb_workloads::zipf::ZipfGenerator;
 use slb_workloads::KeyStream;
 
@@ -18,34 +18,22 @@ fn sketch_updates(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.throughput(Throughput::Elements(messages));
     for &capacity in &[100usize, 1_000] {
-        group.bench_with_input(
-            BenchmarkId::new("space_saving", capacity),
-            &capacity,
-            |b, &capacity| {
-                b.iter(|| {
-                    let mut ss = SpaceSaving::new(capacity);
-                    let mut stream = ZipfGenerator::with_limit(100_000, 1.2, 3, messages);
-                    while let Some(k) = KeyStream::next_key(&mut stream) {
-                        ss.observe(black_box(&k));
-                    }
-                    black_box(ss.len())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("misra_gries", capacity),
-            &capacity,
-            |b, &capacity| {
-                b.iter(|| {
-                    let mut mg = MisraGries::new(capacity);
-                    let mut stream = ZipfGenerator::with_limit(100_000, 1.2, 3, messages);
-                    while let Some(k) = KeyStream::next_key(&mut stream) {
-                        mg.observe(black_box(&k));
-                    }
-                    black_box(mg.len())
-                })
-            },
-        );
+        for (name, skew) in [("space_saving", 1.2), ("space_saving_z0.6", 0.6)] {
+            group.bench_with_input(
+                BenchmarkId::new(name, capacity),
+                &capacity,
+                |b, &capacity| {
+                    b.iter(|| {
+                        let mut ss = SpaceSaving::new(capacity);
+                        let mut stream = ZipfGenerator::with_limit(100_000, skew, 3, messages);
+                        while let Some(k) = KeyStream::next_key(&mut stream) {
+                            ss.observe(black_box(&k));
+                        }
+                        black_box(ss.len())
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

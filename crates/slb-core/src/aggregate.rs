@@ -19,7 +19,7 @@
 //!   degenerate aggregate whose partial is one integer).
 //! * [`TopKAggregate`] — per-window heavy hitters via SpaceSaving summaries,
 //!   merged with the mergeable-summary path in `slb-sketch`
-//!   ([`slb_sketch::merge::merged_space_saving`]).
+//!   ([`slb_sketch::merge::merge_space_saving`]).
 //!
 //! Partials can additionally be **sharded by key hash** ([`shard`]) so that
 //! more than one aggregator thread can merge disjoint key slices of the same
@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use slb_hash::{bucket_of, KeyHash};
-use slb_sketch::merge::merged_space_saving;
+use slb_sketch::merge::merge_space_saving;
 use slb_sketch::space_saving::Counter;
 use slb_sketch::{FrequencyEstimator, SpaceSaving};
 
@@ -193,8 +193,8 @@ where
 }
 
 /// Per-window heavy hitters: each partial is a SpaceSaving summary of the
-/// window's sub-stream, merged with the Berinde counter-summary merge and
-/// rebuilt into a live summary ([`merged_space_saving`]).
+/// window's sub-stream, merged with the Berinde counter-summary merge into
+/// a live summary ([`merge_space_saving`]).
 ///
 /// While every partial stays below `capacity` distinct keys the summaries
 /// are exact and the merge laws hold with equality; beyond capacity the
@@ -239,7 +239,7 @@ where
     }
 
     fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        *into = merged_space_saving(into, &from, self.capacity);
+        *into = merge_space_saving(&[into, &from], self.capacity);
     }
 
     fn shard(&self, partial: Self::Partial, shards: usize) -> Vec<Self::Partial> {

@@ -49,10 +49,7 @@ impl<K> HeadSnapshot<K> {
 pub struct HeadTracker<K: Eq + Hash + Clone> {
     sketch: SpaceSaving<K>,
     theta: f64,
-    /// Number of observations when the head membership last changed.
-    last_change_at: u64,
-    /// Cached sorted head keys, refreshed on every observation cheaply by
-    /// checking membership of the observed key only.
+    /// Bumped whenever an observed key's head membership changes.
     generation: u64,
 }
 
@@ -70,7 +67,6 @@ impl<K: Eq + Hash + Clone> HeadTracker<K> {
         Self {
             sketch: SpaceSaving::new(capacity),
             theta,
-            last_change_at: 0,
             generation: 0,
         }
     }
@@ -100,7 +96,6 @@ impl<K: Eq + Hash + Clone> HeadTracker<K> {
         let was_head = self.crosses_threshold(est_before, total_before);
         let now_head = self.crosses_threshold(est_after, total_before + 1);
         if was_head != now_head {
-            self.last_change_at = self.sketch.total();
             self.generation += 1;
         }
         now_head

@@ -54,7 +54,6 @@ pub struct HeadAwarePartitioner<K: Eq + Hash + Clone> {
     cached_at_total: u64,
     /// Round-robin cursor for the RR policy.
     rr_next: usize,
-    messages: u64,
     scratch: Vec<usize>,
     /// Memoized `d` hash candidates per head key (D-Choices only). Head
     /// membership is bounded by the sketch capacity, so the map stays small;
@@ -87,7 +86,6 @@ impl<K: KeyHash + Eq + Hash + Clone> HeadAwarePartitioner<K> {
             cached_at_generation: 0,
             cached_at_total: 0,
             rr_next: (config.seed as usize) % config.workers,
-            messages: 0,
             scratch: Vec::with_capacity(config.workers),
             candidate_cache: FixedHashMap::default(),
             cache_generation: 0,
@@ -223,7 +221,6 @@ impl<K: KeyHash + Eq + Hash + Clone> HeadAwarePartitioner<K> {
     /// The full per-tuple decision, shared by `route` and `route_batch`.
     #[inline]
     fn route_one(&mut self, key: &K) -> usize {
-        self.messages += 1;
         let in_head = self.tracker.observe(key);
         let worker = if in_head {
             self.route_head(key)

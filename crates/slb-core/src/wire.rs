@@ -323,6 +323,20 @@ mod tests {
     }
 
     #[test]
+    fn huge_declared_capacity_does_not_allocate_by_the_field() {
+        // capacity = u32::MAX, total 0, no counters: 16 well-formed bytes.
+        // Sizing storage by the declared capacity aborts the process.
+        let mut buf = Vec::new();
+        write_u32(&mut buf, u32::MAX);
+        write_u64(&mut buf, 0);
+        write_u32(&mut buf, 0);
+        if let Ok(summary) = SpaceSaving::<u64>::decode_partial(&mut buf.as_slice()) {
+            assert!(summary.is_empty());
+            assert_eq!(summary.total(), 0);
+        }
+    }
+
+    #[test]
     fn oversized_length_prefix_errors_without_allocating() {
         let mut buf = Vec::new();
         write_u32(&mut buf, u32::MAX);

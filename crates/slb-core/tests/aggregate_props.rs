@@ -9,7 +9,7 @@
 //! * [`CountAggregate`] and [`SumAggregate`] are exact algebras — the laws
 //!   hold with literal equality, always.
 //! * [`TopKAggregate`] (SpaceSaving partials merged via
-//!   `slb_sketch::merge::merged_space_saving`) is exact — and therefore
+//!   `slb_sketch::merge::merge_space_saving`) is exact — and therefore
 //!   obeys the laws with equality — while the summaries stay below
 //!   capacity. Past capacity the equalities relax to the SpaceSaving
 //!   guarantees (additive totals, upper-bound estimates), which are checked

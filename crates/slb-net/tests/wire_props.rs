@@ -773,3 +773,29 @@ proptest! {
         }
     }
 }
+
+/// The byte soup above never forms a well-formed top-k header with a huge
+/// capacity. This frame does: a valid empty summary whose declared capacity
+/// is patched to `u32::MAX`. It may decode (to an empty summary) or be an
+/// error; it must not size an allocation by the field.
+#[test]
+fn huge_declared_summary_capacity_never_aborts_the_decoder() {
+    let frame = PartialFrame::Partial {
+        window: 7,
+        worker: 1,
+        closed_us: 9,
+        partial: SpaceSaving::<u64>::new(1),
+    };
+    let mut buf = Vec::new();
+    encode_frame(&frame, &mut buf);
+    // length prefix, tag, window, worker, closed_us — then the capacity.
+    let at = 4 + 1 + 8 + 4 + 8;
+    assert_eq!(buf[at..at + 4], 1u32.to_le_bytes());
+    buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    if let Ok((PartialFrame::Partial { partial, .. }, consumed)) =
+        decode_frame::<PartialFrame<SpaceSaving<u64>>>(&buf)
+    {
+        assert_eq!(consumed, buf.len());
+        assert!(partial.is_empty());
+    }
+}

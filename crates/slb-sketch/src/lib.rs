@@ -6,10 +6,8 @@
 //! (Metwally et al., ICDT 2005) and its mergeable distributed generalization
 //! (Berinde et al., TODS 2010). This crate provides:
 //!
-//! * [`SpaceSaving`] — the counter-based heavy-hitter algorithm with the
-//!   classic Stream-Summary data structure (O(1) amortized per update).
-//! * [`MisraGries`] — the deterministic frequent-elements algorithm, used as
-//!   an alternative tracker and as a cross-check in tests.
+//! * [`SpaceSaving`] — the counter-based heavy-hitter algorithm over one
+//!   sorted counter array (O(1) array writes per update).
 //! * [`ExactCounter`] — exact frequencies (hash map), the ground truth for
 //!   experiments and tests.
 //! * [`merge`] — merging of per-source summaries into a global view, needed
@@ -20,11 +18,9 @@
 
 pub mod exact;
 pub mod merge;
-pub mod misra_gries;
 pub mod space_saving;
 
 pub use exact::ExactCounter;
-pub use misra_gries::MisraGries;
 pub use space_saving::{Counter, SpaceSaving};
 
 use std::hash::Hash;
@@ -47,8 +43,8 @@ pub trait FrequencyEstimator<K: Eq + Hash + Clone> {
 
     /// Estimated number of occurrences of `key` seen so far.
     ///
-    /// For SpaceSaving this is an upper bound on the true count;
-    /// for Misra-Gries it is a lower bound.
+    /// For SpaceSaving this is an upper bound on the true count; for
+    /// [`ExactCounter`] it is the true count.
     fn estimate(&self, key: &K) -> u64;
 
     /// Total number of observations processed.

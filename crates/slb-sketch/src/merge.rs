@@ -11,10 +11,10 @@
 //! monitored sets, the merged estimate is the sum of the per-summary
 //! estimates, where a summary that does not monitor the key contributes its
 //! `min_count` as the (upper-bound) estimate and the same amount as error.
-//! The merged summary is then truncated back to the target capacity by
-//! keeping the counters with the largest estimates. The resulting error bound
-//! is the sum of the inputs' bounds, which preserves heavy-hitter
-//! completeness for thresholds above the combined bound.
+//! The merged counters are then truncated back to the target capacity by
+//! keeping the largest estimates ([`SpaceSaving::from_counters`]). The
+//! resulting error bound is the sum of the inputs' bounds, which preserves
+//! heavy-hitter completeness for thresholds above the combined bound.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -22,52 +22,26 @@ use std::hash::Hash;
 use crate::space_saving::{Counter, SpaceSaving};
 use crate::FrequencyEstimator;
 
-/// The result of merging several SpaceSaving summaries: a plain list of
-/// counters with the combined total, sorted by decreasing estimate.
-#[derive(Debug, Clone)]
-pub struct MergedSummary<K> {
-    /// Combined stream length across all merged summaries.
-    pub total: u64,
-    /// Merged counters, sorted by decreasing estimated count, truncated to
-    /// the requested capacity.
-    pub counters: Vec<Counter<K>>,
-}
-
-impl<K: Eq + Hash + Clone> MergedSummary<K> {
-    /// Estimated count for `key` (0 if not present in the merged set).
-    pub fn estimate(&self, key: &K) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| &c.key == key)
-            .map(|c| c.count)
-            .unwrap_or(0)
-    }
-
-    /// Keys whose estimated relative frequency is at least `threshold`.
-    pub fn heavy_hitters(&self, threshold: f64) -> Vec<(K, u64)> {
-        let cut = ((threshold * self.total as f64).ceil() as u64).max(1);
-        self.counters
-            .iter()
-            .filter(|c| c.count >= cut)
-            .map(|c| (c.key.clone(), c.count))
-            .collect()
-    }
-}
-
-/// Merges any number of SpaceSaving summaries into a single summary of at
-/// most `capacity` counters.
+/// Merges any number of SpaceSaving summaries (none gives an empty one) into
+/// a live summary of at most `capacity` counters, which can keep observing
+/// or be merged again; the windowed top-k aggregate folds worker partials
+/// pairwise with it. Totals are additive, estimates remain upper bounds on
+/// the combined stream's true counts, and while every input is below
+/// capacity (no evictions, no truncation) the merge is exact and therefore
+/// associative and commutative — the regime the merge-law property tests pin.
 ///
-/// Returns an empty summary when `summaries` is empty.
+/// # Panics
+/// Panics if `capacity == 0`.
 pub fn merge_space_saving<K: Eq + Hash + Clone>(
     summaries: &[&SpaceSaving<K>],
     capacity: usize,
-) -> MergedSummary<K> {
+) -> SpaceSaving<K> {
     let total: u64 = summaries.iter().map(|s| s.total()).sum();
     // Union of monitored keys with summed estimates and errors.
     let mut merged: HashMap<K, (u64, u64)> = HashMap::new();
     for s in summaries {
         for c in s.counters() {
-            let e = merged.entry(c.key.clone()).or_insert((0, 0));
+            let e = merged.entry(c.key).or_insert((0, 0));
             e.0 += c.count;
             e.1 += c.error;
         }
@@ -86,35 +60,10 @@ pub fn merge_space_saving<K: Eq + Hash + Clone>(
             }
         }
     }
-    let mut counters: Vec<Counter<K>> = merged
+    let counters = merged
         .into_iter()
-        .map(|(key, (count, error))| Counter { key, count, error })
-        .collect();
-    counters.sort_by(|a, b| b.count.cmp(&a.count).then(a.error.cmp(&b.error)));
-    counters.truncate(capacity);
-    MergedSummary { total, counters }
-}
-
-/// Merges two SpaceSaving summaries into a new *summary* (not just a counter
-/// list) of the given capacity, so the result can keep observing tuples or be
-/// merged again. This is the merge path the windowed top-k aggregate uses:
-/// worker partials are SpaceSaving instances, and the downstream aggregator
-/// folds them pairwise with this function.
-///
-/// The counter arithmetic is [`merge_space_saving`]; the result is rebuilt
-/// into a live Stream-Summary with [`SpaceSaving::from_counters`]. Totals are
-/// additive (`result.total() == a.total() + b.total()`), estimates remain
-/// upper bounds on the combined stream's true counts, and while both inputs
-/// are below capacity (no evictions, no truncation) the merge is exact and
-/// therefore associative and commutative — the regime the merge-law property
-/// tests pin down.
-pub fn merged_space_saving<K: Eq + Hash + Clone>(
-    a: &SpaceSaving<K>,
-    b: &SpaceSaving<K>,
-    capacity: usize,
-) -> SpaceSaving<K> {
-    let merged = merge_space_saving(&[a, b], capacity);
-    SpaceSaving::from_counters(capacity, merged.total, merged.counters)
+        .map(|(key, (count, error))| Counter { key, count, error });
+    SpaceSaving::from_counters(capacity, total, counters)
 }
 
 #[cfg(test)]
@@ -134,7 +83,7 @@ mod tests {
         let a = summary_from(&[1, 1, 1, 2], 8);
         let b = summary_from(&[3, 3, 4], 8);
         let m = merge_space_saving(&[&a, &b], 8);
-        assert_eq!(m.total, 7);
+        assert_eq!(m.total(), 7);
         assert_eq!(m.estimate(&1), 3);
         assert_eq!(m.estimate(&3), 2);
         assert_eq!(m.estimate(&4), 1);
@@ -168,7 +117,7 @@ mod tests {
         let a = summary_from(&streams[0], cap);
         let b = summary_from(&streams[1], cap);
         let m = merge_space_saving(&[&a, &b], cap);
-        for c in &m.counters {
+        for c in m.counters() {
             let t = truth.get(&c.key).copied().unwrap_or(0);
             assert!(
                 c.count >= t,
@@ -198,17 +147,17 @@ mod tests {
         );
         let b = summary_from(&(50..150u64).collect::<Vec<_>>(), 50);
         let m = merge_space_saving(&[&a, &b], 20);
-        assert!(m.counters.len() <= 20);
-        for w in m.counters.windows(2) {
+        assert!(m.len() <= 20);
+        for w in m.sorted_counters().windows(2) {
             assert!(w[0].count >= w[1].count);
         }
     }
 
     #[test]
     fn merge_of_nothing_is_empty() {
-        let m: MergedSummary<u64> = merge_space_saving(&[], 10);
-        assert_eq!(m.total, 0);
-        assert!(m.counters.is_empty());
+        let m: SpaceSaving<u64> = merge_space_saving(&[], 10);
+        assert_eq!(m.total(), 0);
+        assert!(m.is_empty());
         assert!(m.heavy_hitters(0.1).is_empty());
     }
 
@@ -216,11 +165,11 @@ mod tests {
     fn merged_summary_is_live_and_keeps_observing() {
         let a = summary_from(&[1, 1, 2, 3], 8);
         let b = summary_from(&[1, 4, 4], 8);
-        let mut m = merged_space_saving(&a, &b, 8);
+        let mut m = merge_space_saving(&[&a, &b], 8);
         assert_eq!(m.total(), 7);
         assert_eq!(m.estimate(&1), 3);
         assert_eq!(m.estimate(&4), 2);
-        // The reconstruction is a real Stream-Summary: it can keep counting.
+        // The merge result is a live summary: it can keep counting.
         m.observe(&4);
         m.observe(&4);
         assert_eq!(m.estimate(&4), 4);
@@ -236,11 +185,11 @@ mod tests {
             32,
         );
         let b = summary_from(&[19u64; 5], 32);
-        let m = merged_space_saving(&a, &b, 4);
+        let m = merge_space_saving(&[&a, &b], 4);
         assert_eq!(m.len(), 4);
         assert_eq!(m.estimate(&19), 25);
         assert_eq!(m.estimate(&0), 0, "smallest counter truncated away");
-        // Full at capacity: min_count reports the smallest surviving bucket.
+        // Full at capacity: min_count reports the smallest surviving counter.
         assert!(m.min_count() >= 17);
     }
 

@@ -1,4 +1,4 @@
-//! The SpaceSaving heavy-hitter algorithm with the Stream-Summary structure.
+//! The SpaceSaving heavy-hitter algorithm over one sorted counter array.
 //!
 //! SpaceSaving (Metwally, Agrawal, El Abbadi — ICDT 2005) monitors at most
 //! `capacity` keys. When an unmonitored key arrives and the summary is full,
@@ -10,12 +10,14 @@
 //! * for monitored keys, `true_count ≤ estimate ≤ true_count + error`, and
 //!   `error ≤ m / capacity`.
 //!
-//! The Stream-Summary structure keeps counters grouped into buckets of equal
-//! count, with buckets in increasing count order, so that both increments and
-//! min-evictions run in O(1) amortized time. Buckets and counters live in
-//! slab vectors and reference each other by index, keeping the structure
-//! fully safe (no raw pointers) while avoiding per-update allocation.
+//! The counters live in one `Vec` kept in descending count order, with a
+//! key → position index beside it. A counter only ever grows by one, so a hit
+//! keeps the order by swapping the counter with the first slot of its run of
+//! equal counts before incrementing it, and an eviction overwrites the first
+//! slot of the minimum-count run in place: both are O(1) array writes after
+//! the index probe (plus one binary search when a hit lands inside a run).
 
+use std::cmp::Ordering;
 use std::hash::Hash;
 
 use slb_hash::{FixedHashMap, FixedState};
@@ -34,52 +36,41 @@ pub struct Counter<K> {
     pub error: u64,
 }
 
-const NIL: usize = usize::MAX;
-
-/// Internal slab node holding one monitored key.
-#[derive(Debug, Clone)]
-struct Node<K> {
-    key: K,
-    count: u64,
-    error: u64,
-    /// Bucket this node currently belongs to.
-    bucket: usize,
-    /// Previous/next node within the same bucket (doubly linked).
-    prev: usize,
-    next: usize,
+/// Largest estimate first; among equal estimates, smallest error first.
+fn by_count_then_error<K>(a: &Counter<K>, b: &Counter<K>) -> Ordering {
+    b.count.cmp(&a.count).then(a.error.cmp(&b.error))
 }
 
-/// A bucket groups all counters that share the same count value.
-#[derive(Debug, Clone)]
-struct Bucket {
-    count: u64,
-    /// First node in this bucket's child list.
-    head: usize,
-    /// Neighbouring buckets in increasing-count order.
-    prev: usize,
-    next: usize,
+/// Position of the first slot whose count equals the last (smallest) one.
+fn first_of_min_run<K>(slots: &[Counter<K>]) -> usize {
+    let min = slots.last().map_or(0, |c| c.count);
+    slots.partition_point(|c| c.count > min)
 }
 
 /// SpaceSaving summary over keys of type `K`.
 ///
 /// See the module documentation for the guarantees. The summary is
 /// deterministic: the same input stream always produces the same monitored
-/// set and estimates (ties on eviction are broken by bucket list order).
+/// set and estimates. Among several minimum counters an eviction replaces
+/// the one nearest the front of the array — the one that has sat at the
+/// minimum count longest, unless a hit inside the run swapped it back. The
+/// estimate an update returns, `min_count`, `total` and the multiset of
+/// counts do not depend on that choice (a hit on a minimum counter and an
+/// eviction both turn one `min` into `min + 1`); only [`Counter::error`] and
+/// which minimum-count keys are monitored do.
 #[derive(Debug, Clone)]
 pub struct SpaceSaving<K: Eq + Hash + Clone> {
     capacity: usize,
     total: u64,
-    /// Key → slab node. Fixed-hasher map: the keys are the stream's own
-    /// (integer ids cost one SplitMix64 round, other types fall back to a
-    /// byte-wise fold); [`Self::counters`] promises no order.
+    /// Monitored counters in descending count order.
+    slots: Vec<Counter<K>>,
+    /// Key → position in `slots`. Fixed-hasher map: the keys are the
+    /// stream's own (integer ids cost one SplitMix64 round, other types fall
+    /// back to a byte-wise fold).
     index: FixedHashMap<K, usize>,
-    nodes: Vec<Node<K>>,
-    buckets: Vec<Bucket>,
-    /// Bucket with the smallest count (start of the bucket list), NIL if empty.
-    min_bucket: usize,
-    /// Free lists for slab reuse.
-    free_nodes: Vec<usize>,
-    free_buckets: Vec<usize>,
+    /// First slot of the run of minimum-count counters (0 while empty): the
+    /// next slot an eviction overwrites.
+    min_run: usize,
 }
 
 impl<K: Eq + Hash + Clone> SpaceSaving<K> {
@@ -95,12 +86,9 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         Self {
             capacity,
             total: 0,
+            slots: Vec::with_capacity(capacity),
             index: FixedHashMap::with_capacity_and_hasher(capacity, FixedState),
-            nodes: Vec::with_capacity(capacity),
-            buckets: Vec::with_capacity(capacity.min(64)),
-            min_bucket: NIL,
-            free_nodes: Vec::new(),
-            free_buckets: Vec::new(),
+            min_run: 0,
         }
     }
 
@@ -114,13 +102,14 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         Self::new((1.0 / phi).ceil() as usize)
     }
 
-    /// Reconstructs a summary from an explicit counter list, e.g. the output
-    /// of [`crate::merge::merge_space_saving`] or a by-key partition of
-    /// another summary's counters. Keys must be distinct; counters with a
-    /// zero count are skipped (a live summary never monitors a key it has
-    /// not seen). If more than `capacity` counters are supplied, only the
-    /// largest `capacity` estimates are kept (ties broken by smaller error),
-    /// exactly like the merge truncation.
+    /// Reconstructs a summary from an explicit counter list, e.g. a decoded
+    /// wire partial or a by-key partition of another summary's counters.
+    /// Keys must be distinct; counters with a zero count are skipped (a live
+    /// summary never monitors a key it has not seen). If more than
+    /// `capacity` counters are supplied, only the largest `capacity`
+    /// estimates are kept (ties broken by smaller error). Storage is sized by
+    /// the counters kept, not by `capacity`, which may come from untrusted
+    /// bytes.
     ///
     /// `total` is the claimed length of the stream the counters summarize;
     /// it is carried into [`FrequencyEstimator::total`] unchanged so that
@@ -132,28 +121,23 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     where
         I: IntoIterator<Item = Counter<K>>,
     {
-        let mut list: Vec<Counter<K>> = counters.into_iter().filter(|c| c.count > 0).collect();
-        list.sort_by(|a, b| b.count.cmp(&a.count).then(a.error.cmp(&b.error)));
-        list.truncate(capacity);
-        // Insert in ascending count order so each counter's bucket is at (or
-        // just past) the current tail of the bucket list: O(1) per counter.
-        list.reverse();
-        let mut ss = Self::new(capacity);
-        ss.total = total;
-        let mut tail = NIL;
-        for c in list {
-            let node = ss.alloc_node(c.key.clone(), c.count, c.error);
-            let bucket = if tail != NIL && ss.buckets[tail].count == c.count {
-                tail
-            } else {
-                ss.bucket_with_count_after(c.count, tail)
-            };
-            ss.attach_node(node, bucket);
-            let previous = ss.index.insert(c.key, node);
+        assert!(capacity > 0, "SpaceSaving capacity must be positive");
+        let mut slots: Vec<Counter<K>> = counters.into_iter().filter(|c| c.count > 0).collect();
+        slots.sort_by(by_count_then_error);
+        slots.truncate(capacity);
+        let mut index = FixedHashMap::with_capacity_and_hasher(slots.len(), FixedState);
+        for (pos, c) in slots.iter().enumerate() {
+            let previous = index.insert(c.key.clone(), pos);
             assert!(previous.is_none(), "duplicate key in from_counters");
-            tail = bucket;
         }
-        ss
+        let min_run = first_of_min_run(&slots);
+        Self {
+            capacity,
+            total,
+            slots,
+            index,
+            min_run,
+        }
     }
 
     /// Maximum number of keys this summary monitors.
@@ -165,13 +149,13 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// Number of keys currently monitored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len()
     }
 
     /// True if no keys are monitored yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.slots.is_empty()
     }
 
     /// The smallest monitored count (0 if the summary is not yet full).
@@ -179,209 +163,46 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// This is the maximum error any *unmonitored* key's true count can have,
     /// and the count a newly inserted key inherits on eviction.
     pub fn min_count(&self) -> u64 {
-        if self.index.len() < self.capacity || self.min_bucket == NIL {
+        if self.slots.len() < self.capacity {
             0
         } else {
-            self.buckets[self.min_bucket].count
+            self.slots[self.min_run].count
         }
     }
 
     /// Returns the monitored counter for `key`, if any.
     pub fn get(&self, key: &K) -> Option<Counter<K>> {
-        self.index.get(key).map(|&i| {
-            let n = &self.nodes[i];
-            Counter {
-                key: n.key.clone(),
-                count: n.count,
-                error: n.error,
-            }
-        })
+        self.index.get(key).map(|&pos| self.slots[pos].clone())
     }
 
     /// Iterates over all monitored counters in unspecified order.
     pub fn counters(&self) -> impl Iterator<Item = Counter<K>> + '_ {
-        self.index.values().map(move |&i| {
-            let n = &self.nodes[i];
-            Counter {
-                key: n.key.clone(),
-                count: n.count,
-                error: n.error,
-            }
-        })
+        self.slots.iter().cloned()
     }
 
     /// Returns all monitored counters sorted by decreasing estimated count.
     pub fn sorted_counters(&self) -> Vec<Counter<K>> {
-        let mut v: Vec<Counter<K>> = self.counters().collect();
-        v.sort_by(|a, b| b.count.cmp(&a.count).then(a.error.cmp(&b.error)));
+        let mut v = self.slots.clone();
+        v.sort_by(by_count_then_error);
         v
     }
 
     /// Guaranteed (lower-bound) count for `key`: `count - error` if monitored,
     /// zero otherwise.
     pub fn guaranteed_count(&self, key: &K) -> u64 {
-        self.index
-            .get(key)
-            .map(|&i| self.nodes[i].count - self.nodes[i].error)
-            .unwrap_or(0)
+        self.index.get(key).map_or(0, |&pos| {
+            let c = &self.slots[pos];
+            c.count - c.error
+        })
     }
 
-    // ----- internal slab / linked-list plumbing -------------------------------
-
-    fn alloc_bucket(&mut self, count: u64) -> usize {
-        let b = Bucket {
-            count,
-            head: NIL,
-            prev: NIL,
-            next: NIL,
-        };
-        if let Some(i) = self.free_buckets.pop() {
-            self.buckets[i] = b;
-            i
-        } else {
-            self.buckets.push(b);
-            self.buckets.len() - 1
+    /// Moves the eviction cursor past a slot that just left the minimum run;
+    /// when the run is used up, the new minimum's run is found again.
+    fn advance_min_run(&mut self) {
+        self.min_run += 1;
+        if self.min_run == self.slots.len() {
+            self.min_run = first_of_min_run(&self.slots);
         }
-    }
-
-    fn alloc_node(&mut self, key: K, count: u64, error: u64) -> usize {
-        let n = Node {
-            key,
-            count,
-            error,
-            bucket: NIL,
-            prev: NIL,
-            next: NIL,
-        };
-        if let Some(i) = self.free_nodes.pop() {
-            self.nodes[i] = n;
-            i
-        } else {
-            self.nodes.push(n);
-            self.nodes.len() - 1
-        }
-    }
-
-    /// Unlinks `node` from its bucket's child list; frees the bucket if it
-    /// becomes empty. Returns the bucket the node was in.
-    fn detach_node(&mut self, node: usize) -> usize {
-        let (bucket, prev, next) = {
-            let n = &self.nodes[node];
-            (n.bucket, n.prev, n.next)
-        };
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.buckets[bucket].head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        }
-        self.nodes[node].prev = NIL;
-        self.nodes[node].next = NIL;
-        self.nodes[node].bucket = NIL;
-        if self.buckets[bucket].head == NIL {
-            // Bucket now empty: splice it out of the bucket list.
-            let (bprev, bnext) = (self.buckets[bucket].prev, self.buckets[bucket].next);
-            if bprev != NIL {
-                self.buckets[bprev].next = bnext;
-            } else {
-                self.min_bucket = bnext;
-            }
-            if bnext != NIL {
-                self.buckets[bnext].prev = bprev;
-            }
-            self.free_buckets.push(bucket);
-        }
-        bucket
-    }
-
-    /// Pushes `node` onto the child list of `bucket`.
-    fn attach_node(&mut self, node: usize, bucket: usize) {
-        let old_head = self.buckets[bucket].head;
-        self.nodes[node].bucket = bucket;
-        self.nodes[node].prev = NIL;
-        self.nodes[node].next = old_head;
-        if old_head != NIL {
-            self.nodes[old_head].prev = node;
-        }
-        self.buckets[bucket].head = node;
-    }
-
-    /// Finds or creates the bucket with exactly `count`, positioned right
-    /// after `after` (which may be NIL, meaning "insert at the front").
-    fn bucket_with_count_after(&mut self, count: u64, after: usize) -> usize {
-        let next = if after == NIL {
-            self.min_bucket
-        } else {
-            self.buckets[after].next
-        };
-        if next != NIL && self.buckets[next].count == count {
-            return next;
-        }
-        let b = self.alloc_bucket(count);
-        self.buckets[b].prev = after;
-        self.buckets[b].next = next;
-        if after == NIL {
-            self.min_bucket = b;
-        } else {
-            self.buckets[after].next = b;
-        }
-        if next != NIL {
-            self.buckets[next].prev = b;
-        }
-        b
-    }
-
-    /// Increments the counter stored at `node` by one, moving it to the
-    /// appropriate bucket.
-    fn increment_node(&mut self, node: usize) {
-        let old_bucket = self.nodes[node].bucket;
-        let new_count = self.nodes[node].count + 1;
-        // Does the next-higher bucket already have the new count? We must
-        // look *before* detaching, because detaching may free the old bucket.
-        let next_bucket = self.buckets[old_bucket].next;
-        let old_prev = self.buckets[old_bucket].prev;
-        let old_count = self.buckets[old_bucket].count;
-        debug_assert_eq!(old_count + 1, new_count);
-
-        self.detach_node(node);
-        self.nodes[node].count = new_count;
-
-        // After detaching, the old bucket may have been freed. Work out the
-        // anchor bucket that precedes the position for `new_count`.
-        let anchor = if self.buckets_contains(old_bucket) {
-            old_bucket
-        } else {
-            old_prev
-        };
-        let target = if next_bucket != NIL
-            && self.buckets_contains(next_bucket)
-            && self.buckets[next_bucket].count == new_count
-        {
-            next_bucket
-        } else {
-            self.bucket_with_count_after(new_count, anchor)
-        };
-        self.attach_node(node, target);
-    }
-
-    /// True if `bucket` is currently live (not on the free list).
-    fn buckets_contains(&self, bucket: usize) -> bool {
-        bucket != NIL && !self.free_buckets.contains(&bucket)
-    }
-
-    /// Evicts one node from the minimum bucket and returns (node index,
-    /// evicted count). The node is detached and its key removed from the
-    /// index, but the slab entry is reused by the caller.
-    fn evict_min(&mut self) -> (usize, u64) {
-        debug_assert!(self.min_bucket != NIL, "evict_min on empty summary");
-        let node = self.buckets[self.min_bucket].head;
-        let count = self.buckets[self.min_bucket].count;
-        let key = self.nodes[node].key.clone();
-        self.detach_node(node);
-        self.index.remove(&key);
-        (node, count)
     }
 
     /// Observes one occurrence of `key` and returns the key's estimated
@@ -395,29 +216,50 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// `estimate` lookups.
     pub fn observe_counts(&mut self, key: &K) -> (u64, u64) {
         self.total += 1;
-        if let Some(&node) = self.index.get(key) {
-            let before = self.nodes[node].count;
-            self.increment_node(node);
-            return (before, before + 1);
+        if let Some(at) = self.index.get_mut(key) {
+            let pos = *at;
+            let count = self.slots[pos].count;
+            // Increment at the first slot of the run of equal counts, so the
+            // order holds. Head keys have distinct counts and never swap.
+            let mut first = pos;
+            if pos > 0 && self.slots[pos - 1].count == count {
+                first = self.slots[..pos].partition_point(|c| c.count > count);
+                *at = first;
+                self.slots.swap(first, pos);
+                let moved = self.index.get_mut(&self.slots[pos].key);
+                *moved.expect("every slot's key is indexed") = pos;
+            }
+            self.slots[first].count += 1;
+            if first == self.min_run {
+                self.advance_min_run();
+            }
+            return (count, count + 1);
         }
-        if self.index.len() < self.capacity {
-            let node = self.alloc_node(key.clone(), 1, 0);
-            let bucket = self.bucket_with_count_after(1, NIL);
-            self.attach_node(node, bucket);
-            self.index.insert(key.clone(), node);
+        if self.slots.len() < self.capacity {
+            // A first occurrence joins the minimum side of the array.
+            if self.slots.last().map_or(true, |c| c.count > 1) {
+                self.min_run = self.slots.len();
+            }
+            self.index.insert(key.clone(), self.slots.len());
+            self.slots.push(Counter {
+                key: key.clone(),
+                count: 1,
+                error: 0,
+            });
             return (0, 1);
         }
-        // Summary full: replace the minimum counter.
-        let (node, min_count) = self.evict_min();
-        self.nodes[node].key = key.clone();
-        self.nodes[node].count = min_count;
-        self.nodes[node].error = min_count;
-        let bucket = self.bucket_with_count_after(min_count, NIL);
-        debug_assert_eq!(self.buckets[bucket].count, min_count);
-        self.attach_node(node, bucket);
-        self.index.insert(key.clone(), node);
-        self.increment_node(node);
-        (0, min_count + 1)
+        // Summary full: the new key takes over the slot at the cursor.
+        let slot = &mut self.slots[self.min_run];
+        let min = slot.count;
+        self.index.remove(&slot.key);
+        *slot = Counter {
+            key: key.clone(),
+            count: min + 1,
+            error: min,
+        };
+        self.index.insert(key.clone(), self.min_run);
+        self.advance_min_run();
+        (0, min + 1)
     }
 }
 
@@ -427,10 +269,7 @@ impl<K: Eq + Hash + Clone> FrequencyEstimator<K> for SpaceSaving<K> {
     }
 
     fn estimate(&self, key: &K) -> u64 {
-        self.index
-            .get(key)
-            .map(|&i| self.nodes[i].count)
-            .unwrap_or(0)
+        self.index.get(key).map_or(0, |&pos| self.slots[pos].count)
     }
 
     fn total(&self) -> u64 {
@@ -438,20 +277,64 @@ impl<K: Eq + Hash + Clone> FrequencyEstimator<K> for SpaceSaving<K> {
     }
 
     fn heavy_hitters(&self, threshold: f64) -> Vec<(K, u64)> {
-        let cut = (threshold * self.total as f64).ceil() as u64;
-        let mut hh: Vec<(K, u64)> = self
-            .counters()
-            .filter(|c| c.count >= cut.max(1))
-            .map(|c| (c.key, c.count))
-            .collect();
-        hh.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-        hh
+        let cut = ((threshold * self.total as f64).ceil() as u64).max(1);
+        self.slots
+            .iter()
+            .take_while(|c| c.count >= cut)
+            .map(|c| (c.key.clone(), c.count))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl<K: Eq + Hash + Clone> SpaceSaving<K> {
+        /// The structural invariants every operation must leave in place.
+        fn check(&self) {
+            assert!(self.slots.len() <= self.capacity);
+            assert_eq!(self.index.len(), self.slots.len());
+            let descending = self.slots.windows(2).all(|w| w[0].count >= w[1].count);
+            assert!(descending, "slots out of count order");
+            for (pos, c) in self.slots.iter().enumerate() {
+                assert!(self.index.get(&c.key) == Some(&pos), "index of slot {pos}");
+            }
+            assert_eq!(self.min_run, first_of_min_run(&self.slots), "cursor");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(64))]
+
+        /// Observation interleaved with `from_counters` rebuilds at the same,
+        /// a smaller (truncating) or a larger capacity: the array stays
+        /// sorted, indexed and its cursor on the first minimum slot, and on
+        /// every path (hit, insertion, eviction) `observe_counts` reports
+        /// what bracketing the update with two `estimate` calls would.
+        #[test]
+        fn invariants_hold_after_every_operation(
+            ops in proptest::collection::vec(
+                prop_oneof![3 => 0u64..4, 2 => 4u64..30, 2 => 30u64..400, 1 => 1_000u64..1_004],
+                1..800,
+            ),
+            capacity in 1usize..40,
+        ) {
+            let mut ss = SpaceSaving::new(capacity);
+            for &op in &ops {
+                if op < 1_000 {
+                    let before = ss.estimate(&op);
+                    let reported = ss.observe_counts(&op);
+                    prop_assert_eq!(reported, (before, ss.estimate(&op)));
+                } else {
+                    let shrunk = (capacity / (op - 999) as usize).max(1);
+                    ss = SpaceSaving::from_counters(shrunk, ss.total(), ss.counters());
+                }
+                ss.check();
+            }
+        }
+    }
 
     fn exact_counts(stream: &[u64]) -> std::collections::HashMap<u64, u64> {
         let mut m = std::collections::HashMap::new();
@@ -613,23 +496,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _: SpaceSaving<u64> = SpaceSaving::new(0);
-    }
-
-    #[test]
-    fn observe_counts_reports_before_and_after_estimates() {
-        // Across every code path (monitored increment, insertion under
-        // capacity, eviction), the pair must equal what bracketing the
-        // update with two `estimate` calls would have reported.
-        let mut ss = SpaceSaving::new(3);
-        let mut reference = SpaceSaving::new(3);
-        let stream = [1u64, 2, 1, 3, 4, 4, 5, 1, 6, 2, 7, 7, 7, 1];
-        for k in &stream {
-            let before = reference.estimate(k);
-            reference.observe(k);
-            let after = reference.estimate(k);
-            assert_eq!(ss.observe_counts(k), (before, after), "key {k}");
-        }
-        assert_eq!(ss.total(), reference.total());
     }
 
     #[test]
