@@ -62,6 +62,19 @@ if grep -rnE 'struct (Node|Bucket)|free_(nodes|buckets)|NIL' crates/slb-sketch/s
     exit 1
 fi
 
+echo "==> a key stream's tables are shared, and TCP back-pressure is the credit window"
+# A source snapshots its stream by cloning it at every window close: a table
+# held by value is a 2.4 MB copy per close at 100k keys.
+if sed -n '/^pub struct ZipfGenerator {/,/^}/p' crates/slb-workloads/src/zipf.rs |
+    grep -nE ':[[:space:]]*(ZipfDistribution|AliasTable)\b'; then
+    echo "ZipfGenerator holds its immutable sampler tables behind Arc, so a clone copies a cursor"
+    exit 1
+fi
+if grep -rnE 'SO_SNDBUF|SO_RCVBUF' crates/slb-net/src; then
+    echo "frames in flight are bounded by tcp.rs's credit window, not by socket-buffer sizes"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -110,8 +123,17 @@ PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test agg
 PROPTEST_CASES=256 cargo test -q -p slb-sketch --test proptests
 PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
 PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props --test replay_props
+# What a recoverable source allocates per window close (counting allocator).
+cargo test -q -p slb-engine --test snapshot_cost
 PROPTEST_CASES=256 cargo test -q -p slb-telemetry --test histogram_props
 PROPTEST_CASES=256 cargo test -q -p slb-net --test wire_props --test reactor_props
+# The TCP credit window, by name. Unit tests: a full window holds the next
+# send, a vanished receiver ends the wait, a large last frame survives the
+# sender's drop, a reattached connection starts with a full window.
+# reactor_props: unread credits cost nothing (g), each connection is credited
+# with exactly its own frames (f).
+PROPTEST_CASES=256 cargo test -q -p slb-net --lib --test reactor_props -- \
+    window_ reattachable_sender connections_with_frames_waiting
 # The orchestrator's state machine under arbitrary event sequences (no
 # process, no socket: the whole module's tests run in well under a second).
 PROPTEST_CASES=256 cargo test -q -p slb-net --lib supervisor

@@ -145,7 +145,12 @@ where
         if shards == 1 {
             return vec![partial];
         }
-        let mut out: Vec<Self::Partial> = (0..shards).map(|_| HashMap::new()).collect();
+        // Sized once for an even split plus a quarter of slack: growing from
+        // empty rehashes every slice some eight times per window close.
+        let per_shard = partial.len() / shards + partial.len() / (4 * shards) + 1;
+        let mut out: Vec<Self::Partial> = (0..shards)
+            .map(|_| HashMap::with_capacity(per_shard))
+            .collect();
         for (key, count) in partial {
             let s = shard_of(&key, shards);
             out[s].insert(key, count);

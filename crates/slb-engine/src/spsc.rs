@@ -75,9 +75,12 @@ struct CachePadded<T>(T);
 
 /// Exponential backoff for the transient-full / transient-empty loops:
 /// spin a few times (the common case resolves in nanoseconds while the
-/// peer drains or fills a slot), then yield the core, then sleep in 50 µs
-/// ticks so a long-idle stage (a worker between bursts, an aggregator
-/// waiting for window closes) does not burn its pinned core.
+/// peer drains or fills a slot), then yield the core, then sleep in ticks
+/// so a long-idle stage (a worker between bursts, an aggregator waiting
+/// for window closes) does not burn its pinned core. A tick asks for 50 µs
+/// and gets what the kernel's timer slack allows: `thread::sleep(50 µs)`
+/// measures 130–270 µs on the 2-core CI box (median; 430 µs at the ninth
+/// decile beside a running benchmark).
 struct Backoff(u32);
 
 impl Backoff {
@@ -331,9 +334,9 @@ impl<T> Clone for SpscSender<T> {
 
 impl<T> Drop for SpscSender<T> {
     fn drop(&mut self) {
-        // The lane (and with it the ring's `producer_gone` flag) drops
-        // first — field order — so by the time the count hits zero every
-        // lane is individually marked finished.
+        // A ring has no producer-side flag: the count is the end of stream.
+        // The lane goes first so this handle's last push precedes the
+        // Release decrement, and a receiver that loads zero has seen it.
         self.lane.borrow_mut().take();
         self.edge.handles.fetch_sub(1, Ordering::Release);
     }

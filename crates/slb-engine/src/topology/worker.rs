@@ -396,9 +396,9 @@ where
         match received {
             Ok(_) => {}
             Err(RecvError::Transport(_)) => {
-                // A reader thread hit a malformed frame or a failed
-                // read. Survivable: the erroring connection is done,
-                // but the queue itself (and any other connection
+                // One connection delivered a malformed frame, failed a
+                // read or was reset. Survivable: that connection is
+                // done, but the channel (and any other connection
                 // feeding it) lives on — count it and keep draining.
                 recovery.transport_errors += 1;
                 continue;

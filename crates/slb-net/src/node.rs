@@ -744,6 +744,7 @@ impl Node {
     /// over senders that re-dial respawned workers.
     fn source(&self, mut control: ControlLoop, worker_ports: &[u16]) -> Result<(), String> {
         let (index, epoch) = (self.index, self.epoch);
+        let window = capacity_in_batches(self.plan.queue_capacity, self.plan.batch_size);
         let streams = worker_ports.iter().map(|&port| dial(port));
         let streams = streams.collect::<Result<Vec<_>, _>>()?.into_iter();
         let (forward, events) = mpsc::channel();
@@ -751,11 +752,13 @@ impl Node {
         control.on_frame = Box::new(forward);
         let (mut back, report) = control.beside(self.fault_tolerant, || {
             if !self.fault_tolerant {
-                let senders: Vec<_> = streams.map(|s| TcpTupleSender::new(s, epoch)).collect();
+                let senders: Vec<_> = streams
+                    .map(|s| TcpTupleSender::new(s, epoch, window))
+                    .collect();
                 return run_source(&self.spec, &self.plan, index, &senders, NoRecovery);
             }
             let senders: Vec<_> = streams
-                .map(|s| ReattachableTupleSender::new(s, epoch))
+                .map(|s| ReattachableTupleSender::new(s, epoch, window))
                 .collect();
             let control = Supervised {
                 events,
@@ -792,9 +795,10 @@ impl Node {
         let incoming = accept_peers(listener, plan.sources)?;
         let capacity = capacity_in_batches(plan.queue_capacity, plan.batch_size);
         let receiver = TcpTupleReceiver::spawn(incoming, epoch, capacity);
+        let window = partial_channel_capacity(plan.spawned_workers);
         let mut partial_senders: Vec<TcpPartialSender<CountPartial>> = Vec::new();
         for &port in aggregator_ports {
-            partial_senders.push(TcpPartialSender::new(dial(port)?, epoch));
+            partial_senders.push(TcpPartialSender::new(dial(port)?, epoch, window));
         }
         // Only a fault-tolerant worker opened a store to persist to.
         let recovery = match persist.as_mut() {

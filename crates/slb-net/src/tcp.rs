@@ -6,9 +6,8 @@
 //! * a **sender handle** serializes messages under a mutex and writes one
 //!   complete frame per message straight to the socket (the engine already
 //!   batches tuples, so a frame is ≥ one transport batch — no extra
-//!   buffering layer is needed, and a blocking `write` propagates TCP
-//!   back-pressure to the sending stage). Handles are cloned per sending
-//!   stage instance; when the **last** clone drops, an [`tag::EOF`] frame is
+//!   buffering layer is needed). Handles are cloned per sending stage
+//!   instance; when the **last** clone drops, an [`tag::EOF`] frame is
 //!   written and the write side shuts down.
 //! * a **receiver handle** owns its incoming connections and no thread: the
 //!   receiving stage's own `recv_batch` blocks in one `poll(2)` over the
@@ -16,9 +15,42 @@
 //!   buffer and decodes *complete* frames in place, the connections taking
 //!   turns frame by frame — at most the engine's `queue_capacity`-derived
 //!   budget ([`slb_engine::capacity_in_batches`]) per call. A batch crosses
-//!   one thread hand-off. A stage that is not receiving is not reading, so
-//!   the TCP window fills and the remote senders block: the kernel's socket
-//!   buffers are the only slack in the back-pressure chain.
+//!   one thread hand-off.
+//!
+//! ## Back-pressure: a credit window per connection
+//!
+//! `capacity` bounds the frames in flight on a connection — written by the
+//! sender, not yet handed to the receiving stage — exactly as it bounds the
+//! slots of an `Spsc` lane or an `InProc` queue. The kernel's socket buffers
+//! do not: autotuned, they park hundreds of KB between a fast source and a
+//! busy worker, and every queued frame is latency. So the connection's
+//! otherwise unused reverse direction carries **credits**, one byte per
+//! frame: a receiver, before `recv_batch` returns, writes each connection
+//! the count of frames it just handed over (one small non-blocking `write`);
+//! a sender with `capacity` frames in flight blocks in a `read` of credits
+//! before it writes the next. Every connection starts with a full window,
+//! a reattached or late-attached one included; all three channel kinds use
+//! the one mechanism, and forward bytes are what they were without it.
+//!
+//! What the ends owe each other:
+//!
+//! * A sender waiting for credit sees its receiver go as the end of that
+//!   `read` — FIN or reset — and reports [`ChannelClosed`];
+//!   [`ReattachableTupleSender`] turns it into a detach, like a failed
+//!   write. It never waits on a dead peer.
+//! * A peer that never reads its credits is harmless: once the reverse
+//!   direction is full the credit `write` finds no room, and the debt waits
+//!   for the next call. The receive path never blocks, fails or panics on it.
+//! * The EOF frame takes no room in the window, but the last drop first
+//!   waits until every frame sent has been credited, and only then closes.
+//!   Closing earlier would leave credits unread or still to come, and for
+//!   either the kernel *resets* the connection and discards what it has not
+//!   delivered yet — the tail of a frame larger than the peer's socket
+//!   buffer. An orderly end therefore never involves a reset; a receiver
+//!   that is gone ends the wait at once.
+//!
+//! No `setsockopt` buffer sizing takes part: the sizes that bound latency
+//! are kernel-dependent magic numbers (docs/PERF.md "PR 18" has the sweep).
 //!
 //! FIFO per sender — the ordering the window-punctuation protocol needs —
 //! holds: each sending stage writes its frames in order to one socket, TCP
@@ -38,8 +70,9 @@
 //! with no data to deliver, and told apart from the clean-EOF
 //! `RecvError::Closed` — counts it in its report's `transport_errors`, and
 //! keeps receiving from the surviving connections. This is what a SIGKILLed
-//! peer looks like from the other end: usually a clean FIN, occasionally a
-//! frame torn mid-write; the recovery protocol (`docs/FAULTS.md`) restores
+//! peer looks like from the other end: a reset if it died with credits
+//! unread (a sender mostly has), else a clean FIN, occasionally a frame
+//! torn mid-write; the recovery protocol (`docs/FAULTS.md`) restores
 //! exactness, with the error on the record. Peer bytes can neither panic the
 //! receive path nor make it allocate ahead of what has arrived (`reactor_props`).
 
@@ -204,10 +237,33 @@ impl Framed for ControlFrame {
     }
 }
 
-/// Socket + reusable encode buffer, locked per send.
+/// Socket + reusable encode buffer, locked per send, and the connection's
+/// credit window.
 struct FramedWriter {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Frames written that the receiving stage has not been handed yet, as
+    /// far as the credits read so far say.
+    in_flight: usize,
+    /// The most frames in flight: the channel's capacity.
+    window: usize,
+}
+
+impl FramedWriter {
+    /// Blocks in one `read` of credit bytes: one per frame the receiving
+    /// stage has taken since the last credit. A peer that is gone ends the
+    /// read (FIN or reset), so a sender never waits on a dead receiver.
+    fn await_credit(&mut self) -> Result<(), ChannelClosed> {
+        match self.stream.read(&mut [0; CREDIT_CHUNK]) {
+            Ok(0) => Err(ChannelClosed),
+            Ok(credits) => {
+                self.in_flight = self.in_flight.saturating_sub(credits);
+                Ok(())
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(()),
+            Err(_) => Err(ChannelClosed),
+        }
+    }
 }
 
 /// Shared core of a sender handle. On last-drop it writes an EOF frame and
@@ -218,23 +274,36 @@ struct SenderCore {
 }
 
 impl SenderCore {
-    fn new(stream: TcpStream, epoch: Instant) -> Self {
+    fn new(stream: TcpStream, epoch: Instant, window: usize) -> Self {
         Self {
             writer: Mutex::new(FramedWriter {
                 stream,
                 buf: Vec::with_capacity(4 * 1024),
+                in_flight: 0,
+                window: window.max(1),
             }),
             epoch,
         }
     }
 
-    /// Encodes `message` into the shared buffer and writes its one frame.
+    /// Encodes `message` into the shared buffer and writes its one frame,
+    /// once the window has room for it.
     fn send(&self, message: impl Framed) -> Result<(), ChannelClosed> {
         let mut writer = self.writer.lock().expect("sender lock poisoned");
-        let FramedWriter { stream, buf } = &mut *writer;
+        while writer.in_flight >= writer.window {
+            writer.await_credit()?;
+        }
+        let FramedWriter {
+            stream,
+            buf,
+            in_flight,
+            ..
+        } = &mut *writer;
         buf.clear();
         message.encode(self.epoch, buf);
-        stream.write_all(buf).map_err(|_| ChannelClosed)
+        stream.write_all(buf).map_err(|_| ChannelClosed)?;
+        *in_flight += 1;
+        Ok(())
     }
 }
 
@@ -242,7 +311,14 @@ impl Drop for SenderCore {
     fn drop(&mut self) {
         // Best effort: the peer may already be gone.
         if let Ok(mut writer) = self.writer.lock() {
-            let FramedWriter { stream, buf } = &mut *writer;
+            // The socket closes only once every frame is credited. A credit
+            // that met a closed socket — or a close that left credits unread
+            // — would make the kernel reset the connection and discard what
+            // it had not delivered yet: the tail of a frame larger than the
+            // peer's socket buffer.
+            while writer.in_flight > 0 && writer.await_credit().is_ok() {}
+            // The EOF frame is not a message and takes no room in the window.
+            let FramedWriter { stream, buf, .. } = &mut *writer;
             buf.clear();
             buf.extend_from_slice(&1u32.to_le_bytes());
             buf.push(tag::EOF);
@@ -277,11 +353,12 @@ impl<T> Clone for TcpSender<T> {
 }
 
 impl<T: Framed> TcpSender<T> {
-    /// Wraps a connected stream. `epoch` anchors the wire timestamps.
-    pub fn new(stream: TcpStream, epoch: Instant) -> Self {
+    /// Wraps a connected stream. `epoch` anchors the wire timestamps;
+    /// `window` is the channel's capacity, the most frames in flight.
+    pub fn new(stream: TcpStream, epoch: Instant, window: usize) -> Self {
         let _ = stream.set_nodelay(true);
         Self {
-            core: Arc::new(SenderCore::new(stream, epoch)),
+            core: Arc::new(SenderCore::new(stream, epoch, window)),
             _message: PhantomData,
         }
     }
@@ -316,27 +393,30 @@ impl FeedbackSender for TcpFeedbackSender {
 /// and exactness does not depend on these lost frames — the respawned
 /// worker's `Rejoin` carries its durable cursors and the source replays
 /// everything from there (`docs/FAULTS.md`). [`reattach`](Self::reattach)
-/// installs the replacement connection; the EOF-on-last-drop contract then
-/// applies to the new connection.
+/// installs the replacement connection, which starts with a full window;
+/// the EOF-on-last-drop contract then applies to the new connection.
 #[derive(Clone)]
 pub struct ReattachableTupleSender {
     slot: Arc<Mutex<Option<TcpTupleSender>>>,
     epoch: Instant,
+    window: usize,
 }
 
 impl ReattachableTupleSender {
     /// Wraps an initially connected stream.
-    pub fn new(stream: TcpStream, epoch: Instant) -> Self {
+    pub fn new(stream: TcpStream, epoch: Instant, window: usize) -> Self {
+        let sender = TcpTupleSender::new(stream, epoch, window);
         Self {
-            slot: Arc::new(Mutex::new(Some(TcpTupleSender::new(stream, epoch)))),
+            slot: Arc::new(Mutex::new(Some(sender))),
             epoch,
+            window,
         }
     }
 
     /// Replaces the (dead or live) connection with a fresh one. Subsequent
     /// sends go to the new peer.
     pub fn reattach(&self, stream: TcpStream) {
-        let sender = TcpTupleSender::new(stream, self.epoch);
+        let sender = TcpTupleSender::new(stream, self.epoch, self.window);
         *self.slot.lock().expect("sender slot poisoned") = Some(sender);
     }
 
@@ -365,6 +445,9 @@ impl TupleSender for ReattachableTupleSender {
 /// larger frame doubles it, but only once received bytes have filled it.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// The most credit bytes one `write` carries or one `read` takes.
+const CREDIT_CHUNK: usize = 64;
+
 /// What a connection has next.
 pub(crate) enum Step<T> {
     Message(T),
@@ -384,6 +467,8 @@ pub(crate) struct Conn {
     tail: usize,
     /// What the socket said last; frames already buffered come first.
     end: Option<Result<(), String>>,
+    /// Frames handed to the stage and not yet credited to the sender.
+    owed: usize,
 }
 
 impl Conn {
@@ -400,6 +485,7 @@ impl Conn {
             head: 0,
             tail: 0,
             end: None,
+            owed: 0,
         }
     }
 
@@ -428,6 +514,22 @@ impl Conn {
             // Nothing this time: the next `poll` says readable again.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
             Err(e) => self.end = Some(Err(WireError::Io(e).to_string())),
+        }
+    }
+
+    /// Credits the sender with the frames handed over since the last credit:
+    /// one byte each on the connection's reverse direction, never waiting.
+    /// A peer that does not read its credits fills that direction up; the
+    /// debt then stays for the next call. A dead peer's write error is
+    /// dropped here: the read side reports how the connection ended.
+    fn pay_credits(&mut self) {
+        const CREDITS: [u8; CREDIT_CHUNK] = [0; CREDIT_CHUNK];
+        while self.owed > 0 {
+            match self.stream.write(&CREDITS[..self.owed.min(CREDIT_CHUNK)]) {
+                Ok(written @ 1..) => self.owed -= written,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                _ => break,
+            }
         }
     }
 
@@ -469,8 +571,9 @@ pub struct TcpReceiver<T> {
     _message: PhantomData<fn() -> T>,
 }
 
-/// Source → worker receiver; `capacity` realizes the engine's
-/// `queue_capacity`, in batches.
+/// Source → worker receiver. `capacity` is the engine's `queue_capacity` in
+/// batches: the most frames one `recv_batch` hands over, and — as the
+/// window of the senders built beside it — the most in flight per connection.
 pub type TcpTupleReceiver = TcpReceiver<SourceMessage>;
 /// Worker → aggregator receiver.
 pub type TcpPartialReceiver<P> = TcpReceiver<PartialWindow<P>>;
@@ -559,6 +662,7 @@ impl<T: Framed> TcpReceiver<T> {
                 match reactor.conns[turn].step(self.epoch) {
                     Step::Message(message) => {
                         sink(message);
+                        reactor.conns[turn].owed += 1;
                         taken += 1;
                         passed = 0;
                     }
@@ -573,6 +677,8 @@ impl<T: Framed> TcpReceiver<T> {
                 }
             }
             if taken > 0 {
+                // The stage has these frames now: their senders may go on.
+                reactor.conns.iter_mut().for_each(Conn::pay_credits);
                 return Ok(taken);
             }
             if let Some(error) = reactor.errors.pop_front() {
@@ -783,7 +889,7 @@ impl TcpTransport {
             .map(|_| {
                 let (client, server) = loopback_pair();
                 (
-                    TcpSender::new(client, self.epoch),
+                    TcpSender::new(client, self.epoch, capacity),
                     TcpReceiver::spawn(vec![server], self.epoch, capacity),
                 )
             })
@@ -859,9 +965,14 @@ mod tests {
             seq: 8,
         })
         .unwrap();
-        drop(tx);
+        // A sender's last drop waits for its frames to be taken: receive
+        // first, on this one thread.
         let mut got: Vec<SourceMessage> = Vec::new();
-        while rx.recv_batch(&mut got).is_ok() {}
+        while got.len() < 2 {
+            rx.recv_batch(&mut got).unwrap();
+        }
+        drop(tx);
+        assert_eq!(rx.recv_batch(&mut got), Err(RecvError::Closed));
         assert_eq!(got.len(), 2);
         match &got[0] {
             SourceMessage::Batch(batch) => {
@@ -899,10 +1010,10 @@ mod tests {
             closed_at: Instant::now(),
         })
         .unwrap();
-        drop(tx);
         let mut got = Vec::new();
-        while rx.recv_batch(&mut got).is_ok() {}
-        assert_eq!(got.len(), 1);
+        assert_eq!(rx.recv_batch(&mut got), Ok(1));
+        drop(tx);
+        assert_eq!(rx.recv_batch(&mut got), Err(RecvError::Closed));
         assert_eq!(got[0].window, 4);
         assert_eq!(got[0].worker, 3);
         assert_eq!(got[0].partial, counts);
@@ -950,10 +1061,114 @@ mod tests {
                 })
                 .unwrap();
         }
-        drop(clones);
         let mut got = Vec::new();
-        while rx.recv_batch(&mut got).is_ok() {}
+        while got.len() < 4 {
+            rx.recv_batch(&mut got).unwrap();
+        }
+        drop(clones);
+        assert_eq!(rx.recv_batch(&mut got), Err(RecvError::Closed));
         assert_eq!(got.len(), 4, "EOF must come only after every message");
+    }
+
+    fn close_marker(seq: u64) -> SourceMessage {
+        SourceMessage::CloseWindow {
+            window: seq,
+            source: 0,
+            seq,
+        }
+    }
+
+    #[test]
+    fn window_holds_the_next_send_until_the_stage_takes_a_frame() {
+        for window in [1, 4] {
+            let transport = TcpTransport::loopback();
+            let (mut txs, mut rxs) = Transport::<u64>::tuple_channels(&transport, 1, window);
+            let (tx, rx) = (txs.remove(0), rxs.remove(0));
+            // A full window goes out with the receiver never receiving.
+            for seq in 0..window {
+                tx.send(close_marker(seq as u64)).unwrap();
+            }
+            let (progress, observed) = mpsc::channel();
+            let sender = thread::spawn(move || {
+                progress.send("sending").unwrap();
+                tx.send(close_marker(window as u64)).unwrap();
+                progress.send("sent").unwrap();
+                tx
+            });
+            assert_eq!(observed.recv(), Ok("sending"));
+            assert_eq!(
+                observed.recv_timeout(Duration::from_millis(100)),
+                Err(mpsc::RecvTimeoutError::Timeout),
+                "send {} of window {window} returned with nothing received",
+                window + 1
+            );
+            let mut got: Vec<SourceMessage> = Vec::new();
+            assert!(matches!(rx.recv_batch(&mut got), Ok(1..)));
+            assert_eq!(
+                observed.recv_timeout(Duration::from_secs(10)),
+                Ok("sent"),
+                "one recv_batch must release the waiting sender"
+            );
+            let tx = sender.join().expect("sender thread");
+            while got.len() <= window {
+                rx.recv_batch(&mut got).unwrap();
+            }
+            drop(tx);
+            assert_eq!(rx.recv_batch(&mut got), Err(RecvError::Closed));
+            let seqs: Vec<u64> = got.iter().map(|m| m.source_seq().1).collect();
+            assert_eq!(seqs, (0..=window as u64).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn window_wait_ends_in_channel_closed_when_the_receiver_goes() {
+        let transport = TcpTransport::loopback();
+        let (mut txs, mut rxs) = Transport::<u64>::tuple_channels(&transport, 1, 2);
+        let (tx, rx) = (txs.remove(0), rxs.remove(0));
+        tx.send(close_marker(0)).unwrap();
+        tx.send(close_marker(1)).unwrap();
+        // Whether the receiver goes before the third send starts waiting
+        // for credit or during the wait, the send ends the same way.
+        let sender = thread::spawn(move || tx.send(close_marker(2)));
+        drop(rx);
+        assert_eq!(sender.join().expect("sender thread"), Err(ChannelClosed));
+    }
+
+    #[test]
+    fn window_a_large_last_frame_outlives_the_senders_drop() {
+        // The sender leaves right after a frame no socket buffer holds,
+        // with earlier frames' credits unread and more to come. Closing
+        // then would reset the connection and lose the frame's tail.
+        let transport = TcpTransport::loopback();
+        let (mut txs, mut rxs) = Transport::<u64>::tuple_channels(&transport, 1, 4);
+        let (tx, rx) = (txs.remove(0), rxs.remove(0));
+        let epoch = transport.epoch();
+        let sender = thread::spawn(move || {
+            for seq in 0..4 {
+                let keys = if seq == 3 { 1 << 20 } else { 1 };
+                tx.send(SourceMessage::Batch(TupleBatch {
+                    keys: (0..keys).collect(),
+                    window: 0,
+                    source: 0,
+                    seq,
+                    emitted_at: epoch,
+                }))
+                .unwrap();
+            }
+        });
+        let mut got: Vec<SourceMessage> = Vec::new();
+        let end = loop {
+            if let Err(end) = rx.recv_batch(&mut got) {
+                break end;
+            }
+        };
+        sender.join().expect("sender thread");
+        assert_eq!(end, RecvError::Closed, "an orderly end, not a reset");
+        let sizes = got.iter().map(|message| match message {
+            SourceMessage::Batch(batch) => batch.keys.len(),
+            SourceMessage::CloseWindow { .. } => 0,
+        });
+        assert_eq!(sizes.collect::<Vec<_>>(), [1, 1, 1, 1 << 20]);
     }
 
     #[test]
@@ -962,15 +1177,17 @@ mod tests {
         let (good_client, good_server) = loopback_pair();
         let (bad_client, bad_server) = loopback_pair();
         let rx = TcpTupleReceiver::spawn(vec![good_server, bad_server], epoch, 8);
-        // The healthy connection delivers one message then a clean EOF.
-        let tx = TcpTupleSender::new(good_client, epoch);
-        tx.send(SourceMessage::CloseWindow {
-            window: 3,
-            source: 0,
-            seq: 1,
-        })
-        .unwrap();
-        drop(tx);
+        // The healthy connection delivers one message then a clean EOF
+        // (from a thread: the sender's drop waits for the message to land).
+        let healthy = thread::spawn(move || {
+            TcpTupleSender::new(good_client, epoch, 8)
+                .send(SourceMessage::CloseWindow {
+                    window: 3,
+                    source: 0,
+                    seq: 1,
+                })
+                .unwrap();
+        });
         // The sick connection delivers a frame with an unknown tag.
         let mut bad_client = bad_client;
         bad_client.write_all(&[1, 0, 0, 0, 0xEE]).unwrap();
@@ -984,6 +1201,7 @@ mod tests {
                 Err(RecvError::Closed) => break,
             }
         }
+        healthy.join().expect("healthy sender");
         assert_eq!(
             transport_errors.len(),
             1,
@@ -1010,7 +1228,7 @@ mod tests {
         // Four hostile bytes announce the largest frame; nothing follows.
         let announced = (crate::wire::MAX_FRAME_LEN as u32).to_le_bytes();
         silent_client.write_all(&announced).unwrap();
-        let tx = TcpTupleSender::new(good_client, epoch);
+        let tx = TcpTupleSender::new(good_client, epoch, 8);
         let mut got: Vec<SourceMessage> = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -1040,7 +1258,7 @@ mod tests {
     fn reattachable_sender_swallows_peer_death_and_resumes_after_reattach() {
         let epoch = Instant::now();
         let (client, server) = loopback_pair();
-        let tx = ReattachableTupleSender::new(client, epoch);
+        let tx = ReattachableTupleSender::new(client, epoch, 2);
         assert!(tx.is_attached());
         drop(server);
         // Writes into the dead peer must not error; the first failed write
@@ -1065,31 +1283,35 @@ mod tests {
         })
         .unwrap();
         // A replacement connection restores delivery, including the
-        // EOF-on-drop contract.
+        // EOF-on-drop contract, and starts with a full window: two frames
+        // go out before the new receiver has taken (and credited) any.
         let (client2, server2) = loopback_pair();
         let rx = TcpTupleReceiver::spawn(vec![server2], epoch, 8);
         tx.reattach(client2);
         assert!(tx.is_attached());
-        tx.send(SourceMessage::CloseWindow {
-            window: 7,
-            source: 1,
-            seq: 9,
-        })
-        .unwrap();
-        drop(tx);
-        let mut got: Vec<SourceMessage> = Vec::new();
-        while !matches!(
-            TupleReceiver::recv_batch(&rx, &mut got),
-            Err(RecvError::Closed)
-        ) {}
-        assert_eq!(got.len(), 1);
-        assert!(matches!(
-            got[0],
-            SourceMessage::CloseWindow {
+        for seq in [9, 10] {
+            tx.send(SourceMessage::CloseWindow {
                 window: 7,
                 source: 1,
-                seq: 9
-            }
+                seq,
+            })
+            .unwrap();
+        }
+        let mut got: Vec<SourceMessage> = Vec::new();
+        while got.len() < 2 {
+            TupleReceiver::recv_batch(&rx, &mut got).unwrap();
+        }
+        drop(tx);
+        assert_eq!(
+            TupleReceiver::recv_batch(&rx, &mut got),
+            Err(RecvError::Closed)
+        );
+        assert!(matches!(
+            got[..],
+            [
+                SourceMessage::CloseWindow { seq: 9, .. },
+                SourceMessage::CloseWindow { seq: 10, .. }
+            ]
         ));
     }
 
@@ -1099,34 +1321,39 @@ mod tests {
         let (client1, server1) = loopback_pair();
         let (rx, attach) =
             TcpPartialReceiver::<HashMap<u64, u64>>::spawn_attachable(vec![server1], epoch, 8);
-        let tx1 = TcpPartialSender::<HashMap<u64, u64>>::new(client1, epoch);
-        tx1.send(PartialWindow {
-            window: 0,
-            worker: 0,
-            partial: HashMap::from([(1u64, 2u64)]),
-            closed_at: Instant::now(),
-        })
-        .unwrap();
-        drop(tx1); // clean EOF on the original connection
-                   // A respawned worker dials in later; its frames land in the same
-                   // queue.
-        let (client2, server2) = loopback_pair();
-        attach.attach(server2);
-        let tx2 = TcpPartialSender::<HashMap<u64, u64>>::new(client2, epoch);
-        tx2.send(PartialWindow {
-            window: 1,
-            worker: 1,
-            partial: HashMap::from([(3u64, 4u64)]),
-            closed_at: Instant::now(),
-        })
-        .unwrap();
-        drop(tx2);
-        drop(attach); // no further attachment: end-of-stream may now fire
+        // The workers run beside the receiver: a sender's last drop waits
+        // until the receiver has taken its frames.
+        let workers = thread::spawn(move || {
+            let tx1 = TcpPartialSender::<HashMap<u64, u64>>::new(client1, epoch, 8);
+            tx1.send(PartialWindow {
+                window: 0,
+                worker: 0,
+                partial: HashMap::from([(1u64, 2u64)]),
+                closed_at: Instant::now(),
+            })
+            .unwrap();
+            drop(tx1); // clean EOF on the original connection
+                       // A respawned worker dials in later; its frames land in the
+                       // same queue.
+            let (client2, server2) = loopback_pair();
+            attach.attach(server2);
+            let tx2 = TcpPartialSender::<HashMap<u64, u64>>::new(client2, epoch, 8);
+            tx2.send(PartialWindow {
+                window: 1,
+                worker: 1,
+                partial: HashMap::from([(3u64, 4u64)]),
+                closed_at: Instant::now(),
+            })
+            .unwrap();
+            // `tx2`, then `attach` go here: with no further attachment
+            // possible, end-of-stream may fire.
+        });
         let mut got: Vec<PartialWindow<HashMap<u64, u64>>> = Vec::new();
         while !matches!(
             PartialReceiver::recv_batch(&rx, &mut got),
             Err(RecvError::Closed)
         ) {}
+        workers.join().expect("worker thread");
         got.sort_by_key(|w| w.window);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].worker, 0);

@@ -18,15 +18,18 @@
 //! * **(f) turns** — connections that have frames waiting are served frame by
 //!   frame in turn, whatever `capacity`: a backlog already buffered from one
 //!   never holds back frames that have arrived from another (a worker with
-//!   two sources closes windows at the pace of the *slower* delivery).
+//!   two sources closes windows at the pace of the *slower* delivery); and
+//!   every connection is credited with exactly the frames taken from it.
+//! * **(g) unread credits** — a peer that never reads a byte back (every raw
+//!   client here) is drained all the same: no error, no hang.
 //!
 //! The offline proptest shim has no `prop_map`, so streams are built in the
 //! test bodies from primitive inputs.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -53,6 +56,14 @@ fn loopback_pair() -> (TcpStream, TcpStream) {
     client.set_nodelay(true).unwrap();
     let (server, _) = listener.accept().expect("accept loopback");
     (client, server)
+}
+
+/// A raw client's clean end: a FIN on a frame boundary, the socket staying
+/// open until the test is over. These clients never read their credits, so
+/// *closing* resets the connection — to the receiver a broken one, and the
+/// kernel drops whatever it had not delivered yet.
+fn finish(client: &TcpStream) {
+    client.shutdown(Shutdown::Write).expect("half-close");
 }
 
 /// The frames connection `conn` carries, derived from one seed per frame:
@@ -181,6 +192,7 @@ proptest! {
         let dribbles = dribbles.clone(); // the harness keeps the inputs to print on failure
         let writer = thread::spawn(move || {
             let mut clients: Vec<Option<TcpStream>> = clients.into_iter().map(Some).collect();
+            let mut finished = Vec::new();
             let mut offsets = vec![0usize; streams.len()];
             let mut sizes = dribbles.iter().cycle();
             while clients.iter().any(Option::is_some) {
@@ -194,14 +206,16 @@ proptest! {
                     client.write_all(chunk).expect("the receiver keeps reading");
                     offsets[conn] += chunk.len();
                     if offsets[conn] == streams[conn].len() {
-                        *slot = None; // FIN on a frame boundary: a clean end
+                        finish(client); // FIN on a frame boundary: a clean end
+                        finished.extend(slot.take());
                     }
                 }
                 thread::yield_now();
             }
+            finished
         });
         let (got, errors) = drain(&rx, epoch);
-        writer.join().expect("writer thread");
+        let _still_open = writer.join().expect("writer thread");
         prop_assert_eq!(errors, 0);
         for (conn, sent) in sent.iter().enumerate() {
             let arrived: Vec<&TupleFrame> = got
@@ -330,7 +344,7 @@ proptest! {
         sick_bytes.extend_from_slice(&soup);
         let (valid_prefix, breaks) = model(&sick_bytes);
         sick_client.write_all(&sick_bytes).unwrap();
-        drop(sick_client);
+        finish(&sick_client);
         // The siblings are open, so the receiver cannot close: the sick
         // connection's frames come first, then its report.
         while got.len() < sibling_total + valid_prefix.len() {
@@ -339,7 +353,7 @@ proptest! {
         if breaks {
             prop_assert!(matches!(rx.recv_batch(&mut got), Err(RecvError::Transport(_))));
         }
-        drop(clients);
+        clients.iter().for_each(finish);
         prop_assert!(matches!(rx.recv_batch(&mut got), Err(RecvError::Closed)));
         let got: Vec<TupleFrame> = got.into_iter().map(|m| as_frame(m, epoch)).collect();
         prop_assert_eq!(&got[sibling_total..], &valid_prefix[..]);
@@ -379,7 +393,7 @@ proptest! {
         for (worker, &count) in counts.iter().enumerate() {
             let (client, server) = loopback_pair();
             attach.attach(server);
-            let tx = TcpPartialSender::<Partial>::new(client, epoch);
+            let tx = TcpPartialSender::<Partial>::new(client, epoch, 4);
             tx.send(PartialWindow {
                 window: count,
                 worker,
@@ -412,7 +426,7 @@ proptest! {
         let (clients, servers): (Vec<_>, Vec<_>) = script.iter().map(|_| loopback_pair()).unzip();
         let rx = TcpFeedbackReceiver::spawn(servers, epoch, 4);
         let mut senders: Vec<TcpFeedbackSender> =
-            clients.into_iter().map(|c| TcpFeedbackSender::new(c, epoch)).collect();
+            clients.into_iter().map(|c| TcpFeedbackSender::new(c, epoch, 4)).collect();
         prop_assert_eq!(rx.try_recv(), Ok(None));
         for (worker, &step) in script.iter().enumerate() {
             let request = ReplayRequest { worker, from_seq: step };
@@ -441,7 +455,9 @@ proptest! {
     /// (f) Connection 0's frames are all buffered by the receiver (its first
     /// `recv_batch` read them) before the others' arrive. From then on no
     /// connection gets more than one frame ahead of one that still has
-    /// frames to give — counted from that point, whatever the capacity.
+    /// frames to give — counted from that point, whatever the capacity. And
+    /// each connection's reverse direction then carries one credit byte per
+    /// frame taken from *it*, no more, no fewer.
     #[test]
     fn connections_with_frames_waiting_take_turns(
         seeds in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..12), 2..5),
@@ -467,8 +483,16 @@ proptest! {
             }
         }
         let head_start = got.len();
-        drop(clients);
+        clients.iter().for_each(finish);
         while !matches!(rx.recv_batch(&mut got), Err(RecvError::Closed)) {}
+        // The receiver has let go of every connection: once the taps do
+        // too, a client reads its credits, then the end of the stream.
+        drop(taps);
+        for (client, frames) in clients.iter_mut().zip(&sent) {
+            let mut credits = Vec::new();
+            client.read_to_end(&mut credits).expect("credits, then FIN");
+            prop_assert_eq!(credits.len(), frames.len());
+        }
         let mut left: Vec<usize> = sent.iter().map(Vec::len).collect();
         left[0] -= head_start;
         let mut served = vec![0usize; sent.len()];
@@ -486,5 +510,26 @@ proptest! {
             }
         }
         prop_assert_eq!(left.iter().sum::<usize>(), 0);
+    }
+
+    /// (g) A client writes ten windows' worth of frames and never reads a
+    /// byte back. Nothing waits on it: every frame is delivered, its credits
+    /// pile up unread (or find no room), and the connection ends cleanly.
+    #[test]
+    fn window_credits_nobody_reads_cost_nothing(
+        seeds in proptest::collection::vec(any::<u64>(), 50..51),
+        window in 1usize..6,
+    ) {
+        let epoch = Instant::now();
+        // Written before it is read: small frames only (even seeds).
+        let seeds: Vec<u64> = seeds.iter().take(10 * window).map(|s| s & !1).collect();
+        let sent = frames_from(0, &seeds);
+        let (mut client, server) = loopback_pair();
+        let rx = TcpTupleReceiver::spawn(vec![server], epoch, window);
+        client.write_all(&encoded(&sent)).unwrap();
+        finish(&client);
+        let (got, errors) = drain(&rx, epoch);
+        prop_assert_eq!(errors, 0);
+        prop_assert_eq!(got, sent);
     }
 }

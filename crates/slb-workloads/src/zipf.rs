@@ -14,6 +14,8 @@
 //! * [`fit_exponent_to_p1`] — fits `z` so that the most frequent key has a
 //!   target relative frequency, used to build the WP/TW/CT-like stand-ins.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -173,10 +175,15 @@ pub fn fit_exponent_to_p1(keys: usize, target_p1: f64) -> Result<f64, String> {
 /// rank information. [`ZipfGenerator::rank_of`] / [`ZipfGenerator::key_of`]
 /// convert between the two views (experiments need the rank view to split
 /// head from tail when reporting, the router only ever sees identifiers).
+///
+/// The probability vector and the alias table are immutable once built and
+/// shared behind `Arc`: a clone copies the RNG, the cursor and two pointers.
+/// The engine's sources snapshot their stream by cloning at every window
+/// close, so a clone must not cost the key space (24 bytes per key).
 #[derive(Debug, Clone)]
 pub struct ZipfGenerator {
-    distribution: ZipfDistribution,
-    table: AliasTable,
+    distribution: Arc<ZipfDistribution>,
+    table: Arc<AliasTable>,
     rng: StdRng,
     scramble_seed: u64,
     produced: u64,
@@ -189,8 +196,8 @@ const SCRAMBLE_SALT: u64 = 0xC0FF_EE00_DEAD_BEEF;
 impl ZipfGenerator {
     /// Creates an unbounded generator (use [`Self::with_limit`] to bound it).
     pub fn new(keys: usize, exponent: f64, seed: u64) -> Self {
-        let distribution = ZipfDistribution::new(keys, exponent);
-        let table = AliasTable::new(distribution.probabilities());
+        let distribution = Arc::new(ZipfDistribution::new(keys, exponent));
+        let table = Arc::new(AliasTable::new(distribution.probabilities()));
         Self {
             distribution,
             table,
@@ -250,6 +257,13 @@ impl ZipfGenerator {
     /// simulator keeps its own rank map for large ones.
     pub fn rank_of(&self, key: KeyId) -> Option<u64> {
         (1..=self.distribution.keys() as u64).find(|&r| self.key_of(r) == key)
+    }
+
+    /// Whether `self` and `other` sample from the very same tables.
+    #[cfg(test)]
+    fn shares_tables_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.distribution, &other.distribution)
+            && Arc::ptr_eq(&self.table, &other.table)
     }
 }
 
@@ -454,20 +468,29 @@ mod tests {
     }
 
     #[test]
-    fn mid_stream_clone_replays_the_identical_suffix() {
+    fn mid_stream_clone_shares_the_tables_and_replays_the_identical_suffix() {
         // A positioned generator cloned mid-stream is a replay cursor: the
         // clone re-emits exactly the tuples the original goes on to emit.
         // Source-side replay in the engine's recovery protocol snapshots
-        // streams by cloning at window boundaries, so exactly-once delivery
-        // rests on this property.
-        let mut original = ZipfGenerator::with_limit(500, 1.6, 13, 2_000).scrambled_like(3);
+        // streams by cloning at every window boundary, so exactly-once
+        // delivery rests on this property — and the source's throughput on
+        // the clone copying a cursor, not the key space.
+        let mut original = ZipfGenerator::with_limit(500, 1.6, 13, 10_777).scrambled_like(3);
         for _ in 0..777 {
             KeyStream::next_key(&mut original).expect("stream not exhausted");
         }
         let mut replay = original.clone();
+        assert!(replay.shares_tables_with(&original));
+        assert!(
+            !original.shares_tables_with(&ZipfGenerator::new(500, 1.6, 13)),
+            "separately built generators own separate tables"
+        );
+        let mut compared = 0;
         while let Some(k) = KeyStream::next_key(&mut original) {
             assert_eq!(Some(k), KeyStream::next_key(&mut replay));
+            compared += 1;
         }
+        assert_eq!(compared, 10_000);
         assert_eq!(KeyStream::next_key(&mut replay), None);
     }
 }
