@@ -75,6 +75,16 @@ if grep -rnE 'SO_SNDBUF|SO_RCVBUF' crates/slb-net/src; then
     exit 1
 fi
 
+echo "==> one latency recorder, reports encode themselves: a LogHistogram everywhere, no raw samples, no twin report types"
+# The JSON key "latency_buckets" (a string literal in to_json and the tests
+# that read it) is the one allowed hit.
+gone='LatencyTracker|SLB_LATENCY_RETAIN|sample_retention|value_runs|rle_encode|tracker_from_rle|ReportWire|_report_(to|from)_wire|latency_buckets'
+if grep -rnE "$gone" crates src tests examples |
+    sed -E 's/\\?"latency_buckets\\?"//g' | grep -E "$gone"; then
+    echo "a latency distribution is a LogHistogram (recorded, reported, on the wire, in a snapshot); stage reports cross the wire as the engine's own structs"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -122,7 +132,7 @@ echo "==> property suites at CI case counts"
 PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test aggregate_props --test rescale_props --test checkpoint_props --test durable_props --test controller_props
 PROPTEST_CASES=256 cargo test -q -p slb-sketch --test proptests
 PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
-PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props --test replay_props
+PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props --test replay_props --test latency_props
 # What a recoverable source allocates per window close (counting allocator).
 cargo test -q -p slb-engine --test snapshot_cost
 PROPTEST_CASES=256 cargo test -q -p slb-telemetry --test histogram_props

@@ -1,272 +1,27 @@
-//! Per-tuple latency recording and summarization.
+//! Latency summaries and the per-stage, per-phase metrics built on them.
 //!
 //! The paper reports, per grouping scheme, the maximum of the per-worker
 //! average latencies together with the 50th, 95th and 99th percentiles
 //! across all workers (Figure 14). Workers record each tuple's end-to-end
-//! latency (emit time at the source to completion time at the worker); the
-//! summaries are computed after the run.
+//! latency (emit time at the source to completion time at the worker),
+//! aggregators each partial's close→merge latency; the summaries are
+//! computed after the run.
 //!
-//! # Storage and the percentile error bound
+//! # One recorder
 //!
-//! A tracker always feeds a bounded [`LogHistogram`] (exact `count`,
-//! `sum`, `min`, `max`; log₂-linear buckets with 16 sub-buckets per
-//! octave) and *additionally* retains raw samples up to a cap, so long
-//! runs no longer grow memory without bound. While every recording is
-//! still retained, summaries use the exact nearest-rank percentiles over
-//! the raw samples — bit-identical to the historical behavior, which is
-//! what the differential suites compare. Once a tracker overflows the
-//! cap, summaries switch to histogram quantiles, which **under-report by
-//! strictly less than 2⁻⁴ = 6.25 % relative error** (each bucket spans
-//! 1/16 of its octave and quantiles report the bucket floor); `samples`,
-//! `mean_us`, `max_avg_us`, and `max_us` stay exact in either mode.
-//!
-//! The cap is `SLB_LATENCY_RETAIN`: unset defaults to
-//! [`DEFAULT_SAMPLE_RETENTION`], a number overrides it (`0` = bucketed
-//! only), and `exact` disables the cap for tests that need unbounded raw
-//! retention. A malformed value fails fast at first use, like
-//! `SLB_HEARTBEAT_TIMEOUT_MS`.
-
-use std::sync::OnceLock;
+//! A latency distribution is a [`LogHistogram`] — in a stage's report, on
+//! the wire, in a metrics snapshot and in [`crate::EngineResult`]: exact
+//! `count`, `sum`, `min` and `max`, and log₂-linear buckets with 16
+//! sub-buckets per octave, 7.6 KiB however long the run. No raw sample is
+//! kept. So `samples`, `mean_us`, `max_avg_us` and `max_us` are exact, and
+//! a percentile is the floor of the bucket holding its nearest rank: it
+//! **under-reports by strictly less than 2⁻⁴ = 6.25 %** (exact below 16 µs),
+//! on the same grid for every scheme, so orderings and ratios between
+//! schemes are unaffected. `slb-telemetry`'s `histogram_props` pins the
+//! bound; `tests/latency_props.rs` pins this module against raw samples.
 
 use serde::{Deserialize, Serialize};
 use slb_telemetry::LogHistogram;
-
-/// Raw samples a tracker retains by default before switching summaries to
-/// the bucketed path (64 Ki samples = 512 KiB per tracker at most).
-pub const DEFAULT_SAMPLE_RETENTION: usize = 65_536;
-
-/// Parses an `SLB_LATENCY_RETAIN` value: `None` (unset) gives
-/// [`DEFAULT_SAMPLE_RETENTION`], `"exact"` disables the cap, a number is
-/// the cap itself. Anything else is a configuration mistake and panics —
-/// fail fast beats silently mis-sized retention.
-pub fn parse_sample_retention(value: Option<&str>) -> usize {
-    match value {
-        None => DEFAULT_SAMPLE_RETENTION,
-        Some("exact") => usize::MAX,
-        Some(text) => text.parse().unwrap_or_else(|_| {
-            panic!("SLB_LATENCY_RETAIN must be `exact` or a sample count, got {text:?}")
-        }),
-    }
-}
-
-/// The process-wide retention cap, resolved from the environment once.
-fn sample_retention() -> usize {
-    static RETENTION: OnceLock<usize> = OnceLock::new();
-    *RETENTION
-        .get_or_init(|| parse_sample_retention(std::env::var("SLB_LATENCY_RETAIN").ok().as_deref()))
-}
-
-/// Collects latency samples (in microseconds) for one worker: a bounded
-/// histogram of everything plus a capped raw-sample prefix (module docs).
-#[derive(Debug, Clone, Default)]
-pub struct LatencyTracker {
-    samples_us: Vec<u64>,
-    hist: LogHistogram,
-}
-
-impl LatencyTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a tracker pre-allocating room for `capacity` raw samples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            samples_us: Vec::with_capacity(capacity.min(sample_retention())),
-            hist: LogHistogram::new(),
-        }
-    }
-
-    /// Records one latency sample in microseconds.
-    #[inline]
-    pub fn record_us(&mut self, micros: u64) {
-        self.hist.record(micros);
-        if self.samples_us.len() < sample_retention() {
-            self.samples_us.push(micros);
-        }
-    }
-
-    /// Records the same latency for `count` tuples at once — used by the
-    /// batched engine, where every tuple of a drained batch shares one
-    /// timestamped emit instant. Feeds the histogram in O(1); raw copies
-    /// are pushed only up to the retention cap.
-    #[inline]
-    pub fn record_many_us(&mut self, micros: u64, count: u64) {
-        self.hist.record_n(micros, count);
-        let room = sample_retention().saturating_sub(self.samples_us.len());
-        let keep = (count as usize).min(room);
-        if keep > 0 {
-            self.samples_us.resize(self.samples_us.len() + keep, micros);
-        }
-    }
-
-    /// Number of samples recorded (all of them, not just the retained
-    /// raw prefix).
-    pub fn len(&self) -> usize {
-        self.hist.count() as usize
-    }
-
-    /// True if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.hist.is_empty()
-    }
-
-    /// True while every recording is still retained raw, i.e. summaries
-    /// take the exact nearest-rank path.
-    pub fn is_exact(&self) -> bool {
-        self.samples_us.len() as u64 == self.hist.count()
-    }
-
-    /// Mean latency in microseconds (0 when empty). Exact in both modes
-    /// (the histogram tracks the exact sum).
-    pub fn mean_us(&self) -> f64 {
-        self.hist.mean()
-    }
-
-    /// The retained raw samples — the full recording while
-    /// [`Self::is_exact`], a capped prefix after.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples_us
-    }
-
-    /// The always-fed bounded histogram behind the tracker.
-    pub fn histogram(&self) -> &LogHistogram {
-        &self.hist
-    }
-
-    /// The recording as `(value_us, count)` runs for the wire: an exact
-    /// run-length encoding of the raw samples while [`Self::is_exact`]
-    /// (batched samples compress well — adjacent tuples share an emit
-    /// instant), the sparse histogram `(bucket floor, count)` pairs once
-    /// the cap overflowed. Bucket floors re-bucket into the same buckets
-    /// (`bucket_floor` is a fixed point of `bucket_index`), so a peer
-    /// rebuilding a tracker from these runs via [`Self::record_many_us`]
-    /// reconstructs the bucket counts exactly; in bucketed mode the
-    /// rebuilt mean/min/max inherit the ≤ 6.25 % under-report of the
-    /// floors.
-    pub fn value_runs(&self) -> Vec<(u64, u64)> {
-        if self.is_exact() {
-            let mut runs: Vec<(u64, u64)> = Vec::new();
-            for &value in &self.samples_us {
-                match runs.last_mut() {
-                    Some((last, count)) if *last == value => *count += 1,
-                    _ => runs.push((value, 1)),
-                }
-            }
-            runs
-        } else {
-            self.hist
-                .nonzero_buckets()
-                .into_iter()
-                .map(|(bucket, count)| (slb_telemetry::bucket_floor(bucket as usize), count))
-                .collect()
-        }
-    }
-
-    /// Merges the samples of several trackers and produces a summary, also
-    /// reporting the maximum per-tracker mean (the paper's "max avg").
-    pub fn summarize(trackers: &[LatencyTracker]) -> LatencySummary {
-        let max_avg_us = trackers
-            .iter()
-            .filter(|t| !t.is_empty())
-            .map(LatencyTracker::mean_us)
-            .fold(0.0f64, f64::max);
-        if trackers.iter().all(LatencyTracker::is_exact) {
-            let all: Vec<u64> = trackers
-                .iter()
-                .flat_map(|t| t.samples_us.iter().copied())
-                .collect();
-            Self::summary_of(all, max_avg_us)
-        } else {
-            let mut merged = LogHistogram::new();
-            for tracker in trackers {
-                merged.merge(&tracker.hist);
-            }
-            Self::summary_of_histogram(&merged, max_avg_us)
-        }
-    }
-
-    /// Summarizes a phase-major tracker matrix (`trackers[phase][worker]`),
-    /// grouping by worker for the "max avg" statistic. Equivalent to merging
-    /// each worker's per-phase trackers first and calling
-    /// [`Self::summarize`], but flattens the samples once instead of
-    /// materializing per-worker copies (which would double a multi-phase
-    /// run's latency-sample memory at join time).
-    pub fn summarize_by_worker(phase_major: &[Vec<LatencyTracker>]) -> LatencySummary {
-        let workers = phase_major.first().map_or(0, Vec::len);
-        let mut max_avg_us = 0.0f64;
-        for worker in 0..workers {
-            let mut merged = LogHistogram::new();
-            for row in phase_major {
-                merged.merge(&row[worker].hist);
-            }
-            if !merged.is_empty() {
-                max_avg_us = max_avg_us.max(merged.mean());
-            }
-        }
-        let exact = phase_major.iter().flatten().all(LatencyTracker::is_exact);
-        if exact {
-            let total: usize = phase_major
-                .iter()
-                .flatten()
-                .map(|t| t.samples_us.len())
-                .sum();
-            let mut all: Vec<u64> = Vec::with_capacity(total);
-            for row in phase_major {
-                for tracker in row {
-                    all.extend_from_slice(&tracker.samples_us);
-                }
-            }
-            Self::summary_of(all, max_avg_us)
-        } else {
-            let mut merged = LogHistogram::new();
-            for tracker in phase_major.iter().flatten() {
-                merged.merge(&tracker.hist);
-            }
-            Self::summary_of_histogram(&merged, max_avg_us)
-        }
-    }
-
-    /// Exact percentile/mean summary over an unsorted sample vector.
-    fn summary_of(mut all: Vec<u64>, max_avg_us: f64) -> LatencySummary {
-        if all.is_empty() {
-            return LatencySummary::default();
-        }
-        all.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            let idx = ((all.len() as f64 - 1.0) * p).round() as usize;
-            all[idx]
-        };
-        LatencySummary {
-            samples: all.len() as u64,
-            mean_us: all.iter().map(|&v| v as u128).sum::<u128>() as f64 / all.len() as f64,
-            max_avg_us,
-            p50_us: pct(0.50),
-            p95_us: pct(0.95),
-            p99_us: pct(0.99),
-            max_us: *all.last().expect("non-empty"),
-        }
-    }
-
-    /// Bucketed summary for trackers past the retention cap: percentiles
-    /// from histogram quantiles (< 6.25 % under-report, module docs);
-    /// samples, mean, and max stay exact.
-    fn summary_of_histogram(hist: &LogHistogram, max_avg_us: f64) -> LatencySummary {
-        if hist.is_empty() {
-            return LatencySummary::default();
-        }
-        LatencySummary {
-            samples: hist.count(),
-            mean_us: hist.mean(),
-            max_avg_us,
-            p50_us: hist.quantile(0.50),
-            p95_us: hist.quantile(0.95),
-            p99_us: hist.quantile(0.99),
-            max_us: hist.max(),
-        }
-    }
-}
 
 /// Summary statistics over all recorded latencies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -288,6 +43,34 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
+    /// Summarizes a phase-major matrix of histograms
+    /// (`phase_major[phase][worker]`): every statistic is over all of them
+    /// merged, except `max_avg_us` — the paper's "max avg" — which is the
+    /// largest mean any one worker has over its phases merged. One phase's
+    /// summary is the one-row matrix `&phase_major[p..=p]`.
+    pub fn by_worker(phase_major: &[Vec<LogHistogram>]) -> Self {
+        let workers = phase_major.iter().map(Vec::len).max().unwrap_or(0);
+        let mut all = LogHistogram::new();
+        let mut max_avg_us = 0.0f64;
+        for worker in 0..workers {
+            let mut merged = LogHistogram::new();
+            for hist in phase_major.iter().filter_map(|row| row.get(worker)) {
+                merged.merge(hist);
+            }
+            max_avg_us = max_avg_us.max(merged.mean());
+            all.merge(&merged);
+        }
+        Self {
+            samples: all.count(),
+            mean_us: all.mean(),
+            max_avg_us,
+            p50_us: all.quantile(0.50),
+            p95_us: all.quantile(0.95),
+            p99_us: all.quantile(0.99),
+            max_us: all.max(),
+        }
+    }
+
     /// Mean latency in milliseconds.
     pub fn mean_ms(&self) -> f64 {
         self.mean_us / 1_000.0
@@ -422,190 +205,94 @@ pub struct PhaseMetrics {
 mod tests {
     use super::*;
 
+    fn hist_of(values: &[u64]) -> LogHistogram {
+        let mut hist = LogHistogram::new();
+        for &v in values {
+            hist.record(v);
+        }
+        hist
+    }
+
     #[test]
     fn mean_and_percentiles_of_known_samples() {
-        let mut t = LatencyTracker::new();
-        for v in 1..=100u64 {
-            t.record_us(v);
-        }
-        assert_eq!(t.len(), 100);
-        assert!((t.mean_us() - 50.5).abs() < 1e-9);
-        let s = LatencyTracker::summarize(&[t]);
+        let values: Vec<u64> = (1..=100).collect();
+        let s = LatencySummary::by_worker(&[vec![hist_of(&values)]]);
         assert_eq!(s.samples, 100);
-        // Nearest-rank on the sorted samples 1..=100: index round(99·p).
-        assert_eq!(s.p50_us, 51);
-        assert_eq!(s.p95_us, 95);
-        assert_eq!(s.p99_us, 99);
+        assert!((s.mean_us - 50.5).abs() < 1e-9);
+        assert!((s.max_avg_us - 50.5).abs() < 1e-9);
+        // Nearest rank round(99·p) of 1..=100 is 51, 95, 99: reported as
+        // the floors of their buckets (width 2 from 32, 4 from 64).
+        assert_eq!(s.p50_us, 50);
+        assert_eq!(s.p95_us, 92);
+        assert_eq!(s.p99_us, 96);
         assert_eq!(s.max_us, 100);
     }
 
     #[test]
     fn record_many_matches_repeated_record() {
-        let mut a = LatencyTracker::new();
-        let mut b = LatencyTracker::new();
-        a.record_many_us(7, 5);
-        a.record_many_us(3, 0);
-        for _ in 0..5 {
-            b.record_us(7);
-        }
-        assert_eq!(a.samples(), b.samples());
-        assert_eq!(a.len(), 5);
+        let mut a = LogHistogram::new();
+        a.record_n(7, 5);
+        a.record_n(3, 0);
+        assert_eq!(a, hist_of(&[7; 5]));
+        assert_eq!(a.count(), 5);
     }
 
     #[test]
     fn summarize_reports_max_of_worker_means() {
-        let mut fast = LatencyTracker::new();
-        let mut slow = LatencyTracker::new();
-        for _ in 0..10 {
-            fast.record_us(100);
-            slow.record_us(10_000);
-        }
-        let s = LatencyTracker::summarize(&[fast, slow]);
+        let s = LatencySummary::by_worker(&[vec![hist_of(&[100; 10]), hist_of(&[10_000; 10])]]);
         assert!((s.max_avg_us - 10_000.0).abs() < 1e-9);
+        assert!((s.mean_us - 5_050.0).abs() < 1e-9);
         assert_eq!(s.samples, 20);
     }
 
     #[test]
-    fn empty_trackers_summarize_to_zeros() {
-        let s = LatencyTracker::summarize(&[LatencyTracker::new(), LatencyTracker::new()]);
-        assert_eq!(s, LatencySummary::default());
-        assert_eq!(
-            LatencyTracker::summarize_by_worker(&[]),
-            LatencySummary::default()
-        );
-        assert_eq!(
-            LatencyTracker::summarize_by_worker(&[vec![LatencyTracker::new()]]),
-            LatencySummary::default()
-        );
-    }
-
-    #[test]
-    fn summarize_by_worker_matches_merged_per_worker_summarize() {
-        // Phase-major matrix: 3 phases × 2 workers with distinct sample runs.
-        let tracker = |values: &[u64]| {
-            let mut t = LatencyTracker::new();
-            for &v in values {
-                t.record_us(v);
-            }
-            t
-        };
-        let phase_major = vec![
-            vec![tracker(&[10, 20]), tracker(&[1_000])],
-            vec![tracker(&[]), tracker(&[2_000, 3_000])],
-            vec![tracker(&[30]), tracker(&[4_000])],
-        ];
-        // Reference: merge each worker's phases by hand, then summarize.
-        let merged = vec![
-            tracker(&[10, 20, 30]),
-            tracker(&[1_000, 2_000, 3_000, 4_000]),
-        ];
-        assert_eq!(
-            LatencyTracker::summarize_by_worker(&phase_major),
-            LatencyTracker::summarize(&merged)
-        );
-    }
-
-    #[test]
-    fn single_sample_summary() {
-        let mut t = LatencyTracker::new();
-        t.record_us(42);
-        let s = LatencyTracker::summarize(&[t]);
-        assert_eq!(s.p50_us, 42);
-        assert_eq!(s.p99_us, 42);
-        assert_eq!(s.max_us, 42);
-        assert!((s.mean_us - 42.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retention_knob_parses_and_fails_fast() {
-        assert_eq!(parse_sample_retention(None), DEFAULT_SAMPLE_RETENTION);
-        assert_eq!(parse_sample_retention(Some("exact")), usize::MAX);
-        assert_eq!(parse_sample_retention(Some("0")), 0);
-        assert_eq!(parse_sample_retention(Some("1024")), 1024);
-        let panic = std::panic::catch_unwind(|| parse_sample_retention(Some("plenty")))
-            .expect_err("malformed SLB_LATENCY_RETAIN must panic");
-        let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            message.contains("SLB_LATENCY_RETAIN") && message.contains("plenty"),
-            "panic must name the variable and value: {message}"
-        );
-    }
-
-    #[test]
-    fn overflowed_tracker_summarizes_from_the_histogram() {
-        // Simulate retention overflow without touching the process-wide
-        // env knob: drop the raw prefix so only the histogram remains.
-        let mut t = LatencyTracker::new();
-        for v in 1..=100_000u64 {
-            t.record_us(v);
-        }
-        t.samples_us.clear();
-        assert!(!t.is_exact());
-        assert_eq!(t.len(), 100_000);
-        let s = LatencyTracker::summarize(&[t]);
-        // Scalars stay exact on the bucketed path...
-        assert_eq!(s.samples, 100_000);
-        assert!((s.mean_us - 50_000.5).abs() < 1e-6);
-        assert_eq!(s.max_us, 100_000);
-        // ...while percentiles under-report within the 6.25% bound.
-        for (got, exact) in [
-            (s.p50_us, 50_001u64),
-            (s.p95_us, 95_001),
-            (s.p99_us, 99_001),
+    fn empty_histograms_summarize_to_zeros() {
+        let empty = LogHistogram::new;
+        for matrix in [
+            vec![],
+            vec![vec![]],
+            vec![vec![empty(), empty()], vec![empty()]],
         ] {
-            assert!(got <= exact, "quantile must never over-report");
-            assert!(
-                (exact as f64) < (got as f64) * (1.0 + 1.0 / 16.0) + 1.0,
-                "reported {got} vs exact {exact} exceeds the bound"
+            assert_eq!(
+                LatencySummary::by_worker(&matrix),
+                LatencySummary::default()
             );
         }
     }
 
     #[test]
-    fn one_overflowed_tracker_switches_the_worker_matrix_to_bucketed() {
-        let exact_tracker = |values: &[u64]| {
-            let mut t = LatencyTracker::new();
-            for &v in values {
-                t.record_us(v);
-            }
-            t
-        };
-        let mut overflowed = exact_tracker(&[500, 600, 700]);
-        overflowed.samples_us.truncate(1);
-        let phase_major = vec![vec![exact_tracker(&[100, 200]), overflowed]];
-        let s = LatencyTracker::summarize_by_worker(&phase_major);
-        assert_eq!(s.samples, 5);
-        assert!((s.mean_us - 420.0).abs() < 1e-9);
-        // Worker means come from exact histogram sums in both modes.
-        assert!((s.max_avg_us - 600.0).abs() < 1e-9);
-        assert_eq!(s.max_us, 700);
+    fn summarize_by_worker_matches_merged_per_worker_summarize() {
+        // Phase-major matrix: 3 phases × 2 workers with distinct sample runs.
+        let phase_major = vec![
+            vec![hist_of(&[10, 20]), hist_of(&[1_000])],
+            vec![hist_of(&[]), hist_of(&[2_000, 3_000])],
+            vec![hist_of(&[30]), hist_of(&[4_000])],
+        ];
+        // Reference: merge each worker's phases by hand, then summarize.
+        let merged = vec![
+            hist_of(&[10, 20, 30]),
+            hist_of(&[1_000, 2_000, 3_000, 4_000]),
+        ];
+        let s = LatencySummary::by_worker(&phase_major);
+        assert_eq!(s, LatencySummary::by_worker(&[merged]));
+        assert!((s.max_avg_us - 2_500.0).abs() < 1e-9);
+        // A phase is summarized over its own row: worker means 15 and 1 000.
+        let first = LatencySummary::by_worker(&phase_major[..1]);
+        assert_eq!(first.samples, 3);
+        assert!((first.max_avg_us - 1_000.0).abs() < 1e-9);
+        // A worker that reported fewer phases than the others is short a
+        // histogram, not out of bounds.
+        let ragged = vec![vec![hist_of(&[10]), hist_of(&[50])], vec![hist_of(&[30])]];
+        assert!((LatencySummary::by_worker(&ragged).max_avg_us - 50.0).abs() < 1e-9);
     }
 
     #[test]
-    fn value_runs_compress_exact_samples_and_rebuild_overflowed_histograms() {
-        let mut t = LatencyTracker::new();
-        t.record_many_us(7, 3);
-        t.record_us(9);
-        t.record_many_us(7, 2);
-        assert_eq!(t.value_runs(), vec![(7, 3), (9, 1), (7, 2)]);
-
-        // Overflowed: runs are bucket floors, which rebuild the bucket
-        // counts exactly on the receiving side (floors are bucket fixed
-        // points); only the scalar sum/min/max inherit the floor rounding.
-        let mut big = LatencyTracker::new();
-        for v in (1..=50_000u64).step_by(7) {
-            big.record_us(v);
-        }
-        big.samples_us.clear();
-        let mut rebuilt = LatencyTracker::new();
-        for (value, count) in big.value_runs() {
-            rebuilt.record_many_us(value, count);
-        }
-        assert_eq!(
-            rebuilt.histogram().nonzero_buckets(),
-            big.histogram().nonzero_buckets()
-        );
-        assert_eq!(rebuilt.len(), big.len());
+    fn single_sample_summary() {
+        let s = LatencySummary::by_worker(&[vec![hist_of(&[42])]]);
+        assert_eq!(s.p50_us, 42);
+        assert_eq!(s.p99_us, 42);
+        assert_eq!(s.max_us, 42);
+        assert!((s.mean_us - 42.0).abs() < 1e-12);
     }
 
     #[test]

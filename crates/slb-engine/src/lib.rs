@@ -47,7 +47,7 @@
 //!   pair, batch-buffer recycling, and best-effort core pinning.
 //! * [`windows`] — deterministic tuple-count windows and the exact
 //!   single-threaded reference aggregations (config and scenario).
-//! * [`latency`] — latency recording, percentile summaries, per-stage and
+//! * [`latency`] — latency summaries over histograms, per-stage and
 //!   per-phase metrics.
 
 pub mod fault;
@@ -58,7 +58,7 @@ pub mod transport;
 pub mod windows;
 
 pub use fault::{CheckpointRecord, CheckpointStore, ConnectionDrop, FaultEvent, FaultPlan};
-pub use latency::{LatencySummary, LatencyTracker, PhaseMetrics, RecoveryMetrics, StageMetrics};
+pub use latency::{LatencySummary, PhaseMetrics, RecoveryMetrics, StageMetrics};
 pub use spsc::{Spsc, SpscReceiver, SpscSender};
 pub use topology::{
     assemble_result, compare_schemes, compare_schemes_scenario, run_aggregator_stage,

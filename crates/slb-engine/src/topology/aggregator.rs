@@ -6,22 +6,24 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use slb_core::WindowAggregate;
-use slb_telemetry::{trace_kind, trace_stage, HopStats, HopTelemetry, TraceBuf, TraceEvent};
+use slb_telemetry::{
+    trace_kind, trace_stage, HopStats, HopTelemetry, LogHistogram, TraceBuf, TraceEvent,
+};
 use slb_workloads::KeyId;
 
 use super::config::StagePlan;
-use crate::latency::LatencyTracker;
 use crate::transport::{PartialReceiver, PartialWindow, RecvError};
 use crate::windows::WindowId;
 
 /// What one aggregator reports: the windows it finalized, the close→merge
 /// latency distribution, how many partial messages it merged, and how many
 /// it dropped as duplicates.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggregatorStageReport<P> {
     /// Final merged aggregate per window this shard owned.
     pub finalized: BTreeMap<WindowId, P>,
-    /// Close→merge latency samples.
-    pub latencies: LatencyTracker,
+    /// Worker close → merge latencies, µs.
+    pub latencies: LogHistogram,
     /// Partial-window messages merged (each counted at most once per
     /// distinct `(worker, window)`).
     pub merged: u64,
@@ -93,7 +95,7 @@ where
     let local_hop = (live.is_none() && telemetry).then(HopTelemetry::default);
     let hop = live.as_deref().or(local_hop.as_ref());
     let mut trace = TraceBuf::new(trace_stage::AGGREGATOR, shard as u32, telemetry);
-    let mut latencies = LatencyTracker::with_capacity(256);
+    let mut latencies = LogHistogram::new();
     let mut merged = 0u64;
     let mut duplicates_dropped = 0u64;
     let mut transport_errors = 0u64;
@@ -170,7 +172,7 @@ where
             }
             slot.1[pw.worker] = true;
             slot.2 += 1;
-            latencies.record_us(pw.closed_at.elapsed().as_micros() as u64);
+            latencies.record(pw.closed_at.elapsed().as_micros() as u64);
             merged += 1;
             aggregate.merge(&mut slot.0, pw.partial);
             let complete = if excluded_any {

@@ -23,7 +23,7 @@ use super::config::{EngineConfig, ScenarioConfig, StagePlan};
 use super::source::{run_source_stage, Feedback, SourceStageReport};
 use super::worker::{run_worker_stage, WorkerRecovery, WorkerStageReport};
 use crate::fault::FaultPlan;
-use crate::latency::{LatencySummary, LatencyTracker, PhaseMetrics, RecoveryMetrics, StageMetrics};
+use crate::latency::{LatencySummary, PhaseMetrics, RecoveryMetrics, StageMetrics};
 use crate::transport::{
     capacity_in_batches, feedback_channel_capacity, partial_channel_capacity, InProc, StageRole,
     Transport,
@@ -86,12 +86,9 @@ pub struct EngineResult {
     /// stage. Wall-clock shaped (stall/wait times, high-water marks), so —
     /// unlike [`Self::trace`] — NOT deterministic across runs.
     pub transport: TransportStats,
-    /// The telemetry-layer view of [`Self::latency`]: the merged end-to-end
-    /// latency histogram across every worker's trackers — the exact
-    /// distribution a remote node's `MetricsSnapshot` carries, so quantiles
-    /// derived from it are what a live cluster dashboard would show
-    /// (under-reporting the exact percentiles by < 6.25%;
-    /// `expt_observability` measures this against [`Self::latency`]).
+    /// The distribution [`Self::latency`] summarizes: every worker's
+    /// end-to-end latency histogram, all phases, merged — what the workers'
+    /// final `MetricsSnapshot`s carry between them.
     pub latency_histogram: LogHistogram,
 }
 
@@ -358,7 +355,10 @@ where
     let mut worker_state_keys = Vec::with_capacity(plan.spawned_workers);
     let mut worker_windows_closed = Vec::with_capacity(plan.spawned_workers);
     let mut phase_matrix = PhaseLoadMatrix::new(n_phases, plan.spawned_workers);
-    let mut phase_latencies: Vec<Vec<LatencyTracker>> = (0..n_phases).map(|_| Vec::new()).collect();
+    // `[phase][worker]`; a worker that reported nothing (excluded mid-run)
+    // keeps its empty column.
+    let mut phase_latencies = vec![vec![LogHistogram::new(); plan.spawned_workers]; n_phases];
+    let mut latency_histogram = LogHistogram::new();
     let mut phase_spans: Vec<Option<(u64, u64)>> = vec![None; n_phases];
     let mut worker_recovery = RecoveryMetrics::default();
     for (w, report) in worker_reports.into_iter().enumerate() {
@@ -369,11 +369,21 @@ where
         worker_recovery = worker_recovery.merged(report.recovery);
         trace.extend(report.trace);
         transport.worker.merge(&report.transport);
-        for (p, tracker) in report.phase_latencies.into_iter().enumerate() {
-            phase_matrix.add(p, w, report.phase_counts[p]);
-            phase_latencies[p].push(tracker);
+        // `take`: a report may come from a peer, and one with more phases
+        // than the plan is wrong, not a reason to index out of bounds.
+        for (p, &count) in report.phase_counts.iter().enumerate().take(n_phases) {
+            phase_matrix.add(p, w, count);
         }
-        for (p, span) in report.phase_spans.into_iter().enumerate() {
+        for (p, hist) in report
+            .phase_latencies
+            .into_iter()
+            .enumerate()
+            .take(n_phases)
+        {
+            latency_histogram.merge(&hist);
+            phase_latencies[p][w] = hist;
+        }
+        for (p, span) in report.phase_spans.into_iter().enumerate().take(n_phases) {
             if let Some((first, last)) = span {
                 let merged_span = phase_spans[p].get_or_insert((first, last));
                 merged_span.0 = merged_span.0.min(first);
@@ -415,11 +425,7 @@ where
 
     // Grouped by worker across phases, so the "max avg" statistic keeps the
     // paper's per-worker semantics without copying every sample.
-    let latency = LatencyTracker::summarize_by_worker(&phase_latencies);
-    let mut latency_histogram = LogHistogram::new();
-    for tracker in phase_latencies.iter().flatten() {
-        latency_histogram.merge(tracker.histogram());
-    }
+    let latency = LatencySummary::by_worker(&phase_latencies);
     let throughput_eps = if elapsed_secs > 0.0 {
         processed as f64 / elapsed_secs
     } else {
@@ -452,7 +458,7 @@ where
                 stage: StageMetrics::new(
                     phase_matrix.phase_total(p),
                     span_secs,
-                    LatencyTracker::summarize(&phase_latencies[p]),
+                    LatencySummary::by_worker(&phase_latencies[p..=p]),
                 ),
             }
         })
@@ -480,7 +486,7 @@ where
         aggregator_stage: StageMetrics::with_recovery(
             partials_merged,
             elapsed_secs,
-            LatencyTracker::summarize(&aggregator_latencies),
+            LatencySummary::by_worker(&[aggregator_latencies]),
             RecoveryMetrics {
                 duplicates_dropped: partials_deduped,
                 transport_errors: partials_transport_errors,

@@ -9,12 +9,14 @@ use slb_core::{
     merge_ascending, CheckpointView, FixedHashSet, OpenWindowView, WindowAggregate, WirePartial,
     WorkerCheckpoint,
 };
-use slb_telemetry::{trace_kind, trace_stage, HopStats, HopTelemetry, TraceBuf, TraceEvent};
+use slb_telemetry::{
+    trace_kind, trace_stage, HopStats, HopTelemetry, LogHistogram, TraceBuf, TraceEvent,
+};
 use slb_workloads::KeyId;
 
 use super::config::StagePlan;
 use crate::fault::{CheckpointRecord, CheckpointStore};
-use crate::latency::{LatencyTracker, RecoveryMetrics};
+use crate::latency::RecoveryMetrics;
 use crate::transport::{
     FeedbackSender, PartialSender, PartialWindow, RecvError, ReplayRequest, SourceMessage,
     TupleReceiver,
@@ -28,17 +30,17 @@ fn phase_of(starts: &[WindowId], window: WindowId) -> usize {
 }
 
 /// What one worker reports after draining its input channel: counts,
-/// state footprint, per-phase latency trackers, and per-phase activity
+/// state footprint, per-phase latency histograms, and per-phase activity
 /// spans as `(first, last)` microseconds since the run epoch (an
 /// `Instant`-free representation, so reports can cross process boundaries).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerStageReport {
     /// Tuples processed.
     pub processed: u64,
     /// Tuples processed per phase.
     pub phase_counts: Vec<u64>,
-    /// Per-phase latency samples.
-    pub phase_latencies: Vec<LatencyTracker>,
+    /// Per-phase source-emit → completion latencies, µs.
+    pub phase_latencies: Vec<LogHistogram>,
     /// Distinct keys this worker ever held state for.
     pub state_keys: u64,
     /// Windows this worker finalized (must equal the run's window count).
@@ -54,7 +56,7 @@ pub struct WorkerStageReport {
     /// Bytes of every checkpoint record this worker saved, bases and deltas
     /// together. Which closes write a base depends on how much of the next
     /// window was already open, so this is a cost diagnostic, not part of
-    /// the deterministic result; it is not carried on the wire.
+    /// the deterministic result.
     pub checkpoint_bytes: u64,
     /// The deterministic logical trace of this worker (window closes,
     /// checkpoint saves/restores, replay requests); empty when the plan
@@ -345,9 +347,7 @@ where
         "kill-worker faults require a recovery feedback channel"
     );
     let mut state: WorkerState<A::Partial> = WorkerState::new(n_phases, sources);
-    let mut phase_latencies: Vec<LatencyTracker> = (0..n_phases)
-        .map(|_| LatencyTracker::with_capacity(1_024))
-        .collect();
+    let mut phase_latencies = vec![LogHistogram::new(); n_phases];
     // First/last batch-completion instants per phase, for the
     // per-phase throughput span. Timing diagnostics survive a simulated
     // crash (they describe the wall clock, not the recovered state).
@@ -477,7 +477,7 @@ where
                     }
                     let done = Instant::now();
                     let batch_latency_us = done.duration_since(batch.emitted_at).as_micros() as u64;
-                    phase_latencies[phase].record_many_us(batch_latency_us, n);
+                    phase_latencies[phase].record_n(batch_latency_us, n);
                     state.phase_counts[phase] += n;
                     state.processed += n;
                     let done_us = done.saturating_duration_since(epoch).as_micros() as u64;

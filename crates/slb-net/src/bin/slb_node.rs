@@ -249,7 +249,7 @@ fn run_orchestrate(args: &[String]) {
             metrics.send_stall_us,
             metrics.recv_wait_us,
             metrics.queue_depth_hwm,
-            metrics.latency_count
+            metrics.latency.count()
         );
     }
     if let Some(dir) = &options.metrics_dir {

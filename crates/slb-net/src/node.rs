@@ -101,7 +101,7 @@ use slb_engine::{
     AggregatorSupervision, CheckpointRecord, NoRecovery, SourceControl, SourceControlEvent,
     SourceStageReport, StagePlan, TupleSender, WorkerRecovery, WorkerStageReport,
 };
-use slb_telemetry::{log, snapshot_stage, HopTelemetry, LogHistogram, MetricsSnapshot};
+use slb_telemetry::{log, snapshot_stage, HopTelemetry, MetricsSnapshot};
 use slb_workloads::KeyId;
 
 use crate::cluster::{ClusterSpec, NodeRole, RunSpec};
@@ -110,7 +110,7 @@ use crate::tcp::{
     connect_with_retry, Conn, PartialAttach, ReattachableTupleSender, Step, TcpPartialReceiver,
     TcpPartialSender, TcpTupleReceiver, TcpTupleSender,
 };
-use crate::wire::{encode_frame, AggregatorReportWire, ControlFrame, WorkerReportWire};
+use crate::wire::{encode_frame, ControlFrame};
 
 pub use crate::orchestrator::{
     exact_reference, orchestrate, orchestrate_with, OrchestrateOptions, OrchestratorOutcome,
@@ -514,11 +514,9 @@ fn worker_final_snapshot(index: usize, report: &WorkerStageReport, seq: u64) -> 
         ..MetricsSnapshot::default()
     };
     snap.set_transport(&report.transport);
-    let mut latency = LogHistogram::new();
-    for tracker in &report.phase_latencies {
-        latency.merge(tracker.histogram());
+    for hist in &report.phase_latencies {
+        snap.latency.merge(hist);
     }
-    snap.set_latency(&latency);
     snap
 }
 
@@ -537,10 +535,10 @@ fn aggregator_final_snapshot(
         windows_closed: report.finalized.len() as u64,
         duplicates_dropped: report.duplicates_dropped,
         transport_errors: report.transport_errors,
+        latency: report.latencies.clone(),
         ..MetricsSnapshot::default()
     };
     snap.set_transport(&report.transport);
-    snap.set_latency(report.latencies.histogram());
     snap
 }
 
@@ -771,14 +769,8 @@ impl Node {
             // The senders go here: EOF to every worker.
         })?;
         let snapshot = source_final_snapshot(index, &report, back.seq);
-        let report = ControlFrame::SourceReport {
-            source: index as u32,
-            sent: report.sent,
-            controller_events: report.controller_events,
-            trace: report.trace,
-            transport: report.transport,
-        };
-        back.finish(snapshot, &report)
+        let index = index as u32;
+        back.finish(snapshot, &ControlFrame::SourceReport { index, report })
     }
 
     /// The worker body. Fault-tolerant extras: heartbeats and live metrics
@@ -822,8 +814,8 @@ impl Node {
         })?;
         drop(partial_senders); // EOF to every aggregator
         let snapshot = worker_final_snapshot(index, &report, back.seq);
-        let report = ControlFrame::WorkerReport(worker_report_to_wire(index, &report));
-        back.finish(snapshot, &report)
+        let index = index as u32;
+        back.finish(snapshot, &ControlFrame::WorkerReport { index, report })
     }
 
     /// The aggregator body. Fault-tolerant extras: an attachable receiver,
@@ -859,17 +851,8 @@ impl Node {
             run_aggregator_stage(plan, index, &CountAggregate, receiver, supervision)
         })?;
         let snapshot = aggregator_final_snapshot(index, &report, back.seq);
-        let report = ControlFrame::AggregatorReport(AggregatorReportWire {
-            aggregator: index as u32,
-            merged: report.merged,
-            latency: report.latencies.value_runs(),
-            finalized: report.finalized.into_iter().collect(),
-            duplicates_dropped: report.duplicates_dropped,
-            transport_errors: report.transport_errors,
-            trace: report.trace,
-            transport: report.transport,
-        });
-        back.finish(snapshot, &report)?;
+        let index = index as u32;
+        back.finish(snapshot, &ControlFrame::AggregatorReport { index, report })?;
         // Stay until the orchestrator's Release has been read (or its
         // connection is gone). Exiting with that frame still unread closes
         // the socket with pending input, which resets the connection — and
@@ -943,30 +926,6 @@ fn run_source<Tx: TupleSender>(
             senders,
             control,
         ),
-    }
-}
-
-pub(crate) fn worker_report_to_wire(index: usize, report: &WorkerStageReport) -> WorkerReportWire {
-    WorkerReportWire {
-        worker: index as u32,
-        processed: report.processed,
-        state_keys: report.state_keys,
-        windows_closed: report.windows_closed,
-        phase_counts: report.phase_counts.clone(),
-        phase_spans: report.phase_spans.clone(),
-        phase_latencies: report
-            .phase_latencies
-            .iter()
-            .map(|t| t.value_runs())
-            .collect(),
-        restores: report.recovery.restores,
-        replayed_items: report.recovery.replayed_items,
-        duplicates_dropped: report.recovery.duplicates_dropped,
-        replay_requests: report.recovery.replay_requests,
-        transport_errors: report.recovery.transport_errors,
-        checkpoints: report.checkpoints,
-        trace: report.trace.clone(),
-        transport: report.transport.clone(),
     }
 }
 

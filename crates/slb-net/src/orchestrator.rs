@@ -23,8 +23,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use slb_core::CountAggregate;
 use slb_engine::{
-    assemble_result, exact_scenario_windowed_counts, exact_windowed_counts, AggregatorStageReport,
-    EngineResult, LatencyTracker, RecoveryMetrics, WindowId, WindowedRun, WorkerStageReport,
+    assemble_result, exact_scenario_windowed_counts, exact_windowed_counts, EngineResult, WindowId,
+    WindowedRun,
 };
 use slb_telemetry::{log, MetricsSnapshot};
 
@@ -35,7 +35,6 @@ use crate::node::{
 use crate::poll;
 use crate::supervisor::{Action, ConnId, Event, Plan, Supervisor, ROLES};
 use crate::tcp::Conn;
-use crate::wire::{AggregatorReportWire, WorkerReportWire};
 
 /// Default heartbeat silence after which a worker is declared dead. Large
 /// relative to the workers' heartbeat interval so a scheduling hiccup is
@@ -45,14 +44,6 @@ const DEFAULT_HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(5);
 /// How often, at the least, the driver looks for child processes that have
 /// exited: a `poll` timeout, not a sleep.
 const EXIT_SWEEP: Duration = Duration::from_millis(200);
-
-fn tracker_from_rle(runs: &[(u64, u64)]) -> LatencyTracker {
-    let mut tracker = LatencyTracker::new();
-    for &(value, count) in runs {
-        tracker.record_many_us(value, count);
-    }
-    tracker
-}
 
 /// What a completed multi-process run hands back.
 pub struct OrchestratorOutcome {
@@ -226,15 +217,13 @@ impl Cluster<'_> {
                 .map_err(|e| io_err("flushing metrics.jsonl", e))?;
         }
         let sources = complete(outcome.sources)?;
-        let workers = complete(outcome.workers)?.into_iter();
-        let aggregators = complete(outcome.aggregators)?.into_iter();
         let sent_total = sources.iter().map(|report| report.sent).sum();
         let WindowedRun { result, windows } = assemble_result(
             &plan,
             &CountAggregate,
             sources,
-            workers.map(worker_report_from_wire).collect(),
-            aggregators.map(aggregator_report_from_wire).collect(),
+            complete(outcome.workers)?,
+            complete(outcome.aggregators)?,
             outcome.elapsed.as_secs_f64(),
         );
         // A degraded run *loses* the excluded worker's unshipped tuples by
@@ -452,47 +441,6 @@ fn complete<T>(reports: Vec<Option<T>>) -> Result<Vec<T>, String> {
     all.ok_or_else(|| "the supervisor finished without every report".into())
 }
 
-fn worker_report_from_wire(report: WorkerReportWire) -> WorkerStageReport {
-    WorkerStageReport {
-        processed: report.processed,
-        phase_counts: report.phase_counts,
-        phase_latencies: report
-            .phase_latencies
-            .iter()
-            .map(|runs| tracker_from_rle(runs))
-            .collect(),
-        state_keys: report.state_keys,
-        windows_closed: report.windows_closed,
-        phase_spans: report.phase_spans,
-        recovery: RecoveryMetrics {
-            restores: report.restores,
-            replayed_items: report.replayed_items,
-            duplicates_dropped: report.duplicates_dropped,
-            replay_requests: report.replay_requests,
-            transport_errors: report.transport_errors,
-        },
-        checkpoints: report.checkpoints,
-        // Engine-side diagnostic; the wire report does not carry it.
-        checkpoint_bytes: 0,
-        trace: report.trace,
-        transport: report.transport,
-    }
-}
-
-fn aggregator_report_from_wire(
-    report: AggregatorReportWire,
-) -> AggregatorStageReport<CountPartial> {
-    AggregatorStageReport {
-        finalized: report.finalized.into_iter().collect(),
-        latencies: tracker_from_rle(&report.latency),
-        merged: report.merged,
-        duplicates_dropped: report.duplicates_dropped,
-        transport_errors: report.transport_errors,
-        trace: report.trace,
-        transport: report.transport,
-    }
-}
-
 /// The single-threaded exact reference for the spec's run — what the merged
 /// windowed counts of a correct distributed run must equal bit for bit.
 pub fn exact_reference(spec: &ClusterSpec) -> BTreeMap<WindowId, CountPartial> {
@@ -505,18 +453,6 @@ pub fn exact_reference(spec: &ClusterSpec) -> BTreeMap<WindowId, CountPartial> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::worker_report_to_wire;
-
-    #[test]
-    fn rle_tracker_round_trip() {
-        let mut tracker = LatencyTracker::new();
-        tracker.record_many_us(7, 300);
-        tracker.record_us(12);
-        tracker.record_many_us(7, 2);
-        let runs = crate::wire::rle_encode(tracker.samples());
-        assert_eq!(runs, vec![(7, 300), (12, 1), (7, 2)]);
-        assert_eq!(tracker_from_rle(&runs).samples(), tracker.samples());
-    }
 
     /// One serial test for the env knob (parallel tests racing on
     /// `set_var` would be flaky): unset → default, well-formed → parsed,
@@ -544,29 +480,5 @@ mod tests {
             Some(value) => std::env::set_var(var, value),
             None => std::env::remove_var(var),
         }
-    }
-
-    #[test]
-    fn worker_report_wire_round_trip_preserves_recovery() {
-        let mut report = WorkerStageReport {
-            processed: 100,
-            windows_closed: 4,
-            state_keys: 12,
-            checkpoints: 4,
-            ..WorkerStageReport::default()
-        };
-        report.recovery = RecoveryMetrics {
-            restores: 1,
-            replayed_items: 37,
-            duplicates_dropped: 5,
-            replay_requests: 2,
-            transport_errors: 3,
-        };
-        let wire = worker_report_to_wire(7, &report);
-        assert_eq!(wire.worker, 7);
-        let back = worker_report_from_wire(wire);
-        assert_eq!(back.recovery, report.recovery);
-        assert_eq!(back.processed, report.processed);
-        assert_eq!(back.checkpoints, report.checkpoints);
     }
 }

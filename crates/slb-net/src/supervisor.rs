@@ -33,12 +33,13 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use slb_engine::SourceStageReport;
+use slb_engine::{AggregatorStageReport, SourceStageReport, WorkerStageReport};
 use slb_telemetry::{log, snapshot_stage, MetricsSnapshot};
 
 use crate::cluster::NodeRole;
+use crate::node::CountPartial;
 use crate::orchestrator::OrchestrateOptions;
-use crate::wire::{AggregatorReportWire, ControlFrame, WorkerReportWire};
+use crate::wire::ControlFrame;
 
 /// Names one accepted control connection; the driver never reuses one.
 pub(crate) type ConnId = usize;
@@ -115,8 +116,8 @@ pub(crate) struct Plan {
 pub(crate) struct Outcome {
     pub sources: Vec<Option<SourceStageReport>>,
     /// An excluded worker's report is the empty one.
-    pub workers: Vec<Option<WorkerReportWire>>,
-    pub aggregators: Vec<Option<AggregatorReportWire>>,
+    pub workers: Vec<Option<WorkerStageReport>>,
+    pub aggregators: Vec<Option<AggregatorStageReport<CountPartial>>>,
     /// Workers that exhausted their respawn budget, in exclusion order.
     pub degraded: Vec<usize>,
     /// The fold of every final snapshot.
@@ -378,28 +379,19 @@ impl Supervisor {
             return;
         }
         match frame {
-            ControlFrame::SourceReport {
-                source,
-                sent,
-                controller_events,
-                trace,
-                transport,
-            } if role == NodeRole::Source && source as usize == index => {
-                self.outcome.sources[index] = Some(SourceStageReport {
-                    sent,
-                    controller_events,
-                    trace,
-                    transport,
-                });
+            ControlFrame::SourceReport { index: i, report }
+                if role == NodeRole::Source && i as usize == index =>
+            {
+                self.outcome.sources[index] = Some(report);
             }
-            ControlFrame::WorkerReport(report)
-                if role == NodeRole::Worker && report.worker as usize == index =>
+            ControlFrame::WorkerReport { index: i, report }
+                if role == NodeRole::Worker && i as usize == index =>
             {
                 self.outcome.workers[index] = Some(report);
                 self.workers[index].state = WorkerState::Done;
             }
-            ControlFrame::AggregatorReport(report)
-                if role == NodeRole::Aggregator && report.aggregator as usize == index =>
+            ControlFrame::AggregatorReport { index: i, report }
+                if role == NodeRole::Aggregator && i as usize == index =>
             {
                 self.outcome.aggregators[index] = Some(report);
             }
@@ -491,7 +483,7 @@ impl Supervisor {
             self.outcome.degraded.push(w);
             // The engine's assemble path tolerates the empty report, and the
             // aggregators finalize this worker's windows without it.
-            self.outcome.workers[w] = Some(WorkerReportWire::default());
+            self.outcome.workers[w] = Some(WorkerStageReport::default());
             let exclude = ControlFrame::Exclude { worker: w as u32 };
             self.broadcast(&[NodeRole::Source, NodeRole::Aggregator], &exclude);
         }
@@ -629,34 +621,36 @@ mod tests {
     }
 
     fn source_report(source: usize) -> ControlFrame {
-        ControlFrame::SourceReport {
-            source: source as u32,
+        let report = SourceStageReport {
             sent: 10,
-            controller_events: Vec::new(),
-            trace: Vec::new(),
-            transport: Default::default(),
+            ..Default::default()
+        };
+        ControlFrame::SourceReport {
+            index: source as u32,
+            report,
         }
     }
 
     fn worker_report(worker: usize) -> ControlFrame {
-        ControlFrame::WorkerReport(WorkerReportWire {
-            worker: worker as u32,
+        let report = WorkerStageReport {
             processed: 7,
-            ..WorkerReportWire::default()
-        })
+            ..Default::default()
+        };
+        ControlFrame::WorkerReport {
+            index: worker as u32,
+            report,
+        }
     }
 
     fn aggregator_report(aggregator: usize) -> ControlFrame {
-        ControlFrame::AggregatorReport(AggregatorReportWire {
-            aggregator: aggregator as u32,
+        let report = AggregatorStageReport {
             merged: 3,
-            latency: Vec::new(),
-            finalized: Vec::new(),
-            duplicates_dropped: 0,
-            transport_errors: 0,
-            trace: Vec::new(),
-            transport: Default::default(),
-        })
+            ..Default::default()
+        };
+        ControlFrame::AggregatorReport {
+            index: aggregator as u32,
+            report,
+        }
     }
 
     fn rejoin(worker: usize) -> ControlFrame {
@@ -956,14 +950,34 @@ mod tests {
         assert_eq!(rig.report_all_but(&[0, 1, 2]), [Action::Done]);
         let outcome = rig.sup.outcome;
         assert_eq!(outcome.degraded, [1]);
-        assert_eq!(outcome.workers[1], Some(WorkerReportWire::default()));
+        assert_eq!(outcome.workers[1], Some(WorkerStageReport::default()));
         assert_eq!(
             outcome.workers[2].as_ref().map(|report| report.processed),
             Some(7)
         );
-        assert!(outcome.sources.iter().all(Option::is_some));
-        assert!(outcome.aggregators.iter().all(Option::is_some));
         assert_eq!(outcome.elapsed, Duration::from_millis(40));
+        // What the machine collected is what the engine assembles, the
+        // excluded worker's empty report included.
+        let cfg = slb_engine::EngineConfig {
+            sources: SOURCES,
+            workers: WORKERS,
+            aggregators: AGGREGATORS,
+            ..slb_engine::EngineConfig::smoke(slb_core::PartitionerKind::Pkg, 1.0)
+        };
+        let run = slb_engine::assemble_result(
+            &cfg.stage_plan(),
+            &slb_core::CountAggregate,
+            outcome.sources.into_iter().map(Option::unwrap).collect(),
+            outcome.workers.into_iter().map(Option::unwrap).collect(),
+            outcome
+                .aggregators
+                .into_iter()
+                .map(Option::unwrap)
+                .collect(),
+            outcome.elapsed.as_secs_f64(),
+        );
+        assert_eq!(run.result.worker_counts, [7, 0, 7]);
+        assert_eq!(run.result.aggregator_stage.items, 3 * AGGREGATORS as u64);
     }
 
     #[test]

@@ -33,13 +33,16 @@
 //! Everything that crosses a socket implements [`Wire`]: an `encode` and a
 //! `decode` that are each other's inverse. The trait is implemented by hand
 //! only for the leaves — the integer widths, `bool`, `Option<T>`, `Vec<T>`
-//! (the one place a decoded count meets [`read_count`]'s length guard) and
-//! pairs. Every struct and every tagged frame enum gets both directions from
-//! **one** field list through `wire_type!`: the types this module owns are
+//! (the one place a decoded count meets [`read_count`]'s length guard),
+//! pairs, and a `BTreeMap<u64, V>` written as its entries. Every struct and
+//! every tagged frame enum gets both directions from **one** field list
+//! through `wire_type!`: the types this module owns are
 //! *declared* inside the macro, so the declaration is the layout; the
-//! `slb-telemetry` / `slb-core` structs that ride in reports list their
-//! fields once, in wire order. Adding a frame is one tag constant and one
-//! variant with its fields — there is no second list to keep in step.
+//! `slb-engine` stage reports and the `slb-telemetry` / `slb-core` structs
+//! that ride in them list their fields once, in wire order — a report
+//! crosses a socket as the struct the stage returned, with no twin type.
+//! Adding a frame is one tag constant and one variant with its fields —
+//! there is no second list to keep in step.
 //!
 //! [`encode_frame`], [`decode_payload`] and [`decode_frame`] are generic
 //! over the frame family. The byte layout is pinned, field by field, by the
@@ -50,19 +53,22 @@
 //! malformed input must never panic (the property suite in
 //! `tests/wire_props.rs` pins this down, along with round-trip identity).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 
 use slb_core::wire::{
     read_count, read_u16, read_u32, read_u64, read_u8, write_u32, PartialDecodeError, WirePartial,
 };
 use slb_core::{ControllerAction, ControllerEvent};
+use slb_engine::{AggregatorStageReport, RecoveryMetrics, SourceStageReport, WorkerStageReport};
 use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
+
+use crate::node::CountPartial;
 
 /// Hard ceiling on one frame's payload (tag + body), defending the decoder
 /// against allocating on a corrupt length prefix. Generous: the largest
-/// legitimate frames are worker reports carrying run-length-encoded latency
-/// histograms, well under a mebibyte.
+/// legitimate frames are aggregator reports carrying every finalized
+/// window's exact per-key counts.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Frame tags. Data-plane tags stay below 16; control-plane tags start at 16.
@@ -258,7 +264,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 ///
 /// * `pub struct Name { pub field: Type, .. }` declares the struct and
 ///   encodes its fields in declaration order;
-/// * `impl Name { field: Type, .. }` does the same for a struct declared
+/// * `impl Type { field: Type, .. }` does the same for a struct declared
 ///   elsewhere (another crate's), the list giving the wire order;
 /// * `pub enum Name { Variant { field: Type, .. } = tag, .. }` declares a
 ///   frame family: each variant travels as its tag byte followed by its
@@ -267,7 +273,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 ///   [`WireError::BadTag`]. A field written `name: P as partial` travels
 ///   through its [`WirePartial`] hook rather than [`Wire`].
 macro_rules! wire_type {
-    (impl $name:ident { $($field:ident: $fty:ty,)* }) => {
+    (impl $name:ty { $($field:ident: $fty:ty,)* }) => {
         impl Wire for $name {
             const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)*;
 
@@ -357,9 +363,12 @@ macro_rules! wire_type {
 // What rides inside reports
 // ---------------------------------------------------------------------------
 
-/// A [`LogHistogram`] on the wire: exact scalars plus the sparse nonzero
-/// `(bucket_index, count)` pairs (the 128-bit sum travels as a low/high
-/// `u64` pair).
+/// A [`LogHistogram`] on the wire — the one encoding of every latency and
+/// occupancy distribution a peer can send: exact scalars plus the sparse
+/// nonzero `(bucket_index, count)` pairs (the 128-bit sum travels as a
+/// low/high `u64` pair). Decoding checks the parts against each other
+/// ([`LogHistogram::from_parts`]), so a decoded histogram can be merged and
+/// summarized without panicking.
 impl Wire for LogHistogram {
     const MIN_BYTES: usize = 5 * 8 + 4;
 
@@ -377,7 +386,7 @@ impl Wire for LogHistogram {
         let (min, max) = <(u64, u64)>::decode(input)?;
         let buckets = Vec::<(u32, u64)>::decode(input)?;
         let sum = (u128::from(sum_hi) << 64) | u128::from(sum_lo);
-        Ok(LogHistogram::from_parts(&buckets, count, sum, min, max))
+        LogHistogram::from_parts(&buckets, count, sum, min, max).map_err(WireError::Malformed)
     }
 }
 
@@ -426,11 +435,7 @@ wire_type!(impl MetricsSnapshot {
     queue_depth_hwm: u64,
     ring_occupancy_hwm: u64,
     ring_capacity: u64,
-    latency_count: u64,
-    latency_sum_us: u64,
-    latency_min_us: u64,
-    latency_max_us: u64,
-    latency_buckets: Vec<(u32, u64)>,
+    latency: LogHistogram,
 });
 
 /// One action byte.
@@ -477,71 +482,67 @@ impl Wire for HashMap<u64, u64> {
     }
 }
 
-wire_type! {
-    /// A worker's end-of-run report, `Instant`-free so it can cross a socket.
-    /// Latency trackers travel as run-length-encoded `(value_us, count)` pairs —
-    /// the batched engine records one value per batch for the whole batch, so
-    /// the RLE is tiny compared to the raw per-tuple samples.
-    #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    pub struct WorkerReportWire {
-        /// Worker index within the spawned universe.
-        pub worker: u32,
-        /// Tuples processed.
-        pub processed: u64,
-        /// Distinct keys held in state.
-        pub state_keys: u64,
-        /// Windows finalized.
-        pub windows_closed: u64,
-        /// Tuples processed per phase.
-        pub phase_counts: Vec<u64>,
-        /// Per-phase `(first, last)` batch-completion stamps, µs since epoch.
-        pub phase_spans: Vec<Option<(u64, u64)>>,
-        /// Per-phase latency samples, run-length encoded as `(value_us, count)`.
-        pub phase_latencies: Vec<Vec<(u64, u64)>>,
-        /// Checkpoint restorations after simulated crashes.
-        pub restores: u64,
-        /// Tuples reprocessed from replayed messages.
-        pub replayed_items: u64,
-        /// Messages discarded as duplicates by sequence dedup.
-        pub duplicates_dropped: u64,
-        /// Replay requests issued upstream.
-        pub replay_requests: u64,
-        /// Checkpoints saved (one per window finalization).
-        pub checkpoints: u64,
-        /// Connections that died uncleanly mid-run (torn frame / failed read).
-        pub transport_errors: u64,
-        /// The worker's deterministic logical trace.
-        pub trace: Vec<TraceEvent>,
-        /// The worker's transport-hop counters.
-        pub transport: HopStats,
+/// A `u32` entry count, then the `(key, value)` entries in key order: what
+/// the same entries in a `Vec<(u64, V)>` write.
+impl<V: Wire> Wire for BTreeMap<u64, V> {
+    const MIN_BYTES: usize = 4;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        write_u32(out, self.len() as u32);
+        for (key, value) in self {
+            key.encode(out);
+            value.encode(out);
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Vec::<(u64, V)>::decode(input)?.into_iter().collect())
     }
 }
 
-wire_type! {
-    /// An aggregator's end-of-run report. The finalized windows carry exact
-    /// per-key counts (`slb-node` runs the count aggregation — the one the
-    /// differential proof is stated over).
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct AggregatorReportWire {
-        /// Aggregator shard index.
-        pub aggregator: u32,
-        /// Partial-window messages merged.
-        pub merged: u64,
-        /// Close→merge latency samples, run-length encoded.
-        pub latency: Vec<(u64, u64)>,
-        /// Final merged per-key counts per window this shard owned.
-        pub finalized: Vec<(u64, HashMap<u64, u64>)>,
-        /// Partials discarded as duplicates (replayed windows after a respawn,
-        /// or late partials from an excluded worker).
-        pub duplicates_dropped: u64,
-        /// Connections that died uncleanly mid-run (torn frame / failed read).
-        pub transport_errors: u64,
-        /// The shard's deterministic logical trace.
-        pub trace: Vec<TraceEvent>,
-        /// The shard's transport-hop counters.
-        pub transport: HopStats,
-    }
-}
+wire_type!(impl RecoveryMetrics {
+    restores: u64,
+    replayed_items: u64,
+    duplicates_dropped: u64,
+    replay_requests: u64,
+    transport_errors: u64,
+});
+
+// The stage reports, as the engine's stage functions return them (timestamps
+// in them are already µs since the run epoch).
+
+wire_type!(impl SourceStageReport {
+    sent: u64,
+    controller_events: Vec<ControllerEvent>,
+    trace: Vec<TraceEvent>,
+    transport: HopStats,
+});
+
+wire_type!(impl WorkerStageReport {
+    processed: u64,
+    phase_counts: Vec<u64>,
+    phase_latencies: Vec<LogHistogram>,
+    state_keys: u64,
+    windows_closed: u64,
+    phase_spans: Vec<Option<(u64, u64)>>,
+    recovery: RecoveryMetrics,
+    checkpoints: u64,
+    checkpoint_bytes: u64,
+    trace: Vec<TraceEvent>,
+    transport: HopStats,
+});
+
+// `slb-node` runs the count aggregation — the one the differential proof is
+// stated over — so a finalized window is its exact per-key counts.
+wire_type!(impl AggregatorStageReport<CountPartial> {
+    finalized: BTreeMap<u64, CountPartial>,
+    latencies: LogHistogram,
+    merged: u64,
+    duplicates_dropped: u64,
+    transport_errors: u64,
+    trace: Vec<TraceEvent>,
+    transport: HopStats,
+});
 
 // ---------------------------------------------------------------------------
 // The four frame families
@@ -644,24 +645,27 @@ wire_type! {
             /// (`ClusterSpec::render`), which every node parses back.
             config: Vec<u8>,
         } = tag::START,
-        /// Source → orchestrator: tuples sent plus the source's elasticity
-        /// decision log (empty when the run had no controller).
+        /// Source → orchestrator end-of-run report.
         SourceReport {
             /// Source index.
-            source: u32,
-            /// Tuples the source shipped.
-            sent: u64,
-            /// The source controller's decision log, in window order.
-            controller_events: Vec<ControllerEvent>,
-            /// The source's deterministic logical trace.
-            trace: Vec<TraceEvent>,
-            /// The source's transport-hop counters.
-            transport: HopStats,
+            index: u32,
+            /// What the source stage returned.
+            report: SourceStageReport,
         } = tag::SOURCE_REPORT,
         /// Worker → orchestrator end-of-run report.
-        WorkerReport(WorkerReportWire) = tag::WORKER_REPORT,
+        WorkerReport {
+            /// Worker index within the spawned universe.
+            index: u32,
+            /// What the worker stage returned.
+            report: WorkerStageReport,
+        } = tag::WORKER_REPORT,
         /// Aggregator → orchestrator end-of-run report.
-        AggregatorReport(AggregatorReportWire) = tag::AGGREGATOR_REPORT,
+        AggregatorReport {
+            /// Aggregator shard index.
+            index: u32,
+            /// What the aggregator stage returned.
+            report: AggregatorStageReport<CountPartial>,
+        } = tag::AGGREGATOR_REPORT,
         /// Worker → orchestrator: still alive (sent periodically while the
         /// stage runs; silence past the timeout marks the worker suspect).
         Heartbeat {
@@ -756,20 +760,6 @@ pub fn split_frame(buf: &[u8]) -> Result<&[u8], WireError> {
     Ok(&rest[..len])
 }
 
-/// Run-length encodes a latency tracker's samples as `(value_us, count)`
-/// pairs. The batched engine records one value per drained batch, so
-/// adjacent samples repeat and the RLE is compact.
-pub fn rle_encode(samples: &[u64]) -> Vec<(u64, u64)> {
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for &value in samples {
-        match runs.last_mut() {
-            Some((last, count)) if *last == value => *count += 1,
-            _ => runs.push((value, 1)),
-        }
-    }
-    runs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,11 +846,5 @@ mod tests {
             split_frame(&[huge[0], huge[1], huge[2], huge[3]]),
             Err(WireError::BadLength(_))
         ));
-    }
-
-    #[test]
-    fn rle_compresses_batched_samples() {
-        assert_eq!(rle_encode(&[]), vec![]);
-        assert_eq!(rle_encode(&[7, 7, 7, 9, 7]), vec![(7, 3), (9, 1), (7, 1)]);
     }
 }

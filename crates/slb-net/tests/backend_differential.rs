@@ -96,6 +96,7 @@ fn assert_backends_agree(cfg: &EngineConfig) {
         );
         assert_eq!(result.processed, inproc.result.processed);
         assert_eq!(result.latency.samples, result.processed);
+        assert_eq!(result.latency_histogram.count(), result.latency.samples);
     }
 }
 

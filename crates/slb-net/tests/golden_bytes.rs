@@ -5,23 +5,25 @@
 //! field moved, a width changed, or a count became a `u64`, because both
 //! directions would move together. This fixture pins the layout itself: the
 //! hex literals were captured from the hand-written codec at commit
-//! `d0bd728` (before the codec was folded onto the `Wire` trait) and every
-//! case checks both directions against them — the value encodes to exactly
-//! these bytes, and these bytes decode to exactly the value.
+//! `d0bd728` (before the codec was folded onto the `Wire` trait) — except
+//! tags 19, 20 and 25, re-captured in PR 19 when the reports became the
+//! engine's own structs and every latency distribution a `LogHistogram` —
+//! and every case checks both directions against them: the value encodes to
+//! exactly these bytes, and these bytes decode to exactly the value.
 //!
 //! A deliberate format change updates a literal here in the same commit; an
 //! accidental one fails with the full actual encoding printed.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
 
 use slb_core::wire::WirePartial;
 use slb_core::{
     CheckpointDelta, ControllerAction, ControllerEvent, OpenWindowState, WorkerCheckpoint,
 };
+use slb_engine::{AggregatorStageReport, RecoveryMetrics, SourceStageReport, WorkerStageReport};
 use slb_net::wire::{
-    decode_frame, encode_frame, AggregatorReportWire, ControlFrame, FeedbackFrame, PartialFrame,
-    TupleFrame, Wire, WorkerReportWire,
+    decode_frame, encode_frame, ControlFrame, FeedbackFrame, PartialFrame, TupleFrame, Wire,
 };
 use slb_sketch::{FrequencyEstimator, SpaceSaving};
 use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
@@ -187,33 +189,35 @@ fn control_plane_frames_are_byte_stable() {
     check_frame(
         "source report (tag 18)",
         &ControlFrame::SourceReport {
-            source: 2,
-            sent: 88,
-            controller_events: vec![
-                ControllerEvent {
-                    source: 2,
-                    window: 5,
-                    action: ControllerAction::ScaleOut,
-                    workers: 6,
-                    d: 2,
-                },
-                ControllerEvent {
-                    source: 2,
-                    window: 9,
-                    action: ControllerAction::ScaleIn,
-                    workers: 5,
-                    d: 0,
-                },
-                ControllerEvent {
-                    source: 2,
-                    window: 11,
-                    action: ControllerAction::Retune,
-                    workers: 5,
-                    d: 3,
-                },
-            ],
-            trace: sample_trace(),
-            transport: sample_hop_stats(),
+            index: 2,
+            report: SourceStageReport {
+                sent: 88,
+                controller_events: vec![
+                    ControllerEvent {
+                        source: 2,
+                        window: 5,
+                        action: ControllerAction::ScaleOut,
+                        workers: 6,
+                        d: 2,
+                    },
+                    ControllerEvent {
+                        source: 2,
+                        window: 9,
+                        action: ControllerAction::ScaleIn,
+                        workers: 5,
+                        d: 0,
+                    },
+                    ControllerEvent {
+                        source: 2,
+                        window: 11,
+                        action: ControllerAction::Retune,
+                        workers: 5,
+                        d: 3,
+                    },
+                ],
+                trace: sample_trace(),
+                transport: sample_hop_stats(),
+            },
         },
         &format!(
             "2c010000 12 02000000 5800000000000000
@@ -224,57 +228,88 @@ fn control_plane_frames_are_byte_stable() {
              {TRACE} {HOP_STATS}"
         ),
     );
+    // Field order: index; processed, phase_counts, phase_latencies (each a
+    // histogram: count, 128-bit sum, min, max, sparse buckets), state_keys,
+    // windows_closed, phase_spans, recovery (restores, replayed_items,
+    // duplicates_dropped, replay_requests, transport_errors), checkpoints,
+    // checkpoint_bytes, trace, transport.
+    let mut phase_latency = LogHistogram::new();
+    phase_latency.record_n(5, 200);
+    phase_latency.record_n(9, 100);
     check_frame(
         "worker report (tag 19)",
-        &ControlFrame::WorkerReport(WorkerReportWire {
-            worker: 1,
-            processed: 500,
-            state_keys: 17,
-            windows_closed: 4,
-            phase_counts: vec![300, 200],
-            phase_spans: vec![Some((10, 90)), None],
-            phase_latencies: vec![vec![(5, 200), (9, 100)], vec![]],
-            restores: 2,
-            replayed_items: 120,
-            duplicates_dropped: 3,
-            replay_requests: 4,
-            checkpoints: 5,
-            transport_errors: 1,
-            trace: sample_trace(),
-            transport: sample_hop_stats(),
-        }),
+        &ControlFrame::WorkerReport {
+            index: 1,
+            report: WorkerStageReport {
+                processed: 500,
+                phase_counts: vec![300, 200],
+                phase_latencies: vec![phase_latency, LogHistogram::new()],
+                state_keys: 17,
+                windows_closed: 4,
+                phase_spans: vec![Some((10, 90)), None],
+                recovery: RecoveryMetrics {
+                    restores: 2,
+                    replayed_items: 120,
+                    duplicates_dropped: 3,
+                    replay_requests: 4,
+                    transport_errors: 1,
+                },
+                checkpoints: 5,
+                checkpoint_bytes: 1_024,
+                trace: sample_trace(),
+                transport: sample_hop_stats(),
+            },
+        },
         &format!(
-            "7f010000 13 01000000
-             f401000000000000 1100000000000000 0400000000000000
+            "cf010000 13 01000000
+             f401000000000000
              02000000 2c01000000000000 c800000000000000
-             02000000 01 0a00000000000000 5a00000000000000 00
              02000000
-             02000000 0500000000000000 c800000000000000 0900000000000000 6400000000000000
-             00000000
+             2c01000000000000 6c07000000000000 0000000000000000
+             0500000000000000 0900000000000000
+             02000000 05000000 c800000000000000 09000000 6400000000000000
+             0000000000000000 0000000000000000 0000000000000000
+             0000000000000000 0000000000000000 00000000
+             1100000000000000 0400000000000000
+             02000000 01 0a00000000000000 5a00000000000000 00
              0200000000000000 7800000000000000 0300000000000000
-             0400000000000000 0500000000000000 0100000000000000
+             0400000000000000 0100000000000000
+             0500000000000000 0004000000000000
              {TRACE} {HOP_STATS}"
         ),
     );
+    // Field order: index; finalized (window → exact per-key counts, in
+    // window order), latencies (one histogram), merged, duplicates_dropped,
+    // transport_errors, trace, transport.
+    let mut merge_latency = LogHistogram::new();
+    merge_latency.record_n(2, 12);
+    merge_latency.record(40);
     check_frame(
         "aggregator report (tag 20)",
-        &ControlFrame::AggregatorReport(AggregatorReportWire {
-            aggregator: 1,
-            merged: 12,
-            latency: vec![(2, 12), (40, 1)],
-            finalized: vec![(0, HashMap::from([(3u64, 14u64)])), (1, HashMap::new())],
-            duplicates_dropped: 2,
-            transport_errors: 1,
-            trace: sample_trace(),
-            transport: sample_hop_stats(),
-        }),
+        &ControlFrame::AggregatorReport {
+            index: 1,
+            report: AggregatorStageReport {
+                finalized: BTreeMap::from([
+                    (0, HashMap::from([(3u64, 14u64)])),
+                    (1, HashMap::new()),
+                ]),
+                latencies: merge_latency,
+                merged: 12,
+                duplicates_dropped: 2,
+                transport_errors: 1,
+                trace: sample_trace(),
+                transport: sample_hop_stats(),
+            },
+        },
         &format!(
-            "49010000 14 01000000 0c00000000000000
-             02000000 0200000000000000 0c00000000000000 2800000000000000 0100000000000000
+            "69010000 14 01000000
              02000000
              0000000000000000 01000000 0300000000000000 0e00000000000000
              0100000000000000 00000000
-             0200000000000000 0100000000000000
+             0d00000000000000 4000000000000000 0000000000000000
+             0200000000000000 2800000000000000
+             02000000 02000000 0c00000000000000 24000000 0100000000000000
+             0c00000000000000 0200000000000000 0100000000000000
              {TRACE} {HOP_STATS}"
         ),
     );
@@ -315,20 +350,22 @@ fn control_plane_frames_are_byte_stable() {
         ..MetricsSnapshot::default()
     };
     snapshot.set_transport(&sample_hop_stats());
-    let mut latency = LogHistogram::new();
-    latency.record_n(900, 500);
-    latency.record(15_000);
-    snapshot.set_latency(&latency);
+    snapshot.latency.record_n(900, 500);
+    snapshot.latency.record(15_000);
+    // Field order: stage, instance, seq, finished; items, windows_closed,
+    // checkpoints and the five recovery counters; the nine hop counters;
+    // latency (one histogram: count, 128-bit sum, min, max, sparse buckets).
     check_frame(
         "metrics (tag 25)",
         &ControlFrame::Metrics(snapshot),
-        "d3000000 19 01 03000000 0900000000000000 01
+        "db000000 19 01 03000000 0900000000000000 01
          0010000000000000 1000000000000000 0f00000000000000 0100000000000000
          8000000000000000 0200000000000000 0300000000000000 0400000000000000
          0b00000000000000 4701000000000000 2a00000000000000
          0900000000000000 2001000000000000 e803000000000000
          0c00000000000000 3000000000000000 4000000000000000
-         f501000000000000 6818070000000000 8403000000000000 983a000000000000
+         f501000000000000 6818070000000000 0000000000000000
+         8403000000000000 983a000000000000
          02000000 6c000000 f401000000000000 ad000000 0100000000000000",
     );
 }

@@ -180,6 +180,40 @@ fn node_cli_rejects_unknown_modes() {
 }
 
 #[test]
+fn latency_reaches_the_orchestrator_as_the_workers_recorded_it() {
+    // Long enough that every worker records past 65,536 tuples, where
+    // reports used to carry bucket floors and the orchestrator rebuilt the
+    // mean, minimum and maximum from those.
+    use slb_net::cluster::{ClusterSpec, RunSpec};
+    let cfg = slb_engine::EngineConfig::smoke(slb_core::PartitionerKind::ShuffleGrouping, 1.0)
+        .with_messages(400_000)
+        .with_service_time_us(0);
+    let in_process = slb_engine::Topology::new(cfg.clone()).run();
+    let spec = ClusterSpec {
+        run: RunSpec::Engine(cfg),
+    };
+    let outcome = slb_net::node::orchestrate(&spec, std::path::Path::new(node_exe()))
+        .expect("a healthy cluster");
+    let result = &outcome.result;
+    assert_eq!(result.processed, 400_000);
+    assert!(result.worker_counts.iter().all(|&n| n > 65_536));
+    assert_eq!(result.latency.samples, result.processed);
+    assert_eq!(result.latency.samples, in_process.latency.samples);
+    let recorded = &result.latency_histogram;
+    assert_eq!(recorded.count(), result.latency.samples);
+    assert_eq!(result.latency.mean_us, recorded.mean());
+    assert_eq!(result.latency.max_us, recorded.max());
+    // The final metrics snapshots carry the same distributions by another
+    // route (worker tuples plus aggregator merges): the exact scalars agree.
+    let rollup = outcome.metrics.expect("every stage ships a final snapshot");
+    let merges = result.aggregator_stage.latency;
+    assert_eq!(rollup.latency.count(), recorded.count() + merges.samples);
+    assert_eq!(rollup.latency.max(), recorded.max().max(merges.max_us));
+    let merge_sum = (merges.mean_us * merges.samples as f64).round() as u128;
+    assert_eq!(rollup.latency.sum(), recorded.sum() + merge_sum);
+}
+
+#[test]
 fn orchestrate_fails_fast_when_children_exit_without_hello() {
     // Spawning `true` as the node binary makes every child exit immediately
     // without ever connecting to the control plane; the orchestrator must

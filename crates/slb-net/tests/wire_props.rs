@@ -11,6 +11,10 @@
 //!    decodes to an *error*, flipped tags decode to an error, and arbitrary
 //!    byte soup or text never panics a decoder or the spec parser. A remote
 //!    peer's bytes are untrusted; decoding must fail loudly but gracefully.
+//! 3. **Decoded means usable** — whatever control frame soup, a damaged
+//!    valid frame or a hostile histogram decodes to is then put through what
+//!    the orchestrator does with it ([`use_like_the_orchestrator`]) without
+//!    panicking: a frame that would is an error at the decoder.
 //!
 //! The exact bytes are pinned separately, by `golden_bytes.rs`.
 //!
@@ -19,18 +23,21 @@
 //! comes from one property per variant.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use slb_core::wire::WirePartial;
 use slb_core::{
     CheckpointDelta, ControllerAction, ControllerConfig, ControllerEvent, OpenWindowState,
     PartitionerKind, SolverMode, WorkerCheckpoint,
 };
-use slb_engine::{EngineConfig, ScenarioConfig};
+use slb_engine::{
+    AggregatorStageReport, EngineConfig, LatencySummary, RecoveryMetrics, ScenarioConfig,
+    SourceStageReport, WorkerStageReport,
+};
 use slb_net::cluster::{ClusterSpec, RunSpec};
 use slb_net::wire::{
-    decode_frame, decode_tuple_frame, encode_frame, encode_tuple_frame, rle_encode,
-    AggregatorReportWire, ControlFrame, FeedbackFrame, PartialFrame, TupleFrame, WorkerReportWire,
+    decode_frame, decode_tuple_frame, encode_frame, encode_tuple_frame, ControlFrame,
+    FeedbackFrame, PartialFrame, TupleFrame, WireError,
 };
 use slb_sketch::{FrequencyEstimator, SpaceSaving};
 use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
@@ -168,7 +175,7 @@ fn metrics_from(raw: &[u64], samples: &[u64]) -> MetricsSnapshot {
         ..MetricsSnapshot::default()
     };
     snap.set_transport(&hop_stats_from(raw, samples));
-    snap.set_latency(&histogram_from(samples));
+    snap.latency = histogram_from(samples);
     snap
 }
 
@@ -176,7 +183,6 @@ fn metrics_from(raw: &[u64], samples: &[u64]) -> MetricsSnapshot {
 /// every variant round-trips under the same random inputs.
 fn control_frames(raw: &[u64], ports: &[u16], samples: &[u64], keys: &[u64]) -> Vec<ControlFrame> {
     let at = |i: usize| raw.get(i).copied().unwrap_or(0);
-    let runs = rle_encode(samples);
     vec![
         ControlFrame::Hello {
             role: at(0) as u8,
@@ -190,57 +196,70 @@ fn control_frames(raw: &[u64], ports: &[u16], samples: &[u64], keys: &[u64]) -> 
             config: samples.iter().map(|&s| s as u8).collect(),
         },
         ControlFrame::SourceReport {
-            source: at(4) as u32,
-            sent: at(5),
-            controller_events: raw
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| ControllerEvent {
-                    source: at(4) as u32,
-                    window: v,
-                    action: match i % 3 {
-                        0 => ControllerAction::ScaleOut,
-                        1 => ControllerAction::ScaleIn,
-                        _ => ControllerAction::Retune,
-                    },
-                    workers: (v % 64) as u32,
-                    d: (v % 8) as u32,
-                })
-                .collect(),
-            trace: trace_from(samples, raw),
-            transport: hop_stats_from(raw, samples),
+            index: at(4) as u32,
+            report: SourceStageReport {
+                sent: at(5),
+                controller_events: raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| ControllerEvent {
+                        source: at(4) as u32,
+                        window: v,
+                        action: match i % 3 {
+                            0 => ControllerAction::ScaleOut,
+                            1 => ControllerAction::ScaleIn,
+                            _ => ControllerAction::Retune,
+                        },
+                        workers: (v % 64) as u32,
+                        d: (v % 8) as u32,
+                    })
+                    .collect(),
+                trace: trace_from(samples, raw),
+                transport: hop_stats_from(raw, samples),
+            },
         },
-        ControlFrame::WorkerReport(WorkerReportWire {
-            worker: at(6) as u32,
-            processed: at(7),
-            state_keys: at(8),
-            windows_closed: at(9),
-            phase_counts: raw.to_vec(),
-            phase_spans: raw
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (i % 3 != 0).then_some((v, v.saturating_add(i as u64))))
-                .collect(),
-            phase_latencies: vec![runs.clone(), Vec::new(), rle_encode(raw)],
-            restores: at(14),
-            replayed_items: at(15),
-            duplicates_dropped: at(16),
-            replay_requests: at(17),
-            checkpoints: at(18),
-            transport_errors: at(19),
-            trace: trace_from(samples, raw),
-            transport: hop_stats_from(raw, samples),
-        }),
-        ControlFrame::AggregatorReport(AggregatorReportWire {
-            aggregator: at(10) as u32,
-            merged: at(11),
-            latency: runs,
-            finalized: vec![(at(12), counts_from(keys)), (at(13), HashMap::new())],
-            duplicates_dropped: at(20),
-            transport_errors: at(21),
-            trace: trace_from(samples, raw),
-            transport: hop_stats_from(raw, samples),
-        }),
+        ControlFrame::WorkerReport {
+            index: at(6) as u32,
+            report: WorkerStageReport {
+                processed: at(7),
+                phase_counts: raw.to_vec(),
+                phase_latencies: vec![
+                    histogram_from(samples),
+                    LogHistogram::new(),
+                    histogram_from(raw),
+                ],
+                state_keys: at(8),
+                windows_closed: at(9),
+                phase_spans: raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| (i % 3 != 0).then_some((v, v.saturating_add(i as u64))))
+                    .collect(),
+                recovery: RecoveryMetrics {
+                    restores: at(14),
+                    replayed_items: at(15),
+                    duplicates_dropped: at(16),
+                    replay_requests: at(17),
+                    transport_errors: at(19),
+                },
+                checkpoints: at(18),
+                checkpoint_bytes: at(13),
+                trace: trace_from(samples, raw),
+                transport: hop_stats_from(raw, samples),
+            },
+        },
+        ControlFrame::AggregatorReport {
+            index: at(10) as u32,
+            report: AggregatorStageReport {
+                finalized: BTreeMap::from([(at(12), counts_from(keys)), (at(13), HashMap::new())]),
+                latencies: histogram_from(samples),
+                merged: at(11),
+                duplicates_dropped: at(20),
+                transport_errors: at(21),
+                trace: trace_from(samples, raw),
+                transport: hop_stats_from(raw, samples),
+            },
+        },
         ControlFrame::Heartbeat {
             worker: at(22) as u32,
         },
@@ -255,6 +274,106 @@ fn control_frames(raw: &[u64], ports: &[u16], samples: &[u64], keys: &[u64]) -> 
         },
         ControlFrame::Release,
     ]
+}
+
+/// What the orchestrator does with the latency a decoded frame carries: a
+/// snapshot is exported as JSON and folded into the cluster `rollup`, which
+/// is exported too; a report's histograms are summarized as `assemble_result`
+/// summarizes them. None of it may panic, whatever the peer sent.
+fn use_like_the_orchestrator(frame: ControlFrame, rollup: &mut MetricsSnapshot) {
+    match frame {
+        ControlFrame::Metrics(snapshot) => {
+            let _ = snapshot.to_json();
+            rollup.merge(&snapshot);
+            rollup.merge(&snapshot);
+            let _ = rollup.to_json();
+        }
+        ControlFrame::WorkerReport { report, .. } => {
+            let by_phase: Vec<_> = report
+                .phase_latencies
+                .into_iter()
+                .map(|h| vec![h])
+                .collect();
+            let _ = LatencySummary::by_worker(&by_phase);
+            for phase in 0..by_phase.len() {
+                let _ = LatencySummary::by_worker(&by_phase[phase..=phase]);
+            }
+        }
+        ControlFrame::AggregatorReport { report, .. } => {
+            let twice = vec![report.latencies.clone(), report.latencies];
+            let _ = LatencySummary::by_worker(&[twice]);
+        }
+        _ => {}
+    }
+}
+
+/// A well-formed `Metrics` frame around a hand-written latency histogram:
+/// the parts a peer chooses freely, none of them checked by the encoder.
+fn metrics_frame_with_latency(
+    (count, sum, min, max): (u64, u128, u64, u64),
+    buckets: &[(u32, u64)],
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_frame(&ControlFrame::Metrics(MetricsSnapshot::default()), &mut buf);
+    // The snapshot ends with its (empty) histogram: count, 128-bit sum, min,
+    // max, bucket count.
+    buf.truncate(buf.len() - (8 + 16 + 8 + 8 + 4));
+    for word in [count, sum as u64, (sum >> 64) as u64, min, max] {
+        buf.extend_from_slice(&word.to_le_bytes());
+    }
+    buf.extend_from_slice(&(buckets.len() as u32).to_le_bytes());
+    for &(index, n) in buckets {
+        buf.extend_from_slice(&index.to_le_bytes());
+        buf.extend_from_slice(&n.to_le_bytes());
+    }
+    let len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    buf
+}
+
+fn assert_malformed(name: &str, frame: &[u8]) {
+    match decode_frame::<ControlFrame>(frame) {
+        Err(WireError::Malformed(_)) => {}
+        other => panic!("{name}: expected Malformed, got {other:?}"),
+    }
+}
+
+/// At the parent commit this frame decoded, reached `Action::Export →
+/// MetricsSnapshot::to_json → quantile`, and aborted the orchestrator in a
+/// release build: `clamp(min, max)` with `min > max`.
+#[test]
+fn histogram_with_min_above_max_is_malformed() {
+    let frame = metrics_frame_with_latency((1, 0, 10, 5), &[(3, 1)]);
+    assert_malformed("min > max", &frame);
+}
+
+/// At the parent commit the two counts were added into one bucket: "attempt
+/// to add with overflow" in dev and test builds.
+#[test]
+fn histogram_with_a_repeated_bucket_is_malformed() {
+    let frame = metrics_frame_with_latency((u64::MAX, 0, 0, 0), &[(0, u64::MAX), (0, 1)]);
+    assert_malformed("duplicate bucket", &frame);
+}
+
+/// At the parent commit any `count` and `sum` were believed, and merging two
+/// snapshots that claimed `u64::MAX` / `u128::MAX` overflowed. Now a count
+/// its buckets do not add up to is malformed; one they do add up to decodes,
+/// and merging two of those saturates.
+#[test]
+fn histogram_scalars_must_match_the_buckets_and_merge_saturates() {
+    let claimed = (u64::MAX, u128::MAX, 0, 0);
+    assert_malformed("unbacked count", &metrics_frame_with_latency(claimed, &[]));
+    assert_malformed(
+        "short count",
+        &metrics_frame_with_latency(claimed, &[(0, 1)]),
+    );
+    let backed = metrics_frame_with_latency(claimed, &[(0, u64::MAX)]);
+    let (frame, _) = decode_frame::<ControlFrame>(&backed).expect("a consistent histogram");
+    let mut rollup = MetricsSnapshot::default();
+    use_like_the_orchestrator(frame.clone(), &mut rollup);
+    use_like_the_orchestrator(frame, &mut rollup);
+    assert_eq!(rollup.latency.count(), u64::MAX);
+    assert_eq!(rollup.latency.sum(), u128::MAX);
 }
 
 proptest! {
@@ -604,12 +723,115 @@ proptest! {
         let _ = decode_frame::<PartialFrame<u64>>(&bytes);
         let _ = decode_frame::<PartialFrame<SpaceSaving<u64>>>(&bytes);
         let _ = decode_frame::<FeedbackFrame>(&bytes);
-        let _ = decode_frame::<ControlFrame>(&bytes);
         let _ = WorkerCheckpoint::decode(&mut bytes.as_slice());
         let _ = CheckpointDelta::decode(&mut bytes.as_slice());
         // A delta tag followed by soup reaches the body decoder too.
         let tagged = [&[0xD1][..], &bytes].concat();
         let _ = CheckpointDelta::decode(&mut tagged.as_slice());
+        // A control frame that does decode is then used. Soup alone rarely
+        // gets past the length prefix, so it also rides behind a valid
+        // prefix and each tag that carries a histogram.
+        let mut rollup = MetricsSnapshot::default();
+        if let Ok((frame, _)) = decode_frame::<ControlFrame>(&bytes) {
+            use_like_the_orchestrator(frame, &mut rollup);
+        }
+        for tag in [18u8, 19, 20, 25] {
+            let len = (bytes.len() + 1) as u32;
+            let framed = [&len.to_le_bytes()[..], &[tag], &bytes].concat();
+            if let Ok((frame, _)) = decode_frame::<ControlFrame>(&framed) {
+                use_like_the_orchestrator(frame, &mut rollup);
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_control_frames_decode_to_an_error_or_to_something_usable(
+        raw in proptest::collection::vec(any::<u64>(), 14..20),
+        samples in proptest::collection::vec(0u64..100, 0..40),
+        damage in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let mut rollup = MetricsSnapshot::default();
+        for frame in control_frames(&raw, &[7], &samples, &raw) {
+            let mut buf = Vec::new();
+            encode_frame(&frame, &mut buf);
+            let body = buf.len() - 4;
+            for &d in &damage {
+                // One byte replaced, or eight set to 0xff (a counter near its
+                // ceiling), anywhere behind the length prefix.
+                let mut damaged = buf.clone();
+                let at = 4 + (d >> 16) as usize % body;
+                if d & 1 == 0 {
+                    damaged[at] = (d >> 8) as u8;
+                } else {
+                    let end = (at + 8).min(damaged.len());
+                    damaged[at..end].fill(0xff);
+                }
+                if let Ok((frame, _)) = decode_frame::<ControlFrame>(&damaged) {
+                    use_like_the_orchestrator(frame, &mut rollup);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn report_histograms_survive_the_wire_exactly(
+        values in proptest::collection::vec(any::<u64>(), 3..60),
+        small in proptest::collection::vec(0u64..5_000, 3..200),
+    ) {
+        // Three phases, 10⁶ recordings each: microsecond-sized values in
+        // bulk, as a worker records a batch, plus a few from anywhere in u64.
+        let phase = |p: usize| {
+            let mut hist = LogHistogram::new();
+            let chosen: Vec<u64> = small.iter().skip(p).step_by(3).copied().collect();
+            let share = 1_000_000 / chosen.len() as u64;
+            for &v in &chosen {
+                hist.record_n(v, share);
+            }
+            hist.record_n(values[p], 1_000_000 - share * chosen.len() as u64);
+            hist
+        };
+        let worker = WorkerStageReport {
+            processed: 3_000_000,
+            phase_counts: vec![1_000_000; 3],
+            phase_latencies: vec![phase(0), phase(1), phase(2)],
+            phase_spans: vec![Some((1, 2)), None, Some((3, 4))],
+            checkpoint_bytes: values[0],
+            ..WorkerStageReport::default()
+        };
+        let aggregator = AggregatorStageReport {
+            latencies: histogram_from(&values),
+            merged: values.len() as u64,
+            ..AggregatorStageReport::default()
+        };
+        let sent = worker.phase_latencies.iter().chain([&aggregator.latencies]);
+        let sent: Vec<LogHistogram> = sent.cloned().collect();
+        prop_assert!(sent[..3].iter().all(|hist| hist.count() == 1_000_000));
+        let frames = [
+            ControlFrame::WorkerReport { index: 2, report: worker },
+            ControlFrame::AggregatorReport { index: 1, report: aggregator },
+        ];
+        let mut received = Vec::new();
+        for frame in frames {
+            let mut buf = Vec::new();
+            encode_frame(&frame, &mut buf);
+            let (back, consumed) = decode_frame::<ControlFrame>(&buf).expect("own encoding decodes");
+            prop_assert_eq!(consumed, buf.len());
+            prop_assert_eq!(&back, &frame);
+            match back {
+                ControlFrame::WorkerReport { report, .. } => received.extend(report.phase_latencies),
+                ControlFrame::AggregatorReport { report, .. } => received.push(report.latencies),
+                _ => unreachable!("a report went in"),
+            }
+        }
+        // `==` on histograms already says this; spelled out, it is what the
+        // orchestrator's mean, max and max-avg are computed from.
+        prop_assert_eq!(received.len(), sent.len());
+        for (got, want) in received.iter().zip(&sent) {
+            prop_assert_eq!(got.count(), want.count());
+            prop_assert_eq!(got.sum(), want.sum());
+            prop_assert_eq!((got.min(), got.max()), (want.min(), want.max()));
+            prop_assert_eq!(got.nonzero_buckets(), want.nonzero_buckets());
+        }
     }
 
     #[test]
@@ -755,22 +977,6 @@ proptest! {
         prop_assert!(input.is_empty());
         prop_assert_eq!(first, a);
         prop_assert_eq!(second, b);
-    }
-
-    #[test]
-    fn rle_round_trips_sample_sequences(samples in proptest::collection::vec(0u64..50, 0..2_000)) {
-        let runs = rle_encode(&samples);
-        let mut back = Vec::new();
-        for (value, count) in &runs {
-            for _ in 0..*count {
-                back.push(*value);
-            }
-        }
-        prop_assert_eq!(back, samples);
-        // Adjacent runs never share a value (canonical form).
-        for pair in runs.windows(2) {
-            prop_assert!(pair[0].0 != pair[1].0);
-        }
     }
 }
 

@@ -60,8 +60,7 @@ pub fn bucket_index(value: u64) -> usize {
 
 /// The smallest value that maps to bucket `index` — the quantile
 /// representative. `bucket_index(bucket_floor(i)) == i` for every valid
-/// index, which is what makes re-recording a histogram's floors land in
-/// identical buckets (the wire round-trip relies on this idempotence).
+/// index: a floor is a member of its own bucket.
 #[inline]
 pub fn bucket_floor(index: usize) -> u64 {
     if index < SUBS as usize {
@@ -110,23 +109,47 @@ impl LogHistogram {
         Self::default()
     }
 
-    /// Rebuilds a histogram from its wire parts: sparse `(bucket, count)`
-    /// pairs plus the exact scalars. Pairs with out-of-range indices or
-    /// zero counts are ignored; `count`/`sum`/`min`/`max` are trusted as
-    /// the exact scalars the peer tracked.
-    pub fn from_parts(buckets: &[(u32, u64)], count: u64, sum: u128, min: u64, max: u64) -> Self {
+    /// Rebuilds a histogram from its wire parts: the sparse `(bucket, count)`
+    /// pairs [`Self::nonzero_buckets`] emits plus the exact scalars. The parts
+    /// come from a peer, so they are checked, not trusted: bucket indices in
+    /// range and strictly ascending, counts non-zero and summing (without
+    /// overflow) to `count`, and `min ≤ max` unless the histogram is empty.
+    pub fn from_parts(
+        buckets: &[(u32, u64)],
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    ) -> Result<Self, &'static str> {
         let mut hist = Self::new();
+        let mut total = 0u64;
+        let mut next = 0usize;
         for &(index, n) in buckets {
-            if (index as usize) < NUM_BUCKETS && n > 0 {
-                hist.ensure_counts();
-                hist.counts[index as usize] += n;
+            let index = index as usize;
+            if index < next || index >= NUM_BUCKETS {
+                return Err("histogram buckets must ascend within range");
             }
+            if n == 0 {
+                return Err("histogram bucket count must be non-zero");
+            }
+            total = total
+                .checked_add(n)
+                .ok_or("histogram bucket counts overflow")?;
+            hist.ensure_counts();
+            hist.counts[index] = n;
+            next = index + 1;
+        }
+        if total != count {
+            return Err("histogram bucket counts must sum to its count");
+        }
+        if count > 0 && min > max {
+            return Err("histogram min exceeds its max");
         }
         hist.count = count;
         hist.sum = sum;
         hist.min = min;
         hist.max = max;
-        hist
+        Ok(hist)
     }
 
     #[inline]
@@ -163,7 +186,9 @@ impl LogHistogram {
 
     /// Element-wise merge: afterwards `self` summarizes the union of both
     /// histograms' recordings. Associative and commutative; the empty
-    /// histogram is the identity.
+    /// histogram is the identity. Counts and the sum saturate instead of
+    /// overflowing: two histograms a peer sent can each be valid and still
+    /// claim more than `u64::MAX` recordings together.
     pub fn merge(&mut self, other: &LogHistogram) {
         if other.count == 0 {
             return;
@@ -171,7 +196,7 @@ impl LogHistogram {
         self.ensure_counts();
         if !other.counts.is_empty() {
             for (into, &from) in self.counts.iter_mut().zip(&other.counts) {
-                *into += from;
+                *into = into.saturating_add(from);
             }
         }
         if self.count == 0 {
@@ -181,8 +206,8 @@ impl LogHistogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// Values recorded.
@@ -245,7 +270,7 @@ impl LogHistogram {
             if n == 0 {
                 continue;
             }
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen > rank {
                 return bucket_floor(index).clamp(self.min, self.max);
             }
@@ -440,6 +465,38 @@ mod tests {
             hist.min(),
             hist.max(),
         );
-        assert_eq!(back, hist);
+        assert_eq!(back, Ok(hist));
+        assert_eq!(
+            LogHistogram::from_parts(&[], 0, 0, 0, 0),
+            Ok(LogHistogram::new())
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_what_no_histogram_emits() {
+        let reject = |buckets: &[(u32, u64)], count, min, max| {
+            LogHistogram::from_parts(buckets, count, 0, min, max).expect_err("must be rejected")
+        };
+        reject(&[(3, 1)], 1, 10, 5); // min > max: `quantile`'s clamp would panic
+        reject(&[(0, u64::MAX), (0, 1)], u64::MAX, 0, 0); // duplicate index
+        reject(&[(0, u64::MAX), (1, 1)], 0, 0, 1); // counts overflow
+        reject(&[(5, 1), (4, 1)], 2, 4, 5); // descending
+        reject(&[(NUM_BUCKETS as u32, 1)], 1, 0, 0); // out of range
+        reject(&[(4, 0)], 0, 0, 0); // zero count
+        reject(&[(4, 2)], 3, 4, 4); // counts do not sum to `count`
+        reject(&[], 1, 0, 0); // a count with no buckets
+    }
+
+    #[test]
+    fn merge_saturates_where_it_would_overflow() {
+        let huge = |index: u32, sum: u128| {
+            LogHistogram::from_parts(&[(index, u64::MAX)], u64::MAX, sum, 3, 3).unwrap()
+        };
+        let mut a = huge(3, u128::MAX);
+        a.merge(&huge(3, u128::MAX));
+        a.merge(&huge(2, 1));
+        assert_eq!(a.count(), u64::MAX);
+        assert_eq!(a.sum(), u128::MAX);
+        assert_eq!(a.quantile(0.99), 3);
     }
 }

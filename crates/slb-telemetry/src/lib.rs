@@ -5,8 +5,8 @@
 //!
 //! * [`hist`] — fixed-bucket log₂-linear histograms ([`LogHistogram`],
 //!   [`AtomicHistogram`]) with a proven associative/commutative merge and
-//!   a ≤ 6.25 % quantile error bound. These replace raw-sample retention
-//!   as the storage behind the engine's latency summaries.
+//!   a ≤ 6.25 % quantile error bound. These are the only storage behind
+//!   the engine's latency summaries: no raw sample is retained anywhere.
 //! * [`metrics`] — relaxed atomic [`Counter`]s/[`Gauge`]s, the per-hop
 //!   transport telemetry a stage updates once per batch
 //!   ([`HopTelemetry`]/[`HopStats`]), and the [`MetricsSnapshot`] a node

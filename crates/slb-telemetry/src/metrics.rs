@@ -217,14 +217,9 @@ pub struct MetricsSnapshot {
     pub queue_depth_hwm: u64,
     pub ring_occupancy_hwm: u64,
     pub ring_capacity: u64,
-    /// Latency distribution (exact scalars + sparse log₂ buckets); empty
-    /// on periodic snapshots, filled from the stage report on the final
-    /// one.
-    pub latency_count: u64,
-    pub latency_sum_us: u64,
-    pub latency_min_us: u64,
-    pub latency_max_us: u64,
-    pub latency_buckets: Vec<(u32, u64)>,
+    /// Latency distribution, µs; empty on periodic snapshots, filled from
+    /// the stage report on the final one.
+    pub latency: LogHistogram,
 }
 
 impl MetricsSnapshot {
@@ -252,52 +247,33 @@ impl MetricsSnapshot {
         self.ring_capacity = hop.ring_capacity;
     }
 
-    /// Copies a latency histogram into the latency fields.
-    pub fn set_latency(&mut self, hist: &LogHistogram) {
-        self.latency_count = hist.count();
-        self.latency_sum_us = u64::try_from(hist.sum()).unwrap_or(u64::MAX);
-        self.latency_min_us = hist.min();
-        self.latency_max_us = hist.max();
-        self.latency_buckets = hist.nonzero_buckets();
-    }
-
-    /// Rebuilds the latency histogram from the sparse fields.
-    pub fn latency_histogram(&self) -> LogHistogram {
-        LogHistogram::from_parts(
-            &self.latency_buckets,
-            self.latency_count,
-            self.latency_sum_us as u128,
-            self.latency_min_us,
-            self.latency_max_us,
-        )
-    }
-
     /// Folds another snapshot into this one (for cluster rollups):
     /// counters add, high-water marks take the maximum, latency
     /// distributions merge bucket-wise.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
+        // Saturating: these are a peer's numbers, and a rollup of absurd
+        // ones must read absurd, not abort the orchestrator.
+        let add = |into: &mut u64, n: u64| *into = into.saturating_add(n);
         self.seq = self.seq.max(other.seq);
         self.finished = self.finished && other.finished;
-        self.items += other.items;
-        self.windows_closed += other.windows_closed;
-        self.checkpoints += other.checkpoints;
-        self.restores += other.restores;
-        self.replayed_items += other.replayed_items;
-        self.duplicates_dropped += other.duplicates_dropped;
-        self.replay_requests += other.replay_requests;
-        self.transport_errors += other.transport_errors;
-        self.batches_sent += other.batches_sent;
-        self.tuples_sent += other.tuples_sent;
-        self.send_stall_us += other.send_stall_us;
-        self.batches_received += other.batches_received;
-        self.tuples_received += other.tuples_received;
-        self.recv_wait_us += other.recv_wait_us;
+        add(&mut self.items, other.items);
+        add(&mut self.windows_closed, other.windows_closed);
+        add(&mut self.checkpoints, other.checkpoints);
+        add(&mut self.restores, other.restores);
+        add(&mut self.replayed_items, other.replayed_items);
+        add(&mut self.duplicates_dropped, other.duplicates_dropped);
+        add(&mut self.replay_requests, other.replay_requests);
+        add(&mut self.transport_errors, other.transport_errors);
+        add(&mut self.batches_sent, other.batches_sent);
+        add(&mut self.tuples_sent, other.tuples_sent);
+        add(&mut self.send_stall_us, other.send_stall_us);
+        add(&mut self.batches_received, other.batches_received);
+        add(&mut self.tuples_received, other.tuples_received);
+        add(&mut self.recv_wait_us, other.recv_wait_us);
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
         self.ring_occupancy_hwm = self.ring_occupancy_hwm.max(other.ring_occupancy_hwm);
         self.ring_capacity = self.ring_capacity.max(other.ring_capacity);
-        let mut latency = self.latency_histogram();
-        latency.merge(&other.latency_histogram());
-        self.set_latency(&latency);
+        self.latency.merge(&other.latency);
     }
 
     /// Serializes to one JSON object (the JSONL line format; the vendored
@@ -328,18 +304,20 @@ impl MetricsSnapshot {
         push_json_u64(&mut out, "queue_depth_hwm", self.queue_depth_hwm);
         push_json_u64(&mut out, "ring_occupancy_hwm", self.ring_occupancy_hwm);
         push_json_u64(&mut out, "ring_capacity", self.ring_capacity);
-        push_json_u64(&mut out, "latency_count", self.latency_count);
-        push_json_u64(&mut out, "latency_sum_us", self.latency_sum_us);
-        push_json_u64(&mut out, "latency_min_us", self.latency_min_us);
-        push_json_u64(&mut out, "latency_max_us", self.latency_max_us);
-        if self.latency_count > 0 {
-            let hist = self.latency_histogram();
+        let hist = &self.latency;
+        push_json_u64(&mut out, "latency_count", hist.count());
+        // JSON numbers here are `u64`; the exact 128-bit sum saturates.
+        let sum = u64::try_from(hist.sum()).unwrap_or(u64::MAX);
+        push_json_u64(&mut out, "latency_sum_us", sum);
+        push_json_u64(&mut out, "latency_min_us", hist.min());
+        push_json_u64(&mut out, "latency_max_us", hist.max());
+        if !hist.is_empty() {
             push_json_u64(&mut out, "latency_p50_us", hist.quantile(0.50));
             push_json_u64(&mut out, "latency_p95_us", hist.quantile(0.95));
             push_json_u64(&mut out, "latency_p99_us", hist.quantile(0.99));
         }
         out.push_str("\"latency_buckets\":[");
-        for (i, (bucket, count)) in self.latency_buckets.iter().enumerate() {
+        for (i, (bucket, count)) in hist.nonzero_buckets().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -418,25 +396,28 @@ mod tests {
             finished: true,
             items: 10,
             restores: 1,
+            latency: hist_a.clone(),
             ..Default::default()
         };
-        a.set_latency(&hist_a);
-        let mut b = MetricsSnapshot {
+        let b = MetricsSnapshot {
             stage: snapshot_stage::WORKER,
             instance: 1,
             finished: true,
             items: 4,
             queue_depth_hwm: 3,
+            latency: hist_b.clone(),
             ..Default::default()
         };
-        b.set_latency(&hist_b);
         a.merge(&b);
         assert_eq!(a.items, 14);
         assert_eq!(a.restores, 1);
-        assert_eq!(a.latency_count, 14);
-        let mut union = hist_a.clone();
+        let mut union = hist_a;
         union.merge(&hist_b);
-        assert_eq!(a.latency_histogram(), union);
+        assert_eq!(a.latency, union);
+        // A peer's counters saturate in a rollup; they do not overflow.
+        a.items = u64::MAX;
+        a.merge(&b);
+        assert_eq!(a.items, u64::MAX);
     }
 
     #[test]
@@ -448,14 +429,14 @@ mod tests {
             items: 99,
             ..Default::default()
         };
-        let mut hist = LogHistogram::new();
-        hist.record(123);
-        snapshot.set_latency(&hist);
+        snapshot.latency.record(123);
         let json = snapshot.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"stage\":\"source\""));
         assert!(json.contains("\"items\":99,"));
         assert!(json.contains("\"final\":false"));
+        assert!(json.contains("\"latency_count\":1,\"latency_sum_us\":123,"));
+        assert!(json.contains("\"latency_p50_us\":123,"));
         assert!(json.contains("\"latency_buckets\":[["));
         assert_eq!(json.matches('{').count(), 1);
     }

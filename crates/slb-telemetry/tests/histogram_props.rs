@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use slb_telemetry::{bucket_floor, bucket_index, LogHistogram, MetricsSnapshot, NUM_BUCKETS};
+use slb_telemetry::{bucket_floor, bucket_index, LogHistogram, NUM_BUCKETS};
 
 fn hist_of(values: &[u64]) -> LogHistogram {
     let mut hist = LogHistogram::new();
@@ -129,14 +129,12 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_latency_round_trips_through_sparse_buckets(
+    fn sparse_parts_round_trip(
         values in proptest::collection::vec(any::<u64>(), 0..200),
     ) {
         let hist = hist_of(&values);
-        let mut snapshot = MetricsSnapshot::default();
-        snapshot.set_latency(&hist);
-        if u64::try_from(hist.sum()).is_ok() {
-            prop_assert_eq!(snapshot.latency_histogram(), hist);
-        }
+        let parts = hist.nonzero_buckets();
+        let back = LogHistogram::from_parts(&parts, hist.count(), hist.sum(), hist.min(), hist.max());
+        prop_assert_eq!(back, Ok(hist));
     }
 }
