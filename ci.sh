@@ -85,6 +85,19 @@ if grep -rnE "$gone" crates src tests examples |
     exit 1
 fi
 
+echo "==> one measurement system: telemetry and checkpointing have no off switch, perf_smoke gates floors only, a layer is measured in benchmark/"
+# \bemit_json\b: the expt binaries' own EXPT_*.json hook (slb-bench/src/json.rs,
+# tested by expt_binaries_emit_json_via_the_env_hook) is a different thing.
+if grep -rnE 'run_windowed_without_|plan\.telemetry|plan\.checkpointing|TraceBuf::disabled|_MAX_OVERHEAD|_MIN_RATIO|\bemit_json\b|json_sink' \
+    crates vendor/criterion; then
+    echo "no A/B switch in the plan, no ratio gate in perf_smoke, no BENCH_<name>.json mirror in the criterion shim: compare builds with the repo benchmark"
+    exit 1
+fi
+if ls docs/BENCH_*.json docs/BENCH_baseline_* 2>/dev/null | grep .; then
+    echo "the PR-2 bench files were deleted; per-PR pair files are docs/BENCH_prNN_pairs.jsonl"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -155,11 +168,12 @@ echo "==> examples (quickstart and imbalance_study already ran via tests/example
 cargo run --quiet --release --example trending_topics > /dev/null
 cargo run --quiet --release --example storm_like_topology > /dev/null
 
-echo "==> perf smoke (batched engine + phased scenario loop + TCP (stage-owned poll loop, no reader threads) and SPSC backends at zero service time must clear their floors; SPSC must not lose to InProc; checkpoints within 10%, and within 20% at 100k-key worker state; idle controller within 5%; telemetry within 5%)"
+echo "==> perf smoke (six best-of-three throughput floors at zero service time: single-phase, scenario, TCP, SPSC, large-state close, idle controller)"
 cargo run --quiet --release -p slb-bench --bin perf_smoke
 
-echo "==> criterion benches (quick mode, compile + run)"
-SLB_BENCH_QUICK=1 cargo bench -p slb-bench --quiet > /dev/null
+echo "==> criterion benches (quick mode, compile + run: bench_partitioners, bench_bound)"
+# Named, so cargo does not also build the crate's 21 binaries as bench targets.
+SLB_BENCH_QUICK=1 cargo bench -p slb-bench --quiet --bench bench_partitioners --bench bench_bound > /dev/null
 
 echo "==> benchmark package builds and smoke-tests against the workspace (an engine API change that breaks benchmark/ fails here, not at the benchmark gate)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml

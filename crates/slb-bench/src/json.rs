@@ -3,9 +3,7 @@
 //! Every `expt_*` binary prints a human-readable table to stdout; with
 //! `SLB_BENCH_JSON_DIR=<dir>` set it *additionally* writes the same rows as
 //! JSON to `<dir>/EXPT_<experiment>.json`, so figure data can be consumed by
-//! plotting scripts without re-parsing aligned-column text. This mirrors the
-//! `BENCH_*.json` hook the vendored criterion harness already provides for
-//! the benches — one env var, one directory, machine-readable everything.
+//! plotting scripts without re-parsing aligned-column text.
 //!
 //! The vendored `serde` is a no-op shim (see `vendor/README.md`), so this is
 //! a deliberately tiny hand-rolled JSON writer: a value model, escaping, and

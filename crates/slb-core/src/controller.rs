@@ -226,15 +226,6 @@ impl ControllerMetrics {
             events,
         }
     }
-
-    /// Events of one source, in window order.
-    pub fn for_source(&self, source: u32) -> Vec<ControllerEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.source == source)
-            .collect()
-    }
 }
 
 /// The per-source controller state machine. See the module docs for the
@@ -286,11 +277,6 @@ impl ElasticityController {
     /// The controller's current view of the solver decision.
     pub fn current_decision(&self) -> ChoicesDecision {
         self.decision
-    }
-
-    /// Windows observed so far.
-    pub fn windows_observed(&self) -> u64 {
-        self.window
     }
 
     /// The decision log so far (only changes are logged).
@@ -536,7 +522,6 @@ mod tests {
         let m = ControllerMetrics::merged(vec![e(1, 5), e(0, 9), e(1, 2), e(0, 1)]);
         let order: Vec<(u32, u64)> = m.events.iter().map(|x| (x.source, x.window)).collect();
         assert_eq!(order, vec![(0, 1), (0, 9), (1, 2), (1, 5)]);
-        assert_eq!(m.for_source(1).len(), 2);
         assert!(m.enabled);
         assert!(!ControllerMetrics::default().enabled);
     }

@@ -314,17 +314,6 @@ impl PhaseLoadMatrix {
         imbalance(&self.counts[phase][..active])
     }
 
-    /// Per-worker totals across all phases (the run-total load vector).
-    pub fn worker_totals(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.workers()];
-        for row in &self.counts {
-            for (t, &c) in totals.iter_mut().zip(row) {
-                *t += c;
-            }
-        }
-        totals
-    }
-
     /// Total messages across all phases and workers.
     pub fn total(&self) -> u64 {
         self.counts.iter().flatten().sum()
@@ -456,7 +445,6 @@ mod tests {
         assert_eq!(m.phase_counts(0), &[5, 5, 0, 0]);
         assert_eq!(m.phase_total(0), 10);
         assert_eq!(m.phase_total(1), 10);
-        assert_eq!(m.worker_totals(), vec![8, 5, 7, 0]);
         assert_eq!(m.total(), 20);
     }
 

@@ -70,16 +70,6 @@ impl LatencySummary {
             max_us: all.max(),
         }
     }
-
-    /// Mean latency in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_us / 1_000.0
-    }
-
-    /// 99th percentile latency in milliseconds.
-    pub fn p99_ms(&self) -> f64 {
-        self.p99_us as f64 / 1_000.0
-    }
 }
 
 /// Throughput and latency of one topology stage.
@@ -324,16 +314,5 @@ mod tests {
             }
         );
         assert!(!m.is_quiet());
-    }
-
-    #[test]
-    fn unit_conversions() {
-        let s = LatencySummary {
-            mean_us: 1_500.0,
-            p99_us: 2_000,
-            ..Default::default()
-        };
-        assert!((s.mean_ms() - 1.5).abs() < 1e-12);
-        assert!((s.p99_ms() - 2.0).abs() < 1e-12);
     }
 }

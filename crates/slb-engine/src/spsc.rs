@@ -2,10 +2,11 @@
 //! batch recycling and best-effort core pinning.
 //!
 //! [`InProc`](crate::InProc) multiplexes every stage pair over one
-//! Mutex+Condvar MPMC queue per worker, and `docs/PERF.md` shows that queue
-//! — not routing — is now the engine's bottleneck: `route_batch` sustains
-//! hundreds of Melem/s while the full zero-service engine tops out around
-//! 31. [`Spsc`] removes the locks from the steady state:
+//! Mutex+Condvar MPMC queue per worker, and that queue — not routing — was
+//! the engine's bottleneck when this backend was added: `route_batch`
+//! sustains hundreds of Melem/s while the full zero-service engine topped
+//! out around 31 (`docs/PERF.md`, "Before the repo benchmark"). [`Spsc`]
+//! removes the locks from the steady state:
 //!
 //! * **One single-producer/single-consumer ring per (sender clone, receiver)
 //!   pair.** Every cloned sender handle lazily claims a private *lane* — a

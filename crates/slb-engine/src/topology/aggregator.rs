@@ -38,11 +38,9 @@ pub struct AggregatorStageReport<P> {
     /// SIGKILLed worker's connection tearing mid-frame).
     pub transport_errors: u64,
     /// The deterministic logical trace of this shard (one `WINDOW_CLOSE`
-    /// per finalized window, in finalization order); empty when telemetry
-    /// is disabled.
+    /// per finalized window, in finalization order).
     pub trace: Vec<TraceEvent>,
-    /// Transport counters for this shard's receive side; all-zero when
-    /// telemetry is disabled.
+    /// Transport counters for this shard's receive side.
     pub transport: HopStats,
 }
 
@@ -58,7 +56,7 @@ pub struct AggregatorSupervision<'a> {
     pub exclusions: &'a mpsc::Receiver<usize>,
     /// A shared [`HopTelemetry`] the stage updates in place so a metrics
     /// ticker on another thread can snapshot it mid-run; `None` makes the
-    /// stage keep a private (plan-gated) one.
+    /// stage keep a private one.
     pub live: Option<Arc<HopTelemetry>>,
 }
 
@@ -86,15 +84,12 @@ where
     Rx: PartialReceiver<A::Partial>,
 {
     let spawned_workers = plan.spawned_workers;
-    let telemetry = plan.telemetry;
     let total_windows = supervision.as_ref().map(|_| plan.total_windows());
     let exclusions = supervision.as_ref().map(|s| s.exclusions);
-    let live = supervision.and_then(|s| s.live);
-    // Hop telemetry and the logical trace; see the source stage for the
-    // live-vs-private convention.
-    let local_hop = (live.is_none() && telemetry).then(HopTelemetry::default);
-    let hop = live.as_deref().or(local_hop.as_ref());
-    let mut trace = TraceBuf::new(trace_stage::AGGREGATOR, shard as u32, telemetry);
+    // Hop telemetry (the supervisor's shared one, else the stage's own)
+    // and the logical trace.
+    let hop = supervision.and_then(|s| s.live).unwrap_or_default();
+    let mut trace = TraceBuf::new(trace_stage::AGGREGATOR, shard as u32);
     let mut latencies = LogHistogram::new();
     let mut merged = 0u64;
     let mut duplicates_dropped = 0u64;
@@ -112,23 +107,20 @@ where
         total_windows.is_some_and(|t| finalized.len() as u64 >= t)
     };
     'recv: while !all_done(&finalized) {
-        // Serve supervisor exclusions between receive rounds (the shim's
-        // channels have no select, so the data queue is polled with its
-        // own blocking receive and exclusions are drained non-blockingly;
-        // the orchestrator follows every Exclude broadcast with data-side
-        // progress — at minimum the queue closing — so this never
-        // deadlocks).
+        // Serve supervisor exclusions between receive rounds: the stage
+        // drains them without blocking, then blocks on the data queue. The
+        // orchestrator follows every Exclude broadcast with data-side
+        // progress — at minimum the queue closing — so an exclusion never
+        // waits behind a receive that cannot return.
         if take_exclusions(exclusions, &mut excluded) {
             excluded_any = true;
             finalize_quorate_windows(&mut open, &mut finalized, &excluded, &mut trace);
             // Back to the loop condition: that may have been the last window.
             continue;
         }
-        let wait = hop.map(|h| (h, Instant::now()));
+        let before = Instant::now();
         let received = receiver.recv_batch(&mut drained);
-        if let Some((h, before)) = wait {
-            h.recv_wait_us.add(before.elapsed().as_micros() as u64);
-        }
+        hop.recv_wait_us.add(before.elapsed().as_micros() as u64);
         match received {
             Ok(_) => {}
             Err(RecvError::Transport(_)) => {
@@ -140,14 +132,12 @@ where
             }
             Err(RecvError::Closed) => break,
         }
-        if let Some(h) = hop {
-            // Each drained element is one partial-window message.
-            let n = drained.len() as u64;
-            h.batches_received.add(n);
-            h.tuples_received.add(n);
-            h.queue_depth_hwm.record(n);
-            h.batch_occupancy.record(n);
-        }
+        // Each drained element is one partial-window message.
+        let n = drained.len() as u64;
+        hop.batches_received.add(n);
+        hop.tuples_received.add(n);
+        hop.queue_depth_hwm.record(n);
+        hop.batch_occupancy.record(n);
         for pw in drained.drain(..) {
             if finalized.contains_key(&pw.window) {
                 // Every worker already contributed; a straggler can only
@@ -207,7 +197,7 @@ where
         duplicates_dropped,
         transport_errors,
         trace: trace.into_events(),
-        transport: hop.map(HopTelemetry::snapshot).unwrap_or_default(),
+        transport: hop.snapshot(),
     }
 }
 

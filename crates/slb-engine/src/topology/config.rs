@@ -271,8 +271,6 @@ impl EngineConfig {
             phase_starts: Arc::new(vec![0]),
             phases: Arc::new(vec![phase]),
             faults: Arc::new(FaultPlan::none()),
-            checkpointing: true,
-            telemetry: true,
             solver: self.solver,
             controller: self.controller.clone(),
         }
@@ -441,8 +439,6 @@ impl ScenarioConfig {
             phase_starts: Arc::new(phases.iter().map(|p| p.start_window).collect()),
             phases: Arc::new(phases),
             faults: Arc::new(FaultPlan::none()),
-            checkpointing: true,
-            telemetry: true,
             solver: self.solver,
             controller: self.controller.clone(),
         }
@@ -506,19 +502,6 @@ pub struct StagePlan {
     /// Never serialized: fault plans travel beside a config, not inside it,
     /// so the cluster spec of a distributed run stays unchanged.
     pub faults: Arc<FaultPlan>,
-    /// Whether workers persist a checkpoint at every window finalization.
-    /// Always `true` for every public run entry point — recovery depends on
-    /// it — and only disabled by the perf smoke's A/B measurement of the
-    /// checkpoint path's cost
-    /// ([`Topology::run_windowed_without_checkpoints`](super::Topology::run_windowed_without_checkpoints)).
-    pub checkpointing: bool,
-    /// Whether the stages collect telemetry: per-hop transport counters
-    /// ([`slb_telemetry::HopStats`] in the reports) and the logical trace stream. Always
-    /// `true` for every public run entry point — telemetry is designed to
-    /// be cheap enough to leave on — and only disabled by the perf smoke's
-    /// A/B measurement of its cost
-    /// ([`Topology::run_windowed_without_telemetry`](super::Topology::run_windowed_without_telemetry)).
-    pub telemetry: bool,
     /// Solver mode every source passes into its partitioner's
     /// [`slb_core::PartitionConfig`]; `External` whenever `controller` is set.
     pub solver: SolverMode,

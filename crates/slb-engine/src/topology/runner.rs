@@ -77,10 +77,10 @@ pub struct EngineResult {
     /// The run's merged logical trace, in the canonical
     /// `(stage, instance, seq)` order (see [`sort_canonical`]): every
     /// window close, checkpoint save/restore, replay, rescale, and
-    /// controller decision across all stage instances. Empty when the plan
-    /// disables telemetry. Deterministic for a fixed config and seed —
-    /// bit-identical across transport backends, reruns, and batch sizes on
-    /// fault-free runs (docs/OBSERVABILITY.md states the argument).
+    /// controller decision across all stage instances. Deterministic for a
+    /// fixed config and seed — bit-identical across transport backends,
+    /// reruns, and batch sizes on fault-free runs (docs/OBSERVABILITY.md
+    /// states the argument).
     pub trace: Vec<TraceEvent>,
     /// Per-hop transport counters, merged across the instances of each
     /// stage. Wall-clock shaped (stall/wait times, high-water marks), so —
@@ -180,58 +180,8 @@ impl Topology {
         A::Partial: WirePartial,
         T: Transport<A::Partial>,
     {
-        self.run_adjusted(aggregate, transport, |plan| inject_faults(plan, faults))
-    }
-
-    /// Runs the topology with per-window checkpoint persistence disabled —
-    /// the *measurement baseline* for the checkpoint path's cost, used by
-    /// the CI perf smoke to assert that fault-free runs pay less than a
-    /// fixed overhead budget for always-on checkpointing. Results are
-    /// bit-identical to [`Self::run_windowed_on`]; only the durable writes
-    /// are skipped. No faults can be injected here: recovery depends on the
-    /// checkpoints this entry point elides.
-    pub fn run_windowed_without_checkpoints<A, T>(
-        &self,
-        aggregate: A,
-        transport: &T,
-    ) -> WindowedRun<A::Partial>
-    where
-        A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
-        T: Transport<A::Partial>,
-    {
-        self.run_adjusted(aggregate, transport, |plan| plan.checkpointing = false)
-    }
-
-    /// Runs the topology with telemetry collection disabled — the
-    /// *measurement baseline* for the telemetry layer's cost, used by the
-    /// CI perf smoke to assert that the per-batch counters and trace pushes
-    /// stay within a fixed overhead budget. Results are bit-identical to
-    /// [`Self::run_windowed`]; only the counters, histograms, and trace
-    /// stream come back empty.
-    pub fn run_windowed_without_telemetry<A>(&self, aggregate: A) -> WindowedRun<A::Partial>
-    where
-        A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
-    {
-        self.run_adjusted(aggregate, &InProc, |plan| plan.telemetry = false)
-    }
-
-    /// The one run tail behind every entry point above: resolve the plan,
-    /// let the entry point adjust it, and run it over this config's stream.
-    fn run_adjusted<A, T>(
-        &self,
-        aggregate: A,
-        transport: &T,
-        adjust: impl FnOnce(&mut StagePlan),
-    ) -> WindowedRun<A::Partial>
-    where
-        A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
-        T: Transport<A::Partial>,
-    {
         let mut plan = self.config.stage_plan();
-        adjust(&mut plan);
+        inject_faults(&mut plan, faults);
         let cfg = self.config.clone();
         let streams = Arc::new(move |_phase: usize, source: usize| {
             crate::windows::source_stream(&cfg, source)
@@ -663,7 +613,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_is_deterministic_across_reruns_and_empty_when_disabled() {
+    fn trace_is_deterministic_across_reruns() {
         let topo = Topology::new(EngineConfig::smoke(PartitionerKind::Pkg, 1.2));
         let first = topo.run_windowed(CountAggregate).result;
         let second = topo.run_windowed(CountAggregate).result;
@@ -684,12 +634,6 @@ mod tests {
         // Transport counters saw the run's traffic.
         assert_eq!(first.transport.source.tuples_sent, first.processed);
         assert_eq!(first.transport.worker.tuples_received, first.processed);
-        let off = topo.run_windowed_without_telemetry(CountAggregate).result;
-        assert!(off.trace.is_empty());
-        assert_eq!(off.transport, TransportStats::default());
-        // Telemetry never changes the computation itself.
-        assert_eq!(off.processed, first.processed);
-        assert_eq!(off.worker_counts, first.worker_counts);
     }
 
     #[test]

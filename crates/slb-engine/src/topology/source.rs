@@ -46,11 +46,9 @@ pub struct SourceStageReport {
     /// controller.
     pub controller_events: Vec<ControllerEvent>,
     /// The deterministic logical trace of this source (window closes,
-    /// rescales, controller decisions, replay serves); empty when the plan
-    /// disables telemetry.
+    /// rescales, controller decisions, replay serves).
     pub trace: Vec<TraceEvent>,
-    /// Transport counters for the source→worker hop; all-zero when the plan
-    /// disables telemetry.
+    /// Transport counters for the source→worker hop.
     pub transport: HopStats,
 }
 
@@ -111,7 +109,7 @@ pub trait SourceControl {
 
     /// A shared [`HopTelemetry`] the stage updates in place so a metrics
     /// ticker on another thread can snapshot it mid-run; `None` makes the
-    /// stage keep a private (plan-gated) one.
+    /// stage keep a private one.
     fn live(&self) -> Option<Arc<HopTelemetry>> {
         None
     }
@@ -213,18 +211,13 @@ struct LiveSink<'a, Tx> {
     drops: Vec<(ConnectionDrop, u64)>,
     sent: u64,
     /// Per-hop transport telemetry, updated once per sent message (never
-    /// per tuple); `None` when the plan disabled telemetry.
-    hop: Option<&'a HopTelemetry>,
+    /// per tuple).
+    hop: &'a HopTelemetry,
     trace: TraceBuf,
 }
 
 impl<'a, Tx: TupleSender> LiveSink<'a, Tx> {
-    fn new(
-        plan: &StagePlan,
-        source: usize,
-        senders: &'a [Tx],
-        hop: Option<&'a HopTelemetry>,
-    ) -> Self {
+    fn new(plan: &StagePlan, source: usize, senders: &'a [Tx], hop: &'a HopTelemetry) -> Self {
         Self {
             senders,
             source,
@@ -238,7 +231,7 @@ impl<'a, Tx: TupleSender> LiveSink<'a, Tx> {
                 .collect(),
             sent: 0,
             hop,
-            trace: TraceBuf::new(trace_stage::SOURCE, source as u32, plan.telemetry),
+            trace: TraceBuf::new(trace_stage::SOURCE, source as u32),
         }
     }
 
@@ -255,15 +248,15 @@ impl<'a, Tx: TupleSender> LiveSink<'a, Tx> {
     }
 
     fn send(&self, worker: usize, message: SourceMessage) {
-        let before = self.hop.map(|_| Instant::now());
+        let before = Instant::now();
         // A send only fails if the receiver is gone, which cannot happen
         // before all senders are dropped; treat it as fatal.
         self.senders[worker]
             .send(message)
             .expect("worker queue closed prematurely");
-        if let (Some(h), Some(before)) = (self.hop, before) {
-            h.send_stall_us.add(before.elapsed().as_micros() as u64);
-        }
+        self.hop
+            .send_stall_us
+            .add(before.elapsed().as_micros() as u64);
     }
 }
 
@@ -299,14 +292,13 @@ impl<Tx: TupleSender> EmitSink for LiveSink<'_, Tx> {
         // Telemetry rides the per-batch path only: a handful of Relaxed
         // counter bumps and one occupancy sample per shipped batch, zero
         // work per tuple.
-        if let Some(h) = self.hop {
-            h.batches_sent.add(1);
-            h.tuples_sent.add(keys.len() as u64);
-            h.batch_occupancy.record(keys.len() as u64);
-            if let Some((occupied, capacity)) = self.senders[worker].queue_depth_hint() {
-                h.ring_occupancy_hwm.record(occupied as u64);
-                h.ring_capacity.set(capacity as u64);
-            }
+        let h = self.hop;
+        h.batches_sent.add(1);
+        h.tuples_sent.add(keys.len() as u64);
+        h.batch_occupancy.record(keys.len() as u64);
+        if let Some((occupied, capacity)) = self.senders[worker].queue_depth_hint() {
+            h.ring_occupancy_hwm.record(occupied as u64);
+            h.ring_capacity.set(capacity as u64);
         }
         self.send(
             worker,
@@ -844,11 +836,8 @@ where
         control.recoverable() || plan.faults.drops_from(source_idx).is_empty(),
         "connection-drop faults require a recovery channel"
     );
-    // `hop == None` means telemetry is off and the send path pays nothing
-    // beyond a branch per batch.
-    let live = control.live();
-    let local_hop = (live.is_none() && plan.telemetry).then(HopTelemetry::default);
-    let hop = live.as_deref().or(local_hop.as_ref());
+    // Hop telemetry: the control plane's shared one, else the stage's own.
+    let hop = control.live().unwrap_or_default();
     let driver = SourceDriver::new(plan, source_idx, senders.len(), stream_for_phase(0));
     let mut stage = SourceStage {
         senders,
@@ -856,7 +845,7 @@ where
         control,
         driver,
         snapshots: VecDeque::new(),
-        sink: LiveSink::new(plan, source_idx, senders, hop),
+        sink: LiveSink::new(plan, source_idx, senders, &hop),
     };
     let mut bufs = EmitBuffers::new(senders.len(), plan.batch_size);
     // The origin snapshot every replay can fall back to.
@@ -910,7 +899,7 @@ where
         sent: stage.sink.sent,
         controller_events,
         trace: trace.into_events(),
-        transport: hop.map(HopTelemetry::snapshot).unwrap_or_default(),
+        transport: hop.snapshot(),
     }
 }
 

@@ -59,11 +59,10 @@ pub struct WorkerStageReport {
     /// the deterministic result.
     pub checkpoint_bytes: u64,
     /// The deterministic logical trace of this worker (window closes,
-    /// checkpoint saves/restores, replay requests); empty when the plan
-    /// disables telemetry.
+    /// checkpoint saves/restores, replay requests).
     pub trace: Vec<TraceEvent>,
     /// Transport counters for this worker's receive side plus its
-    /// worker→aggregator sends; all-zero when the plan disables telemetry.
+    /// worker→aggregator sends.
     pub transport: HopStats,
 }
 
@@ -258,7 +257,7 @@ pub enum WorkerRecovery<'a, Ftx> {
         persist: &'a mut dyn FnMut(CheckpointRecord<'_>),
         /// A shared [`HopTelemetry`] the stage updates in place so a
         /// metrics ticker on another thread can snapshot it mid-run;
-        /// without it the stage keeps a private one (plan-gated).
+        /// without it the stage keeps a private one.
         live: Option<Arc<HopTelemetry>>,
     },
 }
@@ -361,11 +360,10 @@ where
     let mut pending_request: Vec<Option<u64>> = vec![None; sources];
     let mut recovery = RecoveryMetrics::default();
     let mut checkpoints = 0u64;
-    // Hop telemetry and the logical trace; see the source stage for the
-    // live-vs-private convention. All per-message, never per-tuple.
-    let local_hop = (live.is_none() && plan.telemetry).then(HopTelemetry::default);
-    let hop = live.as_deref().or(local_hop.as_ref());
-    let mut trace = TraceBuf::new(trace_stage::WORKER, worker_idx as u32, plan.telemetry);
+    // Hop telemetry (a durable runner's shared one, else the stage's own) and
+    // the logical trace. All per-message, never per-tuple.
+    let hop = live.unwrap_or_default();
+    let mut trace = TraceBuf::new(trace_stage::WORKER, worker_idx as u32);
     if let Some(checkpoint) = initial {
         // Respawn restore: this process starts where its predecessor's
         // last durable checkpoint left off. The replay that fills the
@@ -388,11 +386,9 @@ where
     }
     let mut drained: Vec<SourceMessage> = Vec::new();
     'recv: loop {
-        let wait = hop.map(|h| (h, Instant::now()));
+        let before = Instant::now();
         let received = receiver.recv_batch(&mut drained);
-        if let Some((h, before)) = wait {
-            h.recv_wait_us.add(before.elapsed().as_micros() as u64);
-        }
+        hop.recv_wait_us.add(before.elapsed().as_micros() as u64);
         match received {
             Ok(_) => {}
             Err(RecvError::Transport(_)) => {
@@ -405,9 +401,7 @@ where
             }
             Err(RecvError::Closed) => break,
         }
-        if let Some(h) = hop {
-            h.queue_depth_hwm.record(drained.len() as u64);
-        }
+        hop.queue_depth_hwm.record(drained.len() as u64);
         for message in drained.drain(..) {
             let (src, seq) = message.source_seq();
             frontier[src] = frontier[src].max(seq + 1);
@@ -442,11 +436,9 @@ where
             match message {
                 SourceMessage::Batch(batch) => {
                     let n = batch.keys.len() as u64;
-                    if let Some(h) = hop {
-                        h.batches_received.add(1);
-                        h.tuples_received.add(n);
-                        h.batch_occupancy.record(n);
-                    }
+                    hop.batches_received.add(1);
+                    hop.tuples_received.add(n);
+                    hop.batch_occupancy.record(n);
                     let phase = phase_of(&plan.phase_starts, batch.window);
                     let service = plan.phases[phase].service[worker_idx];
                     // Emulate the aggregation work with one
@@ -533,7 +525,6 @@ where
                         .remove(&window)
                         .unwrap_or_else(|| aggregate.empty());
                     let closed_at = Instant::now();
-                    let timed = hop.map(|h| (h, Instant::now()));
                     for (shard, slice) in aggregate
                         .shard(partial, aggregators)
                         .into_iter()
@@ -548,33 +539,29 @@ where
                             })
                             .expect("aggregator queue closed prematurely");
                     }
-                    if let Some((h, before)) = timed {
-                        h.send_stall_us.add(before.elapsed().as_micros() as u64);
-                        h.batches_sent.add(aggregators as u64);
-                        h.tuples_sent.add(aggregators as u64);
-                    }
+                    hop.send_stall_us
+                        .add(closed_at.elapsed().as_micros() as u64);
+                    hop.batches_sent.add(aggregators as u64);
+                    hop.tuples_sent.add(aggregators as u64);
                     state.windows_closed += 1;
                     trace.push(trace_kind::WINDOW_CLOSE, window, state.windows_closed, 0);
                     // Checkpoint at the finalization boundary: shipping
                     // the partials and persisting the cursor that covers
                     // them happen back to back, so a later restore never
                     // re-finalizes this window.
-                    if plan.checkpointing {
-                        let record = state.save_checkpoint(worker_idx, &mut store);
-                        // Mirror to the durable medium: the hook runs
-                        // back to back with shipping the partials, so a
-                        // respawn restoring these bytes never
-                        // re-finalizes this window.
-                        if let Some(hook) = persist.as_mut() {
-                            hook(record);
-                        }
-                        checkpoints += 1;
-                        // One event per close whichever kind the record
-                        // was: which state.closes rebase depends on how much of
-                        // the next window was already state.open, and the trace
-                        // is interleaving-free.
-                        trace.push(trace_kind::CHECKPOINT_SAVE, window, state.windows_closed, 0);
+                    let record = state.save_checkpoint(worker_idx, &mut store);
+                    // Mirror to the durable medium: the hook runs back to
+                    // back with shipping the partials, so a respawn
+                    // restoring these bytes never re-finalizes this window.
+                    if let Some(hook) = persist.as_mut() {
+                        hook(record);
                     }
+                    checkpoints += 1;
+                    // One event per close whichever kind the record was:
+                    // which state.closes rebase depends on how much of the
+                    // next window was already state.open, and the trace is
+                    // interleaving-free.
+                    trace.push(trace_kind::CHECKPOINT_SAVE, window, state.windows_closed, 0);
                     if state.windows_closed == total_windows {
                         // Last window done: release the sources' replay
                         // service, then keep draining to EOF (anything
@@ -607,7 +594,7 @@ where
         checkpoints,
         checkpoint_bytes: store.bytes_saved(),
         trace: trace.into_events(),
-        transport: hop.map(HopTelemetry::snapshot).unwrap_or_default(),
+        transport: hop.snapshot(),
     }
 }
 

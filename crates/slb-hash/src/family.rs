@@ -218,48 +218,6 @@ impl HashFamily {
             out.push(bucket_of(derive(digest, s), self.workers));
         }
     }
-
-    /// Returns a copy of this family mapping onto a different worker count.
-    ///
-    /// Useful when the same logical functions must be re-used after a scale
-    /// change in an experiment sweep.
-    pub fn with_workers(&self, workers: usize) -> Self {
-        assert!(workers > 0, "a hash family needs at least one worker");
-        Self {
-            seeds: self.seeds.clone(),
-            workers,
-        }
-    }
-}
-
-/// Convenience wrapper bundling a [`HashFamily`] sized for the common
-/// "2 choices for the tail, up to `n` for the head" configuration.
-#[derive(Debug, Clone)]
-pub struct StreamHasher {
-    family: HashFamily,
-}
-
-impl StreamHasher {
-    /// Builds a hasher for `workers` downstream instances. The family holds
-    /// `workers` functions so that any `d <= n` requested by D-Choices can be
-    /// served.
-    pub fn new(master_seed: u64, workers: usize) -> Self {
-        Self {
-            family: HashFamily::new(master_seed, workers.max(2), workers),
-        }
-    }
-
-    /// The underlying hash family.
-    #[inline]
-    pub fn family(&self) -> &HashFamily {
-        &self.family
-    }
-
-    /// The two PKG candidate workers for `key`.
-    #[inline]
-    pub fn two_choices<K: KeyHash + ?Sized>(&self, key: &K) -> (usize, usize) {
-        (self.family.choice(key, 0), self.family.choice(key, 1))
-    }
 }
 
 #[cfg(test)]
@@ -363,25 +321,6 @@ mod tests {
         let s = String::from("hot-key");
         assert_eq!(fam.choices(&s, 2), fam.choices(&"hot-key", 2));
         assert_eq!(fam.choices(&s, 2), fam.choices("hot-key", 2));
-    }
-
-    #[test]
-    fn with_workers_keeps_seeds() {
-        let a = HashFamily::new(5, 3, 10);
-        let b = a.with_workers(20);
-        assert_eq!(b.workers(), 20);
-        // Same seeds: a key's digest ordering is preserved even if buckets change.
-        assert_eq!(b.len(), a.len());
-    }
-
-    #[test]
-    fn stream_hasher_two_choices_match_family() {
-        let sh = StreamHasher::new(9, 30);
-        for key in 0..50u64 {
-            let (a, b) = sh.two_choices(&key);
-            assert_eq!(a, sh.family().choice(&key, 0));
-            assert_eq!(b, sh.family().choice(&key, 1));
-        }
     }
 
     #[test]

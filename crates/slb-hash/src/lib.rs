@@ -28,7 +28,7 @@ pub mod family;
 pub mod splitmix;
 pub mod xxhash;
 
-pub use family::{HashFamily, KeyHash, StreamHasher, DIGEST_SEED};
+pub use family::{HashFamily, KeyHash, DIGEST_SEED};
 pub use splitmix::{FixedHashMap, FixedHashSet, FixedHasher, FixedState, SplitMix64};
 pub use xxhash::XxHash64;
 

@@ -642,8 +642,7 @@ pub fn run_node_with(
     let plan = spec.stage_plan()?;
     // Fault-tolerant stages update their hop telemetry in a shared handle,
     // which the control loop's ticker snapshots mid-run.
-    let live: Option<Arc<HopTelemetry>> =
-        (options.fault_tolerant && plan.telemetry).then(Arc::default);
+    let live: Option<Arc<HopTelemetry>> = options.fault_tolerant.then(Arc::default);
     let interval = options.metrics_interval.or_else(metrics_interval_from_env);
     let now = Instant::now();
     let ticker = |(interval, hop)| Ticker {

@@ -98,6 +98,27 @@ fn assert_backends_agree(cfg: &EngineConfig) {
         assert_eq!(result.latency.samples, result.processed);
         assert_eq!(result.latency_histogram.count(), result.latency.samples);
     }
+    // Hop telemetry is always collected, on every backend: each hop's
+    // counters saw exactly the run's traffic.
+    for (result, backend) in [
+        (&inproc.result, "InProc"),
+        (&spsc.result, "SPSC"),
+        (&tcp.result, "TCP"),
+    ] {
+        let hops = &result.transport;
+        assert_eq!(
+            hops.source.tuples_sent, result.processed,
+            "{label}: {backend} source hop counters"
+        );
+        assert_eq!(
+            hops.worker.tuples_received, result.processed,
+            "{label}: {backend} worker hop counters"
+        );
+        assert_eq!(
+            hops.aggregator.batches_received, result.aggregator_stage.items,
+            "{label}: {backend} aggregator hop counters"
+        );
+    }
 }
 
 /// One test per scheme so failures name the scheme and the matrix runs in

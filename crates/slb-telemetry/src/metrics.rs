@@ -6,7 +6,8 @@
 //! Everything here is updated *per batch*, never per tuple: a stage
 //! amortizes one relaxed atomic add (or a couple) over each 64–256-tuple
 //! batch, so the hot-path allocation and synchronization profile is
-//! untouched. The `perf_smoke` telemetry A/B gate pins the total overhead.
+//! untouched. There is no off switch: the cost is inside every number the
+//! repo benchmark reports.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

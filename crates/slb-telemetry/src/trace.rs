@@ -77,37 +77,27 @@ pub struct TraceEvent {
 }
 
 /// A stage's local trace collector: assigns the per-instance `seq`
-/// ordinals. A disabled buffer records nothing and never allocates.
+/// ordinals.
 #[derive(Debug)]
 pub struct TraceBuf {
     stage: u8,
     instance: u32,
     next_seq: u64,
-    enabled: bool,
     events: Vec<TraceEvent>,
 }
 
 impl TraceBuf {
-    pub fn new(stage: u8, instance: u32, enabled: bool) -> Self {
+    pub fn new(stage: u8, instance: u32) -> Self {
         Self {
             stage,
             instance,
             next_seq: 0,
-            enabled,
             events: Vec::new(),
         }
     }
 
-    /// A buffer that drops everything (telemetry off).
-    pub fn disabled() -> Self {
-        Self::new(0, 0, false)
-    }
-
     #[inline]
     pub fn push(&mut self, kind: u8, window: u64, a: u64, b: u64) {
-        if !self.enabled {
-            return;
-        }
         self.events.push(TraceEvent {
             stage: self.stage,
             instance: self.instance,
@@ -139,7 +129,7 @@ mod tests {
 
     #[test]
     fn seq_is_per_instance_monotone() {
-        let mut buf = TraceBuf::new(stage::WORKER, 3, true);
+        let mut buf = TraceBuf::new(stage::WORKER, 3);
         buf.push(kind::WINDOW_CLOSE, 0, 1, 0);
         buf.push(kind::CHECKPOINT_SAVE, 0, 1, 0);
         buf.push(kind::WINDOW_CLOSE, 1, 2, 0);
@@ -150,13 +140,6 @@ mod tests {
         );
         assert!(events.iter().all(|e| e.stage == stage::WORKER));
         assert!(events.iter().all(|e| e.instance == 3));
-    }
-
-    #[test]
-    fn disabled_buffer_records_nothing() {
-        let mut buf = TraceBuf::disabled();
-        buf.push(kind::WINDOW_CLOSE, 0, 0, 0);
-        assert!(buf.into_events().is_empty());
     }
 
     #[test]
