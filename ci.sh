@@ -98,6 +98,25 @@ if ls docs/BENCH_*.json docs/BENCH_baseline_* 2>/dev/null | grep .; then
     exit 1
 fi
 
+echo "==> one Greedy-2, one head cut: the tail choice is PKG's function, the threshold arithmetic is carried"
+if grep -rn 'choices_into(key, 2' crates/slb-core/src; then
+    echo "two choices are pkg.rs's greedy_two (one digest, two integer mixes), not a scratch Vec of two"
+    exit 1
+fi
+greedy=$(grep -rn 'choice_from_digest(digest, 1)' crates/slb-core/src | wc -l)
+if [ "$greedy" != 1 ]; then
+    echo "the Greedy-2 decision is written $greedy times under crates/slb-core/src; exactly once, in pkg.rs's greedy_two"
+    exit 1
+fi
+# The warm-up length is a constant of the tracker: computed where it is built,
+# never on the per-tuple path.
+warmups=$(grep -c '2\.0 / ' crates/slb-core/src/head.rs || true)
+in_new=$(sed -n '/    pub fn new(/,/^    }/p' crates/slb-core/src/head.rs | grep -c '2\.0 / ' || true)
+if [ "$warmups" != 1 ] || [ "$in_new" != 1 ]; then
+    echo "head.rs divides by theta $warmups times ($in_new in HeadTracker::new); exactly once, in new"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -142,7 +161,10 @@ for seed in 1 42 1337; do
 done
 
 echo "==> property suites at CI case counts"
-PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test aggregate_props --test rescale_props --test checkpoint_props --test durable_props --test controller_props
+PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test aggregate_props --test rescale_props --test checkpoint_props --test durable_props --test controller_props --test head_props
+# Routing decisions against literals captured before PR 21 (no cases to raise:
+# two fixed streams, six schemes, both sides of the D-Choices solver).
+cargo test -q -p slb-core --test routing_golden
 PROPTEST_CASES=256 cargo test -q -p slb-sketch --test proptests
 PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
 PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props --test replay_props --test latency_props

@@ -29,6 +29,7 @@
 //! [`empty`]: WindowAggregate::empty
 //! [`shard`]: WindowAggregate::shard
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -89,7 +90,14 @@ pub trait WindowAggregate<K>: Clone + Send + 'static {
 
     /// Folds one tuple with the given `weight` (the engine uses weight 1
     /// per tuple; weighted streams pass their multiplicity) into `partial`.
-    fn observe(&self, partial: &mut Self::Partial, key: &K, weight: u64);
+    ///
+    /// Returns `false` only if `partial` already held `key` before this
+    /// call, i.e. an earlier `observe` on this same partial was given it. A
+    /// caller that tracks the keys it has ever seen (the worker's state-key
+    /// set) skips its own probe then: whatever it did at the key's first
+    /// arrival in this partial still stands. An aggregate that cannot tell —
+    /// no per-key structure, or one that forgets keys — returns `true`.
+    fn observe(&self, partial: &mut Self::Partial, key: &K, weight: u64) -> bool;
 
     /// Merges `from` into `into`.
     fn merge(&self, into: &mut Self::Partial, from: Self::Partial);
@@ -129,9 +137,19 @@ where
         HashMap::new()
     }
 
+    /// Exact: `true` iff `key` is new to this partial.
     #[inline]
-    fn observe(&self, partial: &mut Self::Partial, key: &K, weight: u64) {
-        *partial.entry(key.clone()).or_insert(0) += weight;
+    fn observe(&self, partial: &mut Self::Partial, key: &K, weight: u64) -> bool {
+        match partial.entry(key.clone()) {
+            Entry::Occupied(mut held) => {
+                *held.get_mut() += weight;
+                false
+            }
+            Entry::Vacant(new) => {
+                new.insert(weight);
+                true
+            }
+        }
     }
 
     fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
@@ -180,9 +198,11 @@ where
         0
     }
 
+    /// Always `true`: a scalar holds no keys.
     #[inline]
-    fn observe(&self, partial: &mut Self::Partial, _key: &K, weight: u64) {
+    fn observe(&self, partial: &mut Self::Partial, _key: &K, weight: u64) -> bool {
         *partial += weight;
+        true
     }
 
     fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
@@ -238,9 +258,12 @@ where
         SpaceSaving::new(self.capacity)
     }
 
+    /// Always `true`: a full summary evicts keys it was given, so it cannot
+    /// answer for all of them.
     #[inline]
-    fn observe(&self, partial: &mut Self::Partial, key: &K, weight: u64) {
+    fn observe(&self, partial: &mut Self::Partial, key: &K, weight: u64) -> bool {
         partial.observe_many(key, weight);
+        true
     }
 
     fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {

@@ -124,14 +124,11 @@ pub fn find_optimal_choices(
         d += 1;
     }
     // d == n is not sensible for a hashed Greedy-d process (collisions leave
-    // workers uncovered); the paper switches to W-Choices instead.
-    if constraints_hold(&head_sorted, tail_mass, workers, workers, epsilon) {
-        ChoicesDecision::SwitchToW
-    } else {
-        // Even d = n cannot satisfy the bound (extremely skewed head, e.g.
-        // p1 close to 1): W-Choices is still the best available answer.
-        ChoicesDecision::SwitchToW
-    }
+    // workers uncovered); the paper switches to W-Choices instead. Whether
+    // d = n would satisfy the bound is therefore not evaluated: even when it
+    // cannot (extremely skewed head, e.g. p1 close to 1), W-Choices is still
+    // the best available answer.
+    ChoicesDecision::SwitchToW
 }
 
 /// Convenience: the fraction of workers `d/n` chosen by the solver, as

@@ -23,6 +23,7 @@ use crate::dchoices::{find_optimal_choices, ChoicesDecision};
 use crate::head::{HeadSnapshot, HeadTracker};
 use crate::load::LoadVector;
 use crate::partitioner::Partitioner;
+use crate::pkg::greedy_two;
 
 /// How a head-aware scheme treats keys that belong to the head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +55,7 @@ pub struct HeadAwarePartitioner<K: Eq + Hash + Clone> {
     cached_at_total: u64,
     /// Round-robin cursor for the RR policy.
     rr_next: usize,
+    /// The `d` candidates of a head key on a candidate-cache miss.
     scratch: Vec<usize>,
     /// Memoized `d` hash candidates per head key (D-Choices only). Head
     /// membership is bounded by the sketch capacity, so the map stays small;
@@ -213,9 +215,8 @@ impl<K: KeyHash + Eq + Hash + Clone> HeadAwarePartitioner<K> {
         self.loads.min_load_among(&self.scratch)
     }
 
-    fn route_tail(&mut self, key: &K) -> usize {
-        self.family.choices_into(key, 2, &mut self.scratch);
-        self.loads.min_load_among(&self.scratch)
+    fn route_tail(&self, key: &K) -> usize {
+        greedy_two(&self.family, &self.loads, key)
     }
 
     /// The full per-tuple decision, shared by `route` and `route_batch`.

@@ -139,7 +139,8 @@ impl LoadVector {
 /// handled by worker `w`. Returns 0 for an empty load.
 pub fn imbalance(counts: &[u64]) -> f64 {
     assert!(!counts.is_empty(), "imbalance of zero workers is undefined");
-    let total: u64 = counts.iter().sum();
+    // Saturating: the engine evaluates this over reported counts.
+    let total = counts.iter().fold(0u64, |sum, &c| sum.saturating_add(c));
     if total == 0 {
         return 0.0;
     }
@@ -279,10 +280,12 @@ impl PhaseLoadMatrix {
         self.counts[0].len()
     }
 
-    /// Records `n` messages routed to `worker` during `phase`.
+    /// Records `n` messages routed to `worker` during `phase`. Saturating:
+    /// the engine feeds this from stage reports, which may be a peer's.
     #[inline]
     pub fn add(&mut self, phase: usize, worker: usize, n: u64) {
-        self.counts[phase][worker] += n;
+        let count = &mut self.counts[phase][worker];
+        *count = count.saturating_add(n);
     }
 
     /// The per-worker counts of one phase (full worker universe).
@@ -293,7 +296,9 @@ impl PhaseLoadMatrix {
 
     /// Total messages recorded during `phase`.
     pub fn phase_total(&self, phase: usize) -> u64 {
-        self.counts[phase].iter().sum()
+        self.counts[phase]
+            .iter()
+            .fold(0, |sum, &c| sum.saturating_add(c))
     }
 
     /// The imbalance of `phase` evaluated over its first `active` workers —

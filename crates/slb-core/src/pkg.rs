@@ -39,21 +39,32 @@ impl PartialKeyGrouping {
         (self.family.choice(key, 0), self.family.choice(key, 1))
     }
 
-    /// The Greedy-2 decision for one key, shared by `route` and
-    /// `route_batch`: one digest, two derived candidates, less loaded wins
-    /// (ties go to the first candidate, as in `min_load_among`).
+    /// The per-tuple decision, shared by `route` and `route_batch`.
     #[inline]
     fn route_one<K: KeyHash + ?Sized>(&mut self, key: &K) -> usize {
-        let digest = key.digest();
-        let a = self.family.choice_from_digest(digest, 0);
-        let b = self.family.choice_from_digest(digest, 1);
-        let worker = if self.loads.count(b) < self.loads.count(a) {
-            b
-        } else {
-            a
-        };
+        let worker = greedy_two(&self.family, &self.loads, key);
         self.loads.record(worker);
         worker
+    }
+}
+
+/// The Greedy-2 decision for one key: one digest, two derived candidates,
+/// less loaded wins (ties go to the first candidate, as in
+/// `min_load_among`). PKG routes every key this way and the head-aware
+/// schemes route their tail with it.
+#[inline]
+pub(crate) fn greedy_two<K: KeyHash + ?Sized>(
+    family: &HashFamily,
+    loads: &LoadVector,
+    key: &K,
+) -> usize {
+    let digest = key.digest();
+    let a = family.choice_from_digest(digest, 0);
+    let b = family.choice_from_digest(digest, 1);
+    if loads.count(b) < loads.count(a) {
+        b
+    } else {
+        a
     }
 }
 

@@ -15,10 +15,15 @@
 //!   guarantees (additive totals, upper-bound estimates), which are checked
 //!   separately in the truncating-regime property.
 //!
+//! One more contract rides here because the worker's per-tuple loop leans on
+//! it: [`WindowAggregate::observe`] may return `false` only for a key this
+//! partial was already given, and [`CountAggregate`] returns `false` for
+//! every such key.
+//!
 //! Locally each property runs a modest number of cases; ci.sh raises the
 //! count via `PROPTEST_CASES` (see `ProptestConfig::with_cases_env`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -122,6 +127,32 @@ where
         canon(&whole),
         "shard+merge lost content"
     );
+    Ok(())
+}
+
+/// Checks `observe`'s return value over one partial: `false` implies the key
+/// was observed in this partial before, and for an `exact` aggregate `true`
+/// implies it was not.
+fn check_observe_return<A: WindowAggregate<u64>>(
+    agg: &A,
+    stream: &[u64],
+    exact: bool,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut partial = agg.empty();
+    let mut given = HashSet::new();
+    for &key in stream {
+        let new_to_partial = agg.observe(&mut partial, &key, weight_of(key));
+        let first = given.insert(key);
+        prop_assert!(
+            new_to_partial || !first,
+            "{}: observe returned false for key {} at its first arrival",
+            agg.name(),
+            key
+        );
+        if exact {
+            prop_assert_eq!(new_to_partial, first, "{}: key {}", agg.name(), key);
+        }
+    }
     Ok(())
 }
 
@@ -232,5 +263,16 @@ proptest! {
         let slices = agg.shard(merged, shards);
         let reassembled_total: u64 = slices.iter().map(|s| s.total()).sum();
         prop_assert_eq!(reassembled_total, total_weight.max(monitored));
+    }
+
+    #[test]
+    fn observe_returns_false_only_for_a_key_the_partial_already_holds(
+        stream in stream_strategy(),
+        capacity in 1usize..12,
+    ) {
+        check_observe_return(&CountAggregate, &stream, true)?;
+        check_observe_return(&SumAggregate, &stream, false)?;
+        // Small capacities evict: the summary forgets keys it was given.
+        check_observe_return(&TopKAggregate::new(capacity), &stream, false)?;
     }
 }

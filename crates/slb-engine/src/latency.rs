@@ -124,14 +124,17 @@ impl RecoveryMetrics {
         *self == Self::default()
     }
 
-    /// Field-wise sum of two counters (for merging per-thread reports).
+    /// Field-wise saturating sum of two counters (for merging per-stage
+    /// reports, which may be a peer's).
     pub fn merged(self, other: Self) -> Self {
         Self {
-            restores: self.restores + other.restores,
-            replayed_items: self.replayed_items + other.replayed_items,
-            duplicates_dropped: self.duplicates_dropped + other.duplicates_dropped,
-            replay_requests: self.replay_requests + other.replay_requests,
-            transport_errors: self.transport_errors + other.transport_errors,
+            restores: self.restores.saturating_add(other.restores),
+            replayed_items: self.replayed_items.saturating_add(other.replayed_items),
+            duplicates_dropped: self
+                .duplicates_dropped
+                .saturating_add(other.duplicates_dropped),
+            replay_requests: self.replay_requests.saturating_add(other.replay_requests),
+            transport_errors: self.transport_errors.saturating_add(other.transport_errors),
         }
     }
 }

@@ -303,7 +303,6 @@ where
     let mut processed = 0u64;
     let mut worker_counts = Vec::with_capacity(plan.spawned_workers);
     let mut worker_state_keys = Vec::with_capacity(plan.spawned_workers);
-    let mut worker_windows_closed = Vec::with_capacity(plan.spawned_workers);
     let mut phase_matrix = PhaseLoadMatrix::new(n_phases, plan.spawned_workers);
     // `[phase][worker]`; a worker that reported nothing (excluded mid-run)
     // keeps its empty column.
@@ -312,10 +311,11 @@ where
     let mut phase_spans: Vec<Option<(u64, u64)>> = vec![None; n_phases];
     let mut worker_recovery = RecoveryMetrics::default();
     for (w, report) in worker_reports.into_iter().enumerate() {
-        processed += report.processed;
+        // Saturating, here and below: a report may come from a peer, and a
+        // corrupt counter must read absurd, not overflow.
+        processed = processed.saturating_add(report.processed);
         worker_counts.push(report.processed);
         worker_state_keys.push(report.state_keys);
-        worker_windows_closed.push(report.windows_closed);
         worker_recovery = worker_recovery.merged(report.recovery);
         trace.extend(report.trace);
         transport.worker.merge(&report.transport);
@@ -348,9 +348,10 @@ where
     let mut partials_deduped = 0u64;
     let mut partials_transport_errors = 0u64;
     for report in aggregator_reports {
-        partials_merged += report.merged;
-        partials_deduped += report.duplicates_dropped;
-        partials_transport_errors += report.transport_errors;
+        partials_merged = partials_merged.saturating_add(report.merged);
+        partials_deduped = partials_deduped.saturating_add(report.duplicates_dropped);
+        partials_transport_errors =
+            partials_transport_errors.saturating_add(report.transport_errors);
         trace.extend(report.trace);
         transport.aggregator.merge(&report.transport);
         aggregator_latencies.push(report.latencies);
@@ -363,16 +364,6 @@ where
             }
         }
     }
-    // `<=`, not `==`: a worker excluded mid-run after exhausting its
-    // respawn budget legitimately closes fewer windows than the run has
-    // (its report is synthesized empty); no worker can ever close MORE.
-    debug_assert!(
-        worker_windows_closed
-            .iter()
-            .all(|&w| w <= windows.len() as u64),
-        "no worker closes more windows than the run has"
-    );
-
     // Grouped by worker across phases, so the "max avg" statistic keeps the
     // paper's per-worker semantics without copying every sample.
     let latency = LatencySummary::by_worker(&phase_latencies);
@@ -566,6 +557,14 @@ where
 
     let processed: u64 = worker_reports.iter().map(|r| r.processed).sum();
     debug_assert_eq!(sent_total, processed, "every sent tuple must be processed");
+    // Checked here, on this process's own workers, not in `assemble_result`,
+    // where a report may be a peer's word.
+    debug_assert!(
+        worker_reports
+            .iter()
+            .all(|r| r.windows_closed <= plan.total_windows()),
+        "no worker closes more windows than the run has"
+    );
 
     assemble_result(
         plan,
@@ -634,6 +633,79 @@ mod tests {
         // Transport counters saw the run's traffic.
         assert_eq!(first.transport.source.tuples_sent, first.processed);
         assert_eq!(first.transport.worker.tuples_received, first.processed);
+    }
+
+    /// Stage reports cross the control plane, so every counter in one is a
+    /// peer's word. A run of corrupt ones must assemble into a result that
+    /// reads absurd — in a debug build too, where `+` on an overflow panics.
+    #[test]
+    fn reports_with_saturated_counters_assemble_without_overflow() {
+        let plan = EngineConfig::smoke(PartitionerKind::Pkg, 1.2).stage_plan();
+        let max = u64::MAX;
+        let transport = HopStats {
+            batches_sent: max,
+            tuples_sent: max,
+            send_stall_us: max,
+            batches_received: max,
+            tuples_received: max,
+            recv_wait_us: max,
+            queue_depth_hwm: max,
+            ring_occupancy_hwm: max,
+            ring_capacity: max,
+            ..HopStats::default()
+        };
+        let sources = vec![
+            SourceStageReport {
+                sent: max,
+                transport: transport.clone(),
+                ..SourceStageReport::default()
+            };
+            plan.sources
+        ];
+        let workers = vec![
+            WorkerStageReport {
+                processed: max,
+                phase_counts: vec![max],
+                state_keys: max,
+                windows_closed: max,
+                phase_spans: vec![Some((max, 0))],
+                recovery: RecoveryMetrics {
+                    restores: max,
+                    replayed_items: max,
+                    duplicates_dropped: max,
+                    replay_requests: max,
+                    transport_errors: max,
+                },
+                checkpoints: max,
+                checkpoint_bytes: max,
+                transport: transport.clone(),
+                ..WorkerStageReport::default()
+            };
+            plan.spawned_workers
+        ];
+        let aggregators: Vec<AggregatorStageReport<u64>> = (0..plan.aggregators.max(2))
+            .map(|_| AggregatorStageReport {
+                finalized: BTreeMap::new(),
+                latencies: LogHistogram::new(),
+                merged: max,
+                duplicates_dropped: max,
+                transport_errors: max,
+                trace: Vec::new(),
+                transport: transport.clone(),
+            })
+            .collect();
+        let run = assemble_result(&plan, &SumAggregate, sources, workers, aggregators, 1.0);
+        let result = run.result;
+        assert_eq!(result.processed, max);
+        assert_eq!(result.worker_counts, vec![max; plan.spawned_workers]);
+        assert_eq!(result.phases[0].stage.items, max);
+        assert_eq!(result.worker_stage.recovery.restores, max);
+        assert_eq!(result.aggregator_stage.items, max);
+        assert_eq!(result.aggregator_stage.recovery.duplicates_dropped, max);
+        assert_eq!(result.transport.source.tuples_sent, max);
+        assert_eq!(result.transport.worker.recv_wait_us, max);
+        assert_eq!(result.transport.aggregator.batches_received, max);
+        assert!(result.imbalance.is_finite() && result.phases[0].imbalance.is_finite());
     }
 
     #[test]

@@ -458,11 +458,14 @@ where
                         .open
                         .entry(batch.window)
                         .or_insert_with(|| aggregate.empty());
+                    // A key the open partial already holds went into
+                    // `state.keys` when it entered the partial (a restored
+                    // partial's keys are in the restored set), so only a
+                    // key new to its window probes the whole-run set.
                     for key in &batch.keys {
-                        if state.keys.insert(*key) {
+                        if aggregate.observe(partial, key, 1) && state.keys.insert(*key) {
                             state.since_base.push(*key);
                         }
-                        aggregate.observe(partial, key, 1);
                     }
                     if is_replay {
                         recovery.replayed_items += n;
@@ -834,6 +837,140 @@ mod tests {
         // state did outgrow its first bases.
         assert!(records.windows(2).all(|pair| !(pair[0].0 && pair[1].0)));
         assert!(records.iter().filter(|r| r.0).count() >= 3);
+    }
+
+    /// Two sources out of step: source 0 runs a whole window ahead, so at
+    /// every close the next window's partial is already open and holds keys
+    /// — some of them keys the closing window is about to see for the first
+    /// time from source 1. The worker consults its key set only for a key
+    /// new to its window's partial; what it records must still be what a
+    /// set consulted at every tuple records: `state_keys`, and in the
+    /// checkpoint log every key exactly once, in the record of the close
+    /// that followed its first arrival.
+    #[test]
+    fn state_keys_match_a_per_tuple_set_when_windows_overlap() {
+        use slb_core::CheckpointDelta;
+        use std::collections::HashSet;
+        let mut cfg = tiny_supervised_config();
+        cfg.sources = 2;
+        cfg.messages = 2 * 6 * cfg.window_size;
+        let plan = cfg.stage_plan();
+        let windows = plan.total_windows();
+        assert_eq!(windows, 6);
+
+        let mut rng = 0x0dd_ba11_u64;
+        let mut batch = |source: usize, window: WindowId, seq: u64| {
+            let keys = (0..120)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    // Many repeats within a window, most keys shared with
+                    // the windows around it, a few new ones every window.
+                    rng % (60 + 40 * window)
+                })
+                .collect();
+            SourceMessage::Batch(crate::transport::TupleBatch {
+                keys,
+                window,
+                source,
+                seq,
+                emitted_at: Instant::now(),
+            })
+        };
+        let close = |source: usize, window: WindowId, seq: u64| SourceMessage::CloseWindow {
+            window,
+            source,
+            seq,
+        };
+        // Source 0 finishes window w + 1 before source 1 starts window w.
+        let mut script = vec![batch(0, 0, 0), close(0, 0, 1)];
+        for w in 0..windows {
+            if w + 1 < windows {
+                script.push(batch(0, w + 1, 2 * (w + 1)));
+                script.push(close(0, w + 1, 2 * (w + 1) + 1));
+            }
+            script.push(batch(1, w, 2 * w));
+            script.push(close(1, w, 2 * w + 1));
+        }
+
+        // The reference: one set, asked at every tuple.
+        let mut seen: HashSet<KeyId> = HashSet::new();
+        let mut fresh: Vec<KeyId> = Vec::new();
+        // Per close: every key so far, and the keys new since the last close.
+        let mut expected: Vec<(Vec<KeyId>, Vec<KeyId>)> = Vec::new();
+        for message in &script {
+            match message {
+                SourceMessage::Batch(batch) => {
+                    for &key in &batch.keys {
+                        if seen.insert(key) {
+                            fresh.push(key);
+                        }
+                    }
+                }
+                SourceMessage::CloseWindow { source: 1, .. } => {
+                    let mut all: Vec<KeyId> = seen.iter().copied().collect();
+                    all.sort_unstable();
+                    fresh.sort_unstable();
+                    expected.push((all, std::mem::take(&mut fresh)));
+                }
+                SourceMessage::CloseWindow { .. } => {}
+            }
+        }
+        assert!(
+            expected.iter().skip(1).all(|(_, fresh)| !fresh.is_empty()),
+            "every window must bring first-ever keys"
+        );
+
+        let (sender, receiver) = crossbeam_channel::bounded(script.len());
+        for message in script {
+            sender.send(message).expect("queue holds the whole script");
+        }
+        drop(sender);
+        let (partial_sender, _partial_receiver) =
+            crossbeam_channel::bounded::<PartialWindow<CountPartial>>(windows as usize);
+        let mut records: Vec<(bool, Vec<KeyId>)> = Vec::new();
+        let mut persist = |record: CheckpointRecord<'_>| {
+            let mut bytes = record.bytes();
+            records.push(match record {
+                CheckpointRecord::Base(_) => (
+                    true,
+                    WorkerCheckpoint::decode(&mut bytes)
+                        .expect("own base decodes")
+                        .state_keys,
+                ),
+                CheckpointRecord::Delta(_) => (
+                    false,
+                    CheckpointDelta::decode(&mut bytes)
+                        .expect("own delta decodes")
+                        .fresh_keys,
+                ),
+            });
+        };
+        let recovery: WorkerRecovery<'_, NoFeedback> = WorkerRecovery::Durable {
+            initial: None,
+            persist: &mut persist,
+            live: None,
+        };
+        let report = run_worker_stage(
+            &plan,
+            0,
+            Instant::now(),
+            &CountAggregate,
+            receiver,
+            &[partial_sender],
+            recovery,
+        );
+
+        assert_eq!(report.windows_closed, windows);
+        assert_eq!(report.processed, 120 * 2 * windows);
+        assert_eq!(report.state_keys, seen.len() as u64);
+        assert_eq!(records.len(), expected.len());
+        assert!(records.iter().any(|(is_base, _)| !is_base), "no delta");
+        for (close, ((is_base, keys), (all, fresh))) in records.iter().zip(&expected).enumerate() {
+            let want = if *is_base { all } else { fresh };
+            assert_eq!(keys, want, "close {close} (base: {is_base})");
+        }
     }
 
     #[test]

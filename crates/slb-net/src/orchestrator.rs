@@ -217,7 +217,9 @@ impl Cluster<'_> {
                 .map_err(|e| io_err("flushing metrics.jsonl", e))?;
         }
         let sources = complete(outcome.sources)?;
-        let sent_total = sources.iter().map(|report| report.sent).sum();
+        let sent_total = sources
+            .iter()
+            .fold(0u64, |sum, report| sum.saturating_add(report.sent));
         let WindowedRun { result, windows } = assemble_result(
             &plan,
             &CountAggregate,

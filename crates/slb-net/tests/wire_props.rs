@@ -13,8 +13,10 @@
 //!    peer's bytes are untrusted; decoding must fail loudly but gracefully.
 //! 3. **Decoded means usable** — whatever control frame soup, a damaged
 //!    valid frame or a hostile histogram decodes to is then put through what
-//!    the orchestrator does with it ([`use_like_the_orchestrator`]) without
-//!    panicking: a frame that would is an error at the decoder.
+//!    the orchestrator does with it ([`use_like_the_orchestrator`]: metrics
+//!    rollup and export, `assemble_result` for the stage reports) without
+//!    panicking: a frame that would is an error at the decoder, and a
+//!    counter that would overflow saturates.
 //!
 //! The exact bytes are pinned separately, by `golden_bytes.rs`.
 //!
@@ -27,12 +29,12 @@ use std::collections::{BTreeMap, HashMap};
 
 use slb_core::wire::WirePartial;
 use slb_core::{
-    CheckpointDelta, ControllerAction, ControllerConfig, ControllerEvent, OpenWindowState,
-    PartitionerKind, SolverMode, WorkerCheckpoint,
+    CheckpointDelta, ControllerAction, ControllerConfig, ControllerEvent, CountAggregate,
+    OpenWindowState, PartitionerKind, SolverMode, WorkerCheckpoint,
 };
 use slb_engine::{
-    AggregatorStageReport, EngineConfig, LatencySummary, RecoveryMetrics, ScenarioConfig,
-    SourceStageReport, WorkerStageReport,
+    assemble_result, AggregatorStageReport, EngineConfig, RecoveryMetrics, ScenarioConfig,
+    SourceStageReport, StagePlan, WorkerStageReport,
 };
 use slb_net::cluster::{ClusterSpec, RunSpec};
 use slb_net::wire::{
@@ -276,11 +278,42 @@ fn control_frames(raw: &[u64], ports: &[u16], samples: &[u64], keys: &[u64]) -> 
     ]
 }
 
-/// What the orchestrator does with the latency a decoded frame carries: a
-/// snapshot is exported as JSON and folded into the cluster `rollup`, which
-/// is exported too; a report's histograms are summarized as `assemble_result`
-/// summarizes them. None of it may panic, whatever the peer sent.
-fn use_like_the_orchestrator(frame: ControlFrame, rollup: &mut MetricsSnapshot) {
+/// The plan decoded reports are assembled under: three phases, as the
+/// worker reports [`control_frames`] builds have, each over both workers.
+fn orchestrator_plan() -> StagePlan {
+    let scenario = (0..3).fold(Scenario::new("wire", 2, 64, 1), |scenario, _| {
+        scenario.phase(ScenarioPhase::new(1, 64, 1.0, 2))
+    });
+    ScenarioConfig::new(PartitionerKind::Pkg, scenario).stage_plan()
+}
+
+/// What the orchestrator does with a decoded frame: a snapshot is exported
+/// as JSON and folded into the cluster `rollup`, which is exported too; a
+/// stage report goes through `assemble_result` — here as the report of every
+/// instance of its role, so that each counter in it is also added to itself.
+/// None of it may panic, whatever the peer sent.
+fn use_like_the_orchestrator(frame: ControlFrame, rollup: &mut MetricsSnapshot, plan: &StagePlan) {
+    // One report per stage instance, as the orchestrator insists before it
+    // assembles; the roles the frame says nothing about report nothing.
+    let assemble = |sources: Option<SourceStageReport>,
+                    workers: Option<WorkerStageReport>,
+                    aggregators: Option<AggregatorStageReport<_>>| {
+        let mut aggregators = vec![aggregators.unwrap_or_default(); plan.aggregators.max(2)];
+        // Shards own disjoint windows, and that is still taken on trust
+        // (ROADMAP item 4): two shards finalizing one window merge its
+        // counts with a plain `+`. Only the first keeps its windows.
+        for shard in &mut aggregators[1..] {
+            shard.finalized.clear();
+        }
+        let _ = assemble_result(
+            plan,
+            &CountAggregate,
+            vec![sources.unwrap_or_default(); plan.sources],
+            vec![workers.unwrap_or_default(); plan.spawned_workers],
+            aggregators,
+            1.0,
+        );
+    };
     match frame {
         ControlFrame::Metrics(snapshot) => {
             let _ = snapshot.to_json();
@@ -288,21 +321,9 @@ fn use_like_the_orchestrator(frame: ControlFrame, rollup: &mut MetricsSnapshot) 
             rollup.merge(&snapshot);
             let _ = rollup.to_json();
         }
-        ControlFrame::WorkerReport { report, .. } => {
-            let by_phase: Vec<_> = report
-                .phase_latencies
-                .into_iter()
-                .map(|h| vec![h])
-                .collect();
-            let _ = LatencySummary::by_worker(&by_phase);
-            for phase in 0..by_phase.len() {
-                let _ = LatencySummary::by_worker(&by_phase[phase..=phase]);
-            }
-        }
-        ControlFrame::AggregatorReport { report, .. } => {
-            let twice = vec![report.latencies.clone(), report.latencies];
-            let _ = LatencySummary::by_worker(&[twice]);
-        }
+        ControlFrame::SourceReport { report, .. } => assemble(Some(report), None, None),
+        ControlFrame::WorkerReport { report, .. } => assemble(None, Some(report), None),
+        ControlFrame::AggregatorReport { report, .. } => assemble(None, None, Some(report)),
         _ => {}
     }
 }
@@ -369,9 +390,9 @@ fn histogram_scalars_must_match_the_buckets_and_merge_saturates() {
     );
     let backed = metrics_frame_with_latency(claimed, &[(0, u64::MAX)]);
     let (frame, _) = decode_frame::<ControlFrame>(&backed).expect("a consistent histogram");
-    let mut rollup = MetricsSnapshot::default();
-    use_like_the_orchestrator(frame.clone(), &mut rollup);
-    use_like_the_orchestrator(frame, &mut rollup);
+    let (mut rollup, plan) = (MetricsSnapshot::default(), orchestrator_plan());
+    use_like_the_orchestrator(frame.clone(), &mut rollup, &plan);
+    use_like_the_orchestrator(frame, &mut rollup, &plan);
     assert_eq!(rollup.latency.count(), u64::MAX);
     assert_eq!(rollup.latency.sum(), u128::MAX);
 }
@@ -731,15 +752,15 @@ proptest! {
         // A control frame that does decode is then used. Soup alone rarely
         // gets past the length prefix, so it also rides behind a valid
         // prefix and each tag that carries a histogram.
-        let mut rollup = MetricsSnapshot::default();
+        let (mut rollup, plan) = (MetricsSnapshot::default(), orchestrator_plan());
         if let Ok((frame, _)) = decode_frame::<ControlFrame>(&bytes) {
-            use_like_the_orchestrator(frame, &mut rollup);
+            use_like_the_orchestrator(frame, &mut rollup, &plan);
         }
         for tag in [18u8, 19, 20, 25] {
             let len = (bytes.len() + 1) as u32;
             let framed = [&len.to_le_bytes()[..], &[tag], &bytes].concat();
             if let Ok((frame, _)) = decode_frame::<ControlFrame>(&framed) {
-                use_like_the_orchestrator(frame, &mut rollup);
+                use_like_the_orchestrator(frame, &mut rollup, &plan);
             }
         }
     }
@@ -750,7 +771,7 @@ proptest! {
         samples in proptest::collection::vec(0u64..100, 0..40),
         damage in proptest::collection::vec(any::<u64>(), 1..24),
     ) {
-        let mut rollup = MetricsSnapshot::default();
+        let (mut rollup, plan) = (MetricsSnapshot::default(), orchestrator_plan());
         for frame in control_frames(&raw, &[7], &samples, &raw) {
             let mut buf = Vec::new();
             encode_frame(&frame, &mut buf);
@@ -767,7 +788,7 @@ proptest! {
                     damaged[at..end].fill(0xff);
                 }
                 if let Ok((frame, _)) = decode_frame::<ControlFrame>(&damaged) {
-                    use_like_the_orchestrator(frame, &mut rollup);
+                    use_like_the_orchestrator(frame, &mut rollup, &plan);
                 }
             }
         }

@@ -150,15 +150,22 @@ pub struct HopStats {
     pub ring_capacity: u64,
 }
 
+/// Counter addition for the merges below. Saturating: these are a peer's
+/// numbers, and a rollup of absurd ones must read absurd, not abort the
+/// orchestrator.
+fn add(into: &mut u64, n: u64) {
+    *into = into.saturating_add(n);
+}
+
 impl HopStats {
-    /// Folds another instance's stats into this one.
+    /// Folds another instance's stats into this one (counters saturate).
     pub fn merge(&mut self, other: &HopStats) {
-        self.batches_sent += other.batches_sent;
-        self.tuples_sent += other.tuples_sent;
-        self.send_stall_us += other.send_stall_us;
-        self.batches_received += other.batches_received;
-        self.tuples_received += other.tuples_received;
-        self.recv_wait_us += other.recv_wait_us;
+        add(&mut self.batches_sent, other.batches_sent);
+        add(&mut self.tuples_sent, other.tuples_sent);
+        add(&mut self.send_stall_us, other.send_stall_us);
+        add(&mut self.batches_received, other.batches_received);
+        add(&mut self.tuples_received, other.tuples_received);
+        add(&mut self.recv_wait_us, other.recv_wait_us);
         self.batch_occupancy.merge(&other.batch_occupancy);
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
         self.ring_occupancy_hwm = self.ring_occupancy_hwm.max(other.ring_occupancy_hwm);
@@ -249,12 +256,9 @@ impl MetricsSnapshot {
     }
 
     /// Folds another snapshot into this one (for cluster rollups):
-    /// counters add, high-water marks take the maximum, latency
-    /// distributions merge bucket-wise.
+    /// counters add (saturating), high-water marks take the maximum,
+    /// latency distributions merge bucket-wise.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        // Saturating: these are a peer's numbers, and a rollup of absurd
-        // ones must read absurd, not abort the orchestrator.
-        let add = |into: &mut u64, n: u64| *into = into.saturating_add(n);
         self.seq = self.seq.max(other.seq);
         self.finished = self.finished && other.finished;
         add(&mut self.items, other.items);
