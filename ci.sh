@@ -117,6 +117,16 @@ if [ "$warmups" != 1 ] || [ "$in_new" != 1 ]; then
     exit 1
 fi
 
+echo "==> one recovery plane: no worker -> source hop on any transport, no replay-request frame"
+# trace_kind::REPLAY_REQUEST (slb-telemetry, used by slb-engine's worker) is
+# the logical trace event of a worker asking, and stays; the wire tag of that
+# name lived in slb-net.
+if grep -rnE 'Feedback(Sender|Receiver|Frame|Tx|Rx)|TcpFeedback|feedback_channel|NoFeedback|ReplayRequest' \
+    crates src tests examples || grep -rn 'REPLAY_REQUEST' crates/slb-net; then
+    echo "a replay request is a \`SourceControlEvent::Rejoin\`: std mpsc in process, the control plane across processes"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

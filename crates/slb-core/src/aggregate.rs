@@ -153,8 +153,11 @@ where
     }
 
     fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
+        // Saturating: `from` may be a peer's word (two shards claiming one
+        // window), and a corrupt count must read absurd, not overflow.
         for (key, count) in from {
-            *into.entry(key).or_insert(0) += count;
+            let sum = into.entry(key).or_insert(0);
+            *sum = sum.saturating_add(count);
         }
     }
 
@@ -206,7 +209,7 @@ where
     }
 
     fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        *into += from;
+        *into = into.saturating_add(from);
     }
 
     fn shard(&self, partial: Self::Partial, shards: usize) -> Vec<Self::Partial> {

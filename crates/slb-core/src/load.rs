@@ -302,8 +302,9 @@ impl PhaseLoadMatrix {
     }
 
     /// The imbalance of `phase` evaluated over its first `active` workers —
-    /// the phase's active worker set. Counts recorded beyond `active` would
-    /// indicate a routing bug; they are asserted against in debug builds.
+    /// the phase's active worker set. Counts recorded beyond `active` take no
+    /// part: they would indicate a routing bug, which whoever routed checks
+    /// for (the matrix may be filled from a peer's report, so it cannot).
     ///
     /// # Panics
     /// Panics if `active` is zero or exceeds the worker universe.
@@ -311,10 +312,6 @@ impl PhaseLoadMatrix {
         assert!(
             active > 0 && active <= self.workers(),
             "active worker count {active} out of range"
-        );
-        debug_assert!(
-            self.counts[phase][active..].iter().all(|&c| c == 0),
-            "phase {phase} routed messages beyond its {active} active workers"
         );
         imbalance(&self.counts[phase][..active])
     }

@@ -63,16 +63,14 @@ pub use spsc::{Spsc, SpscReceiver, SpscSender};
 pub use topology::{
     assemble_result, compare_schemes, compare_schemes_scenario, run_aggregator_stage,
     run_source_stage, run_worker_stage, AggregatorStageReport, AggregatorSupervision, EngineConfig,
-    EngineResult, Feedback, NoFeedback, NoRecovery, PhasePlan, ScenarioConfig, SourceControl,
-    SourceControlEvent, SourceStageReport, StagePlan, Topology, TransportStats, WorkerRecovery,
-    WorkerStageReport, DEFAULT_AGGREGATORS, DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_CAPACITY,
-    DEFAULT_WINDOW_SIZE,
+    EngineResult, NoRecovery, PhasePlan, ScenarioConfig, SourceControl, SourceControlEvent,
+    SourceStageReport, StagePlan, Topology, TransportStats, WorkerRecovery, WorkerStageReport,
+    DEFAULT_AGGREGATORS, DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_CAPACITY, DEFAULT_WINDOW_SIZE,
 };
 pub use transport::{
-    capacity_in_batches, feedback_channel_capacity, partial_channel_capacity, ChannelClosed,
-    CorePinning, FeedbackReceiver, FeedbackSender, InProc, PartialReceiver, PartialSender,
-    PartialWindow, RecvError, ReplayRequest, SourceMessage, StageRole, Transport, TransportError,
-    TupleBatch, TupleReceiver, TupleSender,
+    capacity_in_batches, partial_channel_capacity, ChannelClosed, CorePinning, InProc,
+    PartialReceiver, PartialSender, PartialWindow, RecvError, SourceMessage, StageRole, Transport,
+    TransportError, TupleBatch, TupleReceiver, TupleSender,
 };
 pub use windows::{
     diff_windows, exact_scenario_windowed_counts, exact_windowed_counts, window_of, WindowId,

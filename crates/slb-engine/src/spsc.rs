@@ -26,10 +26,10 @@
 //!   `sched_setaffinity`, which keeps a producer/consumer pair's ring lines
 //!   in two fixed L1/L2 caches instead of migrating with the scheduler.
 //!
-//! Punctuation ([`SourceMessage::CloseWindow`]), sharded partials, and the
-//! worker→source replay feedback all ride the same rings as ordinary
-//! frames, so the checkpoint/replay machinery of the fault-tolerant runner
-//! works unchanged — the `backend_differential` and `fault_injection`
+//! Punctuation ([`SourceMessage::CloseWindow`]) and sharded partials ride
+//! the same rings as ordinary frames, so the checkpoint/replay machinery of
+//! the fault-tolerant runner — whose replay requests never touch a
+//! transport — works unchanged: the `backend_differential` and `fault_injection`
 //! suites hold `Spsc` to the same bit-for-bit equality against `InProc`
 //! and the exact reference that the TCP backend already passes.
 //!
@@ -64,8 +64,8 @@ use std::time::Duration;
 use slb_workloads::KeyId;
 
 use crate::transport::{
-    ChannelClosed, CorePinning, FeedbackReceiver, FeedbackSender, PartialReceiver, PartialSender,
-    PartialWindow, RecvError, ReplayRequest, SourceMessage, Transport, TupleReceiver, TupleSender,
+    ChannelClosed, CorePinning, PartialReceiver, PartialSender, PartialWindow, RecvError,
+    SourceMessage, Transport, TupleReceiver, TupleSender,
 };
 
 /// Pads-and-aligns a value to a cache line so the producer's `tail` and the
@@ -468,21 +468,6 @@ impl<T: Send + 'static> SpscReceiver<T> {
         drained
     }
 
-    /// Pops at most one value, round-robin across lanes.
-    fn pop_one(&self) -> Option<T> {
-        let inner = &mut *self.inner.borrow_mut();
-        self.adopt_lanes(inner);
-        let n_lanes = inner.lanes.len();
-        for _ in 0..n_lanes {
-            let at = inner.next_lane % n_lanes;
-            inner.next_lane = (at + 1) % n_lanes;
-            if let Some(value) = inner.lanes[at].consumer.try_pop() {
-                return Some(value);
-            }
-        }
-        None
-    }
-
     /// True once no sender handle survives and nothing is left to drain.
     /// Call only after a drain produced nothing; the final re-drain is the
     /// caller's (the Acquire load here is what makes it conclusive).
@@ -600,39 +585,6 @@ impl<P: Send + 'static> PartialReceiver<P> for SpscReceiver<PartialWindow<P>> {
     }
 }
 
-impl FeedbackSender for SpscSender<ReplayRequest> {
-    fn send(&self, request: ReplayRequest) -> Result<(), ChannelClosed> {
-        self.send_value(request)
-    }
-}
-
-impl FeedbackReceiver for SpscReceiver<ReplayRequest> {
-    fn try_recv(&self) -> Result<Option<ReplayRequest>, ChannelClosed> {
-        if let Some(request) = self.pop_one() {
-            return Ok(Some(request));
-        }
-        if self.all_senders_gone() {
-            // Final conclusive poll after the Acquire on the handle count.
-            return match self.pop_one() {
-                Some(request) => Ok(Some(request)),
-                None => Err(ChannelClosed),
-            };
-        }
-        Ok(None)
-    }
-
-    fn recv(&self) -> Result<ReplayRequest, ChannelClosed> {
-        let mut backoff = Backoff::new();
-        loop {
-            match self.try_recv() {
-                Ok(Some(request)) => return Ok(request),
-                Ok(None) => backoff.snooze(),
-                Err(closed) => return Err(closed),
-            }
-        }
-    }
-}
-
 /// The thread-per-core transport (see the module docs). A unit struct:
 /// all per-channel state lives in the endpoints it creates.
 #[derive(Debug, Clone, Copy, Default)]
@@ -643,8 +595,6 @@ impl<P: Send + 'static> Transport<P> for Spsc {
     type TupleRx = SpscReceiver<SourceMessage>;
     type PartialTx = SpscSender<PartialWindow<P>>;
     type PartialRx = SpscReceiver<PartialWindow<P>>;
-    type FeedbackTx = SpscSender<ReplayRequest>;
-    type FeedbackRx = SpscReceiver<ReplayRequest>;
 
     fn tuple_channels(
         &self,
@@ -663,16 +613,6 @@ impl<P: Send + 'static> Transport<P> for Spsc {
     ) -> (Vec<Self::PartialTx>, Vec<Self::PartialRx>) {
         (0..aggregators)
             .map(|_| edge::<PartialWindow<P>>(capacity_messages, false))
-            .unzip()
-    }
-
-    fn feedback_channels(
-        &self,
-        sources: usize,
-        capacity_messages: usize,
-    ) -> (Vec<Self::FeedbackTx>, Vec<Self::FeedbackRx>) {
-        (0..sources)
-            .map(|_| edge::<ReplayRequest>(capacity_messages, false))
             .unzip()
     }
 
@@ -770,19 +710,24 @@ mod tests {
         }
     }
 
+    fn partial(window: u64) -> PartialWindow<u64> {
+        PartialWindow {
+            window,
+            worker: 0,
+            partial: 0,
+            closed_at: std::time::Instant::now(),
+        }
+    }
+
     #[test]
     fn send_fails_once_receiver_drops() {
-        let (tx, rx) = edge::<ReplayRequest>(2, false);
-        let request = ReplayRequest {
-            worker: 0,
-            from_seq: 0,
-        };
-        FeedbackSender::send(&tx, request).unwrap();
+        let (tx, rx) = edge::<PartialWindow<u64>>(2, false);
+        PartialSender::send(&tx, partial(0)).unwrap();
         drop(rx);
-        assert_eq!(FeedbackSender::send(&tx, request), Err(ChannelClosed));
+        assert_eq!(PartialSender::send(&tx, partial(1)), Err(ChannelClosed));
         // A handle that never claimed a lane fails fast too.
         let fresh = tx.clone();
-        assert_eq!(FeedbackSender::send(&fresh, request), Err(ChannelClosed));
+        assert_eq!(PartialSender::send(&fresh, partial(2)), Err(ChannelClosed));
     }
 
     #[test]
@@ -807,24 +752,16 @@ mod tests {
 
     #[test]
     fn blocking_send_waits_for_consumer() {
-        let (tx, rx) = edge::<ReplayRequest>(2, false);
+        let (tx, rx) = edge::<PartialWindow<u64>>(2, false);
         let producer = thread::spawn(move || {
-            for from_seq in 0..100u64 {
-                FeedbackSender::send(
-                    &tx,
-                    ReplayRequest {
-                        worker: 0,
-                        from_seq,
-                    },
-                )
-                .unwrap();
+            for window in 0..100u64 {
+                PartialSender::send(&tx, partial(window)).unwrap();
             }
         });
         let mut got = Vec::new();
-        while let Ok(request) = FeedbackReceiver::recv(&rx) {
-            got.push(request.from_seq);
-        }
+        while PartialReceiver::recv_batch(&rx, &mut got).is_ok() {}
         producer.join().unwrap();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
+        let windows: Vec<u64> = got.iter().map(|p| p.window).collect();
+        assert_eq!(windows, (0..100).collect::<Vec<_>>());
     }
 }

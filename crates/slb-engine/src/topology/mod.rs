@@ -23,11 +23,14 @@
 //!   boundary → burst flush), generic over a sink: the live sink ships
 //!   every frame, the replay sink re-ships a recovering worker's missing
 //!   suffix from a cloned driver. Recovery arrives as
-//!   [`SourceControlEvent`]s from a [`SourceControl`]: [`NoRecovery`],
-//!   [`Feedback`] (the in-process worker → source channel) or `slb-node`'s
-//!   own (the process supervisor's control plane).
+//!   [`SourceControlEvent`]s from a [`SourceControl`]: [`NoRecovery`], a
+//!   std `mpsc::Receiver<SourceControlEvent>` (in process: the workers hold
+//!   the senders) or `slb-node`'s own (the process supervisor's control
+//!   plane). Either way a replay request is a `Rejoin` event — there is no
+//!   worker → source hop on the data plane.
 //! * `worker` — [`run_worker_stage`] and its [`WorkerRecovery`] argument
-//!   (none, in-process feedback, or durable respawn).
+//!   (none, in-process senders to the sources' controls, or durable
+//!   respawn).
 //! * `aggregator` — [`run_aggregator_stage`] and its optional
 //!   [`AggregatorSupervision`].
 //! * `runner` — [`Topology`] and the [`ScenarioConfig`] run methods, the
@@ -114,6 +117,6 @@ pub use runner::{
     TransportStats,
 };
 pub use source::{
-    run_source_stage, Feedback, NoRecovery, SourceControl, SourceControlEvent, SourceStageReport,
+    run_source_stage, NoRecovery, SourceControl, SourceControlEvent, SourceStageReport,
 };
-pub use worker::{run_worker_stage, NoFeedback, WorkerRecovery, WorkerStageReport};
+pub use worker::{run_worker_stage, WorkerRecovery, WorkerStageReport};

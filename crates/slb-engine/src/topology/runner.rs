@@ -5,7 +5,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
@@ -20,13 +20,12 @@ use slb_workloads::{KeyId, KeyStream};
 
 use super::aggregator::{run_aggregator_stage, AggregatorStageReport};
 use super::config::{EngineConfig, ScenarioConfig, StagePlan};
-use super::source::{run_source_stage, Feedback, SourceStageReport};
+use super::source::{run_source_stage, SourceControlEvent, SourceStageReport};
 use super::worker::{run_worker_stage, WorkerRecovery, WorkerStageReport};
 use crate::fault::FaultPlan;
 use crate::latency::{LatencySummary, PhaseMetrics, RecoveryMetrics, StageMetrics};
 use crate::transport::{
-    capacity_in_batches, feedback_channel_capacity, partial_channel_capacity, InProc, StageRole,
-    Transport,
+    capacity_in_batches, partial_channel_capacity, InProc, StageRole, Transport,
 };
 use crate::windows::{WindowId, WindowedRun};
 
@@ -470,10 +469,11 @@ where
         plan.aggregators,
         partial_channel_capacity(plan.spawned_workers),
     );
-    let (feedback_senders, feedback_receivers) = transport.feedback_channels(
-        plan.sources,
-        feedback_channel_capacity(plan.spawned_workers),
-    );
+    // Recovery rides no transport: one control queue per source, fed by the
+    // workers, exactly as a node's control loop feeds its source.
+    let (replay_senders, controls): (Vec<_>, Vec<_>) = (0..plan.sources)
+        .map(|_| mpsc::channel::<SourceControlEvent>())
+        .unzip();
     // Transports that care about cache affinity (the SPSC backend) hand
     // back a deterministic thread → core map; each stage thread applies
     // its own pin, best-effort, as the first thing it does.
@@ -498,7 +498,7 @@ where
         let plan = plan.clone();
         let aggregate = aggregate.clone();
         let partial_senders = partial_senders.clone();
-        let feedback_senders = feedback_senders.clone();
+        let replay_senders = replay_senders.clone();
         worker_handles.push(thread::spawn(move || {
             if let Some(p) = pinning {
                 p.pin_current_thread(StageRole::Worker, worker_idx);
@@ -510,17 +510,17 @@ where
                 &aggregate,
                 receiver,
                 &partial_senders,
-                WorkerRecovery::Feedback(feedback_senders),
+                WorkerRecovery::Feedback(replay_senders),
             )
         }));
     }
-    // The workers hold their own clones of the partial and feedback
-    // senders.
+    // The workers hold their own clones of the partial and replay senders;
+    // the last of those to drop is each source's `Release`.
     drop(partial_senders);
-    drop(feedback_senders);
+    drop(replay_senders);
 
     let mut source_handles = Vec::with_capacity(plan.sources);
-    for (source_idx, feedback) in feedback_receivers.into_iter().enumerate() {
+    for (source_idx, control) in controls.into_iter().enumerate() {
         let plan = plan.clone();
         let senders = senders.clone();
         let streams = streams.clone();
@@ -533,7 +533,7 @@ where
                 source_idx,
                 |phase| (streams)(phase, source_idx),
                 &senders,
-                Feedback(feedback),
+                control,
             )
         }));
     }
@@ -564,6 +564,15 @@ where
             .iter()
             .all(|r| r.windows_closed <= plan.total_windows()),
         "no worker closes more windows than the run has"
+    );
+    // (A controller owns the active count: its phases span every worker.)
+    debug_assert!(
+        plan.controller.is_some()
+            || plan.phases.iter().enumerate().all(|(p, phase)| {
+                let inactive = &worker_reports[phase.workers..];
+                inactive.iter().all(|report| report.phase_counts[p] == 0)
+            }),
+        "no phase routes tuples beyond its active workers"
     );
 
     assemble_result(
@@ -603,6 +612,8 @@ pub fn compare_schemes_scenario(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use slb_core::{SumAggregate, TopKAggregate};
     use slb_sketch::FrequencyEstimator;
     use slb_telemetry::trace_stage;
@@ -637,10 +648,15 @@ mod tests {
 
     /// Stage reports cross the control plane, so every counter in one is a
     /// peer's word. A run of corrupt ones must assemble into a result that
-    /// reads absurd — in a debug build too, where `+` on an overflow panics.
+    /// reads absurd — in a debug build too, where `+` on an overflow panics
+    /// and a `debug_assert` is live. Beyond the all-`MAX` counters: every
+    /// worker claims tuples in every phase (the scenario's phases run on 3,
+    /// 5 and 2 of its 5 workers), and every aggregator claims window 0.
     #[test]
     fn reports_with_saturated_counters_assemble_without_overflow() {
-        let plan = EngineConfig::smoke(PartitionerKind::Pkg, 1.2).stage_plan();
+        let plan = ScenarioConfig::new(PartitionerKind::Pkg, small_scenario(7)).stage_plan();
+        let n_phases = plan.phases.len();
+        assert!(plan.phases.iter().any(|p| p.workers < plan.spawned_workers));
         let max = u64::MAX;
         let transport = HopStats {
             batches_sent: max,
@@ -665,10 +681,10 @@ mod tests {
         let workers = vec![
             WorkerStageReport {
                 processed: max,
-                phase_counts: vec![max],
+                phase_counts: vec![max; n_phases],
                 state_keys: max,
                 windows_closed: max,
-                phase_spans: vec![Some((max, 0))],
+                phase_spans: vec![Some((max, 0)); n_phases],
                 recovery: RecoveryMetrics {
                     restores: max,
                     replayed_items: max,
@@ -685,7 +701,7 @@ mod tests {
         ];
         let aggregators: Vec<AggregatorStageReport<u64>> = (0..plan.aggregators.max(2))
             .map(|_| AggregatorStageReport {
-                finalized: BTreeMap::new(),
+                finalized: BTreeMap::from([(0, max)]),
                 latencies: LogHistogram::new(),
                 merged: max,
                 duplicates_dropped: max,
@@ -695,6 +711,7 @@ mod tests {
             })
             .collect();
         let run = assemble_result(&plan, &SumAggregate, sources, workers, aggregators, 1.0);
+        assert_eq!(run.windows, BTreeMap::from([(0, max)]));
         let result = run.result;
         assert_eq!(result.processed, max);
         assert_eq!(result.worker_counts, vec![max; plan.spawned_workers]);
@@ -705,7 +722,18 @@ mod tests {
         assert_eq!(result.transport.source.tuples_sent, max);
         assert_eq!(result.transport.worker.recv_wait_us, max);
         assert_eq!(result.transport.aggregator.batches_received, max);
-        assert!(result.imbalance.is_finite() && result.phases[0].imbalance.is_finite());
+        assert!(result.imbalance.is_finite());
+        assert!(result.phases.iter().all(|p| p.imbalance.is_finite()));
+
+        // The same doubly-claimed window through the per-key merge.
+        let claim = |count| AggregatorStageReport {
+            finalized: BTreeMap::from([(3, HashMap::from([(7u64, count)]))]),
+            ..AggregatorStageReport::default()
+        };
+        let claims = vec![claim(max), claim(max), claim(1)];
+        let quiet = vec![WorkerStageReport::default(); plan.spawned_workers];
+        let run = assemble_result(&plan, &CountAggregate, vec![], quiet, claims, 1.0);
+        assert_eq!(run.windows[&3], HashMap::from([(7, max)]));
     }
 
     #[test]

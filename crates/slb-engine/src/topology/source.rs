@@ -13,7 +13,7 @@
 //! number; only the emit timestamp is fresh.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -26,7 +26,7 @@ use slb_workloads::{Arrival, KeyId, KeyStream};
 
 use super::config::StagePlan;
 use crate::fault::ConnectionDrop;
-use crate::transport::{FeedbackReceiver, ReplayRequest, SourceMessage, TupleBatch, TupleSender};
+use crate::transport::{SourceMessage, TupleBatch, TupleSender};
 use crate::windows::{window_of, WindowId};
 
 /// Window-boundary snapshots a source keeps for bounded replay. A
@@ -80,12 +80,11 @@ pub enum SourceControlEvent {
 
 /// Where a source's [`SourceControlEvent`]s come from — the one per-role
 /// argument of [`run_source_stage`]. The three in-tree sources of events are
-/// [`NoRecovery`] (none, ever), [`Feedback`] (the in-process worker → source
-/// feedback channel) and `slb-node`'s own implementation over the process
-/// supervisor's control plane (see docs/FAULTS.md): a respawned worker
-/// cannot keep a feedback socket across its own death, so its restored
-/// cursors travel in the `Rejoin` control frame instead, and `reattach`
-/// re-dials the respawned process.
+/// [`NoRecovery`] (none, ever), a std `mpsc::Receiver<SourceControlEvent>`
+/// (in process: the workers hold the senders) and `slb-node`'s own
+/// implementation over the process supervisor's control plane (see
+/// docs/FAULTS.md): a respawned worker's restored cursors travel in the
+/// `Rejoin` control frame, and `reattach` re-dials the respawned process.
 pub trait SourceControl {
     /// Whether a `Rejoin` can ever arrive. `false` lets the stage skip the
     /// window-boundary snapshots replay needs.
@@ -134,33 +133,20 @@ impl SourceControl for NoRecovery {
     }
 }
 
-/// The in-process recovery channel: a worker's
-/// [`ReplayRequest`] is a `Rejoin` with
-/// nothing to reattach, and every worker having dropped its feedback sender
-/// (all windows finalized everywhere) is the `Release`.
-pub struct Feedback<Frx>(pub Frx);
-
-impl<Frx: FeedbackReceiver> SourceControl for Feedback<Frx> {
+/// The in-process recovery channel: a recovering worker sends its `Rejoin`
+/// itself (there is nothing to reattach), and every worker having dropped
+/// its sender (all windows finalized everywhere) is the `Release`.
+impl SourceControl for mpsc::Receiver<SourceControlEvent> {
     fn poll(&mut self) -> Option<SourceControlEvent> {
-        match self.0.try_recv() {
-            Ok(request) => request.map(Self::rejoin),
-            Err(_) => Some(SourceControlEvent::Release),
+        match self.try_recv() {
+            Ok(event) => Some(event),
+            Err(mpsc::TryRecvError::Empty) => None,
+            Err(mpsc::TryRecvError::Disconnected) => Some(SourceControlEvent::Release),
         }
     }
 
     fn wait(&mut self) -> SourceControlEvent {
-        self.0
-            .recv()
-            .map_or(SourceControlEvent::Release, Self::rejoin)
-    }
-}
-
-impl<Frx> Feedback<Frx> {
-    fn rejoin(request: ReplayRequest) -> SourceControlEvent {
-        SourceControlEvent::Rejoin {
-            worker: request.worker,
-            from_seq: request.from_seq,
-        }
+        self.recv().unwrap_or(SourceControlEvent::Release)
     }
 }
 
@@ -808,7 +794,7 @@ where
 /// `p`; the engine and `slb-node` both construct it from the shared config
 /// so every backend emits the identical stream.
 ///
-/// With a recoverable `control` ([`Feedback`], `slb-node`'s) the source
+/// With a recoverable `control` (an `mpsc::Receiver`, `slb-node`'s) the source
 /// keeps a ring of window-boundary snapshots, polls for events between
 /// chunks, serves a `Rejoin` by re-driving the newest covering snapshot, and
 /// — after its own emission completes — keeps serving until `Release`. With
@@ -930,6 +916,33 @@ mod tests {
             }
         }
         (tuples, closes)
+    }
+
+    /// The in-process control is the queue itself: nothing queued and a
+    /// sender alive is "nothing yet", an event comes back as sent, and only
+    /// the last sender's drop — after whatever it queued — is the `Release`.
+    #[test]
+    fn mpsc_receiver_is_a_control_whose_release_is_every_sender_dropped() {
+        let rejoin = |worker, from_seq| SourceControlEvent::Rejoin { worker, from_seq };
+        let (tx, mut control) = mpsc::channel();
+        let tx2 = tx.clone();
+        assert!(control.recoverable());
+        assert_eq!(control.poll(), None);
+        tx.send(rejoin(3, 17)).unwrap();
+        assert_eq!(control.poll(), Some(rejoin(3, 17)));
+        tx2.send(rejoin(1, 0)).unwrap();
+        assert_eq!(control.wait(), rejoin(1, 0));
+        drop(tx);
+        assert_eq!(control.poll(), None, "one sender still lives");
+        tx2.send(rejoin(2, 5)).unwrap();
+        tx2.send(SourceControlEvent::Exclude { worker: 2 }).unwrap();
+        drop(tx2);
+        // Queued events come before the Release, by either method.
+        assert_eq!(control.poll(), Some(rejoin(2, 5)));
+        assert_eq!(control.wait(), SourceControlEvent::Exclude { worker: 2 });
+        assert_eq!(control.poll(), Some(SourceControlEvent::Release));
+        assert_eq!(control.wait(), SourceControlEvent::Release);
+        assert_eq!(control.poll(), Some(SourceControlEvent::Release));
     }
 
     #[test]

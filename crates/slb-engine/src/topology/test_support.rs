@@ -33,8 +33,8 @@ pub fn partial_channels(plan: &StagePlan) -> Channels<PartialWindow<CountPartial
 }
 
 /// A recoverable [`SourceControl`] a test scripts from outside the source's
-/// thread: events arrive over a queue whose closing counts as `Release`, as
-/// over `slb-node`'s control plane, and every reattach is tallied.
+/// thread: the in-process control (a queue whose closing counts as
+/// `Release`) with every reattach tallied.
 pub struct ScriptedControl {
     events: mpsc::Receiver<SourceControlEvent>,
     /// Sum of `worker + 1` over the reattach calls so far.
@@ -53,11 +53,11 @@ pub fn scripted_control() -> (mpsc::Sender<SourceControlEvent>, ScriptedControl)
 
 impl SourceControl for ScriptedControl {
     fn poll(&mut self) -> Option<SourceControlEvent> {
-        self.events.try_recv().ok()
+        self.events.poll()
     }
 
     fn wait(&mut self) -> SourceControlEvent {
-        self.events.recv().unwrap_or(SourceControlEvent::Release)
+        self.events.wait()
     }
 
     fn reattach(&mut self, worker: usize) {

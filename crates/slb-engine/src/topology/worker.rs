@@ -2,7 +2,7 @@
 //! state, and the checkpoint log that makes a crash recoverable.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use slb_core::{
@@ -15,12 +15,10 @@ use slb_telemetry::{
 use slb_workloads::KeyId;
 
 use super::config::StagePlan;
+use super::source::SourceControlEvent;
 use crate::fault::{CheckpointRecord, CheckpointStore};
 use crate::latency::RecoveryMetrics;
-use crate::transport::{
-    FeedbackSender, PartialSender, PartialWindow, RecvError, ReplayRequest, SourceMessage,
-    TupleReceiver,
-};
+use crate::transport::{PartialSender, PartialWindow, RecvError, SourceMessage, TupleReceiver};
 use crate::windows::WindowId;
 
 /// The phase that `window` belongs to, via the phase start-window table.
@@ -205,35 +203,35 @@ impl<P: WirePartial> WorkerState<P> {
 }
 
 /// Asks source `src` to replay to `worker` from `from_seq`.
-fn request_replay<Ftx: FeedbackSender>(
-    senders: &[Ftx],
+fn request_replay(
+    senders: &[mpsc::Sender<SourceControlEvent>],
     worker: usize,
     src: usize,
     from_seq: u64,
     trace: &mut TraceBuf,
     recovery: &mut RecoveryMetrics,
 ) {
-    assert!(
-        !senders.is_empty(),
-        "source {src} must replay from {from_seq} but there is no recovery feedback channel"
-    );
-    senders[src]
-        .send(ReplayRequest { worker, from_seq })
-        .expect("feedback channel closed prematurely");
+    let rejoin = SourceControlEvent::Rejoin { worker, from_seq };
+    // A wired source outlives every sender to it, so only a missing one fails.
+    senders
+        .get(src)
+        .and_then(|source| source.send(rejoin).ok())
+        .expect("a source must replay to this worker, but no in-process recovery was wired");
     trace.push(trace_kind::REPLAY_REQUEST, 0, src as u64, from_seq);
     recovery.replay_requests += 1;
 }
 
 /// How a worker stage recovers — the one per-role argument of
 /// [`run_worker_stage`].
-pub enum WorkerRecovery<'a, Ftx> {
-    /// In-process recovery over one worker → source feedback sender per
-    /// source: the worker asks sources for replay itself. After finalizing
-    /// the plan's last window it drops the senders (letting sources finish
-    /// their replay-service loops) and keeps draining to EOF, shedding
-    /// stragglers as duplicates. With no senders ([`Self::none`]) no crash
-    /// can be simulated and no replay requested.
-    Feedback(Vec<Ftx>),
+pub enum WorkerRecovery<'a> {
+    /// In-process recovery over one sender per source into that source's
+    /// `mpsc::Receiver<SourceControlEvent>` control: the worker asks sources
+    /// for replay itself, with a [`SourceControlEvent::Rejoin`]. After
+    /// finalizing the plan's last window it drops the senders (letting
+    /// sources finish their replay-service loops) and keeps draining to EOF,
+    /// shedding stragglers as duplicates. With no senders ([`Self::none`])
+    /// no crash can be simulated and no replay requested.
+    Feedback(Vec<mpsc::Sender<SourceControlEvent>>),
     /// Process-level recovery (the fault-tolerant `slb-node` runner). Two
     /// differences from [`Self::Feedback`]:
     ///
@@ -242,7 +240,7 @@ pub enum WorkerRecovery<'a, Ftx> {
     ///   and every record it saves is mirrored to `persist` (the durable
     ///   store's `save` for a base, `append` for a delta) right after the
     ///   in-memory save. A fresh process always begins with a base.
-    /// - There is no feedback channel: replay is requested on the worker's
+    /// - The worker sends nothing to a source: replay is requested on its
     ///   behalf by the orchestrator — the `Rejoin` control frame carries the
     ///   restored cursors to every source. Consequently the stage *returns*
     ///   as soon as the plan's last window finalizes instead of draining to
@@ -262,10 +260,7 @@ pub enum WorkerRecovery<'a, Ftx> {
     },
 }
 
-/// The feedback-sender type of a [`WorkerRecovery`] that has none.
-pub type NoFeedback = crossbeam_channel::Sender<ReplayRequest>;
-
-impl WorkerRecovery<'_, NoFeedback> {
+impl WorkerRecovery<'_> {
     /// The no-recovery default. Checkpoints are still taken at every window
     /// finalization: the durability cost is part of the engine, not of
     /// fault injection.
@@ -289,8 +284,9 @@ impl WorkerRecovery<'_, NoFeedback> {
 /// 1. **Sequence dedup.** Every message carries its per-(source, worker)
 ///    sequence number. A message below the expected cursor is a replay
 ///    overlap — dropped; above it is a gap — the worker sends one
-///    [`ReplayRequest`] per missing cursor position and drops until the
-///    expected message arrives; exactly at it — processed, cursor advances.
+///    [`SourceControlEvent::Rejoin`] per missing cursor position and drops
+///    until the expected message arrives; exactly at it — processed, cursor
+///    advances.
 /// 2. **Per-window checkpoints.** At every window finalization the worker
 ///    appends one record to its checkpoint log: a delta sized by the
 ///    window, or — when the deltas outweigh the last one — a new base
@@ -306,24 +302,23 @@ impl WorkerRecovery<'_, NoFeedback> {
 /// # Panics
 /// Panics if a partial send fails (an aggregator endpoint disappeared), or
 /// if recovery is needed (gap observed, kill scheduled) and `recovery` has
-/// no feedback senders.
-pub fn run_worker_stage<A, Rx, Tx, Ftx>(
+/// no senders to the sources.
+pub fn run_worker_stage<A, Rx, Tx>(
     plan: &StagePlan,
     worker_idx: usize,
     epoch: Instant,
     aggregate: &A,
     receiver: Rx,
     partial_senders: &[Tx],
-    recovery: WorkerRecovery<'_, Ftx>,
+    recovery: WorkerRecovery<'_>,
 ) -> WorkerStageReport
 where
     A: WindowAggregate<KeyId>,
     A::Partial: WirePartial,
     Rx: TupleReceiver,
     Tx: PartialSender<A::Partial>,
-    Ftx: FeedbackSender,
 {
-    let (mut feedback_senders, initial, mut persist, live) = match recovery {
+    let (mut replay_senders, initial, mut persist, live) = match recovery {
         WorkerRecovery::Feedback(senders) => (senders, None, None, None),
         WorkerRecovery::Durable {
             initial,
@@ -342,8 +337,8 @@ where
     let mut store = CheckpointStore::new();
     let mut kill_points: VecDeque<u64> = plan.faults.kill_points(worker_idx).into();
     assert!(
-        kill_points.is_empty() || !feedback_senders.is_empty(),
-        "kill-worker faults require a recovery feedback channel"
+        kill_points.is_empty() || !replay_senders.is_empty(),
+        "kill-worker faults require in-process recovery"
     );
     let mut state: WorkerState<A::Partial> = WorkerState::new(n_phases, sources);
     let mut phase_latencies = vec![LogHistogram::new(); n_phases];
@@ -382,7 +377,7 @@ where
     if total_windows == 0 {
         // Degenerate empty run: no window will ever finalize, so release
         // the sources' replay-service loops immediately.
-        feedback_senders.clear();
+        replay_senders.clear();
     }
     let mut drained: Vec<SourceMessage> = Vec::new();
     'recv: loop {
@@ -418,7 +413,7 @@ where
                 // means the replayed run will precede any newer frames.
                 if pending_request[src] != Some(state.expected_seq[src]) {
                     request_replay(
-                        &feedback_senders,
+                        &replay_senders,
                         worker_idx,
                         src,
                         state.expected_seq[src],
@@ -496,7 +491,7 @@ where
                         );
                         for (src, pending) in pending_request.iter_mut().enumerate() {
                             request_replay(
-                                &feedback_senders,
+                                &replay_senders,
                                 worker_idx,
                                 src,
                                 state.expected_seq[src],
@@ -573,7 +568,7 @@ where
                         // state.open until the orchestrator's Release: return
                         // instead of waiting for an EOF that only
                         // arrives after the release.
-                        feedback_senders.clear();
+                        replay_senders.clear();
                         if exit_at_last_window {
                             break 'recv;
                         }
@@ -649,7 +644,7 @@ mod tests {
             }
             shipped
         });
-        let recovery: WorkerRecovery<'_, NoFeedback> = WorkerRecovery::Durable {
+        let recovery = WorkerRecovery::Durable {
             initial,
             persist,
             live: None,
@@ -947,7 +942,7 @@ mod tests {
                 ),
             });
         };
-        let recovery: WorkerRecovery<'_, NoFeedback> = WorkerRecovery::Durable {
+        let recovery = WorkerRecovery::Durable {
             initial: None,
             persist: &mut persist,
             live: None,

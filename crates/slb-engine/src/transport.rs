@@ -1,14 +1,17 @@
 //! The engine's pluggable transport layer.
 //!
-//! The topology has exactly four kinds of hop:
+//! The topology has exactly three kinds of hop:
 //!
 //! 1. **source → worker tuple batches** ([`TupleBatch`]) — the hot path,
 //! 2. **source → worker punctuation** ([`SourceMessage::CloseWindow`]) —
 //!    the markers that close tuple-count windows,
 //! 3. **worker → aggregator partials** ([`PartialWindow`]) — one finalized
-//!    per-window shard slice per worker per aggregator,
-//! 4. **worker → source recovery feedback** ([`ReplayRequest`]) — a
-//!    recovering worker asking a source to re-send from a sequence cursor.
+//!    per-window shard slice per worker per aggregator.
+//!
+//! Nothing flows from a worker back to a source on the data plane: a
+//! recovering worker's replay request is a
+//! [`SourceControlEvent::Rejoin`](crate::SourceControlEvent) — a std `mpsc`
+//! queue per source in process, the control plane across processes.
 //!
 //! A [`Transport`] supplies the channel endpoints for those hops. The run
 //! loop in [`crate::topology`] is generic over it, so the *same* phased
@@ -102,17 +105,6 @@ pub struct PartialWindow<P> {
     pub partial: P,
     /// When the worker finalized the window (all close markers collected).
     pub closed_at: Instant,
-}
-
-/// A recovering worker's request that a source re-send its stream from a
-/// sequence cursor. Carried on the worker → source feedback hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayRequest {
-    /// The worker asking for replay.
-    pub worker: usize,
-    /// First per-(source, worker) sequence number the worker is missing;
-    /// the source re-sends every message to that worker with `seq >= from`.
-    pub from_seq: u64,
 }
 
 /// The error every transport operation reports once the peer is gone: all
@@ -230,28 +222,6 @@ pub trait PartialReceiver<P: Send + 'static>: Send + 'static {
     fn recv_batch(&self, out: &mut Vec<PartialWindow<P>>) -> Result<usize, RecvError>;
 }
 
-/// Sending half of a worker → source feedback channel. Cloned once per
-/// worker; workers drop their clones after finalizing their last window,
-/// which is how sources learn no further replay can be requested.
-pub trait FeedbackSender: Send + Clone + 'static {
-    /// Blocks until there is room, then enqueues `request`.
-    fn send(&self, request: ReplayRequest) -> Result<(), ChannelClosed>;
-}
-
-/// Receiving half of a worker → source feedback channel (one per source).
-pub trait FeedbackReceiver: Send + 'static {
-    /// Returns a pending request without blocking (`Ok(None)` when the
-    /// channel is momentarily empty). Sources poll this between batches so
-    /// that a worker blocked on recovery cannot deadlock against a source
-    /// blocked on a full tuple queue.
-    fn try_recv(&self) -> Result<Option<ReplayRequest>, ChannelClosed>;
-
-    /// Blocks until a request arrives. Reports [`ChannelClosed`] once every
-    /// worker has dropped its sender and the queue is empty — the source's
-    /// signal that the run is over.
-    fn recv(&self) -> Result<ReplayRequest, ChannelClosed>;
-}
-
 /// A factory of channel endpoints for the topology's hops, parameterized by
 /// the aggregate partial type `P` that crosses the worker → aggregator hop.
 pub trait Transport<P: Send + 'static> {
@@ -263,10 +233,6 @@ pub trait Transport<P: Send + 'static> {
     type PartialTx: PartialSender<P>;
     /// Worker → aggregator receiver handle (one per aggregator).
     type PartialRx: PartialReceiver<P>;
-    /// Worker → source feedback sender handle (shared by all workers).
-    type FeedbackTx: FeedbackSender;
-    /// Worker → source feedback receiver handle (one per source).
-    type FeedbackRx: FeedbackReceiver;
 
     /// Creates one source → worker channel per worker, each buffering at
     /// most `capacity_batches` in-flight messages.
@@ -283,14 +249,6 @@ pub trait Transport<P: Send + 'static> {
         aggregators: usize,
         capacity_messages: usize,
     ) -> (Vec<Self::PartialTx>, Vec<Self::PartialRx>);
-
-    /// Creates one worker → source feedback channel per source, each
-    /// buffering at most `capacity_messages` in-flight replay requests.
-    fn feedback_channels(
-        &self,
-        sources: usize,
-        capacity_messages: usize,
-    ) -> (Vec<Self::FeedbackTx>, Vec<Self::FeedbackRx>);
 
     /// The core-pinning policy stage threads should apply, or `None` (the
     /// default) to leave placement to the OS scheduler. Only transports
@@ -417,13 +375,6 @@ pub fn partial_channel_capacity(spawned_workers: usize) -> usize {
     spawned_workers * 2 + 4
 }
 
-/// Channel slots for a worker → source feedback channel: a worker has at
-/// most one outstanding replay request per source per recovery, so one slot
-/// per worker plus headroom never blocks a recovering worker.
-pub fn feedback_channel_capacity(spawned_workers: usize) -> usize {
-    spawned_workers + 2
-}
-
 /// The in-process transport: bounded crossbeam channels, exactly the
 /// engine's original plumbing. This is the reference backend every other
 /// transport is differentially tested against.
@@ -458,33 +409,11 @@ impl<P: Send + 'static> PartialReceiver<P> for Receiver<PartialWindow<P>> {
     }
 }
 
-impl FeedbackSender for Sender<ReplayRequest> {
-    fn send(&self, request: ReplayRequest) -> Result<(), ChannelClosed> {
-        Sender::send(self, request).map_err(|_| ChannelClosed)
-    }
-}
-
-impl FeedbackReceiver for Receiver<ReplayRequest> {
-    fn try_recv(&self) -> Result<Option<ReplayRequest>, ChannelClosed> {
-        match Receiver::try_recv(self) {
-            Ok(request) => Ok(Some(request)),
-            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam_channel::TryRecvError::Disconnected) => Err(ChannelClosed),
-        }
-    }
-
-    fn recv(&self) -> Result<ReplayRequest, ChannelClosed> {
-        Receiver::recv(self).map_err(|_| ChannelClosed)
-    }
-}
-
 impl<P: Send + 'static> Transport<P> for InProc {
     type TupleTx = Sender<SourceMessage>;
     type TupleRx = Receiver<SourceMessage>;
     type PartialTx = Sender<PartialWindow<P>>;
     type PartialRx = Receiver<PartialWindow<P>>;
-    type FeedbackTx = Sender<ReplayRequest>;
-    type FeedbackRx = Receiver<ReplayRequest>;
 
     fn tuple_channels(
         &self,
@@ -503,16 +432,6 @@ impl<P: Send + 'static> Transport<P> for InProc {
     ) -> (Vec<Self::PartialTx>, Vec<Self::PartialRx>) {
         (0..aggregators)
             .map(|_| bounded::<PartialWindow<P>>(capacity_messages))
-            .unzip()
-    }
-
-    fn feedback_channels(
-        &self,
-        sources: usize,
-        capacity_messages: usize,
-    ) -> (Vec<Self::FeedbackTx>, Vec<Self::FeedbackRx>) {
-        (0..sources)
-            .map(|_| bounded::<ReplayRequest>(capacity_messages))
             .unzip()
     }
 }
@@ -621,27 +540,5 @@ mod tests {
         assert_eq!(out[0].window, 7);
         assert_eq!(out[0].worker, 2);
         assert_eq!(out[0].partial, 99);
-    }
-
-    #[test]
-    fn inproc_feedback_channels_poll_and_block() {
-        let transport = InProc;
-        let (txs, rxs) = Transport::<u64>::feedback_channels(&transport, 2, 4);
-        assert_eq!(
-            FeedbackReceiver::try_recv(&rxs[0]),
-            Ok(None),
-            "empty but connected polls as None"
-        );
-        let request = ReplayRequest {
-            worker: 1,
-            from_seq: 17,
-        };
-        FeedbackSender::send(&txs[0], request).unwrap();
-        assert_eq!(FeedbackReceiver::try_recv(&rxs[0]), Ok(Some(request)));
-        FeedbackSender::send(&txs[1], request).unwrap();
-        assert_eq!(FeedbackReceiver::recv(&rxs[1]), Ok(request));
-        drop(txs);
-        assert_eq!(FeedbackReceiver::try_recv(&rxs[0]), Err(ChannelClosed));
-        assert_eq!(FeedbackReceiver::recv(&rxs[1]), Err(ChannelClosed));
     }
 }

@@ -9,15 +9,13 @@
 //! One test per binary on purpose: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use slb_core::PartitionerKind;
 use slb_engine::windows::source_stream;
 use slb_engine::{
-    run_source_stage, ChannelClosed, EngineConfig, Feedback, InProc, SourceMessage, Transport,
-    TupleSender,
+    run_source_stage, ChannelClosed, EngineConfig, SourceControlEvent, SourceMessage, TupleSender,
 };
 use slb_workloads::KeyId;
 
@@ -87,12 +85,10 @@ fn a_window_close_allocates_kilobytes_not_the_key_space() {
     // Built once, outside the measurement: the tables are set-up cost.
     let stream = source_stream(&cfg, 0);
     let senders = vec![Recycling::default(); plan.spawned_workers];
-    // A feedback channel whose workers have all left: recoverable, so the
-    // source snapshots at every close, and released at its first poll.
-    let (feedback_txs, mut feedback_rxs) =
-        Transport::<HashMap<KeyId, u64>>::feedback_channels(&InProc, 1, 1);
-    drop(feedback_txs);
-    let control = Feedback(feedback_rxs.remove(0));
+    // An in-process control whose workers have all left: recoverable, so
+    // the source snapshots at every close, and released at its first poll.
+    let (workers, control) = mpsc::channel::<SourceControlEvent>();
+    drop(workers);
 
     let before = ALLOCATED.load(Ordering::Relaxed);
     let report = run_source_stage(&plan, 0, |_| stream.clone(), &senders, control);

@@ -414,9 +414,8 @@ impl ControlLoop {
 }
 
 /// A fault-tolerant source's [`SourceControl`]: the orchestrator's frames as
-/// the control loop forwards them. A respawned worker cannot keep a feedback
-/// socket across its own death, so its restored cursors — and the port to
-/// re-dial — travel in the `Rejoin` frame instead.
+/// the control loop forwards them. A respawned worker's restored cursors —
+/// and the port to re-dial — travel in the `Rejoin` frame.
 struct Supervised<'a> {
     /// The queue closing counts as `Release`.
     events: mpsc::Receiver<ControlFrame>,

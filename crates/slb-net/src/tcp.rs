@@ -29,8 +29,8 @@
 //! the count of frames it just handed over (one small non-blocking `write`);
 //! a sender with `capacity` frames in flight blocks in a `read` of credits
 //! before it writes the next. Every connection starts with a full window,
-//! a reattached or late-attached one included; all three channel kinds use
-//! the one mechanism, and forward bytes are what they were without it.
+//! a reattached or late-attached one included; both channel kinds use the
+//! one mechanism, and forward bytes are what they were without it.
 //!
 //! What the ends owe each other:
 //!
@@ -89,16 +89,15 @@ use std::time::{Duration, Instant};
 
 use slb_core::WirePartial;
 use slb_engine::transport::{
-    ChannelClosed, FeedbackReceiver, FeedbackSender, PartialReceiver, PartialSender, PartialWindow,
-    RecvError, ReplayRequest, SourceMessage, Transport, TransportError, TupleBatch, TupleReceiver,
-    TupleSender,
+    ChannelClosed, PartialReceiver, PartialSender, PartialWindow, RecvError, SourceMessage,
+    Transport, TransportError, TupleBatch, TupleReceiver, TupleSender,
 };
 use slb_engine::WindowId;
 
 use crate::poll;
 use crate::wire::{
-    decode_payload, encode_frame, encode_tuple_frame, split_frame, tag, ControlFrame,
-    FeedbackFrame, PartialFrame, TupleFrame, WireError,
+    decode_payload, encode_frame, encode_tuple_frame, split_frame, tag, ControlFrame, PartialFrame,
+    TupleFrame, WireError,
 };
 
 /// Converts an [`Instant`] to wire form: µs since the transport epoch.
@@ -113,8 +112,9 @@ pub fn us_to_instant(epoch: Instant, us: u64) -> Instant {
         .unwrap_or(epoch)
 }
 
-/// A message one of the three channel kinds carries: how it is framed on
-/// the way out and recovered on the way in (timestamps as µs since `epoch`).
+/// A message a data channel (tuples, partials) or the control plane
+/// carries: how it is framed on the way out and recovered on the way in
+/// (timestamps as µs since `epoch`).
 pub trait Framed: Sized {
     /// Appends the message's complete frame to `buf`.
     fn encode(self, epoch: Instant, buf: &mut Vec<u8>);
@@ -200,26 +200,6 @@ impl<P: WirePartial> Framed for PartialWindow<P> {
                 closed_at: us_to_instant(epoch, closed_us),
             }),
             PartialFrame::Eof => None,
-        })
-    }
-}
-
-impl Framed for ReplayRequest {
-    fn encode(self, _epoch: Instant, buf: &mut Vec<u8>) {
-        let frame = FeedbackFrame::Request {
-            worker: self.worker as u32,
-            from_seq: self.from_seq,
-        };
-        encode_frame(&frame, buf);
-    }
-
-    fn decode(payload: &[u8], _epoch: Instant) -> Result<Option<Self>, WireError> {
-        Ok(match decode_payload(payload)? {
-            FeedbackFrame::Request { worker, from_seq } => Some(ReplayRequest {
-                worker: worker as usize,
-                from_seq,
-            }),
-            FeedbackFrame::Eof => None,
         })
     }
 }
@@ -329,8 +309,7 @@ impl Drop for SenderCore {
 }
 
 /// The sending handle of a channel, over one TCP connection. Clonable; the
-/// connection carries an EOF frame when the last clone drops — for the
-/// feedback hop, how the source learns no further replay can be requested.
+/// connection carries an EOF frame when the last clone drops.
 pub struct TcpSender<T> {
     core: Arc<SenderCore>,
     _message: PhantomData<fn(T)>,
@@ -340,8 +319,6 @@ pub struct TcpSender<T> {
 pub type TcpTupleSender = TcpSender<SourceMessage>;
 /// Worker → aggregator sender.
 pub type TcpPartialSender<P> = TcpSender<PartialWindow<P>>;
-/// Worker → source feedback sender.
-pub type TcpFeedbackSender = TcpSender<ReplayRequest>;
 
 impl<T> Clone for TcpSender<T> {
     fn clone(&self) -> Self {
@@ -373,12 +350,6 @@ impl TupleSender for TcpTupleSender {
 impl<P: WirePartial + Send + 'static> PartialSender<P> for TcpPartialSender<P> {
     fn send(&self, message: PartialWindow<P>) -> Result<(), ChannelClosed> {
         self.core.send(message)
-    }
-}
-
-impl FeedbackSender for TcpFeedbackSender {
-    fn send(&self, request: ReplayRequest) -> Result<(), ChannelClosed> {
-        self.core.send(request)
     }
 }
 
@@ -577,12 +548,6 @@ pub struct TcpReceiver<T> {
 pub type TcpTupleReceiver = TcpReceiver<SourceMessage>;
 /// Worker → aggregator receiver.
 pub type TcpPartialReceiver<P> = TcpReceiver<PartialWindow<P>>;
-/// Worker → source feedback receiver: the source polls it between chunks
-/// (one zero-timeout `poll`, no read unless a request is there), a request
-/// per call, so its `capacity` bounds nothing. [`FeedbackReceiver`] has no
-/// transport-error arm, so a connection that dies uncleanly counts as ended:
-/// safe, because feedback is an optimization trigger, never an obligation.
-pub type TcpFeedbackReceiver = TcpReceiver<ReplayRequest>;
 
 /// A receiver's connections and what waiting on them needs.
 #[derive(Default)]
@@ -637,16 +602,11 @@ impl<T: Framed> TcpReceiver<T> {
         (receiver, attach)
     }
 
-    /// The engine's `recv_batch` contract (module doc): hands up to `limit`
-    /// buffered messages to `sink` — connections taking turns frame by frame,
-    /// so none runs ahead of another that has frames too — and returns how
-    /// many, waiting for the first if `block`, else `Ok(0)` when none is there.
-    fn recv_some(
-        &self,
-        block: bool,
-        limit: usize,
-        mut sink: impl FnMut(T),
-    ) -> Result<usize, RecvError> {
+    /// The engine's `recv_batch` contract (module doc): waits for the first
+    /// message, then appends up to `capacity` buffered ones to `out` —
+    /// connections taking turns frame by frame, so none runs ahead of
+    /// another that has frames too — and returns how many.
+    fn recv_some(&self, out: &mut Vec<T>) -> Result<usize, RecvError> {
         let reactor = &mut *self.reactor.borrow_mut();
         // A sibling's backlog must not hold back frames that have arrived
         // on a dry connection's socket since: look there first, no waiting.
@@ -656,12 +616,12 @@ impl<T: Framed> TcpReceiver<T> {
         }
         loop {
             let (mut taken, mut passed) = (0, 0);
-            while taken < limit && passed < reactor.conns.len() {
+            while taken < self.capacity && passed < reactor.conns.len() {
                 let turn = reactor.turn % reactor.conns.len();
                 reactor.turn = turn + 1;
                 match reactor.conns[turn].step(self.epoch) {
                     Step::Message(message) => {
-                        sink(message);
+                        out.push(message);
                         reactor.conns[turn].owed += 1;
                         taken += 1;
                         passed = 0;
@@ -688,9 +648,7 @@ impl<T: Framed> TcpReceiver<T> {
                 return Err(RecvError::Closed);
             }
             // Every connection left is dry: wait and read.
-            if !reactor.fill(block) && !block {
-                return Ok(0);
-            }
+            reactor.fill(true);
         }
     }
 }
@@ -698,8 +656,8 @@ impl<T: Framed> TcpReceiver<T> {
 impl Reactor {
     /// Waits for a dry connection's socket to turn readable (not at all
     /// unless `block`), reads each that has once and admits late
-    /// connections. Returns whether any was readable.
-    fn fill(&mut self, block: bool) -> bool {
+    /// connections.
+    fn fill(&mut self, block: bool) {
         self.fds.clear();
         // `poll` passes over a negative descriptor.
         let dry = |c: &Conn| if c.is_dry() { c.stream.as_raw_fd() } else { -1 };
@@ -714,19 +672,16 @@ impl Reactor {
                 conn.end = Some(Err(report.clone()));
             }
             self.late = None;
-            return true;
+            return;
         }
-        let mut readable = false;
         for (conn, fd) in self.conns.iter_mut().zip(&self.fds) {
             // Hang-ups and socket errors count: the read tells which.
             if fd.is_ready() {
                 conn.read_once();
-                readable = true;
             }
         }
         if let Some(late) = self.late.as_mut() {
             if self.fds.last().is_some_and(poll::PollFd::is_ready) {
-                readable = true;
                 let dropped = !matches!(late.wake.read(&mut [0; 64]), Ok(1..));
                 // Every attach sent its stream before its wake byte, and
                 // the handle cannot drop while an attach is running.
@@ -736,45 +691,18 @@ impl Reactor {
                 }
             }
         }
-        readable
     }
 }
 
 impl TupleReceiver for TcpTupleReceiver {
     fn recv_batch(&self, out: &mut Vec<SourceMessage>) -> Result<usize, RecvError> {
-        self.recv_some(true, self.capacity, |m| out.push(m))
+        self.recv_some(out)
     }
 }
 
 impl<P: WirePartial + Send + 'static> PartialReceiver<P> for TcpPartialReceiver<P> {
     fn recv_batch(&self, out: &mut Vec<PartialWindow<P>>) -> Result<usize, RecvError> {
-        self.recv_some(true, self.capacity, |m| out.push(m))
-    }
-}
-
-impl TcpFeedbackReceiver {
-    /// One request if there is one — waiting for it if `block` — with dead
-    /// connections counted as ended.
-    fn next(&self, block: bool) -> Result<Option<ReplayRequest>, ChannelClosed> {
-        let mut request = None;
-        loop {
-            match self.recv_some(block, 1, |r| request = Some(r)) {
-                Ok(_) => return Ok(request),
-                Err(RecvError::Transport(_)) => continue,
-                Err(RecvError::Closed) => return Err(ChannelClosed),
-            }
-        }
-    }
-}
-
-impl FeedbackReceiver for TcpFeedbackReceiver {
-    fn try_recv(&self) -> Result<Option<ReplayRequest>, ChannelClosed> {
-        self.next(false)
-    }
-
-    fn recv(&self) -> Result<ReplayRequest, ChannelClosed> {
-        // A blocking receive never returns empty-handed.
-        self.next(true)?.ok_or(ChannelClosed)
+        self.recv_some(out)
     }
 }
 
@@ -911,8 +839,6 @@ where
     type TupleRx = TcpTupleReceiver;
     type PartialTx = TcpPartialSender<P>;
     type PartialRx = TcpPartialReceiver<P>;
-    type FeedbackTx = TcpFeedbackSender;
-    type FeedbackRx = TcpFeedbackReceiver;
 
     fn tuple_channels(
         &self,
@@ -928,14 +854,6 @@ where
         capacity_messages: usize,
     ) -> (Vec<Self::PartialTx>, Vec<Self::PartialRx>) {
         self.channels(aggregators, capacity_messages)
-    }
-
-    fn feedback_channels(
-        &self,
-        sources: usize,
-        capacity_messages: usize,
-    ) -> (Vec<Self::FeedbackTx>, Vec<Self::FeedbackRx>) {
-        self.channels(sources, capacity_messages)
     }
 }
 
@@ -1017,31 +935,6 @@ mod tests {
         assert_eq!(got[0].window, 4);
         assert_eq!(got[0].worker, 3);
         assert_eq!(got[0].partial, counts);
-    }
-
-    #[test]
-    fn feedback_channel_polls_blocks_and_disconnects() {
-        let transport = TcpTransport::loopback();
-        let (txs, rxs) = Transport::<u64>::feedback_channels(&transport, 1, 4);
-        let tx = txs.into_iter().next().unwrap();
-        let rx = rxs.into_iter().next().unwrap();
-        assert_eq!(rx.try_recv(), Ok(None), "empty but connected polls None");
-        let request = ReplayRequest {
-            worker: 2,
-            from_seq: 31,
-        };
-        tx.send(request).unwrap();
-        assert_eq!(rx.recv(), Ok(request));
-        drop(tx);
-        // EOF propagates: the channel closes once the EOF frame is read.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match rx.try_recv() {
-                Err(ChannelClosed) => break,
-                Ok(None) if Instant::now() < deadline => thread::sleep(Duration::from_millis(1)),
-                other => panic!("unexpected poll result before disconnect: {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -12,18 +12,17 @@
 //! frame without understanding it. All integers are little-endian fixed
 //! width; collections are a `u32` count followed by the elements; an
 //! `Option` or `bool` is one flag byte (`0`/`1`), followed by the value when
-//! set. There are four frame families:
+//! set. There are three frame families:
 //!
 //! * **tuple frames** ([`TupleFrame`]) — the source → worker hop: tuple
 //!   batches, window-close punctuation, and the end-of-stream marker.
 //! * **partial frames** ([`PartialFrame`]) — the worker → aggregator hop:
 //!   per-window partial aggregates, encoded through the
 //!   [`WirePartial`] hook in `slb-core`, plus end-of-stream.
-//! * **feedback frames** ([`FeedbackFrame`]) — the worker → source hop: a
-//!   recovering worker's replay requests.
 //! * **control frames** ([`ControlFrame`]) — the `slb-node` control plane:
-//!   hello/start handshakes, supervision, metrics, and the per-stage
-//!   end-of-run reports.
+//!   hello/start handshakes, supervision (a recovering worker's replay
+//!   request is its `Rejoin`), metrics, and the per-stage end-of-run
+//!   reports.
 //!
 //! Timestamps on the wire are microseconds since the run's shared epoch —
 //! `Instant`s never cross a socket; the TCP layer converts at the edges.
@@ -81,8 +80,9 @@ pub mod tag {
     pub const PARTIAL: u8 = 3;
     /// End of stream: the sender will write nothing further.
     pub const EOF: u8 = 4;
-    /// A recovering worker's replay request (worker → source feedback hop).
-    pub const REPLAY_REQUEST: u8 = 5;
+    // 5 is retired — it was a replay request on a worker → source data
+    // socket, now `REJOIN` on the control plane — and must never be reused:
+    // every decoder rejects it (`golden_bytes`, `wire_props`).
     /// Node → orchestrator: role, index, and data port.
     pub const HELLO: u8 = 16;
     /// Orchestrator → node: epoch, peer ports, and the run configuration.
@@ -545,7 +545,7 @@ wire_type!(impl AggregatorStageReport<CountPartial> {
 });
 
 // ---------------------------------------------------------------------------
-// The four frame families
+// The three frame families
 // ---------------------------------------------------------------------------
 
 wire_type! {
@@ -596,23 +596,6 @@ wire_type! {
             /// The shard slice.
             partial: P as partial,
         } = tag::PARTIAL,
-        /// End of stream.
-        Eof = tag::EOF,
-    }
-}
-
-wire_type! {
-    /// One message on a worker → source feedback socket.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum FeedbackFrame {
-        /// A recovering worker asks the source to re-send from a sequence
-        /// cursor.
-        Request {
-            /// The worker requesting replay.
-            worker: u32,
-            /// First per-(source, worker) sequence number the worker is missing.
-            from_seq: u64,
-        } = tag::REPLAY_REQUEST,
         /// End of stream.
         Eof = tag::EOF,
     }
@@ -811,28 +794,6 @@ mod tests {
         let (second, rest) = decode_tuple_frame(&buf[consumed..]).unwrap();
         assert_eq!(second, TupleFrame::Eof);
         assert_eq!(consumed + rest, buf.len());
-    }
-
-    #[test]
-    fn feedback_frames_round_trip() {
-        for frame in [
-            FeedbackFrame::Request {
-                worker: 7,
-                from_seq: 1_234,
-            },
-            FeedbackFrame::Request {
-                worker: 0,
-                from_seq: 0,
-            },
-            FeedbackFrame::Eof,
-        ] {
-            let mut buf = Vec::new();
-            encode_frame(&frame, &mut buf);
-            let (back, consumed) =
-                decode_frame::<FeedbackFrame>(&buf).expect("own encoding decodes");
-            assert_eq!(back, frame);
-            assert_eq!(consumed, buf.len());
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use slb_core::{
 };
 use slb_engine::{AggregatorStageReport, RecoveryMetrics, SourceStageReport, WorkerStageReport};
 use slb_net::wire::{
-    decode_frame, encode_frame, ControlFrame, FeedbackFrame, PartialFrame, TupleFrame, Wire,
+    decode_frame, encode_frame, ControlFrame, PartialFrame, TupleFrame, Wire, WireError,
 };
 use slb_sketch::{FrequencyEstimator, SpaceSaving};
 use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
@@ -135,15 +135,18 @@ fn data_plane_frames_are_byte_stable() {
         &PartialFrame::<u64>::Eof,
         "01000000 04",
     );
-    check_frame("feedback eof (tag 4)", &FeedbackFrame::Eof, "01000000 04");
-    check_frame(
-        "replay request (tag 5)",
-        &FeedbackFrame::Request {
-            worker: 6,
-            from_seq: 77,
-        },
-        "0d000000 05 06000000 4d00000000000000",
-    );
+}
+
+/// Tag 5 carried a worker's replay request over a data socket until PR 22
+/// (a `Rejoin` control frame or an in-process event since). These are that
+/// frame's golden bytes: retired, never reused, a bad tag to every decoder.
+#[test]
+fn retired_tag_5_decodes_nowhere() {
+    let golden = unhex("0d000000 05 06000000 4d00000000000000");
+    let bad_tag = |e| matches!(e, WireError::BadTag(5));
+    assert!(decode_frame::<TupleFrame>(&golden).is_err_and(bad_tag));
+    assert!(decode_frame::<PartialFrame<u64>>(&golden).is_err_and(bad_tag));
+    assert!(decode_frame::<ControlFrame>(&golden).is_err_and(bad_tag));
 }
 
 /// The hop-stats block every report ends with: nine counters, then the

@@ -1,7 +1,7 @@
 //! Property suite for the TCP receive path (`slb_net::tcp`'s reactor): what
-//! a receiving stage gets out of `recv_batch` / `try_recv` depends only on
-//! the bytes its peers wrote — not on how the kernel sliced them into
-//! reads, which connection they came in on, or when a peer went away.
+//! a receiving stage gets out of `recv_batch` depends only on the bytes its
+//! peers wrote — not on how the kernel sliced them into reads, which
+//! connection they came in on, or when a peer went away.
 //!
 //! * **(a) dribbles** — frame sequences written a few bytes at a time (every
 //!   split point, the 4-byte header's included) over 1–4 connections arrive
@@ -13,8 +13,8 @@
 //!   `Closed`; the slice decoder is the model for what "garbage" means.
 //! * **(d) late attach** — a stream attached while the receiver waits is
 //!   picked up, and `Closed` waits for the attach handle's drop.
-//! * **(e) feedback polling** — `try_recv` on an idle channel is `Ok(None)`
-//!   and returns; `ChannelClosed` comes only after every sender's EOF.
+//! * **(e) closure** — `Closed` comes only after *every* connection's EOF:
+//!   while one sender is left, what it sends is what a receive returns.
 //! * **(f) turns** — connections that have frames waiting are served frame by
 //!   frame in turn, whatever `capacity`: a backlog already buffered from one
 //!   never holds back frames that have arrived from another (a worker with
@@ -36,14 +36,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use slb_engine::transport::{
-    ChannelClosed, FeedbackReceiver, FeedbackSender, PartialReceiver, PartialSender, PartialWindow,
-    RecvError, ReplayRequest, SourceMessage, Transport, TupleBatch, TupleReceiver, TupleSender,
+    PartialReceiver, PartialSender, PartialWindow, RecvError, SourceMessage, Transport, TupleBatch,
+    TupleReceiver, TupleSender,
 };
 use slb_net::tcp::{
-    instant_to_us, TcpFeedbackReceiver, TcpFeedbackSender, TcpPartialReceiver, TcpPartialSender,
-    TcpTransport, TcpTupleReceiver,
+    instant_to_us, TcpPartialReceiver, TcpPartialSender, TcpTransport, TcpTupleReceiver,
+    TcpTupleSender,
 };
-use slb_net::wire::{decode_tuple_frame, encode_frame, encode_tuple_frame, FeedbackFrame};
+use slb_net::wire::{decode_tuple_frame, encode_tuple_frame};
 use slb_net::TupleFrame;
 
 type Partial = HashMap<u64, u64>;
@@ -227,31 +227,31 @@ proptest! {
         prop_assert_eq!(got.len(), sent.iter().map(Vec::len).sum::<usize>());
     }
 
-    /// (a), every split point on one thread: a feedback stream is written
-    /// in dribbles with a non-blocking poll after each; a request surfaces
-    /// exactly when its last byte is in, never earlier, never twice.
+    /// (a), every split point on one thread: a stream of close markers is
+    /// written in dribbles, with a (blocking) receive only once a whole
+    /// frame more is in; a frame surfaces when its last byte is in, never
+    /// earlier, never twice.
     #[test]
     fn a_frame_surfaces_exactly_when_its_last_byte_arrives(
-        requests in proptest::collection::vec(any::<u64>(), 1..6),
+        markers in proptest::collection::vec(any::<u64>(), 1..6),
         dribbles in proptest::collection::vec(1usize..9, 1..12),
+        capacity in 1usize..4,
     ) {
-        let sent: Vec<ReplayRequest> = requests
+        let epoch = Instant::now();
+        let sent: Vec<TupleFrame> = markers
             .iter()
-            .map(|&r| ReplayRequest { worker: (r >> 48) as usize, from_seq: r & 0xFFFF_FFFF })
+            .enumerate()
+            .map(|(seq, &m)| TupleFrame::Close { window: m >> 16, source: m as u32 & 0xFF, seq: seq as u64 })
             .collect();
         let mut bytes = Vec::new();
         let mut boundaries = Vec::new();
-        for request in &sent {
-            let frame = FeedbackFrame::Request {
-                worker: request.worker as u32,
-                from_seq: request.from_seq,
-            };
-            encode_frame(&frame, &mut bytes);
+        for frame in &sent {
+            encode_tuple_frame(frame, &mut bytes);
             boundaries.push(bytes.len());
         }
         let (mut client, server) = loopback_pair();
-        let rx = TcpFeedbackReceiver::spawn(vec![server], Instant::now(), 4);
-        let mut got = Vec::new();
+        let rx = TcpTupleReceiver::spawn(vec![server], epoch, capacity);
+        let (mut got, mut batch) = (Vec::new(), Vec::new());
         let mut written = 0;
         for size in dribbles.iter().cycle() {
             if written == bytes.len() {
@@ -261,15 +261,17 @@ proptest! {
             client.write_all(chunk).unwrap();
             written += chunk.len();
             let complete = boundaries.iter().filter(|&&end| end <= written).count();
-            // Loopback delivery is prompt but not contractually
-            // synchronous: poll until what is whole has surfaced.
-            let deadline = Instant::now() + Duration::from_secs(10);
+            // A receive blocks until a whole frame is there, so it is only
+            // asked for one that has been written to its last byte.
             while got.len() < complete {
-                prop_assert!(Instant::now() < deadline, "a complete frame never surfaced");
-                got.extend(rx.try_recv().expect("the sender is alive"));
+                prop_assert!(matches!(rx.recv_batch(&mut batch), Ok(n) if n > 0));
+                got.extend(batch.drain(..).map(|m| as_frame(m, epoch)));
+                prop_assert!(got.len() <= complete, "a partial frame must not surface");
+                prop_assert_eq!(&got[..], &sent[..got.len()]);
             }
-            prop_assert_eq!(rx.try_recv(), Ok(None), "a partial frame must not surface");
         }
+        finish(&client);
+        prop_assert_eq!(rx.recv_batch(&mut batch), Err(RecvError::Closed));
         prop_assert_eq!(got, sent);
     }
 
@@ -415,41 +417,33 @@ proptest! {
         prop_assert_eq!(windows, expected);
     }
 
-    /// (e) Between requests an open feedback channel polls `Ok(None)` —
-    /// and returns — however many of its senders have already left;
-    /// `ChannelClosed` needs every sender's EOF.
+    /// (e) `Closed` needs every connection's EOF: k senders leave one at a
+    /// time, and as long as one is left, what it sends is what a receive
+    /// returns — however many of its siblings' EOFs came first.
     #[test]
-    fn idle_feedback_polls_none_and_closes_only_after_every_eof(
+    fn closed_comes_only_after_every_connections_eof(
         script in proptest::collection::vec(any::<u64>(), 1..5),
     ) {
         let epoch = Instant::now();
         let (clients, servers): (Vec<_>, Vec<_>) = script.iter().map(|_| loopback_pair()).unzip();
-        let rx = TcpFeedbackReceiver::spawn(servers, epoch, 4);
-        let mut senders: Vec<TcpFeedbackSender> =
-            clients.into_iter().map(|c| TcpFeedbackSender::new(c, epoch, 4)).collect();
-        prop_assert_eq!(rx.try_recv(), Ok(None));
-        for (worker, &step) in script.iter().enumerate() {
-            let request = ReplayRequest { worker, from_seq: step };
-            senders[0].send(request).unwrap();
-            prop_assert_eq!(rx.recv(), Ok(request));
-            if step % 2 == 0 {
-                senders.pop(); // one sender leaves early: EOF on its connection
-            }
-            if senders.is_empty() {
-                break;
-            }
-            prop_assert_eq!(rx.try_recv(), Ok(None), "idle, {} senders left", senders.len());
+        let rx = TcpTupleReceiver::spawn(servers, epoch, 4);
+        let mut senders: Vec<TcpTupleSender> =
+            clients.into_iter().map(|c| TcpTupleSender::new(c, epoch, 4)).collect();
+        let mut got = Vec::new();
+        for (seq, &step) in script.iter().enumerate() {
+            // Who speaks and who leaves next both follow the script.
+            let speaker = step as usize % senders.len();
+            senders[speaker]
+                .send(SourceMessage::CloseWindow { window: step, source: speaker, seq: seq as u64 })
+                .unwrap();
+            prop_assert_eq!(rx.recv_batch(&mut got), Ok(1), "{} senders left", senders.len());
+            // Its one frame is taken, so a sender's drop does not wait.
+            senders.swap_remove((step >> 8) as usize % senders.len()); // EOF on its connection
         }
-        drop(senders);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match rx.try_recv() {
-                Err(ChannelClosed) => break,
-                Ok(None) => prop_assert!(Instant::now() < deadline, "EOFs never arrived"),
-                Ok(Some(request)) => prop_assert!(false, "a request nobody sent: {:?}", request),
-            }
-        }
-        prop_assert_eq!(rx.recv(), Err(ChannelClosed));
+        prop_assert!(senders.is_empty());
+        prop_assert_eq!(rx.recv_batch(&mut got), Err(RecvError::Closed));
+        let seqs: Vec<u64> = got.iter().map(|m| m.source_seq().1).collect();
+        prop_assert_eq!(seqs, (0..script.len() as u64).collect::<Vec<_>>());
     }
 
     /// (f) Connection 0's frames are all buffered by the receiver (its first

@@ -1,7 +1,7 @@
 //! The TCP transport owns no threads: every receiver is read by the stage
-//! that calls it. Building all three channel families for an
-//! 8-worker / 2-aggregator / 2-source topology and pushing a message
-//! through each must leave the process's thread count where it was.
+//! that calls it. Building both channel families for an 8-worker /
+//! 2-aggregator topology and pushing a message through each must leave the
+//! process's thread count where it was.
 //!
 //! This file holds exactly one test on purpose — the count is read from
 //! `/proc/self/status`, and a sibling test running on another harness
@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use slb_engine::transport::{
-    FeedbackReceiver, FeedbackSender, PartialReceiver, PartialSender, PartialWindow, ReplayRequest,
-    SourceMessage, Transport, TupleReceiver, TupleSender,
+    PartialReceiver, PartialSender, PartialWindow, SourceMessage, Transport, TupleReceiver,
+    TupleSender,
 };
 use slb_net::TcpTransport;
 
@@ -35,7 +35,6 @@ fn building_and_using_every_channel_starts_no_thread() {
     let transport = TcpTransport::loopback();
     let (tuple_tx, tuple_rx) = Transport::<Partial>::tuple_channels(&transport, 8, 4);
     let (partial_tx, partial_rx) = Transport::<Partial>::partial_channels(&transport, 2, 8);
-    let (feedback_tx, feedback_rx) = Transport::<Partial>::feedback_channels(&transport, 2, 8);
 
     for (worker, (tx, rx)) in tuple_tx.iter().zip(&tuple_rx).enumerate() {
         tx.send(SourceMessage::CloseWindow {
@@ -58,17 +57,9 @@ fn building_and_using_every_channel_starts_no_thread() {
         let mut got = Vec::new();
         assert_eq!(rx.recv_batch(&mut got), Ok(1));
     }
-    for (tx, rx) in feedback_tx.iter().zip(&feedback_rx) {
-        let request = ReplayRequest {
-            worker: 0,
-            from_seq: 9,
-        };
-        tx.send(request).unwrap();
-        assert_eq!(rx.recv(), Ok(request));
-    }
     assert_eq!(
         threads(),
         before,
-        "12 channels built and used: the transport must not have started a thread"
+        "10 channels built and used: the transport must not have started a thread"
     );
 }

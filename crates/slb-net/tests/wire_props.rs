@@ -3,7 +3,7 @@
 //! Two families of properties, over randomly generated frames and partials:
 //!
 //! 1. **Round-trip identity** — `decode(encode(x)) == x` for every frame
-//!    type (tuple, partial over all three aggregate partial kinds, feedback,
+//!    type (tuple, partial over all three aggregate partial kinds,
 //!    control), consuming exactly the bytes the encoder produced (so frames
 //!    concatenate on a stream), and `parse(render(spec)) == spec` bit for bit
 //!    for the text cluster spec the `Start` frame carries.
@@ -38,8 +38,8 @@ use slb_engine::{
 };
 use slb_net::cluster::{ClusterSpec, RunSpec};
 use slb_net::wire::{
-    decode_frame, decode_tuple_frame, encode_frame, encode_tuple_frame, ControlFrame,
-    FeedbackFrame, PartialFrame, TupleFrame, WireError,
+    decode_frame, decode_tuple_frame, encode_frame, encode_tuple_frame, ControlFrame, PartialFrame,
+    TupleFrame, WireError,
 };
 use slb_sketch::{FrequencyEstimator, SpaceSaving};
 use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
@@ -279,38 +279,37 @@ fn control_frames(raw: &[u64], ports: &[u16], samples: &[u64], keys: &[u64]) -> 
 }
 
 /// The plan decoded reports are assembled under: three phases, as the
-/// worker reports [`control_frames`] builds have, each over both workers.
+/// worker reports [`control_frames`] builds have, over 1, 3 and 2 of three
+/// workers — so a report assembled as every worker's claims tuples in
+/// phases its worker was not active in.
 fn orchestrator_plan() -> StagePlan {
-    let scenario = (0..3).fold(Scenario::new("wire", 2, 64, 1), |scenario, _| {
-        scenario.phase(ScenarioPhase::new(1, 64, 1.0, 2))
-    });
+    let scenario = [1, 3, 2]
+        .iter()
+        .fold(Scenario::new("wire", 2, 64, 1), |scenario, &workers| {
+            scenario.phase(ScenarioPhase::new(1, 64, 1.0, workers))
+        });
     ScenarioConfig::new(PartitionerKind::Pkg, scenario).stage_plan()
 }
 
 /// What the orchestrator does with a decoded frame: a snapshot is exported
 /// as JSON and folded into the cluster `rollup`, which is exported too; a
 /// stage report goes through `assemble_result` — here as the report of every
-/// instance of its role, so that each counter in it is also added to itself.
-/// None of it may panic, whatever the peer sent.
+/// instance of its role, so that each counter in it is also added to itself,
+/// every window it finalized is claimed by every shard, and every worker
+/// counts tuples in every phase. None of it may panic, whatever the peer
+/// sent.
 fn use_like_the_orchestrator(frame: ControlFrame, rollup: &mut MetricsSnapshot, plan: &StagePlan) {
     // One report per stage instance, as the orchestrator insists before it
     // assembles; the roles the frame says nothing about report nothing.
     let assemble = |sources: Option<SourceStageReport>,
                     workers: Option<WorkerStageReport>,
                     aggregators: Option<AggregatorStageReport<_>>| {
-        let mut aggregators = vec![aggregators.unwrap_or_default(); plan.aggregators.max(2)];
-        // Shards own disjoint windows, and that is still taken on trust
-        // (ROADMAP item 4): two shards finalizing one window merge its
-        // counts with a plain `+`. Only the first keeps its windows.
-        for shard in &mut aggregators[1..] {
-            shard.finalized.clear();
-        }
         let _ = assemble_result(
             plan,
             &CountAggregate,
             vec![sources.unwrap_or_default(); plan.sources],
             vec![workers.unwrap_or_default(); plan.spawned_workers],
-            aggregators,
+            vec![aggregators.unwrap_or_default(); plan.aggregators.max(2)],
             1.0,
         );
     };
@@ -397,6 +396,40 @@ fn histogram_scalars_must_match_the_buckets_and_merge_saturates() {
     assert_eq!(rollup.latency.sum(), u128::MAX);
 }
 
+/// At the parent commit each of these two decoded reports panicked
+/// `assemble_result` in a debug build: a window claimed by two shards added
+/// its counts with a plain `+`, and a worker counting tuples in a phase it
+/// was not active in tripped a `debug_assert`.
+#[test]
+fn decoded_reports_claiming_a_window_twice_or_an_inactive_phase_assemble() {
+    let plan = orchestrator_plan();
+    assert!(plan.phases[0].workers < plan.spawned_workers);
+    let frames = [
+        ControlFrame::AggregatorReport {
+            index: 0,
+            report: AggregatorStageReport {
+                finalized: BTreeMap::from([(0, HashMap::from([(7, u64::MAX)]))]),
+                ..AggregatorStageReport::default()
+            },
+        },
+        ControlFrame::WorkerReport {
+            index: 0,
+            report: WorkerStageReport {
+                processed: 3,
+                phase_counts: vec![1, 1, 1],
+                ..WorkerStageReport::default()
+            },
+        },
+    ];
+    for frame in frames {
+        let mut buf = Vec::new();
+        encode_frame(&frame, &mut buf);
+        let (decoded, _) = decode_frame::<ControlFrame>(&buf).expect("own encoding decodes");
+        assert_eq!(decoded, frame);
+        use_like_the_orchestrator(decoded, &mut MetricsSnapshot::default(), &plan);
+    }
+}
+
 proptest! {
     // 64 cases locally; ci.sh raises this via PROPTEST_CASES.
     #![proptest_config(ProptestConfig::with_cases_env(64))]
@@ -449,44 +482,31 @@ proptest! {
 
     #[test]
     fn tuple_frame_bad_tags_error(window in any::<u64>(), tag in 5u8..255) {
-        // Tags 5.. are never valid on a tuple channel — REPLAY_REQUEST (5)
-        // belongs to the feedback channel, whose decoder is separate.
+        // Tags 5.. are never valid on a tuple channel.
         let mut buf = Vec::new();
         encode_tuple_frame(&TupleFrame::Close { window, source: 0, seq: 0 }, &mut buf);
         buf[4] = tag; // corrupt the tag byte; length prefix stays valid
         prop_assert!(decode_tuple_frame(&buf).is_err());
     }
 
+    /// Tag 5 was the worker → source replay request (`worker: u32`,
+    /// `from_seq: u64`). It is retired, not free: what used to be a valid
+    /// frame is a bad tag to every decoder that is left, whatever its body.
     #[test]
-    fn feedback_frames_round_trip_and_concatenate(
+    fn retired_tag_5_is_rejected_by_every_decoder(
         worker in any::<u32>(),
         from_seq in any::<u64>(),
+        body in proptest::collection::vec(any::<u8>(), 0..40),
     ) {
-        let request = FeedbackFrame::Request { worker, from_seq };
-        let mut buf = Vec::new();
-        encode_frame(&request, &mut buf);
-        encode_frame(&FeedbackFrame::Eof, &mut buf);
-        let (first, consumed) = decode_frame::<FeedbackFrame>(&buf).expect("first frame decodes");
-        prop_assert_eq!(first, request);
-        let (second, rest) = decode_frame::<FeedbackFrame>(&buf[consumed..]).expect("second frame decodes");
-        prop_assert_eq!(second, FeedbackFrame::Eof);
-        prop_assert_eq!(consumed + rest, buf.len());
-    }
-
-    #[test]
-    fn feedback_frame_prefixes_and_bad_tags_error(
-        worker in any::<u32>(),
-        from_seq in any::<u64>(),
-        tag in 6u8..255,
-    ) {
-        let mut buf = Vec::new();
-        encode_frame(&FeedbackFrame::Request { worker, from_seq }, &mut buf);
-        for cut in 0..buf.len() {
-            prop_assert!(decode_frame::<FeedbackFrame>(&buf[..cut]).is_err(), "cut at {}", cut);
+        let old = [&13u32.to_le_bytes()[..], &[5], &worker.to_le_bytes(), &from_seq.to_le_bytes()].concat();
+        let soup = [&(body.len() as u32 + 1).to_le_bytes()[..], &[5], &body].concat();
+        for frame in [old, soup] {
+            prop_assert!(matches!(decode_tuple_frame(&frame), Err(WireError::BadTag(5))));
+            prop_assert!(matches!(decode_frame::<PartialFrame<HashMap<u64, u64>>>(&frame), Err(WireError::BadTag(5))));
+            prop_assert!(matches!(decode_frame::<PartialFrame<u64>>(&frame), Err(WireError::BadTag(5))));
+            prop_assert!(matches!(decode_frame::<PartialFrame<SpaceSaving<u64>>>(&frame), Err(WireError::BadTag(5))));
+            prop_assert!(matches!(decode_frame::<ControlFrame>(&frame), Err(WireError::BadTag(5))));
         }
-        // A feedback channel accepts only REPLAY_REQUEST (5) and EOF (4).
-        buf[4] = tag;
-        prop_assert!(decode_frame::<FeedbackFrame>(&buf).is_err());
     }
 
     #[test]
@@ -743,7 +763,6 @@ proptest! {
         let _ = decode_frame::<PartialFrame<HashMap<u64, u64>>>(&bytes);
         let _ = decode_frame::<PartialFrame<u64>>(&bytes);
         let _ = decode_frame::<PartialFrame<SpaceSaving<u64>>>(&bytes);
-        let _ = decode_frame::<FeedbackFrame>(&bytes);
         let _ = WorkerCheckpoint::decode(&mut bytes.as_slice());
         let _ = CheckpointDelta::decode(&mut bytes.as_slice());
         // A delta tag followed by soup reaches the body decoder too.

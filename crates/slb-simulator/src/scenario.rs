@@ -93,6 +93,10 @@ pub fn simulate_scenario(kind: PartitionerKind, scenario: &Scenario) -> Scenario
         .enumerate()
         .map(|(p, phase)| {
             let active = phase.workers;
+            debug_assert!(
+                matrix.phase_counts(p)[active..].iter().all(|&c| c == 0),
+                "phase {p} routed messages beyond its {active} active workers"
+            );
             let worker_counts = matrix.phase_counts(p)[..active].to_vec();
             let tuples = matrix.phase_total(p);
             let weighted_imbalance = weighted_imbalance(&worker_counts, |w| phase.speed_of(w));
