@@ -127,6 +127,15 @@ if grep -rnE 'Feedback(Sender|Receiver|Frame|Tx|Rx)|TcpFeedback|feedback_channel
     exit 1
 fi
 
+echo "==> one telemetry record: a snapshot contains its records, a stage is handed its HopTelemetry, the interval has one way in"
+if grep -rnE 'set_transport|fn live\(|AggregatorSupervision|SLB_METRICS_INTERVAL_MS|metrics_interval_from_env' \
+    crates src tests examples docs/OBSERVABILITY.md docs/DISTRIBUTED.md ||
+    sed -n '/^pub struct MetricsSnapshot {/,/^}/p' crates/slb-telemetry/src/metrics.rs |
+    grep -nE 'batches_sent|send_stall_us|recv_wait_us|restores|replay_requests'; then
+    echo "a snapshot contains the hop and recovery records; a stage is handed its \`HopTelemetry\`"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -136,15 +136,15 @@ impl LoadVector {
 
 /// The paper's load imbalance metric over raw message counts:
 /// `I = max_w(L_w) − avg_w(L_w)` where `L_w` is the *fraction* of messages
-/// handled by worker `w`. Returns 0 for an empty load.
+/// handled by worker `w`. Returns 0 for an empty load — no messages, or no
+/// workers to have handled any.
 pub fn imbalance(counts: &[u64]) -> f64 {
-    assert!(!counts.is_empty(), "imbalance of zero workers is undefined");
     // Saturating: the engine evaluates this over reported counts.
     let total = counts.iter().fold(0u64, |sum, &c| sum.saturating_add(c));
     if total == 0 {
         return 0.0;
     }
-    let max = *counts.iter().max().expect("non-empty") as f64 / total as f64;
+    let max = *counts.iter().max().expect("a positive total has a worker") as f64 / total as f64;
     let avg = 1.0 / counts.len() as f64;
     max - avg
 }
@@ -373,6 +373,7 @@ mod tests {
             imbalance(&[0, 0, 0]).abs() < 1e-12,
             "empty load has no imbalance"
         );
+        assert_eq!(imbalance(&[]), 0.0, "nor do zero workers");
     }
 
     #[test]

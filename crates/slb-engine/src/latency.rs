@@ -21,7 +21,7 @@
 //! bound; `tests/latency_props.rs` pins this module against raw samples.
 
 use serde::{Deserialize, Serialize};
-use slb_telemetry::LogHistogram;
+use slb_telemetry::{LogHistogram, RecoveryMetrics};
 
 /// Summary statistics over all recorded latencies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -91,52 +91,6 @@ pub struct StageMetrics {
     /// Fault-recovery accounting for the stage. All zero in a fault-free
     /// run — the determinism suite pins that.
     pub recovery: RecoveryMetrics,
-}
-
-/// Counters for the exactly-once recovery machinery of one stage.
-///
-/// In the worker stage, `restores` counts checkpoint restorations after a
-/// crash, `replayed_items` counts tuples reprocessed from replayed batches,
-/// and `duplicates_dropped` counts messages discarded by sequence-number
-/// dedup. In the aggregator stage only `duplicates_dropped` is meaningful:
-/// re-sent (worker, window) partials discarded instead of double-merged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryMetrics {
-    /// Checkpoint restorations performed after simulated crashes.
-    pub restores: u64,
-    /// Items reprocessed from replayed messages (already counted once in
-    /// `items` — this tracks the recovery overhead, not extra output).
-    pub replayed_items: u64,
-    /// Messages discarded as duplicates by sequence/worker dedup.
-    pub duplicates_dropped: u64,
-    /// Replay requests issued upstream (gap detected or post-crash resume).
-    pub replay_requests: u64,
-    /// Transport-level receive errors survived (a reader thread reporting a
-    /// malformed frame or failed read instead of a clean EOF). Zero on a
-    /// healthy run; nonzero means a peer died mid-frame and the stage kept
-    /// going on the remaining connections.
-    pub transport_errors: u64,
-}
-
-impl RecoveryMetrics {
-    /// True when no recovery machinery fired.
-    pub fn is_quiet(&self) -> bool {
-        *self == Self::default()
-    }
-
-    /// Field-wise saturating sum of two counters (for merging per-stage
-    /// reports, which may be a peer's).
-    pub fn merged(self, other: Self) -> Self {
-        Self {
-            restores: self.restores.saturating_add(other.restores),
-            replayed_items: self.replayed_items.saturating_add(other.replayed_items),
-            duplicates_dropped: self
-                .duplicates_dropped
-                .saturating_add(other.duplicates_dropped),
-            replay_requests: self.replay_requests.saturating_add(other.replay_requests),
-            transport_errors: self.transport_errors.saturating_add(other.transport_errors),
-        }
-    }
 }
 
 impl StageMetrics {
@@ -286,36 +240,5 @@ mod tests {
         assert_eq!(s.p99_us, 42);
         assert_eq!(s.max_us, 42);
         assert!((s.mean_us - 42.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recovery_metrics_merge_field_wise_and_default_is_quiet() {
-        assert!(RecoveryMetrics::default().is_quiet());
-        let a = RecoveryMetrics {
-            restores: 1,
-            replayed_items: 10,
-            duplicates_dropped: 3,
-            replay_requests: 2,
-            transport_errors: 1,
-        };
-        let b = RecoveryMetrics {
-            restores: 0,
-            replayed_items: 5,
-            duplicates_dropped: 1,
-            replay_requests: 1,
-            transport_errors: 0,
-        };
-        let m = a.merged(b);
-        assert_eq!(
-            m,
-            RecoveryMetrics {
-                restores: 1,
-                replayed_items: 15,
-                duplicates_dropped: 4,
-                replay_requests: 3,
-                transport_errors: 1,
-            }
-        );
-        assert!(!m.is_quiet());
     }
 }

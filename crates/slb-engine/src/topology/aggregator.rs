@@ -2,7 +2,7 @@
 //! declares a window final once every (live) worker has contributed.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use slb_core::WindowAggregate;
@@ -44,22 +44,6 @@ pub struct AggregatorStageReport<P> {
     pub transport: HopStats,
 }
 
-/// The supervisor hookup of a fault-tolerant aggregator — the one per-role
-/// argument of [`run_aggregator_stage`] (`None` is the unsupervised
-/// default).
-pub struct AggregatorSupervision<'a> {
-    /// Workers the supervisor gave up on. An exclusion drops a permanently
-    /// dead worker from every finalization quorum — windows already waiting
-    /// only on it finalize immediately, and later windows no longer expect
-    /// it. (Graceful degradation: window counts lose the dead worker's
-    /// share, but the run *terminates* with a report instead of hanging.)
-    pub exclusions: &'a mpsc::Receiver<usize>,
-    /// A shared [`HopTelemetry`] the stage updates in place so a metrics
-    /// ticker on another thread can snapshot it mid-run; `None` makes the
-    /// stage keep a private one.
-    pub live: Option<Arc<HopTelemetry>>,
-}
-
 /// Everything aggregator `shard` contributes to a run: merges
 /// partial-window slices from `receiver` as they arrive; a window is final
 /// once every one of the plan's spawned workers has contributed its slice.
@@ -67,28 +51,33 @@ pub struct AggregatorSupervision<'a> {
 /// `(worker, window)` partial (a recovered worker re-shipping) is dropped,
 /// never double-merged.
 ///
-/// Unsupervised, the stage drains `receiver` to EOF. Supervised, it also
-/// serves [`AggregatorSupervision::exclusions`] and returns as soon as the
-/// plan's last window has finalized: under a respawn the data queue's
-/// senders (the listener accepting reconnections) outlive the stage on
-/// purpose.
+/// `exclusions` is the one per-role argument. `None` is the unsupervised
+/// default: the stage drains `receiver` to EOF. With `Some`, a supervisor
+/// sends the workers it gave up on: an exclusion drops a permanently dead
+/// worker from every finalization quorum — windows already waiting only on
+/// it finalize immediately, and later windows no longer expect it (graceful
+/// degradation: window counts lose the dead worker's share, but the run
+/// *terminates* with a report instead of hanging) — and the stage returns
+/// as soon as the plan's last window has finalized: under a respawn the data
+/// queue's senders (the listener accepting reconnections) outlive the stage
+/// on purpose.
+///
+/// `hop` is updated once per receive round; the caller may snapshot it from
+/// another thread while the stage runs.
 pub fn run_aggregator_stage<A, Rx>(
     plan: &StagePlan,
     shard: usize,
     aggregate: &A,
     receiver: Rx,
-    supervision: Option<AggregatorSupervision<'_>>,
+    exclusions: Option<&mpsc::Receiver<usize>>,
+    hop: &HopTelemetry,
 ) -> AggregatorStageReport<A::Partial>
 where
     A: WindowAggregate<KeyId>,
     Rx: PartialReceiver<A::Partial>,
 {
     let spawned_workers = plan.spawned_workers;
-    let total_windows = supervision.as_ref().map(|_| plan.total_windows());
-    let exclusions = supervision.as_ref().map(|s| s.exclusions);
-    // Hop telemetry (the supervisor's shared one, else the stage's own)
-    // and the logical trace.
-    let hop = supervision.and_then(|s| s.live).unwrap_or_default();
+    let total_windows = exclusions.map(|_| plan.total_windows());
     let mut trace = TraceBuf::new(trace_stage::AGGREGATOR, shard as u32);
     let mut latencies = LogHistogram::new();
     let mut merged = 0u64;
@@ -239,6 +228,7 @@ fn finalize_quorate_windows<P>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
     use std::thread;
 
     use slb_core::{CountAggregate, PartitionerKind};
@@ -262,18 +252,16 @@ mod tests {
         let (partial_senders, partial_receivers) = partial_channels(&plan);
         let receiver = partial_receivers.into_iter().next().unwrap();
         let (exclude_tx, exclude_rx) = mpsc::channel();
-        let live = Arc::new(HopTelemetry::default());
-        let stage_live = Arc::clone(&live);
+        let hop = Arc::new(HopTelemetry::default());
+        let stage_hop = Arc::clone(&hop);
         let handle = thread::spawn(move || {
             run_aggregator_stage(
                 &plan,
                 0,
                 &CountAggregate,
                 receiver,
-                Some(AggregatorSupervision {
-                    exclusions: &exclude_rx,
-                    live: Some(stage_live),
-                }),
+                Some(&exclude_rx),
+                &stage_hop,
             )
         });
         let ship = |worker: usize, window: WindowId, key: KeyId, count: u64| {
@@ -297,7 +285,7 @@ mod tests {
         // aggregator*, not just in this thread's program order: the stage
         // polls exclusions ahead of each receive, so one sent before the
         // partials are taken off the queue would shed that partial.
-        while live.batches_received.get() < 4 {
+        while hop.batches_received.get() < 4 {
             thread::yield_now();
         }
         exclude_tx.send(1).unwrap();

@@ -31,8 +31,8 @@
 //! * `worker` — [`run_worker_stage`] and its [`WorkerRecovery`] argument
 //!   (none, in-process senders to the sources' controls, or durable
 //!   respawn).
-//! * `aggregator` — [`run_aggregator_stage`] and its optional
-//!   [`AggregatorSupervision`].
+//! * `aggregator` — [`run_aggregator_stage`] and its optional exclusion
+//!   queue (a supervisor's "finalize without this worker").
 //! * `runner` — [`Topology`] and the [`ScenarioConfig`] run methods, the
 //!   thread-per-stage-instance runner behind them, and [`assemble_result`],
 //!   which merges the stages' reports into an [`EngineResult`].
@@ -41,6 +41,11 @@
 //! (`slb-net`'s `slb-node`) runs exactly the code the in-process runner
 //! threads together, handing it a different recovery argument and a
 //! different transport's endpoints.
+//!
+//! Each also takes the one [`HopTelemetry`](slb_telemetry::HopTelemetry)
+//! it updates, by reference: the runner gives every stage thread its own, a
+//! node passes the one its metrics ticker reads. What the stage leaves in
+//! it is the `transport` of its report — one record, whoever reads it.
 //!
 //! ## Pluggable transport
 //!
@@ -107,7 +112,7 @@ mod source;
 mod test_support;
 mod worker;
 
-pub use aggregator::{run_aggregator_stage, AggregatorStageReport, AggregatorSupervision};
+pub use aggregator::{run_aggregator_stage, AggregatorStageReport};
 pub use config::{
     EngineConfig, PhasePlan, ScenarioConfig, StagePlan, DEFAULT_AGGREGATORS, DEFAULT_BATCH_SIZE,
     DEFAULT_QUEUE_CAPACITY, DEFAULT_WINDOW_SIZE,

@@ -15,7 +15,9 @@ use slb_core::{
     ControllerMetrics, CountAggregate, PartitionerKind, PhaseLoadMatrix, WindowAggregate,
     WirePartial,
 };
-use slb_telemetry::{sort_canonical, HopStats, LogHistogram, TraceEvent};
+use slb_telemetry::{
+    sort_canonical, HopStats, HopTelemetry, LogHistogram, RecoveryMetrics, TraceEvent,
+};
 use slb_workloads::{KeyId, KeyStream};
 
 use super::aggregator::{run_aggregator_stage, AggregatorStageReport};
@@ -23,7 +25,7 @@ use super::config::{EngineConfig, ScenarioConfig, StagePlan};
 use super::source::{run_source_stage, SourceControlEvent, SourceStageReport};
 use super::worker::{run_worker_stage, WorkerRecovery, WorkerStageReport};
 use crate::fault::FaultPlan;
-use crate::latency::{LatencySummary, PhaseMetrics, RecoveryMetrics, StageMetrics};
+use crate::latency::{LatencySummary, PhaseMetrics, StageMetrics};
 use crate::transport::{
     capacity_in_batches, partial_channel_capacity, InProc, StageRole, Transport,
 };
@@ -271,7 +273,9 @@ impl ScenarioConfig {
 /// threads in one process or processes on a network — into the final
 /// [`EngineResult`] and merged window map.
 ///
-/// `worker_reports` must be indexed by worker; aggregator reports may come
+/// `worker_reports` must be indexed by worker — a short vector is padded
+/// with empty reports (what an excluded worker contributes), one past
+/// `plan.spawned_workers` is ignored; aggregator reports may come
 /// in any order (their window sets are disjoint by sharding, and the merge
 /// is associative and commutative anyway). `source_reports` carry the sent
 /// counts, the per-source elasticity decision logs
@@ -283,13 +287,15 @@ pub fn assemble_result<A>(
     plan: &StagePlan,
     aggregate: &A,
     source_reports: Vec<SourceStageReport>,
-    worker_reports: Vec<WorkerStageReport>,
+    mut worker_reports: Vec<WorkerStageReport>,
     aggregator_reports: Vec<AggregatorStageReport<A::Partial>>,
     elapsed_secs: f64,
 ) -> WindowedRun<A::Partial>
 where
     A: WindowAggregate<KeyId>,
 {
+    // Everything below indexes by worker up to the plan's universe.
+    worker_reports.resize_with(plan.spawned_workers, WorkerStageReport::default);
     let n_phases = plan.phases.len();
     let mut controller_events = Vec::new();
     let mut trace: Vec<TraceEvent> = Vec::new();
@@ -489,7 +495,14 @@ where
             if let Some(p) = pinning {
                 p.pin_current_thread(StageRole::Aggregator, agg_idx);
             }
-            run_aggregator_stage(&plan, agg_idx, &aggregate, receiver, None)
+            run_aggregator_stage(
+                &plan,
+                agg_idx,
+                &aggregate,
+                receiver,
+                None,
+                &HopTelemetry::default(),
+            )
         }));
     }
 
@@ -511,6 +524,7 @@ where
                 receiver,
                 &partial_senders,
                 WorkerRecovery::Feedback(replay_senders),
+                &HopTelemetry::default(),
             )
         }));
     }
@@ -534,6 +548,7 @@ where
                 |phase| (streams)(phase, source_idx),
                 &senders,
                 control,
+                &HopTelemetry::default(),
             )
         }));
     }
@@ -734,6 +749,38 @@ mod tests {
         let quiet = vec![WorkerStageReport::default(); plan.spawned_workers];
         let run = assemble_result(&plan, &CountAggregate, vec![], quiet, claims, 1.0);
         assert_eq!(run.windows[&3], HashMap::from([(7, max)]));
+    }
+
+    /// `assemble_result` is public and indexes by worker: however many
+    /// worker reports a caller hands it, the result covers exactly the
+    /// plan's workers — missing ones read as empty (an excluded worker's
+    /// report), extra ones are ignored — instead of indexing out of bounds
+    /// or asking for the imbalance of nobody.
+    #[test]
+    fn short_and_long_worker_report_vectors_assemble_over_the_plans_workers() {
+        let plan = EngineConfig::smoke(PartitionerKind::Pkg, 1.0).stage_plan();
+        let workers = plan.spawned_workers;
+        assert!(workers >= 2);
+        let report = |processed| WorkerStageReport {
+            processed,
+            phase_counts: vec![processed],
+            phase_latencies: vec![LogHistogram::new()],
+            ..WorkerStageReport::default()
+        };
+        let assemble = |reports| {
+            assemble_result::<CountAggregate>(&plan, &CountAggregate, vec![], reports, vec![], 1.0)
+                .result
+        };
+        for result in [assemble(vec![]), assemble(vec![report(5)])] {
+            assert_eq!(result.worker_counts.len(), workers);
+            assert_eq!(result.worker_counts[1..], vec![0; workers - 1]);
+            assert_eq!(result.phases[0].worker_counts.len(), workers);
+            assert!(result.imbalance.is_finite() && result.phases[0].imbalance.is_finite());
+        }
+        let long = assemble((0..workers as u64 + 3).map(report).collect());
+        assert_eq!(long.worker_counts, (0..workers as u64).collect::<Vec<_>>());
+        assert_eq!(long.processed, (0..workers as u64).sum::<u64>());
+        assert_eq!(long.phases[0].stage.items, long.processed);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! number; only the emit timestamp is fresh.
 
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -105,13 +105,6 @@ pub trait SourceControl {
     /// connection. Runs on the emission thread just before the replay it
     /// precedes, so replayed frames always come ahead of later live ones.
     fn reattach(&mut self, _worker: usize) {}
-
-    /// A shared [`HopTelemetry`] the stage updates in place so a metrics
-    /// ticker on another thread can snapshot it mid-run; `None` makes the
-    /// stage keep a private one.
-    fn live(&self) -> Option<Arc<HopTelemetry>> {
-        None
-    }
 }
 
 /// No recovery channel: no replay, no exclusion, and the stage returns as
@@ -788,7 +781,9 @@ where
 /// Everything one source contributes to a run: generates and routes its
 /// sub-stream phase by phase, ships batches and punctuation through
 /// `senders` (one per spawned worker), serves the recovery events `control`
-/// delivers, and returns its [`SourceStageReport`].
+/// delivers, and returns its [`SourceStageReport`]. `hop` is updated once
+/// per sent message; the caller may snapshot it from another thread while
+/// the stage runs.
 ///
 /// `stream_for_phase(p)` must yield *this source's* key stream for phase
 /// `p`; the engine and `slb-node` both construct it from the shared config
@@ -812,6 +807,7 @@ pub fn run_source_stage<S, Tx, C>(
     mut stream_for_phase: impl FnMut(usize) -> S,
     senders: &[Tx],
     control: C,
+    hop: &HopTelemetry,
 ) -> SourceStageReport
 where
     S: KeyStream + Clone,
@@ -822,8 +818,6 @@ where
         control.recoverable() || plan.faults.drops_from(source_idx).is_empty(),
         "connection-drop faults require a recovery channel"
     );
-    // Hop telemetry: the control plane's shared one, else the stage's own.
-    let hop = control.live().unwrap_or_default();
     let driver = SourceDriver::new(plan, source_idx, senders.len(), stream_for_phase(0));
     let mut stage = SourceStage {
         senders,
@@ -831,7 +825,7 @@ where
         control,
         driver,
         snapshots: VecDeque::new(),
-        sink: LiveSink::new(plan, source_idx, senders, &hop),
+        sink: LiveSink::new(plan, source_idx, senders, hop),
     };
     let mut bufs = EmitBuffers::new(senders.len(), plan.batch_size);
     // The origin snapshot every replay can fall back to.
@@ -962,6 +956,7 @@ mod tests {
                 |_phase| source_stream(&cfg, 0),
                 &senders,
                 control,
+                &HopTelemetry::default(),
             )
         });
         // Live emission: the whole stream fits in the queue.
@@ -1015,7 +1010,18 @@ mod tests {
             .send(SourceControlEvent::Exclude { worker: 1 })
             .unwrap();
         event_tx.send(SourceControlEvent::Release).unwrap();
-        let report = run_source_stage(&plan, 0, |_phase| source_stream(&cfg, 0), &senders, control);
+        let hop = HopTelemetry::default();
+        let report = run_source_stage(
+            &plan,
+            0,
+            |_phase| source_stream(&cfg, 0),
+            &senders,
+            control,
+            &hop,
+        );
+        // The report's hop record is the handle the caller passed in.
+        assert_eq!(report.transport, hop.snapshot());
+        assert_eq!(hop.tuples_sent.get(), report.sent);
         drop(senders);
         assert_eq!(
             reattached.load(Ordering::SeqCst),

@@ -1,8 +1,8 @@
 //! The worker stage: sequence-deduplicated receive, per-window partial
 //! state, and the checkpoint log that makes a crash recoverable.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use slb_core::{
@@ -10,14 +10,14 @@ use slb_core::{
     WorkerCheckpoint,
 };
 use slb_telemetry::{
-    trace_kind, trace_stage, HopStats, HopTelemetry, LogHistogram, TraceBuf, TraceEvent,
+    trace_kind, trace_stage, HopStats, HopTelemetry, LogHistogram, RecoveryMetrics, TraceBuf,
+    TraceEvent,
 };
 use slb_workloads::KeyId;
 
 use super::config::StagePlan;
 use super::source::SourceControlEvent;
 use crate::fault::{CheckpointRecord, CheckpointStore};
-use crate::latency::RecoveryMetrics;
 use crate::transport::{PartialSender, PartialWindow, RecvError, SourceMessage, TupleReceiver};
 use crate::windows::WindowId;
 
@@ -88,8 +88,26 @@ struct WorkerState<P> {
     /// the key set.
     since_base: Vec<KeyId>,
     delta_from: usize,
-    open: HashMap<WindowId, P>,
-    closes: HashMap<WindowId, usize>,
+    /// The windows in flight, in window order (never more than a handful):
+    /// what a checkpoint's open-window list is written from.
+    open: BTreeMap<WindowId, OpenWindow<P>>,
+}
+
+/// One window this worker has seen something of and not yet finalized.
+struct OpenWindow<P> {
+    /// The in-flight partial; `None` until the window's first tuple.
+    partial: Option<P>,
+    /// Close markers seen, one per source at most.
+    closes: usize,
+}
+
+impl<P> Default for OpenWindow<P> {
+    fn default() -> Self {
+        Self {
+            partial: None,
+            closes: 0,
+        }
+    }
 }
 
 impl<P: WirePartial> WorkerState<P> {
@@ -103,8 +121,7 @@ impl<P: WirePartial> WorkerState<P> {
             base_keys: Vec::new(),
             since_base: Vec::new(),
             delta_from: 0,
-            open: HashMap::new(),
-            closes: HashMap::new(),
+            open: BTreeMap::new(),
         }
     }
 
@@ -120,19 +137,14 @@ impl<P: WirePartial> WorkerState<P> {
         let open = checkpoint
             .open
             .iter()
-            .filter_map(|w| {
-                w.partial.as_ref().map(|blob| {
-                    let partial = P::decode_partial(&mut blob.as_slice())
-                        .expect("a worker's own checkpoint decodes");
-                    (w.window, partial)
-                })
+            .map(|w| {
+                let partial = w.partial.as_ref().map(|blob| {
+                    P::decode_partial(&mut blob.as_slice())
+                        .expect("a worker's own checkpoint decodes")
+                });
+                let closes = w.closes_seen as usize;
+                (w.window, OpenWindow { partial, closes })
             })
-            .collect();
-        let closes = checkpoint
-            .open
-            .iter()
-            .filter(|w| w.closes_seen > 0)
-            .map(|w| (w.window, w.closes_seen as usize))
             .collect();
         Self {
             processed: checkpoint.processed,
@@ -144,7 +156,6 @@ impl<P: WirePartial> WorkerState<P> {
             since_base: Vec::new(),
             delta_from: 0,
             open,
-            closes,
         }
     }
 
@@ -160,18 +171,10 @@ impl<P: WirePartial> WorkerState<P> {
         worker: usize,
         store: &'s mut CheckpointStore,
     ) -> CheckpointRecord<'s> {
-        let mut windows: Vec<WindowId> = self
-            .open
-            .keys()
-            .chain(self.closes.keys())
-            .copied()
-            .collect();
-        windows.sort_unstable();
-        windows.dedup();
-        let open = windows.iter().map(|&window| OpenWindowView {
+        let open = self.open.iter().map(|(&window, open)| OpenWindowView {
             window,
-            closes_seen: self.closes.get(&window).copied().unwrap_or(0) as u64,
-            partial: self.open.get(&window),
+            closes_seen: open.closes as u64,
+            partial: open.partial.as_ref(),
         });
         let base = store.wants_base();
         self.since_base[self.delta_from..].sort_unstable();
@@ -253,10 +256,6 @@ pub enum WorkerRecovery<'a> {
         initial: Option<&'a WorkerCheckpoint>,
         /// Called with the record just saved at every window finalization.
         persist: &'a mut dyn FnMut(CheckpointRecord<'_>),
-        /// A shared [`HopTelemetry`] the stage updates in place so a
-        /// metrics ticker on another thread can snapshot it mid-run;
-        /// without it the stage keeps a private one.
-        live: Option<Arc<HopTelemetry>>,
     },
 }
 
@@ -276,7 +275,9 @@ impl WorkerRecovery<'_> {
 /// ships the slices through `partial_senders` (one per aggregator).
 ///
 /// `epoch` anchors the report's span timestamps; pass the instant the run
-/// started (the same epoch on every node of a distributed run).
+/// started (the same epoch on every node of a distributed run). `hop` is
+/// updated once per message, never per tuple; the caller may snapshot it
+/// from another thread while the stage runs.
 ///
 /// Three mechanisms stack to make processing exactly-once under the plan's
 /// injected faults and under `recovery`'s protocol:
@@ -303,6 +304,7 @@ impl WorkerRecovery<'_> {
 /// Panics if a partial send fails (an aggregator endpoint disappeared), or
 /// if recovery is needed (gap observed, kill scheduled) and `recovery` has
 /// no senders to the sources.
+#[allow(clippy::too_many_arguments)]
 pub fn run_worker_stage<A, Rx, Tx>(
     plan: &StagePlan,
     worker_idx: usize,
@@ -311,6 +313,7 @@ pub fn run_worker_stage<A, Rx, Tx>(
     receiver: Rx,
     partial_senders: &[Tx],
     recovery: WorkerRecovery<'_>,
+    hop: &HopTelemetry,
 ) -> WorkerStageReport
 where
     A: WindowAggregate<KeyId>,
@@ -318,13 +321,9 @@ where
     Rx: TupleReceiver,
     Tx: PartialSender<A::Partial>,
 {
-    let (mut replay_senders, initial, mut persist, live) = match recovery {
-        WorkerRecovery::Feedback(senders) => (senders, None, None, None),
-        WorkerRecovery::Durable {
-            initial,
-            persist,
-            live,
-        } => (Vec::new(), initial, Some(persist), live),
+    let (mut replay_senders, initial, mut persist) = match recovery {
+        WorkerRecovery::Feedback(senders) => (senders, None, None),
+        WorkerRecovery::Durable { initial, persist } => (Vec::new(), initial, Some(persist)),
     };
     let exit_at_last_window = persist.is_some();
     let n_phases = plan.phases.len();
@@ -355,9 +354,6 @@ where
     let mut pending_request: Vec<Option<u64>> = vec![None; sources];
     let mut recovery = RecoveryMetrics::default();
     let mut checkpoints = 0u64;
-    // Hop telemetry (a durable runner's shared one, else the stage's own) and
-    // the logical trace. All per-message, never per-tuple.
-    let hop = live.unwrap_or_default();
     let mut trace = TraceBuf::new(trace_stage::WORKER, worker_idx as u32);
     if let Some(checkpoint) = initial {
         // Respawn restore: this process starts where its predecessor's
@@ -452,7 +448,9 @@ where
                     let partial = state
                         .open
                         .entry(batch.window)
-                        .or_insert_with(|| aggregate.empty());
+                        .or_default()
+                        .partial
+                        .get_or_insert_with(|| aggregate.empty());
                     // A key the open partial already holds went into
                     // `state.keys` when it entered the partial (a restored
                     // partial's keys are in the restored set), so only a
@@ -507,9 +505,9 @@ where
                     receiver.recycle(batch.keys);
                 }
                 SourceMessage::CloseWindow { window, .. } => {
-                    let seen = state.closes.entry(window).or_insert(0);
-                    *seen += 1;
-                    if *seen < sources {
+                    let open = state.open.entry(window).or_default();
+                    open.closes += 1;
+                    if open.closes < sources {
                         continue;
                     }
                     // Channels are FIFO per source and sequence dedup
@@ -517,10 +515,10 @@ where
                     // markers in hand this worker holds every tuple of
                     // the window that was routed to it: finalize and
                     // ship the shard slices.
-                    state.closes.remove(&window);
                     let partial = state
                         .open
                         .remove(&window)
+                        .and_then(|open| open.partial)
                         .unwrap_or_else(|| aggregate.empty());
                     let closed_at = Instant::now();
                     for (shard, slice) in aggregate
@@ -578,7 +576,7 @@ where
         }
     }
     debug_assert!(
-        state.open.is_empty() && state.closes.is_empty(),
+        state.open.is_empty(),
         "all windows must be closed by end of stream"
     );
     WorkerStageReport {
@@ -632,6 +630,7 @@ mod tests {
                 |_phase| source_stream(&source_cfg, 0),
                 &senders,
                 NoRecovery,
+                &HopTelemetry::default(),
             )
         });
         let sink = thread::spawn(move || {
@@ -644,11 +643,6 @@ mod tests {
             }
             shipped
         });
-        let recovery = WorkerRecovery::Durable {
-            initial,
-            persist,
-            live: None,
-        };
         let report = run_worker_stage(
             &plan,
             0,
@@ -656,7 +650,8 @@ mod tests {
             &CountAggregate,
             receiver,
             &partial_senders,
-            recovery,
+            WorkerRecovery::Durable { initial, persist },
+            &HopTelemetry::default(),
         );
         drop(partial_senders);
         source.join().expect("source thread panicked");
@@ -703,9 +698,8 @@ mod tests {
             state.expected_seq[1] += 4;
             state.windows_closed = close;
             state.open.clear();
-            state.closes.clear();
-            state.open.insert(close, ahead.clone());
-            state.closes.insert(close, 1);
+            let (partial, closes) = (Some(ahead.clone()), 1);
+            state.open.insert(close, OpenWindow { partial, closes });
             let was_base = store.wants_base();
             let record = state.save_checkpoint(7, &mut store);
             assert_eq!(matches!(record, CheckpointRecord::Base(_)), was_base);
@@ -741,7 +735,7 @@ mod tests {
                 state = WorkerState::restore(&restored, 1, 2);
                 assert_eq!(state.keys.len(), expected_keys.len());
                 assert_eq!(state.open.len(), 1);
-                assert_eq!(state.closes[&close], 1);
+                assert_eq!(state.open[&close].closes, 1);
             }
         }
         assert!(bases >= 5, "only {bases} bases in 400 closes");
@@ -945,8 +939,8 @@ mod tests {
         let recovery = WorkerRecovery::Durable {
             initial: None,
             persist: &mut persist,
-            live: None,
         };
+        let hop = HopTelemetry::default();
         let report = run_worker_stage(
             &plan,
             0,
@@ -955,7 +949,11 @@ mod tests {
             receiver,
             &[partial_sender],
             recovery,
+            &hop,
         );
+        // The report's hop record is the handle the caller passed in.
+        assert_eq!(report.transport, hop.snapshot());
+        assert_eq!(hop.tuples_received.get(), report.processed);
 
         assert_eq!(report.windows_closed, windows);
         assert_eq!(report.processed, 120 * 2 * windows);

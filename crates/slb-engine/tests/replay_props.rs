@@ -22,6 +22,7 @@ use slb_engine::{
     run_source_stage, ChannelClosed, EngineConfig, NoRecovery, ScenarioConfig, SourceControl,
     SourceControlEvent, SourceMessage, StagePlan, TupleSender, WindowId,
 };
+use slb_telemetry::HopTelemetry;
 use slb_workloads::{Arrival, KeyId, KeyStream, Scenario, ScenarioPhase};
 
 /// A sent message, minus its emit timestamp.
@@ -157,7 +158,16 @@ fn check<S: KeyStream + Clone>(
             .collect()
     };
     let reference: Log = Log::default();
-    let sent = run_source_stage(plan, 0, stream_for_phase, &senders(&reference), NoRecovery).sent;
+    let hop = HopTelemetry::default();
+    let sent = run_source_stage(
+        plan,
+        0,
+        stream_for_phase,
+        &senders(&reference),
+        NoRecovery,
+        &hop,
+    )
+    .sent;
     let reference = reference.lock().unwrap().clone();
 
     let log: Log = Log::default();
@@ -169,7 +179,7 @@ fn check<S: KeyStream + Clone>(
         from_permille,
         fired: fired.clone(),
     };
-    let report = run_source_stage(plan, 0, stream_for_phase, &senders(&log), control);
+    let report = run_source_stage(plan, 0, stream_for_phase, &senders(&log), control, &hop);
     let mut log = log.lock().unwrap().clone();
     let fired = fired
         .lock()

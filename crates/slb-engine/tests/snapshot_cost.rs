@@ -17,6 +17,7 @@ use slb_engine::windows::source_stream;
 use slb_engine::{
     run_source_stage, ChannelClosed, EngineConfig, SourceControlEvent, SourceMessage, TupleSender,
 };
+use slb_telemetry::HopTelemetry;
 use slb_workloads::KeyId;
 
 /// Bytes requested from the allocator so far (growth only for a `realloc`).
@@ -89,9 +90,10 @@ fn a_window_close_allocates_kilobytes_not_the_key_space() {
     // the source snapshots at every close, and released at its first poll.
     let (workers, control) = mpsc::channel::<SourceControlEvent>();
     drop(workers);
+    let hop = HopTelemetry::default();
 
     let before = ALLOCATED.load(Ordering::Relaxed);
-    let report = run_source_stage(&plan, 0, |_| stream.clone(), &senders, control);
+    let report = run_source_stage(&plan, 0, |_| stream.clone(), &senders, control, &hop);
     let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
 
     assert_eq!(report.sent, cfg.messages);

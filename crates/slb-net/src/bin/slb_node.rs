@@ -94,8 +94,8 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Parses `--metrics-interval-ms MS`; `0` disables periodic snapshots, the
-/// same convention as `SLB_METRICS_INTERVAL_MS`.
+/// Parses `--metrics-interval-ms MS`, the one way to ask for periodic
+/// snapshots; `0`, like leaving it out, means final snapshots only.
 fn parse_metrics_interval(args: &[String]) -> Option<Duration> {
     flag_value(args, "--metrics-interval-ms").and_then(|v| match v.parse::<u64>() {
         Ok(0) => None,
@@ -142,11 +142,9 @@ fn run_orchestrate(args: &[String]) {
         fault_tolerant: args.iter().any(|a| a == "--fault-tolerant"),
         ckpt_dir: flag_value(args, "--ckpt-dir").map(PathBuf::from),
         metrics_dir: flag_value(args, "--metrics-dir").map(PathBuf::from),
+        metrics_interval: parse_metrics_interval(args),
         ..OrchestrateOptions::default()
     };
-    if let Some(interval) = parse_metrics_interval(args) {
-        options.metrics_interval = Some(interval);
-    }
     if let Some(budget) = flag_value(args, "--respawn-budget") {
         match budget.parse::<u32>() {
             Ok(budget) => options.respawn_budget = budget,
@@ -237,18 +235,18 @@ fn run_orchestrate(args: &[String]) {
         "aggregator_recovery duplicates_dropped={} transport_errors={}",
         ar.duplicates_dropped, ar.transport_errors
     );
+    // The hop record prints itself (`name=value` per scalar): per role as the
+    // run report merged it, then as the rollup of the nodes' final snapshots.
+    let hops = &r.transport;
+    println!("transport source {}", hops.source);
+    println!("transport worker {}", hops.worker);
+    println!("transport aggregator {}", hops.aggregator);
     if let Some(metrics) = &outcome.metrics {
         println!(
-            "cluster_metrics windows_closed={} checkpoints={} batches_sent={} \
-             tuples_sent={} send_stall_us={} recv_wait_us={} queue_depth_hwm={} \
-             latency_count={}",
+            "cluster_metrics windows_closed={} checkpoints={} {} latency_count={}",
             metrics.windows_closed,
             metrics.checkpoints,
-            metrics.batches_sent,
-            metrics.tuples_sent,
-            metrics.send_stall_us,
-            metrics.recv_wait_us,
-            metrics.queue_depth_hwm,
+            metrics.transport,
             metrics.latency.count()
         );
     }

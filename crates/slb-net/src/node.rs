@@ -45,11 +45,14 @@
 //! starts no thread beyond its stage's. A fault-tolerant node starts exactly
 //! one, the control loop: while the stage runs it is the control
 //! connection's only reader and writer — heartbeats and periodic metrics
-//! snapshots leave on its timer, `Rejoin` / `Exclude` / `Release` reach the
+//! snapshots (of the one `HopTelemetry` the node handed its stage) leave on
+//! its timer, `Rejoin` / `Exclude` / `Release` reach the
 //! stage over a queue, an aggregator's late data connections are accepted —
 //! and once the stage returns it hands the connection back for the final
 //! `Metrics` frame and the report. Nothing in the control plane sleeps or
-//! locks.
+//! locks, and the node's two blocking reads of the control connection (for
+//! `Start`, and an aggregator's for `Release`) give up at
+//! `supervisor::CONTROL_TIMEOUT`.
 //!
 //! ## Fault tolerance
 //!
@@ -98,7 +101,7 @@ use slb_engine::transport::{capacity_in_batches, partial_channel_capacity};
 use slb_engine::windows::source_stream;
 use slb_engine::{
     run_aggregator_stage, run_source_stage, run_worker_stage, AggregatorStageReport,
-    AggregatorSupervision, CheckpointRecord, NoRecovery, SourceControl, SourceControlEvent,
+    CheckpointRecord, NoRecovery, RecoveryMetrics, SourceControl, SourceControlEvent,
     SourceStageReport, StagePlan, TupleSender, WorkerRecovery, WorkerStageReport,
 };
 use slb_telemetry::{log, snapshot_stage, HopTelemetry, MetricsSnapshot};
@@ -106,6 +109,7 @@ use slb_workloads::KeyId;
 
 use crate::cluster::{ClusterSpec, NodeRole, RunSpec};
 use crate::poll;
+use crate::supervisor::CONTROL_TIMEOUT;
 use crate::tcp::{
     connect_with_retry, Conn, PartialAttach, ReattachableTupleSender, Step, TcpPartialReceiver,
     TcpPartialSender, TcpTupleReceiver, TcpTupleSender,
@@ -160,13 +164,26 @@ pub(crate) fn next_control(conn: &mut Conn) -> Result<Option<ControlFrame>, Stri
     }
 }
 
-/// Waits for the next control frame on a node's own (blocking) control
-/// connection.
-fn recv_control(conn: &mut Conn) -> Result<ControlFrame, String> {
+/// Waits for the next control frame — `what` — on a node's own (blocking)
+/// control connection, for at most `deadline`: an orchestrator that wedged,
+/// or was never there (a hand-wired cluster), ends the wait in an error
+/// that names it instead of parking the process forever.
+fn recv_control(conn: &mut Conn, what: &str, deadline: Duration) -> Result<ControlFrame, String> {
+    let until = Instant::now() + deadline;
     loop {
         if let Some(frame) = next_control(conn)? {
             return Ok(frame);
         }
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(format!(
+                "no {what} from the orchestrator within {deadline:?}"
+            ));
+        }
+        // A read that times out reads as "nothing yet"; the loop re-checks.
+        conn.stream
+            .set_read_timeout(Some(left))
+            .map_err(|e| io_err("bounding the control read", e))?;
         conn.read_once();
     }
 }
@@ -227,21 +244,8 @@ pub(crate) fn millis_from_env(var: &str) -> Option<u64> {
     }
 }
 
-/// Reads the `SLB_METRICS_INTERVAL_MS` override for the periodic metrics
-/// ticks, failing fast on a malformed value (same contract as
-/// `SLB_HEARTBEAT_TIMEOUT_MS`). Unset or `0` disables periodic snapshots;
-/// the exact end-of-stage snapshot is always sent.
-///
-/// # Panics
-/// Panics if the variable is set but is not an unsigned integer number of
-/// milliseconds.
-pub fn metrics_interval_from_env() -> Option<Duration> {
-    let ms = millis_from_env("SLB_METRICS_INTERVAL_MS")?;
-    (ms > 0).then_some(Duration::from_millis(ms))
-}
-
-/// The periodic (non-final) [`MetricsSnapshot`] source: a live
-/// [`HopTelemetry`] handle the stage updates in place.
+/// The periodic (non-final) [`MetricsSnapshot`] source: the
+/// [`HopTelemetry`] the node handed its stage, which updates it in place.
 struct Ticker {
     interval: Duration,
     hop: Arc<HopTelemetry>,
@@ -279,8 +283,16 @@ struct ControlLoop {
 }
 
 impl ControlLoop {
-    /// A stage's end of run: the exact final snapshot, then the report.
-    fn finish(&mut self, snapshot: MetricsSnapshot, report: &ControlFrame) -> Result<(), String> {
+    /// A stage's end of run: the final snapshot — `exact`, what the stage's
+    /// report says, under this node's name — then the report.
+    fn finish(&mut self, exact: MetricsSnapshot, report: &ControlFrame) -> Result<(), String> {
+        let snapshot = MetricsSnapshot {
+            stage: self.stage,
+            instance: self.index,
+            seq: self.seq,
+            finished: true,
+            ..exact
+        };
         send_control(&mut self.control.stream, &ControlFrame::Metrics(snapshot))?;
         send_control(&mut self.control.stream, report)
     }
@@ -340,22 +352,23 @@ impl ControlLoop {
         }
         if let Some(ticker) = self.metrics.as_mut().filter(|ticker| now >= ticker.due) {
             ticker.due = now + ticker.interval;
-            let stats = ticker.hop.snapshot();
-            let mut snap = MetricsSnapshot {
+            let transport = ticker.hop.snapshot();
+            let snap = MetricsSnapshot {
                 stage: self.stage,
                 instance: self.index,
                 seq: self.seq,
+                // Items-so-far approximation: what this stage has pushed
+                // through its outbound (source) or inbound (worker,
+                // aggregator) hop. The final snapshot replaces it with the
+                // report's exact count.
+                items: if self.stage == snapshot_stage::SOURCE {
+                    transport.tuples_sent
+                } else {
+                    transport.tuples_received
+                },
+                transport,
                 ..MetricsSnapshot::default()
             };
-            // Items-so-far approximation: what this stage has pushed through
-            // its outbound (source) or inbound (worker, aggregator) hop. The
-            // final snapshot replaces it with the report's exact count.
-            snap.items = if self.stage == snapshot_stage::SOURCE {
-                stats.tuples_sent
-            } else {
-                stats.tuples_received
-            };
-            snap.set_transport(&stats);
             self.seq += 1;
             self.send(ControlFrame::Metrics(snap));
         }
@@ -423,7 +436,6 @@ struct Supervised<'a> {
     index: usize,
     /// The data port of the `Rejoin` being served.
     rejoin_port: u16,
-    live: Option<Arc<HopTelemetry>>,
 }
 
 impl Supervised<'_> {
@@ -474,71 +486,48 @@ impl SourceControl for Supervised<'_> {
             ),
         }
     }
+}
 
-    fn live(&self) -> Option<Arc<HopTelemetry>> {
-        self.live.clone()
+/// What a source's report says, as its end-of-stage snapshot.
+fn source_final_snapshot(report: &SourceStageReport) -> MetricsSnapshot {
+    MetricsSnapshot {
+        items: report.sent,
+        transport: report.transport.clone(),
+        ..MetricsSnapshot::default()
     }
 }
 
-/// The exact end-of-stage snapshot for a source.
-fn source_final_snapshot(index: usize, report: &SourceStageReport, seq: u64) -> MetricsSnapshot {
+/// What a worker's report says, as its end-of-stage snapshot, with the
+/// worker's full latency distribution merged across phases.
+fn worker_final_snapshot(report: &WorkerStageReport) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot {
-        stage: snapshot_stage::SOURCE,
-        instance: index as u32,
-        seq,
-        finished: true,
-        items: report.sent,
-        ..MetricsSnapshot::default()
-    };
-    snap.set_transport(&report.transport);
-    snap
-}
-
-/// The exact end-of-stage snapshot for a worker, with the worker's full
-/// latency distribution merged across phases.
-fn worker_final_snapshot(index: usize, report: &WorkerStageReport, seq: u64) -> MetricsSnapshot {
-    let mut snap = MetricsSnapshot {
-        stage: snapshot_stage::WORKER,
-        instance: index as u32,
-        seq,
-        finished: true,
         items: report.processed,
         windows_closed: report.windows_closed,
         checkpoints: report.checkpoints,
-        restores: report.recovery.restores,
-        replayed_items: report.recovery.replayed_items,
-        duplicates_dropped: report.recovery.duplicates_dropped,
-        replay_requests: report.recovery.replay_requests,
-        transport_errors: report.recovery.transport_errors,
+        recovery: report.recovery,
+        transport: report.transport.clone(),
         ..MetricsSnapshot::default()
     };
-    snap.set_transport(&report.transport);
     for hist in &report.phase_latencies {
         snap.latency.merge(hist);
     }
     snap
 }
 
-/// The exact end-of-stage snapshot for an aggregator shard.
-fn aggregator_final_snapshot(
-    index: usize,
-    report: &AggregatorStageReport<CountPartial>,
-    seq: u64,
-) -> MetricsSnapshot {
-    let mut snap = MetricsSnapshot {
-        stage: snapshot_stage::AGGREGATOR,
-        instance: index as u32,
-        seq,
-        finished: true,
+/// What an aggregator shard's report says, as its end-of-stage snapshot.
+fn aggregator_final_snapshot(report: &AggregatorStageReport<CountPartial>) -> MetricsSnapshot {
+    MetricsSnapshot {
         items: report.merged,
         windows_closed: report.finalized.len() as u64,
-        duplicates_dropped: report.duplicates_dropped,
-        transport_errors: report.transport_errors,
+        recovery: RecoveryMetrics {
+            duplicates_dropped: report.duplicates_dropped,
+            transport_errors: report.transport_errors,
+            ..RecoveryMetrics::default()
+        },
+        transport: report.transport.clone(),
         latency: report.latencies.clone(),
         ..MetricsSnapshot::default()
-    };
-    snap.set_transport(&report.transport);
-    snap
+    }
 }
 
 /// Per-process knobs for [`run_node_with`]. The default is the plain
@@ -561,10 +550,9 @@ pub struct NodeOptions {
     /// tail-window re-ship race. Never passed to respawned incarnations.
     pub crash_after_closes: Option<u64>,
     /// Stream periodic [`MetricsSnapshot`] frames at this cadence while the
-    /// stage runs (fault-tolerant stages only — they are the ones with a
-    /// live telemetry handle). `None` falls back to
-    /// [`metrics_interval_from_env`]; the exact final snapshot is sent
-    /// either way.
+    /// stage runs (fault-tolerant nodes only — they are the ones with a
+    /// control loop beside the stage). `None` sends none; the exact final
+    /// snapshot is sent either way.
     pub metrics_interval: Option<Duration>,
 }
 
@@ -630,7 +618,7 @@ pub fn run_node_with(
         worker_ports,
         aggregator_ports,
         config,
-    } = recv_control(&mut control)?
+    } = recv_control(&mut control, "Start", CONTROL_TIMEOUT)?
     else {
         return Err("expected Start frame".into());
     };
@@ -639,14 +627,13 @@ pub fn run_node_with(
         .and_then(ClusterSpec::parse)
         .map_err(|e| io_err("parsing run config", e))?;
     let plan = spec.stage_plan()?;
-    // Fault-tolerant stages update their hop telemetry in a shared handle,
-    // which the control loop's ticker snapshots mid-run.
-    let live: Option<Arc<HopTelemetry>> = options.fault_tolerant.then(Arc::default);
-    let interval = options.metrics_interval.or_else(metrics_interval_from_env);
+    // The stage updates this record in place; a fault-tolerant node's
+    // control loop snapshots it mid-run, off its ticker.
+    let hop: Arc<HopTelemetry> = Arc::default();
     let now = Instant::now();
-    let ticker = |(interval, hop)| Ticker {
+    let ticker = |interval| Ticker {
         interval,
-        hop,
+        hop: hop.clone(),
         due: now + interval,
     };
     let control = ControlLoop {
@@ -661,7 +648,7 @@ pub fn run_node_with(
         on_frame: Box::new(|_| {}),
         late: None,
         heartbeat: (role == NodeRole::Worker).then_some(now),
-        metrics: interval.zip(live.clone()).map(ticker),
+        metrics: options.metrics_interval.map(ticker),
         seq: 0,
         released: false,
     };
@@ -671,7 +658,7 @@ pub fn run_node_with(
         spec,
         epoch: epoch_from_unix_micros(epoch_unix_micros),
         fault_tolerant: options.fault_tolerant,
-        live,
+        hop,
     };
     match (role, listener) {
         (NodeRole::Worker, Some(listener)) => {
@@ -729,9 +716,8 @@ struct Node {
     plan: StagePlan,
     epoch: Instant,
     fault_tolerant: bool,
-    /// A fault-tolerant stage's telemetry handle; `None` lets the stage
-    /// keep a private one.
-    live: Option<Arc<HopTelemetry>>,
+    /// The hop record this node's stage updates (and its ticker reads).
+    hop: Arc<HopTelemetry>,
 }
 
 impl Node {
@@ -751,7 +737,7 @@ impl Node {
                 let senders: Vec<_> = streams
                     .map(|s| TcpTupleSender::new(s, epoch, window))
                     .collect();
-                return run_source(&self.spec, &self.plan, index, &senders, NoRecovery);
+                return self.run_source(&senders, NoRecovery);
             }
             let senders: Vec<_> = streams
                 .map(|s| ReattachableTupleSender::new(s, epoch, window))
@@ -761,12 +747,11 @@ impl Node {
                 senders: &senders,
                 index,
                 rejoin_port: 0,
-                live: self.live.clone(),
             };
-            run_source(&self.spec, &self.plan, index, &senders, control)
+            self.run_source(&senders, control)
             // The senders go here: EOF to every worker.
         })?;
-        let snapshot = source_final_snapshot(index, &report, back.seq);
+        let snapshot = source_final_snapshot(&report);
         let index = index as u32;
         back.finish(snapshot, &ControlFrame::SourceReport { index, report })
     }
@@ -792,11 +777,7 @@ impl Node {
         }
         // Only a fault-tolerant worker opened a store to persist to.
         let recovery = match persist.as_mut() {
-            Some(persist) => WorkerRecovery::Durable {
-                initial,
-                persist,
-                live: self.live.clone(),
-            },
+            Some(persist) => WorkerRecovery::Durable { initial, persist },
             None => WorkerRecovery::none(),
         };
         let (mut back, report) = control.beside(self.fault_tolerant, || {
@@ -808,10 +789,11 @@ impl Node {
                 receiver,
                 &partial_senders,
                 recovery,
+                &self.hop,
             )
         })?;
         drop(partial_senders); // EOF to every aggregator
-        let snapshot = worker_final_snapshot(index, &report, back.seq);
+        let snapshot = worker_final_snapshot(&report);
         let index = index as u32;
         back.finish(snapshot, &ControlFrame::WorkerReport { index, report })
     }
@@ -841,29 +823,55 @@ impl Node {
         } else {
             TcpPartialReceiver::<CountPartial>::spawn(incoming, epoch, capacity)
         };
-        let supervision = self.fault_tolerant.then_some(AggregatorSupervision {
-            exclusions: &exclusions,
-            live: self.live.clone(),
-        });
+        let exclusions = self.fault_tolerant.then_some(&exclusions);
         let (mut back, report) = control.beside(self.fault_tolerant, || {
-            run_aggregator_stage(plan, index, &CountAggregate, receiver, supervision)
+            run_aggregator_stage(
+                plan,
+                index,
+                &CountAggregate,
+                receiver,
+                exclusions,
+                &self.hop,
+            )
         })?;
-        let snapshot = aggregator_final_snapshot(index, &report, back.seq);
+        let snapshot = aggregator_final_snapshot(&report);
         let index = index as u32;
         back.finish(snapshot, &ControlFrame::AggregatorReport { index, report })?;
         // Stay until the orchestrator's Release has been read (or its
-        // connection is gone). Exiting with that frame still unread closes
+        // connection is gone, or it has said nothing for the handshake
+        // deadline). Exiting with that frame still unread closes
         // the socket with pending input, which resets the connection — and
         // a reset discards the report just sent if it overtakes the
         // orchestrator's read of it.
         let mut released = back.released || !self.fault_tolerant;
         while !released {
             released = matches!(
-                recv_control(&mut back.control),
+                recv_control(&mut back.control, "Release", CONTROL_TIMEOUT),
                 Ok(ControlFrame::Release) | Err(_)
             );
         }
         Ok(())
+    }
+
+    /// Runs this node's source over `senders`: the one call site of
+    /// [`run_source_stage`], shared by the plain and the supervised node (the
+    /// two run specs yield different stream types, hence the two arms).
+    fn run_source<Tx: TupleSender>(
+        &self,
+        senders: &[Tx],
+        control: impl SourceControl,
+    ) -> SourceStageReport {
+        let (plan, index, hop) = (&self.plan, self.index, &*self.hop);
+        match &self.spec.run {
+            RunSpec::Engine(cfg) => {
+                let stream = |_phase| source_stream(cfg, index);
+                run_source_stage(plan, index, stream, senders, control, hop)
+            }
+            RunSpec::Scenario(cfg) => {
+                let stream = |phase| cfg.scenario.phase_stream(phase, index);
+                run_source_stage(plan, index, stream, senders, control, hop)
+            }
+        }
     }
 }
 
@@ -899,34 +907,6 @@ fn persist_hook(
     }
 }
 
-/// Runs source `index` of `spec` over `senders`: the one call site of
-/// [`run_source_stage`], shared by the plain and the supervised node (the
-/// two run specs yield different stream types, hence the two arms).
-fn run_source<Tx: TupleSender>(
-    spec: &ClusterSpec,
-    plan: &StagePlan,
-    index: usize,
-    senders: &[Tx],
-    control: impl SourceControl,
-) -> SourceStageReport {
-    match &spec.run {
-        RunSpec::Engine(cfg) => run_source_stage(
-            plan,
-            index,
-            |_phase| source_stream(cfg, index),
-            senders,
-            control,
-        ),
-        RunSpec::Scenario(cfg) => run_source_stage(
-            plan,
-            index,
-            |phase| cfg.scenario.phase_stream(phase, index),
-            senders,
-            control,
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -942,5 +922,45 @@ mod tests {
         assert!(epoch.elapsed() < Duration::from_secs(1));
         let earlier = epoch_from_unix_micros(now_unix.saturating_sub(5_000_000));
         assert!(earlier <= epoch);
+    }
+
+    /// A node's two waits on its control connection (`Start`, an
+    /// aggregator's `Release`) are bounded: a frame that is there is
+    /// returned, a silent orchestrator ends the wait at the deadline with an
+    /// error naming what never came — half a frame is still silence — and a
+    /// vanished one ends it at once.
+    #[test]
+    fn recv_control_ends_at_its_deadline_and_names_what_it_waited_for() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut orchestrator = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0);
+        conn.stream.set_nonblocking(false).unwrap();
+        let short = Duration::from_millis(60);
+
+        send_control(&mut orchestrator, &ControlFrame::Release).unwrap();
+        let got = recv_control(&mut conn, "Release", short);
+        assert_eq!(got, Ok(ControlFrame::Release));
+
+        let mut frame = Vec::new();
+        encode_frame(&ControlFrame::Exclude { worker: 2 }, &mut frame);
+        orchestrator.write_all(&frame[..frame.len() - 1]).unwrap();
+        let started = Instant::now();
+        let err = recv_control(&mut conn, "Start", short).unwrap_err();
+        assert!(started.elapsed() >= short, "gave up early: {err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "overslept");
+        assert!(err.contains("no Start from the orchestrator"), "{err}");
+        // The rest of the frame arrives: nothing was lost to the timeout.
+        orchestrator.write_all(&frame[frame.len() - 1..]).unwrap();
+        let got = recv_control(&mut conn, "Exclude", short);
+        assert_eq!(got, Ok(ControlFrame::Exclude { worker: 2 }));
+
+        drop(orchestrator);
+        let started = Instant::now();
+        let err = recv_control(&mut conn, "Release", Duration::from_secs(30)).unwrap_err();
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "sat out the deadline"
+        );
+        assert!(err.contains("closed"), "{err}");
     }
 }

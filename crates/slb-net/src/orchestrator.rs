@@ -29,9 +29,7 @@ use slb_engine::{
 use slb_telemetry::{log, MetricsSnapshot};
 
 use crate::cluster::{ClusterSpec, NodeRole, RunSpec};
-use crate::node::{
-    io_err, metrics_interval_from_env, millis_from_env, next_control, send_control, CountPartial,
-};
+use crate::node::{io_err, millis_from_env, next_control, send_control, CountPartial};
 use crate::poll;
 use crate::supervisor::{Action, ConnId, Event, Plan, Supervisor, ROLES};
 use crate::tcp::Conn;
@@ -96,8 +94,8 @@ pub struct OrchestrateOptions {
     /// `None` keeps the rollup in [`OrchestratorOutcome::metrics`] only.
     pub metrics_dir: Option<PathBuf>,
     /// Periodic snapshot cadence handed to the nodes
-    /// (`--metrics-interval-ms`). Defaults to [`metrics_interval_from_env`];
-    /// `None` means final snapshots only.
+    /// (`--metrics-interval-ms`); `None`, the default, means final snapshots
+    /// only.
     pub metrics_interval: Option<Duration>,
 }
 
@@ -111,7 +109,7 @@ impl Default for OrchestrateOptions {
             crash_worker: None,
             heartbeat_timeout: heartbeat_timeout_from_env(),
             metrics_dir: None,
-            metrics_interval: metrics_interval_from_env(),
+            metrics_interval: None,
         }
     }
 }

@@ -421,20 +421,8 @@ wire_type!(impl MetricsSnapshot {
     items: u64,
     windows_closed: u64,
     checkpoints: u64,
-    restores: u64,
-    replayed_items: u64,
-    duplicates_dropped: u64,
-    replay_requests: u64,
-    transport_errors: u64,
-    batches_sent: u64,
-    tuples_sent: u64,
-    send_stall_us: u64,
-    batches_received: u64,
-    tuples_received: u64,
-    recv_wait_us: u64,
-    queue_depth_hwm: u64,
-    ring_occupancy_hwm: u64,
-    ring_capacity: u64,
+    recovery: RecoveryMetrics,
+    transport: HopStats,
     latency: LogHistogram,
 });
 

@@ -345,28 +345,35 @@ fn control_plane_frames_are_byte_stable() {
         items: 4_096,
         windows_closed: 16,
         checkpoints: 15,
-        restores: 1,
-        replayed_items: 128,
-        duplicates_dropped: 2,
-        replay_requests: 3,
-        transport_errors: 4,
+        recovery: RecoveryMetrics {
+            restores: 1,
+            replayed_items: 128,
+            duplicates_dropped: 2,
+            replay_requests: 3,
+            transport_errors: 4,
+        },
+        transport: sample_hop_stats(),
         ..MetricsSnapshot::default()
     };
-    snapshot.set_transport(&sample_hop_stats());
     snapshot.latency.record_n(900, 500);
     snapshot.latency.record(15_000);
     // Field order: stage, instance, seq, finished; items, windows_closed,
-    // checkpoints and the five recovery counters; the nine hop counters;
+    // checkpoints; the recovery record (five counters); the hop record as
+    // every report carries it (nine scalars, then `batch_occupancy` — the
+    // three lines PR 23 inserted, every byte around them as before);
     // latency (one histogram: count, 128-bit sum, min, max, sparse buckets).
     check_frame(
         "metrics (tag 25)",
         &ControlFrame::Metrics(snapshot),
-        "db000000 19 01 03000000 0900000000000000 01
+        "1f010000 19 01 03000000 0900000000000000 01
          0010000000000000 1000000000000000 0f00000000000000 0100000000000000
          8000000000000000 0200000000000000 0300000000000000 0400000000000000
          0b00000000000000 4701000000000000 2a00000000000000
          0900000000000000 2001000000000000 e803000000000000
          0c00000000000000 3000000000000000 4000000000000000
+         0b00000000000000 4701000000000000 0000000000000000
+         0700000000000000 2000000000000000
+         02000000 07000000 0100000000000000 20000000 0a00000000000000
          f501000000000000 6818070000000000 0000000000000000
          8403000000000000 983a000000000000
          02000000 6c000000 f401000000000000 ad000000 0100000000000000",

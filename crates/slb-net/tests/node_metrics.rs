@@ -8,7 +8,8 @@
 //!    cadence; every stage instance ships exactly one final snapshot; the
 //!    cluster rollup is the last line.
 //! 2. **Rollup consistency** — the rollup in the file is the same snapshot
-//!    the report prints as `cluster_metrics ...`, field for field.
+//!    the report prints as `cluster_metrics ...`, field for field, and its
+//!    hop record is the sum of the report's three `transport <role>` lines.
 //! 3. **Semantic cross-check** — rollup counters tie back to the run
 //!    report's own numbers: `latency_count` is every worker tuple plus
 //!    every finalized window (the two latency populations), and
@@ -190,6 +191,23 @@ fn orchestrate_streams_metrics_jsonl_with_consistent_rollup() {
             json_u64(rollup, field),
             parse_field(cluster_line, field),
             "rollup `{field}` diverged between metrics.jsonl and the report"
+        );
+    }
+
+    // ... and its hop record is the run report's: the rollup folds the same
+    // stage reports `assemble_result` merged into `EngineResult.transport`,
+    // by the same `HopStats::merge`.
+    let roles: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("transport "))
+        .collect();
+    assert_eq!(roles.len(), 3, "one transport line per role\n{stdout}");
+    for field in ["tuples_sent", "tuples_received", "send_stall_us"] {
+        let summed: u64 = roles.iter().map(|l| parse_field(l, field)).sum();
+        assert_eq!(
+            json_u64(rollup, field),
+            summed,
+            "rollup `{field}` is not the sum over the report's three roles\n{stdout}"
         );
     }
 

@@ -161,7 +161,7 @@ fn hop_stats_from(raw: &[u64], samples: &[u64]) -> HopStats {
 /// histogram included — from raw material.
 fn metrics_from(raw: &[u64], samples: &[u64]) -> MetricsSnapshot {
     let at = |i: usize| raw.get(i).copied().unwrap_or(0);
-    let mut snap = MetricsSnapshot {
+    MetricsSnapshot {
         stage: (at(0) % 4) as u8,
         instance: at(1) as u32,
         seq: at(2),
@@ -169,16 +169,16 @@ fn metrics_from(raw: &[u64], samples: &[u64]) -> MetricsSnapshot {
         items: at(4),
         windows_closed: at(5),
         checkpoints: at(6),
-        restores: at(7),
-        replayed_items: at(8),
-        duplicates_dropped: at(9),
-        replay_requests: at(10),
-        transport_errors: at(11),
-        ..MetricsSnapshot::default()
-    };
-    snap.set_transport(&hop_stats_from(raw, samples));
-    snap.latency = histogram_from(samples);
-    snap
+        recovery: RecoveryMetrics {
+            restores: at(7),
+            replayed_items: at(8),
+            duplicates_dropped: at(9),
+            replay_requests: at(10),
+            transport_errors: at(11),
+        },
+        transport: hop_stats_from(raw, samples),
+        latency: histogram_from(samples),
+    }
 }
 
 /// Builds one of each control-frame variant from primitive raw material, so
@@ -327,17 +327,23 @@ fn use_like_the_orchestrator(frame: ControlFrame, rollup: &mut MetricsSnapshot, 
     }
 }
 
-/// A well-formed `Metrics` frame around a hand-written latency histogram:
-/// the parts a peer chooses freely, none of them checked by the encoder.
-fn metrics_frame_with_latency(
+/// An empty histogram on the wire: count, 128-bit sum, min, max, bucket
+/// count.
+const EMPTY_HISTOGRAM_BYTES: usize = 8 + 16 + 8 + 8 + 4;
+
+/// A well-formed `Metrics` frame around a hand-written histogram — the parts
+/// a peer chooses freely, none of them checked by the encoder — in the place
+/// of one of the two (empty) histograms a default snapshot ends with: the
+/// hop record's `batch_occupancy`, `from_end == 2`, or `latency`, the last.
+fn metrics_frame_with_histogram(
+    from_end: usize,
     (count, sum, min, max): (u64, u128, u64, u64),
     buckets: &[(u32, u64)],
 ) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_frame(&ControlFrame::Metrics(MetricsSnapshot::default()), &mut buf);
-    // The snapshot ends with its (empty) histogram: count, 128-bit sum, min,
-    // max, bucket count.
-    buf.truncate(buf.len() - (8 + 16 + 8 + 8 + 4));
+    let tail = buf.split_off(buf.len() - (from_end - 1) * EMPTY_HISTOGRAM_BYTES);
+    buf.truncate(buf.len() - EMPTY_HISTOGRAM_BYTES);
     for word in [count, sum as u64, (sum >> 64) as u64, min, max] {
         buf.extend_from_slice(&word.to_le_bytes());
     }
@@ -346,9 +352,14 @@ fn metrics_frame_with_latency(
         buf.extend_from_slice(&index.to_le_bytes());
         buf.extend_from_slice(&n.to_le_bytes());
     }
+    buf.extend_from_slice(&tail);
     let len = (buf.len() - 4) as u32;
     buf[..4].copy_from_slice(&len.to_le_bytes());
     buf
+}
+
+fn metrics_frame_with_latency(parts: (u64, u128, u64, u64), buckets: &[(u32, u64)]) -> Vec<u8> {
+    metrics_frame_with_histogram(1, parts, buckets)
 }
 
 fn assert_malformed(name: &str, frame: &[u8]) {
@@ -394,6 +405,61 @@ fn histogram_scalars_must_match_the_buckets_and_merge_saturates() {
     use_like_the_orchestrator(frame, &mut rollup, &plan);
     assert_eq!(rollup.latency.count(), u64::MAX);
     assert_eq!(rollup.latency.sum(), u128::MAX);
+}
+
+/// A snapshot contains the whole hop record, so its `batch_occupancy`
+/// histogram crosses the wire with it (at the parent commit the snapshot
+/// copied the record's nine scalars and the histogram never left the node).
+#[test]
+fn metrics_frame_carries_the_hop_records_batch_occupancy() {
+    let mut occupancy = LogHistogram::new();
+    occupancy.record_n(64, 9);
+    occupancy.record(17);
+    let snapshot = MetricsSnapshot {
+        transport: HopStats {
+            batches_sent: 10,
+            batch_occupancy: occupancy.clone(),
+            ..HopStats::default()
+        },
+        ..MetricsSnapshot::default()
+    };
+    let mut buf = Vec::new();
+    encode_frame(&ControlFrame::Metrics(snapshot.clone()), &mut buf);
+    let (decoded, _) = decode_frame::<ControlFrame>(&buf).expect("own encoding decodes");
+    assert_eq!(decoded, ControlFrame::Metrics(snapshot));
+    let ControlFrame::Metrics(decoded) = decoded else {
+        unreachable!()
+    };
+    assert_eq!(decoded.transport.batch_occupancy, occupancy);
+    // And it folds: a rollup of two such snapshots holds both populations.
+    let (mut rollup, plan) = (MetricsSnapshot::default(), orchestrator_plan());
+    use_like_the_orchestrator(ControlFrame::Metrics(decoded), &mut rollup, &plan);
+    assert_eq!(rollup.transport.batch_occupancy.count(), 20);
+}
+
+/// The histogram inside the embedded hop record is as much a peer's word as
+/// the latency one after it: the same inconsistencies are `Malformed` there,
+/// and a consistent extreme one decodes, exports and merges (saturating).
+#[test]
+fn hostile_histograms_inside_the_embedded_hop_record_are_malformed() {
+    let occupancy = |parts, buckets: &[(u32, u64)]| metrics_frame_with_histogram(2, parts, buckets);
+    assert_malformed("min > max", &occupancy((1, 0, 10, 5), &[(3, 1)]));
+    let twice = [(0, u64::MAX), (0, 1)];
+    assert_malformed("duplicate bucket", &occupancy((u64::MAX, 0, 0, 0), &twice));
+    let claimed = (u64::MAX, u128::MAX, 0, 0);
+    assert_malformed("unbacked count", &occupancy(claimed, &[]));
+    assert_malformed(
+        "bucket out of range",
+        &occupancy((1, 0, 0, 0), &[(u32::MAX, 1)]),
+    );
+    let backed = occupancy(claimed, &[(0, u64::MAX)]);
+    let (frame, _) = decode_frame::<ControlFrame>(&backed).expect("a consistent histogram");
+    let (mut rollup, plan) = (MetricsSnapshot::default(), orchestrator_plan());
+    use_like_the_orchestrator(frame.clone(), &mut rollup, &plan);
+    use_like_the_orchestrator(frame, &mut rollup, &plan);
+    assert_eq!(rollup.transport.batch_occupancy.count(), u64::MAX);
+    assert_eq!(rollup.transport.batch_occupancy.sum(), u128::MAX);
+    assert!(rollup.latency.is_empty());
 }
 
 /// At the parent commit each of these two decoded reports panicked

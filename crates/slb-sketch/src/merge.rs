@@ -29,6 +29,8 @@ use crate::FrequencyEstimator;
 /// the combined stream's true counts, and while every input is below
 /// capacity (no evictions, no truncation) the merge is exact and therefore
 /// associative and commutative — the regime the merge-law property tests pin.
+/// Every sum saturates: a summary may be a decoded partial, i.e. a peer's
+/// word, and absurd counts must merge into absurd counts, not overflow.
 ///
 /// # Panics
 /// Panics if `capacity == 0`.
@@ -36,14 +38,16 @@ pub fn merge_space_saving<K: Eq + Hash + Clone>(
     summaries: &[&SpaceSaving<K>],
     capacity: usize,
 ) -> SpaceSaving<K> {
-    let total: u64 = summaries.iter().map(|s| s.total()).sum();
+    let total = summaries
+        .iter()
+        .fold(0u64, |sum, s| sum.saturating_add(s.total()));
     // Union of monitored keys with summed estimates and errors.
     let mut merged: HashMap<K, (u64, u64)> = HashMap::new();
     for s in summaries {
         for c in s.counters() {
             let e = merged.entry(c.key).or_insert((0, 0));
-            e.0 += c.count;
-            e.1 += c.error;
+            e.0 = e.0.saturating_add(c.count);
+            e.1 = e.1.saturating_add(c.error);
         }
     }
     // Keys absent from a summary get that summary's min_count as estimate and
@@ -55,8 +59,8 @@ pub fn merge_space_saving<K: Eq + Hash + Clone>(
         }
         for (key, e) in merged.iter_mut() {
             if s.get(key).is_none() {
-                e.0 += min;
-                e.1 += min;
+                e.0 = e.0.saturating_add(min);
+                e.1 = e.1.saturating_add(min);
             }
         }
     }
@@ -151,6 +155,28 @@ mod tests {
         for w in m.sorted_counters().windows(2) {
             assert!(w[0].count >= w[1].count);
         }
+    }
+
+    /// Counters as a hostile (or corrupt) peer's partial could carry them:
+    /// every sum in the merge — estimates, errors, the absent-key
+    /// `min_count` contribution, the totals — saturates instead of
+    /// overflowing (which panics in a debug build).
+    #[test]
+    fn merge_of_counts_near_u64_max_saturates() {
+        let max = u64::MAX;
+        let counter = |key, count, error| Counter { key, count, error };
+        // Both at capacity, so each contributes its min_count to the keys
+        // only the other monitors.
+        let a =
+            SpaceSaving::from_counters(2, max, [counter(1u64, max - 1, max - 2), counter(2, 9, 4)]);
+        let b = SpaceSaving::from_counters(2, max - 5, [counter(1u64, 7, max), counter(3, max, 3)]);
+        assert_eq!((a.min_count(), b.min_count()), (9, 7));
+        let m = merge_space_saving(&[&a, &b], 4);
+        assert_eq!(m.total(), max);
+        let get = |key| m.get(&key).map(|c| (c.count, c.error));
+        assert_eq!(get(1), Some((max, max)));
+        assert_eq!(get(2), Some((9 + 7, 4 + 7)));
+        assert_eq!(get(3), Some((max, 3 + 9)));
     }
 
     #[test]

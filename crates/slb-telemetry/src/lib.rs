@@ -30,5 +30,6 @@ pub mod trace;
 pub use hist::{bucket_floor, bucket_index, AtomicHistogram, LogHistogram, NUM_BUCKETS, SUB_BITS};
 pub use metrics::{
     snapshot_stage, Counter, Gauge, HopStats, HopTelemetry, MaxGauge, MetricsSnapshot,
+    RecoveryMetrics,
 };
 pub use trace::{kind as trace_kind, sort_canonical, stage as trace_stage, TraceBuf, TraceEvent};

@@ -1,7 +1,15 @@
-//! The metrics registry: atomic counters and gauges, per-hop transport
-//! telemetry, and the [`MetricsSnapshot`] a node ships to the
-//! orchestrator (and the orchestrator merges into cluster rollups and
-//! JSONL lines).
+//! The metrics registry: atomic counters and gauges, the two records a
+//! stage reports — its hop record ([`HopTelemetry`] live, [`HopStats`]
+//! plain) and its [`RecoveryMetrics`] — and the [`MetricsSnapshot`] a node
+//! ships to the orchestrator (and the orchestrator merges into cluster
+//! rollups and JSONL lines).
+//!
+//! One record, one field list: the hop record is declared once, in the
+//! `hop_record!` list below, and a snapshot *contains* the two records
+//! rather than copying their fields. How a counter merges is therefore
+//! written once ([`HopStats::merge`], [`RecoveryMetrics::merged`]) and is
+//! the same in a stage report, `EngineResult::transport`, a live `Metrics`
+//! frame, `metrics.jsonl` and the cluster rollup.
 //!
 //! Everything here is updated *per batch*, never per tuple: a stage
 //! amortizes one relaxed atomic add (or a couple) over each 64–256-tuple
@@ -73,83 +81,6 @@ impl MaxGauge {
     }
 }
 
-/// Live per-hop transport telemetry for one stage instance. Shared (via
-/// `Arc`) between the stage thread, which updates it once per batch, and
-/// an optional exporter thread, which snapshots it periodically.
-///
-/// Semantics per stage kind (see docs/OBSERVABILITY.md for the catalog):
-/// sources fill the send side of the tuple hop (plus ring occupancy where
-/// the transport exposes it), workers fill the receive side of the tuple
-/// hop and the send side of the partial hop, aggregators fill the receive
-/// side of the partial hop.
-#[derive(Debug, Default)]
-pub struct HopTelemetry {
-    /// Batches (or partial-window messages) pushed into the outgoing hop.
-    pub batches_sent: Counter,
-    /// Tuples carried by those batches.
-    pub tuples_sent: Counter,
-    /// Total wall time spent inside blocking sends — the backpressure
-    /// stall signal.
-    pub send_stall_us: Counter,
-    /// Messages drained from the incoming hop.
-    pub batches_received: Counter,
-    /// Tuples carried by those messages.
-    pub tuples_received: Counter,
-    /// Total wall time spent blocked waiting for the incoming hop.
-    pub recv_wait_us: Counter,
-    /// Distribution of tuple-batch sizes crossing the hop.
-    pub batch_occupancy: AtomicHistogram,
-    /// Deepest drain ever observed: messages pulled out of the incoming
-    /// queue by a single `recv_batch` (receive side), or the transport's
-    /// reported queue occupancy at a send (send side).
-    pub queue_depth_hwm: MaxGauge,
-    /// Highest SPSC ring occupancy (in batches) observed at a send, on
-    /// transports that expose their rings.
-    pub ring_occupancy_hwm: MaxGauge,
-    /// The ring/queue capacity behind `ring_occupancy_hwm` (0 when the
-    /// transport exposes none).
-    pub ring_capacity: Gauge,
-}
-
-impl HopTelemetry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copies the live values into a plain, mergeable stats struct.
-    pub fn snapshot(&self) -> HopStats {
-        HopStats {
-            batches_sent: self.batches_sent.get(),
-            tuples_sent: self.tuples_sent.get(),
-            send_stall_us: self.send_stall_us.get(),
-            batches_received: self.batches_received.get(),
-            tuples_received: self.tuples_received.get(),
-            recv_wait_us: self.recv_wait_us.get(),
-            batch_occupancy: self.batch_occupancy.snapshot(),
-            queue_depth_hwm: self.queue_depth_hwm.get(),
-            ring_occupancy_hwm: self.ring_occupancy_hwm.get(),
-            ring_capacity: self.ring_capacity.get(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`HopTelemetry`]: plain data, mergeable across
-/// instances (sums for totals, maxima for high-water marks, histogram
-/// merge for occupancy).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HopStats {
-    pub batches_sent: u64,
-    pub tuples_sent: u64,
-    pub send_stall_us: u64,
-    pub batches_received: u64,
-    pub tuples_received: u64,
-    pub recv_wait_us: u64,
-    pub batch_occupancy: LogHistogram,
-    pub queue_depth_hwm: u64,
-    pub ring_occupancy_hwm: u64,
-    pub ring_capacity: u64,
-}
-
 /// Counter addition for the merges below. Saturating: these are a peer's
 /// numbers, and a rollup of absurd ones must read absurd, not abort the
 /// orchestrator.
@@ -157,19 +88,157 @@ fn add(into: &mut u64, n: u64) {
     *into = into.saturating_add(n);
 }
 
-impl HopStats {
-    /// Folds another instance's stats into this one (counters saturate).
-    pub fn merge(&mut self, other: &HopStats) {
-        add(&mut self.batches_sent, other.batches_sent);
-        add(&mut self.tuples_sent, other.tuples_sent);
-        add(&mut self.send_stall_us, other.send_stall_us);
-        add(&mut self.batches_received, other.batches_received);
-        add(&mut self.tuples_received, other.tuples_received);
-        add(&mut self.recv_wait_us, other.recv_wait_us);
-        self.batch_occupancy.merge(&other.batch_occupancy);
-        self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
-        self.ring_occupancy_hwm = self.ring_occupancy_hwm.max(other.ring_occupancy_hwm);
-        self.ring_capacity = self.ring_capacity.max(other.ring_capacity);
+/// Declares the hop record from its **one** field list. Each line is
+/// `name: rule(Cell)` — the live cell a stage bumps and how two instances'
+/// values combine: `sum` (saturating), `max`, or `hist` (bucket-wise). The
+/// list yields the live [`HopTelemetry`], the plain [`HopStats`],
+/// `snapshot()`, `merge()`, and the scalars by name — the JSONL keys and
+/// the `name=value` words `slb-node` prints — so a new hop counter is one
+/// line here plus its line in slb-net's `wire_type!(impl HopStats { .. })`.
+macro_rules! hop_record {
+    ($($(#[$doc:meta])* $field:ident: $rule:ident($cell:ty),)*) => {
+        /// Live per-hop transport telemetry for one stage instance: the stage
+        /// function is handed one and updates it once per batch; whoever
+        /// handed it over (a node's metrics ticker, a test) may snapshot it
+        /// from another thread meanwhile.
+        ///
+        /// Semantics per stage kind (see docs/OBSERVABILITY.md for the
+        /// catalog): sources fill the send side of the tuple hop (plus ring
+        /// occupancy where the transport exposes it), workers fill the
+        /// receive side of the tuple hop and the send side of the partial
+        /// hop, aggregators fill the receive side of the partial hop.
+        #[derive(Debug, Default)]
+        pub struct HopTelemetry {
+            $($(#[$doc])* pub $field: $cell,)*
+        }
+
+        impl HopTelemetry {
+            pub fn new() -> Self {
+                Self::default()
+            }
+
+            /// Copies the live values into a plain, mergeable stats struct.
+            pub fn snapshot(&self) -> HopStats {
+                HopStats {
+                    $($field: hop_record!(@read $rule, self.$field),)*
+                }
+            }
+        }
+
+        /// A point-in-time copy of [`HopTelemetry`]: plain data, mergeable
+        /// across instances by each field's rule.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct HopStats {
+            $($(#[$doc])* pub $field: hop_record!(@plain $rule),)*
+        }
+
+        impl HopStats {
+            /// Folds another instance's stats into this one — the one place
+            /// that says how a hop counter merges.
+            pub fn merge(&mut self, other: &HopStats) {
+                $(hop_record!(@merge $rule, self.$field, other.$field);)*
+            }
+
+            /// Every scalar (a `sum` or a `max`) under its field name.
+            fn scalars(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(hop_record!(@scalar $rule, stringify!($field), self.$field),)*]
+                    .into_iter()
+                    .flatten()
+            }
+        }
+    };
+    (@plain hist) => { LogHistogram };
+    (@plain $rule:ident) => { u64 };
+    (@read hist, $cell:expr) => { $cell.snapshot() };
+    (@read $rule:ident, $cell:expr) => { $cell.get() };
+    (@merge sum, $into:expr, $from:expr) => { add(&mut $into, $from) };
+    (@merge max, $into:expr, $from:expr) => { $into = $into.max($from) };
+    (@merge hist, $into:expr, $from:expr) => { $into.merge(&$from) };
+    (@scalar hist, $name:expr, $value:expr) => { None };
+    (@scalar $rule:ident, $name:expr, $value:expr) => { Some(($name, $value)) };
+}
+
+hop_record! {
+    /// Batches (or partial-window messages) pushed into the outgoing hop.
+    batches_sent: sum(Counter),
+    /// Tuples carried by those batches.
+    tuples_sent: sum(Counter),
+    /// Total wall time spent inside blocking sends — the backpressure
+    /// stall signal.
+    send_stall_us: sum(Counter),
+    /// Messages drained from the incoming hop.
+    batches_received: sum(Counter),
+    /// Tuples carried by those messages.
+    tuples_received: sum(Counter),
+    /// Total wall time spent blocked waiting for the incoming hop.
+    recv_wait_us: sum(Counter),
+    /// Distribution of tuple-batch sizes crossing the hop.
+    batch_occupancy: hist(AtomicHistogram),
+    /// Deepest drain ever observed: messages pulled out of the incoming
+    /// queue by a single `recv_batch` (receive side), or the transport's
+    /// reported queue occupancy at a send (send side).
+    queue_depth_hwm: max(MaxGauge),
+    /// Highest SPSC ring occupancy (in batches) observed at a send, on
+    /// transports that expose their rings.
+    ring_occupancy_hwm: max(MaxGauge),
+    /// The ring/queue capacity behind `ring_occupancy_hwm` (0 when the
+    /// transport exposes none).
+    ring_capacity: max(Gauge),
+}
+
+/// The scalars as space-separated `name=value` words: how `slb-node`'s run
+/// report prints a hop record.
+impl std::fmt::Display for HopStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let words: Vec<String> = self.scalars().map(|(k, v)| format!("{k}={v}")).collect();
+        f.write_str(&words.join(" "))
+    }
+}
+
+/// Counters for the exactly-once recovery machinery of one stage.
+///
+/// In the worker stage, `restores` counts checkpoint restorations after a
+/// crash, `replayed_items` counts tuples reprocessed from replayed batches,
+/// and `duplicates_dropped` counts messages discarded by sequence-number
+/// dedup. In the aggregator stage only `duplicates_dropped` and
+/// `transport_errors` are meaningful: re-sent (worker, window) partials
+/// discarded instead of double-merged, and torn connections survived.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryMetrics {
+    /// Checkpoint restorations performed after simulated crashes.
+    pub restores: u64,
+    /// Items reprocessed from replayed messages (already counted once in
+    /// `items` — this tracks the recovery overhead, not extra output).
+    pub replayed_items: u64,
+    /// Messages discarded as duplicates by sequence/worker dedup.
+    pub duplicates_dropped: u64,
+    /// Replay requests issued upstream (gap detected or post-crash resume).
+    pub replay_requests: u64,
+    /// Transport-level receive errors survived (a reader thread reporting a
+    /// malformed frame or failed read instead of a clean EOF). Zero on a
+    /// healthy run; nonzero means a peer died mid-frame and the stage kept
+    /// going on the remaining connections.
+    pub transport_errors: u64,
+}
+
+impl RecoveryMetrics {
+    /// True when no recovery machinery fired.
+    pub fn is_quiet(&self) -> bool {
+        *self == Self::default()
+    }
+
+    /// Field-wise saturating sum of two counters (for merging per-stage
+    /// reports, which may be a peer's).
+    pub fn merged(self, other: Self) -> Self {
+        Self {
+            restores: self.restores.saturating_add(other.restores),
+            replayed_items: self.replayed_items.saturating_add(other.replayed_items),
+            duplicates_dropped: self
+                .duplicates_dropped
+                .saturating_add(other.duplicates_dropped),
+            replay_requests: self.replay_requests.saturating_add(other.replay_requests),
+            transport_errors: self.transport_errors.saturating_add(other.transport_errors),
+        }
     }
 }
 
@@ -209,22 +278,11 @@ pub struct MetricsSnapshot {
     pub windows_closed: u64,
     /// Checkpoints saved (worker).
     pub checkpoints: u64,
-    /// Recovery counters, mirroring `RecoveryMetrics`.
-    pub restores: u64,
-    pub replayed_items: u64,
-    pub duplicates_dropped: u64,
-    pub replay_requests: u64,
-    pub transport_errors: u64,
-    /// Transport-hop counters, mirroring [`HopStats`].
-    pub batches_sent: u64,
-    pub tuples_sent: u64,
-    pub send_stall_us: u64,
-    pub batches_received: u64,
-    pub tuples_received: u64,
-    pub recv_wait_us: u64,
-    pub queue_depth_hwm: u64,
-    pub ring_occupancy_hwm: u64,
-    pub ring_capacity: u64,
+    /// Recovery counters (exact on the final snapshot, zero before).
+    pub recovery: RecoveryMetrics,
+    /// The stage's hop record: live values on a periodic snapshot, the
+    /// stage report's on the final one.
+    pub transport: HopStats,
     /// Latency distribution, µs; empty on periodic snapshots, filled from
     /// the stage report on the final one.
     pub latency: LogHistogram,
@@ -242,42 +300,17 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Copies a [`HopStats`] into the flat transport fields.
-    pub fn set_transport(&mut self, hop: &HopStats) {
-        self.batches_sent = hop.batches_sent;
-        self.tuples_sent = hop.tuples_sent;
-        self.send_stall_us = hop.send_stall_us;
-        self.batches_received = hop.batches_received;
-        self.tuples_received = hop.tuples_received;
-        self.recv_wait_us = hop.recv_wait_us;
-        self.queue_depth_hwm = hop.queue_depth_hwm;
-        self.ring_occupancy_hwm = hop.ring_occupancy_hwm;
-        self.ring_capacity = hop.ring_capacity;
-    }
-
-    /// Folds another snapshot into this one (for cluster rollups):
-    /// counters add (saturating), high-water marks take the maximum,
-    /// latency distributions merge bucket-wise.
+    /// Folds another snapshot into this one (for cluster rollups): the
+    /// progress counters add (saturating), the recovery and hop records
+    /// merge by their own rules, latency distributions merge bucket-wise.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         self.seq = self.seq.max(other.seq);
         self.finished = self.finished && other.finished;
         add(&mut self.items, other.items);
         add(&mut self.windows_closed, other.windows_closed);
         add(&mut self.checkpoints, other.checkpoints);
-        add(&mut self.restores, other.restores);
-        add(&mut self.replayed_items, other.replayed_items);
-        add(&mut self.duplicates_dropped, other.duplicates_dropped);
-        add(&mut self.replay_requests, other.replay_requests);
-        add(&mut self.transport_errors, other.transport_errors);
-        add(&mut self.batches_sent, other.batches_sent);
-        add(&mut self.tuples_sent, other.tuples_sent);
-        add(&mut self.send_stall_us, other.send_stall_us);
-        add(&mut self.batches_received, other.batches_received);
-        add(&mut self.tuples_received, other.tuples_received);
-        add(&mut self.recv_wait_us, other.recv_wait_us);
-        self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
-        self.ring_occupancy_hwm = self.ring_occupancy_hwm.max(other.ring_occupancy_hwm);
-        self.ring_capacity = self.ring_capacity.max(other.ring_capacity);
+        self.recovery = self.recovery.merged(other.recovery);
+        self.transport.merge(&other.transport);
         self.latency.merge(&other.latency);
     }
 
@@ -295,20 +328,15 @@ impl MetricsSnapshot {
         push_json_u64(&mut out, "items", self.items);
         push_json_u64(&mut out, "windows_closed", self.windows_closed);
         push_json_u64(&mut out, "checkpoints", self.checkpoints);
-        push_json_u64(&mut out, "restores", self.restores);
-        push_json_u64(&mut out, "replayed_items", self.replayed_items);
-        push_json_u64(&mut out, "duplicates_dropped", self.duplicates_dropped);
-        push_json_u64(&mut out, "replay_requests", self.replay_requests);
-        push_json_u64(&mut out, "transport_errors", self.transport_errors);
-        push_json_u64(&mut out, "batches_sent", self.batches_sent);
-        push_json_u64(&mut out, "tuples_sent", self.tuples_sent);
-        push_json_u64(&mut out, "send_stall_us", self.send_stall_us);
-        push_json_u64(&mut out, "batches_received", self.batches_received);
-        push_json_u64(&mut out, "tuples_received", self.tuples_received);
-        push_json_u64(&mut out, "recv_wait_us", self.recv_wait_us);
-        push_json_u64(&mut out, "queue_depth_hwm", self.queue_depth_hwm);
-        push_json_u64(&mut out, "ring_occupancy_hwm", self.ring_occupancy_hwm);
-        push_json_u64(&mut out, "ring_capacity", self.ring_capacity);
+        let recovery = &self.recovery;
+        push_json_u64(&mut out, "restores", recovery.restores);
+        push_json_u64(&mut out, "replayed_items", recovery.replayed_items);
+        push_json_u64(&mut out, "duplicates_dropped", recovery.duplicates_dropped);
+        push_json_u64(&mut out, "replay_requests", recovery.replay_requests);
+        push_json_u64(&mut out, "transport_errors", recovery.transport_errors);
+        for (key, value) in self.transport.scalars() {
+            push_json_u64(&mut out, key, value);
+        }
         let hist = &self.latency;
         push_json_u64(&mut out, "latency_count", hist.count());
         // JSON numbers here are `u64`; the exact 128-bit sum saturates.
@@ -390,6 +418,37 @@ mod tests {
     }
 
     #[test]
+    fn recovery_metrics_merge_field_wise_and_default_is_quiet() {
+        assert!(RecoveryMetrics::default().is_quiet());
+        let a = RecoveryMetrics {
+            restores: 1,
+            replayed_items: 10,
+            duplicates_dropped: 3,
+            replay_requests: 2,
+            transport_errors: 1,
+        };
+        let b = RecoveryMetrics {
+            restores: 0,
+            replayed_items: 5,
+            duplicates_dropped: 1,
+            replay_requests: 1,
+            transport_errors: 0,
+        };
+        let m = a.merged(b);
+        assert_eq!(
+            m,
+            RecoveryMetrics {
+                restores: 1,
+                replayed_items: 15,
+                duplicates_dropped: 4,
+                replay_requests: 3,
+                transport_errors: 1,
+            }
+        );
+        assert!(!m.is_quiet());
+    }
+
+    #[test]
     fn snapshot_merge_adds_counters_and_merges_latency() {
         let mut hist_a = LogHistogram::new();
         hist_a.record_n(100, 10);
@@ -400,7 +459,10 @@ mod tests {
             instance: 0,
             finished: true,
             items: 10,
-            restores: 1,
+            recovery: RecoveryMetrics {
+                restores: 1,
+                ..Default::default()
+            },
             latency: hist_a.clone(),
             ..Default::default()
         };
@@ -409,13 +471,17 @@ mod tests {
             instance: 1,
             finished: true,
             items: 4,
-            queue_depth_hwm: 3,
+            transport: HopStats {
+                queue_depth_hwm: 3,
+                ..Default::default()
+            },
             latency: hist_b.clone(),
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.items, 14);
-        assert_eq!(a.restores, 1);
+        assert_eq!(a.recovery.restores, 1);
+        assert_eq!(a.transport.queue_depth_hwm, 3);
         let mut union = hist_a;
         union.merge(&hist_b);
         assert_eq!(a.latency, union);
@@ -423,6 +489,73 @@ mod tests {
         a.items = u64::MAX;
         a.merge(&b);
         assert_eq!(a.items, u64::MAX);
+    }
+
+    /// A snapshot contains its records, so a rollup of snapshots is the
+    /// snapshot of the rolled-up records — `HopStats::merge` and
+    /// `RecoveryMetrics::merged` are the only merge rules there are, also
+    /// where they saturate.
+    #[test]
+    fn snapshot_merge_is_the_merge_of_the_records_it_contains() {
+        let live = HopTelemetry::new();
+        live.batches_sent.add(3);
+        live.tuples_sent.add(u64::MAX - 1);
+        live.send_stall_us.add(40);
+        live.batch_occupancy.record_n(64, 3);
+        live.queue_depth_hwm.record(9);
+        live.ring_capacity.set(128);
+        let hop_a = live.snapshot();
+        let mut occupancy = LogHistogram::new();
+        occupancy.record_n(7, 2);
+        let hop_b = HopStats {
+            batches_sent: 2,
+            tuples_sent: 5,
+            recv_wait_us: u64::MAX,
+            batch_occupancy: occupancy,
+            queue_depth_hwm: 4,
+            ring_occupancy_hwm: 17,
+            ..Default::default()
+        };
+        let recovery_a = RecoveryMetrics {
+            restores: u64::MAX,
+            replay_requests: 2,
+            ..Default::default()
+        };
+        let recovery_b = RecoveryMetrics {
+            restores: 1,
+            replay_requests: 3,
+            transport_errors: 1,
+            ..Default::default()
+        };
+        let snapshot_of = |transport: &HopStats, recovery| MetricsSnapshot {
+            stage: snapshot_stage::CLUSTER,
+            finished: true,
+            transport: transport.clone(),
+            recovery,
+            ..Default::default()
+        };
+        let mut rolled = snapshot_of(&hop_a, recovery_a);
+        rolled.merge(&snapshot_of(&hop_b, recovery_b));
+        let mut hop = hop_a.clone();
+        hop.merge(&hop_b);
+        assert_eq!(rolled, snapshot_of(&hop, recovery_a.merged(recovery_b)));
+        // Sums saturated, maxima held, the occupancy histograms merged.
+        assert_eq!(hop.tuples_sent, u64::MAX);
+        assert_eq!(hop.recv_wait_us, u64::MAX);
+        assert_eq!(rolled.recovery.restores, u64::MAX);
+        assert_eq!(hop.queue_depth_hwm, 9);
+        assert_eq!(hop.ring_capacity, 128);
+        assert_eq!(hop.batch_occupancy.count(), 5);
+        // The JSONL line names every scalar of the record once.
+        let json = rolled.to_json();
+        assert!(json.contains("\"tuples_sent\":18446744073709551615,"));
+        assert!(json.contains("\"ring_occupancy_hwm\":17,\"ring_capacity\":128,"));
+        // ... and so does the run report's `name=value` form.
+        let words = hop.to_string();
+        assert!(words.starts_with("batches_sent=5 tuples_sent=18446744073709551615 "));
+        assert!(words.ends_with(" queue_depth_hwm=9 ring_occupancy_hwm=17 ring_capacity=128"));
+        assert!(!words.contains("batch_occupancy"));
+        assert_eq!(json.matches("\"restores\":").count(), 1);
     }
 
     #[test]
