@@ -136,6 +136,24 @@ if grep -rnE 'set_transport|fn live\(|AggregatorSupervision|SLB_METRICS_INTERVAL
     exit 1
 fi
 
+echo "==> one probe per tuple at the worker: the whole-run key set is filled at a window close, not per tuple"
+# Everything above the unit-test module. A key new to its window is queued;
+# drain_arrived files the queue into the set, called by save_checkpoint and
+# once more at stage exit.
+worker=$(sed '/^#\[cfg(test)\]/,$d' crates/slb-engine/src/topology/worker.rs)
+stage=$(sed -n '/^pub fn run_worker_stage/,/^}/p' <<<"$worker")
+inserts=$(grep -c 'keys\.insert' <<<"$worker" || true)
+in_drain=$(sed -n '/    fn drain_arrived(/,/^    }/p' <<<"$worker" | grep -c 'keys\.insert' || true)
+in_save=$(sed -n '/    fn save_checkpoint/,/^    }/p' <<<"$worker" | grep -c 'drain_arrived()' || true)
+in_stage=$(grep -c 'drain_arrived()' <<<"$stage" || true)
+if [ "$inserts" != 1 ] || [ "$in_drain" != 1 ] || [ "$in_save" != 1 ] || [ "$in_stage" != 1 ] ||
+    grep -n 'keys\.insert' <<<"$stage"; then
+    echo "worker.rs: the key set is inserted into only by drain_arrived, from save_checkpoint and the exit drain"
+    echo "(found $inserts inserts, $in_drain in drain_arrived; drain_arrived called $in_save times in save_checkpoint, $in_stage in run_worker_stage)."
+    echo "A per-tuple probe of the ~67k-key set missed cache on state_cold: it was the unexplained part of budget.residual_share."
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

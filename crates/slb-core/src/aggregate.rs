@@ -94,10 +94,20 @@ pub trait WindowAggregate<K>: Clone + Send + 'static {
     /// Returns `false` only if `partial` already held `key` before this
     /// call, i.e. an earlier `observe` on this same partial was given it. A
     /// caller that tracks the keys it has ever seen (the worker's state-key
-    /// set) skips its own probe then: whatever it did at the key's first
-    /// arrival in this partial still stands. An aggregate that cannot tell —
-    /// no per-key structure, or one that forgets keys — returns `true`.
+    /// set) records the key only on `true`: the worker queues it and files
+    /// the queue into its whole-run set once per window close, so its
+    /// per-tuple loop is this one call. An aggregate that cannot tell — no
+    /// per-key structure, or one that forgets keys — returns `true`.
     fn observe(&self, partial: &mut Self::Partial, key: &K, weight: u64) -> bool;
+
+    /// An empty partial with room for as many keys as `like` holds: how the
+    /// worker opens a window sized by the one it just closed, instead of
+    /// growing it from [`empty`](Self::empty) tuple by tuple. Same content
+    /// as `empty()`, so it is a `merge` identity too. The default is
+    /// `empty()`.
+    fn with_room(&self, _like: &Self::Partial) -> Self::Partial {
+        self.empty()
+    }
 
     /// Merges `from` into `into`.
     fn merge(&self, into: &mut Self::Partial, from: Self::Partial);
@@ -152,7 +162,17 @@ where
         }
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
+    fn with_room(&self, like: &Self::Partial) -> Self::Partial {
+        HashMap::with_capacity(like.len())
+    }
+
+    fn merge(&self, into: &mut Self::Partial, mut from: Self::Partial) {
+        // The roomier map absorbs the other (the sum is symmetric): an
+        // aggregator's first slice of a window is moved, not re-inserted,
+        // and a presized map is never thrown away for an empty one.
+        if into.capacity() < from.capacity() {
+            std::mem::swap(into, &mut from);
+        }
         // Saturating: `from` may be a peer's word (two shards claiming one
         // window), and a corrupt count must read absurd, not overflow.
         for (key, count) in from {
@@ -161,22 +181,27 @@ where
         }
     }
 
-    fn shard(&self, partial: Self::Partial, shards: usize) -> Vec<Self::Partial> {
+    fn shard(&self, mut partial: Self::Partial, shards: usize) -> Vec<Self::Partial> {
         assert!(shards > 0, "need at least one shard");
         if shards == 1 {
             return vec![partial];
         }
-        // Sized once for an even split plus a quarter of slack: growing from
-        // empty rehashes every slice some eight times per window close.
+        // Slice 0 is the input map itself, minus the keys other shards own;
+        // the others are sized once for an even split plus a quarter of
+        // slack: growing from empty rehashes every slice some eight times
+        // per window close.
         let per_shard = partial.len() / shards + partial.len() / (4 * shards) + 1;
-        let mut out: Vec<Self::Partial> = (0..shards)
+        let mut rest: Vec<Self::Partial> = (1..shards)
             .map(|_| HashMap::with_capacity(per_shard))
             .collect();
-        for (key, count) in partial {
-            let s = shard_of(&key, shards);
-            out[s].insert(key, count);
-        }
-        out
+        partial.retain(|key, count| match shard_of(key, shards) {
+            0 => true,
+            s => {
+                rest[s - 1].insert(key.clone(), *count);
+                false
+            }
+        });
+        std::iter::once(partial).chain(rest).collect()
     }
 }
 

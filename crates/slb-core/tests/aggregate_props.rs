@@ -15,6 +15,12 @@
 //!   guarantees (additive totals, upper-bound estimates), which are checked
 //!   separately in the truncating-regime property.
 //!
+//! The worker opens a window with [`WindowAggregate::with_room`] and
+//! [`CountAggregate`] merges into whichever map is roomier and shards by
+//! keeping slice 0 in the input map, so the laws also run over presized
+//! partials: `with_room` is an identity on either side, merge commutes
+//! across sizes, and every slice holds exactly the keys `shard_of` gives it.
+//!
 //! One more contract rides here because the worker's per-tuple loop leans on
 //! it: [`WindowAggregate::observe`] may return `false` only for a key this
 //! partial was already given, and [`CountAggregate`] returns `false` for
@@ -27,7 +33,7 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use slb_core::{CountAggregate, SumAggregate, TopKAggregate, WindowAggregate};
+use slb_core::{shard_of, CountAggregate, SumAggregate, TopKAggregate, WindowAggregate};
 use slb_sketch::{FrequencyEstimator, SpaceSaving};
 
 /// Weighted tuple stream: keys from a small universe (so the top-k exact
@@ -50,7 +56,15 @@ fn weight_of(key: u64) -> u64 {
 
 /// Builds one partial from a stream segment.
 fn partial_from<A: WindowAggregate<u64>>(agg: &A, segment: &[u64]) -> A::Partial {
-    let mut partial = agg.empty();
+    observe_into(agg, agg.empty(), segment)
+}
+
+/// Folds a stream segment into `partial`.
+fn observe_into<A: WindowAggregate<u64>>(
+    agg: &A,
+    mut partial: A::Partial,
+    segment: &[u64],
+) -> A::Partial {
     for &key in segment {
         agg.observe(&mut partial, &key, weight_of(key));
     }
@@ -116,8 +130,40 @@ where
         "left identity violated"
     );
 
-    // Shard partition: merging all shards reproduces the whole.
+    // A presized empty partial is an identity too, on either side — for
+    // `CountAggregate` the roomier map absorbs the other, so one side
+    // swaps and the other does not.
     let whole = build(stream);
+    let mut with_room = build(sa);
+    agg.merge(&mut with_room, agg.with_room(&whole));
+    prop_assert_eq!(
+        canon(&with_room),
+        canon(&build(sa)),
+        "with_room is not a right identity"
+    );
+    let mut room_with = agg.with_room(&whole);
+    agg.merge(&mut room_with, build(sa));
+    prop_assert_eq!(
+        canon(&room_with),
+        canon(&build(sa)),
+        "with_room is not a left identity"
+    );
+
+    // Commutativity when the two sides differ in size: `a` filled into a
+    // partial with room for the whole stream, `b` grown from empty.
+    let roomy_a = || observe_into(agg, agg.with_room(&whole), sa);
+    let mut roomy_ab = roomy_a();
+    agg.merge(&mut roomy_ab, build(sb));
+    let mut b_roomy = build(sb);
+    agg.merge(&mut b_roomy, roomy_a());
+    prop_assert_eq!(
+        canon(&roomy_ab),
+        canon(&b_roomy),
+        "commutativity violated across sizes"
+    );
+    prop_assert_eq!(canon(&roomy_ab), canon(&ab), "presizing changed a merge");
+
+    // Shard partition: merging all shards reproduces the whole.
     let mut reassembled = agg.empty();
     for slice in agg.shard(build(stream), shards) {
         agg.merge(&mut reassembled, slice);
@@ -192,7 +238,19 @@ proptest! {
         })?;
         // The merged whole is the exact weighted count of the stream.
         let whole = partial_from(&agg, &stream);
-        prop_assert_eq!(whole, exact_weighted_counts(&stream));
+        prop_assert_eq!(&whole, &exact_weighted_counts(&stream));
+        // Every slice — slice 0, the input map with the other shards' keys
+        // taken out, included — holds exactly the keys `shard_of` gives it,
+        // with their counts.
+        let slices = agg.shard(whole.clone(), shards);
+        prop_assert_eq!(slices.len(), shards);
+        for (s, slice) in slices.iter().enumerate() {
+            let owned = whole.iter().filter(|(key, _)| shard_of(*key, shards) == s);
+            prop_assert_eq!(slice.len(), owned.clone().count(), "slice {}", s);
+            for (key, count) in owned {
+                prop_assert_eq!(slice.get(key), Some(count), "slice {} key {}", s, key);
+            }
+        }
     }
 
     #[test]

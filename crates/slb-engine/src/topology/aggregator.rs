@@ -35,7 +35,8 @@ pub struct AggregatorStageReport<P> {
     pub duplicates_dropped: u64,
     /// Transport-level receive errors survived (a reader thread reporting
     /// a malformed frame or failed read instead of a clean EOF — e.g. a
-    /// SIGKILLed worker's connection tearing mid-frame).
+    /// SIGKILLed worker's connection tearing mid-frame), plus partials shed
+    /// for naming a worker outside the plan.
     pub transport_errors: u64,
     /// The deterministic logical trace of this shard (one `WINDOW_CLOSE`
     /// per finalized window, in finalization order).
@@ -128,6 +129,12 @@ where
         hop.queue_depth_hwm.record(n);
         hop.batch_occupancy.record(n);
         for pw in drained.drain(..) {
+            if pw.worker >= spawned_workers {
+                // Well-formed, but from no worker of this plan (a stray
+                // peer on the data port): shed it like a malformed frame.
+                transport_errors += 1;
+                continue;
+            }
             if finalized.contains_key(&pw.window) {
                 // Every worker already contributed; a straggler can only
                 // be a re-shipped duplicate (or, under degradation, a
@@ -298,5 +305,53 @@ mod tests {
         assert_eq!(report.finalized[&1][&7], 5);
         assert_eq!(report.finalized[&2][&9], 1);
         assert_eq!(report.transport_errors, 0);
+    }
+
+    /// A well-formed partial naming a worker the plan does not have (a
+    /// stray peer on a data port) is shed and counted as a transport error;
+    /// the windows are the ones the run without it finalizes.
+    #[test]
+    fn a_partial_from_no_worker_of_the_plan_is_shed() {
+        let aggregate = CountAggregate;
+        let mut cfg = EngineConfig::smoke(PartitionerKind::Pkg, 1.0)
+            .with_window_size(64)
+            .with_messages(3 * 64)
+            .with_aggregators(1);
+        cfg.sources = 1;
+        cfg.workers = 2;
+        let plan = cfg.stage_plan();
+        let run = |stray: bool| {
+            let (sender, receiver) = crossbeam_channel::bounded(8);
+            let ship = |worker: usize, window: WindowId, count: u64| {
+                let mut partial = aggregate.empty();
+                aggregate.observe(&mut partial, &(7 + window), count);
+                let closed_at = Instant::now();
+                sender
+                    .send(PartialWindow {
+                        window,
+                        worker,
+                        partial,
+                        closed_at,
+                    })
+                    .expect("the queue holds the script");
+            };
+            if stray {
+                ship(plan.spawned_workers, 0, 100);
+            }
+            for window in 0..3 {
+                ship(0, window, 1);
+                ship(1, window, 2);
+            }
+            drop(sender);
+            let hop = HopTelemetry::default();
+            run_aggregator_stage(&plan, 0, &aggregate, receiver, None, &hop)
+        };
+
+        let (clean, strayed) = (run(false), run(true));
+        assert_eq!(clean.transport_errors, 0);
+        assert_eq!(strayed.transport_errors, 1);
+        assert_eq!(strayed.merged, 6);
+        assert_eq!(strayed.finalized.len(), 3);
+        assert_eq!(strayed.finalized, clean.finalized);
     }
 }

@@ -76,8 +76,16 @@ struct WorkerState<P> {
     expected_seq: Vec<u64>,
     /// Distinct keys this worker has ever held state for (the
     /// memory-footprint metric); the per-key counts themselves live in the
-    /// window partials.
+    /// window partials. Filled once per close from `arrived`, never per
+    /// tuple: on cold state nearly every tuple is new to its window, and a
+    /// probe of this set misses cache where a pass over a window's keys
+    /// does not stall on each one.
     keys: FixedHashSet<KeyId>,
+    /// The keys new to their window's partial since the last close, in
+    /// arrival order (a key may repeat, once per window). Not checkpointed:
+    /// every close files them into `keys` before it writes, so a restore
+    /// starts with none and the replay queues them again.
+    arrived: Vec<KeyId>,
     /// `keys` as of the last base record this state wrote (or was restored
     /// from), ascending: what the next base merges the newer keys into, so
     /// that no close ever sorts the whole set.
@@ -118,6 +126,7 @@ impl<P: WirePartial> WorkerState<P> {
             phase_counts: vec![0; n_phases],
             expected_seq: vec![0; sources],
             keys: FixedHashSet::default(),
+            arrived: Vec::new(),
             base_keys: Vec::new(),
             since_base: Vec::new(),
             delta_from: 0,
@@ -152,10 +161,21 @@ impl<P: WirePartial> WorkerState<P> {
             phase_counts,
             expected_seq,
             keys: checkpoint.state_keys.iter().copied().collect(),
+            arrived: Vec::new(),
             base_keys: checkpoint.state_keys.clone(),
             since_base: Vec::new(),
             delta_from: 0,
             open,
+        }
+    }
+
+    /// Files the keys queued in `arrived` into the whole-run set, in one
+    /// pass; a key first seen by this worker also joins `since_base`.
+    fn drain_arrived(&mut self) {
+        for key in self.arrived.drain(..) {
+            if self.keys.insert(key) {
+                self.since_base.push(key);
+            }
         }
     }
 
@@ -171,6 +191,10 @@ impl<P: WirePartial> WorkerState<P> {
         worker: usize,
         store: &'s mut CheckpointStore,
     ) -> CheckpointRecord<'s> {
+        // Every key that arrived before this close, in any open window, is
+        // in the record — exactly the keys a set probed at every tuple
+        // would hold by now.
+        self.drain_arrived();
         let open = self.open.iter().map(|(&window, open)| OpenWindowView {
             window,
             closes_seen: open.closes as u64,
@@ -376,6 +400,9 @@ where
         replay_senders.clear();
     }
     let mut drained: Vec<SourceMessage> = Vec::new();
+    // An empty partial sized by the last window closed, for the next window
+    // to open; a capacity hint, not state, so a crash keeps it.
+    let mut room: Option<A::Partial> = None;
     'recv: loop {
         let before = Instant::now();
         let received = receiver.recv_batch(&mut drained);
@@ -395,6 +422,12 @@ where
         hop.queue_depth_hwm.record(drained.len() as u64);
         for message in drained.drain(..) {
             let (src, seq) = message.source_seq();
+            if src >= sources {
+                // Well-formed, but from no source of this plan (a stray
+                // peer on the data port): shed it like a malformed frame.
+                recovery.transport_errors += 1;
+                continue;
+            }
             frontier[src] = frontier[src].max(seq + 1);
             if seq < state.expected_seq[src] {
                 // Replay overlap (or a frame re-sent past our progress):
@@ -450,14 +483,15 @@ where
                         .entry(batch.window)
                         .or_default()
                         .partial
-                        .get_or_insert_with(|| aggregate.empty());
-                    // A key the open partial already holds went into
-                    // `state.keys` when it entered the partial (a restored
-                    // partial's keys are in the restored set), so only a
-                    // key new to its window probes the whole-run set.
+                        .get_or_insert_with(|| room.take().unwrap_or_else(|| aggregate.empty()));
+                    // One probe per tuple. A key the open partial already
+                    // holds was queued when it entered the partial (a
+                    // restored partial's keys are in the restored set), so
+                    // only a key new to its window is queued, for the next
+                    // close to file into the whole-run set.
                     for key in &batch.keys {
-                        if aggregate.observe(partial, key, 1) && state.keys.insert(*key) {
-                            state.since_base.push(*key);
+                        if aggregate.observe(partial, key, 1) {
+                            state.arrived.push(*key);
                         }
                     }
                     if is_replay {
@@ -520,6 +554,8 @@ where
                         .remove(&window)
                         .and_then(|open| open.partial)
                         .unwrap_or_else(|| aggregate.empty());
+                    // The next window to open starts at this one's size.
+                    room = Some(aggregate.with_room(&partial));
                     let closed_at = Instant::now();
                     for (shard, slice) in aggregate
                         .shard(partial, aggregators)
@@ -579,6 +615,8 @@ where
         state.open.is_empty(),
         "all windows must be closed by end of stream"
     );
+    // Keys past the last close (none on a complete stream) still count.
+    state.drain_arrived();
     WorkerStageReport {
         processed: state.processed,
         phase_counts: state.phase_counts,
@@ -597,6 +635,7 @@ where
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
+    use std::sync::Arc;
     use std::thread;
 
     use slb_core::{CountAggregate, PartitionerKind};
@@ -606,6 +645,7 @@ mod tests {
     };
     use super::super::{run_source_stage, EngineConfig, NoRecovery};
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::transport::PartialReceiver;
     use crate::windows::source_stream;
 
@@ -828,82 +868,186 @@ mod tests {
         assert!(records.iter().filter(|r| r.0).count() >= 3);
     }
 
-    /// Two sources out of step: source 0 runs a whole window ahead, so at
-    /// every close the next window's partial is already open and holds keys
-    /// — some of them keys the closing window is about to see for the first
-    /// time from source 1. The worker consults its key set only for a key
-    /// new to its window's partial; what it records must still be what a
-    /// set consulted at every tuple records: `state_keys`, and in the
-    /// checkpoint log every key exactly once, in the record of the close
-    /// that followed its first arrival.
-    #[test]
-    fn state_keys_match_a_per_tuple_set_when_windows_overlap() {
-        use slb_core::CheckpointDelta;
-        use std::collections::HashSet;
+    /// One message of a hand-written script: a batch of `keys`, or — with
+    /// `keys: None` — a close marker.
+    #[derive(Clone)]
+    struct Step {
+        source: usize,
+        window: WindowId,
+        seq: u64,
+        keys: Option<Vec<KeyId>>,
+    }
+
+    impl Step {
+        fn message(&self) -> SourceMessage {
+            let (window, source, seq) = (self.window, self.source, self.seq);
+            match &self.keys {
+                Some(keys) => SourceMessage::Batch(crate::transport::TupleBatch {
+                    keys: keys.clone(),
+                    window,
+                    source,
+                    seq,
+                    emitted_at: Instant::now(),
+                }),
+                None => SourceMessage::CloseWindow {
+                    window,
+                    source,
+                    seq,
+                },
+            }
+        }
+    }
+
+    /// Six windows from two sources into one worker and one aggregator.
+    fn overlap_plan() -> StagePlan {
         let mut cfg = tiny_supervised_config();
         cfg.sources = 2;
         cfg.messages = 2 * 6 * cfg.window_size;
         let plan = cfg.stage_plan();
-        let windows = plan.total_windows();
-        assert_eq!(windows, 6);
+        assert_eq!(plan.total_windows(), 6);
+        plan
+    }
 
+    /// Two sources out of step: source 0 finishes window w + 1 before
+    /// source 1 starts window w. One 120-key batch per source and window:
+    /// many repeats within a window, most keys shared with the windows
+    /// around it, a few new ones every window.
+    fn overlapping_script(windows: u64) -> Vec<Step> {
         let mut rng = 0x0dd_ba11_u64;
-        let mut batch = |source: usize, window: WindowId, seq: u64| {
+        let mut batch = |source: usize, window: WindowId| {
             let keys = (0..120)
                 .map(|_| {
                     rng ^= rng << 13;
                     rng ^= rng >> 7;
                     rng ^= rng << 17;
-                    // Many repeats within a window, most keys shared with
-                    // the windows around it, a few new ones every window.
                     rng % (60 + 40 * window)
                 })
                 .collect();
-            SourceMessage::Batch(crate::transport::TupleBatch {
-                keys,
-                window,
+            Step {
                 source,
-                seq,
-                emitted_at: Instant::now(),
-            })
+                window,
+                seq: 2 * window,
+                keys: Some(keys),
+            }
         };
-        let close = |source: usize, window: WindowId, seq: u64| SourceMessage::CloseWindow {
-            window,
+        let close = |source: usize, window: WindowId| Step {
             source,
-            seq,
+            window,
+            seq: 2 * window + 1,
+            keys: None,
         };
-        // Source 0 finishes window w + 1 before source 1 starts window w.
-        let mut script = vec![batch(0, 0, 0), close(0, 0, 1)];
+        let mut script = vec![batch(0, 0), close(0, 0)];
         for w in 0..windows {
             if w + 1 < windows {
-                script.push(batch(0, w + 1, 2 * (w + 1)));
-                script.push(close(0, w + 1, 2 * (w + 1) + 1));
+                script.push(batch(0, w + 1));
+                script.push(close(0, w + 1));
             }
-            script.push(batch(1, w, 2 * w));
-            script.push(close(1, w, 2 * w + 1));
+            script.push(batch(1, w));
+            script.push(close(1, w));
         }
+        script
+    }
+
+    /// Runs worker 0 of `plan` as an in-process recoverable stage over
+    /// `script`, queued up front, and stands in for its sources: a restore
+    /// asks every source for a replay at once, and the script's steps from
+    /// the requested cursors are queued again, in script order. Returns the
+    /// report and the partial each window shipped.
+    fn run_scripted(
+        plan: &StagePlan,
+        script: &[Step],
+    ) -> (WorkerStageReport, BTreeMap<WindowId, CountPartial>) {
+        assert_eq!(plan.aggregators, 1);
+        let (sender, receiver) = crossbeam_channel::bounded(2 * script.len());
+        for step in script {
+            sender.send(step.message()).expect("queue holds the script");
+        }
+        let windows = plan.total_windows() as usize;
+        let (partial_sender, partial_receiver) = crossbeam_channel::bounded(2 * windows);
+        let (controls, requests): (Vec<_>, Vec<_>) =
+            (0..plan.sources).map(|_| mpsc::channel()).unzip();
+        let report = thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                run_worker_stage(
+                    plan,
+                    0,
+                    Instant::now(),
+                    &CountAggregate,
+                    receiver,
+                    &[partial_sender],
+                    WorkerRecovery::Feedback(controls),
+                    &HopTelemetry::default(),
+                )
+            });
+            // Without a restore, the worker lets its sources go after its
+            // last window and every `recv` ends.
+            let cursors: Vec<Option<u64>> = requests
+                .iter()
+                .map(|requests| match requests.recv() {
+                    Ok(SourceControlEvent::Rejoin { from_seq, .. }) => Some(from_seq),
+                    _ => None,
+                })
+                .collect();
+            for step in script {
+                let from = cursors.get(step.source).copied().flatten();
+                if from.is_some_and(|from| step.seq >= from) {
+                    sender.send(step.message()).expect("queue holds the replay");
+                }
+            }
+            drop(sender);
+            worker.join().expect("worker thread panicked")
+        });
+        let mut shipped: BTreeMap<WindowId, CountPartial> = BTreeMap::new();
+        while let Ok(pw) = partial_receiver.try_recv() {
+            let PartialWindow {
+                window, partial, ..
+            } = pw;
+            assert!(
+                shipped.insert(window, partial).is_none(),
+                "window {window} shipped twice"
+            );
+        }
+        (report, shipped)
+    }
+
+    /// Two sources out of step: source 0 runs a whole window ahead, so at
+    /// every close the next window's partial is already open and holds keys
+    /// — some of them keys the closing window is about to see for the first
+    /// time from source 1. The worker files a key into its key set at the
+    /// close after it was new to its window's partial; what it records must
+    /// still be what a set consulted at every tuple records: `state_keys`,
+    /// and in the checkpoint log every key exactly once, in the record of
+    /// the close that followed its first arrival.
+    #[test]
+    fn state_keys_match_a_per_tuple_set_when_windows_overlap() {
+        use slb_core::CheckpointDelta;
+        use std::collections::HashSet;
+        let plan = overlap_plan();
+        let windows = plan.total_windows();
+        let script = overlapping_script(windows);
 
         // The reference: one set, asked at every tuple.
         let mut seen: HashSet<KeyId> = HashSet::new();
         let mut fresh: Vec<KeyId> = Vec::new();
         // Per close: every key so far, and the keys new since the last close.
         let mut expected: Vec<(Vec<KeyId>, Vec<KeyId>)> = Vec::new();
-        for message in &script {
-            match message {
-                SourceMessage::Batch(batch) => {
-                    for &key in &batch.keys {
+        for step in &script {
+            match &step.keys {
+                Some(keys) => {
+                    for &key in keys {
                         if seen.insert(key) {
                             fresh.push(key);
                         }
                     }
                 }
-                SourceMessage::CloseWindow { source: 1, .. } => {
+                // Source 1's marker is the window's last: the close.
+                None if step.source == 1 => {
                     let mut all: Vec<KeyId> = seen.iter().copied().collect();
                     all.sort_unstable();
                     fresh.sort_unstable();
                     expected.push((all, std::mem::take(&mut fresh)));
                 }
-                SourceMessage::CloseWindow { .. } => {}
+                None => {}
             }
         }
         assert!(
@@ -912,8 +1056,10 @@ mod tests {
         );
 
         let (sender, receiver) = crossbeam_channel::bounded(script.len());
-        for message in script {
-            sender.send(message).expect("queue holds the whole script");
+        for step in &script {
+            sender
+                .send(step.message())
+                .expect("queue holds the whole script");
         }
         drop(sender);
         let (partial_sender, _partial_receiver) =
@@ -964,6 +1110,85 @@ mod tests {
             let want = if *is_base { all } else { fresh };
             assert_eq!(keys, want, "close {close} (base: {is_base})");
         }
+    }
+
+    /// A kill between two closes, after the next windows' first keys have
+    /// arrived — queued, not yet in the whole-run key set. The restore
+    /// drops the queue with the rest of the volatile state, the replay
+    /// queues those keys again, and the run ends where the fault-free run
+    /// of the script ends: the same `state_keys`, the same partials, and
+    /// the same checkpoint records — one per close, saved at the same
+    /// closes, the same bytes in total — because the replay reaches every
+    /// close with the same open windows and the same keys to file.
+    #[test]
+    fn a_kill_with_keys_still_queued_restores_the_fault_free_run() {
+        let mut plan = overlap_plan();
+        let script = overlapping_script(plan.total_windows());
+        // Window 2 closes, then source 0's batch of window 4 and source 1's
+        // of window 3 arrive: the kill comes right after the second.
+        let find = |source: usize, window: WindowId, batch: bool| {
+            let step = |s: &Step| (s.source, s.window, s.keys.is_some()) == (source, window, batch);
+            script
+                .iter()
+                .position(step)
+                .expect("the script has the step")
+        };
+        let (closed, at) = (find(1, 2, false), find(1, 3, true));
+        assert!(closed < at && script[closed..at].iter().any(|s| s.window == 4));
+        let kill_at: u64 = script[..=at]
+            .iter()
+            .filter_map(|s| s.keys.as_ref())
+            .map(|keys| keys.len() as u64)
+            .sum();
+
+        let (clean, clean_shipped) = run_scripted(&plan, &script);
+        plan.faults = Arc::new(FaultPlan::none().kill_worker(0, kill_at));
+        let (killed, killed_shipped) = run_scripted(&plan, &script);
+
+        assert_eq!(clean.recovery.restores, 0);
+        assert_eq!(killed.recovery.restores, 1);
+        assert_eq!(killed.recovery.replay_requests, 2);
+        assert!(killed.recovery.duplicates_dropped > 0);
+        assert_eq!(killed.state_keys, clean.state_keys);
+        assert_eq!(killed.processed, clean.processed);
+        assert_eq!(killed.windows_closed, clean.windows_closed);
+        assert_eq!(killed_shipped, clean_shipped);
+        assert_eq!(killed.checkpoints, clean.checkpoints);
+        assert_eq!(killed.checkpoint_bytes, clean.checkpoint_bytes);
+        // The restore's own events sit between them in the killed run's
+        // trace, so compare everything but the event numbers.
+        let closes_and_saves = |report: &WorkerStageReport| -> Vec<(u8, u64, u64, u64)> {
+            let kinds = [trace_kind::WINDOW_CLOSE, trace_kind::CHECKPOINT_SAVE];
+            let events = report.trace.iter().filter(|e| kinds.contains(&e.kind));
+            events.map(|e| (e.kind, e.window, e.a, e.b)).collect()
+        };
+        assert_eq!(closes_and_saves(&killed), closes_and_saves(&clean));
+    }
+
+    /// A well-formed message naming a source the plan does not have (a
+    /// stray peer on a data port) is shed and counted as a transport error;
+    /// the run around it is the run without it.
+    #[test]
+    fn a_message_from_no_source_of_the_plan_is_shed() {
+        let plan = overlap_plan();
+        let script = overlapping_script(plan.total_windows());
+        let stray = Step {
+            source: plan.sources,
+            window: 0,
+            seq: 0,
+            keys: Some(vec![7; 3]),
+        };
+        let with_stray: Vec<Step> = std::iter::once(stray).chain(script.clone()).collect();
+
+        let (clean, clean_shipped) = run_scripted(&plan, &script);
+        let (strayed, strayed_shipped) = run_scripted(&plan, &with_stray);
+
+        assert_eq!(clean.recovery.transport_errors, 0);
+        assert_eq!(strayed.recovery.transport_errors, 1);
+        assert_eq!(strayed.windows_closed, plan.total_windows());
+        assert_eq!(strayed.processed, clean.processed);
+        assert_eq!(strayed.state_keys, clean.state_keys);
+        assert_eq!(strayed_shipped, clean_shipped);
     }
 
     #[test]

@@ -215,9 +215,11 @@ pub struct RecoveryMetrics {
     /// Replay requests issued upstream (gap detected or post-crash resume).
     pub replay_requests: u64,
     /// Transport-level receive errors survived (a reader thread reporting a
-    /// malformed frame or failed read instead of a clean EOF). Zero on a
-    /// healthy run; nonzero means a peer died mid-frame and the stage kept
-    /// going on the remaining connections.
+    /// malformed frame or failed read instead of a clean EOF), plus
+    /// well-formed messages shed for naming a source or worker outside the
+    /// plan. Zero on a healthy run; nonzero means a peer died mid-frame (or
+    /// a stray one wrote to a data port) and the stage kept going on the
+    /// remaining connections.
     pub transport_errors: u64,
 }
 
