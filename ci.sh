@@ -117,6 +117,18 @@ if [ "$warmups" != 1 ] || [ "$in_new" != 1 ]; then
     exit 1
 fi
 
+echo "==> one way to build a partitioner: build_partitioner, also at every rebuild; one routing loop, the trait's"
+# A scheme keeps no routing table, so a new worker count is a fresh build. The
+# trait carries what its callers use; route_batch is its provided method only.
+if grep -rnE 'fn rescale\b|\.rescale\(' crates src examples tests ||
+    sed -n '/^pub trait Partitioner/,/^}/p' crates/slb-core/src/partitioner.rs |
+    grep -nE 'fn (name|workers|rescale)\(' ||
+    grep -rn 'fn route_batch' crates/slb-core/src | grep -v '^crates/slb-core/src/partitioner.rs:'; then
+    echo "a partitioner is built, and rebuilt for a new worker count, by build_partitioner(kind, &config) only;"
+    echo "the Partitioner trait has no rescale / name / workers, and no scheme outside partitioner.rs overrides route_batch"
+    exit 1
+fi
+
 echo "==> one recovery plane: no worker -> source hop on any transport, no replay-request frame"
 # trace_kind::REPLAY_REQUEST (slb-telemetry, used by slb-engine's worker) is
 # the logical trace event of a worker asking, and stays; the wire tag of that
@@ -198,7 +210,7 @@ for seed in 1 42 1337; do
 done
 
 echo "==> property suites at CI case counts"
-PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test aggregate_props --test rescale_props --test checkpoint_props --test durable_props --test controller_props --test head_props
+PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test aggregate_props --test checkpoint_props --test durable_props --test controller_props --test head_props
 # Routing decisions against literals captured before PR 21 (no cases to raise:
 # two fixed streams, six schemes, both sides of the D-Choices solver).
 cargo test -q -p slb-core --test routing_golden

@@ -25,9 +25,9 @@
 //! * **Online `d` re-solving** — when the worker count did *not* change,
 //!   re-run [`find_optimal_choices`] on the current head snapshot and, if
 //!   the optimum moved, retune the partitioner via `apply_choices`. When
-//!   the worker count *did* change, the partitioner is rebuilt by `rescale`
-//!   and the head must be re-learned first, so the retune step is skipped
-//!   for that window.
+//!   the worker count *did* change, the caller builds a fresh partitioner
+//!   ([`crate::build_partitioner`]) and the head must be re-learned first,
+//!   so the retune step is skipped for that window.
 //!
 //! Determinism: both signals are pure functions of the source's own stream
 //! prefix, so the whole decision sequence is too — rerun-, batch-size-, and
@@ -81,13 +81,6 @@ impl ControllerConfig {
         };
         cfg.validate();
         cfg
-    }
-
-    /// Sets the scale-in occupancy bound.
-    pub fn with_scale_in_occupancy(mut self, occupancy: f64) -> Self {
-        self.scale_in_occupancy = occupancy;
-        self.validate();
-        self
     }
 
     /// Sets the patience (consecutive windows before acting).
@@ -161,9 +154,9 @@ impl ControllerConfig {
 /// What a controller decision did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ControllerAction {
-    /// Activated `step` more workers (rescale followed).
+    /// Activated `step` more workers (a fresh partitioner followed).
     ScaleOut,
-    /// Deactivated `step` workers (rescale followed).
+    /// Deactivated `step` workers (a fresh partitioner followed).
     ScaleIn,
     /// Re-solved `d` and the optimum moved (`apply_choices` followed).
     Retune,
@@ -292,8 +285,8 @@ impl ElasticityController {
     /// Step 1 at a window boundary: the activation policy. `window_total`
     /// and `window_max` are the closing window's total tuples and hottest
     /// worker's tuples for *this source*. Returns `Some(new_active)` when
-    /// the worker count changed — the caller must `rescale` its partitioner
-    /// to the new count and skip [`Self::retune`] for this boundary.
+    /// the worker count changed — the caller must build a fresh partitioner
+    /// for the new count and skip [`Self::retune`] for this boundary.
     pub fn observe_window(&mut self, window_total: u64, window_max: u64) -> Option<usize> {
         self.window += 1;
         let scale_out_wanted = window_max > self.cfg.worker_capacity;
@@ -364,8 +357,9 @@ impl ElasticityController {
         Some(solved)
     }
 
-    /// Phase boundaries rebuild the partitioner (the engine always rescales
-    /// there); the controller's `d` view must follow the fresh default.
+    /// Phase boundaries rebuild the partitioner (the engine always builds a
+    /// fresh one there); the controller's `d` view must follow the fresh
+    /// default.
     pub fn note_partitioner_rebuilt(&mut self) {
         self.decision = ChoicesDecision::UseD(2);
     }
@@ -408,7 +402,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "scale_in_occupancy")]
     fn occupancy_above_one_panics() {
-        let _ = cfg().with_scale_in_occupancy(1.5);
+        ControllerConfig {
+            scale_in_occupancy: 1.5,
+            ..cfg()
+        }
+        .validate();
     }
 
     #[test]

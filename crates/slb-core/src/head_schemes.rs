@@ -218,10 +218,10 @@ impl<K: KeyHash + Eq + Hash + Clone> HeadAwarePartitioner<K> {
     fn route_tail(&self, key: &K) -> usize {
         greedy_two(&self.family, &self.loads, key)
     }
+}
 
-    /// The full per-tuple decision, shared by `route` and `route_batch`.
-    #[inline]
-    fn route_one(&mut self, key: &K) -> usize {
+impl<K: KeyHash + Eq + Hash + Clone + 'static> Partitioner<K> for HeadAwarePartitioner<K> {
+    fn route(&mut self, key: &K) -> usize {
         let in_head = self.tracker.observe(key);
         let worker = if in_head {
             self.route_head(key)
@@ -230,43 +230,6 @@ impl<K: KeyHash + Eq + Hash + Clone> HeadAwarePartitioner<K> {
         };
         self.loads.record(worker);
         worker
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        match self.policy {
-            HeadPolicy::DChoices => "D-C",
-            HeadPolicy::WChoices => "W-C",
-            HeadPolicy::RoundRobin => "RR",
-        }
-    }
-}
-
-impl<K: KeyHash + Eq + Hash + Clone + 'static> Partitioner<K> for HeadAwarePartitioner<K> {
-    fn route(&mut self, key: &K) -> usize {
-        self.route_one(key)
-    }
-
-    fn route_batch(&mut self, keys: &[K], out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(keys.len());
-        for key in keys {
-            out.push(self.route_one(key));
-        }
-    }
-
-    fn rescale(&mut self, config: &PartitionConfig) {
-        // Full regeneration, policy preserved: the head must be re-learned
-        // under the new worker count (θ = f(n) changes with n) and every
-        // per-worker structure resized.
-        *self = Self::new(self.policy, config);
-    }
-
-    fn workers(&self) -> usize {
-        self.loads.workers()
-    }
-
-    fn name(&self) -> &'static str {
-        self.scheme_name()
     }
 
     fn local_loads(&self) -> &LoadVector {
@@ -336,17 +299,6 @@ mod tests {
         PartitionConfig::new(n)
             .with_seed(seed)
             .with_solver_interval(100)
-    }
-
-    #[test]
-    fn names_are_reported() {
-        let cfg = config(10, 0);
-        let dc = HeadAwarePartitioner::<u64>::d_choices(&cfg);
-        let wc = HeadAwarePartitioner::<u64>::w_choices(&cfg);
-        let rr = HeadAwarePartitioner::<u64>::round_robin(&cfg);
-        assert_eq!(Partitioner::<u64>::name(&dc), "D-C");
-        assert_eq!(Partitioner::<u64>::name(&wc), "W-C");
-        assert_eq!(Partitioner::<u64>::name(&rr), "RR");
     }
 
     #[test]

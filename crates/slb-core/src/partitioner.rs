@@ -12,7 +12,10 @@
 //!
 //! The power-of-choices schemes (PKG, D-Choices, W-Choices, Round-Robin
 //! head) live in sibling modules; [`crate::build_partitioner`] constructs any
-//! of them from a [`crate::PartitionConfig`].
+//! of them from a [`crate::PartitionConfig`]. It is also the one way to
+//! regenerate a partitioner: a scheme keeps no routing table, so a new worker
+//! count (a phase boundary, a controller decision, an exclusion) is a fresh
+//! build, and routing from there is exactly a new instance's.
 
 use std::hash::Hash;
 
@@ -37,9 +40,10 @@ pub trait Partitioner<K: KeyHash + Eq + Hash + Clone> {
     ///
     /// Semantically identical to calling [`Self::route`] once per key — the
     /// worker sequence and all internal state updates are bit-for-bit the
-    /// same — but dispatched once per batch instead of once per tuple, so a
-    /// boxed partitioner pays one virtual call per batch and implementations
-    /// can keep their hot state in registers across the loop.
+    /// same — but dispatched once per batch instead of once per tuple: a
+    /// boxed partitioner pays one virtual call per batch, and since a
+    /// provided method is compiled once per implementation, the `route` call
+    /// inside the loop is static and inlines. No scheme overrides it.
     fn route_batch(&mut self, keys: &[K], out: &mut Vec<usize>) {
         out.clear();
         out.reserve(keys.len());
@@ -47,26 +51,6 @@ pub trait Partitioner<K: KeyHash + Eq + Hash + Clone> {
             out.push(self.route(key));
         }
     }
-
-    /// Regenerates the partitioner from `config` at a phase boundary —
-    /// typically because the downstream worker count changed (scale-out /
-    /// scale-in) or the workload entered a new regime.
-    ///
-    /// Semantics are **full regeneration**: hash families, load vectors,
-    /// heavy-hitter summaries, cursors, and caches are rebuilt exactly as if
-    /// the partitioner had been constructed fresh from `config`; subsequent
-    /// routing is bit-for-bit identical to a newly built instance. This is
-    /// what a real redeployment does on resize, and it is safe at window
-    /// boundaries: per-window partial aggregates complete entirely within
-    /// one routing regime, so no window ever mixes two worker sets (see
-    /// `slb-workloads::scenario` for the alignment guarantee).
-    fn rescale(&mut self, config: &PartitionConfig);
-
-    /// Number of downstream workers.
-    fn workers(&self) -> usize;
-
-    /// Human-readable name of the scheme (for experiment output).
-    fn name(&self) -> &'static str;
 
     /// The scheme's local estimate of per-worker load (messages sent by this
     /// source to each worker). Used by experiments to audit behaviour; the
@@ -125,40 +109,11 @@ impl KeyGrouping {
     }
 }
 
-impl KeyGrouping {
-    /// The single-hash decision for one key, shared by `route` and
-    /// `route_batch`.
-    #[inline]
-    fn route_one<K: KeyHash + ?Sized>(&mut self, key: &K) -> usize {
+impl<K: KeyHash + Eq + Hash + Clone + 'static> Partitioner<K> for KeyGrouping {
+    fn route(&mut self, key: &K) -> usize {
         let worker = self.family.choice(key, 0);
         self.loads.record(worker);
         worker
-    }
-}
-
-impl<K: KeyHash + Eq + Hash + Clone + 'static> Partitioner<K> for KeyGrouping {
-    fn route(&mut self, key: &K) -> usize {
-        self.route_one(key)
-    }
-
-    fn route_batch(&mut self, keys: &[K], out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(keys.len());
-        for key in keys {
-            out.push(self.route_one(key));
-        }
-    }
-
-    fn rescale(&mut self, config: &PartitionConfig) {
-        *self = KeyGrouping::new(config);
-    }
-
-    fn workers(&self) -> usize {
-        self.family.workers()
-    }
-
-    fn name(&self) -> &'static str {
-        "KG"
     }
 
     fn local_loads(&self) -> &LoadVector {
@@ -210,33 +165,6 @@ impl<K: KeyHash + Eq + Hash + Clone + 'static> Partitioner<K> for ShuffleGroupin
         worker
     }
 
-    fn route_batch(&mut self, keys: &[K], out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(keys.len());
-        let mut next = self.next;
-        for _ in keys {
-            out.push(next);
-            self.loads.record(next);
-            next += 1;
-            if next == self.workers {
-                next = 0;
-            }
-        }
-        self.next = next;
-    }
-
-    fn rescale(&mut self, config: &PartitionConfig) {
-        *self = ShuffleGrouping::new(config);
-    }
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn name(&self) -> &'static str {
-        "SG"
-    }
-
     fn local_loads(&self) -> &LoadVector {
         &self.loads
     }
@@ -266,7 +194,6 @@ mod tests {
             assert_eq!(kg.route(&"alpha"), first);
         }
         assert!(first < 10);
-        assert_eq!(Partitioner::<&str>::name(&kg), "KG");
     }
 
     #[test]

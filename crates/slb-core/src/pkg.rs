@@ -38,14 +38,6 @@ impl PartialKeyGrouping {
     pub fn candidates<K: KeyHash + ?Sized>(&self, key: &K) -> (usize, usize) {
         (self.family.choice(key, 0), self.family.choice(key, 1))
     }
-
-    /// The per-tuple decision, shared by `route` and `route_batch`.
-    #[inline]
-    fn route_one<K: KeyHash + ?Sized>(&mut self, key: &K) -> usize {
-        let worker = greedy_two(&self.family, &self.loads, key);
-        self.loads.record(worker);
-        worker
-    }
 }
 
 /// The Greedy-2 decision for one key: one digest, two derived candidates,
@@ -70,27 +62,9 @@ pub(crate) fn greedy_two<K: KeyHash + ?Sized>(
 
 impl<K: KeyHash + Eq + Hash + Clone + 'static> Partitioner<K> for PartialKeyGrouping {
     fn route(&mut self, key: &K) -> usize {
-        self.route_one(key)
-    }
-
-    fn route_batch(&mut self, keys: &[K], out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(keys.len());
-        for key in keys {
-            out.push(self.route_one(key));
-        }
-    }
-
-    fn rescale(&mut self, config: &PartitionConfig) {
-        *self = PartialKeyGrouping::new(config);
-    }
-
-    fn workers(&self) -> usize {
-        self.family.workers()
-    }
-
-    fn name(&self) -> &'static str {
-        "PKG"
+        let worker = greedy_two(&self.family, &self.loads, key);
+        self.loads.record(worker);
+        worker
     }
 
     fn local_loads(&self) -> &LoadVector {
@@ -209,10 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn name_and_choices() {
+    fn choices_and_width() {
         let mut pkg = PartialKeyGrouping::new(&config(5, 0));
-        assert_eq!(Partitioner::<u64>::name(&pkg), "PKG");
         assert_eq!(Partitioner::<u64>::current_choices(&mut pkg, &1), 2);
-        assert_eq!(Partitioner::<u64>::workers(&pkg), 5);
+        assert_eq!(Partitioner::<u64>::local_loads(&pkg).workers(), 5);
     }
 }

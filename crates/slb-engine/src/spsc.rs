@@ -44,10 +44,13 @@
 //! batches to wrap a `u64`-sized `usize`), so full is `tail - head == cap`
 //! and empty is `tail == head`.
 //!
-//! Closure runs in both directions. Toward the senders, each ring carries a
-//! `consumer_gone` flag (set on receiver drop, `Release`) plus a
-//! channel-level `receiver_gone`, so a blocked push fails with
-//! [`ChannelClosed`] instead of spinning forever. Toward the receiver, an
+//! Closure runs in both directions, one flag or count per channel, never
+//! per ring. Toward the senders, the receiver's drop sets `receiver_gone`
+//! (`Release`) before any of its lanes go, and every push loop checks it
+//! (`Acquire`) on each attempt — whether the lane was adopted or still in
+//! the mailbox — so a push blocked on a full lane fails with
+//! [`ChannelClosed`] instead of spinning forever, and a handle that has not
+//! claimed a lane yet fails before claiming one. Toward the receiver, an
 //! atomic count of live sender handles protects the lane set as a whole:
 //! the receiver reports [`RecvError::Closed`] only after it loads a handle
 //! count of zero (`Acquire`, which synchronizes with every handle's
@@ -116,11 +119,6 @@ struct RingShared<T> {
     head: CachePadded<AtomicUsize>,
     /// Next index the producer will push. Written only by the producer.
     tail: CachePadded<AtomicUsize>,
-    /// Set (Release) when the consumer handle drops: pushes can stop
-    /// blocking, the values will never be read. (There is no producer-side
-    /// twin: end-of-stream is decided per *channel* by the live handle
-    /// count in [`EdgeShared`], not per ring.)
-    consumer_gone: AtomicBool,
 }
 
 // SAFETY: the ring hands each `T` from exactly one thread (the producer,
@@ -142,7 +140,6 @@ impl<T> RingShared<T> {
             cap,
             head: CachePadded(AtomicUsize::new(0)),
             tail: CachePadded(AtomicUsize::new(0)),
-            consumer_gone: AtomicBool::new(false),
         })
     }
 }
@@ -189,12 +186,6 @@ impl<T> Producer<T> {
         Ok(())
     }
 
-    /// True once the consuming half has been dropped: pushed values would
-    /// never be read, so blocking senders give up with [`ChannelClosed`].
-    fn consumer_gone(&self) -> bool {
-        self.ring.consumer_gone.load(Ordering::Acquire)
-    }
-
     /// Values currently in the ring — a racy telemetry snapshot. `tail` is
     /// this producer's own exact index; the consumer's `head` is loaded
     /// Relaxed, so the result can only over-estimate (the consumer drains
@@ -229,12 +220,6 @@ impl<T> Consumer<T> {
         self.head = self.head.wrapping_add(1);
         self.ring.head.0.store(self.head, Ordering::Release);
         Some(value)
-    }
-}
-
-impl<T> Drop for Consumer<T> {
-    fn drop(&mut self) {
-        self.ring.consumer_gone.store(true, Ordering::Release);
     }
 }
 
@@ -286,7 +271,8 @@ struct EdgeShared<T> {
     /// the receiver only takes the mailbox lock when something is new.
     announced: AtomicUsize,
     /// Set when the receiver drops, so senders fail fast instead of
-    /// blocking forever on a lane nobody will ever drain.
+    /// blocking forever on a lane nobody will ever drain — the one closure
+    /// signal toward the senders.
     receiver_gone: AtomicBool,
 }
 
@@ -361,7 +347,7 @@ impl<T: Send + 'static> SpscSender<T> {
         let mut value = value;
         let mut backoff = Backoff::new();
         loop {
-            if lane.producer.consumer_gone() || self.edge.receiver_gone.load(Ordering::Acquire) {
+            if self.edge.receiver_gone.load(Ordering::Acquire) {
                 return Err(ChannelClosed);
             }
             match lane.producer.try_push(value) {
@@ -422,11 +408,10 @@ pub struct SpscReceiver<T> {
 
 impl<T> Drop for SpscReceiver<T> {
     fn drop(&mut self) {
+        // First the flag: every sender, blocked or not, fails from here on.
         self.edge.receiver_gone.store(true, Ordering::Release);
-        // Adopt-and-drop any lanes still in the mailbox so their
-        // `consumer_gone` flags release senders blocked on a full ring. A
-        // lane claimed after this drain is caught by `receiver_gone` in
-        // the sender's push loop instead.
+        // Then free the lanes still in the mailbox now rather than with the
+        // last sender handle: nobody will drain their frames.
         self.edge
             .pending
             .lock()
@@ -728,6 +713,33 @@ mod tests {
         // A handle that never claimed a lane fails fast too.
         let fresh = tx.clone();
         assert_eq!(PartialSender::send(&fresh, partial(2)), Err(ChannelClosed));
+    }
+
+    #[test]
+    fn blocked_sender_fails_once_receiver_drops() {
+        // A sender spinning on a full lane is released by the receiver's
+        // drop, whether the receiver had adopted that lane or not.
+        for adopt_first in [false, true] {
+            let (tx, rx) = edge::<PartialWindow<u64>>(2, false);
+            let (full_tx, full_rx) = std::sync::mpsc::channel();
+            let sender = thread::spawn(move || {
+                PartialSender::send(&tx, partial(0)).unwrap();
+                PartialSender::send(&tx, partial(1)).unwrap();
+                full_tx.send(()).unwrap();
+                PartialSender::send(&tx, partial(2))
+            });
+            full_rx.recv().unwrap();
+            if adopt_first {
+                rx.adopt_lanes(&mut rx.inner.borrow_mut());
+                assert_eq!(rx.inner.borrow().lanes.len(), 1);
+            }
+            // Makes "the third send is already backing off" the likely
+            // interleaving; the other one (the drop lands first) must end
+            // in `ChannelClosed` too.
+            thread::sleep(Duration::from_millis(20));
+            drop(rx);
+            assert_eq!(sender.join().unwrap(), Err(ChannelClosed));
+        }
     }
 
     #[test]

@@ -62,14 +62,13 @@
 //! and per-worker service-time multipliers. A plain [`EngineConfig`] run is
 //! the one-phase special case; a [`ScenarioConfig`] run executes a
 //! [`Scenario`](slb_workloads::Scenario) with as many phases as the spec
-//! declares. At each phase boundary every source regenerates its
-//! partitioner for the phase's worker count
-//! ([`slb_core::Partitioner::rescale`]) and switches to the phase's key
-//! stream. Worker threads are spawned for the *maximum* worker count up
-//! front; phases activate a prefix of them, and inactive workers merely
-//! relay window punctuation, so the aggregation invariant ("every worker
-//! contributes one partial per window") is preserved across scale-out and
-//! scale-in. Phases are aligned to window boundaries by construction (see
+//! declares. At each phase boundary every source builds a fresh partitioner
+//! for the phase's worker count ([`slb_core::build_partitioner`]) and
+//! switches to the phase's key stream. Worker threads are spawned for the
+//! *maximum* worker count up front; phases activate a prefix of them, and
+//! inactive workers merely relay window punctuation, so the aggregation
+//! invariant ("every worker contributes one partial per window") is
+//! preserved across scale-out and scale-in. Phases are aligned to window boundaries by construction (see
 //! `slb-workloads::scenario`), so no window ever mixes two routing regimes.
 //!
 //! ## Batched transport

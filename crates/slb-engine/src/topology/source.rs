@@ -67,8 +67,8 @@ pub enum SourceControlEvent {
         from_seq: u64,
     },
     /// A worker exhausted its respawn budget: stop routing to it from the
-    /// next window boundary on (the only point where routing state may
-    /// change; see [`Partitioner::rescale`]).
+    /// next window boundary on (the only point where the partitioner may be
+    /// rebuilt).
     Exclude {
         /// The permanently failed worker.
         worker: usize,
@@ -434,7 +434,7 @@ struct SourceDriver<'a, S> {
     next_seq: Vec<u64>,
 }
 
-/// The partitioner configuration a source builds/rescales with for
+/// The partitioner configuration a source builds with for
 /// `active` routed slots: the plan's seed and solver mode, paper defaults
 /// otherwise.
 fn partition_config(plan: &StagePlan, active: usize) -> PartitionConfig {
@@ -494,15 +494,16 @@ impl<'a, S: KeyStream + Clone> SourceDriver<'a, S> {
         }
     }
 
-    /// Re-derives the routed set for `width` active workers and rescales the
-    /// partitioner to it in place — bit-for-bit equivalent to a fresh build
-    /// (see slb-core's rescale_props suite), and the same split-minimising
-    /// move for a planned phase change, a controller decision and a
-    /// supervisor exclusion.
+    /// Re-derives the routed set for `width` active workers and builds a
+    /// fresh partitioner over it — the same split-minimising move for a
+    /// planned phase change, a controller decision and a supervisor
+    /// exclusion.
     fn reroute(&mut self, width: usize) {
         self.active = active_workers(width, &self.excluded);
-        self.partitioner
-            .rescale(&partition_config(self.plan, self.active.len()));
+        self.partitioner = build_partitioner(
+            self.plan.kind,
+            &partition_config(self.plan, self.active.len()),
+        );
     }
 
     /// [`Self::reroute`] to the width in force — the controller's active

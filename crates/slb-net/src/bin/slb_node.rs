@@ -180,6 +180,10 @@ fn run_orchestrate(args: &[String]) {
         Ok(spec) => spec,
         Err(e) => fail(&format!("parsing {spec_path}: {e}")),
     };
+    let plan = match spec.stage_plan() {
+        Ok(plan) => plan,
+        Err(e) => fail(&format!("resolving {spec_path}: {e}")),
+    };
     let node_exe = match std::env::current_exe() {
         Ok(path) => path,
         Err(e) => fail(&format!("locating own binary: {e}")),
@@ -188,9 +192,9 @@ fn run_orchestrate(args: &[String]) {
         "slb-node",
         &format!(
             "orchestrate: {} sources, {} workers, {} aggregators over TCP loopback{}",
-            spec.sources(),
-            spec.workers(),
-            spec.aggregators(),
+            plan.sources,
+            plan.spawned_workers,
+            plan.aggregators,
             if options.fault_tolerant {
                 " (supervised)"
             } else {

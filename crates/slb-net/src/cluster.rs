@@ -97,37 +97,6 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// Number of source processes.
-    pub fn sources(&self) -> usize {
-        match &self.run {
-            RunSpec::Engine(cfg) => cfg.sources,
-            RunSpec::Scenario(cfg) => cfg.scenario.sources,
-        }
-    }
-
-    /// Number of worker processes (the spawned universe; scenario phases
-    /// activate a prefix).
-    pub fn workers(&self) -> usize {
-        match &self.run {
-            RunSpec::Engine(cfg) => match &cfg.controller {
-                Some(c) => cfg.workers.max(c.max_workers),
-                None => cfg.workers,
-            },
-            RunSpec::Scenario(cfg) => match &cfg.controller {
-                Some(c) => cfg.scenario.max_workers().max(c.max_workers),
-                None => cfg.scenario.max_workers(),
-            },
-        }
-    }
-
-    /// Number of aggregator processes.
-    pub fn aggregators(&self) -> usize {
-        match &self.run {
-            RunSpec::Engine(cfg) => cfg.aggregators,
-            RunSpec::Scenario(cfg) => cfg.aggregators,
-        }
-    }
-
     /// The resolved plan every node runs its stage of, or the first rule a
     /// structurally invalid config breaks.
     pub fn stage_plan(&self) -> Result<StagePlan, String> {
@@ -523,14 +492,12 @@ mod tests {
 
     #[test]
     fn node_counts_follow_the_config() {
-        let engine = engine_spec();
-        assert_eq!(engine.sources(), 2);
-        assert_eq!(engine.workers(), 4);
-        assert_eq!(engine.aggregators(), 2);
-        let scenario = scenario_spec();
-        assert_eq!(scenario.sources(), 2);
-        assert_eq!(scenario.workers(), 5, "max over phases");
-        assert_eq!(scenario.aggregators(), 2);
+        let counts = |spec: ClusterSpec| {
+            let plan = spec.stage_plan().expect("fixture resolves");
+            (plan.sources, plan.spawned_workers, plan.aggregators)
+        };
+        assert_eq!(counts(engine_spec()), (2, 4, 2));
+        assert_eq!(counts(scenario_spec()), (2, 5, 2), "max over phases");
     }
 
     #[test]

@@ -51,7 +51,8 @@
 //! and once the stage returns it hands the connection back for the final
 //! `Metrics` frame and the report. Nothing in the control plane sleeps or
 //! locks, and the node's two blocking reads of the control connection (for
-//! `Start`, and an aggregator's for `Release`) give up at
+//! `Start`, and an aggregator's for `Release`) and a worker's or an
+//! aggregator's wait for its upstream data connections give up at
 //! `supervisor::CONTROL_TIMEOUT`.
 //!
 //! ## Fault tolerance
@@ -214,14 +215,37 @@ fn dial(port: u16) -> Result<TcpStream, String> {
         .map_err(|e| io_err("dialing data port failed", e))
 }
 
-/// Accepts the data connections of a stage's `peers` upstream instances.
-fn accept_peers(listener: &TcpListener, peers: usize) -> Result<Vec<TcpStream>, String> {
-    (0..peers)
-        .map(|_| match listener.accept() {
-            Ok((stream, _)) => Ok(stream),
-            Err(e) => Err(io_err("accepting data connection", e)),
-        })
-        .collect()
+/// Accepts the data connections of a stage's `peers` upstream instances,
+/// waiting for them for at most `deadline`: an upstream peer that never
+/// dials ends the wait in an error that says how many did.
+fn accept_peers(
+    listener: &TcpListener,
+    peers: usize,
+    deadline: Duration,
+) -> Result<Vec<TcpStream>, String> {
+    let until = Instant::now() + deadline;
+    let mut streams = Vec::with_capacity(peers);
+    while streams.len() < peers {
+        let now = Instant::now();
+        if now >= until {
+            return Err(format!(
+                "accepted {} of {peers} data connections within {deadline:?}",
+                streams.len()
+            ));
+        }
+        let mut fds = [poll::PollFd::readable(listener.as_raw_fd())];
+        poll::wait_readable(&mut fds, poll::timeout_until(Some(until), now))
+            .map_err(|e| io_err("waiting for data connections", e))?;
+        // A readable listener has a connection queued: accepting it does not
+        // block.
+        if fds[0].is_ready() {
+            let (stream, _) = listener
+                .accept()
+                .map_err(|e| io_err("accepting data connection", e))?;
+            streams.push(stream);
+        }
+    }
+    Ok(streams)
 }
 
 /// Reads a millisecond count from the environment variable `var`; `None`
@@ -767,7 +791,7 @@ impl Node {
         initial: Option<&WorkerCheckpoint>,
     ) -> Result<(), String> {
         let (index, epoch, plan) = (self.index, self.epoch, &self.plan);
-        let incoming = accept_peers(listener, plan.sources)?;
+        let incoming = accept_peers(listener, plan.sources, CONTROL_TIMEOUT)?;
         let capacity = capacity_in_batches(plan.queue_capacity, plan.batch_size);
         let receiver = TcpTupleReceiver::spawn(incoming, epoch, capacity);
         let window = partial_channel_capacity(plan.spawned_workers);
@@ -803,7 +827,7 @@ impl Node {
     /// which also forwards exclusions into the stage and ticks live metrics.
     fn aggregator(&self, mut control: ControlLoop, listener: TcpListener) -> Result<(), String> {
         let (index, epoch, plan) = (self.index, self.epoch, &self.plan);
-        let incoming = accept_peers(&listener, plan.spawned_workers)?;
+        let incoming = accept_peers(&listener, plan.spawned_workers, CONTROL_TIMEOUT)?;
         let capacity = partial_channel_capacity(plan.spawned_workers);
         let (forward, exclusions) = mpsc::channel();
         let forward = move |frame| {
@@ -962,5 +986,26 @@ mod tests {
             "sat out the deadline"
         );
         assert!(err.contains("closed"), "{err}");
+    }
+
+    /// A stage's wait for its upstream data connections is bounded too: a
+    /// peer that never dials ends it at the deadline with a count of those
+    /// that did; when all of them dial, all of them come back.
+    #[test]
+    fn accept_peers_ends_at_its_deadline_and_counts_who_dialed() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let short = Duration::from_millis(60);
+
+        let _one = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        let err = accept_peers(&listener, 2, short).unwrap_err();
+        assert!(started.elapsed() >= short, "gave up early: {err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "overslept");
+        assert!(err.contains("accepted 1 of 2 data connections"), "{err}");
+
+        let _both = [addr, addr].map(|a| TcpStream::connect(a).unwrap());
+        let streams = accept_peers(&listener, 2, Duration::from_secs(5)).unwrap();
+        assert_eq!(streams.len(), 2);
     }
 }

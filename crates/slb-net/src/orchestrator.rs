@@ -186,7 +186,7 @@ impl Cluster<'_> {
                 .map_err(|e| io_err("creating metrics.jsonl", e))?;
             self.metrics = Some(BufWriter::new(file));
         }
-        let nodes = [spec.sources(), spec.workers(), spec.aggregators()];
+        let nodes = [plan.sources, plan.spawned_workers, plan.aggregators];
         for (role, count) in ROLES.into_iter().zip(nodes) {
             for index in 0..count {
                 self.spawn(role, index, false)?;

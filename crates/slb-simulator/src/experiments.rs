@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use slb_core::{
-    d_fraction, estimated_replicas, find_optimal_choices, relative_overhead_pct, HeadThreshold,
-    MemoryScheme, PartitionConfig, PartitionerKind,
+    d_fraction, find_optimal_choices, relative_overhead_pct, HeadThreshold, MemoryScheme,
+    PartitionConfig, PartitionerKind,
 };
 use slb_workloads::datasets::{Dataset, Scale, SyntheticDataset};
 use slb_workloads::zipf::{ZipfDistribution, ZipfGenerator};
@@ -325,60 +325,6 @@ pub fn memory_overhead_vs_skew(
         }
     }
     rows
-}
-
-/// Absolute estimated replica counts for every scheme (supporting data for
-/// Figures 5/6 and the Section IV-B discussion).
-pub fn absolute_memory(
-    workers: usize,
-    keys: usize,
-    messages: u64,
-    z: f64,
-    epsilon: f64,
-) -> Vec<(String, u64)> {
-    let dist = ZipfDistribution::new(keys, z);
-    let counts: Vec<u64> = dist
-        .probabilities()
-        .iter()
-        .map(|p| (p * messages as f64).round() as u64)
-        .collect();
-    let theta = HeadThreshold::DEFAULT.frequency(workers);
-    let head_cardinality = dist.head_cardinality(theta);
-    let head: Vec<f64> = dist.probabilities()[..head_cardinality].to_vec();
-    let tail_mass = 1.0 - head.iter().sum::<f64>();
-    let d = find_optimal_choices(&head, tail_mass, workers, epsilon).effective_d(workers);
-    vec![
-        (
-            "KG".to_string(),
-            estimated_replicas(
-                &counts,
-                head_cardinality,
-                workers,
-                MemoryScheme::KeyGrouping,
-            ),
-        ),
-        (
-            "PKG".to_string(),
-            estimated_replicas(&counts, head_cardinality, workers, MemoryScheme::Pkg),
-        ),
-        (
-            "D-C".to_string(),
-            estimated_replicas(
-                &counts,
-                head_cardinality,
-                workers,
-                MemoryScheme::DChoices { d },
-            ),
-        ),
-        (
-            "W-C".to_string(),
-            estimated_replicas(&counts, head_cardinality, workers, MemoryScheme::WChoices),
-        ),
-        (
-            "SG".to_string(),
-            estimated_replicas(&counts, head_cardinality, workers, MemoryScheme::Shuffle),
-        ),
-    ]
 }
 
 // ---------------------------------------------------------------------------

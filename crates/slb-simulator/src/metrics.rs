@@ -60,17 +60,6 @@ pub struct SimulationResult {
     pub head_tail: Option<HeadTailLoad>,
 }
 
-impl SimulationResult {
-    /// Fraction of total load on the most loaded worker.
-    pub fn max_load_fraction(&self) -> f64 {
-        if self.messages == 0 {
-            return 0.0;
-        }
-        let max = self.worker_loads.iter().copied().max().unwrap_or(0);
-        max as f64 / self.messages as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,39 +73,5 @@ mod tests {
         let total = ht.total();
         assert!((total[0] - 0.4).abs() < 1e-12);
         assert!((total[1] - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_load_fraction_handles_empty_run() {
-        let r = SimulationResult {
-            scheme: "PKG".into(),
-            workers: 2,
-            sources: 1,
-            messages: 0,
-            worker_loads: vec![0, 0],
-            imbalance: 0.0,
-            mean_imbalance: 0.0,
-            time_series: vec![],
-            observed_replicas: None,
-            head_tail: None,
-        };
-        assert_eq!(r.max_load_fraction(), 0.0);
-    }
-
-    #[test]
-    fn max_load_fraction_computes_share() {
-        let r = SimulationResult {
-            scheme: "KG".into(),
-            workers: 2,
-            sources: 1,
-            messages: 10,
-            worker_loads: vec![7, 3],
-            imbalance: 0.2,
-            mean_imbalance: 0.2,
-            time_series: vec![],
-            observed_replicas: Some(2),
-            head_tail: None,
-        };
-        assert!((r.max_load_fraction() - 0.7).abs() < 1e-12);
     }
 }

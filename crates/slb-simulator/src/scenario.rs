@@ -10,8 +10,8 @@
 //! its routed share is scaled by its service-time multiplier).
 //!
 //! Because both executors construct streams through
-//! [`Scenario::phase_stream`] and regenerate partitioners with
-//! [`slb_core::Partitioner::rescale`] under identical configurations, the
+//! [`Scenario::phase_stream`] and build every phase's partitioners with
+//! [`slb_core::build_partitioner`] under identical configurations, the
 //! simulator's per-phase counts are *exactly* — not statistically — equal to
 //! the engine's (`slb-engine/tests/scenario_differential.rs` pins this).
 
@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 
 use slb_core::{
     build_partitioner, imbalance_fractions, ControllerConfig, ControllerMetrics,
-    ElasticityController, PartitionConfig, Partitioner, PartitionerKind, PerWindowLoads,
-    PhaseLoadMatrix, SolverMode,
+    ElasticityController, PartitionConfig, PartitionerKind, PerWindowLoads, PhaseLoadMatrix,
+    SolverMode,
 };
 use slb_workloads::{KeyId, KeyStream, Scenario};
 
@@ -67,19 +67,13 @@ pub fn simulate_scenario(kind: PartitionerKind, scenario: &Scenario) -> Scenario
     }
     let n_phases = scenario.phases.len();
     let mut matrix = PhaseLoadMatrix::new(n_phases, scenario.max_workers());
-    // One partitioner per source, regenerated at every phase boundary with
-    // the phase's worker count — the exact rule the engine's source threads
-    // follow, so routing decisions match tuple for tuple.
-    let mut partitioners: Vec<Option<Box<dyn Partitioner<KeyId>>>> =
-        (0..scenario.sources).map(|_| None).collect();
+    // One fresh partitioner per source and phase, built for the phase's
+    // worker count — the exact rule the engine's source threads follow, so
+    // routing decisions match tuple for tuple.
     for (p, phase) in scenario.phases.iter().enumerate() {
         let partition = PartitionConfig::new(phase.workers).with_seed(scenario.seed);
-        for (source, slot) in partitioners.iter_mut().enumerate() {
-            match slot.as_mut() {
-                None => *slot = Some(build_partitioner::<KeyId>(kind, &partition)),
-                Some(part) => part.rescale(&partition),
-            }
-            let part = slot.as_mut().expect("partitioner built above");
+        for source in 0..scenario.sources {
+            let mut part = build_partitioner::<KeyId>(kind, &partition);
             let mut stream = scenario.phase_stream(p, source);
             while let Some(key) = stream.next_key() {
                 let worker = part.route(&key);
@@ -172,24 +166,20 @@ pub fn simulate_scenario_controlled(
             scenario.phases[0].workers,
         );
         let mut window_loads = PerWindowLoads::new(spawned);
-        let mut partitioner: Option<Box<dyn Partitioner<KeyId>>> = None;
+        let build = |workers: usize| {
+            let config = PartitionConfig::new(workers)
+                .with_seed(scenario.seed)
+                .with_solver(SolverMode::External);
+            build_partitioner::<KeyId>(kind, &config)
+        };
         for (p, phase) in scenario.phases.iter().enumerate() {
             // The controller owns the active count: phase worker counts are
             // advisory only (they seeded the controller's initial count).
+            // Every phase starts from a fresh partitioner; at the first one
+            // the controller's `d` view already is the fresh default.
             let mut active = ctrl.active_workers();
-            let config = |workers: usize| {
-                PartitionConfig::new(workers)
-                    .with_seed(scenario.seed)
-                    .with_solver(SolverMode::External)
-            };
-            match partitioner.as_mut() {
-                None => partitioner = Some(build_partitioner::<KeyId>(kind, &config(active))),
-                Some(part) => {
-                    part.rescale(&config(active));
-                    ctrl.note_partitioner_rebuilt();
-                }
-            }
-            let part = partitioner.as_mut().expect("partitioner built above");
+            let mut part = build(active);
+            ctrl.note_partitioner_rebuilt();
             let mut stream = scenario.phase_stream(p, source);
             for _window in 0..phase.windows {
                 for _ in 0..scenario.window_size {
@@ -199,13 +189,13 @@ pub fn simulate_scenario_controlled(
                     window_loads.record(slot);
                 }
                 // The engine's window-boundary controller step, verbatim:
-                // observe, then either rescale or retune — never both.
+                // observe, then either rebuild or retune — never both.
                 let window_total = window_loads.total();
                 let window_max = window_loads.max_count();
                 window_loads.finish_window(active);
                 if let Some(new_active) = ctrl.observe_window(window_total, window_max) {
                     active = new_active;
-                    part.rescale(&config(active));
+                    part = build(active);
                 } else if let Some(snapshot) = part.head_snapshot() {
                     if let Some(decision) = ctrl.retune(&snapshot.frequencies, snapshot.tail_mass())
                     {

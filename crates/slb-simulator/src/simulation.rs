@@ -169,11 +169,6 @@ impl Simulator {
         sim.finish()
     }
 
-    /// Current imbalance of the true global load.
-    pub fn current_imbalance(&self) -> f64 {
-        imbalance(&self.global_loads)
-    }
-
     /// Number of messages processed so far.
     pub fn messages(&self) -> u64 {
         self.messages

@@ -293,13 +293,12 @@ impl LogHistogram {
 /// A thread-shared histogram: the same buckets as [`LogHistogram`] behind
 /// relaxed atomics, so a stage thread can record per-batch while an
 /// exporter thread snapshots concurrently. Snapshots are *not* a
-/// consistent cut across fields (count/sum/min/max race by a batch or
-/// two); the final end-of-run snapshot is taken after the stage quiesces
-/// and is exact.
+/// consistent cut across fields (sum/min/max race the buckets by a batch
+/// or two) but always a well-formed histogram; the final end-of-run
+/// snapshot is taken after the stage quiesces and is exact.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     counts: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -315,7 +314,6 @@ impl AtomicHistogram {
     pub fn new() -> Self {
         Self {
             counts: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -330,7 +328,6 @@ impl AtomicHistogram {
             return;
         }
         self.counts[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
         self.sum
             .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
@@ -342,21 +339,30 @@ impl AtomicHistogram {
         self.record_n(value, 1);
     }
 
-    /// Copies the current contents into a plain histogram.
+    /// Copies the current contents into a plain histogram — one that
+    /// [`LogHistogram::from_parts`] accepts even while a stage records: the
+    /// count is the sum of the bucket counts read, and a first record whose
+    /// bucket was read before its min / max takes them from the bucket
+    /// floors. (A snapshot a peer's decoder rejects ends the sender's
+    /// control connection, which the orchestrator reads as a worker's death.)
     pub fn snapshot(&self) -> LogHistogram {
-        let count = self.count.load(Ordering::Relaxed);
         let mut hist = LogHistogram::new();
-        if count == 0 {
-            return hist;
-        }
         hist.ensure_counts();
         for (into, from) in hist.counts.iter_mut().zip(&self.counts) {
             *into = from.load(Ordering::Relaxed);
         }
-        hist.count = count;
+        hist.count = hist.counts.iter().sum();
+        if hist.count == 0 {
+            return LogHistogram::new();
+        }
         hist.sum = self.sum.load(Ordering::Relaxed) as u128;
         hist.min = self.min.load(Ordering::Relaxed);
         hist.max = self.max.load(Ordering::Relaxed);
+        if hist.min > hist.max {
+            let seen = |&i: &usize| hist.counts[i] > 0;
+            hist.min = (0..NUM_BUCKETS).find(seen).map_or(0, bucket_floor);
+            hist.max = (0..NUM_BUCKETS).rev().find(seen).map_or(0, bucket_floor);
+        }
         hist
     }
 }
@@ -450,6 +456,28 @@ mod tests {
         atomic.record_n(99, 3);
         plain.record_n(99, 3);
         assert_eq!(atomic.snapshot(), plain);
+    }
+
+    /// A snapshot taken between a record's bucket increment and its min /
+    /// max update — the first record's, then a later one's — is still a
+    /// histogram every decoder accepts.
+    #[test]
+    fn a_snapshot_taken_mid_record_is_well_formed() {
+        let decodes = |h: &LogHistogram| {
+            LogHistogram::from_parts(&h.nonzero_buckets(), h.count(), h.sum(), h.min(), h.max())
+        };
+        let atomic = AtomicHistogram::new();
+        atomic.counts[bucket_index(40)].fetch_add(2, Ordering::Relaxed);
+        let first = atomic.snapshot();
+        assert_eq!((first.count(), first.min(), first.max()), (2, 40, 40));
+        assert_eq!(decodes(&first), Ok(first));
+        atomic.sum.fetch_add(80, Ordering::Relaxed);
+        atomic.min.fetch_min(40, Ordering::Relaxed);
+        atomic.max.fetch_max(40, Ordering::Relaxed);
+        atomic.counts[bucket_index(7_000)].fetch_add(1, Ordering::Relaxed);
+        let later = atomic.snapshot();
+        assert_eq!((later.count(), later.min(), later.max()), (3, 40, 40));
+        assert_eq!(decodes(&later), Ok(later));
     }
 
     #[test]

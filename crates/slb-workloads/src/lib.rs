@@ -16,28 +16,24 @@
 //!   a solver that fits the exponent to a target `p1`.
 //! * [`alias`] — Walker/Vose alias tables for O(1) sampling from arbitrary
 //!   discrete distributions.
-//! * [`message`] — the `⟨timestamp, key, value⟩` message type used across the
-//!   simulator and the engine.
+//! * [`message`] — the key identifier every stream emits.
 //! * [`datasets`] — the ZF / WP-like / TW-like / CT-like dataset definitions
 //!   and their generators.
 //! * [`drift`] — concept-drift wrappers that re-draw the key identity mapping
 //!   over time (the cashtag behaviour).
 //! * [`scenario`] — multi-phase scenario specs (drift, heterogeneity, bursts,
 //!   scale-out) executable by both the engine and the simulator.
-//! * [`trace`] — plain-text trace serialization for saving and replaying
-//!   generated workloads.
 
 pub mod alias;
 pub mod datasets;
 pub mod drift;
 pub mod message;
 pub mod scenario;
-pub mod trace;
 pub mod zipf;
 
 pub use datasets::{Dataset, DatasetKind, DatasetStats, SyntheticDataset};
 pub use drift::DriftingGenerator;
-pub use message::{KeyId, Message};
+pub use message::KeyId;
 pub use scenario::{Arrival, Scenario, ScenarioPhase};
 pub use zipf::{ZipfDistribution, ZipfGenerator};
 

@@ -1,11 +1,8 @@
-//! The stream message type: `⟨timestamp, key, value⟩`.
+//! The stream's key identifier.
 //!
 //! The paper models the input as a sequence of messages `⟨t, k, v⟩`. The
-//! partitioning decision depends only on the key, so the value is kept as an
-//! opaque payload size; the simulator leaves it empty while the engine uses
-//! it to emulate per-tuple work.
-
-use serde::{Deserialize, Serialize};
+//! partitioning decision depends only on the key, so a stream here is a
+//! sequence of keys and a message's position in it is its timestamp.
 
 /// Identifier of a key in the key space.
 ///
@@ -14,68 +11,3 @@ use serde::{Deserialize, Serialize};
 /// ordering information a hash function could exploit). Real string keys can
 /// be mapped to `KeyId`s by hashing or dictionary-encoding at ingestion.
 pub type KeyId = u64;
-
-/// A single stream message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Message {
-    /// Logical timestamp: position of the message in the stream (0-based).
-    pub timestamp: u64,
-    /// Routing key.
-    pub key: KeyId,
-    /// Opaque payload size in bytes (used by the engine to emulate work).
-    pub payload: u32,
-}
-
-impl Message {
-    /// Creates a message with an empty payload.
-    pub fn new(timestamp: u64, key: KeyId) -> Self {
-        Self {
-            timestamp,
-            key,
-            payload: 0,
-        }
-    }
-
-    /// Creates a message carrying `payload` bytes of (virtual) payload.
-    pub fn with_payload(timestamp: u64, key: KeyId, payload: u32) -> Self {
-        Self {
-            timestamp,
-            key,
-            payload,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn constructors() {
-        let m = Message::new(7, 42);
-        assert_eq!(m.timestamp, 7);
-        assert_eq!(m.key, 42);
-        assert_eq!(m.payload, 0);
-        let m = Message::with_payload(1, 2, 128);
-        assert_eq!(m.payload, 128);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = Message::with_payload(3, 9, 64);
-        let json = serde_json_like(&m);
-        assert!(json.contains("\"timestamp\":3") || json.contains("timestamp"));
-    }
-
-    /// Minimal check that the Serialize impl is derivable and usable without
-    /// pulling serde_json into the dependency tree: serialize to the debug
-    /// representation of the serde data model via a tiny writer.
-    fn serde_json_like(m: &Message) -> String {
-        // We avoid a serde_json dependency; formatting the struct is enough
-        // to prove the fields are public and stable.
-        format!(
-            "{{\"timestamp\":{},\"key\":{},\"payload\":{}}}",
-            m.timestamp, m.key, m.payload
-        )
-    }
-}
