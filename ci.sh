@@ -54,7 +54,7 @@ fi
 
 echo "==> one heavy-hitter structure: SpaceSaving over one sorted array, no second estimator, no linked slabs"
 if grep -rnE 'MisraGries|misra_gries|MergedSummary' crates; then
-    echo "SpaceSaving is the only heavy-hitter summary; a merge returns a SpaceSaving"
+    echo "SpaceSaving is the only heavy-hitter summary"
     exit 1
 fi
 if grep -rnE 'struct (Node|Bucket)|free_(nodes|buckets)|NIL' crates/slb-sketch/src; then
@@ -139,12 +139,21 @@ if grep -rnE 'Feedback(Sender|Receiver|Frame|Tx|Rx)|TcpFeedback|feedback_channel
     exit 1
 fi
 
-echo "==> one telemetry record: a snapshot contains its records, a stage is handed its HopTelemetry, the interval has one way in"
-if grep -rnE 'set_transport|fn live\(|AggregatorSupervision|SLB_METRICS_INTERVAL_MS|metrics_interval_from_env' \
+echo "==> one telemetry record: a snapshot contains its records, a stage is handed its HopTelemetry, the interval and the heartbeat timeout have one way in each"
+if grep -rnE 'set_transport|fn live\(|AggregatorSupervision|SLB_METRICS_INTERVAL_MS|metrics_interval_from_env|SLB_HEARTBEAT_TIMEOUT_MS|heartbeat_timeout_from_env|millis_from_env' \
     crates src tests examples docs/OBSERVABILITY.md docs/DISTRIBUTED.md ||
     sed -n '/^pub struct MetricsSnapshot {/,/^}/p' crates/slb-telemetry/src/metrics.rs |
     grep -nE 'batches_sent|send_stall_us|recv_wait_us|restores|replay_requests'; then
-    echo "a snapshot contains the hop and recovery records; a stage is handed its \`HopTelemetry\`"
+    echo "a snapshot contains the hop and recovery records; a stage is handed its \`HopTelemetry\`;"
+    echo "the metrics interval is --metrics-interval-ms and the heartbeat timeout OrchestrateOptions::heartbeat_timeout, no env var"
+    exit 1
+fi
+
+echo "==> one aggregation, the count: no second aggregate, no summary merge, no partial codec only they used"
+if grep -rnE 'SumAggregate|TopKAggregate|merge_space_saving|from_counters|observe_many' \
+    crates src tests examples ||
+    sed -n '/^pub trait WindowAggregate/,/^}/p' crates/slb-core/src/aggregate.rs | grep -n 'fn name'; then
+    echo "CountAggregate is the one aggregate: every run merges exact per-key counts, and WindowAggregate has no name"
     exit 1
 fi
 

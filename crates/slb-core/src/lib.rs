@@ -46,9 +46,7 @@ pub mod partitioner;
 pub mod pkg;
 pub mod wire;
 
-pub use aggregate::{
-    shard_of, CountAggregate, SumAggregate, TopKAggregate, WindowAggregate, SHARD_SEED,
-};
+pub use aggregate::{shard_of, CountAggregate, WindowAggregate, SHARD_SEED};
 pub use checkpoint::{
     deltas_outweigh_base, merge_ascending, CheckpointDelta, CheckpointView, OpenWindowState,
     OpenWindowView, WorkerCheckpoint,

@@ -9,9 +9,9 @@
 //! an error rather than panicking (a remote peer's bytes are never trusted).
 //!
 //! The trait lives here — next to [`WindowAggregate`](crate::WindowAggregate)
-//! — rather than in the transport crate so that every aggregate the engine
-//! can run is transportable by construction, without the transport crate
-//! needing to know each partial's internals.
+//! and the one partial that implements it, [`crate::CountAggregate`]'s count
+//! map — rather than in the transport crate, which stays generic over the
+//! partial without knowing its internals.
 //!
 //! ## Format conventions
 //!
@@ -32,9 +32,6 @@
 //! import them (`ci.sh` greps for strays).
 
 use std::collections::HashMap;
-
-use slb_sketch::space_saving::Counter;
-use slb_sketch::{FrequencyEstimator, SpaceSaving};
 
 /// Error produced when decoding a partial from untrusted bytes fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,8 +119,7 @@ pub fn read_u64_list(input: &mut &[u8]) -> Result<Vec<u64>, PartialDecodeError> 
 /// Implementations must be self-delimiting and must reject malformed input
 /// with [`PartialDecodeError`] instead of panicking. Decoding the bytes an
 /// implementation produced must reproduce the partial's aggregate content
-/// exactly (for the exact aggregates, structural equality; for SpaceSaving
-/// summaries, identical counters, total, and capacity).
+/// exactly.
 pub trait WirePartial: Sized {
     /// Appends this partial's encoding to `out`.
     fn encode_partial(&self, out: &mut Vec<u8>);
@@ -159,65 +155,6 @@ impl WirePartial for HashMap<u64, u64> {
     }
 }
 
-/// [`crate::SumAggregate`] partials: one `u64`.
-impl WirePartial for u64 {
-    fn encode_partial(&self, out: &mut Vec<u8>) {
-        write_u64(out, *self);
-    }
-
-    fn decode_partial(input: &mut &[u8]) -> Result<Self, PartialDecodeError> {
-        read_u64(input)
-    }
-}
-
-/// [`crate::TopKAggregate`] partials: capacity, total, then the monitored
-/// counters as `(key, count, error)` triples. Decoding rebuilds the summary
-/// with [`SpaceSaving::from_counters`], which preserves counters, estimates,
-/// and totals exactly.
-impl WirePartial for SpaceSaving<u64> {
-    fn encode_partial(&self, out: &mut Vec<u8>) {
-        write_u32(out, self.capacity() as u32);
-        write_u64(out, self.total());
-        // Sorted order keeps the encoding deterministic for equal summaries.
-        let counters = self.sorted_counters();
-        write_u32(out, counters.len() as u32);
-        for c in &counters {
-            write_u64(out, c.key);
-            write_u64(out, c.count);
-            write_u64(out, c.error);
-        }
-    }
-
-    fn decode_partial(input: &mut &[u8]) -> Result<Self, PartialDecodeError> {
-        let capacity = read_u32(input)? as usize;
-        if capacity == 0 {
-            return Err(PartialDecodeError("summary capacity must be positive"));
-        }
-        let total = read_u64(input)?;
-        let counters = read_count(input, 24)?;
-        if counters > capacity {
-            return Err(PartialDecodeError("more counters than capacity"));
-        }
-        let mut list = Vec::with_capacity(counters);
-        let mut seen = std::collections::HashSet::with_capacity(counters);
-        for _ in 0..counters {
-            let key = read_u64(input)?;
-            let count = read_u64(input)?;
-            let error = read_u64(input)?;
-            if error > count {
-                return Err(PartialDecodeError("counter error exceeds its count"));
-            }
-            // `from_counters` asserts on duplicates; untrusted input must
-            // error here instead of tripping that assert.
-            if !seen.insert(key) {
-                return Err(PartialDecodeError("duplicate key in summary"));
-            }
-            list.push(Counter { key, count, error });
-        }
-        Ok(SpaceSaving::from_counters(capacity, total, list))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,36 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_roundtrips_and_is_self_delimiting() {
-        let mut buf = Vec::new();
-        42u64.encode_partial(&mut buf);
-        7u64.encode_partial(&mut buf);
-        let mut input = buf.as_slice();
-        assert_eq!(u64::decode_partial(&mut input), Ok(42));
-        assert_eq!(u64::decode_partial(&mut input), Ok(7));
-        assert!(input.is_empty());
-    }
-
-    #[test]
-    fn space_saving_roundtrips_counters_total_capacity() {
-        let mut s = SpaceSaving::<u64>::new(8);
-        for i in 0..100u64 {
-            s.observe(&(i % 13));
-        }
-        let back = roundtrip(&s);
-        assert_eq!(back.capacity(), s.capacity());
-        assert_eq!(back.total(), s.total());
-        // Counter content is order-free: ties among equal counts may list in
-        // any order, so compare key-sorted.
-        let by_key = |summary: &SpaceSaving<u64>| {
-            let mut counters = summary.sorted_counters();
-            counters.sort_by_key(|c| c.key);
-            counters
-        };
-        assert_eq!(by_key(&back), by_key(&s));
-    }
-
-    #[test]
     fn truncated_inputs_error_not_panic() {
         let mut map = HashMap::new();
         map.insert(1u64, 2u64);
@@ -284,55 +191,6 @@ mod tests {
                 HashMap::<u64, u64>::decode_partial(&mut input).is_err(),
                 "prefix of {cut} bytes must not decode"
             );
-        }
-    }
-
-    #[test]
-    fn duplicate_summary_keys_error_not_panic() {
-        // capacity=4, total=10, two counters with the same key: must be a
-        // decode error, not the `from_counters` duplicate-key assert.
-        let mut buf = Vec::new();
-        write_u32(&mut buf, 4);
-        write_u64(&mut buf, 10);
-        write_u32(&mut buf, 2);
-        for _ in 0..2 {
-            write_u64(&mut buf, 7); // key
-            write_u64(&mut buf, 5); // count
-            write_u64(&mut buf, 0); // error
-        }
-        match SpaceSaving::<u64>::decode_partial(&mut buf.as_slice()) {
-            Err(e) => assert_eq!(e, PartialDecodeError("duplicate key in summary")),
-            Ok(_) => panic!("duplicate keys must not decode"),
-        }
-    }
-
-    #[test]
-    fn corrupt_summary_headers_error() {
-        let mut s = SpaceSaving::<u64>::new(4);
-        s.observe(&1u64);
-        let mut buf = Vec::new();
-        s.encode_partial(&mut buf);
-        // Zero capacity.
-        let mut corrupt = buf.clone();
-        corrupt[..4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(SpaceSaving::<u64>::decode_partial(&mut corrupt.as_slice()).is_err());
-        // Counter count past capacity.
-        let mut corrupt = buf.clone();
-        corrupt[12..16].copy_from_slice(&1000u32.to_le_bytes());
-        assert!(SpaceSaving::<u64>::decode_partial(&mut corrupt.as_slice()).is_err());
-    }
-
-    #[test]
-    fn huge_declared_capacity_does_not_allocate_by_the_field() {
-        // capacity = u32::MAX, total 0, no counters: 16 well-formed bytes.
-        // Sizing storage by the declared capacity aborts the process.
-        let mut buf = Vec::new();
-        write_u32(&mut buf, u32::MAX);
-        write_u64(&mut buf, 0);
-        write_u32(&mut buf, 0);
-        if let Ok(summary) = SpaceSaving::<u64>::decode_partial(&mut buf.as_slice()) {
-            assert!(summary.is_empty());
-            assert_eq!(summary.total(), 0);
         }
     }
 

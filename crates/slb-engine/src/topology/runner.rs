@@ -629,8 +629,6 @@ pub fn compare_schemes_scenario(
 mod tests {
     use std::collections::HashMap;
 
-    use slb_core::{SumAggregate, TopKAggregate};
-    use slb_sketch::FrequencyEstimator;
     use slb_telemetry::trace_stage;
     use slb_workloads::{Arrival, Scenario, ScenarioPhase};
 
@@ -666,7 +664,8 @@ mod tests {
     /// reads absurd — in a debug build too, where `+` on an overflow panics
     /// and a `debug_assert` is live. Beyond the all-`MAX` counters: every
     /// worker claims tuples in every phase (the scenario's phases run on 3,
-    /// 5 and 2 of its 5 workers), and every aggregator claims window 0.
+    /// 5 and 2 of its 5 workers), and every aggregator claims window 0 with
+    /// a `MAX` count for one key, so the per-key merge saturates too.
     #[test]
     fn reports_with_saturated_counters_assemble_without_overflow() {
         let plan = ScenarioConfig::new(PartitionerKind::Pkg, small_scenario(7)).stage_plan();
@@ -714,9 +713,9 @@ mod tests {
             };
             plan.spawned_workers
         ];
-        let aggregators: Vec<AggregatorStageReport<u64>> = (0..plan.aggregators.max(2))
+        let aggregators = (0..plan.aggregators.max(2))
             .map(|_| AggregatorStageReport {
-                finalized: BTreeMap::from([(0, max)]),
+                finalized: BTreeMap::from([(0, HashMap::from([(7u64, max)]))]),
                 latencies: LogHistogram::new(),
                 merged: max,
                 duplicates_dropped: max,
@@ -725,8 +724,11 @@ mod tests {
                 transport: transport.clone(),
             })
             .collect();
-        let run = assemble_result(&plan, &SumAggregate, sources, workers, aggregators, 1.0);
-        assert_eq!(run.windows, BTreeMap::from([(0, max)]));
+        let run = assemble_result(&plan, &CountAggregate, sources, workers, aggregators, 1.0);
+        assert_eq!(
+            run.windows,
+            BTreeMap::from([(0, HashMap::from([(7, max)]))])
+        );
         let result = run.result;
         assert_eq!(result.processed, max);
         assert_eq!(result.worker_counts, vec![max; plan.spawned_workers]);
@@ -739,16 +741,6 @@ mod tests {
         assert_eq!(result.transport.aggregator.batches_received, max);
         assert!(result.imbalance.is_finite());
         assert!(result.phases.iter().all(|p| p.imbalance.is_finite()));
-
-        // The same doubly-claimed window through the per-key merge.
-        let claim = |count| AggregatorStageReport {
-            finalized: BTreeMap::from([(3, HashMap::from([(7u64, count)]))]),
-            ..AggregatorStageReport::default()
-        };
-        let claims = vec![claim(max), claim(max), claim(1)];
-        let quiet = vec![WorkerStageReport::default(); plan.spawned_workers];
-        let run = assemble_result(&plan, &CountAggregate, vec![], quiet, claims, 1.0);
-        assert_eq!(run.windows[&3], HashMap::from([(7, max)]));
     }
 
     /// `assemble_result` is public and indexes by worker: however many
@@ -941,25 +933,6 @@ mod tests {
             if (window + 1) * 512 <= per_source {
                 assert_eq!(tuples, 512 * sources, "window {window}");
             }
-        }
-    }
-
-    #[test]
-    fn windowed_sum_and_top_k_aggregates_run_end_to_end() {
-        let cfg = EngineConfig::smoke(PartitionerKind::WChoices, 2.0)
-            .with_messages(6_000)
-            .with_service_time_us(0)
-            .with_window_size(1_000);
-        let sum = Topology::new(cfg.clone()).run_windowed(SumAggregate);
-        let per_window: u64 = cfg.window_size * cfg.sources as u64;
-        for (&window, &tuples) in &sum.windows {
-            assert_eq!(tuples, per_window, "window {window}");
-        }
-        let topk = Topology::new(cfg.clone()).run_windowed(TopKAggregate::new(64));
-        for summary in topk.windows.values() {
-            assert_eq!(summary.total(), per_window);
-            // Under z=2.0 the hottest key dominates; it must be monitored.
-            assert!(summary.sorted_counters()[0].count > per_window / 10);
         }
     }
 

@@ -29,7 +29,10 @@
 //! deterministic sibling: worker `W` aborts itself at its `N`-th window
 //! finalization, after shipping that window's partials but before the
 //! durable save — the exact interleaving of the tail-window re-ship race,
-//! so the recovery counters have a single predictable value.
+//! so the recovery counters have a single predictable value. Either
+//! injector naming a worker the spec does not have exits 2 before spawning
+//! anything: a fault that cannot fire would leave a healthy run looking
+//! like a recovered one.
 //!
 //! With `--metrics-dir DIR` the orchestrator appends every node's
 //! [`MetricsSnapshot`](slb_telemetry::MetricsSnapshot) to
@@ -184,6 +187,15 @@ fn run_orchestrate(args: &[String]) {
         Ok(plan) => plan,
         Err(e) => fail(&format!("resolving {spec_path}: {e}")),
     };
+    let workers = plan.spawned_workers;
+    for (flag, fault) in [
+        ("--kill-worker", options.kill_worker),
+        ("--crash-worker", options.crash_worker),
+    ] {
+        if let Some((worker, _)) = fault.filter(|&(worker, _)| worker >= workers) {
+            fail(&format!("{flag} names worker {worker} of {workers}"));
+        }
+    }
     let node_exe = match std::env::current_exe() {
         Ok(path) => path,
         Err(e) => fail(&format!("locating own binary: {e}")),

@@ -106,10 +106,12 @@ impl ClusterSpec {
         }
     }
 
-    /// Parses the text spec format. A spec that parses also resolves: a
-    /// well-formed file describing a run no engine can execute (zero
-    /// workers, an out-of-range controller) is an error here, not a panic
-    /// later.
+    /// Parses the text spec format. A key the spec's mode does not know, or
+    /// one given twice (`phase` aside), is an error naming its line: a typo
+    /// must not parse into a run without the field it meant to set. A spec
+    /// that parses also resolves: a well-formed file describing a run no
+    /// engine can execute (zero workers, an out-of-range controller) is an
+    /// error here, not a panic later.
     pub fn parse(text: &str) -> Result<Self, String> {
         let spec = Self::parse_fields(text)?;
         spec.stage_plan()?;
@@ -117,56 +119,58 @@ impl ClusterSpec {
     }
 
     fn parse_fields(text: &str) -> Result<Self, String> {
-        let mut mode: Option<String> = None;
-        let mut fields: Vec<(String, String)> = Vec::new();
+        // (line number, key, value) of every field line, phases included.
+        let mut fields: Vec<(usize, &str, &str)> = Vec::new();
         let mut phases: Vec<ScenarioPhase> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
+            let at = lineno + 1;
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             let (key, value) = line
                 .split_once(char::is_whitespace)
-                .ok_or_else(|| format!("line {}: expected `key value`", lineno + 1))?;
+                .ok_or_else(|| format!("line {at}: expected `key value`"))?;
             let value = value.trim();
-            match key {
-                "mode" => mode = Some(value.to_string()),
-                "phase" => phases
-                    .push(parse_phase(value).map_err(|e| format!("line {}: {e}", lineno + 1))?),
-                _ => fields.push((key.to_string(), value.to_string())),
+            if key == "phase" {
+                phases.push(parse_phase(value).map_err(|e| format!("line {at}: {e}"))?);
+            } else if let Some((first, ..)) = fields.iter().find(|(_, k, _)| *k == key) {
+                return Err(format!("line {at}: field {key} repeats line {first}"));
             }
+            fields.push((at, key, value));
         }
-        let take = |name: &str| -> Result<String, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| format!("missing field: {name}"))
-        };
+        let opt = |name: &str| fields.iter().find(|(_, k, _)| *k == name).map(|f| f.2);
+        let take = |name: &str| opt(name).ok_or_else(|| format!("missing field: {name}"));
         let int = |name: &str| -> Result<u64, String> {
             take(name)?
                 .parse::<u64>()
                 .map_err(|_| format!("field {name} must be an integer"))
         };
-        let opt = |name: &str| -> Option<String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone())
+        let mode = take("mode")?;
+        let known = match mode {
+            "engine" => ENGINE_FIELDS,
+            "scenario" => SCENARIO_FIELDS,
+            other => return Err(format!("unknown mode: {other}")),
         };
+        let unknown = fields
+            .iter()
+            .find(|(_, key, _)| !known.split_whitespace().any(|k| k == *key));
+        if let Some((at, key, _)) = unknown {
+            return Err(format!("line {at}: unknown field {key} in a {mode} spec"));
+        }
         let scheme = take("scheme")?
             .parse::<PartitionerKind>()
             .map_err(|e| format!("bad scheme: {e}"))?;
         let solver = match opt("solver") {
-            Some(text) => parse_solver(&text)?,
+            Some(text) => parse_solver(text)?,
             None => SolverMode::Online,
         };
         let controller = match opt("controller") {
-            Some(text) => Some(parse_controller(&text)?),
+            Some(text) => Some(parse_controller(text)?),
             None => None,
         };
-        match mode.as_deref() {
-            Some("engine") => {
+        match mode {
+            "engine" => {
                 let cfg = EngineConfig {
                     kind: scheme,
                     sources: int("sources")? as usize,
@@ -189,7 +193,8 @@ impl ClusterSpec {
                     run: RunSpec::Engine(cfg),
                 })
             }
-            Some("scenario") => {
+            _ => {
+                // A scenario: the mode was checked against both lists above.
                 if phases.is_empty() {
                     return Err("scenario spec needs at least one `phase` line".into());
                 }
@@ -213,8 +218,6 @@ impl ClusterSpec {
                     run: RunSpec::Scenario(cfg),
                 })
             }
-            Some(other) => Err(format!("unknown mode: {other}")),
-            None => Err("missing field: mode".into()),
         }
     }
 
@@ -289,6 +292,17 @@ impl ClusterSpec {
         out
     }
 }
+
+/// The keys an engine spec may give, each once: `mode`, then one per
+/// [`EngineConfig`] field (`scheme` is its `kind`).
+const ENGINE_FIELDS: &str = "mode scheme sources workers keys skew messages \
+                             service_time_us queue_capacity seed batch_size window_size \
+                             aggregators solver controller";
+
+/// The keys a scenario spec may give, each once but `phase` (one line per
+/// phase).
+const SCENARIO_FIELDS: &str = "mode scheme name sources window_size seed service_time_us \
+                               queue_capacity batch_size aggregators solver controller phase";
 
 fn parse_phase(tokens: &str) -> Result<ScenarioPhase, String> {
     let mut windows = None;
@@ -565,6 +579,27 @@ mod tests {
         assert!(err.contains("at least one aggregator"), "{err}");
         let err = with(&scenario, "workers=3", "workers=0").expect_err("workers=0");
         assert!(err.contains("invalid scenario"), "{err}");
+        // A key the mode does not know, or one given twice, is an error that
+        // names its line — these used to parse into a run without the
+        // controller, on the first of two worker counts, or ignoring a line.
+        let line_count = |text: &str| text.lines().count();
+        for (text, what) in [
+            (
+                format!("{engine}controler min=2 max=8 capacity=100\n"),
+                format!("line {}: unknown field controler", line_count(&engine) + 1),
+            ),
+            (
+                format!("{scenario}workers 8\n"),
+                format!("line {}: unknown field workers", line_count(&scenario) + 1),
+            ),
+            (
+                engine.replace("workers 4\n", "workers 4\nworkers 8\n"),
+                "line 5: field workers repeats line 4".to_string(),
+            ),
+        ] {
+            let err = ClusterSpec::parse(&text).expect_err(&what);
+            assert!(err.contains(&what), "{what}: {err}");
+        }
     }
 
     #[test]

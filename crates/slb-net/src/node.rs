@@ -248,26 +248,6 @@ fn accept_peers(
     Ok(streams)
 }
 
-/// Reads a millisecond count from the environment variable `var`; `None`
-/// if it is unset.
-///
-/// # Panics
-/// Panics if the variable is set but is not an unsigned integer.
-pub(crate) fn millis_from_env(var: &str) -> Option<u64> {
-    match std::env::var(var) {
-        Ok(raw) => match raw.parse() {
-            Ok(ms) => Some(ms),
-            Err(_) => panic!(
-                "{var} must be an integer number of milliseconds, got {raw:?} (e.g. {var}=250)"
-            ),
-        },
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("{var} must be valid UTF-8, got {raw:?}")
-        }
-    }
-}
-
 /// The periodic (non-final) [`MetricsSnapshot`] source: the
 /// [`HopTelemetry`] the node handed its stage, which updates it in place.
 struct Ticker {

@@ -29,14 +29,15 @@ use slb_engine::{
 use slb_telemetry::{log, MetricsSnapshot};
 
 use crate::cluster::{ClusterSpec, NodeRole, RunSpec};
-use crate::node::{io_err, millis_from_env, next_control, send_control, CountPartial};
+use crate::node::{io_err, next_control, send_control, CountPartial};
 use crate::poll;
 use crate::supervisor::{Action, ConnId, Event, Plan, Supervisor, ROLES};
 use crate::tcp::Conn;
 
 /// Default heartbeat silence after which a worker is declared dead. Large
 /// relative to the workers' heartbeat interval so a scheduling hiccup is
-/// never a death sentence; override with `SLB_HEARTBEAT_TIMEOUT_MS`.
+/// never a death sentence; a caller sets another through
+/// [`OrchestrateOptions::heartbeat_timeout`].
 const DEFAULT_HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How often, at the least, the driver looks for child processes that have
@@ -86,7 +87,8 @@ pub struct OrchestrateOptions {
     /// every aggregator drops exactly one duplicate — so the expected
     /// `duplicates_dropped` is exactly the aggregator count, not a bound.
     pub crash_worker: Option<(usize, u64)>,
-    /// Heartbeat silence after which a worker is declared dead.
+    /// Heartbeat silence after which a worker is declared dead. Defaults to
+    /// 5 s.
     pub heartbeat_timeout: Duration,
     /// Directory for the merged metrics stream: every [`MetricsSnapshot`]
     /// the nodes ship (periodic and final) is appended as one JSON object
@@ -107,23 +109,11 @@ impl Default for OrchestrateOptions {
             ckpt_dir: None,
             kill_worker: None,
             crash_worker: None,
-            heartbeat_timeout: heartbeat_timeout_from_env(),
+            heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
             metrics_dir: None,
             metrics_interval: None,
         }
     }
-}
-
-/// Reads the `SLB_HEARTBEAT_TIMEOUT_MS` override, failing fast on a
-/// malformed value: a typo like `5s` must abort with a clear message, not
-/// silently run with the default and mask the operator's intent.
-///
-/// # Panics
-/// Panics if the variable is set but is not an unsigned integer number of
-/// milliseconds.
-fn heartbeat_timeout_from_env() -> Duration {
-    millis_from_env("SLB_HEARTBEAT_TIMEOUT_MS")
-        .map_or(DEFAULT_HEARTBEAT_TIMEOUT, Duration::from_millis)
 }
 
 /// Spawns the node processes for `spec`, wires the control plane, runs the
@@ -447,38 +437,5 @@ pub fn exact_reference(spec: &ClusterSpec) -> BTreeMap<WindowId, CountPartial> {
     match &spec.run {
         RunSpec::Engine(cfg) => exact_windowed_counts(cfg),
         RunSpec::Scenario(cfg) => exact_scenario_windowed_counts(&cfg.scenario),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// One serial test for the env knob (parallel tests racing on
-    /// `set_var` would be flaky): unset → default, well-formed → parsed,
-    /// malformed → panic naming the variable and the bad value.
-    #[test]
-    fn heartbeat_timeout_env_parses_or_fails_fast() {
-        let var = "SLB_HEARTBEAT_TIMEOUT_MS";
-        let saved = std::env::var_os(var);
-        std::env::remove_var(var);
-        assert_eq!(heartbeat_timeout_from_env(), DEFAULT_HEARTBEAT_TIMEOUT);
-        std::env::set_var(var, "750");
-        assert_eq!(heartbeat_timeout_from_env(), Duration::from_millis(750));
-        std::env::set_var(var, "5s");
-        let panic = std::panic::catch_unwind(heartbeat_timeout_from_env)
-            .expect_err("a malformed timeout must fail fast, not fall back to the default");
-        let message = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string panic>".into());
-        assert!(
-            message.contains("SLB_HEARTBEAT_TIMEOUT_MS") && message.contains("5s"),
-            "panic must name the variable and the bad value, got: {message}"
-        );
-        match saved {
-            Some(value) => std::env::set_var(var, value),
-            None => std::env::remove_var(var),
-        }
     }
 }

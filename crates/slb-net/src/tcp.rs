@@ -865,7 +865,7 @@ mod tests {
     #[test]
     fn tuple_channel_delivers_batches_punctuation_and_eof() {
         let transport = TcpTransport::loopback();
-        let (txs, rxs) = Transport::<u64>::tuple_channels(&transport, 1, 4);
+        let (txs, rxs) = Transport::<HashMap<u64, u64>>::tuple_channels(&transport, 1, 4);
         let tx = txs.into_iter().next().unwrap();
         let rx = rxs.into_iter().next().unwrap();
         let epoch = transport.epoch();
@@ -940,7 +940,7 @@ mod tests {
     #[test]
     fn cloned_senders_share_one_connection_and_eof_fires_on_last_drop() {
         let transport = TcpTransport::loopback();
-        let (txs, rxs) = Transport::<u64>::tuple_channels(&transport, 1, 8);
+        let (txs, rxs) = Transport::<HashMap<u64, u64>>::tuple_channels(&transport, 1, 8);
         let tx = txs.into_iter().next().unwrap();
         let rx = rxs.into_iter().next().unwrap();
         let clones: Vec<TcpTupleSender> = (0..4).map(|_| tx.clone()).collect();
@@ -975,7 +975,8 @@ mod tests {
     fn window_holds_the_next_send_until_the_stage_takes_a_frame() {
         for window in [1, 4] {
             let transport = TcpTransport::loopback();
-            let (mut txs, mut rxs) = Transport::<u64>::tuple_channels(&transport, 1, window);
+            let (mut txs, mut rxs) =
+                Transport::<HashMap<u64, u64>>::tuple_channels(&transport, 1, window);
             let (tx, rx) = (txs.remove(0), rxs.remove(0));
             // A full window goes out with the receiver never receiving.
             for seq in 0..window {
@@ -1016,7 +1017,7 @@ mod tests {
     #[test]
     fn window_wait_ends_in_channel_closed_when_the_receiver_goes() {
         let transport = TcpTransport::loopback();
-        let (mut txs, mut rxs) = Transport::<u64>::tuple_channels(&transport, 1, 2);
+        let (mut txs, mut rxs) = Transport::<HashMap<u64, u64>>::tuple_channels(&transport, 1, 2);
         let (tx, rx) = (txs.remove(0), rxs.remove(0));
         tx.send(close_marker(0)).unwrap();
         tx.send(close_marker(1)).unwrap();
@@ -1033,7 +1034,7 @@ mod tests {
         // with earlier frames' credits unread and more to come. Closing
         // then would reset the connection and lose the frame's tail.
         let transport = TcpTransport::loopback();
-        let (mut txs, mut rxs) = Transport::<u64>::tuple_channels(&transport, 1, 4);
+        let (mut txs, mut rxs) = Transport::<HashMap<u64, u64>>::tuple_channels(&transport, 1, 4);
         let (tx, rx) = (txs.remove(0), rxs.remove(0));
         let epoch = transport.epoch();
         let sender = thread::spawn(move || {

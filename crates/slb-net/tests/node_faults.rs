@@ -20,6 +20,8 @@
 //! * **Degrade path** — with a zero respawn budget the worker is excluded,
 //!   the survivors rescale it out at a window boundary, and the run
 //!   terminates with a degraded report instead of hanging.
+//! * **No silent no-op** — an injector naming a worker the spec does not
+//!   have is refused (exit 2) before any node is spawned.
 //!
 //! The run is sized so the kill is guaranteed to land mid-run: with
 //! `service_time_us 50` the worker stage has a busy floor of hundreds of
@@ -261,6 +263,36 @@ fn deterministic_crash_restores_through_deltas_at_one_of_two_adjacent_closes() {
         "adjacent closes cannot both be bare bases, yet neither respawn restored \
          through a delta: {deltas_restored:?}"
     );
+}
+
+/// A fault injector aimed past the last worker never fires, so the run would
+/// finish healthy and a fault test built on it would pass without testing
+/// anything: the CLI refuses it before spawning a node.
+#[test]
+fn a_fault_naming_no_worker_is_refused() {
+    let spec = "mode engine\nscheme PKG\nsources 1\nworkers 3\nkeys 500\nskew 1.6\n\
+                messages 4096\nservice_time_us 0\nqueue_capacity 256\nseed 1\n\
+                batch_size 64\nwindow_size 256\naggregators 1\n";
+    let path = write_spec("fault-out-of-range", spec);
+    for (flag, value) in [("--kill-worker", "9@100"), ("--crash-worker", "3@3")] {
+        let output = Command::new(node_exe())
+            .args(["orchestrate", "--spec"])
+            .arg(&path)
+            .args(["--fault-tolerant", flag, value])
+            .output()
+            .expect("spawn slb-node orchestrate");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let worker = value.split('@').next().unwrap_or_default();
+        let message = format!("{flag} names worker {worker} of 3");
+        assert_eq!(output.status.code(), Some(2), "{flag} {value}\n{stderr}");
+        assert!(stderr.contains(&message), "{flag} {value}\n{stderr}");
+        assert!(
+            !stdout.contains("scheme="),
+            "{flag} {value} ran a cluster\n{stdout}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -3,8 +3,7 @@
 //! Two families of properties, over randomly generated frames and partials:
 //!
 //! 1. **Round-trip identity** — `decode(encode(x)) == x` for every frame
-//!    type (tuple, partial over all three aggregate partial kinds,
-//!    control), consuming exactly the bytes the encoder produced (so frames
+//!    type (tuple, partial over the count partial, control), consuming exactly the bytes the encoder produced (so frames
 //!    concatenate on a stream), and `parse(render(spec)) == spec` bit for bit
 //!    for the text cluster spec the `Start` frame carries.
 //! 2. **Totality on bad input** — every strict prefix of a valid encoding
@@ -41,7 +40,6 @@ use slb_net::wire::{
     decode_frame, decode_tuple_frame, encode_frame, encode_tuple_frame, ControlFrame, PartialFrame,
     TupleFrame, WireError,
 };
-use slb_sketch::{FrequencyEstimator, SpaceSaving};
 use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
 use slb_workloads::{Arrival, Scenario, ScenarioPhase};
 
@@ -569,8 +567,6 @@ proptest! {
         for frame in [old, soup] {
             prop_assert!(matches!(decode_tuple_frame(&frame), Err(WireError::BadTag(5))));
             prop_assert!(matches!(decode_frame::<PartialFrame<HashMap<u64, u64>>>(&frame), Err(WireError::BadTag(5))));
-            prop_assert!(matches!(decode_frame::<PartialFrame<u64>>(&frame), Err(WireError::BadTag(5))));
-            prop_assert!(matches!(decode_frame::<PartialFrame<SpaceSaving<u64>>>(&frame), Err(WireError::BadTag(5))));
             prop_assert!(matches!(decode_frame::<ControlFrame>(&frame), Err(WireError::BadTag(5))));
         }
     }
@@ -733,51 +729,6 @@ proptest! {
     }
 
     #[test]
-    fn sum_partial_frames_round_trip(
-        window in any::<u64>(),
-        worker in any::<u32>(),
-        closed_us in any::<u64>(),
-        sum in any::<u64>(),
-    ) {
-        let frame = PartialFrame::Partial { window, worker, closed_us, partial: sum };
-        let mut buf = Vec::new();
-        encode_frame(&frame, &mut buf);
-        let (back, consumed) = decode_frame::<PartialFrame<u64>>(&buf).expect("decodes");
-        prop_assert_eq!(back, frame);
-        prop_assert_eq!(consumed, buf.len());
-    }
-
-    #[test]
-    fn top_k_partial_frames_round_trip(
-        stream in proptest::collection::vec(0u64..500, 0..2_000),
-        capacity in 1usize..128,
-        window in any::<u64>(),
-    ) {
-        let mut summary = SpaceSaving::<u64>::new(capacity);
-        for key in &stream {
-            summary.observe(key);
-        }
-        let frame = PartialFrame::Partial { window, worker: 1, closed_us: 9, partial: summary.clone() };
-        let mut buf = Vec::new();
-        encode_frame(&frame, &mut buf);
-        let (back, consumed) = decode_frame::<PartialFrame<SpaceSaving<u64>>>(&buf).expect("decodes");
-        prop_assert_eq!(consumed, buf.len());
-        let PartialFrame::Partial { partial: decoded, window: w, .. } = back else {
-            panic!("expected a partial frame back");
-        };
-        prop_assert_eq!(w, window);
-        prop_assert_eq!(decoded.total(), summary.total());
-        prop_assert_eq!(decoded.capacity(), summary.capacity());
-        // Counter content is order-free among ties: compare key-sorted.
-        let by_key = |s: &SpaceSaving<u64>| {
-            let mut counters = s.sorted_counters();
-            counters.sort_by_key(|c| c.key);
-            counters
-        };
-        prop_assert_eq!(by_key(&decoded), by_key(&summary));
-    }
-
-    #[test]
     fn partial_frame_prefixes_error_not_panic(
         keys in proptest::collection::vec(any::<u64>(), 0..200),
         fraction in 0.0f64..1.0,
@@ -827,8 +778,6 @@ proptest! {
         // the property is that no input panics.
         let _ = decode_tuple_frame(&bytes);
         let _ = decode_frame::<PartialFrame<HashMap<u64, u64>>>(&bytes);
-        let _ = decode_frame::<PartialFrame<u64>>(&bytes);
-        let _ = decode_frame::<PartialFrame<SpaceSaving<u64>>>(&bytes);
         let _ = WorkerCheckpoint::decode(&mut bytes.as_slice());
         let _ = CheckpointDelta::decode(&mut bytes.as_slice());
         // A delta tag followed by soup reaches the body decoder too.
@@ -1083,31 +1032,5 @@ proptest! {
         prop_assert!(input.is_empty());
         prop_assert_eq!(first, a);
         prop_assert_eq!(second, b);
-    }
-}
-
-/// The byte soup above never forms a well-formed top-k header with a huge
-/// capacity. This frame does: a valid empty summary whose declared capacity
-/// is patched to `u32::MAX`. It may decode (to an empty summary) or be an
-/// error; it must not size an allocation by the field.
-#[test]
-fn huge_declared_summary_capacity_never_aborts_the_decoder() {
-    let frame = PartialFrame::Partial {
-        window: 7,
-        worker: 1,
-        closed_us: 9,
-        partial: SpaceSaving::<u64>::new(1),
-    };
-    let mut buf = Vec::new();
-    encode_frame(&frame, &mut buf);
-    // length prefix, tag, window, worker, closed_us — then the capacity.
-    let at = 4 + 1 + 8 + 4 + 8;
-    assert_eq!(buf[at..at + 4], 1u32.to_le_bytes());
-    buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    if let Ok((PartialFrame::Partial { partial, .. }, consumed)) =
-        decode_frame::<PartialFrame<SpaceSaving<u64>>>(&buf)
-    {
-        assert_eq!(consumed, buf.len());
-        assert!(partial.is_empty());
     }
 }

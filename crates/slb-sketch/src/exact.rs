@@ -85,11 +85,6 @@ impl<K: Eq + Hash + Clone> FrequencyEstimator<K> for ExactCounter<K> {
         *self.counts.entry(key.clone()).or_insert(0) += 1;
     }
 
-    fn observe_many(&mut self, key: &K, count: u64) {
-        self.total += count;
-        *self.counts.entry(key.clone()).or_insert(0) += count;
-    }
-
     fn estimate(&self, key: &K) -> u64 {
         self.counts.get(key).copied().unwrap_or(0)
     }

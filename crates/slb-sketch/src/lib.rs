@@ -3,21 +3,18 @@
 //! The D-Choices and W-Choices partitioners of Nasir et al. (ICDE 2016) need
 //! to know, *online and per source*, which keys currently belong to the head
 //! of the frequency distribution. The paper uses the SpaceSaving algorithm
-//! (Metwally et al., ICDT 2005) and its mergeable distributed generalization
-//! (Berinde et al., TODS 2010). This crate provides:
+//! (Metwally et al., ICDT 2005), one summary per source over the sub-stream
+//! that source forwards. This crate provides:
 //!
 //! * [`SpaceSaving`] — the counter-based heavy-hitter algorithm over one
 //!   sorted counter array (O(1) array writes per update).
 //! * [`ExactCounter`] — exact frequencies (hash map), the ground truth for
 //!   experiments and tests.
-//! * [`merge`] — merging of per-source summaries into a global view, needed
-//!   when several sources each track the head of their own sub-stream.
 //!
 //! All trackers implement [`FrequencyEstimator`], so the partitioners in
 //! `slb-core` are generic over the tracking strategy.
 
 pub mod exact;
-pub mod merge;
 pub mod space_saving;
 
 pub use exact::ExactCounter;
@@ -33,13 +30,6 @@ use std::hash::Hash;
 pub trait FrequencyEstimator<K: Eq + Hash + Clone> {
     /// Observes one occurrence of `key`.
     fn observe(&mut self, key: &K);
-
-    /// Observes `count` occurrences of `key` at once.
-    fn observe_many(&mut self, key: &K, count: u64) {
-        for _ in 0..count {
-            self.observe(key);
-        }
-    }
 
     /// Estimated number of occurrences of `key` seen so far.
     ///
@@ -70,14 +60,6 @@ pub trait FrequencyEstimator<K: Eq + Hash + Clone> {
 #[cfg(test)]
 mod trait_tests {
     use super::*;
-
-    #[test]
-    fn observe_many_default_impl_counts_correctly() {
-        let mut ss = SpaceSaving::new(8);
-        ss.observe_many(&"k", 5);
-        assert_eq!(ss.estimate(&"k"), 5);
-        assert_eq!(ss.total(), 5);
-    }
 
     #[test]
     fn frequency_is_zero_on_empty_estimator() {

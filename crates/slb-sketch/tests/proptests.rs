@@ -6,12 +6,12 @@
 //!   every φ-heavy key is monitored for k ≥ 1/φ; every result that does
 //!   not hang on the eviction tie-break equals a naive reference's (a flat
 //!   list and linear scans).
-//! * Merge: merged estimates dominate the true counts of the combined stream.
+//! * ExactCounter: equals a plain hash-map count.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use slb_sketch::{merge::merge_space_saving, ExactCounter, FrequencyEstimator, SpaceSaving};
+use slb_sketch::{ExactCounter, FrequencyEstimator, SpaceSaving};
 
 /// A skew-friendly stream strategy: keys drawn from a small universe with a
 /// bias toward low key identifiers, lengths up to a few thousand.
@@ -131,84 +131,6 @@ proptest! {
         prop_assert_eq!(ec.distinct(), truth.len());
         for (k, &t) in &truth {
             prop_assert_eq!(ec.estimate(k), t);
-        }
-    }
-
-    /// `from_counters` must rebuild a summary exactly: same total, same
-    /// counters, same min_count, and the rebuilt structure must keep
-    /// observing with unchanged semantics (checked against the original
-    /// continuing in lockstep).
-    #[test]
-    fn from_counters_round_trips_and_stays_live(
-        stream in stream_strategy(),
-        extra in stream_strategy(),
-        capacity in 1usize..100,
-    ) {
-        let mut original = SpaceSaving::new(capacity);
-        for k in &stream {
-            original.observe(k);
-        }
-        let mut rebuilt = SpaceSaving::from_counters(capacity, original.total(), original.counters());
-        prop_assert_eq!(rebuilt.total(), original.total());
-        prop_assert_eq!(rebuilt.len(), original.len());
-        prop_assert_eq!(rebuilt.min_count(), original.min_count());
-        for c in original.counters() {
-            let r = rebuilt.get(&c.key);
-            prop_assert!(r.is_some(), "key {} lost in round trip", c.key);
-            let r = r.unwrap();
-            prop_assert_eq!(r.count, c.count);
-            prop_assert_eq!(r.error, c.error);
-        }
-        // Same continuation stream → same estimates and same total, proving
-        // the rebuilt array and cursor are a faithful summary.
-        for k in &extra {
-            original.observe(k);
-            rebuilt.observe(k);
-            prop_assert_eq!(rebuilt.estimate(k), original.estimate(k));
-        }
-        prop_assert_eq!(rebuilt.total(), original.total());
-    }
-
-    /// The summary merge (`merge_space_saving`, the windowed top-k merge
-    /// path) over zero to three inputs: totals are additive, merged
-    /// estimates dominate the combined truth, and while every input stays
-    /// below capacity the merge is the exact sum of per-key counts.
-    #[test]
-    fn merged_space_saving_is_exact_below_capacity_and_sound_above(
-        streams in proptest::collection::vec(stream_strategy(), 0..4),
-        capacity in 1usize..100,
-    ) {
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        let mut summaries = Vec::new();
-        let mut no_evictions = true;
-        for stream in &streams {
-            let counts = exact(stream);
-            no_evictions &= counts.len() <= capacity;
-            for (k, v) in counts {
-                *truth.entry(k).or_insert(0) += v;
-            }
-            let mut ss = SpaceSaving::new(capacity);
-            for k in stream {
-                ss.observe(k);
-            }
-            summaries.push(ss);
-        }
-        let refs: Vec<&SpaceSaving<u64>> = summaries.iter().collect();
-        let merged = merge_space_saving(&refs, capacity);
-        prop_assert_eq!(merged.total(), streams.iter().map(|s| s.len() as u64).sum::<u64>());
-        prop_assert!(merged.len() <= capacity);
-        for c in merged.counters() {
-            let t = truth.get(&c.key).copied().unwrap_or(0);
-            prop_assert!(c.count >= t, "merged estimate below combined truth");
-        }
-        if no_evictions && truth.len() <= capacity {
-            // Exact regime: no evictions in the inputs, no truncation in
-            // the merge → the merged summary IS the combined exact count.
-            prop_assert_eq!(merged.len(), truth.len());
-            for (k, &t) in &truth {
-                prop_assert_eq!(merged.estimate(k), t, "exact-regime estimate diverged");
-                prop_assert_eq!(merged.guaranteed_count(k), t);
-            }
         }
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! `SLB_LOG` selects the maximum level: `error`, `warn`, `info` (the
 //! default), or `debug`. Anything else is a configuration mistake and
-//! fails fast with a panic naming the variable and the offending value,
-//! the same contract as `SLB_HEARTBEAT_TIMEOUT_MS`. Binaries call
-//! [`init`] first thing in `main` so the failure happens at startup, not
-//! at the first log call mid-run.
+//! fails fast with a panic naming the variable and the offending value: a
+//! typo must not quietly run at another level. Binaries call [`init`]
+//! first thing in `main` so the failure happens at startup, not at the
+//! first log call mid-run.
 //!
 //! Lines go to stderr as `[target] LEVEL message` — stdout is reserved
 //! for machine-readable run reports (node_golden and node_faults parse

@@ -7,7 +7,7 @@
 //! This facade crate re-exports the public API of the workspace crates:
 //!
 //! * [`hash`] — hashing substrate (xxHash64, SplitMix64, hash-function families).
-//! * [`sketch`] — heavy-hitter substrate (SpaceSaving, summary merging).
+//! * [`sketch`] — heavy-hitter substrate (SpaceSaving, exact counters).
 //! * [`workloads`] — key distributions and synthetic datasets (Zipf, WP/TW/CT-like).
 //! * [`core`] — the paper's contribution: the grouping schemes (key grouping,
 //!   shuffle grouping, partial key grouping, D-Choices, W-Choices, round-robin
