@@ -175,6 +175,31 @@ if [ "$inserts" != 1 ] || [ "$in_drain" != 1 ] || [ "$in_save" != 1 ] || [ "$in_
     exit 1
 fi
 
+echo "==> thread placement is the scheduler's: no core pinning, no FFI in the engine"
+if grep -rnE 'CorePinning|StageRole|core_pinning|pin_current_thread|sched_setaffinity' \
+    crates src tests examples; then
+    echo "stage threads are placed by the OS scheduler on every backend; pinning was measured neutral on every Spsc workload (docs/PERF.md)"
+    exit 1
+fi
+# The rings' five sites are the engine's only unsafe code: the ones a model
+# checker of spsc.rs has to cover.
+if grep -rnE 'extern "C"|unsafe' crates/slb-engine/src | grep -v '^crates/slb-engine/src/spsc.rs:'; then
+    echo "slb-engine declares no FFI, and its unsafe code is spsc.rs's alone"
+    exit 1
+fi
+
+echo "==> one list of stage codes: slb_telemetry::stage"
+if grep -rn 'snapshot_stage' crates src tests examples; then
+    echo "TraceEvent.stage, MetricsSnapshot.stage and NodeRole's wire byte all read slb_telemetry::stage"
+    exit 1
+fi
+
+echo "==> no no-op serde derives"
+if grep -rnE '\b(Serialize|Deserialize)\b|use serde' crates src tests examples; then
+    echo "the vendored serde_derive expands to nothing and nothing serialises through serde: the wire is wire_type!"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

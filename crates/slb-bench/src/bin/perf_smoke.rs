@@ -93,12 +93,9 @@ fn main() {
                 .run_windowed_on(CountAggregate, &TcpTransport::loopback())
                 .result
         }),
-        (
-            "spsc-backend",
-            5.0e6,
-            "the thread-per-core transport",
-            &|| single_phase().run_windowed_on(CountAggregate, &Spsc).result,
-        ),
+        ("spsc-backend", 5.0e6, "the SPSC ring transport", &|| {
+            single_phase().run_windowed_on(CountAggregate, &Spsc).result
+        }),
         (
             "large-state",
             1.7e6,

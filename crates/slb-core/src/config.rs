@@ -12,11 +12,9 @@
 //! `θ ∈ {2/n, 1/n, 1/(2n), 1/(4n), 1/(8n)}` and settles on `1/(5n)` as the
 //! conservative default.
 
-use serde::{Deserialize, Serialize};
-
 /// Threshold θ separating the head from the tail, expressed relative to the
 /// number of workers `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeadThreshold {
     /// θ = `numerator / (denominator_times_n · n)`.
     pub numerator: f64,
@@ -103,7 +101,7 @@ impl Default for HeadThreshold {
 /// * [`SolverMode::External`] disables the internal solver entirely; `d`
 ///   only changes through [`crate::Partitioner::apply_choices`], making an
 ///   external controller the single adaptation authority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverMode {
     /// Re-solve `d` online inside the partitioner (paper behavior).
     #[default]
@@ -115,7 +113,7 @@ pub enum SolverMode {
 }
 
 /// Configuration for building a partitioner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionConfig {
     /// Number of downstream workers `n`.
     pub workers: usize,

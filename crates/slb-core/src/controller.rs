@@ -34,12 +34,10 @@
 //! backend-invariant, replayable analytically by the simulator and replayed
 //! bit-identically by the engine's recovery path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dchoices::{find_optimal_choices, ChoicesDecision};
 
 /// Tuning knobs for the elasticity controller. Validated by [`Self::validate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerConfig {
     /// The controller never deactivates below this many workers.
     pub min_workers: usize,
@@ -152,7 +150,7 @@ impl ControllerConfig {
 }
 
 /// What a controller decision did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControllerAction {
     /// Activated `step` more workers (a fresh partitioner followed).
     ScaleOut,
@@ -165,7 +163,7 @@ pub enum ControllerAction {
 /// One logged controller decision. Only *changes* are logged — windows where
 /// the controller held steady produce no event, so logs stay small and the
 /// cross-backend equality check (`controller_differential`) is sharp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerEvent {
     /// Source that made the decision (each source decides independently).
     pub source: u32,
@@ -201,7 +199,7 @@ pub fn decode_decision(d: u32) -> ChoicesDecision {
 }
 
 /// Controller decisions merged across sources, attached to `EngineResult`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControllerMetrics {
     /// Whether a controller ran at all (distinguishes "ran, no events" from
     /// "not enabled").

@@ -18,10 +18,8 @@
 //! `d` until every prefix constraint is satisfied, or `d` reaches `n`, at
 //! which point the caller should switch to W-Choices.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of the solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChoicesDecision {
     /// Use a Greedy-d process with this many choices for the head keys.
     UseD(usize),

@@ -78,11 +78,10 @@ pub use slb_hash::{FixedHashMap, FixedHashSet, FixedState};
 
 use std::hash::Hash;
 
-use serde::{Deserialize, Serialize};
 use slb_hash::KeyHash;
 
 /// The grouping schemes evaluated in the paper, by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionerKind {
     /// Key grouping (KG).
     KeyGrouping,

@@ -10,10 +10,8 @@
 //! The module also defines the paper's imbalance metric
 //! `I(t) = max_w L_w(t) − avg_w L_w(t)` over *fractional* loads.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-worker message counter maintained by a single source.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadVector {
     counts: Vec<u64>,
     total: u64,
@@ -166,7 +164,7 @@ pub fn imbalance_fractions(loads: &[f64]) -> f64 {
 /// `record` is a single index increment, and `finish_window` computes the
 /// closing window's imbalance over the active prefix and resets the buffer
 /// in place.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerWindowLoads {
     counts: Vec<u64>,
     total: u64,
@@ -247,7 +245,7 @@ impl PerWindowLoads {
 /// active workers*. This matrix accumulates counts per `(phase, worker)` and
 /// answers both the per-phase and the run-total questions; engine and
 /// simulator share it so their per-phase metrics are computed identically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseLoadMatrix {
     /// `counts[phase][worker]`, each row sized to the full worker universe.
     counts: Vec<Vec<u64>>,

@@ -17,10 +17,8 @@
 //! respect to PKG and SG. The simulator additionally *measures* the replicas
 //! actually created during a run; both views are provided here.
 
-use serde::{Deserialize, Serialize};
-
 /// Which grouping scheme to estimate memory for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryScheme {
     /// Key grouping: one worker per key.
     KeyGrouping,

@@ -20,11 +20,10 @@
 //! schemes are unaffected. `slb-telemetry`'s `histogram_props` pins the
 //! bound; `tests/latency_props.rs` pins this module against raw samples.
 
-use serde::{Deserialize, Serialize};
 use slb_telemetry::{LogHistogram, RecoveryMetrics};
 
 /// Summary statistics over all recorded latencies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub samples: u64,
@@ -78,7 +77,7 @@ impl LatencySummary {
 /// the aggregator stage counts partial-window messages (one per closed
 /// window per worker per shard), because that is what each stage's threads
 /// actually receive and process.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageMetrics {
     /// Items processed by the stage over the whole run.
     pub items: u64,
@@ -129,7 +128,7 @@ impl StageMetrics {
 /// reports one entry per [`slb_workloads::ScenarioPhase`], each evaluated
 /// over the phase's *active* worker set — the meaningful imbalance when the
 /// cluster resizes mid-run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseMetrics {
     /// Phase index within the run.
     pub phase: usize,

@@ -43,8 +43,8 @@
 //! * [`topology`] — configuration, the phased three-stage runner, and the
 //!   per-stage entry points a distributed deployment composes.
 //! * [`transport`] — the transport abstraction and the in-process backend.
-//! * [`spsc`] — the thread-per-core backend: lock-free SPSC rings per stage
-//!   pair, batch-buffer recycling, and best-effort core pinning.
+//! * [`spsc`] — the lock-free backend: SPSC rings per stage pair and
+//!   batch-buffer recycling.
 //! * [`windows`] — deterministic tuple-count windows and the exact
 //!   single-threaded reference aggregations (config and scenario).
 //! * [`latency`] — latency summaries over histograms, per-stage and
@@ -69,9 +69,9 @@ pub use topology::{
     DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_CAPACITY, DEFAULT_WINDOW_SIZE,
 };
 pub use transport::{
-    capacity_in_batches, partial_channel_capacity, ChannelClosed, CorePinning, InProc,
-    PartialReceiver, PartialSender, PartialWindow, RecvError, SourceMessage, StageRole, Transport,
-    TransportError, TupleBatch, TupleReceiver, TupleSender,
+    capacity_in_batches, partial_channel_capacity, ChannelClosed, InProc, PartialReceiver,
+    PartialSender, PartialWindow, RecvError, SourceMessage, Transport, TransportError, TupleBatch,
+    TupleReceiver, TupleSender,
 };
 pub use windows::{
     diff_windows, exact_scenario_windowed_counts, exact_windowed_counts, window_of, WindowId,

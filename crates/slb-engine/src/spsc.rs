@@ -1,5 +1,4 @@
-//! The thread-per-core in-process transport: lock-free SPSC rings with
-//! batch recycling and best-effort core pinning.
+//! The lock-free in-process transport: SPSC rings with batch recycling.
 //!
 //! [`InProc`](crate::InProc) multiplexes every stage pair over one
 //! Mutex+Condvar MPMC queue per worker, and that queue — not routing — was
@@ -19,12 +18,6 @@
 //!   ([`TupleReceiver::recycle`] / [`TupleSender::take_recycled`]), so the
 //!   steady state allocates zero batch buffers: the same handful of vectors
 //!   shuttles back and forth for the whole run.
-//! * **Core pinning.** [`Spsc`] is the one backend that overrides
-//!   [`Transport::core_pinning`]: stage threads pin themselves to a core
-//!   (workers first — they are the bottleneck stage — then sources, then
-//!   aggregators, round-robin over the machine) via a best-effort
-//!   `sched_setaffinity`, which keeps a producer/consumer pair's ring lines
-//!   in two fixed L1/L2 caches instead of migrating with the scheduler.
 //!
 //! Punctuation ([`SourceMessage::CloseWindow`]) and sharded partials ride
 //! the same rings as ordinary frames, so the checkpoint/replay machinery of
@@ -67,8 +60,8 @@ use std::time::Duration;
 use slb_workloads::KeyId;
 
 use crate::transport::{
-    ChannelClosed, CorePinning, PartialReceiver, PartialSender, PartialWindow, RecvError,
-    SourceMessage, Transport, TupleReceiver, TupleSender,
+    ChannelClosed, PartialReceiver, PartialSender, PartialWindow, RecvError, SourceMessage,
+    Transport, TupleReceiver, TupleSender,
 };
 
 /// Pads-and-aligns a value to a cache line so the producer's `tail` and the
@@ -81,7 +74,7 @@ struct CachePadded<T>(T);
 /// spin a few times (the common case resolves in nanoseconds while the
 /// peer drains or fills a slot), then yield the core, then sleep in ticks
 /// so a long-idle stage (a worker between bursts, an aggregator waiting
-/// for window closes) does not burn its pinned core. A tick asks for 50 µs
+/// for window closes) does not burn a core. A tick asks for 50 µs
 /// and gets what the kernel's timer slack allows: `thread::sleep(50 µs)`
 /// measures 130–270 µs on the 2-core CI box (median; 430 µs at the ninth
 /// decile beside a running benchmark).
@@ -570,7 +563,7 @@ impl<P: Send + 'static> PartialReceiver<P> for SpscReceiver<PartialWindow<P>> {
     }
 }
 
-/// The thread-per-core transport (see the module docs). A unit struct:
+/// The lock-free SPSC transport (see the module docs). A unit struct:
 /// all per-channel state lives in the endpoints it creates.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Spsc;
@@ -599,15 +592,6 @@ impl<P: Send + 'static> Transport<P> for Spsc {
         (0..aggregators)
             .map(|_| edge::<PartialWindow<P>>(capacity_messages, false))
             .unzip()
-    }
-
-    fn core_pinning(
-        &self,
-        sources: usize,
-        workers: usize,
-        aggregators: usize,
-    ) -> Option<CorePinning> {
-        Some(CorePinning::new(sources, workers, aggregators))
     }
 }
 
@@ -740,6 +724,37 @@ mod tests {
             drop(rx);
             assert_eq!(sender.join().unwrap(), Err(ChannelClosed));
         }
+    }
+
+    #[test]
+    fn a_lane_claimed_after_the_first_drain_arrives_whole_before_closed() {
+        // The receiver has adopted and drained the first lane before the
+        // second one exists, so only the announce counter tells it a lane
+        // is new; 2 slots for 20 frames make the late sender block on it.
+        let (tx, rx) = edge::<PartialWindow<u64>>(2, false);
+        PartialSender::send(&tx, partial(0)).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(PartialReceiver::recv_batch(&rx, &mut out), Ok(1));
+        assert_eq!(rx.inner.borrow().lanes.len(), 1);
+        let late = tx.clone();
+        let sender = thread::spawn(move || {
+            for window in 1..=20u64 {
+                PartialSender::send(&late, partial(window)).unwrap();
+            }
+        });
+        drop(tx);
+        out.clear();
+        loop {
+            match PartialReceiver::recv_batch(&rx, &mut out) {
+                Ok(_) => {}
+                Err(RecvError::Closed) => break,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        sender.join().unwrap();
+        let windows: Vec<u64> = out.iter().map(|p| p.window).collect();
+        assert_eq!(windows, (1..=20).collect::<Vec<_>>());
+        assert_eq!(rx.inner.borrow().lanes.len(), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use slb_core::WindowAggregate;
 use slb_telemetry::{
-    trace_kind, trace_stage, HopStats, HopTelemetry, LogHistogram, TraceBuf, TraceEvent,
+    stage, trace_kind, HopStats, HopTelemetry, LogHistogram, TraceBuf, TraceEvent,
 };
 use slb_workloads::KeyId;
 
@@ -79,7 +79,7 @@ where
 {
     let spawned_workers = plan.spawned_workers;
     let total_windows = exclusions.map(|_| plan.total_windows());
-    let mut trace = TraceBuf::new(trace_stage::AGGREGATOR, shard as u32);
+    let mut trace = TraceBuf::new(stage::AGGREGATOR, shard as u32);
     let mut latencies = LogHistogram::new();
     let mut merged = 0u64;
     let mut duplicates_dropped = 0u64;

@@ -8,8 +8,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use slb_core::{ControllerConfig, PartitionerKind, SolverMode};
 use slb_workloads::{Arrival, Scenario};
 
@@ -17,7 +15,7 @@ use crate::fault::FaultPlan;
 use crate::windows::WindowId;
 
 /// Configuration of one single-phase engine run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Grouping scheme under study.
     pub kind: PartitionerKind,
@@ -295,7 +293,7 @@ fn spawned_workers(configured: usize, controller: Option<&ControllerConfig>) -> 
 /// Configuration of a multi-phase scenario run: the [`Scenario`] supplies
 /// the workload, phase lengths, worker counts, and speed multipliers; this
 /// struct adds the engine-side knobs (base service time, transport, shards).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Grouping scheme under study.
     pub kind: PartitionerKind,

@@ -9,8 +9,6 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use slb_core::{
     ControllerMetrics, CountAggregate, PartitionerKind, PhaseLoadMatrix, WindowAggregate,
     WirePartial,
@@ -26,13 +24,11 @@ use super::source::{run_source_stage, SourceControlEvent, SourceStageReport};
 use super::worker::{run_worker_stage, WorkerRecovery, WorkerStageReport};
 use crate::fault::FaultPlan;
 use crate::latency::{LatencySummary, PhaseMetrics, StageMetrics};
-use crate::transport::{
-    capacity_in_batches, partial_channel_capacity, InProc, StageRole, Transport,
-};
+use crate::transport::{capacity_in_batches, partial_channel_capacity, InProc, Transport};
 use crate::windows::{WindowId, WindowedRun};
 
 /// Outcome of one engine run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineResult {
     /// Scheme symbol.
     pub scheme: String,
@@ -103,7 +99,7 @@ impl EngineResult {
 /// The run's transport counters, one [`HopStats`] per stage: what each
 /// stage saw on its own send/receive seams (source→worker sends, worker
 /// receive + worker→aggregator sends, aggregator receives).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransportStats {
     /// Merged over all source instances (send side of source→worker).
     pub source: HopStats,
@@ -480,10 +476,6 @@ where
     let (replay_senders, controls): (Vec<_>, Vec<_>) = (0..plan.sources)
         .map(|_| mpsc::channel::<SourceControlEvent>())
         .unzip();
-    // Transports that care about cache affinity (the SPSC backend) hand
-    // back a deterministic thread → core map; each stage thread applies
-    // its own pin, best-effort, as the first thing it does.
-    let pinning = transport.core_pinning(plan.sources, plan.spawned_workers, plan.aggregators);
 
     let start = Instant::now();
 
@@ -492,9 +484,6 @@ where
         let plan = plan.clone();
         let aggregate = aggregate.clone();
         aggregator_handles.push(thread::spawn(move || {
-            if let Some(p) = pinning {
-                p.pin_current_thread(StageRole::Aggregator, agg_idx);
-            }
             run_aggregator_stage(
                 &plan,
                 agg_idx,
@@ -513,9 +502,6 @@ where
         let partial_senders = partial_senders.clone();
         let replay_senders = replay_senders.clone();
         worker_handles.push(thread::spawn(move || {
-            if let Some(p) = pinning {
-                p.pin_current_thread(StageRole::Worker, worker_idx);
-            }
             run_worker_stage(
                 &plan,
                 worker_idx,
@@ -539,9 +525,6 @@ where
         let senders = senders.clone();
         let streams = streams.clone();
         source_handles.push(thread::spawn(move || {
-            if let Some(p) = pinning {
-                p.pin_current_thread(StageRole::Source, source_idx);
-            }
             run_source_stage(
                 &plan,
                 source_idx,
@@ -629,7 +612,7 @@ pub fn compare_schemes_scenario(
 mod tests {
     use std::collections::HashMap;
 
-    use slb_telemetry::trace_stage;
+    use slb_telemetry::stage;
     use slb_workloads::{Arrival, Scenario, ScenarioPhase};
 
     use super::super::test_support::small_scenario;
@@ -644,11 +627,7 @@ mod tests {
         assert_eq!(first.trace, second.trace);
         // Every stage contributed: sources and aggregators log one
         // WINDOW_CLOSE per window, workers log one close + one checkpoint.
-        for stage in [
-            trace_stage::SOURCE,
-            trace_stage::WORKER,
-            trace_stage::AGGREGATOR,
-        ] {
+        for stage in [stage::SOURCE, stage::WORKER, stage::AGGREGATOR] {
             assert!(
                 first.trace.iter().any(|e| e.stage == stage),
                 "stage {stage} missing from trace"

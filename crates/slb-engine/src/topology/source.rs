@@ -21,7 +21,7 @@ use slb_core::{
     build_partitioner, ControllerAction, ControllerEvent, ElasticityController, PartitionConfig,
     Partitioner, PerWindowLoads,
 };
-use slb_telemetry::{trace_kind, trace_stage, HopStats, HopTelemetry, TraceBuf, TraceEvent};
+use slb_telemetry::{stage, trace_kind, HopStats, HopTelemetry, TraceBuf, TraceEvent};
 use slb_workloads::{Arrival, KeyId, KeyStream};
 
 use super::config::StagePlan;
@@ -210,7 +210,7 @@ impl<'a, Tx: TupleSender> LiveSink<'a, Tx> {
                 .collect(),
             sent: 0,
             hop,
-            trace: TraceBuf::new(trace_stage::SOURCE, source as u32),
+            trace: TraceBuf::new(stage::SOURCE, source as u32),
         }
     }
 

@@ -10,8 +10,7 @@ use slb_core::{
     WorkerCheckpoint,
 };
 use slb_telemetry::{
-    trace_kind, trace_stage, HopStats, HopTelemetry, LogHistogram, RecoveryMetrics, TraceBuf,
-    TraceEvent,
+    stage, trace_kind, HopStats, HopTelemetry, LogHistogram, RecoveryMetrics, TraceBuf, TraceEvent,
 };
 use slb_workloads::KeyId;
 
@@ -378,7 +377,7 @@ where
     let mut pending_request: Vec<Option<u64>> = vec![None; sources];
     let mut recovery = RecoveryMetrics::default();
     let mut checkpoints = 0u64;
-    let mut trace = TraceBuf::new(trace_stage::WORKER, worker_idx as u32);
+    let mut trace = TraceBuf::new(stage::WORKER, worker_idx as u32);
     if let Some(checkpoint) = initial {
         // Respawn restore: this process starts where its predecessor's
         // last durable checkpoint left off. The replay that fills the

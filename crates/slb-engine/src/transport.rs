@@ -249,110 +249,6 @@ pub trait Transport<P: Send + 'static> {
         aggregators: usize,
         capacity_messages: usize,
     ) -> (Vec<Self::PartialTx>, Vec<Self::PartialRx>);
-
-    /// The core-pinning policy stage threads should apply, or `None` (the
-    /// default) to leave placement to the OS scheduler. Only transports
-    /// whose performance depends on stable producer/consumer cache affinity
-    /// (the SPSC backend) opt in.
-    fn core_pinning(
-        &self,
-        _sources: usize,
-        _workers: usize,
-        _aggregators: usize,
-    ) -> Option<CorePinning> {
-        None
-    }
-}
-
-/// Which stage a topology thread runs — the input to [`CorePinning`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageRole {
-    /// A source thread (index within the sources).
-    Source,
-    /// A worker thread (index within the spawned workers).
-    Worker,
-    /// An aggregator thread (index within the aggregator shards).
-    Aggregator,
-}
-
-/// A deterministic stage-thread → core assignment, applied best-effort by
-/// each stage thread at startup via [`CorePinning::pin_current_thread`].
-///
-/// Slots are laid out workers-first — workers are the engine's bottleneck
-/// stage, so when threads outnumber cores it is the sources and aggregators
-/// that double up — and mapped round-robin onto the machine's cores:
-/// worker `i` → slot `i`, source `j` → slot `workers + j`, aggregator `k` →
-/// slot `workers + sources + k`, each pinned to `slot % cores`.
-#[derive(Debug, Clone, Copy)]
-pub struct CorePinning {
-    sources: usize,
-    workers: usize,
-    cores: usize,
-}
-
-impl CorePinning {
-    /// Builds the assignment for a topology of the given stage widths,
-    /// reading the core count from the OS.
-    pub fn new(sources: usize, workers: usize, _aggregators: usize) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        CorePinning {
-            sources,
-            workers,
-            cores,
-        }
-    }
-
-    /// The core the thread running stage `role` instance `index` pins to.
-    pub fn core_for(&self, role: StageRole, index: usize) -> usize {
-        let slot = match role {
-            StageRole::Worker => index,
-            StageRole::Source => self.workers + index,
-            StageRole::Aggregator => self.workers + self.sources + index,
-        };
-        slot % self.cores
-    }
-
-    /// Pins the calling thread to its assigned core. Best-effort: on
-    /// unsupported platforms, or if the affinity call fails (cgroup cpuset
-    /// restrictions, exotic kernels), the thread simply runs unpinned —
-    /// correctness never depends on placement.
-    pub fn pin_current_thread(&self, role: StageRole, index: usize) {
-        affinity::pin_to_core(self.core_for(role, index));
-    }
-}
-
-#[cfg(target_os = "linux")]
-mod affinity {
-    // Raw `sched_setaffinity(2)` — declared directly against the libc the
-    // standard library already links, so no new dependency is needed.
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-
-    pub fn pin_to_core(core: usize) {
-        // 16 × 64 bits covers 1024 CPUs, the kernel's usual CONFIG_NR_CPUS
-        // ceiling; pinning is skipped (not truncated) beyond that.
-        let mut mask = [0u64; 16];
-        let (word, bit) = (core / 64, core % 64);
-        if word >= mask.len() {
-            return;
-        }
-        mask[word] = 1u64 << bit;
-        // SAFETY: pid 0 targets the calling thread; the mask pointer and
-        // length describe a live, correctly sized local buffer. The call
-        // has no memory effects beyond reading the mask.
-        let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-        // Best-effort by design: a failure (e.g. a cpuset excluding the
-        // chosen core) leaves the thread unpinned, which is always safe.
-        let _ = rc;
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod affinity {
-    pub fn pin_to_core(_core: usize) {}
 }
 
 /// Converts the configured queue capacity (in tuples) into channel slots (in

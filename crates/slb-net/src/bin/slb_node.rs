@@ -12,6 +12,9 @@
 //! slb-node aggregator --index N --control HOST:PORT [--fault-tolerant]
 //! ```
 //!
+//! Each mode takes the flags its usage line shows and nothing else: an
+//! unknown or repeated flag, or a value flag without its value, exits 2.
+//!
 //! `orchestrate` parses the text cluster spec (see `docs/DISTRIBUTED.md`),
 //! spawns one child process per source/worker/aggregator (re-invoking this
 //! same binary in a role mode), wires the sockets through the control
@@ -90,39 +93,79 @@ fn main() {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|at| args.get(at + 1))
-        .map(String::as_str)
+/// The flags one mode was given, checked against that mode's two
+/// space-separated lists: an unknown or repeated flag, or a value flag whose
+/// value is missing or is itself a `--` word, exits 2 naming the flag.
+struct Flags<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl<'a> Flags<'a> {
+    fn parse(args: &'a [String], switches: &str, valued: &str) -> Self {
+        let mut flags = Flags(Vec::new());
+        let mut words = args.iter().map(String::as_str);
+        while let Some(flag) = words.next() {
+            let value = if switches.split(' ').any(|s| s == flag) {
+                None
+            } else if valued.split(' ').any(|v| v == flag) {
+                match words.next() {
+                    Some(value) if !value.starts_with("--") => Some(value),
+                    _ => fail(&format!("{flag} needs a value")),
+                }
+            } else {
+                fail(&format!("unknown argument: {flag}"))
+            };
+            if flags.has(flag) {
+                fail(&format!("{flag} given twice"));
+            }
+            flags.0.push((flag, value));
+        }
+        flags
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|&(given, _)| given == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.0.iter().find(|&&(given, _)| given == flag)?.1
+    }
 }
 
 /// Parses `--metrics-interval-ms MS`, the one way to ask for periodic
 /// snapshots; `0`, like leaving it out, means final snapshots only.
-fn parse_metrics_interval(args: &[String]) -> Option<Duration> {
-    flag_value(args, "--metrics-interval-ms").and_then(|v| match v.parse::<u64>() {
-        Ok(0) => None,
-        Ok(ms) => Some(Duration::from_millis(ms)),
-        Err(_) => fail("--metrics-interval-ms needs an integer number of milliseconds"),
-    })
+fn parse_metrics_interval(flags: &Flags) -> Option<Duration> {
+    flags
+        .value("--metrics-interval-ms")
+        .and_then(|v| match v.parse::<u64>() {
+            Ok(0) => None,
+            Ok(ms) => Some(Duration::from_millis(ms)),
+            Err(_) => fail("--metrics-interval-ms needs an integer number of milliseconds"),
+        })
 }
 
 fn run_role(role: NodeRole, args: &[String]) {
-    let Some(index) = flag_value(args, "--index").and_then(|v| v.parse::<usize>().ok()) else {
+    let flags = Flags::parse(
+        args,
+        "--fault-tolerant --rejoin",
+        "--index --control --ckpt-dir --crash-after-closes --metrics-interval-ms",
+    );
+    let Some(index) = flags.value("--index").and_then(|v| v.parse::<usize>().ok()) else {
         fail("role modes need --index N");
     };
-    let Some(control) = flag_value(args, "--control") else {
+    let Some(control) = flags.value("--control") else {
         fail("role modes need --control HOST:PORT");
     };
     let options = NodeOptions {
-        fault_tolerant: args.iter().any(|a| a == "--fault-tolerant"),
-        rejoin: args.iter().any(|a| a == "--rejoin"),
-        ckpt_dir: flag_value(args, "--ckpt-dir").map(PathBuf::from),
-        crash_after_closes: flag_value(args, "--crash-after-closes").map(|v| {
-            v.parse::<u64>()
-                .unwrap_or_else(|_| fail("--crash-after-closes needs a positive integer"))
-        }),
-        metrics_interval: parse_metrics_interval(args),
+        fault_tolerant: flags.has("--fault-tolerant"),
+        rejoin: flags.has("--rejoin"),
+        ckpt_dir: flags.value("--ckpt-dir").map(PathBuf::from),
+        // Closes are counted from 1, so 0 would never fire.
+        crash_after_closes: flags
+            .value("--crash-after-closes")
+            .map(|v| match v.parse() {
+                Ok(closes) if closes > 0 => closes,
+                _ => fail("--crash-after-closes needs a positive integer"),
+            }),
+        metrics_interval: parse_metrics_interval(&flags),
     };
     if let Err(message) = run_node_with(role, index, control, &options) {
         log::error("slb-node", &format!("{} {index}: {message}", role.name()));
@@ -137,30 +180,36 @@ fn parse_worker_at(value: &str) -> Option<(usize, u64)> {
 }
 
 fn run_orchestrate(args: &[String]) {
-    let Some(spec_path) = flag_value(args, "--spec") else {
+    let flags = Flags::parse(
+        args,
+        "--verify --fault-tolerant",
+        "--spec --respawn-budget --ckpt-dir --kill-worker --crash-worker --metrics-dir \
+         --metrics-interval-ms",
+    );
+    let Some(spec_path) = flags.value("--spec") else {
         fail("orchestrate needs --spec FILE");
     };
-    let verify = args.iter().any(|a| a == "--verify");
+    let verify = flags.has("--verify");
     let mut options = OrchestrateOptions {
-        fault_tolerant: args.iter().any(|a| a == "--fault-tolerant"),
-        ckpt_dir: flag_value(args, "--ckpt-dir").map(PathBuf::from),
-        metrics_dir: flag_value(args, "--metrics-dir").map(PathBuf::from),
-        metrics_interval: parse_metrics_interval(args),
+        fault_tolerant: flags.has("--fault-tolerant"),
+        ckpt_dir: flags.value("--ckpt-dir").map(PathBuf::from),
+        metrics_dir: flags.value("--metrics-dir").map(PathBuf::from),
+        metrics_interval: parse_metrics_interval(&flags),
         ..OrchestrateOptions::default()
     };
-    if let Some(budget) = flag_value(args, "--respawn-budget") {
+    if let Some(budget) = flags.value("--respawn-budget") {
         match budget.parse::<u32>() {
             Ok(budget) => options.respawn_budget = budget,
             Err(_) => fail("--respawn-budget needs a non-negative integer"),
         }
     }
-    if let Some(kill) = flag_value(args, "--kill-worker") {
+    if let Some(kill) = flags.value("--kill-worker") {
         match parse_worker_at(kill) {
             Some(plan) => options.kill_worker = Some(plan),
             None => fail("--kill-worker needs W@MS (worker index @ delay in ms)"),
         }
     }
-    if let Some(crash) = flag_value(args, "--crash-worker") {
+    if let Some(crash) = flags.value("--crash-worker") {
         match parse_worker_at(crash) {
             Some((_, 0)) | None => {
                 fail("--crash-worker needs W@N (worker index @ 1-based window close count)")

@@ -22,6 +22,7 @@ use std::str::FromStr;
 
 use slb_core::{ControllerConfig, PartitionerKind, SolverMode};
 use slb_engine::{EngineConfig, ScenarioConfig, StagePlan};
+use slb_telemetry::stage;
 use slb_workloads::{Arrival, Scenario, ScenarioPhase};
 
 use crate::wire::WireError;
@@ -38,21 +39,21 @@ pub enum NodeRole {
 }
 
 impl NodeRole {
-    /// Stable wire byte for the role.
+    /// Stable wire byte for the role: its [`stage`] code.
     pub fn as_u8(self) -> u8 {
         match self {
-            NodeRole::Source => 0,
-            NodeRole::Worker => 1,
-            NodeRole::Aggregator => 2,
+            NodeRole::Source => stage::SOURCE,
+            NodeRole::Worker => stage::WORKER,
+            NodeRole::Aggregator => stage::AGGREGATOR,
         }
     }
 
     /// Decodes a wire byte.
     pub fn from_u8(byte: u8) -> Result<Self, WireError> {
         match byte {
-            0 => Ok(NodeRole::Source),
-            1 => Ok(NodeRole::Worker),
-            2 => Ok(NodeRole::Aggregator),
+            stage::SOURCE => Ok(NodeRole::Source),
+            stage::WORKER => Ok(NodeRole::Worker),
+            stage::AGGREGATOR => Ok(NodeRole::Aggregator),
             _ => Err(WireError::Malformed("unknown node role")),
         }
     }

@@ -105,7 +105,7 @@ use slb_engine::{
     CheckpointRecord, NoRecovery, RecoveryMetrics, SourceControl, SourceControlEvent,
     SourceStageReport, StagePlan, TupleSender, WorkerRecovery, WorkerStageReport,
 };
-use slb_telemetry::{log, snapshot_stage, HopTelemetry, MetricsSnapshot};
+use slb_telemetry::{log, stage, HopTelemetry, MetricsSnapshot};
 use slb_workloads::KeyId;
 
 use crate::cluster::{ClusterSpec, NodeRole, RunSpec};
@@ -365,7 +365,7 @@ impl ControlLoop {
                 // through its outbound (source) or inbound (worker,
                 // aggregator) hop. The final snapshot replaces it with the
                 // report's exact count.
-                items: if self.stage == snapshot_stage::SOURCE {
+                items: if self.stage == stage::SOURCE {
                     transport.tuples_sent
                 } else {
                     transport.tuples_received
@@ -643,11 +643,7 @@ pub fn run_node_with(
     let control = ControlLoop {
         control,
         open: true,
-        stage: match role {
-            NodeRole::Source => snapshot_stage::SOURCE,
-            NodeRole::Worker => snapshot_stage::WORKER,
-            NodeRole::Aggregator => snapshot_stage::AGGREGATOR,
-        },
+        stage: role.as_u8(),
         index: index as u32,
         on_frame: Box::new(|_| {}),
         late: None,

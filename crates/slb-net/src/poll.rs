@@ -1,6 +1,6 @@
 //! `poll(2)`, declared directly against the libc the standard library
-//! already links (as `slb_engine::transport` does for `sched_setaffinity`),
-//! so no new dependency is needed. The only `unsafe` in this crate.
+//! already links, so no new dependency is needed. The workspace's only FFI
+//! and the only `unsafe` in this crate.
 
 use std::ffi::{c_int, c_short, c_ulong};
 use std::time::Instant;

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use slb_engine::{AggregatorStageReport, SourceStageReport, WorkerStageReport};
-use slb_telemetry::{log, snapshot_stage, MetricsSnapshot};
+use slb_telemetry::{log, stage, MetricsSnapshot};
 
 use crate::cluster::NodeRole;
 use crate::node::CountPartial;
@@ -406,7 +406,7 @@ impl Supervisor {
                         Some(rollup) => rollup.merge(&snap),
                         None => {
                             self.outcome.metrics = Some(MetricsSnapshot {
-                                stage: snapshot_stage::CLUSTER,
+                                stage: stage::CLUSTER,
                                 instance: 0,
                                 ..snap.clone()
                             });
@@ -1067,7 +1067,7 @@ mod tests {
     fn metrics_are_exported_as_they_come_and_finals_fold_into_the_rollup() {
         let mut rig = Rig::wired(plan(true, 1));
         let snapshot = |finished, items| MetricsSnapshot {
-            stage: snapshot_stage::WORKER,
+            stage: stage::WORKER,
             instance: 1,
             finished,
             items,
@@ -1079,7 +1079,7 @@ mod tests {
             assert_eq!(actions, [Action::Export(snap)]);
         }
         let rollup = rig.sup.outcome.metrics.expect("two finals arrived");
-        assert_eq!((rollup.stage, rollup.items), (snapshot_stage::CLUSTER, 13));
+        assert_eq!((rollup.stage, rollup.items), (stage::CLUSTER, 13));
     }
 
     /// What the property test's stand-in for the driver keeps track of.

@@ -5,7 +5,7 @@
 //! aggregation are transport-blind. This suite turns that into an equality
 //! check: for every grouping scheme and seed, the same
 //! `EngineConfig`/`ScenarioConfig` runs once over the in-process crossbeam
-//! backend, once over the thread-per-core SPSC ring backend, and once over
+//! backend, once over the lock-free SPSC ring backend, and once over
 //! TCP loopback sockets, and the merged per-window per-key counts must be
 //! **bit-identical** — to each other and to the single-threaded exact
 //! reference. Any framing bug, lost frame, reordered punctuation,

@@ -8,7 +8,7 @@
 //! * **(a) Exactness under adaptation** — for every grouping scheme and
 //!   seed, a controlled run's merged per-window per-key counts are
 //!   bit-identical to the single-threaded exact reference on the in-process
-//!   backend, the thread-per-core SPSC backend, and TCP loopback. Scaling
+//!   backend, the lock-free SPSC backend, and TCP loopback. Scaling
 //!   and retuning move *routing*, never window contents.
 //! * **(b) The controller earns its keep** — on the drift-heavy scenario,
 //!   a pure-`d`-adaptation controller (min = max = workers) ends the run

@@ -6,7 +6,7 @@
 //! per-key counts must be **bit-identical** to the single-threaded exact
 //! reference — exactly-once, not at-least-once. This suite executes the
 //! same deterministic `FaultPlan`s over the in-process backend, the
-//! thread-per-core SPSC ring backend, and TCP loopback sockets, and
+//! lock-free SPSC ring backend, and TCP loopback sockets, and
 //! asserts:
 //!
 //! * merged windows equal the exact reference (and each other) after every

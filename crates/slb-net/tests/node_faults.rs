@@ -21,7 +21,9 @@
 //!   the survivors rescale it out at a window boundary, and the run
 //!   terminates with a degraded report instead of hanging.
 //! * **No silent no-op** — an injector naming a worker the spec does not
-//!   have is refused (exit 2) before any node is spawned.
+//!   have, a flag the mode does not take, a value flag without its value,
+//!   a repeated flag and `--crash-after-closes 0` are refused (exit 2)
+//!   before any node is spawned.
 //!
 //! The run is sized so the kill is guaranteed to land mid-run: with
 //! `service_time_us 50` the worker stage has a busy floor of hundreds of
@@ -290,6 +292,63 @@ fn a_fault_naming_no_worker_is_refused() {
         assert!(
             !stdout.contains("scheme="),
             "{flag} {value} ran a cluster\n{stdout}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A flag the mode does not know, or one it cannot use, is refused before
+/// anything runs: a misspelt `--verify` would otherwise run the cluster,
+/// skip the check and exit 0, and `--crash-after-closes 0` could never fire.
+#[test]
+fn a_flag_the_mode_does_not_take_is_refused() {
+    let spec = "mode engine\nscheme PKG\nsources 1\nworkers 3\nkeys 500\nskew 1.6\n\
+                messages 4096\nservice_time_us 0\nqueue_capacity 256\nseed 1\n\
+                batch_size 64\nwindow_size 256\naggregators 1\n";
+    let path = write_spec("flag-refused", spec);
+    let spec = path.to_str().expect("utf-8 temp path");
+    let worker = ["worker", "--index", "0", "--control", "127.0.0.1:9"];
+    let cases: [(Vec<&str>, &str); 6] = [
+        (
+            vec!["orchestrate", "--spec", spec, "--verfy"],
+            "unknown argument: --verfy",
+        ),
+        (
+            vec!["orchestrate", "--spec", spec, "--respawn-budget"],
+            "--respawn-budget needs a value",
+        ),
+        (
+            vec!["orchestrate", "--spec", "--verify"],
+            "--spec needs a value",
+        ),
+        (
+            vec!["orchestrate", "--spec", spec, "--verify", "--verify"],
+            "--verify given twice",
+        ),
+        (
+            [&worker[..], &["--crash-after-closes", "0"]].concat(),
+            "--crash-after-closes needs a positive integer",
+        ),
+        (
+            [&worker[..], &["--kill-worker", "0@1"]].concat(),
+            "unknown argument: --kill-worker",
+        ),
+    ];
+    for (args, message) in cases {
+        let output = Command::new(node_exe())
+            .args(&args)
+            .output()
+            .expect("spawn slb-node");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}\n{stderr}");
+        assert!(
+            stderr.contains(message),
+            "{args:?}: want {message:?}\n{stderr}"
+        );
+        assert!(
+            !stdout.contains("scheme="),
+            "{args:?} ran a cluster\n{stdout}"
         );
     }
     let _ = std::fs::remove_file(&path);

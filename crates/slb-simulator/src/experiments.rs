@@ -7,8 +7,6 @@
 //! serves quick smoke tests, laptop-scale reproduction runs, and paper-scale
 //! runs.
 
-use serde::{Deserialize, Serialize};
-
 use slb_core::{
     d_fraction, find_optimal_choices, relative_overhead_pct, HeadThreshold, MemoryScheme,
     PartitionConfig, PartitionerKind,
@@ -20,7 +18,7 @@ use crate::metrics::SimulationResult;
 use crate::simulation::{SimulationConfig, Simulator};
 
 /// How big to run an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
     /// Tiny runs for CI / integration tests (seconds).
     Smoke,
@@ -59,7 +57,7 @@ impl ExperimentScale {
 }
 
 /// One measured point: a scheme at a given setting with its imbalance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ImbalanceRow {
     /// Dataset symbol (WP, TW, CT, ZF).
     pub dataset: String,
@@ -168,7 +166,7 @@ pub fn imbalance_vs_workers(
 // ---------------------------------------------------------------------------
 
 /// One row of Figure 3: how many keys exceed the threshold θ.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeadCardinalityRow {
     /// Zipf exponent.
     pub skew: f64,
@@ -210,7 +208,7 @@ pub fn head_cardinality_vs_skew(
 // ---------------------------------------------------------------------------
 
 /// One row of Figure 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DFractionRow {
     /// Zipf exponent.
     pub skew: f64,
@@ -261,7 +259,7 @@ pub fn d_fraction_vs_skew(
 // ---------------------------------------------------------------------------
 
 /// One row of Figures 5/6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryRow {
     /// Zipf exponent.
     pub skew: f64,
@@ -332,7 +330,7 @@ pub fn memory_overhead_vs_skew(
 // ---------------------------------------------------------------------------
 
 /// One row of Figure 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThresholdRow {
     /// Scheme symbol (W-C or RR).
     pub scheme: String,
@@ -380,7 +378,7 @@ pub fn threshold_sweep(
 // ---------------------------------------------------------------------------
 
 /// One row of Figure 8: a worker's load split for a scheme.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeadTailRow {
     /// Scheme symbol.
     pub scheme: String,
@@ -435,7 +433,7 @@ pub fn head_tail_load(
 // ---------------------------------------------------------------------------
 
 /// One row of Figure 9.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MinimalDRow {
     /// Zipf exponent.
     pub skew: f64,
@@ -612,7 +610,7 @@ pub fn zipf_grid(
 
 /// One series of Figure 12: imbalance samples over time for one scheme on
 /// one dataset at one scale.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeriesRow {
     /// Dataset symbol.
     pub dataset: String,

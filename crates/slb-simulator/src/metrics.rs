@@ -1,9 +1,7 @@
 //! Result types produced by a simulation run.
 
-use serde::{Deserialize, Serialize};
-
 /// One point of the imbalance-over-time series (Figure 12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeSeriesPoint {
     /// Number of messages processed when the sample was taken.
     pub messages: u64,
@@ -13,7 +11,7 @@ pub struct TimeSeriesPoint {
 
 /// Per-worker load split into the share generated by head keys and by tail
 /// keys (Figure 8). Loads are fractions of the total message count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadTailLoad {
     /// Fraction of all messages that reached each worker via a head key.
     pub head: Vec<f64>,
@@ -33,7 +31,7 @@ impl HeadTailLoad {
 }
 
 /// The outcome of replaying one workload under one grouping scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Scheme symbol (KG, SG, PKG, D-C, W-C, RR).
     pub scheme: String,

@@ -15,8 +15,6 @@
 //! simulator's per-phase counts are *exactly* — not statistically — equal to
 //! the engine's (`slb-engine/tests/scenario_differential.rs` pins this).
 
-use serde::{Deserialize, Serialize};
-
 use slb_core::{
     build_partitioner, imbalance_fractions, ControllerConfig, ControllerMetrics,
     ElasticityController, PartitionConfig, PartitionerKind, PerWindowLoads, PhaseLoadMatrix,
@@ -25,7 +23,7 @@ use slb_core::{
 use slb_workloads::{KeyId, KeyStream, Scenario};
 
 /// Routing outcome of one scenario phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioPhaseOutcome {
     /// Phase index.
     pub phase: usize,
@@ -44,7 +42,7 @@ pub struct ScenarioPhaseOutcome {
 }
 
 /// Routing outcome of a whole scenario under one grouping scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSimResult {
     /// Scheme symbol (KG, SG, PKG, D-C, W-C, RR).
     pub scheme: String,
@@ -113,7 +111,7 @@ pub fn simulate_scenario(kind: PartitionerKind, scenario: &Scenario) -> Scenario
 }
 
 /// Routing outcome of a scenario replayed under an elasticity controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlledSimResult {
     /// Scheme symbol (KG, SG, PKG, D-C, W-C, RR).
     pub scheme: String,

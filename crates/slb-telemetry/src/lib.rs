@@ -29,7 +29,17 @@ pub mod trace;
 
 pub use hist::{bucket_floor, bucket_index, AtomicHistogram, LogHistogram, NUM_BUCKETS, SUB_BITS};
 pub use metrics::{
-    snapshot_stage, Counter, Gauge, HopStats, HopTelemetry, MaxGauge, MetricsSnapshot,
-    RecoveryMetrics,
+    Counter, Gauge, HopStats, HopTelemetry, MaxGauge, MetricsSnapshot, RecoveryMetrics,
 };
-pub use trace::{kind as trace_kind, sort_canonical, stage as trace_stage, TraceBuf, TraceEvent};
+pub use trace::{kind as trace_kind, sort_canonical, TraceBuf, TraceEvent};
+
+/// The one list of stage codes: [`TraceEvent::stage`],
+/// [`MetricsSnapshot::stage`] and a node's role byte on the control plane
+/// all read it.
+pub mod stage {
+    pub const SOURCE: u8 = 0;
+    pub const WORKER: u8 = 1;
+    pub const AGGREGATOR: u8 = 2;
+    /// The cluster-wide rollup the orchestrator synthesizes (snapshots only).
+    pub const CLUSTER: u8 = 3;
+}

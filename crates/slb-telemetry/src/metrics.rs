@@ -20,6 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hist::{AtomicHistogram, LogHistogram};
+use crate::stage;
 
 /// A monotonically increasing relaxed atomic counter.
 #[derive(Debug, Default)]
@@ -244,16 +245,6 @@ impl RecoveryMetrics {
     }
 }
 
-/// Stage codes for [`MetricsSnapshot::stage`]; 0–2 mirror
-/// [`crate::trace::stage`], 3 is a cluster-wide rollup the orchestrator
-/// synthesizes.
-pub mod snapshot_stage {
-    pub const SOURCE: u8 = 0;
-    pub const WORKER: u8 = 1;
-    pub const AGGREGATOR: u8 = 2;
-    pub const CLUSTER: u8 = 3;
-}
-
 /// One stage instance's metrics at a point in time — the payload of the
 /// `METRICS` control frame and of one JSONL line in the orchestrator's
 /// merged metrics stream.
@@ -265,7 +256,7 @@ pub mod snapshot_stage {
 /// the orchestrator's final rollup provably match the run report.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Stage code ([`snapshot_stage`]).
+    /// Stage code ([`crate::stage`]).
     pub stage: u8,
     /// Stage instance index (meaningless for `CLUSTER`).
     pub instance: u32,
@@ -294,10 +285,10 @@ impl MetricsSnapshot {
     /// Human-readable stage name (used in JSON).
     pub fn stage_name(&self) -> &'static str {
         match self.stage {
-            snapshot_stage::SOURCE => "source",
-            snapshot_stage::WORKER => "worker",
-            snapshot_stage::AGGREGATOR => "aggregator",
-            snapshot_stage::CLUSTER => "cluster",
+            stage::SOURCE => "source",
+            stage::WORKER => "worker",
+            stage::AGGREGATOR => "aggregator",
+            stage::CLUSTER => "cluster",
             _ => "unknown",
         }
     }
@@ -457,7 +448,7 @@ mod tests {
         let mut hist_b = LogHistogram::new();
         hist_b.record_n(5_000, 4);
         let mut a = MetricsSnapshot {
-            stage: snapshot_stage::WORKER,
+            stage: stage::WORKER,
             instance: 0,
             finished: true,
             items: 10,
@@ -469,7 +460,7 @@ mod tests {
             ..Default::default()
         };
         let b = MetricsSnapshot {
-            stage: snapshot_stage::WORKER,
+            stage: stage::WORKER,
             instance: 1,
             finished: true,
             items: 4,
@@ -530,7 +521,7 @@ mod tests {
             ..Default::default()
         };
         let snapshot_of = |transport: &HopStats, recovery| MetricsSnapshot {
-            stage: snapshot_stage::CLUSTER,
+            stage: stage::CLUSTER,
             finished: true,
             transport: transport.clone(),
             recovery,
@@ -563,7 +554,7 @@ mod tests {
     #[test]
     fn json_line_is_wellformed_enough() {
         let mut snapshot = MetricsSnapshot {
-            stage: snapshot_stage::SOURCE,
+            stage: stage::SOURCE,
             instance: 2,
             seq: 7,
             items: 99,

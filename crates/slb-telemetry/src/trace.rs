@@ -22,13 +22,6 @@
 //! Replay, restore, and crash events are timing-dependent by nature and
 //! appear only on faulty runs, which the differential never compares.
 
-/// Stage codes for [`TraceEvent::stage`].
-pub mod stage {
-    pub const SOURCE: u8 = 0;
-    pub const WORKER: u8 = 1;
-    pub const AGGREGATOR: u8 = 2;
-}
-
 /// Event kinds for [`TraceEvent::kind`].
 pub mod kind {
     /// Source: a window's close markers were broadcast. Worker: a window
@@ -60,7 +53,7 @@ pub mod kind {
 /// `(stage, instance, seq, ...)`, which is the canonical merged order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceEvent {
-    /// Stage kind ([`stage`] codes).
+    /// Stage kind ([`crate::stage`] codes).
     pub stage: u8,
     /// Stage instance index (source / worker / aggregator-shard id).
     pub instance: u32,
@@ -126,6 +119,7 @@ pub fn sort_canonical(events: &mut [TraceEvent]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage;
 
     #[test]
     fn seq_is_per_instance_monotone() {

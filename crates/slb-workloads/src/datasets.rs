@@ -21,14 +21,12 @@
 //! keys-to-messages ratio and p1) so that the full experiment suite runs on a
 //! laptop; `Scale::Paper` reproduces the full-size parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::drift::DriftingGenerator;
 use crate::zipf::{fit_exponent_to_p1, ZipfGenerator};
 use crate::KeyStream;
 
 /// Which of the paper's datasets a generator emulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Wikipedia page-view log (WP).
     Wikipedia,
@@ -56,7 +54,7 @@ impl DatasetKind {
 }
 
 /// Scale at which to instantiate a real-world-like dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Paper-size message and key counts (Table I). Heavy; intended for the
     /// full reproduction runs.
@@ -68,7 +66,7 @@ pub enum Scale {
 }
 
 /// Static description of a dataset: the numbers reported in Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetStats {
     /// Which trace this describes.
     pub kind: DatasetKind,

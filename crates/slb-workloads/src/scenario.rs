@@ -37,7 +37,6 @@
 //! and one drift seed, so the hot key is the same [`crate::KeyId`] at every
 //! source at every point in time.
 
-use serde::{Deserialize, Serialize};
 use slb_hash::splitmix::splitmix64;
 
 use crate::drift::DriftingGenerator;
@@ -47,7 +46,7 @@ use crate::zipf::ZipfGenerator;
 const DRIFT_SALT: u64 = 0xD21F_7AB1_E5CE_0A21;
 
 /// How tuples arrive within a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrival {
     /// Sources emit as fast as downstream back-pressure allows.
     Steady,
@@ -63,7 +62,7 @@ pub enum Arrival {
 }
 
 /// One phase of a [`Scenario`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioPhase {
     /// Phase length in windows per source (tuples = `windows × window_size`).
     pub windows: u64,
@@ -128,7 +127,7 @@ impl ScenarioPhase {
 
 /// A deterministic multi-phase workload + cluster description, executable by
 /// both `slb-engine` (threaded) and `slb-simulator` (analytic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Human-readable scenario name (experiment output labels).
     pub name: String,
