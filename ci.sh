@@ -43,7 +43,7 @@ spawns=$(for file in crates/slb-net/src/*.rs crates/slb-net/src/bin/*.rs; do
     sed '/^#\[cfg(test)\]/,$d' "$file"
 done | grep -c 'thread::spawn' || true)
 if [ "$spawns" != 1 ]; then
-    echo "slb-net starts $spawns threads; exactly one is allowed, the fault-tolerant node's control loop"
+    echo "slb-net starts $spawns threads; exactly one is allowed, the node's control loop"
     exit 1
 fi
 if sed '/^#\[cfg(test)\]/,$d' crates/slb-net/src/supervisor.rs |
@@ -136,6 +136,23 @@ echo "==> one recovery plane: no worker -> source hop on any transport, no repla
 if grep -rnE 'Feedback(Sender|Receiver|Frame|Tx|Rx)|TcpFeedback|feedback_channel|NoFeedback|ReplayRequest' \
     crates src tests examples || grep -rn 'REPLAY_REQUEST' crates/slb-net; then
     echo "a replay request is a \`SourceControlEvent::Rejoin\`: std mpsc in process, the control plane across processes"
+    exit 1
+fi
+
+echo "==> one node protocol: every slb-node runs the supervised data plane, --fault-tolerant decides only durability and respawn"
+if grep -rnE 'NoRecovery|fn recoverable|WorkerRecovery::none|fn run_node\b' crates src tests examples; then
+    echo "every source is released by its control, every slb-node worker returns at the plan's last window"
+    exit 1
+fi
+# The orchestrator's option stays; a node never asks which kind of run it is in.
+if sed '/^#\[cfg(test)\]/,$d' crates/slb-net/src/node.rs | grep -n 'fault_tolerant'; then
+    echo "node.rs: a worker persists iff it was given --ckpt-dir; no node branches on fault tolerance"
+    exit 1
+fi
+
+echo "==> figure 9 routes through the partitioner: its search runs D-Choices with the solver pinned"
+if grep -rn 'run_greedy_d_fixed' crates src tests examples; then
+    echo "the empirical minimal d is searched on PartitionConfig::with_solver(SolverMode::Fixed(d)) through the Simulator"
     exit 1
 fi
 

@@ -62,11 +62,11 @@ pub use latency::{LatencySummary, PhaseMetrics, StageMetrics};
 pub use slb_telemetry::RecoveryMetrics;
 pub use spsc::{Spsc, SpscReceiver, SpscSender};
 pub use topology::{
-    assemble_result, compare_schemes, compare_schemes_scenario, run_aggregator_stage,
-    run_source_stage, run_worker_stage, AggregatorStageReport, EngineConfig, EngineResult,
-    NoRecovery, PhasePlan, ScenarioConfig, SourceControl, SourceControlEvent, SourceStageReport,
-    StagePlan, Topology, TransportStats, WorkerRecovery, WorkerStageReport, DEFAULT_AGGREGATORS,
-    DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_CAPACITY, DEFAULT_WINDOW_SIZE,
+    assemble_result, compare_schemes, run_aggregator_stage, run_source_stage, run_worker_stage,
+    AggregatorStageReport, EngineConfig, EngineResult, PhasePlan, ScenarioConfig, SourceControl,
+    SourceControlEvent, SourceStageReport, StagePlan, Topology, TransportStats, WorkerRecovery,
+    WorkerStageReport, DEFAULT_AGGREGATORS, DEFAULT_BATCH_SIZE, DEFAULT_QUEUE_CAPACITY,
+    DEFAULT_WINDOW_SIZE,
 };
 pub use transport::{
     capacity_in_batches, partial_channel_capacity, ChannelClosed, InProc, PartialReceiver,

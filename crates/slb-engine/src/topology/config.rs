@@ -336,12 +336,6 @@ impl ScenarioConfig {
         }
     }
 
-    /// Overrides the grouping scheme.
-    pub fn with_kind(mut self, kind: PartitionerKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
     /// Overrides the base per-tuple service time (microseconds).
     pub fn with_service_time_us(mut self, us: u64) -> Self {
         self.service_time_us = us;

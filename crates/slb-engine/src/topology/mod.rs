@@ -23,14 +23,14 @@
 //!   boundary → burst flush), generic over a sink: the live sink ships
 //!   every frame, the replay sink re-ships a recovering worker's missing
 //!   suffix from a cloned driver. Recovery arrives as
-//!   [`SourceControlEvent`]s from a [`SourceControl`]: [`NoRecovery`], a
-//!   std `mpsc::Receiver<SourceControlEvent>` (in process: the workers hold
-//!   the senders) or `slb-node`'s own (the process supervisor's control
-//!   plane). Either way a replay request is a `Rejoin` event — there is no
+//!   [`SourceControlEvent`]s from a [`SourceControl`]: a std
+//!   `mpsc::Receiver<SourceControlEvent>` (in process: the workers hold the
+//!   senders) or `slb-node`'s own (the process supervisor's control plane).
+//!   Either way a replay request is a `Rejoin` event — there is no
 //!   worker → source hop on the data plane.
 //! * `worker` — [`run_worker_stage`] and its [`WorkerRecovery`] argument
-//!   (none, in-process senders to the sources' controls, or durable
-//!   respawn).
+//!   (in-process senders to the sources' controls, or a process's durable
+//!   log and its respawn).
 //! * `aggregator` — [`run_aggregator_stage`] and its optional exclusion
 //!   queue (a supervisor's "finalize without this worker").
 //! * `runner` — [`Topology`] and the [`ScenarioConfig`] run methods, the
@@ -116,11 +116,6 @@ pub use config::{
     EngineConfig, PhasePlan, ScenarioConfig, StagePlan, DEFAULT_AGGREGATORS, DEFAULT_BATCH_SIZE,
     DEFAULT_QUEUE_CAPACITY, DEFAULT_WINDOW_SIZE,
 };
-pub use runner::{
-    assemble_result, compare_schemes, compare_schemes_scenario, EngineResult, Topology,
-    TransportStats,
-};
-pub use source::{
-    run_source_stage, NoRecovery, SourceControl, SourceControlEvent, SourceStageReport,
-};
+pub use runner::{assemble_result, compare_schemes, EngineResult, Topology, TransportStats};
+pub use source::{run_source_stage, SourceControl, SourceControlEvent, SourceStageReport};
 pub use worker::{run_worker_stage, WorkerRecovery, WorkerStageReport};

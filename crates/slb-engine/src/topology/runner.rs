@@ -596,18 +596,6 @@ pub fn compare_schemes(base: &EngineConfig, schemes: &[PartitionerKind]) -> Vec<
         .collect()
 }
 
-/// Runs one scenario per grouping scheme in `schemes`, all on the same
-/// scenario spec, and returns the results in the same order.
-pub fn compare_schemes_scenario(
-    base: &ScenarioConfig,
-    schemes: &[PartitionerKind],
-) -> Vec<EngineResult> {
-    schemes
-        .iter()
-        .map(|&kind| base.clone().with_kind(kind).run())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
@@ -995,18 +983,6 @@ mod tests {
             assert_eq!(x.worker_counts, y.worker_counts);
             assert_eq!(x.imbalance.to_bits(), y.imbalance.to_bits());
         }
-    }
-
-    #[test]
-    fn compare_schemes_scenario_labels_results() {
-        let base = ScenarioConfig::new(PartitionerKind::Pkg, small_scenario(5));
-        let results = compare_schemes_scenario(
-            &base,
-            &[PartitionerKind::KeyGrouping, PartitionerKind::WChoices],
-        );
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].scheme, "KG");
-        assert_eq!(results[1].scheme, "W-C");
     }
 
     #[test]

@@ -79,19 +79,14 @@ pub enum SourceControlEvent {
 }
 
 /// Where a source's [`SourceControlEvent`]s come from — the one per-role
-/// argument of [`run_source_stage`]. The three in-tree sources of events are
-/// [`NoRecovery`] (none, ever), a std `mpsc::Receiver<SourceControlEvent>`
-/// (in process: the workers hold the senders) and `slb-node`'s own
-/// implementation over the process supervisor's control plane (see
-/// docs/FAULTS.md): a respawned worker's restored cursors travel in the
-/// `Rejoin` control frame, and `reattach` re-dials the respawned process.
+/// argument of [`run_source_stage`]. The two in-tree sources of events are
+/// a std `mpsc::Receiver<SourceControlEvent>` (in process: the workers hold
+/// the senders) and `slb-node`'s own implementation over the process
+/// supervisor's control plane (see docs/FAULTS.md): a respawned worker's
+/// restored cursors travel in the `Rejoin` control frame, and `reattach`
+/// re-dials the respawned process. A control whose every sender is gone
+/// releases the stage as soon as it has emitted its stream.
 pub trait SourceControl {
-    /// Whether a `Rejoin` can ever arrive. `false` lets the stage skip the
-    /// window-boundary snapshots replay needs.
-    fn recoverable(&self) -> bool {
-        true
-    }
-
     /// The next queued event, without blocking. Polled between chunks so a
     /// recovering worker never waits on a source that is still emitting.
     fn poll(&mut self) -> Option<SourceControlEvent>;
@@ -105,25 +100,6 @@ pub trait SourceControl {
     /// connection. Runs on the emission thread just before the replay it
     /// precedes, so replayed frames always come ahead of later live ones.
     fn reattach(&mut self, _worker: usize) {}
-}
-
-/// No recovery channel: no replay, no exclusion, and the stage returns as
-/// soon as it has emitted its stream.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoRecovery;
-
-impl SourceControl for NoRecovery {
-    fn recoverable(&self) -> bool {
-        false
-    }
-
-    fn poll(&mut self) -> Option<SourceControlEvent> {
-        None
-    }
-
-    fn wait(&mut self) -> SourceControlEvent {
-        SourceControlEvent::Release
-    }
 }
 
 /// The in-process recovery channel: a recovering worker sends its `Rejoin`
@@ -705,8 +681,7 @@ struct SourceStage<'a, S, F, Tx, C> {
     stream_for_phase: F,
     control: C,
     driver: SourceDriver<'a, S>,
-    /// Clones of `driver` at window boundaries, oldest first; empty when
-    /// the control path is not recoverable.
+    /// Clones of `driver` at window boundaries, oldest first.
     snapshots: VecDeque<SourceDriver<'a, S>>,
     sink: LiveSink<'a, Tx>,
 }
@@ -723,9 +698,6 @@ where
     /// — is always retained so any `from_seq`, however old, has a covering
     /// snapshot.
     fn snapshot(&mut self) {
-        if !self.control.recoverable() {
-            return;
-        }
         if self.snapshots.len() == REPLAY_SNAPSHOT_RING {
             self.snapshots.remove(1);
         }
@@ -790,18 +762,15 @@ where
 /// `p`; the engine and `slb-node` both construct it from the shared config
 /// so every backend emits the identical stream.
 ///
-/// With a recoverable `control` (an `mpsc::Receiver`, `slb-node`'s) the source
-/// keeps a ring of window-boundary snapshots, polls for events between
-/// chunks, serves a `Rejoin` by re-driving the newest covering snapshot, and
-/// — after its own emission completes — keeps serving until `Release`. With
-/// [`NoRecovery`] it emits and returns. Replay re-sends are never counted as
-/// sent, and tuples routed to a later-excluded worker count as sent — the
-/// degradation report, not the sent count, carries the loss.
+/// The source keeps a ring of window-boundary snapshots, polls `control`
+/// for events between chunks, serves a `Rejoin` by re-driving the newest
+/// covering snapshot, and — after its own emission completes — keeps
+/// serving until `Release`. Replay re-sends are never counted as sent, and
+/// tuples routed to a later-excluded worker count as sent — the degradation
+/// report, not the sent count, carries the loss.
 ///
 /// # Panics
-/// Panics if a send fails (a worker endpoint disappeared mid-run), or if
-/// the plan schedules connection drops for this source and `control` is not
-/// recoverable (loss cannot be recovered without replay).
+/// Panics if a send fails (a worker endpoint disappeared mid-run).
 pub fn run_source_stage<S, Tx, C>(
     plan: &StagePlan,
     source_idx: usize,
@@ -815,10 +784,6 @@ where
     Tx: TupleSender,
     C: SourceControl,
 {
-    assert!(
-        control.recoverable() || plan.faults.drops_from(source_idx).is_empty(),
-        "connection-drop faults require a recovery channel"
-    );
     let driver = SourceDriver::new(plan, source_idx, senders.len(), stream_for_phase(0));
     let mut stage = SourceStage {
         senders,
@@ -921,7 +886,6 @@ mod tests {
         let rejoin = |worker, from_seq| SourceControlEvent::Rejoin { worker, from_seq };
         let (tx, mut control) = mpsc::channel();
         let tx2 = tx.clone();
-        assert!(control.recoverable());
         assert_eq!(control.poll(), None);
         tx.send(rejoin(3, 17)).unwrap();
         assert_eq!(control.poll(), Some(rejoin(3, 17)));

@@ -32,9 +32,9 @@ pub fn partial_channels(plan: &StagePlan) -> Channels<PartialWindow<CountPartial
     (0..plan.aggregators).map(|_| bounded(capacity)).unzip()
 }
 
-/// A recoverable [`SourceControl`] a test scripts from outside the source's
-/// thread: the in-process control (a queue whose closing counts as
-/// `Release`) with every reattach tallied.
+/// A [`SourceControl`] a test scripts from outside the source's thread:
+/// the in-process control (a queue whose closing counts as `Release`) with
+/// every reattach tallied.
 pub struct ScriptedControl {
     events: mpsc::Receiver<SourceControlEvent>,
     /// Sum of `worker + 1` over the reattach calls so far.

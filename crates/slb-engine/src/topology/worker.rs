@@ -255,40 +255,33 @@ pub enum WorkerRecovery<'a> {
     /// for replay itself, with a [`SourceControlEvent::Rejoin`]. After
     /// finalizing the plan's last window it drops the senders (letting
     /// sources finish their replay-service loops) and keeps draining to EOF,
-    /// shedding stragglers as duplicates. With no senders ([`Self::none`])
-    /// no crash can be simulated and no replay requested.
+    /// shedding stragglers as duplicates. With no senders no crash can be
+    /// simulated and no replay requested.
     Feedback(Vec<mpsc::Sender<SourceControlEvent>>),
-    /// Process-level recovery (the fault-tolerant `slb-node` runner). Two
-    /// differences from [`Self::Feedback`]:
+    /// Process-level recovery (every `slb-node` worker). Two differences
+    /// from [`Self::Feedback`]:
     ///
     /// - The worker may *start* from `initial` (restored from the on-disk
     ///   [`slb_core::DurableCheckpointStore`] log by the respawned process),
     ///   and every record it saves is mirrored to `persist` (the durable
-    ///   store's `save` for a base, `append` for a delta) right after the
-    ///   in-memory save. A fresh process always begins with a base.
+    ///   store's `save` for a base, `append` for a delta; a no-op for a
+    ///   worker that keeps no log) right after the in-memory save. A fresh
+    ///   process always begins with a base.
     /// - The worker sends nothing to a source: replay is requested on its
     ///   behalf by the orchestrator — the `Rejoin` control frame carries the
     ///   restored cursors to every source. Consequently the stage *returns*
     ///   as soon as the plan's last window finalizes instead of draining to
     ///   EOF, because its tuple sockets stay open until the orchestrator's
     ///   Release (sources hold them for potential replay to OTHER respawned
-    ///   workers); and a sequence gap panics (the supervised source
-    ///   protocol guarantees gap-free delivery on each connection).
+    ///   workers) — at once, if there is no window left to finalize; and a
+    ///   sequence gap panics (the supervised source protocol guarantees
+    ///   gap-free delivery on each connection).
     Durable {
         /// The checkpoint to start from, if this process is a respawn.
         initial: Option<&'a WorkerCheckpoint>,
         /// Called with the record just saved at every window finalization.
         persist: &'a mut dyn FnMut(CheckpointRecord<'_>),
     },
-}
-
-impl WorkerRecovery<'_> {
-    /// The no-recovery default. Checkpoints are still taken at every window
-    /// finalization: the durability cost is part of the engine, not of
-    /// fault injection.
-    pub fn none() -> Self {
-        Self::Feedback(Vec::new())
-    }
 }
 
 /// Everything one worker contributes to a run: drains whole runs of batches
@@ -403,6 +396,11 @@ where
     // to open; a capacity hint, not state, so a crash keeps it.
     let mut room: Option<A::Partial> = None;
     'recv: loop {
+        // Nothing left to finalize (an empty plan, or a respawn restored
+        // past the last close): the EOF would only follow the Release.
+        if exit_at_last_window && state.windows_closed == total_windows {
+            break;
+        }
         let before = Instant::now();
         let received = receiver.recv_batch(&mut drained);
         hop.recv_wait_us.add(before.elapsed().as_micros() as u64);
@@ -642,7 +640,7 @@ mod tests {
     use super::super::test_support::{
         partial_channels, tiny_supervised_config, tuple_channels, CountPartial,
     };
-    use super::super::{run_source_stage, EngineConfig, NoRecovery};
+    use super::super::{run_source_stage, EngineConfig};
     use super::*;
     use crate::fault::FaultPlan;
     use crate::transport::PartialReceiver;
@@ -663,12 +661,14 @@ mod tests {
         let partial_receiver = partial_receivers.into_iter().next().unwrap();
         let (source_cfg, source_plan) = (cfg.clone(), plan.clone());
         let source = thread::spawn(move || {
+            // Nobody will ask for a replay: the control's sender is gone.
+            let (_, released) = mpsc::channel();
             run_source_stage(
                 &source_plan,
                 0,
                 |_phase| source_stream(&source_cfg, 0),
                 &senders,
-                NoRecovery,
+                released,
                 &HopTelemetry::default(),
             )
         });
@@ -695,6 +695,44 @@ mod tests {
         drop(partial_senders);
         source.join().expect("source thread panicked");
         (report, sink.join().expect("sink thread panicked"))
+    }
+
+    /// A durable worker whose plan has no window to finalize returns at
+    /// once, with its tuple channel still open: the EOF it would otherwise
+    /// wait for only follows the `Release`, which follows its report.
+    #[test]
+    fn a_durable_worker_with_no_window_to_finalize_returns_without_an_eof() {
+        let mut cfg = tiny_supervised_config().with_messages(1);
+        cfg.sources = 2;
+        let plan = cfg.stage_plan();
+        assert_eq!(plan.total_windows(), 0);
+        let (tuple_senders, receivers) = tuple_channels(&plan);
+        let receiver = receivers.into_iter().next().unwrap();
+        let (partial_senders, _partial_receivers) = partial_channels(&plan);
+        let (done, report) = mpsc::channel();
+        thread::spawn(move || {
+            let recovery = WorkerRecovery::Durable {
+                initial: None,
+                persist: &mut |_| {},
+            };
+            let hop = HopTelemetry::default();
+            let report = run_worker_stage(
+                &plan,
+                0,
+                Instant::now(),
+                &CountAggregate,
+                receiver,
+                &partial_senders,
+                recovery,
+                &hop,
+            );
+            let _ = done.send(report);
+        });
+        let report = report.recv_timeout(std::time::Duration::from_secs(10));
+        let report = report.expect("the worker waited for an EOF");
+        assert_eq!(report.windows_closed, 0);
+        assert_eq!(report.processed, 0);
+        drop(tuple_senders);
     }
 
     /// The worker's checkpoint log, driven by hand so every close is

@@ -12,14 +12,14 @@
 //! trailing partial window), bursts smaller than the batch size, a two-phase
 //! scale-out, and an attached elasticity controller that scales and retunes.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use proptest::prelude::*;
 
 use slb_core::{ControllerConfig, PartitionerKind};
 use slb_engine::windows::source_stream;
 use slb_engine::{
-    run_source_stage, ChannelClosed, EngineConfig, NoRecovery, ScenarioConfig, SourceControl,
+    run_source_stage, ChannelClosed, EngineConfig, ScenarioConfig, SourceControl,
     SourceControlEvent, SourceMessage, StagePlan, TupleSender, WindowId,
 };
 use slb_telemetry::HopTelemetry;
@@ -159,12 +159,14 @@ fn check<S: KeyStream + Clone>(
     };
     let reference: Log = Log::default();
     let hop = HopTelemetry::default();
+    // A control whose sender is gone: released, and never asked to replay.
+    let (_, released) = mpsc::channel();
     let sent = run_source_stage(
         plan,
         0,
         stream_for_phase,
         &senders(&reference),
-        NoRecovery,
+        released,
         &hop,
     )
     .sent;

@@ -1,10 +1,10 @@
 //! A replay snapshot costs a cursor, not the key space.
 //!
-//! A recoverable source clones its driver — stream included — at every
-//! window close. Over a 100 k-key Zipf stream the sampler's tables are
-//! 2.4 MB; they are immutable, so a snapshot must share them and copy only
-//! what a replay re-derives frames from: the RNG, the cursors and the
-//! partitioner (a few KB). A counting allocator holds the source to that.
+//! A source clones its driver — stream included — at every window close.
+//! Over a 100 k-key Zipf stream the sampler's tables are 2.4 MB; they are
+//! immutable, so a snapshot must share them and copy only what a replay
+//! re-derives frames from: the RNG, the cursors and the partitioner (a few
+//! KB). A counting allocator holds the source to that.
 //!
 //! One test per binary on purpose: the counter is process-wide.
 
@@ -86,8 +86,8 @@ fn a_window_close_allocates_kilobytes_not_the_key_space() {
     // Built once, outside the measurement: the tables are set-up cost.
     let stream = source_stream(&cfg, 0);
     let senders = vec![Recycling::default(); plan.spawned_workers];
-    // An in-process control whose workers have all left: recoverable, so
-    // the source snapshots at every close, and released at its first poll.
+    // An in-process control whose workers have all left: the source still
+    // snapshots at every close, and is released at its first poll.
     let (workers, control) = mpsc::channel::<SourceControlEvent>();
     drop(workers);
     let hop = HopTelemetry::default();

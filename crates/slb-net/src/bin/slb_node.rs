@@ -6,11 +6,13 @@
 //!                      [--respawn-budget N] [--ckpt-dir DIR]
 //!                      [--kill-worker W@MS] [--crash-worker W@N]
 //!                      [--metrics-dir DIR] [--metrics-interval-ms MS]
-//! slb-node source     --index N --control HOST:PORT [--fault-tolerant]
-//! slb-node worker     --index N --control HOST:PORT [--fault-tolerant]
-//!                      [--rejoin] [--ckpt-dir DIR]
-//! slb-node aggregator --index N --control HOST:PORT [--fault-tolerant]
+//! slb-node source     --index N --control HOST:PORT
+//! slb-node worker     --index N --control HOST:PORT
+//!                      [--ckpt-dir DIR [--rejoin]] [--crash-after-closes N]
+//! slb-node aggregator --index N --control HOST:PORT
 //! ```
+//!
+//! Every role mode also takes `--metrics-interval-ms MS`.
 //!
 //! Each mode takes the flags its usage line shows and nothing else: an
 //! unknown or repeated flag, or a value flag without its value, exits 2.
@@ -23,16 +25,20 @@
 //! replays the run's single-threaded exact reference and reports
 //! `exact-reference=MATCH` (exit 0) or `MISMATCH` (exit 1).
 //!
-//! With `--fault-tolerant` the orchestrator supervises the workers —
-//! durable checkpoints, heartbeats, respawn-with-rejoin, exclusion once the
-//! respawn budget runs out (see `docs/FAULTS.md`). `--kill-worker W@MS` is
-//! the built-in fault injector: it SIGKILLs worker `W` roughly `MS`
-//! milliseconds after `Start`, which is how the process-kill test suite
-//! exercises the whole recovery path end to end. `--crash-worker W@N` is its
-//! deterministic sibling: worker `W` aborts itself at its `N`-th window
-//! finalization, after shipping that window's partials but before the
-//! durable save — the exact interleaving of the tail-window re-ship race,
-//! so the recovery counters have a single predictable value. Either
+//! Every run's nodes speak one protocol: workers stream heartbeats, sources
+//! hold their connections for replay until the orchestrator's `Release`.
+//! `--fault-tolerant` decides two things only: workers persist durable
+//! checkpoints (under `--ckpt-dir`, or a temp directory), and a worker death
+//! is answered by a respawn-with-rejoin — exclusion once the respawn budget
+//! runs out — instead of failing the run (see `docs/FAULTS.md`).
+//! `--kill-worker W@MS` is the built-in fault injector: it SIGKILLs worker
+//! `W` roughly `MS` milliseconds after `Start`, which is how the process-kill
+//! test suite exercises the whole recovery path end to end.
+//! `--crash-worker W@N` is its deterministic sibling: worker `W` aborts
+//! itself at its `N`-th window finalization, after shipping that window's
+//! partials but before the durable save — the exact interleaving of the
+//! tail-window re-ship race, so the recovery counters have a single
+//! predictable value. Either
 //! injector naming a worker the spec does not have exits 2 before spawning
 //! anything: a fault that cannot fire would leave a healthy run looking
 //! like a recovered one.
@@ -40,8 +46,8 @@
 //! With `--metrics-dir DIR` the orchestrator appends every node's
 //! [`MetricsSnapshot`](slb_telemetry::MetricsSnapshot) to
 //! `DIR/metrics.jsonl` (one JSON object per line, cluster rollup last);
-//! `--metrics-interval-ms MS` additionally makes fault-tolerant stages
-//! stream periodic snapshots at that cadence (see `docs/OBSERVABILITY.md`).
+//! `--metrics-interval-ms MS` additionally makes every stage stream
+//! periodic snapshots at that cadence (see `docs/OBSERVABILITY.md`).
 //!
 //! Diagnostics go to stderr through the `SLB_LOG` leveled logger
 //! (`error|warn|info|debug`, default `info`); stdout stays reserved for the
@@ -66,8 +72,8 @@ const USAGE: &str = "usage: slb-node orchestrate --spec FILE [--verify] [--fault
                 [--crash-worker W@N] [--metrics-dir DIR]
                 [--metrics-interval-ms MS]
        slb-node (source|worker|aggregator) --index N --control HOST:PORT
-                [--fault-tolerant] [--rejoin] [--ckpt-dir DIR]
-                [--crash-after-closes N] [--metrics-interval-ms MS]";
+                [--rejoin] [--ckpt-dir DIR] [--crash-after-closes N]
+                [--metrics-interval-ms MS]";
 
 fn fail(message: &str) -> ! {
     log::error("slb-node", message);
@@ -145,7 +151,7 @@ fn parse_metrics_interval(flags: &Flags) -> Option<Duration> {
 fn run_role(role: NodeRole, args: &[String]) {
     let flags = Flags::parse(
         args,
-        "--fault-tolerant --rejoin",
+        "--rejoin",
         "--index --control --ckpt-dir --crash-after-closes --metrics-interval-ms",
     );
     let Some(index) = flags.value("--index").and_then(|v| v.parse::<usize>().ok()) else {
@@ -155,7 +161,6 @@ fn run_role(role: NodeRole, args: &[String]) {
         fail("role modes need --control HOST:PORT");
     };
     let options = NodeOptions {
-        fault_tolerant: flags.has("--fault-tolerant"),
         rejoin: flags.has("--rejoin"),
         ckpt_dir: flags.value("--ckpt-dir").map(PathBuf::from),
         // Closes are counted from 1, so 0 would never fire.

@@ -41,30 +41,32 @@
 //! policy as a process-free `(state, event) → actions` machine;
 //! `orchestrator.rs` drives it from one `poll(2)` loop on the caller's
 //! thread, over the control listener, every control connection and the
-//! machine's own deadline; and this file is the node side. A plain node
-//! starts no thread beyond its stage's. A fault-tolerant node starts exactly
-//! one, the control loop: while the stage runs it is the control
-//! connection's only reader and writer — heartbeats and periodic metrics
-//! snapshots (of the one `HopTelemetry` the node handed its stage) leave on
-//! its timer, `Rejoin` / `Exclude` / `Release` reach the
-//! stage over a queue, an aggregator's late data connections are accepted —
-//! and once the stage returns it hands the connection back for the final
-//! `Metrics` frame and the report. Nothing in the control plane sleeps or
-//! locks, and the node's two blocking reads of the control connection (for
-//! `Start`, and an aggregator's for `Release`) and a worker's or an
-//! aggregator's wait for its upstream data connections give up at
-//! `supervisor::CONTROL_TIMEOUT`.
+//! machine's own deadline; and this file is the node side. Every node runs
+//! one protocol and starts exactly one thread beyond its stage's, the
+//! control loop: while the stage runs it is the control connection's only
+//! reader and writer — a worker's heartbeats and periodic metrics snapshots
+//! (of the one `HopTelemetry` the node handed its stage) leave on its timer,
+//! `Rejoin` / `Exclude` / `Release` reach the stage over a queue, an
+//! aggregator's late data connections are accepted — and once the stage
+//! returns it hands the connection back for the final `Metrics` frame and
+//! the report. Nothing in the control plane sleeps or locks, and the node's
+//! two blocking reads of the control connection (for `Start`, and an
+//! aggregator's for `Release`) and a worker's or an aggregator's wait for
+//! its upstream data connections give up at `supervisor::CONTROL_TIMEOUT`.
 //!
 //! ## Fault tolerance
 //!
-//! With [`OrchestrateOptions::fault_tolerant`] the orchestrator supervises:
-//! workers persist a checkpoint record — a [`WorkerCheckpoint`] base or a
-//! window-sized delta on top of it — through a [`DurableCheckpointStore`] at
-//! every window boundary and stream `Heartbeat` frames; the orchestrator
-//! watches three death signals (control connection close, child-process
-//! exit, heartbeat silence) and answers a worker death by respawning the
-//! process with `--rejoin`, killing the old one first unless it was seen to
-//! exit:
+//! Every run speaks the supervised protocol: workers stream `Heartbeat`
+//! frames, sources hold their connections for replay and aggregators take
+//! late connections until `Release`. `orchestrate --fault-tolerant` (see
+//! [`OrchestrateOptions`]) decides two things only. Workers are given a
+//! checkpoint directory and persist a checkpoint record — a
+//! [`WorkerCheckpoint`] base or a window-sized delta on top of it — through
+//! a [`DurableCheckpointStore`] at every window boundary. And the
+//! orchestrator watches three death signals (control connection close,
+//! child-process exit, heartbeat silence) and answers a worker death by
+//! respawning the process with `--rejoin`, killing the old one first unless
+//! it was seen to exit, where a run without the flag fails:
 //!
 //! ```text
 //! orchestrator                     respawned worker w        sources
@@ -102,8 +104,8 @@ use slb_engine::transport::{capacity_in_batches, partial_channel_capacity};
 use slb_engine::windows::source_stream;
 use slb_engine::{
     run_aggregator_stage, run_source_stage, run_worker_stage, AggregatorStageReport,
-    CheckpointRecord, NoRecovery, RecoveryMetrics, SourceControl, SourceControlEvent,
-    SourceStageReport, StagePlan, TupleSender, WorkerRecovery, WorkerStageReport,
+    CheckpointRecord, RecoveryMetrics, SourceControl, SourceControlEvent, SourceStageReport,
+    StagePlan, WorkerRecovery, WorkerStageReport,
 };
 use slb_telemetry::{log, stage, HopTelemetry, MetricsSnapshot};
 use slb_workloads::KeyId;
@@ -113,7 +115,7 @@ use crate::poll;
 use crate::supervisor::CONTROL_TIMEOUT;
 use crate::tcp::{
     connect_with_retry, Conn, PartialAttach, ReattachableTupleSender, Step, TcpPartialReceiver,
-    TcpPartialSender, TcpTupleReceiver, TcpTupleSender,
+    TcpPartialSender, TcpTupleReceiver,
 };
 use crate::wire::{encode_frame, ControlFrame};
 
@@ -121,7 +123,7 @@ pub use crate::orchestrator::{
     exact_reference, orchestrate, orchestrate_with, OrchestrateOptions, OrchestratorOutcome,
 };
 
-/// How often a fault-tolerant worker streams `Heartbeat` frames.
+/// How often a worker streams `Heartbeat` frames.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Connect-retry schedule for data-plane dials (sources → workers,
@@ -257,11 +259,10 @@ struct Ticker {
 }
 
 /// A node's control connection and what serving it while the stage runs
-/// takes. A plain node only keeps it here until its report. A
-/// fault-tolerant node runs it beside the stage: a `poll(2)` loop over the
-/// control connection, an aggregator's data listener and a wake-up
-/// descriptor, with a timer for heartbeats and metrics ticks — the
-/// connection's only reader and writer until the stage is over.
+/// takes: a `poll(2)` loop beside the stage over the control connection, an
+/// aggregator's data listener and a wake-up descriptor, with a timer for
+/// heartbeats and metrics ticks — the connection's only reader and writer
+/// until the stage is over.
 struct ControlLoop {
     control: Conn,
     /// Whether the control connection still is one.
@@ -302,13 +303,10 @@ impl ControlLoop {
     }
 
     /// Runs `stage` on this thread — with the loop beside it on the
-    /// process's one helper thread, if `threaded` — and takes the control
-    /// connection back for the final `Metrics` frame and the report. The
-    /// stage returning ends the loop at once, whatever its timers say.
-    fn beside<R>(self, threaded: bool, stage: impl FnOnce() -> R) -> Result<(Self, R), String> {
-        if !threaded {
-            return Ok((self, stage()));
-        }
+    /// process's one helper thread — and takes the control connection back
+    /// for the final `Metrics` frame and the report. The stage returning
+    /// ends the loop at once, whatever its timers say.
+    fn beside<R>(self, stage: impl FnOnce() -> R) -> Result<(Self, R), String> {
         let (wake, woken) =
             UnixStream::pair().map_err(|e| io_err("creating the wake-up pair", e))?;
         let thread = thread::spawn(move || self.run(&woken));
@@ -430,8 +428,8 @@ impl ControlLoop {
     }
 }
 
-/// A fault-tolerant source's [`SourceControl`]: the orchestrator's frames as
-/// the control loop forwards them. A respawned worker's restored cursors —
+/// A source's [`SourceControl`]: the orchestrator's frames as the control
+/// loop forwards them. A respawned worker's restored cursors —
 /// and the port to re-dial — travel in the `Rejoin` frame.
 struct Supervised<'a> {
     /// The queue closing counts as `Release`.
@@ -534,19 +532,17 @@ fn aggregator_final_snapshot(report: &AggregatorStageReport<CountPartial>) -> Me
     }
 }
 
-/// Per-process knobs for [`run_node_with`]. The default is the plain
-/// (non-fault-tolerant) node [`run_node`] runs.
+/// Per-process knobs for [`run_node_with`]. The default is a first
+/// incarnation that keeps no durable log.
 #[derive(Debug, Clone, Default)]
 pub struct NodeOptions {
-    /// Run the fault-tolerant stage variants: durable checkpoints and
-    /// heartbeats (workers), supervised replay (sources), quorum-aware
-    /// finalization with late reattach (aggregators).
-    pub fault_tolerant: bool,
-    /// This worker is a respawn: restore from the durable checkpoint and
-    /// announce with `Rejoin` instead of `Hello`. Workers only.
+    /// This worker is a respawn: restore from the durable checkpoint in
+    /// `ckpt_dir` and announce with `Rejoin` instead of `Hello`. Workers
+    /// only.
     pub rejoin: bool,
-    /// Directory for durable checkpoint files. Required when
-    /// `fault_tolerant` is set on a worker.
+    /// Directory for a worker's durable checkpoint log: a worker given one
+    /// persists every checkpoint record to it, one without keeps none.
+    /// Required with `rejoin`.
     pub ckpt_dir: Option<PathBuf>,
     /// Deterministic fault injection (workers only): abort the process at
     /// the N-th window finalization, after shipping the window's partials
@@ -554,25 +550,23 @@ pub struct NodeOptions {
     /// tail-window re-ship race. Never passed to respawned incarnations.
     pub crash_after_closes: Option<u64>,
     /// Stream periodic [`MetricsSnapshot`] frames at this cadence while the
-    /// stage runs (fault-tolerant nodes only — they are the ones with a
-    /// control loop beside the stage). `None` sends none; the exact final
-    /// snapshot is sent either way.
+    /// stage runs, from the control loop beside it. `None` sends none; the
+    /// exact final snapshot is sent either way.
     pub metrics_interval: Option<Duration>,
 }
 
 /// Runs one node process: handshake, data-plane wiring, the stage itself,
 /// and the end-of-run report. Blocks until the stage completes.
-pub fn run_node(role: NodeRole, index: usize, control: &str) -> Result<(), String> {
-    run_node_with(role, index, control, &NodeOptions::default())
-}
-
-/// [`run_node`] with explicit [`NodeOptions`].
 pub fn run_node_with(
     role: NodeRole,
     index: usize,
     control: &str,
     options: &NodeOptions,
 ) -> Result<(), String> {
+    // A worker with a checkpoint directory opens its durable store first:
+    // a rejoin restores state from disk and sends the recovered cursors
+    // with its announcement so sources know where replay starts.
+    let (store, initial) = open_checkpoints(role, index, options)?;
     let stream = connect_with_retry(control, DIAL_ATTEMPTS, DIAL_BASE_DELAY)
         .map_err(|e| io_err("connecting to orchestrator", e))?;
     let mut control = Conn::new(stream);
@@ -598,10 +592,6 @@ pub fn run_node_with(
             .port(),
         None => 0,
     };
-    // A fault-tolerant worker opens its durable store before announcing
-    // itself: a rejoin restores state from disk and sends the recovered
-    // cursors with the announcement so sources know where replay starts.
-    let (store, initial) = open_checkpoints(role, index, options)?;
     let announcement = if options.rejoin {
         let cursors = initial.as_ref().map(|ckpt| ckpt.next_seq.clone());
         ControlFrame::Rejoin {
@@ -631,8 +621,8 @@ pub fn run_node_with(
         .and_then(ClusterSpec::parse)
         .map_err(|e| io_err("parsing run config", e))?;
     let plan = spec.stage_plan()?;
-    // The stage updates this record in place; a fault-tolerant node's
-    // control loop snapshots it mid-run, off its ticker.
+    // The stage updates this record in place; the control loop snapshots
+    // it mid-run, off its ticker.
     let hop: Arc<HopTelemetry> = Arc::default();
     let now = Instant::now();
     let ticker = |interval| Ticker {
@@ -657,12 +647,11 @@ pub fn run_node_with(
         plan,
         spec,
         epoch: epoch_from_unix_micros(epoch_unix_micros),
-        fault_tolerant: options.fault_tolerant,
         hop,
     };
     match (role, listener) {
         (NodeRole::Worker, Some(listener)) => {
-            let persist = store.map(|store| persist_hook(store, index, options.crash_after_closes));
+            let persist = persist_hook(store, index, options.crash_after_closes);
             node.worker(
                 control,
                 &listener,
@@ -676,20 +665,19 @@ pub fn run_node_with(
     }
 }
 
-/// Opens a fault-tolerant worker's durable checkpoint log and, for a
-/// respawn, restores what it holds; no other node has one.
+/// Opens a worker's durable checkpoint log, if it was given a directory,
+/// and, for a respawn, restores what it holds; no other node has one.
 fn open_checkpoints(
     role: NodeRole,
     index: usize,
     options: &NodeOptions,
 ) -> Result<(Option<DurableCheckpointStore>, Option<WorkerCheckpoint>), String> {
-    if !options.fault_tolerant || role != NodeRole::Worker {
-        return Ok((None, None));
-    }
-    let dir = options
-        .ckpt_dir
-        .as_ref()
-        .ok_or("fault-tolerant workers need a checkpoint directory (--ckpt-dir)")?;
+    let dir = match (&options.ckpt_dir, options.rejoin) {
+        _ if role != NodeRole::Worker => return Ok((None, None)),
+        (Some(dir), _) => dir,
+        (None, false) => return Ok((None, None)),
+        (None, true) => return Err("a rejoining worker restores from --ckpt-dir DIR".into()),
+    };
     let store = DurableCheckpointStore::open(dir, index)
         .map_err(|e| io_err("opening durable checkpoint store", e))?;
     let Some(log) = store.load().filter(|_| options.rejoin) else {
@@ -715,15 +703,14 @@ struct Node {
     spec: ClusterSpec,
     plan: StagePlan,
     epoch: Instant,
-    fault_tolerant: bool,
     /// The hop record this node's stage updates (and its ticker reads).
     hop: Arc<HopTelemetry>,
 }
 
 impl Node {
-    /// The source body: plain, or supervised — emission serving the
-    /// `Rejoin` / `Exclude` / `Release` frames the control loop forwards,
-    /// over senders that re-dial respawned workers.
+    /// The source body: emission serving the `Rejoin` / `Exclude` /
+    /// `Release` frames the control loop forwards, over senders that re-dial
+    /// respawned workers.
     fn source(&self, mut control: ControlLoop, worker_ports: &[u16]) -> Result<(), String> {
         let (index, epoch) = (self.index, self.epoch);
         let window = capacity_in_batches(self.plan.queue_capacity, self.plan.batch_size);
@@ -732,13 +719,7 @@ impl Node {
         let (forward, events) = mpsc::channel();
         let forward = move |frame| drop(forward.send(frame));
         control.on_frame = Box::new(forward);
-        let (mut back, report) = control.beside(self.fault_tolerant, || {
-            if !self.fault_tolerant {
-                let senders: Vec<_> = streams
-                    .map(|s| TcpTupleSender::new(s, epoch, window))
-                    .collect();
-                return self.run_source(&senders, NoRecovery);
-            }
+        let (mut back, report) = control.beside(|| {
             let senders: Vec<_> = streams
                 .map(|s| ReattachableTupleSender::new(s, epoch, window))
                 .collect();
@@ -756,14 +737,15 @@ impl Node {
         back.finish(snapshot, &ControlFrame::SourceReport { index, report })
     }
 
-    /// The worker body. Fault-tolerant extras: heartbeats and live metrics
-    /// from the control loop, and every checkpoint record mirrored to disk.
+    /// The worker body: heartbeats and live metrics from the control loop,
+    /// every checkpoint record through `persist`, and a return at the
+    /// plan's last window, its tuple connections still open.
     fn worker(
         &self,
         control: ControlLoop,
         listener: &TcpListener,
         aggregator_ports: &[u16],
-        mut persist: Option<impl FnMut(CheckpointRecord<'_>)>,
+        mut persist: impl FnMut(CheckpointRecord<'_>),
         initial: Option<&WorkerCheckpoint>,
     ) -> Result<(), String> {
         let (index, epoch, plan) = (self.index, self.epoch, &self.plan);
@@ -775,12 +757,11 @@ impl Node {
         for &port in aggregator_ports {
             partial_senders.push(TcpPartialSender::new(dial(port)?, epoch, window));
         }
-        // Only a fault-tolerant worker opened a store to persist to.
-        let recovery = match persist.as_mut() {
-            Some(persist) => WorkerRecovery::Durable { initial, persist },
-            None => WorkerRecovery::none(),
+        let recovery = WorkerRecovery::Durable {
+            initial,
+            persist: &mut persist,
         };
-        let (mut back, report) = control.beside(self.fault_tolerant, || {
+        let (mut back, report) = control.beside(|| {
             run_worker_stage(
                 plan,
                 index,
@@ -798,9 +779,9 @@ impl Node {
         back.finish(snapshot, &ControlFrame::WorkerReport { index, report })
     }
 
-    /// The aggregator body. Fault-tolerant extras: an attachable receiver,
-    /// fed the respawned workers' fresh connections by the control loop,
-    /// which also forwards exclusions into the stage and ticks live metrics.
+    /// The aggregator body: an attachable receiver, fed the respawned
+    /// workers' fresh connections by the control loop, which also forwards
+    /// exclusions into the stage and ticks live metrics.
     fn aggregator(&self, mut control: ControlLoop, listener: TcpListener) -> Result<(), String> {
         let (index, epoch, plan) = (self.index, self.epoch, &self.plan);
         let incoming = accept_peers(&listener, plan.spawned_workers, CONTROL_TIMEOUT)?;
@@ -812,25 +793,19 @@ impl Node {
             }
         };
         control.on_frame = Box::new(forward);
-        let receiver = if self.fault_tolerant {
-            let (receiver, attach) =
-                TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity);
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| io_err("setting data listener non-blocking", e))?;
-            control.late = Some((listener, attach));
-            receiver
-        } else {
-            TcpPartialReceiver::<CountPartial>::spawn(incoming, epoch, capacity)
-        };
-        let exclusions = self.fault_tolerant.then_some(&exclusions);
-        let (mut back, report) = control.beside(self.fault_tolerant, || {
+        let (receiver, attach) =
+            TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity);
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| io_err("setting data listener non-blocking", e))?;
+        control.late = Some((listener, attach));
+        let (mut back, report) = control.beside(|| {
             run_aggregator_stage(
                 plan,
                 index,
                 &CountAggregate,
                 receiver,
-                exclusions,
+                Some(&exclusions),
                 &self.hop,
             )
         })?;
@@ -843,7 +818,7 @@ impl Node {
         // the socket with pending input, which resets the connection — and
         // a reset discards the report just sent if it overtakes the
         // orchestrator's read of it.
-        let mut released = back.released || !self.fault_tolerant;
+        let mut released = back.released;
         while !released {
             released = matches!(
                 recv_control(&mut back.control, "Release", CONTROL_TIMEOUT),
@@ -854,12 +829,12 @@ impl Node {
     }
 
     /// Runs this node's source over `senders`: the one call site of
-    /// [`run_source_stage`], shared by the plain and the supervised node (the
-    /// two run specs yield different stream types, hence the two arms).
-    fn run_source<Tx: TupleSender>(
+    /// [`run_source_stage`] (the two run specs yield different stream types,
+    /// hence the two arms).
+    fn run_source(
         &self,
-        senders: &[Tx],
-        control: impl SourceControl,
+        senders: &[ReattachableTupleSender],
+        control: Supervised<'_>,
     ) -> SourceStageReport {
         let (plan, index, hop) = (&self.plan, self.index, &*self.hop);
         match &self.spec.run {
@@ -876,9 +851,9 @@ impl Node {
 }
 
 /// The hook that mirrors every checkpoint record a worker saves to its
-/// durable log.
+/// durable log, if it keeps one.
 fn persist_hook(
-    mut store: DurableCheckpointStore,
+    mut store: Option<DurableCheckpointStore>,
     index: usize,
     crash_after_closes: Option<u64>,
 ) -> impl FnMut(CheckpointRecord<'_>) {
@@ -892,6 +867,9 @@ fn persist_hook(
         if crash_after_closes == Some(closes_persisted) {
             std::process::abort();
         }
+        let Some(store) = store.as_mut() else {
+            return;
+        };
         // A failed save degrades durability (a later crash replays more),
         // never correctness — keep running.
         let saved = match record {

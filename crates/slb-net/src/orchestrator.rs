@@ -64,12 +64,13 @@ pub struct OrchestratorOutcome {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Supervision knobs for [`orchestrate_with`]. The default is the plain
-/// fail-fast run [`orchestrate`] performs.
+/// Supervision knobs for [`orchestrate_with`]. The default is the run
+/// [`orchestrate`] performs: no durable log, and a worker's death fails it.
 #[derive(Debug, Clone)]
 pub struct OrchestrateOptions {
-    /// Supervise the cluster: respawn dead workers from durable checkpoints
-    /// instead of failing the run.
+    /// Give every worker a durable checkpoint log and answer a worker's
+    /// death with a respawn from it instead of failing the run. The nodes
+    /// speak the same protocol either way.
     pub fault_tolerant: bool,
     /// How many times each worker may be respawned before it is excluded.
     pub respawn_budget: u32,
@@ -368,9 +369,6 @@ impl Cluster<'_> {
         if let Some(interval) = self.options.metrics_interval {
             cmd.arg("--metrics-interval-ms")
                 .arg(interval.as_millis().to_string());
-        }
-        if self.options.fault_tolerant {
-            cmd.arg("--fault-tolerant");
         }
         if self.options.fault_tolerant && role == NodeRole::Worker {
             let ckpt_dir = self.options.ckpt_dir.clone().unwrap_or_else(|| {

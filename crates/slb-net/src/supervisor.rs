@@ -534,12 +534,10 @@ impl Supervisor {
         if matches!(self.phase, Phase::Running) && all_through {
             // No further rejoin or replay is possible: end the sources'
             // post-emission wait and the aggregators' late accepts.
-            if self.plan.options.fault_tolerant {
-                self.broadcast(
-                    &[NodeRole::Source, NodeRole::Aggregator],
-                    &ControlFrame::Release,
-                );
-            }
+            self.broadcast(
+                &[NodeRole::Source, NodeRole::Aggregator],
+                &ControlFrame::Release,
+            );
             self.phase = Phase::Draining(self.now);
         }
         if let (Phase::Draining(_), Some((_, started))) = (self.phase, &self.start) {
@@ -978,6 +976,25 @@ mod tests {
         );
         assert_eq!(run.result.worker_counts, [7, 0, 7]);
         assert_eq!(run.result.aggregator_stage.items, 3 * AGGREGATORS as u64);
+    }
+
+    /// Every run speaks the one node protocol: without `fault_tolerant`
+    /// too, the last worker's report releases the sources and the
+    /// aggregators, once, and their reports end the run.
+    #[test]
+    fn a_run_without_fault_tolerance_releases_once_every_worker_has_reported() {
+        let mut rig = Rig::wired(plan(false, 0));
+        for w in 0..WORKERS - 1 {
+            assert_eq!(rig.frame(SOURCES + w, worker_report(w)), []);
+        }
+        let conns = (0..SOURCES).chain(SOURCES + WORKERS..NODES);
+        let release: Vec<_> = conns
+            .map(|conn| Action::Send(conn, ControlFrame::Release))
+            .collect();
+        let last = WORKERS - 1;
+        assert_eq!(rig.frame(SOURCES + last, worker_report(last)), release);
+        let workers: Vec<usize> = (0..WORKERS).collect();
+        assert_eq!(rig.report_all_but(&workers), [Action::Done]);
     }
 
     #[test]

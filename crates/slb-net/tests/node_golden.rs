@@ -261,3 +261,94 @@ fn orchestrate_refuses_a_spec_its_text_form_cannot_carry() {
         .expect("an unshippable spec must not run");
     assert!(err.contains("does not survive its text form"), "{err}");
 }
+
+/// A run whose every source has an empty sub-stream (one message over two
+/// sources: 0 windows) ends and matches, with and without
+/// `--fault-tolerant`: a worker with no window to finalize reports at
+/// once instead of waiting for an EOF that only follows the `Release`.
+#[test]
+fn an_empty_stream_ends_and_matches_with_and_without_fault_tolerance() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let spec = "mode engine\n\
+         scheme PKG\n\
+         sources 2\n\
+         workers 3\n\
+         keys 500\n\
+         skew 1.6\n\
+         messages 1\n\
+         service_time_us 0\n\
+         queue_capacity 256\n\
+         seed 1\n\
+         batch_size 64\n\
+         window_size 1024\n\
+         aggregators 2\n";
+    let path = write_spec("empty", spec);
+    let ckpt_dir = std::env::temp_dir().join(format!("slb-node-empty-{}", std::process::id()));
+    for fault_tolerant in [false, true] {
+        let mut orchestrate = Command::new(node_exe());
+        orchestrate.arg("orchestrate").arg("--spec").arg(&path);
+        orchestrate.arg("--verify");
+        if fault_tolerant {
+            orchestrate
+                .arg("--fault-tolerant")
+                .arg("--ckpt-dir")
+                .arg(&ckpt_dir);
+        }
+        let mut child = orchestrate
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn slb-node orchestrate");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().expect("poll orchestrate").is_none() {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("an empty run (fault-tolerant: {fault_tolerant}) was still running");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let output = child.wait_with_output().expect("collect orchestrate");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            output.status.success() && stdout.contains("exact-reference=MATCH (0 windows)"),
+            "fault-tolerant: {fault_tolerant}\nstdout:\n{stdout}\nstderr:\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
+/// Every node runs one protocol, so no role mode asks which kind of run it
+/// is in: `--fault-tolerant` is an unknown flag there (exit 2), and a
+/// `--rejoin` worker, which restores from its checkpoint log, refuses to
+/// start without `--ckpt-dir` (exit 1, before it dials anyone).
+#[test]
+fn role_modes_take_no_fault_tolerance_switch_and_a_rejoin_needs_its_log() {
+    let node = ["--index", "0", "--control", "127.0.0.1:9"];
+    for role in ["source", "worker", "aggregator"] {
+        let output = Command::new(node_exe())
+            .arg(role)
+            .args(node)
+            .arg("--fault-tolerant")
+            .output()
+            .expect("spawn slb-node");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{role}\n{stderr}");
+        assert!(
+            stderr.contains("unknown argument: --fault-tolerant"),
+            "{stderr}"
+        );
+    }
+    let output = Command::new(node_exe())
+        .arg("worker")
+        .args(node)
+        .arg("--rejoin")
+        .output()
+        .expect("spawn slb-node");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--ckpt-dir"), "{stderr}");
+}

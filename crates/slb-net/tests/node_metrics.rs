@@ -1,7 +1,8 @@
 //! End-to-end live-metrics test for `slb-node orchestrate --metrics-dir`.
 //!
 //! One supervised run with periodic snapshots enabled, then three layers of
-//! assertions over `metrics.jsonl` (see docs/OBSERVABILITY.md):
+//! assertions over `metrics.jsonl` (see docs/OBSERVABILITY.md); a run
+//! without `--fault-tolerant` streams its periodic snapshots too:
 //!
 //! 1. **Stream shape** — every line is a JSON object; periodic
 //!    (`"final":false`) snapshots actually arrive at the configured
@@ -56,10 +57,14 @@ fn json_u64(line: &str, key: &str) -> u64 {
 }
 
 /// Runs the suite's one cluster — ~400 ms of pure service time across 3
-/// workers, supervised, `--verify`, `--metrics-dir` — with periodic
-/// snapshots every `interval_ms`, and returns the report and the metrics
-/// stream of a run that succeeded and matched the exact reference.
-fn run_with_metrics_every(interval_ms: u64) -> (String, std::io::Result<String>) {
+/// workers, `--verify`, `--metrics-dir`, supervised if `fault_tolerant` —
+/// with periodic snapshots every `interval_ms`, and returns the report and
+/// the metrics stream of a run that succeeded and matched the exact
+/// reference.
+fn run_with_metrics_every(
+    interval_ms: u64,
+    fault_tolerant: bool,
+) -> (String, std::io::Result<String>) {
     let seed = std::env::var("SLB_TEST_SEED").unwrap_or_else(|_| "42".into());
     let spec = format!(
         "# metrics golden: supervised run with a live metrics stream\n\
@@ -77,22 +82,24 @@ fn run_with_metrics_every(interval_ms: u64) -> (String, std::io::Result<String>)
          window_size 256\n\
          aggregators 2\n"
     );
-    let tag = format!("{}-{interval_ms}", std::process::id());
+    let tag = format!("{}-{interval_ms}-{fault_tolerant}", std::process::id());
     let spec_path = std::env::temp_dir().join(format!("slb-node-metrics-{tag}.spec"));
     std::fs::write(&spec_path, &spec).expect("write spec file");
     let dir: PathBuf = std::env::temp_dir().join(format!("slb-node-metrics-dir-{tag}"));
-    let output = Command::new(node_exe())
+    let mut orchestrate = Command::new(node_exe());
+    orchestrate
         .arg("orchestrate")
         .arg("--spec")
         .arg(&spec_path)
         .arg("--verify")
-        .arg("--fault-tolerant")
         .arg("--metrics-dir")
         .arg(&dir)
         .arg("--metrics-interval-ms")
-        .arg(interval_ms.to_string())
-        .output()
-        .expect("spawn slb-node orchestrate");
+        .arg(interval_ms.to_string());
+    if fault_tolerant {
+        orchestrate.arg("--fault-tolerant");
+    }
+    let output = orchestrate.output().expect("spawn slb-node orchestrate");
     let _ = std::fs::remove_file(&spec_path);
     let jsonl = std::fs::read_to_string(dir.join("metrics.jsonl"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -115,7 +122,7 @@ fn run_with_metrics_every(interval_ms: u64) -> (String, std::io::Result<String>)
 #[test]
 fn a_long_metrics_interval_does_not_delay_the_run() {
     let started = std::time::Instant::now();
-    let (_, jsonl) = run_with_metrics_every(30_000);
+    let (_, jsonl) = run_with_metrics_every(30_000, true);
     let elapsed = started.elapsed();
     assert!(
         elapsed < std::time::Duration::from_secs(10),
@@ -131,11 +138,28 @@ fn a_long_metrics_interval_does_not_delay_the_run() {
     );
 }
 
+/// Periodic snapshots come from every node's control loop, which every run
+/// has: `--fault-tolerant` adds durability and respawn, not telemetry.
+#[test]
+fn a_run_without_fault_tolerance_streams_periodic_metrics_too() {
+    let (_, jsonl) = run_with_metrics_every(20, false);
+    let jsonl = jsonl.expect("orchestrate must write metrics.jsonl under --metrics-dir");
+    let periodic = jsonl.lines().filter(|l| l.contains("\"final\":false"));
+    let periodic = periodic.count();
+    assert!(
+        periodic >= 3,
+        "expected several periodic snapshots at a 20 ms cadence over a \
+         ~400 ms run, got {periodic}\n{jsonl}"
+    );
+    let finals = jsonl.lines().filter(|l| l.contains("\"final\":true"));
+    assert_eq!(finals.count(), 8, "seven finals and the rollup\n{jsonl}");
+}
+
 #[test]
 fn orchestrate_streams_metrics_jsonl_with_consistent_rollup() {
     // Sampled every 25 ms: periodic snapshots are guaranteed several times
     // over.
-    let (stdout, jsonl) = run_with_metrics_every(25);
+    let (stdout, jsonl) = run_with_metrics_every(25, true);
     let jsonl = jsonl.expect("orchestrate must write metrics.jsonl under --metrics-dir");
     let lines: Vec<&str> = jsonl.lines().collect();
     assert!(!lines.is_empty(), "metrics.jsonl is empty");

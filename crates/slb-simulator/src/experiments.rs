@@ -9,7 +9,7 @@
 
 use slb_core::{
     d_fraction, find_optimal_choices, relative_overhead_pct, HeadThreshold, MemoryScheme,
-    PartitionConfig, PartitionerKind,
+    PartitionConfig, PartitionerKind, SolverMode,
 };
 use slb_workloads::datasets::{Dataset, Scale, SyntheticDataset};
 use slb_workloads::zipf::{ZipfDistribution, ZipfGenerator};
@@ -97,18 +97,16 @@ impl ImbalanceRow {
 /// plus explicit seeds in the harness for replication).
 pub const DEFAULT_SEED: u64 = 0x5EED_0001;
 
+/// Replays `messages` Zipf(`z`) keys over `keys` keys, seeded with
+/// `partition`'s seed, through `kind` built on `partition`.
 fn simulate_zipf(
     kind: PartitionerKind,
-    workers: usize,
     keys: usize,
     z: f64,
     messages: u64,
-    seed: u64,
-    threshold: HeadThreshold,
+    partition: PartitionConfig,
 ) -> SimulationResult {
-    let partition = PartitionConfig::new(workers)
-        .with_seed(seed)
-        .with_threshold(threshold);
+    let (workers, seed) = (partition.workers, partition.seed);
     let config = SimulationConfig::new(kind, workers)
         .with_partition(partition)
         .with_checkpoint_interval((messages / 20).max(1));
@@ -358,7 +356,10 @@ pub fn threshold_sweep(
         for threshold in HeadThreshold::figure7_sweep() {
             for &z in skews {
                 for kind in [PartitionerKind::WChoices, PartitionerKind::RoundRobin] {
-                    let r = simulate_zipf(kind, workers, keys, z, messages, seed, threshold);
+                    let partition = PartitionConfig::new(workers)
+                        .with_seed(seed)
+                        .with_threshold(threshold);
+                    let r = simulate_zipf(kind, keys, z, messages, partition);
                     rows.push(ThresholdRow {
                         scheme: r.scheme.clone(),
                         threshold: threshold.label(),
@@ -441,15 +442,17 @@ pub struct MinimalDRow {
     pub workers: usize,
     /// d computed by the D-Choices solver.
     pub solver_d: usize,
-    /// Smallest d whose Greedy-d imbalance matches W-Choices (within 10%).
+    /// Smallest d at which D-Choices, its solver pinned to d, matches the
+    /// imbalance of W-Choices (within 10%).
     pub minimal_d: usize,
     /// Imbalance of the W-Choices reference run.
     pub wchoices_imbalance: f64,
 }
 
 /// Figure 9: compares the solver's d with the empirically minimal d that
-/// matches the imbalance of W-Choices. The empirical search runs Greedy-d
-/// for increasing d on the same workload.
+/// matches the imbalance of W-Choices. The empirical search runs D-Choices
+/// with its solver pinned to each d in turn ([`SolverMode::Fixed`]),
+/// increasing, on the same workload.
 pub fn d_vs_empirical_minimum(
     worker_counts: &[usize],
     keys: usize,
@@ -462,14 +465,13 @@ pub fn d_vs_empirical_minimum(
     for &workers in worker_counts {
         for &z in skews {
             // Reference: W-Choices imbalance on this workload.
+            let partition = PartitionConfig::new(workers).with_seed(seed);
             let wc = simulate_zipf(
                 PartitionerKind::WChoices,
-                workers,
                 keys,
                 z,
                 messages,
-                seed,
-                HeadThreshold::DEFAULT,
+                partition.clone(),
             );
             // Solver's d from the exact distribution.
             let dist = ZipfDistribution::new(keys, z);
@@ -488,7 +490,9 @@ pub fn d_vs_empirical_minimum(
             let target = wc.imbalance.max(sources * epsilon) * 1.10;
             let mut minimal_d = workers;
             for d in 2..=workers {
-                let r = run_greedy_d_fixed(workers, keys, z, messages, seed, d);
+                // D-Choices itself, its solver pinned to `d`.
+                let fixed = partition.clone().with_solver(SolverMode::Fixed(d));
+                let r = simulate_zipf(PartitionerKind::DChoices, keys, z, messages, fixed);
                 if r.imbalance <= target {
                     minimal_d = d;
                     break;
@@ -504,63 +508,6 @@ pub fn d_vs_empirical_minimum(
         }
     }
     rows
-}
-
-/// Runs a D-Choices-style simulation where the head always uses exactly `d`
-/// choices (bypassing the solver), used by the Figure 9 empirical search.
-fn run_greedy_d_fixed(
-    workers: usize,
-    keys: usize,
-    z: f64,
-    messages: u64,
-    seed: u64,
-    d: usize,
-) -> SimulationResult {
-    // A fixed d is emulated by running the D-Choices scheme with the solver's
-    // epsilon relaxed/tightened so that it would pick d — instead of plumbing
-    // a by-pass through the public API we simulate the Greedy-d process
-    // directly here, reusing the same hash family and head tracker the real
-    // partitioner uses.
-    use slb_core::{HeadTracker, LoadVector};
-    use slb_hash::HashFamily;
-
-    let sources = 5usize;
-    let theta = HeadThreshold::DEFAULT.frequency(workers);
-    let mut families = Vec::new();
-    let mut loads = Vec::new();
-    let mut trackers: Vec<HeadTracker<u64>> = Vec::new();
-    for s in 0..sources {
-        let seed_s = seed.wrapping_add((s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        families.push(HashFamily::new(seed_s, workers.max(2), workers));
-        loads.push(LoadVector::new(workers));
-        trackers.push(HeadTracker::new(10 * workers, theta));
-    }
-    let mut global = vec![0u64; workers];
-    let mut stream = ZipfGenerator::with_limit(keys, z, seed, messages);
-    let mut i = 0u64;
-    let mut scratch = Vec::new();
-    while let Some(key) = slb_workloads::KeyStream::next_key(&mut stream) {
-        let s = (i % sources as u64) as usize;
-        let in_head = trackers[s].observe(&key);
-        let choices = if in_head { d.clamp(2, workers) } else { 2 };
-        families[s].choices_into(&key, choices, &mut scratch);
-        let w = loads[s].min_load_among(&scratch);
-        loads[s].record(w);
-        global[w] += 1;
-        i += 1;
-    }
-    SimulationResult {
-        scheme: format!("Greedy-{d}"),
-        workers,
-        sources,
-        messages: i,
-        imbalance: slb_core::imbalance(&global),
-        mean_imbalance: slb_core::imbalance(&global),
-        time_series: Vec::new(),
-        observed_replicas: None,
-        head_tail: None,
-        worker_loads: global,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -587,15 +534,8 @@ pub fn zipf_grid(
         for &workers in worker_counts {
             for &z in skews {
                 for &kind in &schemes {
-                    let r = simulate_zipf(
-                        kind,
-                        workers,
-                        keys,
-                        z,
-                        messages,
-                        seed,
-                        HeadThreshold::DEFAULT,
-                    );
+                    let partition = PartitionConfig::new(workers).with_seed(seed);
+                    let r = simulate_zipf(kind, keys, z, messages, partition);
                     rows.push(ImbalanceRow::from_result("ZF", Some(z), keys as u64, &r));
                 }
             }

@@ -40,16 +40,8 @@ pub use zipf::{ZipfDistribution, ZipfGenerator};
 /// A (possibly unbounded) stream of keyed messages.
 ///
 /// Generators implement this trait so the simulator and the engine can
-/// consume any workload the same way. `len_hint` reports the number of
-/// messages the stream intends to produce (all built-in generators are
-/// finite).
+/// consume any workload the same way (all built-in generators are finite).
 pub trait KeyStream {
     /// Returns the next key in the stream, or `None` when exhausted.
     fn next_key(&mut self) -> Option<KeyId>;
-
-    /// Number of messages this stream will produce in total.
-    fn len_hint(&self) -> u64;
-
-    /// Number of distinct keys the stream draws from.
-    fn key_space(&self) -> u64;
 }

@@ -275,14 +275,6 @@ impl KeyStream for ZipfGenerator {
         self.produced += 1;
         Some(ZipfGenerator::next_key(self))
     }
-
-    fn len_hint(&self) -> u64 {
-        self.limit
-    }
-
-    fn key_space(&self) -> u64 {
-        self.distribution.keys() as u64
-    }
 }
 
 #[cfg(test)]
@@ -435,8 +427,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 10);
-        assert_eq!(g.len_hint(), 10);
-        assert_eq!(g.key_space(), 100);
     }
 
     #[test]
