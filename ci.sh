@@ -150,6 +150,14 @@ if sed '/^#\[cfg(test)\]/,$d' crates/slb-net/src/node.rs | grep -n 'fault_tolera
     exit 1
 fi
 
+echo "==> one end of stage, one TCP sender: workers and aggregators leave at the plan's last window, and TcpSender detaches and reattaches itself"
+if grep -rnE 'exit_at_last_window|Mutex<Option<TcpTupleSender>>|fn is_attached|fn with_epoch\b|with_fixed_d' \
+    crates src tests examples || grep -n 'Option<&mpsc::Receiver' crates/slb-engine/src/topology/aggregator.rs; then
+    echo "no stage drains to EOF on any backend; a TcpSender holds its own detachable connection, one lock per send;"
+    echo "a static d is with_solver(SolverMode::Fixed(d)), and TcpTransport has one constructor, loopback"
+    exit 1
+fi
+
 echo "==> figure 9 routes through the partitioner: its search runs D-Choices with the solver pinned"
 if grep -rn 'run_greedy_d_fixed' crates src tests examples; then
     echo "the empirical minimal d is searched on PartitionConfig::with_solver(SolverMode::Fixed(d)) through the Simulator"

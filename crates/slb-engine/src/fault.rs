@@ -229,7 +229,6 @@ pub struct CheckpointStore {
     base: Vec<u8>,
     /// The delta records since `base`, back to back (each self-delimiting).
     deltas: Vec<u8>,
-    saves: u64,
     bytes_saved: u64,
 }
 
@@ -254,7 +253,6 @@ impl CheckpointStore {
         self.deltas.clear();
         encode(&mut self.base);
         assert!(!self.base.is_empty(), "a base record is never empty");
-        self.saves += 1;
         self.bytes_saved += self.base.len() as u64;
         CheckpointRecord::Base(&self.base)
     }
@@ -264,7 +262,6 @@ impl CheckpointStore {
     pub fn append_delta(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> CheckpointRecord<'_> {
         let at = self.deltas.len();
         encode(&mut self.deltas);
-        self.saves += 1;
         self.bytes_saved += (self.deltas.len() - at) as u64;
         CheckpointRecord::Delta(&self.deltas[at..])
     }
@@ -280,11 +277,6 @@ impl CheckpointStore {
             WorkerCheckpoint::restore(&self.base, [self.deltas.as_slice()])
                 .expect("a worker's own checkpoint log decodes")
         })
-    }
-
-    /// Records saved, bases and deltas alike: one per window close.
-    pub fn saves(&self) -> u64 {
-        self.saves
     }
 
     /// Total bytes of every record ever saved (not the current log size).
@@ -391,12 +383,10 @@ mod tests {
             assert_eq!(store.restore().as_ref(), Some(&expected));
         }
         assert!(delta_bytes > base_len);
-        assert_eq!(store.saves(), closes);
         assert_eq!(store.bytes_saved(), (base_len + delta_bytes) as u64);
         // A new base drops the old log.
         store.save_base(|out| expected.encode(out));
         assert!(!store.wants_base());
         assert_eq!(store.restore(), Some(expected));
-        assert_eq!(store.saves(), closes + 1);
     }
 }

@@ -33,10 +33,10 @@ pub struct AggregatorStageReport<P> {
     /// finalization mean closed windows are never re-finalized); the dedup
     /// is the aggregator's own exactly-once guarantee regardless.
     pub duplicates_dropped: u64,
-    /// Transport-level receive errors survived (a reader thread reporting
-    /// a malformed frame or failed read instead of a clean EOF — e.g. a
-    /// SIGKILLed worker's connection tearing mid-frame), plus partials shed
-    /// for naming a worker outside the plan.
+    /// Transport-level receive errors survived (a malformed frame or a
+    /// failed read instead of a clean EOF — e.g. a SIGKILLed worker's
+    /// connection tearing mid-frame), plus partials shed for naming a
+    /// worker outside the plan.
     pub transport_errors: u64,
     /// The deterministic logical trace of this shard (one `WINDOW_CLOSE`
     /// per finalized window, in finalization order).
@@ -52,16 +52,17 @@ pub struct AggregatorStageReport<P> {
 /// `(worker, window)` partial (a recovered worker re-shipping) is dropped,
 /// never double-merged.
 ///
-/// `exclusions` is the one per-role argument. `None` is the unsupervised
-/// default: the stage drains `receiver` to EOF. With `Some`, a supervisor
-/// sends the workers it gave up on: an exclusion drops a permanently dead
-/// worker from every finalization quorum — windows already waiting only on
-/// it finalize immediately, and later windows no longer expect it (graceful
+/// The stage returns as soon as the plan's last window has finalized, not
+/// at an EOF: a worker's connection (or, under a respawn, the listener
+/// accepting reconnections) may outlive the stage on purpose.
+///
+/// `exclusions` is the one per-role argument: the workers a supervisor gave
+/// up on. An exclusion drops a permanently dead worker from every
+/// finalization quorum — windows already waiting only on it finalize
+/// immediately, and later windows no longer expect it (graceful
 /// degradation: window counts lose the dead worker's share, but the run
-/// *terminates* with a report instead of hanging) — and the stage returns
-/// as soon as the plan's last window has finalized: under a respawn the data
-/// queue's senders (the listener accepting reconnections) outlive the stage
-/// on purpose.
+/// *terminates* with a report instead of hanging). In process nobody
+/// excludes: the runner passes a receiver whose sender is already gone.
 ///
 /// `hop` is updated once per receive round; the caller may snapshot it from
 /// another thread while the stage runs.
@@ -70,7 +71,7 @@ pub fn run_aggregator_stage<A, Rx>(
     shard: usize,
     aggregate: &A,
     receiver: Rx,
-    exclusions: Option<&mpsc::Receiver<usize>>,
+    exclusions: &mpsc::Receiver<usize>,
     hop: &HopTelemetry,
 ) -> AggregatorStageReport<A::Partial>
 where
@@ -78,7 +79,7 @@ where
     Rx: PartialReceiver<A::Partial>,
 {
     let spawned_workers = plan.spawned_workers;
-    let total_windows = exclusions.map(|_| plan.total_windows());
+    let total_windows = plan.total_windows() as usize;
     let mut trace = TraceBuf::new(stage::AGGREGATOR, shard as u32);
     let mut latencies = LogHistogram::new();
     let mut merged = 0u64;
@@ -93,10 +94,7 @@ where
     let mut open: HashMap<WindowId, (A::Partial, Vec<bool>, usize)> = HashMap::new();
     let mut finalized: BTreeMap<WindowId, A::Partial> = BTreeMap::new();
     let mut drained: Vec<PartialWindow<A::Partial>> = Vec::new();
-    let all_done = |finalized: &BTreeMap<WindowId, A::Partial>| {
-        total_windows.is_some_and(|t| finalized.len() as u64 >= t)
-    };
-    'recv: while !all_done(&finalized) {
+    'recv: while finalized.len() < total_windows {
         // Serve supervisor exclusions between receive rounds: the stage
         // drains them without blocking, then blocks on the data queue. The
         // orchestrator follows every Exclude broadcast with data-side
@@ -170,7 +168,7 @@ where
                 let (partial, _, _) = open.remove(&pw.window).expect("window is open");
                 finalized.insert(pw.window, partial);
                 trace.push(trace_kind::WINDOW_CLOSE, pw.window, 0, 0);
-                if all_done(&finalized) {
+                if finalized.len() == total_windows {
                     break 'recv;
                 }
             }
@@ -199,9 +197,9 @@ where
 
 /// Drains the queued exclusions into `excluded` without blocking; true if
 /// that dropped anyone new from the quorum.
-fn take_exclusions(exclusions: Option<&mpsc::Receiver<usize>>, excluded: &mut [bool]) -> bool {
+fn take_exclusions(exclusions: &mpsc::Receiver<usize>, excluded: &mut [bool]) -> bool {
     let mut changed = false;
-    while let Some(Ok(worker)) = exclusions.map(|rx| rx.try_recv()) {
+    for worker in exclusions.try_iter() {
         if worker < excluded.len() && !excluded[worker] {
             excluded[worker] = true;
             changed = true;
@@ -262,14 +260,7 @@ mod tests {
         let hop = Arc::new(HopTelemetry::default());
         let stage_hop = Arc::clone(&hop);
         let handle = thread::spawn(move || {
-            run_aggregator_stage(
-                &plan,
-                0,
-                &CountAggregate,
-                receiver,
-                Some(&exclude_rx),
-                &stage_hop,
-            )
+            run_aggregator_stage(&plan, 0, &CountAggregate, receiver, &exclude_rx, &stage_hop)
         });
         let ship = |worker: usize, window: WindowId, key: KeyId, count: u64| {
             let mut partial = aggregate.empty();
@@ -343,8 +334,9 @@ mod tests {
                 ship(1, window, 2);
             }
             drop(sender);
+            let (_, exclusions) = mpsc::channel();
             let hop = HopTelemetry::default();
-            run_aggregator_stage(&plan, 0, &aggregate, receiver, None, &hop)
+            run_aggregator_stage(&plan, 0, &aggregate, receiver, &exclusions, &hop)
         };
 
         let (clean, strayed) = (run(false), run(true));
@@ -353,5 +345,48 @@ mod tests {
         assert_eq!(strayed.merged, 6);
         assert_eq!(strayed.finalized.len(), 3);
         assert_eq!(strayed.finalized, clean.finalized);
+    }
+
+    /// With nobody to exclude a worker and the data channel left open, the
+    /// stage still returns once the plan's last window has finalized.
+    #[test]
+    fn an_aggregator_returns_at_the_last_window_with_its_channel_open() {
+        let aggregate = CountAggregate;
+        let mut cfg = EngineConfig::smoke(PartitionerKind::Pkg, 1.0)
+            .with_window_size(64)
+            .with_messages(3 * 64)
+            .with_aggregators(1);
+        cfg.sources = 1;
+        cfg.workers = 2;
+        let plan = cfg.stage_plan();
+        let (sender, receiver) = crossbeam_channel::bounded(8);
+        for window in 0..3 {
+            for worker in 0..2 {
+                let mut partial = aggregate.empty();
+                aggregate.observe(&mut partial, &window, 1);
+                let closed_at = Instant::now();
+                sender
+                    .send(PartialWindow {
+                        window,
+                        worker,
+                        partial,
+                        closed_at,
+                    })
+                    .expect("the queue holds the script");
+            }
+        }
+        let (done, report) = mpsc::channel();
+        thread::spawn(move || {
+            let (_, exclusions) = mpsc::channel();
+            let hop = HopTelemetry::default();
+            let report = run_aggregator_stage(&plan, 0, &aggregate, receiver, &exclusions, &hop);
+            let _ = done.send(report);
+        });
+        let report = report.recv_timeout(std::time::Duration::from_secs(10));
+        let report = report.expect("the aggregator waited for an EOF");
+        assert_eq!(report.finalized.len(), 3);
+        assert_eq!(report.merged, 6);
+        assert_eq!(report.finalized[&2][&2], 2);
+        drop(sender);
     }
 }

@@ -192,12 +192,6 @@ impl EngineConfig {
         self
     }
 
-    /// Pins head-aware schemes to a constant `d` (sugar for
-    /// [`Self::with_solver`] with [`SolverMode::Fixed`]).
-    pub fn with_fixed_d(self, d: usize) -> Self {
-        self.with_solver(SolverMode::Fixed(d))
-    }
-
     /// Attaches an elasticity controller: it is stepped at every window
     /// boundary of every source and owns the active worker count for the
     /// whole run (workers are spawned up to `controller.max_workers`). The
@@ -365,12 +359,6 @@ impl ScenarioConfig {
     pub fn with_solver(mut self, solver: SolverMode) -> Self {
         self.solver = solver;
         self
-    }
-
-    /// Pins head-aware schemes to a constant `d` (sugar for
-    /// [`Self::with_solver`] with [`SolverMode::Fixed`]).
-    pub fn with_fixed_d(self, d: usize) -> Self {
-        self.with_solver(SolverMode::Fixed(d))
     }
 
     /// Attaches an elasticity controller (see

@@ -31,8 +31,9 @@
 //! * `worker` — [`run_worker_stage`] and its [`WorkerRecovery`] argument
 //!   (in-process senders to the sources' controls, or a process's durable
 //!   log and its respawn).
-//! * `aggregator` — [`run_aggregator_stage`] and its optional exclusion
-//!   queue (a supervisor's "finalize without this worker").
+//! * `aggregator` — [`run_aggregator_stage`] and its exclusion queue (a
+//!   supervisor's "finalize without this worker"; in process, empty).
+//!   Workers and aggregators alike return at the plan's last window.
 //! * `runner` — [`Topology`] and the [`ScenarioConfig`] run methods, the
 //!   thread-per-stage-instance runner behind them, and [`assemble_result`],
 //!   which merges the stages' reports into an [`EngineResult`].

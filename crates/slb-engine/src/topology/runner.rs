@@ -484,12 +484,14 @@ where
         let plan = plan.clone();
         let aggregate = aggregate.clone();
         aggregator_handles.push(thread::spawn(move || {
+            // Nobody excludes a worker in process.
+            let (_, exclusions) = mpsc::channel();
             run_aggregator_stage(
                 &plan,
                 agg_idx,
                 &aggregate,
                 receiver,
-                None,
+                &exclusions,
                 &HopTelemetry::default(),
             )
         }));
@@ -535,7 +537,8 @@ where
             )
         }));
     }
-    // Drop the topology's own copies so workers terminate when sources do.
+    // Drop the topology's own copies: a worker's channel then closes once
+    // its sources are gone.
     drop(senders);
 
     let source_reports: Vec<SourceStageReport> = source_handles

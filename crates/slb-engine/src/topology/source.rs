@@ -204,8 +204,8 @@ impl<'a, Tx: TupleSender> LiveSink<'a, Tx> {
 
     fn send(&self, worker: usize, message: SourceMessage) {
         let before = Instant::now();
-        // A send only fails if the receiver is gone, which cannot happen
-        // before all senders are dropped; treat it as fatal.
+        // A worker leaves only after every source's last close reached it,
+        // so a live send never meets a closed queue: treat it as fatal.
         self.senders[worker]
             .send(message)
             .expect("worker queue closed prematurely");
@@ -293,7 +293,8 @@ impl<Tx: TupleSender> EmitSink for LiveSink<'_, Tx> {
 /// workers' frames are dropped (their state is not rewound), fault drops
 /// are not re-applied, nothing is counted or traced, and the burst pause is
 /// skipped: only its flush shapes batch boundaries, and the driver does
-/// that.
+/// that. A target that has already left finalized every window, so a frame
+/// its queue refuses is dropped too.
 struct ReplaySink<'a, Tx> {
     sender: &'a Tx,
     source: usize,
@@ -304,9 +305,7 @@ struct ReplaySink<'a, Tx> {
 impl<Tx: TupleSender> ReplaySink<'_, Tx> {
     fn send(&self, worker: usize, seq: u64, message: impl FnOnce() -> SourceMessage) {
         if worker == self.target && seq >= self.from_seq {
-            self.sender
-                .send(message())
-                .expect("worker queue closed prematurely");
+            let _ = self.sender.send(message());
         }
     }
 }
@@ -770,7 +769,8 @@ where
 /// report, not the sent count, carries the loss.
 ///
 /// # Panics
-/// Panics if a send fails (a worker endpoint disappeared mid-run).
+/// Panics if a live send fails (a worker endpoint disappeared mid-run); a
+/// replay to a worker that has already returned is dropped instead.
 pub fn run_source_stage<S, Tx, C>(
     plan: &StagePlan,
     source_idx: usize,
@@ -1005,5 +1005,39 @@ mod tests {
         let (w0_tuples, w0_closes) = tally(drain_to_end(&rx0), |_| {});
         assert_eq!(w0_closes as u64, windows);
         assert_eq!(w0_tuples + w1_tuples, plan.phases[0].tuples_per_source);
+    }
+
+    /// A `Rejoin` served after its worker has left — having finalized every
+    /// window — replays into a closed queue: the frames are dropped, and
+    /// the stage ends as if the replay had been delivered.
+    #[test]
+    fn a_replay_to_a_worker_that_has_left_is_dropped() {
+        let cfg = tiny_supervised_config();
+        let plan = cfg.stage_plan();
+        let windows = plan.total_windows() as usize;
+        let (senders, receivers) = tuple_channels(&plan);
+        let receiver = receivers.into_iter().next().unwrap();
+        let (event_tx, control) = scripted_control();
+        let source_plan = plan.clone();
+        let source = thread::spawn(move || {
+            run_source_stage(
+                &source_plan,
+                0,
+                |_phase| source_stream(&cfg, 0),
+                &senders,
+                control,
+                &HopTelemetry::default(),
+            )
+        });
+        drain_exactly(&receiver, plan.phases[0].tuples_per_source, windows);
+        drop(receiver);
+        let rejoin = SourceControlEvent::Rejoin {
+            worker: 0,
+            from_seq: 0,
+        };
+        event_tx.send(rejoin).unwrap();
+        event_tx.send(SourceControlEvent::Release).unwrap();
+        let report = source.join().expect("source thread panicked");
+        assert_eq!(report.sent, plan.phases[0].tuples_per_source);
     }
 }

@@ -26,7 +26,7 @@ fn phase_of(starts: &[WindowId], window: WindowId) -> usize {
     starts.partition_point(|&s| s <= window) - 1
 }
 
-/// What one worker reports after draining its input channel: counts,
+/// What one worker reports after finalizing its last window: counts,
 /// state footprint, per-phase latency histograms, and per-phase activity
 /// spans as `(first, last)` microseconds since the run epoch (an
 /// `Instant`-free representation, so reports can cross process boundaries).
@@ -248,15 +248,17 @@ fn request_replay(
 }
 
 /// How a worker stage recovers — the one per-role argument of
-/// [`run_worker_stage`].
+/// [`run_worker_stage`]. Either way the stage returns as soon as the plan's
+/// last window finalizes (at once, if none is left to finalize), its tuple
+/// receiver still open: whatever a source sends it after that is a replay
+/// overlap the worker has no use for.
 pub enum WorkerRecovery<'a> {
     /// In-process recovery over one sender per source into that source's
     /// `mpsc::Receiver<SourceControlEvent>` control: the worker asks sources
-    /// for replay itself, with a [`SourceControlEvent::Rejoin`]. After
-    /// finalizing the plan's last window it drops the senders (letting
-    /// sources finish their replay-service loops) and keeps draining to EOF,
-    /// shedding stragglers as duplicates. With no senders no crash can be
-    /// simulated and no replay requested.
+    /// for replay itself, with a [`SourceControlEvent::Rejoin`], and its
+    /// return drops the senders (letting sources finish their
+    /// replay-service loops). With no senders no crash can be simulated and
+    /// no replay requested.
     Feedback(Vec<mpsc::Sender<SourceControlEvent>>),
     /// Process-level recovery (every `slb-node` worker). Two differences
     /// from [`Self::Feedback`]:
@@ -269,13 +271,9 @@ pub enum WorkerRecovery<'a> {
     ///   process always begins with a base.
     /// - The worker sends nothing to a source: replay is requested on its
     ///   behalf by the orchestrator — the `Rejoin` control frame carries the
-    ///   restored cursors to every source. Consequently the stage *returns*
-    ///   as soon as the plan's last window finalizes instead of draining to
-    ///   EOF, because its tuple sockets stay open until the orchestrator's
-    ///   Release (sources hold them for potential replay to OTHER respawned
-    ///   workers) — at once, if there is no window left to finalize; and a
-    ///   sequence gap panics (the supervised source protocol guarantees
-    ///   gap-free delivery on each connection).
+    ///   restored cursors to every source — and a sequence gap panics (the
+    ///   supervised source protocol guarantees gap-free delivery on each
+    ///   connection).
     Durable {
         /// The checkpoint to start from, if this process is a respawn.
         initial: Option<&'a WorkerCheckpoint>,
@@ -337,11 +335,10 @@ where
     Rx: TupleReceiver,
     Tx: PartialSender<A::Partial>,
 {
-    let (mut replay_senders, initial, mut persist) = match recovery {
+    let (replay_senders, initial, mut persist) = match recovery {
         WorkerRecovery::Feedback(senders) => (senders, None, None),
         WorkerRecovery::Durable { initial, persist } => (Vec::new(), initial, Some(persist)),
     };
-    let exit_at_last_window = persist.is_some();
     let n_phases = plan.phases.len();
     let sources = plan.sources;
     let aggregators = plan.aggregators;
@@ -386,21 +383,15 @@ where
             0,
         );
     }
-    if total_windows == 0 {
-        // Degenerate empty run: no window will ever finalize, so release
-        // the sources' replay-service loops immediately.
-        replay_senders.clear();
-    }
     let mut drained: Vec<SourceMessage> = Vec::new();
     // An empty partial sized by the last window closed, for the next window
     // to open; a capacity hint, not state, so a crash keeps it.
     let mut room: Option<A::Partial> = None;
-    'recv: loop {
-        // Nothing left to finalize (an empty plan, or a respawn restored
-        // past the last close): the EOF would only follow the Release.
-        if exit_at_last_window && state.windows_closed == total_windows {
-            break;
-        }
+    // The stage ends at the plan's last window, not at an EOF: a source
+    // holds its senders until it is released, and it is released only once
+    // every worker has returned. Nothing left to finalize (an empty plan,
+    // or a respawn restored past the last close) ends it at once.
+    'recv: while state.windows_closed < total_windows {
         let before = Instant::now();
         let received = receiver.recv_batch(&mut drained);
         hop.recv_wait_us.add(before.elapsed().as_micros() as u64);
@@ -592,17 +583,7 @@ where
                     // interleaving-free.
                     trace.push(trace_kind::CHECKPOINT_SAVE, window, state.windows_closed, 0);
                     if state.windows_closed == total_windows {
-                        // Last window done: release the sources' replay
-                        // service, then keep draining to EOF (anything
-                        // still in flight is a replay overlap) — unless
-                        // this is the durable runner, whose sockets stay
-                        // state.open until the orchestrator's Release: return
-                        // instead of waiting for an EOF that only
-                        // arrives after the release.
-                        replay_senders.clear();
-                        if exit_at_last_window {
-                            break 'recv;
-                        }
+                        break 'recv;
                     }
                 }
             }
@@ -697,42 +678,60 @@ mod tests {
         (report, sink.join().expect("sink thread panicked"))
     }
 
-    /// A durable worker whose plan has no window to finalize returns at
-    /// once, with its tuple channel still open: the EOF it would otherwise
-    /// wait for only follows the `Release`, which follows its report.
+    /// A worker leaves at its plan's last window, not at an EOF, whichever
+    /// recovery it runs: with its tuple channel still open, a durable worker
+    /// whose plan has no window to finalize returns at once, and an
+    /// in-process one returns right after its last close.
     #[test]
-    fn a_durable_worker_with_no_window_to_finalize_returns_without_an_eof() {
-        let mut cfg = tiny_supervised_config().with_messages(1);
-        cfg.sources = 2;
-        let plan = cfg.stage_plan();
-        assert_eq!(plan.total_windows(), 0);
-        let (tuple_senders, receivers) = tuple_channels(&plan);
-        let receiver = receivers.into_iter().next().unwrap();
-        let (partial_senders, _partial_receivers) = partial_channels(&plan);
-        let (done, report) = mpsc::channel();
-        thread::spawn(move || {
-            let recovery = WorkerRecovery::Durable {
-                initial: None,
-                persist: &mut |_| {},
-            };
-            let hop = HopTelemetry::default();
-            let report = run_worker_stage(
-                &plan,
-                0,
-                Instant::now(),
-                &CountAggregate,
-                receiver,
-                &partial_senders,
-                recovery,
-                &hop,
-            );
-            let _ = done.send(report);
-        });
-        let report = report.recv_timeout(std::time::Duration::from_secs(10));
-        let report = report.expect("the worker waited for an EOF");
-        assert_eq!(report.windows_closed, 0);
-        assert_eq!(report.processed, 0);
-        drop(tuple_senders);
+    fn a_worker_returns_at_the_last_window_without_an_eof() {
+        let mut empty = tiny_supervised_config().with_messages(1);
+        empty.sources = 2;
+        for (cfg, durable) in [(empty, true), (tiny_supervised_config(), false)] {
+            let plan = cfg.stage_plan();
+            assert_eq!(plan.total_windows() == 0, durable);
+            let (tuple_senders, receivers) = tuple_channels(&plan);
+            let receiver = receivers.into_iter().next().unwrap();
+            let (partial_senders, _partial_receivers) = partial_channels(&plan);
+            // The whole stream fits in the queue, and `tuple_senders`
+            // outlive the worker: no EOF ever reaches it.
+            for source in 0..plan.sources {
+                let (_, released) = mpsc::channel();
+                let stream = |_phase| source_stream(&cfg, source);
+                let hop = HopTelemetry::default();
+                run_source_stage(&plan, source, stream, &tuple_senders, released, &hop);
+            }
+            let (feedback, _control) = mpsc::channel();
+            let feedback = (!durable).then(|| vec![feedback]);
+            let (done, report) = mpsc::channel();
+            let worker_plan = plan.clone();
+            thread::spawn(move || {
+                let mut persist = |_: CheckpointRecord<'_>| {};
+                let recovery = match feedback {
+                    Some(senders) => WorkerRecovery::Feedback(senders),
+                    None => WorkerRecovery::Durable {
+                        initial: None,
+                        persist: &mut persist,
+                    },
+                };
+                let report = run_worker_stage(
+                    &worker_plan,
+                    0,
+                    Instant::now(),
+                    &CountAggregate,
+                    receiver,
+                    &partial_senders,
+                    recovery,
+                    &HopTelemetry::default(),
+                );
+                let _ = done.send(report);
+            });
+            let report = report.recv_timeout(std::time::Duration::from_secs(10));
+            let report = report.expect("the worker waited for an EOF");
+            assert_eq!(report.windows_closed, plan.total_windows());
+            let tuples = if durable { 0 } else { cfg.messages };
+            assert_eq!(report.processed, tuples);
+            drop(tuple_senders);
+        }
     }
 
     /// The worker's checkpoint log, driven by hand so every close is

@@ -4,8 +4,8 @@
 //! `W` workers, `A` aggregators — plus the orchestrator. Nothing about the
 //! dataflow changes: each node process runs *the same stage function* the
 //! in-process engine threads run ([`run_source_stage`], [`run_worker_stage`],
-//! [`run_aggregator_stage`]), against TCP endpoints instead of crossbeam
-//! ones, over a [`StagePlan`] every process resolves locally from the same
+//! [`run_aggregator_stage`]), against TCP endpoints instead of the engine's
+//! in-process channels, over a [`StagePlan`] every process resolves locally from the same
 //! cluster spec — the orchestrator's rendered text, carried in the `Start`
 //! frame. That is the whole equivalence argument: the merged
 //! windowed counts cannot depend on process placement because no routing,
@@ -26,7 +26,7 @@
 //! ```
 //!
 //! Reports are `Instant`-free (spans and latencies travel as µs-since-epoch
-//! and RLE histograms); the orchestrator rebuilds the stage reports and
+//! and `LogHistogram` sparse buckets); the orchestrator rebuilds the stage reports and
 //! calls the engine's own [`assemble_result`](slb_engine::assemble_result) —
 //! the same merge the in-process runner uses — then optionally checks the
 //! merged counts against the single-threaded exact reference.
@@ -115,7 +115,7 @@ use crate::poll;
 use crate::supervisor::CONTROL_TIMEOUT;
 use crate::tcp::{
     connect_with_retry, Conn, PartialAttach, ReattachableTupleSender, Step, TcpPartialReceiver,
-    TcpPartialSender, TcpTupleReceiver,
+    TcpPartialSender, TcpTupleReceiver, TcpTupleSender,
 };
 use crate::wire::{encode_frame, ControlFrame};
 
@@ -481,7 +481,7 @@ impl SourceControl for Supervised<'_> {
             REJOIN_DIAL_ATTEMPTS,
             REJOIN_DIAL_BASE_DELAY,
         ) {
-            Ok(stream) => self.senders[worker].reattach(stream),
+            Ok(stream) => self.senders[worker].0.reattach(stream),
             Err(e) => log::error(
                 "slb-node",
                 &format!("source {index}: re-dialing worker {worker} failed: {e}"),
@@ -721,7 +721,7 @@ impl Node {
         control.on_frame = Box::new(forward);
         let (mut back, report) = control.beside(|| {
             let senders: Vec<_> = streams
-                .map(|s| ReattachableTupleSender::new(s, epoch, window))
+                .map(|s| ReattachableTupleSender(TcpTupleSender::new(s, epoch, window)))
                 .collect();
             let control = Supervised {
                 events,
@@ -794,7 +794,8 @@ impl Node {
         };
         control.on_frame = Box::new(forward);
         let (receiver, attach) =
-            TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity);
+            TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity)
+                .map_err(|e| io_err("creating the attach wake-up pair", e))?;
         listener
             .set_nonblocking(true)
             .map_err(|e| io_err("setting data listener non-blocking", e))?;
@@ -805,7 +806,7 @@ impl Node {
                 index,
                 &CountAggregate,
                 receiver,
-                Some(&exclusions),
+                &exclusions,
                 &self.hop,
             )
         })?;

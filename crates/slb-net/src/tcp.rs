@@ -3,12 +3,13 @@
 //! Each engine channel becomes one or more TCP connections carrying the wire
 //! frames of [`crate::wire`]:
 //!
-//! * a **sender handle** serializes messages under a mutex and writes one
-//!   complete frame per message straight to the socket (the engine already
-//!   batches tuples, so a frame is ≥ one transport batch — no extra
+//! * a **sender handle** serializes messages under its one mutex and writes
+//!   one complete frame per message straight to the socket (the engine
+//!   already batches tuples, so a frame is ≥ one transport batch — no extra
 //!   buffering layer is needed). Handles are cloned per sending stage
 //!   instance; when the **last** clone drops, an [`tag::EOF`] frame is
-//!   written and the write side shuts down.
+//!   written and the write side shuts down. A handle whose peer died
+//!   detaches, and can be reattached to a replacement connection.
 //! * a **receiver handle** owns its incoming connections and no thread: the
 //!   receiving stage's own `recv_batch` blocks in one `poll(2)` over the
 //!   (non-blocking) sockets, reads each readable one into that connection's
@@ -35,9 +36,12 @@
 //! What the ends owe each other:
 //!
 //! * A sender waiting for credit sees its receiver go as the end of that
-//!   `read` — FIN or reset — and reports [`ChannelClosed`];
-//!   [`ReattachableTupleSender`] turns it into a detach, like a failed
-//!   write. It never waits on a dead peer.
+//!   `read` — FIN or reset — and, as on a failed write, detaches: it drops
+//!   the connection and reports [`ChannelClosed`] for this send and every
+//!   later one. It never waits on a dead peer. `reattach` installs a
+//!   replacement connection, which starts with a full window;
+//!   [`ReattachableTupleSender`] drops the frames a detached sender
+//!   refuses instead of reporting them.
 //! * A peer that never reads its credits is harmless: once the reverse
 //!   direction is full the credit `write` finds no room, and the debt waits
 //!   for the next call. The receive path never blocks, fails or panics on it.
@@ -83,7 +87,7 @@ use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -217,8 +221,9 @@ impl Framed for ControlFrame {
     }
 }
 
-/// Socket + reusable encode buffer, locked per send, and the connection's
-/// credit window.
+/// Socket + reusable encode buffer and the connection's credit window. Its
+/// drop is the connection's orderly end: an EOF frame, then the write side
+/// shut down, which is what terminates the remote reader.
 struct FramedWriter {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -244,72 +249,54 @@ impl FramedWriter {
             Err(_) => Err(ChannelClosed),
         }
     }
-}
 
-/// Shared core of a sender handle. On last-drop it writes an EOF frame and
-/// shuts the write side down, which is what terminates the remote reader.
-struct SenderCore {
-    writer: Mutex<FramedWriter>,
-    epoch: Instant,
-}
-
-impl SenderCore {
-    fn new(stream: TcpStream, epoch: Instant, window: usize) -> Self {
-        Self {
-            writer: Mutex::new(FramedWriter {
-                stream,
-                buf: Vec::with_capacity(4 * 1024),
-                in_flight: 0,
-                window: window.max(1),
-            }),
-            epoch,
+    /// Encodes `message` into the buffer and writes its one frame, once the
+    /// window has room for it.
+    fn send(&mut self, message: impl Framed, epoch: Instant) -> Result<(), ChannelClosed> {
+        while self.in_flight >= self.window {
+            self.await_credit()?;
         }
-    }
-
-    /// Encodes `message` into the shared buffer and writes its one frame,
-    /// once the window has room for it.
-    fn send(&self, message: impl Framed) -> Result<(), ChannelClosed> {
-        let mut writer = self.writer.lock().expect("sender lock poisoned");
-        while writer.in_flight >= writer.window {
-            writer.await_credit()?;
-        }
-        let FramedWriter {
-            stream,
-            buf,
-            in_flight,
-            ..
-        } = &mut *writer;
-        buf.clear();
-        message.encode(self.epoch, buf);
-        stream.write_all(buf).map_err(|_| ChannelClosed)?;
-        *in_flight += 1;
+        self.buf.clear();
+        message.encode(epoch, &mut self.buf);
+        self.stream
+            .write_all(&self.buf)
+            .map_err(|_| ChannelClosed)?;
+        self.in_flight += 1;
         Ok(())
     }
 }
 
-impl Drop for SenderCore {
+impl Drop for FramedWriter {
     fn drop(&mut self) {
-        // Best effort: the peer may already be gone.
-        if let Ok(mut writer) = self.writer.lock() {
-            // The socket closes only once every frame is credited. A credit
-            // that met a closed socket — or a close that left credits unread
-            // — would make the kernel reset the connection and discard what
-            // it had not delivered yet: the tail of a frame larger than the
-            // peer's socket buffer.
-            while writer.in_flight > 0 && writer.await_credit().is_ok() {}
-            // The EOF frame is not a message and takes no room in the window.
-            let FramedWriter { stream, buf, .. } = &mut *writer;
-            buf.clear();
-            buf.extend_from_slice(&1u32.to_le_bytes());
-            buf.push(tag::EOF);
-            let _ = stream.write_all(buf);
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-        }
+        // Best effort: the peer may already be gone. The socket closes only
+        // once every frame is credited. A credit that met a closed socket —
+        // or a close that left credits unread — would make the kernel reset
+        // the connection and discard what it had not delivered yet: the
+        // tail of a frame larger than the peer's socket buffer.
+        while self.in_flight > 0 && self.await_credit().is_ok() {}
+        // The EOF frame is not a message and takes no room in the window.
+        self.buf.clear();
+        self.buf.extend_from_slice(&1u32.to_le_bytes());
+        self.buf.push(tag::EOF);
+        let _ = self.stream.write_all(&self.buf);
+        let _ = self.stream.shutdown(std::net::Shutdown::Write);
     }
 }
 
-/// The sending handle of a channel, over one TCP connection. Clonable; the
-/// connection carries an EOF frame when the last clone drops.
+/// Shared core of a sender handle: the connection, if it is still up, and
+/// what a replacement needs.
+struct SenderCore {
+    writer: Mutex<Option<FramedWriter>>,
+    epoch: Instant,
+    window: usize,
+}
+
+/// The sending handle of a channel, over one TCP connection at a time.
+/// Clonable; the connection carries an EOF frame when the last clone drops.
+///
+/// The first failed write or credit wait *detaches* the handle: the dead
+/// connection is dropped and every later send reports [`ChannelClosed`],
+/// until [`reattach`](Self::reattach) installs a replacement.
 pub struct TcpSender<T> {
     core: Arc<SenderCore>,
     _message: PhantomData<fn(T)>,
@@ -333,81 +320,75 @@ impl<T: Framed> TcpSender<T> {
     /// Wraps a connected stream. `epoch` anchors the wire timestamps;
     /// `window` is the channel's capacity, the most frames in flight.
     pub fn new(stream: TcpStream, epoch: Instant, window: usize) -> Self {
-        let _ = stream.set_nodelay(true);
-        Self {
-            core: Arc::new(SenderCore::new(stream, epoch, window)),
+        let core = SenderCore {
+            writer: Mutex::new(None),
+            epoch,
+            window: window.max(1),
+        };
+        let sender = Self {
+            core: Arc::new(core),
             _message: PhantomData,
+        };
+        sender.reattach(stream);
+        sender
+    }
+
+    /// Replaces the (dead or live) connection with `stream`, which starts
+    /// with a full window; later sends go to the new peer.
+    pub fn reattach(&self, stream: TcpStream) {
+        let _ = stream.set_nodelay(true);
+        let writer = FramedWriter {
+            stream,
+            buf: Vec::with_capacity(4 * 1024),
+            in_flight: 0,
+            window: self.core.window,
+        };
+        // The old connection's drop may wait for its credits: not under the
+        // lock, where it would hold up every clone's sends.
+        let old = self.lock().replace(writer);
+        drop(old);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<FramedWriter>> {
+        self.core.writer.lock().expect("sender lock poisoned")
+    }
+
+    fn send_framed(&self, message: T) -> Result<(), ChannelClosed> {
+        let mut slot = self.lock();
+        let writer = slot.as_mut().ok_or(ChannelClosed)?;
+        let sent = writer.send(message, self.core.epoch);
+        if sent.is_err() {
+            // Its peer is gone: the connection's drop cannot wait on it.
+            *slot = None;
         }
+        sent
     }
 }
 
 impl TupleSender for TcpTupleSender {
     fn send(&self, message: SourceMessage) -> Result<(), ChannelClosed> {
-        self.core.send(message)
+        self.send_framed(message)
     }
 }
 
 impl<P: WirePartial + Send + 'static> PartialSender<P> for TcpPartialSender<P> {
     fn send(&self, message: PartialWindow<P>) -> Result<(), ChannelClosed> {
-        self.core.send(message)
+        self.send_framed(message)
     }
 }
 
-/// A source's sender to one worker that survives that worker's death and
-/// accepts a replacement connection mid-run.
-///
-/// While the slot holds a live connection, sends go straight through; the
-/// first failed write *detaches* the slot (dropping the dead connection,
-/// which is harmless — its peer is gone) and subsequent sends are silently
-/// dropped rather than reported as `ChannelClosed`. That is deliberate: in
-/// the fault-tolerant deployment a dead worker is not the end of the run,
-/// and exactness does not depend on these lost frames — the respawned
-/// worker's `Rejoin` carries its durable cursors and the source replays
-/// everything from there (`docs/FAULTS.md`). [`reattach`](Self::reattach)
-/// installs the replacement connection, which starts with a full window;
-/// the EOF-on-last-drop contract then applies to the new connection.
+/// A source's sender to one worker that survives that worker's death: a
+/// frame the detached [`TcpSender`] refuses is dropped, not reported. That
+/// is deliberate: a dead worker is not the end of the run, and exactness
+/// does not depend on these lost frames — the respawned worker's `Rejoin`
+/// carries its durable cursors, the source reattaches the sender to the
+/// new process and replays everything from there (`docs/FAULTS.md`).
 #[derive(Clone)]
-pub struct ReattachableTupleSender {
-    slot: Arc<Mutex<Option<TcpTupleSender>>>,
-    epoch: Instant,
-    window: usize,
-}
-
-impl ReattachableTupleSender {
-    /// Wraps an initially connected stream.
-    pub fn new(stream: TcpStream, epoch: Instant, window: usize) -> Self {
-        let sender = TcpTupleSender::new(stream, epoch, window);
-        Self {
-            slot: Arc::new(Mutex::new(Some(sender))),
-            epoch,
-            window,
-        }
-    }
-
-    /// Replaces the (dead or live) connection with a fresh one. Subsequent
-    /// sends go to the new peer.
-    pub fn reattach(&self, stream: TcpStream) {
-        let sender = TcpTupleSender::new(stream, self.epoch, self.window);
-        *self.slot.lock().expect("sender slot poisoned") = Some(sender);
-    }
-
-    /// Whether the slot currently holds a live connection (false after a
-    /// failed send until `reattach`).
-    pub fn is_attached(&self) -> bool {
-        self.slot.lock().expect("sender slot poisoned").is_some()
-    }
-}
+pub struct ReattachableTupleSender(pub TcpTupleSender);
 
 impl TupleSender for ReattachableTupleSender {
     fn send(&self, message: SourceMessage) -> Result<(), ChannelClosed> {
-        let mut slot = self.slot.lock().expect("sender slot poisoned");
-        if let Some(sender) = slot.as_ref() {
-            if sender.send(message).is_err() {
-                // Peer died mid-run: drop the connection and keep going.
-                // Replay after Rejoin re-covers anything lost here.
-                *slot = None;
-            }
-        }
+        let _ = self.0.send(message);
         Ok(())
     }
 }
@@ -581,12 +562,13 @@ impl<T: Framed> TcpReceiver<T> {
     /// handle that can hand the receiver *additional* connections later —
     /// how an aggregator re-admits a respawned worker mid-run. The channel
     /// only ends after every connection has **and** the handle has dropped.
+    /// Fails only if the socket pair that wakes the receiver cannot be made.
     pub fn spawn_attachable(
         streams: Vec<TcpStream>,
         epoch: Instant,
         capacity_messages: usize,
-    ) -> (Self, PartialAttach) {
-        let (wake_tx, wake_rx) = UnixStream::pair().expect("socket pair for the attach wake-up");
+    ) -> std::io::Result<(Self, PartialAttach)> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
         // An attach must never block: a full pipe already holds a wake-up.
         let _ = wake_tx.set_nonblocking(true);
         let (streams_tx, streams_rx) = mpsc::channel();
@@ -599,7 +581,7 @@ impl<T: Framed> TcpReceiver<T> {
             streams: streams_tx,
             wake: wake_tx,
         };
-        (receiver, attach)
+        Ok((receiver, attach))
     }
 
     /// The engine's `recv_batch` contract (module doc): waits for the first
@@ -793,13 +775,9 @@ impl TcpTransport {
     /// A transport whose epoch is "now" — the usual choice just before a
     /// run starts.
     pub fn loopback() -> Self {
-        Self::with_epoch(Instant::now())
-    }
-
-    /// A transport anchored at an explicit epoch (multi-process runs align
-    /// all nodes on one orchestrator-chosen epoch).
-    pub fn with_epoch(epoch: Instant) -> Self {
-        Self { epoch }
+        Self {
+            epoch: Instant::now(),
+        }
     }
 
     /// The epoch wire timestamps are relative to.
@@ -822,12 +800,6 @@ impl TcpTransport {
                 )
             })
             .unzip()
-    }
-}
-
-impl Default for TcpTransport {
-    fn default() -> Self {
-        Self::loopback()
     }
 }
 
@@ -1152,61 +1124,41 @@ mod tests {
     fn reattachable_sender_swallows_peer_death_and_resumes_after_reattach() {
         let epoch = Instant::now();
         let (client, server) = loopback_pair();
-        let tx = ReattachableTupleSender::new(client, epoch, 2);
-        assert!(tx.is_attached());
+        let tx = TcpTupleSender::new(client, epoch, 2);
+        let reattachable = ReattachableTupleSender(tx.clone());
         drop(server);
-        // Writes into the dead peer must not error; the first failed write
-        // detaches the slot. Loopback needs a write or two for the RST to
-        // come back, hence the bounded poll.
+        // The first failed write detaches the sender. Loopback needs a
+        // write or two for the RST to come back, hence the bounded poll;
+        // the reattachable handle swallows every refusal.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while tx.is_attached() {
+        while tx.send(close_marker(0)).is_ok() {
             assert!(Instant::now() < deadline, "write to dead peer never failed");
-            tx.send(SourceMessage::CloseWindow {
-                window: 0,
-                source: 0,
-                seq: 0,
-            })
-            .unwrap();
+            assert_eq!(reattachable.send(close_marker(0)), Ok(()));
             thread::sleep(Duration::from_millis(1));
         }
-        // Detached sends are silent drops, not errors.
-        tx.send(SourceMessage::CloseWindow {
-            window: 1,
-            source: 0,
-            seq: 1,
-        })
-        .unwrap();
+        // Detached: every later send is refused, and dropped by the wrapper.
+        assert_eq!(tx.send(close_marker(1)), Err(ChannelClosed));
+        assert_eq!(reattachable.send(close_marker(1)), Ok(()));
         // A replacement connection restores delivery, including the
         // EOF-on-drop contract, and starts with a full window: two frames
         // go out before the new receiver has taken (and credited) any.
         let (client2, server2) = loopback_pair();
         let rx = TcpTupleReceiver::spawn(vec![server2], epoch, 8);
-        tx.reattach(client2);
-        assert!(tx.is_attached());
+        reattachable.0.reattach(client2);
         for seq in [9, 10] {
-            tx.send(SourceMessage::CloseWindow {
-                window: 7,
-                source: 1,
-                seq,
-            })
-            .unwrap();
+            tx.send(close_marker(seq)).unwrap();
         }
         let mut got: Vec<SourceMessage> = Vec::new();
         while got.len() < 2 {
             TupleReceiver::recv_batch(&rx, &mut got).unwrap();
         }
-        drop(tx);
+        drop((tx, reattachable));
         assert_eq!(
             TupleReceiver::recv_batch(&rx, &mut got),
             Err(RecvError::Closed)
         );
-        assert!(matches!(
-            got[..],
-            [
-                SourceMessage::CloseWindow { seq: 9, .. },
-                SourceMessage::CloseWindow { seq: 10, .. }
-            ]
-        ));
+        let seqs: Vec<u64> = got.iter().map(|m| m.source_seq().1).collect();
+        assert_eq!(seqs, [9, 10]);
     }
 
     #[test]
@@ -1214,7 +1166,8 @@ mod tests {
         let epoch = Instant::now();
         let (client1, server1) = loopback_pair();
         let (rx, attach) =
-            TcpPartialReceiver::<HashMap<u64, u64>>::spawn_attachable(vec![server1], epoch, 8);
+            TcpPartialReceiver::<HashMap<u64, u64>>::spawn_attachable(vec![server1], epoch, 8)
+                .expect("socket pair");
         // The workers run beside the receiver: a sender's last drop waits
         // until the receiver has taken its frames.
         let workers = thread::spawn(move || {

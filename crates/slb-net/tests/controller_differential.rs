@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use slb_core::{ControllerConfig, CountAggregate, PartitionerKind};
+use slb_core::{ControllerConfig, CountAggregate, PartitionerKind, SolverMode};
 use slb_engine::{
     diff_windows, exact_scenario_windowed_counts, FaultPlan, InProc, ScenarioConfig, Spsc, WindowId,
 };
@@ -179,7 +179,7 @@ fn controller_beats_or_matches_every_static_d_on_drift() {
         for d in [2usize, 3, 4] {
             let fixed = ScenarioConfig::new(PartitionerKind::DChoices, scenario.clone())
                 .with_batch_size(64)
-                .with_fixed_d(d)
+                .with_solver(SolverMode::Fixed(d))
                 .run_windowed_on(CountAggregate, &InProc);
             assert!(
                 controlled.result.imbalance <= fixed.result.imbalance + 1e-9,

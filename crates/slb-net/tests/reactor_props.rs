@@ -370,7 +370,8 @@ proptest! {
         head_start_us in 0u64..2_000,
     ) {
         let epoch = Instant::now();
-        let (rx, attach) = TcpPartialReceiver::<Partial>::spawn_attachable(Vec::new(), epoch, 4);
+        let (rx, attach) = TcpPartialReceiver::<Partial>::spawn_attachable(Vec::new(), epoch, 4)
+            .expect("socket pair");
         let handle_dropped = Arc::new(AtomicBool::new(false));
         let (waiting_tx, waiting_rx) = mpsc::channel();
         let receiver = {

@@ -88,7 +88,7 @@ fn controller_bits(controller: &Option<ControllerConfig>) -> Option<(u64, u64)> 
 /// One engine and one scenario spec using every optional text field.
 fn sample_specs() -> [ClusterSpec; 2] {
     let engine = EngineConfig::smoke(PartitionerKind::DChoices, 1.4)
-        .with_fixed_d(3)
+        .with_solver(SolverMode::Fixed(3))
         .with_controller(ControllerConfig::new(2, 6, 1_000));
     let scenario = Scenario::new("soup", 2, 64, 7)
         .phase(ScenarioPhase::new(2, 100, 1.5, 2).with_worker_speed(vec![2.0, 1.0]))
