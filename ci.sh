@@ -200,6 +200,16 @@ if [ "$inserts" != 1 ] || [ "$in_drain" != 1 ] || [ "$in_save" != 1 ] || [ "$in_
     exit 1
 fi
 
+echo "==> a checkpoint covers the finalized prefix: a worker record holds no open window, and replay rebuilds the windows in flight"
+# Everything above worker.rs's unit-test module: no partial is encoded into,
+# or decoded from, a checkpoint.
+if grep -rn 'OpenWindowView' crates ||
+    sed '/^#\[cfg(test)\]/,$d' crates/slb-engine/src/topology/worker.rs | grep -nE 'encode_partial|decode_partial'; then
+    echo "a worker's checkpoint records its counters, cursors and keys as of the last finalized window and no open window;"
+    echo "a restore starts with none and the replay from the recorded cursors rebuilds them (docs/FAULTS.md)"
+    exit 1
+fi
+
 echo "==> thread placement is the scheduler's: no core pinning, no FFI in the engine"
 if grep -rnE 'CorePinning|StageRole|core_pinning|pin_current_thread|sched_setaffinity' \
     crates src tests examples; then

@@ -1,21 +1,22 @@
 //! Worker checkpoints: the durable records a worker writes at every window
-//! finalization so that a crash mid-window loses at most the open window.
+//! finalization so that a crash loses at most the windows still in flight.
 //!
 //! A checkpoint captures everything the worker's deterministic result depends
-//! on at a window boundary: how many windows it has closed, its tuple and
-//! per-phase counters, the per-source sequence cursor (which prefix of every
-//! source's stream it has consumed), the distinct-key set, and the in-flight
-//! partial aggregates of still-open windows. Partials cross the snapshot
-//! boundary through their [`WirePartial`] encoding, each
-//! wrapped in a length-prefixed blob so the checkpoint itself decodes without
-//! knowing the aggregate type.
+//! on at a window boundary: how many windows it has finalized, its tuple and
+//! per-phase counters and the per-source sequence cursors as of that
+//! finalization (which prefix of every source's stream the finalized windows
+//! cover), and the distinct-key set. The windows still in flight are not in
+//! it: a restore replays them from the cursors. The layout keeps a list of
+//! open windows ([`OpenWindowState`], each partial as a length-prefixed
+//! [`WirePartial`](crate::wire::WirePartial) blob), which the engine's
+//! worker always writes empty.
 //!
 //! ## Base and delta records
 //!
 //! Everything in a checkpoint is window-sized except the key set, which
 //! grows with the whole run. So a worker's checkpoint log is one **base**
 //! record — a full [`WorkerCheckpoint`] — followed by **delta** records
-//! ([`CheckpointDelta`]): the same counters, cursors and open windows, but
+//! ([`CheckpointDelta`]): the same counters, cursors and open-window list, but
 //! only the keys first seen since the previous record. The state at any
 //! close is the base with every delta up to that close
 //! [applied](WorkerCheckpoint::apply) in order; [`WorkerCheckpoint::restore`]
@@ -44,7 +45,6 @@
 
 use crate::wire::{
     read_count, read_u64, read_u64_list, read_u8, write_u32, write_u64, PartialDecodeError,
-    WirePartial,
 };
 
 /// First byte of an encoded [`CheckpointDelta`]. A base record starts with
@@ -83,7 +83,9 @@ pub fn merge_ascending(keys: &mut Vec<u64>, fresh: &[u64]) {
     }
 }
 
-/// The state of one still-open window inside a checkpoint.
+/// The state of one still-open window inside a checkpoint. The layout
+/// carries it, but the engine's worker writes none: it records only the
+/// finalized prefix and rebuilds its open windows by replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpenWindowState {
     /// The window's id.
@@ -114,6 +116,7 @@ pub struct WorkerCheckpoint {
     /// The distinct keys observed so far, sorted ascending (canonical form).
     pub state_keys: Vec<u64>,
     /// Still-open windows, sorted ascending by window id (canonical form).
+    /// Empty in every record the engine's worker writes.
     pub open: Vec<OpenWindowState>,
 }
 
@@ -136,38 +139,27 @@ pub struct CheckpointDelta {
     /// Keys first seen since the previous record, sorted ascending; disjoint
     /// from every key the log already holds.
     pub fresh_keys: Vec<u64>,
-    /// Still-open windows, sorted ascending by window id.
+    /// Still-open windows, sorted ascending by window id. Empty in every
+    /// record the engine's worker writes.
     pub open: Vec<OpenWindowState>,
-}
-
-/// One still-open window as the worker holds it: the partial borrowed, not
-/// yet encoded.
-#[derive(Debug)]
-pub struct OpenWindowView<'a, P> {
-    /// The window's id.
-    pub window: u64,
-    /// Close markers seen so far.
-    pub closes_seen: u64,
-    /// The in-flight partial, if the window has seen tuples.
-    pub partial: Option<&'a P>,
 }
 
 /// A checkpoint record's fields borrowed from live worker state, so the
 /// worker encodes a record into its reused buffer without first copying the
-/// key list or the partials into an owned [`WorkerCheckpoint`] /
-/// [`CheckpointDelta`]. The bytes are identical to those the owned types
-/// produce.
+/// key list into an owned [`WorkerCheckpoint`] / [`CheckpointDelta`]. A view
+/// has no open window; its bytes are those the owned types produce with an
+/// empty `open`.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointView<'a> {
     /// Index of the worker.
     pub worker: u64,
     /// Windows finalized as of this close.
     pub windows_closed: u64,
-    /// Total tuples processed so far.
+    /// Tuples of the finalized windows.
     pub processed: u64,
-    /// Tuples processed per scenario phase.
+    /// Tuples of the finalized windows per scenario phase.
     pub phase_counts: &'a [u64],
-    /// Per-source sequence cursors.
+    /// Per-source sequence cursors past the finalized windows.
     pub next_seq: &'a [u64],
     /// Every state key (for a base) or the keys first seen since the
     /// previous record (for a delta), sorted strictly ascending.
@@ -178,56 +170,29 @@ impl CheckpointView<'_> {
     /// Appends a base record: byte-for-byte [`WorkerCheckpoint::encode`].
     ///
     /// # Panics
-    /// Panics if `keys` or `open` are not sorted strictly ascending.
-    pub fn encode_base<'p, P, I>(&self, open: I, out: &mut Vec<u8>)
-    where
-        P: WirePartial + 'p,
-        I: ExactSizeIterator<Item = OpenWindowView<'p, P>>,
-    {
-        let open = open.map(|w| {
-            let partial = w.partial.map(|p| |out: &mut Vec<u8>| p.encode_partial(out));
-            (w.window, w.closes_seen, partial)
-        });
-        self.write_record(open, out);
+    /// Panics if `keys` are not sorted strictly ascending.
+    pub fn encode_base(&self, out: &mut Vec<u8>) {
+        self.write_record(&[], out);
     }
 
     /// Appends a delta record: byte-for-byte [`CheckpointDelta::encode`].
     ///
     /// # Panics
-    /// Panics if `keys` or `open` are not sorted strictly ascending.
-    pub fn encode_delta<'p, P, I>(&self, open: I, out: &mut Vec<u8>)
-    where
-        P: WirePartial + 'p,
-        I: ExactSizeIterator<Item = OpenWindowView<'p, P>>,
-    {
+    /// Panics if `keys` are not sorted strictly ascending.
+    pub fn encode_delta(&self, out: &mut Vec<u8>) {
         out.push(DELTA_TAG);
-        self.encode_base(open, out);
+        self.encode_base(out);
     }
 
-    /// Same, from records whose partials are already encoded.
-    fn encode_owned(&self, open: &[OpenWindowState], out: &mut Vec<u8>) {
-        let open = open.iter().map(|w| {
-            let partial = w
-                .partial
-                .as_ref()
-                .map(|blob| |out: &mut Vec<u8>| out.extend_from_slice(blob));
-            (w.window, w.closes_seen, partial)
-        });
-        self.write_record(open, out);
-    }
-
-    /// The layout both record kinds share. Each open window is `(window,
-    /// closes_seen, partial)`, where `partial` appends the partial's
-    /// encoding; its length prefix is patched in afterwards, so it needs no
-    /// staging buffer.
-    fn write_record<F: FnOnce(&mut Vec<u8>)>(
-        &self,
-        open: impl ExactSizeIterator<Item = (u64, u64, Option<F>)>,
-        out: &mut Vec<u8>,
-    ) {
+    /// The layout both record kinds share.
+    fn write_record(&self, open: &[OpenWindowState], out: &mut Vec<u8>) {
         assert!(
             self.keys.windows(2).all(|w| w[0] < w[1]),
             "checkpoint state keys must be sorted and distinct"
+        );
+        assert!(
+            open.windows(2).all(|w| w[0].window < w[1].window),
+            "checkpoint open windows must be sorted and distinct"
         );
         let lists = [self.phase_counts, self.next_seq, self.keys];
         out.reserve(24 + lists.iter().map(|list| 4 + 8 * list.len()).sum::<usize>());
@@ -241,24 +206,15 @@ impl CheckpointView<'_> {
             }
         }
         write_u32(out, open.len() as u32);
-        let mut last_window = None;
-        for (window, closes_seen, partial) in open {
-            assert!(
-                last_window.map_or(true, |last| last < window),
-                "checkpoint open windows must be sorted and distinct"
-            );
-            last_window = Some(window);
-            write_u64(out, window);
-            write_u64(out, closes_seen);
-            match partial {
+        for w in open {
+            write_u64(out, w.window);
+            write_u64(out, w.closes_seen);
+            match &w.partial {
                 None => out.push(0),
-                Some(write_partial) => {
+                Some(blob) => {
                     out.push(1);
-                    let len_at = out.len();
-                    write_u32(out, 0);
-                    write_partial(out);
-                    let len = (out.len() - len_at - 4) as u32;
-                    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+                    write_u32(out, blob.len() as u32);
+                    out.extend_from_slice(blob);
                 }
             }
         }
@@ -280,7 +236,7 @@ impl WorkerCheckpoint {
             next_seq: &self.next_seq,
             keys: &self.state_keys,
         };
-        view.encode_owned(&self.open, out);
+        view.write_record(&self.open, out);
     }
 
     /// Decodes one checkpoint from the front of `input`, advancing it past
@@ -402,7 +358,7 @@ impl CheckpointDelta {
             next_seq: &self.next_seq,
             keys: &self.fresh_keys,
         };
-        view.encode_owned(&self.open, out);
+        view.write_record(&self.open, out);
     }
 
     /// Decodes one delta from the front of `input`, advancing it past the
@@ -640,44 +596,13 @@ mod tests {
 
     #[test]
     fn views_encode_the_same_bytes_as_the_owned_records() {
-        use std::collections::HashMap;
-        let partial: HashMap<u64, u64> = [(4, 2), (9, 1)].into_iter().collect();
-        let mut blob = Vec::new();
-        partial.encode_partial(&mut blob);
-        let owned_open = vec![
-            OpenWindowState {
-                window: 7,
-                closes_seen: 1,
-                partial: Some(blob),
-            },
-            OpenWindowState {
-                window: 8,
-                closes_seen: 1,
-                partial: None,
-            },
-        ];
         let base = WorkerCheckpoint {
-            open: owned_open.clone(),
+            open: Vec::new(),
             ..sample()
         };
         let delta = CheckpointDelta {
-            open: owned_open,
+            open: Vec::new(),
             ..sample_delta()
-        };
-        let open_views = || {
-            [
-                OpenWindowView {
-                    window: 7,
-                    closes_seen: 1,
-                    partial: Some(&partial),
-                },
-                OpenWindowView {
-                    window: 8,
-                    closes_seen: 1,
-                    partial: None,
-                },
-            ]
-            .into_iter()
         };
         let (mut owned, mut viewed) = (Vec::new(), Vec::new());
         base.encode(&mut owned);
@@ -689,7 +614,7 @@ mod tests {
             next_seq: &base.next_seq,
             keys: &base.state_keys,
         }
-        .encode_base(open_views(), &mut viewed);
+        .encode_base(&mut viewed);
         assert_eq!(viewed, owned);
         owned.clear();
         viewed.clear();
@@ -702,8 +627,10 @@ mod tests {
             next_seq: &delta.next_seq,
             keys: &delta.fresh_keys,
         }
-        .encode_delta(open_views(), &mut viewed);
+        .encode_delta(&mut viewed);
         assert_eq!(viewed, owned);
+        // The open-window count is written, as zero.
+        assert_eq!(&viewed[viewed.len() - 4..], &[0; 4]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod wire;
 pub use aggregate::{shard_of, CountAggregate, WindowAggregate, SHARD_SEED};
 pub use checkpoint::{
     deltas_outweigh_base, merge_ascending, CheckpointDelta, CheckpointView, OpenWindowState,
-    OpenWindowView, WorkerCheckpoint,
+    WorkerCheckpoint,
 };
 pub use config::{HeadThreshold, PartitionConfig, SolverMode};
 pub use controller::{

@@ -5,10 +5,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use slb_core::{
-    merge_ascending, CheckpointView, FixedHashSet, OpenWindowView, WindowAggregate, WirePartial,
-    WorkerCheckpoint,
-};
+use slb_core::{merge_ascending, CheckpointView, FixedHashSet, WindowAggregate, WorkerCheckpoint};
 use slb_telemetry::{
     stage, trace_kind, HopStats, HopTelemetry, LogHistogram, RecoveryMetrics, TraceBuf, TraceEvent,
 };
@@ -51,9 +48,10 @@ pub struct WorkerStageReport {
     /// including re-finalizations after a restore).
     pub checkpoints: u64,
     /// Bytes of every checkpoint record this worker saved, bases and deltas
-    /// together. Which closes write a base depends on how much of the next
-    /// window was already open, so this is a cost diagnostic, not part of
-    /// the deterministic result.
+    /// together. A record holds no open window, but its keys include those
+    /// of the windows in flight at its close, so which closes write a base
+    /// depends on how far the later windows had got: a cost diagnostic, not
+    /// part of the deterministic result.
     pub checkpoint_bytes: u64,
     /// The deterministic logical trace of this worker (window closes,
     /// checkpoint saves/restores, replay requests).
@@ -63,16 +61,31 @@ pub struct WorkerStageReport {
     pub transport: HopStats,
 }
 
-/// Every piece of volatile worker state a checkpoint covers — what a crash
-/// loses and a restore rebuilds. Timing diagnostics and recovery counters
-/// live outside it: they describe the wall clock and the recovery itself,
-/// not the recovered state.
+/// Every piece of volatile worker state — what a crash loses and a restore
+/// rebuilds. Timing diagnostics and recovery counters live outside it: they
+/// describe the wall clock and the recovery itself, not the recovered state.
+///
+/// A checkpoint records the **finalized prefix** of this state: the
+/// counters and cursors as of the last finalized window, with the key set.
+/// The open windows are never written: a restore starts with none, and the
+/// replay from the finalized cursors rebuilds them. Windows finalize in
+/// order (each needs every source's close marker, and a source sends its
+/// markers in window order), and each source's channel is FIFO, so every
+/// message of a window not yet finalized comes after that source's marker
+/// for the last finalized one.
 struct WorkerState<P> {
+    /// Tuples processed, finalized windows and open ones alike.
     processed: u64,
     windows_closed: u64,
     phase_counts: Vec<u64>,
     /// Per-source sequence cursor: the next message expected from each.
     expected_seq: Vec<u64>,
+    /// The tuples of the finalized windows, in all and per phase.
+    finalized_processed: u64,
+    finalized_phase_counts: Vec<u64>,
+    /// Per source, one past its close marker for the last finalized
+    /// window: where a replay that rebuilds the open windows starts.
+    finalized_seq: Vec<u64>,
     /// Distinct keys this worker has ever held state for (the
     /// memory-footprint metric); the per-key counts themselves live in the
     /// window partials. Filled once per close from `arrived`, never per
@@ -82,8 +95,9 @@ struct WorkerState<P> {
     keys: FixedHashSet<KeyId>,
     /// The keys new to their window's partial since the last close, in
     /// arrival order (a key may repeat, once per window). Not checkpointed:
-    /// every close files them into `keys` before it writes, so a restore
-    /// starts with none and the replay queues them again.
+    /// every close files them into `keys` before it writes, open windows'
+    /// keys included, so a restore starts with none and the replay of the
+    /// open windows queues keys the restored set already holds.
     arrived: Vec<KeyId>,
     /// `keys` as of the last base record this state wrote (or was restored
     /// from), ascending: what the next base merges the newer keys into, so
@@ -95,8 +109,7 @@ struct WorkerState<P> {
     /// the key set.
     since_base: Vec<KeyId>,
     delta_from: usize,
-    /// The windows in flight, in window order (never more than a handful):
-    /// what a checkpoint's open-window list is written from.
+    /// The windows in flight, in window order (never more than a handful).
     open: BTreeMap<WindowId, OpenWindow<P>>,
 }
 
@@ -104,67 +117,60 @@ struct WorkerState<P> {
 struct OpenWindow<P> {
     /// The in-flight partial; `None` until the window's first tuple.
     partial: Option<P>,
-    /// Close markers seen, one per source at most.
-    closes: usize,
+    /// The window's tuples so far.
+    tuples: u64,
+    /// Per source, one past the sequence number of its close marker for
+    /// this window; 0 until the marker arrives.
+    close_seq: Vec<u64>,
 }
 
 impl<P> Default for OpenWindow<P> {
     fn default() -> Self {
         Self {
             partial: None,
-            closes: 0,
+            tuples: 0,
+            close_seq: Vec::new(),
         }
     }
 }
 
-impl<P: WirePartial> WorkerState<P> {
+impl<P> WorkerState<P> {
     fn new(n_phases: usize, sources: usize) -> Self {
-        Self {
-            processed: 0,
-            windows_closed: 0,
-            phase_counts: vec![0; n_phases],
-            expected_seq: vec![0; sources],
-            keys: FixedHashSet::default(),
-            arrived: Vec::new(),
-            base_keys: Vec::new(),
-            since_base: Vec::new(),
-            delta_from: 0,
-            open: BTreeMap::new(),
-        }
+        Self::restore(&WorkerCheckpoint::default(), n_phases, sources)
     }
 
     /// Rebuilds the state from a restored checkpoint (a log's base with its
-    /// deltas applied, see [`WorkerCheckpoint::restore`]). Shared by the
-    /// simulated-crash restore (same process) and the respawn restore (new
-    /// process, log read from disk).
+    /// deltas applied, see [`WorkerCheckpoint::restore`]): the finalized
+    /// prefix, with no window open. Shared by the simulated-crash restore
+    /// (same process) and the respawn restore (new process, log read from
+    /// disk).
+    ///
+    /// # Panics
+    /// Panics if the checkpoint holds an open window: a worker's own record
+    /// holds none.
     fn restore(checkpoint: &WorkerCheckpoint, n_phases: usize, sources: usize) -> Self {
+        assert!(
+            checkpoint.open.is_empty(),
+            "a worker's own record holds no open window"
+        );
         let mut phase_counts = checkpoint.phase_counts.clone();
         phase_counts.resize(n_phases, 0);
-        let mut expected_seq = checkpoint.next_seq.clone();
-        expected_seq.resize(sources, 0);
-        let open = checkpoint
-            .open
-            .iter()
-            .map(|w| {
-                let partial = w.partial.as_ref().map(|blob| {
-                    P::decode_partial(&mut blob.as_slice())
-                        .expect("a worker's own checkpoint decodes")
-                });
-                let closes = w.closes_seen as usize;
-                (w.window, OpenWindow { partial, closes })
-            })
-            .collect();
+        let mut next_seq = checkpoint.next_seq.clone();
+        next_seq.resize(sources, 0);
         Self {
             processed: checkpoint.processed,
             windows_closed: checkpoint.windows_closed,
-            phase_counts,
-            expected_seq,
+            phase_counts: phase_counts.clone(),
+            expected_seq: next_seq.clone(),
+            finalized_processed: checkpoint.processed,
+            finalized_phase_counts: phase_counts,
+            finalized_seq: next_seq,
             keys: checkpoint.state_keys.iter().copied().collect(),
             arrived: Vec::new(),
             base_keys: checkpoint.state_keys.clone(),
             since_base: Vec::new(),
             delta_from: 0,
-            open,
+            open: BTreeMap::new(),
         }
     }
 
@@ -179,12 +185,12 @@ impl<P: WirePartial> WorkerState<P> {
     }
 
     /// Writes the checkpoint record for the close that just finalized into
-    /// `store`, encoded straight from this state: a delta (counters,
-    /// cursors, the fresh keys, the open windows) unless the store wants a
-    /// base, which carries every key instead. Either way the record is a
-    /// pure function of the per-source message prefixes recorded in
-    /// `expected_seq`, which is what makes restore + bounded replay land
-    /// the worker in exactly the state it lost.
+    /// `store`, encoded straight from this state: the finalized prefix's
+    /// counters and cursors, no open window, and the fresh keys as a delta —
+    /// unless the store wants a base, which carries every key instead. The
+    /// replay from the recorded cursors rebuilds every open window, which is
+    /// what makes restore + replay land the worker in exactly the state it
+    /// lost.
     fn save_checkpoint<'s>(
         &mut self,
         worker: usize,
@@ -194,11 +200,6 @@ impl<P: WirePartial> WorkerState<P> {
         // in the record — exactly the keys a set probed at every tuple
         // would hold by now.
         self.drain_arrived();
-        let open = self.open.iter().map(|(&window, open)| OpenWindowView {
-            window,
-            closes_seen: open.closes as u64,
-            partial: open.partial.as_ref(),
-        });
         let base = store.wants_base();
         self.since_base[self.delta_from..].sort_unstable();
         let keys: &[KeyId] = if base {
@@ -215,15 +216,15 @@ impl<P: WirePartial> WorkerState<P> {
         let view = CheckpointView {
             worker: worker as u64,
             windows_closed: self.windows_closed,
-            processed: self.processed,
-            phase_counts: &self.phase_counts,
-            next_seq: &self.expected_seq,
+            processed: self.finalized_processed,
+            phase_counts: &self.finalized_phase_counts,
+            next_seq: &self.finalized_seq,
             keys,
         };
         if base {
-            store.save_base(|out| view.encode_base(open, out))
+            store.save_base(|out| view.encode_base(out))
         } else {
-            store.append_delta(|out| view.encode_delta(open, out))
+            store.append_delta(|out| view.encode_delta(out))
         }
     }
 }
@@ -303,14 +304,19 @@ pub enum WorkerRecovery<'a> {
 ///    until the expected message arrives; exactly at it — processed, cursor
 ///    advances.
 /// 2. **Per-window checkpoints.** At every window finalization the worker
-///    appends one record to its checkpoint log: a delta sized by the
-///    window, or — when the deltas outweigh the last one — a new base
-///    ([`WorkerCheckpoint`]).
+///    appends one record to its checkpoint log covering the finalized
+///    prefix: the counters and per-source cursors as of that window's close
+///    markers, the keys first seen since the last record (a delta), or —
+///    when the deltas outweigh the last base — every key (a new base,
+///    [`WorkerCheckpoint`]). No open window is written.
 /// 3. **Crash + restore.** At a [`FaultPlan`](crate::fault::FaultPlan) kill
-///    point the worker discards *all* volatile state, rebuilds it from its
-///    checkpoint log (or starts empty if it never took one), and asks every
-///    source to replay from the checkpoint's cursors. Closed windows are
-///    never reprocessed — their tuples sit below the checkpoint cursors —
+///    point the worker discards *all* volatile state, rebuilds the finalized
+///    prefix from its checkpoint log (or starts empty if it never took one)
+///    with no window open, and asks every source to replay from the
+///    checkpoint's cursors: the replay rebuilds every window in flight.
+///    Windows finalize in order and each source's channel is FIFO, so every
+///    message of an open window sits past those cursors, and every message
+///    of a finalized one below them: closed windows are never reprocessed,
 ///    so aggregators see each (worker, window) partial at most once per
 ///    finalization.
 ///
@@ -331,7 +337,6 @@ pub fn run_worker_stage<A, Rx, Tx>(
 ) -> WorkerStageReport
 where
     A: WindowAggregate<KeyId>,
-    A::Partial: WirePartial,
     Rx: TupleReceiver,
     Tx: PartialSender<A::Partial>,
 {
@@ -466,10 +471,9 @@ where
                             std::hint::spin_loop();
                         }
                     }
-                    let partial = state
-                        .open
-                        .entry(batch.window)
-                        .or_default()
+                    let open = state.open.entry(batch.window).or_default();
+                    open.tuples += n;
+                    let partial = open
                         .partial
                         .get_or_insert_with(|| room.take().unwrap_or_else(|| aggregate.empty()));
                     // One probe per tuple. A key the open partial already
@@ -528,28 +532,33 @@ where
                 }
                 SourceMessage::CloseWindow { window, .. } => {
                     let open = state.open.entry(window).or_default();
-                    open.closes += 1;
-                    if open.closes < sources {
+                    open.close_seq.resize(sources, 0);
+                    open.close_seq[src] = seq + 1;
+                    if open.close_seq.contains(&0) {
                         continue;
                     }
                     // Channels are FIFO per source and sequence dedup
                     // admits each marker once, so with all sources'
                     // markers in hand this worker holds every tuple of
                     // the window that was routed to it: finalize and
-                    // ship the shard slices.
-                    let partial = state
-                        .open
-                        .remove(&window)
-                        .and_then(|open| open.partial)
-                        .unwrap_or_else(|| aggregate.empty());
+                    // ship the shard slices. The window joins the
+                    // finalized prefix the checkpoint below records.
+                    let OpenWindow {
+                        partial,
+                        tuples,
+                        close_seq,
+                    } = state.open.remove(&window).unwrap_or_default();
+                    state.finalized_processed += tuples;
+                    state.finalized_phase_counts[phase_of(&plan.phase_starts, window)] += tuples;
+                    state.finalized_seq = close_seq;
+                    let partial = partial.unwrap_or_else(|| aggregate.empty());
                     // The next window to open starts at this one's size.
                     room = Some(aggregate.with_room(&partial));
                     let closed_at = Instant::now();
-                    for (shard, slice) in aggregate
-                        .shard(partial, aggregators)
-                        .into_iter()
-                        .enumerate()
-                    {
+                    let slices = aggregate.shard(partial, aggregators);
+                    // Only the sends count as stalled, not the shard pass.
+                    let sending = Instant::now();
+                    for (shard, slice) in slices.into_iter().enumerate() {
                         partial_senders[shard]
                             .send(PartialWindow {
                                 window,
@@ -559,8 +568,7 @@ where
                             })
                             .expect("aggregator queue closed prematurely");
                     }
-                    hop.send_stall_us
-                        .add(closed_at.elapsed().as_micros() as u64);
+                    hop.send_stall_us.add(sending.elapsed().as_micros() as u64);
                     hop.batches_sent.add(aggregators as u64);
                     hop.tuples_sent.add(aggregators as u64);
                     state.windows_closed += 1;
@@ -578,8 +586,8 @@ where
                     }
                     checkpoints += 1;
                     // One event per close whichever kind the record was:
-                    // which state.closes rebase depends on how much of the
-                    // next window was already state.open, and the trace is
+                    // which closes rebase depends on how many keys of the
+                    // later windows had already arrived, and the trace is
                     // interleaving-free.
                     trace.push(trace_kind::CHECKPOINT_SAVE, window, state.windows_closed, 0);
                     if state.windows_closed == total_windows {
@@ -616,7 +624,7 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
-    use slb_core::{CountAggregate, PartitionerKind};
+    use slb_core::{CountAggregate, WindowAggregate};
 
     use super::super::test_support::{
         partial_channels, tiny_supervised_config, tuple_channels, CountPartial,
@@ -734,102 +742,148 @@ mod tests {
         }
     }
 
-    /// The worker's checkpoint log, driven by hand so every close is
-    /// checked: whatever the log holds — a bare base, or a base with any
-    /// number of deltas — restoring it gives the live state, a state rebuilt
-    /// from it carries on writing a log that still does, and the rebase
-    /// rule really produces both shapes at 20 k+ keys (a crash late in such
-    /// a run restores from a base plus deltas, several rebases in).
+    /// The worker's checkpoint log covers the finalized prefix, checked at
+    /// every close of a run in which source 0 runs two windows ahead of
+    /// source 1 (three windows in flight at a close). Whatever the log holds
+    /// — a bare base, or a base with any number of deltas — it restores to
+    /// the tuples of the finalized windows, per source one past its close
+    /// marker for the last finalized window, every key that arrived before
+    /// the close, and no open window. At every tenth close a worker restored
+    /// from the log and fed the script from those cursors ships the live
+    /// worker's partial for every later window and writes a log that ends
+    /// where the live one ends; and the rebase rule really produces both
+    /// shapes at 20 k+ keys (a restore late in the run folds a base plus
+    /// deltas, several rebases in).
     #[test]
     fn checkpoint_log_restores_the_live_state_at_every_close() {
-        let mut store = CheckpointStore::new();
-        let mut state: WorkerState<CountPartial> = WorkerState::new(1, 2);
-        let mut expected_keys = std::collections::BTreeSet::new();
+        let windows = 400;
+        let plan = scripted_plan(windows);
         let mut rng = 0x5eed_u64;
-        let mut next = move || {
+        let mut key = move || {
             rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = rng;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            (z ^ (z >> 31)) % 30_000
         };
+        // 256 tuples a window: one batch from source 0, two from source 1,
+        // so the two sources' cursors differ.
+        let script = staggered_script(windows, 2, |source, _| {
+            let batches = source + 1;
+            (0..batches)
+                .map(|_| (0..256 / (2 * batches)).map(|_| key()).collect())
+                .collect()
+        });
+        let mut records: Vec<(bool, Vec<u8>)> = Vec::new();
+        let mut persist = |record: CheckpointRecord<'_>| {
+            let is_base = matches!(record, CheckpointRecord::Base(_));
+            records.push((is_base, record.bytes().to_vec()));
+        };
+        let hop = HopTelemetry::default();
+        let (live, live_shipped) = run_durable_script(&plan, None, &script, &mut persist, &hop);
+        assert_eq!(live.windows_closed, windows);
+        assert_eq!(records.len() as u64, windows, "one record per close");
+        let live_end = restore_log(&records);
+
+        // Walk the script as the worker reads it: a close is the marker
+        // that completes a window.
+        let mut store = CheckpointStore::new();
+        // Per open window, one past each source's close marker (0: none yet).
+        let mut markers: BTreeMap<WindowId, Vec<u64>> = BTreeMap::new();
+        let (mut finalized, mut in_window) = (0u64, BTreeMap::<WindowId, u64>::new());
+        let mut keys_so_far = std::collections::BTreeSet::new();
         let (mut bases, mut restores_from_deltas_after_rebases) = (0u64, 0u64);
-        for close in 1..=400u64 {
-            // One window of tuples, then a head start on the next window,
-            // which is still open (with one close marker in) at the close.
-            let mut ahead = CountAggregate.empty();
-            for tuple in 0..256 {
-                let key = next() % 30_000;
-                if state.keys.insert(key) {
-                    state.since_base.push(key);
-                }
-                expected_keys.insert(key);
-                if tuple >= 200 {
-                    CountAggregate.observe(&mut ahead, &key, 1);
-                }
+        let mut close = 0u64;
+        for step in &script {
+            if let Some(keys) = &step.keys {
+                keys_so_far.extend(keys.iter().copied());
+                *in_window.entry(step.window).or_default() += keys.len() as u64;
+                continue;
             }
-            state.processed += 256;
-            state.phase_counts[0] += 256;
-            state.expected_seq[0] += 5;
-            state.expected_seq[1] += 4;
-            state.windows_closed = close;
-            state.open.clear();
-            let (partial, closes) = (Some(ahead.clone()), 1);
-            state.open.insert(close, OpenWindow { partial, closes });
-            let was_base = store.wants_base();
-            let record = state.save_checkpoint(7, &mut store);
-            assert_eq!(matches!(record, CheckpointRecord::Base(_)), was_base);
-            bases += u64::from(was_base);
+            let cursors = markers
+                .entry(step.window)
+                .or_insert_with(|| vec![0; plan.sources]);
+            cursors[step.source] = step.seq + 1;
+            if cursors.contains(&0) {
+                continue;
+            }
+            let cursors = markers.remove(&step.window).unwrap_or_default();
+            finalized += in_window.remove(&step.window).unwrap_or_default();
+            let (is_base, bytes) = &records[close as usize];
+            close += 1;
+            if *is_base {
+                store.save_base(|out| out.extend_from_slice(bytes));
+            } else {
+                store.append_delta(|out| out.extend_from_slice(bytes));
+            }
+            bases += u64::from(*is_base);
 
             let restored = store.restore().expect("a record was just saved");
-            assert_eq!(restored.worker, 7);
+            assert_eq!(restored.worker, 0);
             assert_eq!(restored.windows_closed, close);
-            assert_eq!(restored.processed, state.processed);
-            assert_eq!(restored.next_seq, state.expected_seq);
+            assert_eq!(restored.processed, finalized, "close {close}");
+            assert_eq!(restored.phase_counts, vec![finalized]);
+            assert_eq!(restored.next_seq, cursors, "close {close}");
+            assert!(restored.open.is_empty(), "close {close}: an open window");
             assert!(
-                restored.state_keys.iter().eq(expected_keys.iter()),
+                restored.state_keys.iter().eq(keys_so_far.iter()),
                 "close {close}"
             );
-            assert_eq!(restored.open.len(), 1);
-            assert_eq!(restored.open[0].closes_seen, 1);
-            let blob = restored.open[0]
-                .partial
-                .as_ref()
-                .expect("the open window saw tuples");
-            assert_eq!(
-                CountPartial::decode_partial(&mut blob.as_slice()),
-                Ok(ahead)
-            );
+            // Source 0's head start: two later windows hold tuples.
+            assert!(in_window.len() >= 2 || close + 2 > windows);
 
-            // Every tenth close the worker "crashes": everything but the
-            // store is rebuilt from it, and must carry on as if nothing
-            // had happened — including through later rebases.
-            if close % 10 == 0 {
-                if !was_base && bases >= 3 && expected_keys.len() >= 20_000 {
+            // Every tenth close the worker "crashes": a new one starts from
+            // the log alone, and the sources replay from its cursors.
+            if close % 10 == 0 && close < windows {
+                if !is_base && bases >= 3 && keys_so_far.len() >= 20_000 {
                     restores_from_deltas_after_rebases += 1;
                 }
-                state = WorkerState::restore(&restored, 1, 2);
-                assert_eq!(state.keys.len(), expected_keys.len());
-                assert_eq!(state.open.len(), 1);
-                assert_eq!(state.open[&close].closes, 1);
+                let replay = script
+                    .iter()
+                    .filter(|s| s.seq >= restored.next_seq[s.source]);
+                let mut log: Vec<(bool, Vec<u8>)> = Vec::new();
+                let mut persist = |record: CheckpointRecord<'_>| {
+                    let is_base = matches!(record, CheckpointRecord::Base(_));
+                    log.push((is_base, record.bytes().to_vec()));
+                };
+                let hop = HopTelemetry::default();
+                let (report, shipped) =
+                    run_durable_script(&plan, Some(&restored), replay, &mut persist, &hop);
+                assert_eq!(report.recovery.duplicates_dropped, 0, "close {close}");
+                assert_eq!(report.windows_closed, windows);
+                assert_eq!(report.processed, live.processed);
+                assert_eq!(report.state_keys, live.state_keys);
+                assert!(shipped.iter().eq(live_shipped.range(close..)));
+                assert_eq!(restore_log(&log), live_end, "close {close}");
             }
         }
-        assert!(bases >= 5, "only {bases} bases in 400 closes");
-        assert!(bases <= 40, "{bases} bases in 400 closes is not amortised");
+        assert_eq!(close, windows);
+        assert!(bases >= 5, "only {bases} bases in {windows} closes");
+        assert!(
+            bases <= 40,
+            "{bases} bases in {windows} closes is not amortised"
+        );
         assert!(
             restores_from_deltas_after_rebases >= 5,
             "the large-state restores must include base + delta logs"
         );
     }
 
+    /// The state a log of `(is_base, bytes)` records restores to.
+    fn restore_log(records: &[(bool, Vec<u8>)]) -> WorkerCheckpoint {
+        let last_base = records.iter().rposition(|r| r.0).expect("a log has a base");
+        let deltas = records[last_base + 1..].iter().map(|r| r.1.as_slice());
+        WorkerCheckpoint::restore(&records[last_base].1, deltas).expect("own log restores")
+    }
+
     /// The cost contract of the checkpoint path: a close writes what the
-    /// window changed, not what the worker has ever seen. Every record is
-    /// captured off the persist hook and measured exactly — nothing here
-    /// depends on timing except *which* closes rebase, and the bound holds
-    /// for every such placement:
+    /// window changed, not what the worker has ever seen — nor the windows
+    /// still in flight. Source 0 runs three windows ahead of source 1, so
+    /// four windows are open at every close, and no record carries one.
+    /// Every record is captured off the persist hook and measured exactly:
     ///
     /// * each record is `8 × keys + rest`, where `rest` (counters, cursors,
-    ///   open windows) is window-sized;
+    ///   an empty open-window list) is a fixed header;
     /// * a base is only written once the deltas since the last one outweigh
     ///   it, so all bases together cost under the deltas' bytes plus every
     ///   key once more — in total `3 × 8 × state_keys + 2 × Σ rest`.
@@ -839,44 +893,49 @@ mod tests {
     #[test]
     fn checkpoint_bytes_scale_with_the_windows_not_with_the_state() {
         use slb_core::CheckpointDelta;
-        let mut cfg = EngineConfig::smoke(PartitionerKind::ShuffleGrouping, 0.0)
-            .with_messages(262_144)
-            .with_service_time_us(0)
-            .with_batch_size(64)
-            .with_window_size(512);
-        cfg.keys = 65_536;
-        // One source, so a close never finds a later window already open
-        // and `rest` is the fixed header: with several, however far one
-        // source ran ahead of another is re-encoded at every close, and
-        // that (timing-dependent, and unchanged by this design) would be
-        // the measurement instead of the key set.
-        cfg.sources = 1;
-        cfg.workers = 1;
-        cfg.aggregators = 1;
-        cfg.queue_capacity = 16_384;
-        let windows = cfg.stage_plan().total_windows();
+        let windows = 512;
+        let plan = scripted_plan(windows);
+        let mut rng = 0x0b17e5_u64;
+        // 512 tuples a window over 65 536 keys, four batches of 64 per
+        // source.
+        let script = staggered_script(windows, 3, |_, _| {
+            (0..4)
+                .map(|_| {
+                    (0..64)
+                        .map(|_| {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            rng % 65_536
+                        })
+                        .collect()
+                })
+                .collect()
+        });
         // (is_base, keys in the record, bytes in the record)
         let mut records: Vec<(bool, u64, u64)> = Vec::new();
         let mut persist = |record: CheckpointRecord<'_>| {
             let mut bytes = record.bytes();
-            let keys = match record {
-                CheckpointRecord::Base(_) => WorkerCheckpoint::decode(&mut bytes)
-                    .expect("own base decodes")
-                    .state_keys
-                    .len(),
-                CheckpointRecord::Delta(_) => CheckpointDelta::decode(&mut bytes)
-                    .expect("own delta decodes")
-                    .fresh_keys
-                    .len(),
+            let (keys, open) = match record {
+                CheckpointRecord::Base(_) => {
+                    let base = WorkerCheckpoint::decode(&mut bytes).expect("own base decodes");
+                    (base.state_keys.len(), base.open.len())
+                }
+                CheckpointRecord::Delta(_) => {
+                    let delta = CheckpointDelta::decode(&mut bytes).expect("own delta decodes");
+                    (delta.fresh_keys.len(), delta.open.len())
+                }
             };
             assert!(bytes.is_empty(), "a record is exactly one encoding");
+            assert_eq!(open, 0, "a record carries an open window");
             records.push((
                 matches!(record, CheckpointRecord::Base(_)),
                 keys as u64,
                 record.bytes().len() as u64,
             ));
         };
-        let (report, _) = run_durable_worker(&cfg, None, &mut persist);
+        let hop = HopTelemetry::default();
+        let (report, _) = run_durable_script(&plan, None, &script, &mut persist, &hop);
 
         assert!(report.state_keys >= 50_000, "{} keys", report.state_keys);
         assert_eq!(report.windows_closed, windows);
@@ -902,6 +961,33 @@ mod tests {
         // state did outgrow its first bases.
         assert!(records.windows(2).all(|pair| !(pair[0].0 && pair[1].0)));
         assert!(records.iter().filter(|r| r.0).count() >= 3);
+    }
+
+    /// `send_stall_us` is wall time inside blocking sends and nothing else:
+    /// a 200 k-key window sharded four ways into queues with room to spare
+    /// stalls for a small part of what the shard pass alone takes.
+    #[test]
+    fn send_stall_times_the_sends_not_the_shard_pass() {
+        let mut plan = scripted_plan(1);
+        plan.aggregators = 4;
+        let script = staggered_script(1, 0, |source, _| {
+            let from = source as KeyId * 100_000;
+            vec![(from..from + 100_000).collect()]
+        });
+        let hop = HopTelemetry::default();
+        let (report, mut shipped) = run_durable_script(&plan, None, &script, &mut |_| {}, &hop);
+        let window = shipped.remove(&0).expect("the window shipped");
+        assert_eq!(window.len(), 200_000);
+        // The shard pass over the same window, timed on its own.
+        let started = Instant::now();
+        let slices = CountAggregate.shard(window, plan.aggregators);
+        let shard_us = started.elapsed().as_micros() as u64;
+        assert_eq!(slices.len(), plan.aggregators);
+        let stalled = report.transport.send_stall_us;
+        assert!(
+            stalled * 4 < shard_us,
+            "{stalled} µs stalled in sends against a {shard_us} µs shard pass"
+        );
     }
 
     /// One message of a hand-written script: a batch of `keys`, or — with
@@ -934,23 +1020,64 @@ mod tests {
         }
     }
 
-    /// Six windows from two sources into one worker and one aggregator.
-    fn overlap_plan() -> StagePlan {
+    /// `windows` windows from two sources into one worker and one
+    /// aggregator.
+    fn scripted_plan(windows: u64) -> StagePlan {
         let mut cfg = tiny_supervised_config();
         cfg.sources = 2;
-        cfg.messages = 2 * 6 * cfg.window_size;
+        cfg.messages = 2 * windows * cfg.window_size;
         let plan = cfg.stage_plan();
-        assert_eq!(plan.total_windows(), 6);
+        assert_eq!(plan.total_windows(), windows);
         plan
     }
 
-    /// Two sources out of step: source 0 finishes window w + 1 before
-    /// source 1 starts window w. One 120-key batch per source and window:
+    /// Six windows from two sources into one worker and one aggregator.
+    fn overlap_plan() -> StagePlan {
+        scripted_plan(6)
+    }
+
+    /// Two sources out of step: source 0 finishes window w + `lead` before
+    /// source 1 starts window w. Each source sends, per window, the batches
+    /// `batches(source, window)` gives, then its close marker, numbered
+    /// from zero per source.
+    fn staggered_script(
+        windows: u64,
+        lead: u64,
+        mut batches: impl FnMut(usize, WindowId) -> Vec<Vec<KeyId>>,
+    ) -> Vec<Step> {
+        let mut script = Vec::new();
+        let mut seqs = [0u64; 2];
+        let mut emit = |source: usize, window: WindowId| {
+            let batches = batches(source, window).into_iter().map(Some);
+            for keys in batches.chain([None]) {
+                let seq = seqs[source];
+                seqs[source] += 1;
+                script.push(Step {
+                    source,
+                    window,
+                    seq,
+                    keys,
+                });
+            }
+        };
+        for w in 0..lead.min(windows) {
+            emit(0, w);
+        }
+        for w in 0..windows {
+            if w + lead < windows {
+                emit(0, w + lead);
+            }
+            emit(1, w);
+        }
+        script
+    }
+
+    /// Source 0 one window ahead. One 120-key batch per source and window:
     /// many repeats within a window, most keys shared with the windows
     /// around it, a few new ones every window.
     fn overlapping_script(windows: u64) -> Vec<Step> {
         let mut rng = 0x0dd_ba11_u64;
-        let mut batch = |source: usize, window: WindowId| {
+        staggered_script(windows, 1, |_, window| {
             let keys = (0..120)
                 .map(|_| {
                     rng ^= rng << 13;
@@ -959,29 +1086,50 @@ mod tests {
                     rng % (60 + 40 * window)
                 })
                 .collect();
-            Step {
-                source,
-                window,
-                seq: 2 * window,
-                keys: Some(keys),
-            }
-        };
-        let close = |source: usize, window: WindowId| Step {
-            source,
-            window,
-            seq: 2 * window + 1,
-            keys: None,
-        };
-        let mut script = vec![batch(0, 0), close(0, 0)];
-        for w in 0..windows {
-            if w + 1 < windows {
-                script.push(batch(0, w + 1));
-                script.push(close(0, w + 1));
-            }
-            script.push(batch(1, w));
-            script.push(close(1, w));
+            vec![keys]
+        })
+    }
+
+    /// Runs worker 0 of `plan` as a durable stage over `steps`, queued up
+    /// front, starting from `initial` and handing every record it saves to
+    /// `persist`. Returns the report and, per window, the partial its
+    /// shipped slices merge to.
+    fn run_durable_script<'a>(
+        plan: &StagePlan,
+        initial: Option<&WorkerCheckpoint>,
+        steps: impl IntoIterator<Item = &'a Step>,
+        persist: &mut dyn FnMut(CheckpointRecord<'_>),
+        hop: &HopTelemetry,
+    ) -> (WorkerStageReport, BTreeMap<WindowId, CountPartial>) {
+        let messages: Vec<SourceMessage> = steps.into_iter().map(Step::message).collect();
+        let (sender, receiver) = crossbeam_channel::bounded(messages.len().max(1));
+        for message in messages {
+            sender.send(message).expect("queue holds the script");
         }
-        script
+        drop(sender);
+        let windows = plan.total_windows() as usize;
+        let (partial_senders, partial_receivers): (Vec<_>, Vec<_>) = (0..plan.aggregators)
+            .map(|_| crossbeam_channel::bounded(windows.max(1)))
+            .unzip();
+        let recovery = WorkerRecovery::Durable { initial, persist };
+        let report = run_worker_stage(
+            plan,
+            0,
+            Instant::now(),
+            &CountAggregate,
+            receiver,
+            &partial_senders,
+            recovery,
+            hop,
+        );
+        let mut shipped: BTreeMap<WindowId, CountPartial> = BTreeMap::new();
+        for partials in partial_receivers {
+            while let Ok(pw) = partials.try_recv() {
+                let window = shipped.entry(pw.window).or_default();
+                CountAggregate.merge(window, pw.partial);
+            }
+        }
+        (report, shipped)
     }
 
     /// Runs worker 0 of `plan` as an in-process recoverable stage over
@@ -1091,15 +1239,6 @@ mod tests {
             "every window must bring first-ever keys"
         );
 
-        let (sender, receiver) = crossbeam_channel::bounded(script.len());
-        for step in &script {
-            sender
-                .send(step.message())
-                .expect("queue holds the whole script");
-        }
-        drop(sender);
-        let (partial_sender, _partial_receiver) =
-            crossbeam_channel::bounded::<PartialWindow<CountPartial>>(windows as usize);
         let mut records: Vec<(bool, Vec<KeyId>)> = Vec::new();
         let mut persist = |record: CheckpointRecord<'_>| {
             let mut bytes = record.bytes();
@@ -1118,21 +1257,8 @@ mod tests {
                 ),
             });
         };
-        let recovery = WorkerRecovery::Durable {
-            initial: None,
-            persist: &mut persist,
-        };
         let hop = HopTelemetry::default();
-        let report = run_worker_stage(
-            &plan,
-            0,
-            Instant::now(),
-            &CountAggregate,
-            receiver,
-            &[partial_sender],
-            recovery,
-            &hop,
-        );
+        let (report, _) = run_durable_script(&plan, None, &script, &mut persist, &hop);
         // The report's hop record is the handle the caller passed in.
         assert_eq!(report.transport, hop.snapshot());
         assert_eq!(hop.tuples_received.get(), report.processed);

@@ -8,7 +8,8 @@
 //! such as Murmur3 or Guava's hashing; this crate provides from-scratch,
 //! dependency-free implementations of the same class of functions:
 //!
-//! * [`xxhash::XxHash64`] — fast 64-bit hash, default choice for routing.
+//! * [`xxhash::xxhash64`] — fast 64-bit hash of a key's bytes; routing calls
+//!   it through [`KeyHash`] for string and byte keys.
 //! * [`splitmix::SplitMix64`] — integer mixer used to derive independent
 //!   seeds and to hash already-numeric keys; [`FixedState`] packages it as
 //!   the `BuildHasher` of the workspace's private integer-keyed maps.
@@ -30,23 +31,6 @@ pub mod xxhash;
 
 pub use family::{HashFamily, KeyHash, DIGEST_SEED};
 pub use splitmix::{FixedHashMap, FixedHashSet, FixedHasher, FixedState, SplitMix64};
-pub use xxhash::XxHash64;
-
-/// A hash function over byte slices producing a 64-bit digest.
-///
-/// Implementations must be pure functions of `(seed, bytes)`: the same input
-/// always yields the same output, across platforms and process runs. This is
-/// required so that every source in a distributed deployment routes a given
-/// key to the same candidate workers without coordination.
-pub trait Hasher64 {
-    /// Hashes `bytes` with the given `seed`.
-    fn hash_with_seed(bytes: &[u8], seed: u64) -> u64;
-
-    /// Hashes `bytes` with seed 0.
-    fn hash(bytes: &[u8]) -> u64 {
-        Self::hash_with_seed(bytes, 0)
-    }
-}
 
 /// Maps a 64-bit hash onto `n` buckets with negligible modulo bias.
 ///
@@ -93,7 +77,7 @@ mod tests {
         let samples = 64_000u64;
         let mut counts = vec![0usize; n];
         for i in 0..samples {
-            let h = XxHash64::hash_with_seed(&i.to_le_bytes(), 7);
+            let h = xxhash::xxhash64(&i.to_le_bytes(), 7);
             counts[bucket_of(h, n)] += 1;
         }
         let expected = samples as f64 / n as f64;

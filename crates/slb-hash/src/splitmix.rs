@@ -13,8 +13,6 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
-use crate::Hasher64;
-
 /// Applies one SplitMix64 step to `x`, returning a well-mixed 64-bit value.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -129,20 +127,6 @@ pub type FixedHashMap<K, V> = HashMap<K, V, FixedState>;
 /// A `HashSet` under [`FixedState`].
 pub type FixedHashSet<K> = HashSet<K, FixedState>;
 
-impl Hasher64 for SplitMix64 {
-    /// Hashes up to the first 8 bytes directly and folds longer inputs
-    /// 8 bytes at a time through the mixer.
-    fn hash_with_seed(bytes: &[u8], seed: u64) -> u64 {
-        let mut acc = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            acc = splitmix64(acc ^ u64::from_le_bytes(buf) ^ (chunk.len() as u64) << 56);
-        }
-        splitmix64(acc ^ bytes.len() as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,16 +150,6 @@ mod tests {
         for i in 0..10_000u64 {
             assert!(seen.insert(splitmix64(i)));
         }
-    }
-
-    #[test]
-    fn hash_distinguishes_lengths_and_content() {
-        let a = SplitMix64::hash_with_seed(b"", 0);
-        let b = SplitMix64::hash_with_seed(b"\0", 0);
-        let c = SplitMix64::hash_with_seed(b"\0\0", 0);
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-        assert_ne!(a, c);
     }
 
     #[test]
@@ -211,13 +185,5 @@ mod tests {
         }
         assert!((1..=50_000u64).all(|i| set.contains(&i) && set.contains(&(i << 32))));
         assert_eq!(set.len(), 100_000);
-    }
-
-    #[test]
-    fn hash_seed_sensitivity() {
-        assert_ne!(
-            SplitMix64::hash_with_seed(b"key-1", 0),
-            SplitMix64::hash_with_seed(b"key-1", 1)
-        );
     }
 }

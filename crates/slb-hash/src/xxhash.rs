@@ -7,17 +7,11 @@
 //! behaviour, which matters for the uniformity assumptions in the paper's
 //! analysis (ideal-hash-function collisions, Appendix A).
 
-use crate::Hasher64;
-
 const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
 const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
 const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
-
-/// Zero-sized marker type implementing [`Hasher64`] via xxHash64.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XxHash64;
 
 #[inline(always)]
 fn read_u64(bytes: &[u8], offset: usize) -> u64 {
@@ -118,13 +112,6 @@ pub fn xxhash64(bytes: &[u8], seed: u64) -> u64 {
     avalanche(h)
 }
 
-impl Hasher64 for XxHash64 {
-    #[inline]
-    fn hash_with_seed(bytes: &[u8], seed: u64) -> u64 {
-        xxhash64(bytes, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,11 +179,5 @@ mod tests {
         let b = xxhash64(b"partition-key-001", 0);
         let differing = (a ^ b).count_ones();
         assert!(differing > 16, "only {differing} bits differ");
-    }
-
-    #[test]
-    fn trait_impl_matches_free_function() {
-        assert_eq!(XxHash64::hash_with_seed(b"key", 9), xxhash64(b"key", 9));
-        assert_eq!(XxHash64::hash(b"key"), xxhash64(b"key", 0));
     }
 }

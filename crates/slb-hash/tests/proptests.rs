@@ -1,14 +1,14 @@
 //! Property-based tests for the hashing substrate.
 
 use proptest::prelude::*;
-use slb_hash::{bucket_of, HashFamily, Hasher64, SplitMix64, XxHash64};
+use slb_hash::xxhash::xxhash64;
+use slb_hash::{bucket_of, HashFamily};
 
 proptest! {
-    /// Every hash function is a pure function of (bytes, seed).
+    /// xxHash64 is a pure function of (bytes, seed).
     #[test]
     fn hashes_are_deterministic(bytes in proptest::collection::vec(any::<u8>(), 0..256), seed in any::<u64>()) {
-        prop_assert_eq!(XxHash64::hash_with_seed(&bytes, seed), XxHash64::hash_with_seed(&bytes, seed));
-        prop_assert_eq!(SplitMix64::hash_with_seed(&bytes, seed), SplitMix64::hash_with_seed(&bytes, seed));
+        prop_assert_eq!(xxhash64(&bytes, seed), xxhash64(&bytes, seed));
     }
 
     /// Bucketing never exceeds the bucket count.
@@ -23,7 +23,7 @@ proptest! {
     fn extension_changes_digest(bytes in proptest::collection::vec(any::<u8>(), 0..128), extra in any::<u8>()) {
         let mut longer = bytes.clone();
         longer.push(extra);
-        prop_assert_ne!(XxHash64::hash(&bytes), XxHash64::hash(&longer));
+        prop_assert_ne!(xxhash64(&bytes, 0), xxhash64(&longer, 0));
     }
 
     /// A family's candidate lists are always within range, have the requested

@@ -12,7 +12,7 @@
 //! * merged windows equal the exact reference (and each other) after every
 //!   fault, for every grouping scheme, skew, and seed;
 //! * a worker killed mid-window restores from its checkpoint (`restores`
-//!   counts the scheduled kills) and replays only the open window — the
+//!   counts the scheduled kills) and replays the windows in flight — the
 //!   aggregators never see a duplicate partial (`duplicates_dropped == 0`),
 //!   which is the "closed windows are never reprocessed" guarantee;
 //! * a dropped connection is healed by sequence-gap detection and bounded
@@ -36,6 +36,7 @@ use slb_engine::{
     FaultPlan, InProc, ScenarioConfig, Spsc, Topology, WindowId,
 };
 use slb_net::tcp::TcpTransport;
+use slb_telemetry::{stage, trace_kind};
 use slb_workloads::{Arrival, KeyId, Scenario, ScenarioPhase};
 
 /// Equality with a readable failure: a mismatch panics with the first
@@ -186,7 +187,7 @@ scheme_fault_matrix!(faults_are_exactly_once_rr, PartitionerKind::RoundRobin);
 /// recovers via checkpoint + bounded replay without reprocessing closed
 /// windows, on both backends. Kill point 700 is mid-window-1 of 512-tuple
 /// windows, so the restored worker has a checkpointed closed window behind
-/// it and an open window to replay.
+/// it and the windows in flight to replay.
 #[test]
 fn worker_killed_mid_window_recovers_on_both_backends() {
     for seed in seeds() {
@@ -466,6 +467,92 @@ fn scenario_faults_are_exactly_once_on_both_backends() {
                     "{label}: scenario per-worker counts diverged under faults"
                 );
             }
+        }
+    }
+}
+
+/// Kills while two or more windows are in flight. A restore starts from the
+/// finalized prefix with no window open, and the sources' replay from its
+/// cursors rebuilds every window that was in flight, so each kill replays
+/// at least the tuples it found past the last finalized window. Shuffle
+/// grouping gives worker 1 exactly 256 tuples a window, so a kill that
+/// finds more than that past the restored count had two windows or more in
+/// flight. Whether a given kill does depends on how far one source ran
+/// ahead of the other at the worker; with queues 32 batches deep most do,
+/// and of fifteen kills per run some do on every backend.
+#[test]
+fn kills_with_windows_in_flight_replay_them_on_every_backend() {
+    for seed in seeds() {
+        let cfg = fault_config(PartitionerKind::ShuffleGrouping, 0.6, seed)
+            .with_messages(65_536)
+            .with_queue_capacity(2_048);
+        let per_window = 2 * cfg.window_size / cfg.workers as u64;
+        // Mid-window, every fourth window of 64.
+        let kills: Vec<u64> = (1..16)
+            .map(|i| (4 * i) * per_window + per_window / 2)
+            .collect();
+        let faults = kills
+            .iter()
+            .fold(FaultPlan::none(), |plan, &at| plan.kill_worker(1, at));
+        let reference = exact_windowed_counts(&cfg);
+        let unfaulted = Topology::new(cfg.clone()).run_windowed(CountAggregate);
+        for (name, run) in [
+            (
+                "InProc",
+                Topology::new(cfg.clone()).run_windowed_faulted_on(
+                    CountAggregate,
+                    &InProc,
+                    &faults,
+                ),
+            ),
+            (
+                "SPSC",
+                Topology::new(cfg.clone()).run_windowed_faulted_on(CountAggregate, &Spsc, &faults),
+            ),
+            (
+                "TCP",
+                Topology::new(cfg.clone()).run_windowed_faulted_on(
+                    CountAggregate,
+                    &TcpTransport::loopback(),
+                    &faults,
+                ),
+            ),
+        ] {
+            let label = format!("seed={seed} [{name}]");
+            assert_windows_match(
+                &run.windows,
+                &reference,
+                &format!("{label}: kills with windows in flight changed the windows"),
+            );
+            assert_eq!(
+                run.result.worker_state_keys, unfaulted.result.worker_state_keys,
+                "{label}: a restore lost or invented state keys"
+            );
+            // What each restore came back to: the finalized tuples.
+            let restored: Vec<u64> = run
+                .result
+                .trace
+                .iter()
+                .filter(|e| e.stage == stage::WORKER && e.instance == 1)
+                .filter(|e| e.kind == trace_kind::CHECKPOINT_RESTORE)
+                .map(|e| e.a)
+                .collect();
+            assert_eq!(restored.len(), kills.len(), "{label}: every kill restores");
+            let in_flight: Vec<u64> = kills.iter().zip(&restored).map(|(k, r)| k - r).collect();
+            assert!(
+                in_flight.iter().any(|&tuples| tuples > per_window),
+                "{label}: no kill found two windows in flight: {in_flight:?}"
+            );
+            let recovery = &run.result.worker_stage.recovery;
+            assert_eq!(recovery.restores, kills.len() as u64, "{label}");
+            assert!(
+                recovery.replayed_items >= in_flight.iter().sum::<u64>(),
+                "{label}: the replay must rebuild every window in flight"
+            );
+            assert_eq!(
+                run.result.aggregator_stage.recovery.duplicates_dropped, 0,
+                "{label}: a closed window was re-finalized after restore"
+            );
         }
     }
 }

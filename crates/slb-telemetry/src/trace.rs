@@ -32,7 +32,8 @@ pub mod kind {
     /// (`a` = windows-closed ordinal covered by the checkpoint).
     pub const CHECKPOINT_SAVE: u8 = 1;
     /// Worker restored from a checkpoint after a (simulated or real)
-    /// crash (`a` = windows-closed ordinal restored to). Fault runs only.
+    /// crash (`window` = windows finalized as restored, `a` = their
+    /// tuples). Fault runs only.
     pub const CHECKPOINT_RESTORE: u8 = 2;
     /// Worker asked source `a` to replay from cursor `b`. Fault runs only.
     pub const REPLAY_REQUEST: u8 = 3;
