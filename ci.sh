@@ -210,6 +210,22 @@ if grep -rn 'OpenWindowView' crates ||
     exit 1
 fi
 
+echo "==> one aggregator per window: a worker ships each window whole to its owner, and assembly merges no partial"
+# Everything above each file's unit-test module: no engine or net code
+# shards a partial by key. In assemble_result a two-argument merge( is a
+# partial merge (the telemetry merges take one argument).
+sharding=$(for file in $(find crates/slb-engine/src crates/slb-net/src -name '*.rs' | sort); do
+    sed '/^#\[cfg(test)\]/,$d' "$file" | grep -nE 'shard_of\(|\.shard\(|SHARD_SEED' | sed "s|^|$file:|" || true
+done)
+assembly=$(sed -n '/^pub fn assemble_result/,/^}/p' crates/slb-engine/src/topology/runner.rs |
+    grep -nE '\bmerge\(.*,|WindowAggregate' || true)
+if [ -n "$sharding$assembly" ]; then
+    printf '%s\n' "$sharding" "$assembly"
+    echo "aggregator window mod A owns each window: a worker ships its partial whole there, nothing shards by key,"
+    echo "and assemble_result inserts the owners' disjoint windows (docs/PERF.md: one aggregator per window)"
+    exit 1
+fi
+
 echo "==> thread placement is the scheduler's: no core pinning, no FFI in the engine"
 if grep -rnE 'CorePinning|StageRole|core_pinning|pin_current_thread|sched_setaffinity' \
     crates src tests examples; then

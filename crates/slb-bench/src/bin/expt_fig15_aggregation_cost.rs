@@ -5,12 +5,14 @@
 //! partial per-key state, but its evaluation never isolates that stage's
 //! cost. This experiment does, on the mini-DSPE's three-operator pipeline:
 //! for a fixed scheme and skew it sweeps the window size (how often workers
-//! punctuate, finalize and ship partials) and the number of key-hash
-//! aggregator shards, reporting per-stage throughput and the worker-close →
-//! aggregator-merge latency. Expected shape: smaller windows mean more
-//! partial-window traffic (more punctuation, more shard messages) and so a
-//! lower tuple throughput, while extra shards cut the merge latency of
-//! large windows but cannot help when the windows themselves are tiny.
+//! punctuate, finalize and ship partials) and the number of aggregators,
+//! reporting per-stage throughput and the worker-close → aggregator-merge
+//! latency. Each window has one owning aggregator (`window mod A`), to which
+//! every worker ships its partial whole, so the partial count is windows ×
+//! workers whatever `A` is. Expected shape: smaller windows mean more
+//! partial-window traffic (more punctuation, more messages) and so a lower
+//! tuple throughput, while extra aggregators spread consecutive windows
+//! over more threads but never cut one window's merge.
 
 use slb_bench::json::Table;
 use slb_bench::{options_from_env, print_header};
@@ -22,7 +24,7 @@ fn main() {
     let options = options_from_env();
     print_header(
         "Figure 15",
-        "Aggregation-stage cost vs window size and shard count",
+        "Aggregation-stage cost vs window size and aggregator count",
         &options,
     );
 
@@ -41,7 +43,7 @@ fn main() {
         ExperimentScale::Smoke => vec![256, 2_048],
         _ => vec![256, 1_024, 4_096, 16_384],
     };
-    let shard_counts: Vec<usize> = match options.scale {
+    let aggregator_counts: Vec<usize> = match options.scale {
         ExperimentScale::Smoke => vec![1, 2],
         _ => vec![1, 2, 4],
     };
@@ -50,7 +52,7 @@ fn main() {
         "{:<8} {:>8} {:>7} {:>14} {:>9} {:>10} {:>14} {:>14}",
         "scheme",
         "window",
-        "shards",
+        "aggs",
         "tuples/s",
         "windows",
         "partials",
@@ -72,7 +74,7 @@ fn main() {
     );
     let mut results = Vec::new();
     for &window_size in &window_sizes {
-        for &aggregators in &shard_counts {
+        for &aggregators in &aggregator_counts {
             let cfg = base
                 .clone()
                 .with_window_size(window_size)
@@ -105,22 +107,22 @@ fn main() {
     table.emit();
 
     // Headline: the punctuation tax — throughput of the smallest window vs
-    // the largest, at the same shard count.
-    let shards0 = shard_counts[0];
+    // the largest, at the same aggregator count.
+    let aggregators0 = aggregator_counts[0];
     let find = |window: u64| {
         results
             .iter()
-            .find(|r| r.window_size == window && r.aggregators == shards0)
+            .find(|r| r.window_size == window && r.aggregators == aggregators0)
     };
     if let (Some(small), Some(large)) = (
         find(*window_sizes.first().expect("non-empty sweep")),
         find(*window_sizes.last().expect("non-empty sweep")),
     ) {
         println!(
-            "# window {} → {} at {} shard(s): throughput x{:.2}, partial messages x{:.2}",
+            "# window {} → {} at {} aggregator(s): throughput x{:.2}, partial messages x{:.2}",
             small.window_size,
             large.window_size,
-            shards0,
+            aggregators0,
             large.throughput_eps / small.throughput_eps,
             small.aggregator_stage.items as f64 / large.aggregator_stage.items.max(1) as f64,
         );

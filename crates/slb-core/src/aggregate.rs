@@ -16,10 +16,12 @@
 //!   aggregator), the one aggregate the engine runs; merges are exact, which
 //!   is what makes the differential test's bit-identical invariant possible.
 //!
-//! Partials can additionally be **sharded by key hash** ([`shard`]) so that
-//! more than one aggregator thread can merge disjoint key slices of the same
-//! window in parallel; merging all shards back together reproduces the
-//! unsharded aggregate.
+//! Partials can additionally be **sharded by key hash** ([`shard`]): merging
+//! all shards back together reproduces the unsharded aggregate. The engine
+//! no longer shards by key — each window has one owning aggregator,
+//! `window mod A`, to which every worker ships its partial whole — so the
+//! law stays for the `aggregate_props` suite and for the benchmark's traced
+//! replay, which still models a close as shard → merge.
 //!
 //! [`empty`]: WindowAggregate::empty
 //! [`shard`]: WindowAggregate::shard
@@ -30,13 +32,15 @@ use std::hash::Hash;
 
 use slb_hash::{bucket_of, KeyHash};
 
-/// Seed of the hash that assigns keys to aggregator shards. Distinct from
-/// the routing digest seed so that shard assignment is independent of the
-/// grouping scheme's worker choices.
+/// Seed of the hash that assigns keys to shards. Distinct from the routing
+/// digest seed so that shard assignment is independent of the grouping
+/// scheme's worker choices. No engine or net code uses it: the engine
+/// splits the aggregator stage by window, not by key.
 pub const SHARD_SEED: u64 = 0x5ba9_9e6a_7e5e_ed01;
 
-/// The aggregator shard that owns `key` when the key space is split across
-/// `shards` disjoint slices.
+/// The shard that owns `key` when the key space is split across `shards`
+/// disjoint slices — the law [`WindowAggregate::shard`] keeps, not how the
+/// engine places work (an aggregator owns windows, not keys).
 ///
 /// # Panics
 /// Panics (in debug builds) if `shards == 0`.
@@ -66,7 +70,7 @@ pub fn shard_of<K: KeyHash + ?Sized>(key: &K, shards: usize) -> usize {
 /// Additionally, merging all partials returned by [`shard`](Self::shard)
 /// must reproduce the input partial's aggregate content, and sharding must
 /// depend only on the key (via [`shard_of`]) — never on observation order —
-/// so that a sharded aggregator stage stays deterministic.
+/// so that a key-sharded merge stays deterministic.
 pub trait WindowAggregate<K>: Clone + Send + 'static {
     /// Mergeable per-window partial state.
     type Partial: Send + 'static;
@@ -99,7 +103,10 @@ pub trait WindowAggregate<K>: Clone + Send + 'static {
 
     /// Splits `partial` into exactly `shards` partials with disjoint key
     /// ownership (slice `s` holds the keys with `shard_of(key, shards) ==
-    /// s`), such that merging all slices reproduces `partial`.
+    /// s`), such that merging all slices reproduces `partial`. The engine
+    /// does not call it (a worker ships a window's partial whole to the
+    /// window's one aggregator); `aggregate_props` checks the law, and the
+    /// benchmark's traced replay times it as `core.aggregate.shard`.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
@@ -148,13 +155,13 @@ where
 
     fn merge(&self, into: &mut Self::Partial, mut from: Self::Partial) {
         // The roomier map absorbs the other (the sum is symmetric): an
-        // aggregator's first slice of a window is moved, not re-inserted,
+        // aggregator's first partial of a window is moved, not re-inserted,
         // and a presized map is never thrown away for an empty one.
         if into.capacity() < from.capacity() {
             std::mem::swap(into, &mut from);
         }
-        // Saturating: `from` may be a peer's word (two shards claiming one
-        // window), and a corrupt count must read absurd, not overflow.
+        // Saturating: `from` may be a peer's word, and a corrupt count must
+        // read absurd, not overflow.
         for (key, count) in from {
             let sum = into.entry(key).or_insert(0);
             *sum = sum.saturating_add(count);

@@ -75,7 +75,7 @@ impl LatencySummary {
 ///
 /// The unit of `items` differs per stage: the worker stage counts tuples,
 /// the aggregator stage counts partial-window messages (one per closed
-/// window per worker per shard), because that is what each stage's threads
+/// window per worker), because that is what each stage's threads
 /// actually receive and process.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageMetrics {

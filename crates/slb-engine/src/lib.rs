@@ -10,16 +10,16 @@
 //! route tuples through the grouping scheme under study, bounded channels
 //! model the workers' input queues, worker threads perform a configurable
 //! amount of busy work per tuple while accumulating per-window partial
-//! aggregates, and key-hash-sharded aggregator threads merge the partials
-//! into the final per-window result.
+//! aggregates, and aggregator threads — each owning the windows `w mod A` —
+//! merge the partials into the final per-window result.
 //!
 //! The absolute numbers differ from the paper's cluster, but the comparison
 //! between grouping schemes — who saturates first, whose queues grow — is
 //! governed by the same mechanism: the most loaded worker is the bottleneck,
 //! so a scheme with higher imbalance delivers lower throughput and higher
 //! tail latency. The merged windowed output, by contrast, must not depend on
-//! the scheme at all: for every scheme, batch size, and aggregator shard
-//! count it is bit-identical to a single-threaded exact count (the
+//! the scheme at all: for every scheme, batch size, and aggregator count it
+//! is bit-identical to a single-threaded exact count (the
 //! `differential` test suite pins this invariant).
 //!
 //! The run loop is *phased* (see `docs/SCENARIOS.md`): every run executes a

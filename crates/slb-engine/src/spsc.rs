@@ -19,7 +19,7 @@
 //!   steady state allocates zero batch buffers: the same handful of vectors
 //!   shuttles back and forth for the whole run.
 //!
-//! Punctuation ([`SourceMessage::CloseWindow`]) and sharded partials ride
+//! Punctuation ([`SourceMessage::CloseWindow`]) and window partials ride
 //! the same rings as ordinary frames, so the checkpoint/replay machinery of
 //! the fault-tolerant runner — whose replay requests never touch a
 //! transport — works unchanged: the `backend_differential` and `fault_injection`

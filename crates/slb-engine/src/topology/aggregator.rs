@@ -1,5 +1,6 @@
-//! The aggregator stage: merges the workers' per-window partials and
-//! declares a window final once every (live) worker has contributed.
+//! The aggregator stage: merges the workers' partials of the windows it
+//! owns and declares a window final once every (live) worker has
+//! contributed.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc;
@@ -20,7 +21,7 @@ use crate::windows::WindowId;
 /// it dropped as duplicates.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggregatorStageReport<P> {
-    /// Final merged aggregate per window this shard owned.
+    /// Final merged aggregate per window this aggregator owns.
     pub finalized: BTreeMap<WindowId, P>,
     /// Worker close → merge latencies, µs.
     pub latencies: LogHistogram,
@@ -36,25 +37,29 @@ pub struct AggregatorStageReport<P> {
     /// Transport-level receive errors survived (a malformed frame or a
     /// failed read instead of a clean EOF — e.g. a SIGKILLed worker's
     /// connection tearing mid-frame), plus partials shed for naming a
-    /// worker outside the plan.
+    /// worker outside the plan or a window another aggregator owns.
     pub transport_errors: u64,
-    /// The deterministic logical trace of this shard (one `WINDOW_CLOSE`
+    /// The deterministic logical trace of this aggregator (one `WINDOW_CLOSE`
     /// per finalized window, in finalization order).
     pub trace: Vec<TraceEvent>,
-    /// Transport counters for this shard's receive side.
+    /// Transport counters for this aggregator's receive side.
     pub transport: HopStats,
 }
 
-/// Everything aggregator `shard` contributes to a run: merges
-/// partial-window slices from `receiver` as they arrive; a window is final
-/// once every one of the plan's spawned workers has contributed its slice.
+/// Everything aggregator `index` contributes to a run: it owns the windows
+/// `w` with `plan.aggregator_of(w) == index`, merges each worker's whole
+/// partial of them from `receiver` as it arrives, and declares a window
+/// final once every one of the plan's spawned workers has contributed. A
+/// partial of a window it does not own comes from a stray peer: it is shed
+/// as a transport error, never merged.
 /// Contributions are counted by *distinct* worker — a duplicate
 /// `(worker, window)` partial (a recovered worker re-shipping) is dropped,
 /// never double-merged.
 ///
-/// The stage returns as soon as the plan's last window has finalized, not
-/// at an EOF: a worker's connection (or, under a respawn, the listener
-/// accepting reconnections) may outlive the stage on purpose.
+/// The stage returns as soon as the last window it owns has finalized — at
+/// once when it owns none — not at an EOF: a worker's connection (or, under
+/// a respawn, the listener accepting reconnections) may outlive the stage
+/// on purpose.
 ///
 /// `exclusions` is the one per-role argument: the workers a supervisor gave
 /// up on. An exclusion drops a permanently dead worker from every
@@ -68,9 +73,9 @@ pub struct AggregatorStageReport<P> {
 /// another thread while the stage runs.
 pub fn run_aggregator_stage<A, Rx>(
     plan: &StagePlan,
-    shard: usize,
+    index: usize,
     aggregate: &A,
-    receiver: Rx,
+    receiver: &Rx,
     exclusions: &mpsc::Receiver<usize>,
     hop: &HopTelemetry,
 ) -> AggregatorStageReport<A::Partial>
@@ -79,8 +84,11 @@ where
     Rx: PartialReceiver<A::Partial>,
 {
     let spawned_workers = plan.spawned_workers;
-    let total_windows = plan.total_windows() as usize;
-    let mut trace = TraceBuf::new(stage::AGGREGATOR, shard as u32);
+    // This aggregator's windows, the `w < W` with `w mod A == index`:
+    // ⌈(W − index) / A⌉ of them.
+    let owned = plan.total_windows().saturating_sub(index as u64);
+    let owned_windows = owned.div_ceil(plan.aggregators as u64) as usize;
+    let mut trace = TraceBuf::new(stage::AGGREGATOR, index as u32);
     let mut latencies = LogHistogram::new();
     let mut merged = 0u64;
     let mut duplicates_dropped = 0u64;
@@ -94,7 +102,7 @@ where
     let mut open: HashMap<WindowId, (A::Partial, Vec<bool>, usize)> = HashMap::new();
     let mut finalized: BTreeMap<WindowId, A::Partial> = BTreeMap::new();
     let mut drained: Vec<PartialWindow<A::Partial>> = Vec::new();
-    'recv: while finalized.len() < total_windows {
+    'recv: while finalized.len() < owned_windows {
         // Serve supervisor exclusions between receive rounds: the stage
         // drains them without blocking, then blocks on the data queue. The
         // orchestrator follows every Exclude broadcast with data-side
@@ -127,9 +135,10 @@ where
         hop.queue_depth_hwm.record(n);
         hop.batch_occupancy.record(n);
         for pw in drained.drain(..) {
-            if pw.worker >= spawned_workers {
-                // Well-formed, but from no worker of this plan (a stray
-                // peer on the data port): shed it like a malformed frame.
+            if pw.worker >= spawned_workers || plan.aggregator_of(pw.window) != index {
+                // Well-formed, but from no worker of this plan or for a
+                // window another aggregator owns (a stray peer on the data
+                // port): shed it like a malformed frame.
                 transport_errors += 1;
                 continue;
             }
@@ -168,7 +177,7 @@ where
                 let (partial, _, _) = open.remove(&pw.window).expect("window is open");
                 finalized.insert(pw.window, partial);
                 trace.push(trace_kind::WINDOW_CLOSE, pw.window, 0, 0);
-                if finalized.len() == total_windows {
+                if finalized.len() == owned_windows {
                     break 'recv;
                 }
             }
@@ -245,7 +254,7 @@ mod tests {
     #[test]
     fn supervised_aggregator_finalizes_without_an_excluded_worker() {
         let aggregate = CountAggregate;
-        // Two workers, one shard, three windows.
+        // Two workers, one aggregator, three windows.
         let mut cfg = EngineConfig::smoke(PartitionerKind::Pkg, 1.0)
             .with_window_size(64)
             .with_messages(3 * 64)
@@ -260,7 +269,14 @@ mod tests {
         let hop = Arc::new(HopTelemetry::default());
         let stage_hop = Arc::clone(&hop);
         let handle = thread::spawn(move || {
-            run_aggregator_stage(&plan, 0, &CountAggregate, receiver, &exclude_rx, &stage_hop)
+            run_aggregator_stage(
+                &plan,
+                0,
+                &CountAggregate,
+                &receiver,
+                &exclude_rx,
+                &stage_hop,
+            )
         });
         let ship = |worker: usize, window: WindowId, key: KeyId, count: u64| {
             let mut partial = aggregate.empty();
@@ -298,19 +314,21 @@ mod tests {
         assert_eq!(report.transport_errors, 0);
     }
 
-    /// A well-formed partial naming a worker the plan does not have (a
-    /// stray peer on a data port) is shed and counted as a transport error;
-    /// the windows are the ones the run without it finalizes.
+    /// Well-formed partials from a stray peer on a data port — one naming a
+    /// worker the plan does not have, one of a window another aggregator
+    /// owns — are shed and counted as transport errors, never merged:
+    /// aggregator 0 of two finalizes its even windows as without them.
     #[test]
-    fn a_partial_from_no_worker_of_the_plan_is_shed() {
+    fn stray_partials_are_shed_never_merged() {
         let aggregate = CountAggregate;
         let mut cfg = EngineConfig::smoke(PartitionerKind::Pkg, 1.0)
             .with_window_size(64)
-            .with_messages(3 * 64)
-            .with_aggregators(1);
+            .with_messages(4 * 64)
+            .with_aggregators(2);
         cfg.sources = 1;
         cfg.workers = 2;
         let plan = cfg.stage_plan();
+        assert_eq!(plan.total_windows(), 4);
         let run = |stray: bool| {
             let (sender, receiver) = crossbeam_channel::bounded(8);
             let ship = |worker: usize, window: WindowId, count: u64| {
@@ -328,22 +346,26 @@ mod tests {
             };
             if stray {
                 ship(plan.spawned_workers, 0, 100);
+                ship(0, 1, 100);
             }
-            for window in 0..3 {
+            for window in [0, 2] {
                 ship(0, window, 1);
                 ship(1, window, 2);
             }
             drop(sender);
             let (_, exclusions) = mpsc::channel();
             let hop = HopTelemetry::default();
-            run_aggregator_stage(&plan, 0, &aggregate, receiver, &exclusions, &hop)
+            run_aggregator_stage(&plan, 0, &aggregate, &receiver, &exclusions, &hop)
         };
 
         let (clean, strayed) = (run(false), run(true));
         assert_eq!(clean.transport_errors, 0);
-        assert_eq!(strayed.transport_errors, 1);
-        assert_eq!(strayed.merged, 6);
-        assert_eq!(strayed.finalized.len(), 3);
+        assert_eq!(strayed.transport_errors, 2);
+        assert_eq!(strayed.merged, 4);
+        assert_eq!(
+            strayed.finalized.keys().copied().collect::<Vec<_>>(),
+            vec![0, 2]
+        );
         assert_eq!(strayed.finalized, clean.finalized);
     }
 
@@ -379,7 +401,7 @@ mod tests {
         thread::spawn(move || {
             let (_, exclusions) = mpsc::channel();
             let hop = HopTelemetry::default();
-            let report = run_aggregator_stage(&plan, 0, &aggregate, receiver, &exclusions, &hop);
+            let report = run_aggregator_stage(&plan, 0, &aggregate, &receiver, &exclusions, &hop);
             let _ = done.send(report);
         });
         let report = report.recv_timeout(std::time::Duration::from_secs(10));

@@ -50,8 +50,9 @@ pub struct EngineConfig {
     /// deterministic: tuple `i` of a source belongs to window
     /// `i / window_size`).
     pub window_size: u64,
-    /// Number of aggregator threads; the key space is sharded across them
-    /// by key hash so the merge stage scales past one thread.
+    /// Number of aggregator threads; aggregator `a` owns the windows
+    /// `w mod aggregators == a`, so the merge stage scales past one thread
+    /// window by window.
     pub aggregators: usize,
     /// How head-aware schemes choose `d` (see [`SolverMode`]); `Fixed(d)`
     /// gives the static-`d` baselines the elasticity controller is measured
@@ -71,7 +72,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 256;
 /// Default number of tuples per window in each source sub-stream.
 pub const DEFAULT_WINDOW_SIZE: u64 = 4_096;
 
-/// Default number of aggregator shards.
+/// Default number of aggregators.
 pub const DEFAULT_AGGREGATORS: usize = 2;
 
 /// Default capacity of each worker's input queue, in tuples.
@@ -179,7 +180,7 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the number of aggregator shards.
+    /// Overrides the number of aggregators.
     pub fn with_aggregators(mut self, aggregators: usize) -> Self {
         self.aggregators = aggregators;
         self
@@ -286,7 +287,7 @@ fn spawned_workers(configured: usize, controller: Option<&ControllerConfig>) -> 
 
 /// Configuration of a multi-phase scenario run: the [`Scenario`] supplies
 /// the workload, phase lengths, worker counts, and speed multipliers; this
-/// struct adds the engine-side knobs (base service time, transport, shards).
+/// struct adds the engine-side knobs (base service time, transport, aggregators).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Grouping scheme under study.
@@ -301,7 +302,7 @@ pub struct ScenarioConfig {
     /// Tuples per transported channel message (clamped to `queue_capacity`
     /// when resolving the plan, like [`EngineConfig::batch_size`]).
     pub batch_size: usize,
-    /// Number of aggregator shards.
+    /// Number of aggregators.
     pub aggregators: usize,
     /// How head-aware schemes choose `d` (see [`SolverMode`]). Forced to
     /// `External` when a controller is attached.
@@ -348,7 +349,7 @@ impl ScenarioConfig {
         self
     }
 
-    /// Overrides the number of aggregator shards.
+    /// Overrides the number of aggregators.
     pub fn with_aggregators(mut self, aggregators: usize) -> Self {
         self.aggregators = aggregators;
         self
@@ -472,7 +473,8 @@ pub struct StagePlan {
     pub batch_size: usize,
     /// Capacity of each worker's input queue, in tuples.
     pub queue_capacity: usize,
-    /// Number of aggregator shards.
+    /// Number of aggregators; aggregator `a` owns the windows `w mod
+    /// aggregators == a`.
     pub aggregators: usize,
     /// Start-window table, indexed by phase (for window → phase lookup).
     pub phase_starts: Arc<Vec<WindowId>>,
@@ -494,6 +496,12 @@ impl StagePlan {
     /// Total windows every worker must finalize over the whole run.
     pub fn total_windows(&self) -> u64 {
         self.phases.iter().map(|p| p.windows).sum()
+    }
+
+    /// The aggregator that owns `window`: every worker ships its partial of
+    /// the window there whole, and only there is it merged.
+    pub fn aggregator_of(&self, window: WindowId) -> usize {
+        (window % self.aggregators as u64) as usize
     }
 
     /// The last step of both config front-ends, and the one place the

@@ -6,8 +6,8 @@
 //! threads consumes the tuples from bounded input queues, performs a fixed
 //! amount of CPU work per tuple (the first aggregation phase), and
 //! accumulates per-key *partial* window state; a set of aggregator threads —
-//! sharded by key hash — merges the workers' partials into the final
-//! per-window result. Sources block when a worker's queue is full, which is
+//! each owning the windows `w mod A` — merges the workers' partials into the
+//! final per-window result. Sources block when a worker's queue is full, which is
 //! exactly the back-pressure behaviour that makes the most loaded worker the
 //! throughput bottleneck; the aggregator stage is the reason key splitting
 //! (PKG, D-Choices, W-Choices) is *sound*: it re-unifies the per-key state
@@ -97,12 +97,14 @@
 //! boundary; when it finishes a window it flushes its in-flight batches and
 //! broadcasts a close marker for that window to every worker. A worker that
 //! has collected the marker from all sources finalizes its partial for the
-//! window, splits it by key hash into one slice per aggregator shard
-//! ([`slb_core::WindowAggregate::shard`]), and ships the slices downstream —
-//! also in batches, with one timestamp per partial, so the hot path stays
-//! allocation-free. Aggregators merge slices as they arrive and declare a
-//! window final once every worker has contributed, counting merges and
-//! recording close→merge latency as the second stage's metrics.
+//! window and ships it whole, as one message with one timestamp, to the
+//! window's owner ([`StagePlan::aggregator_of`]: `window mod A`), so
+//! consecutive windows alternate aggregators. An aggregator merges the
+//! partials of the windows it owns as they arrive and declares a window
+//! final once every worker has contributed, counting merges and recording
+//! close→merge latency as the second stage's metrics; windows from
+//! different aggregators are disjoint, so assembling the run's result
+//! merges nothing.
 
 mod aggregator;
 mod config;

@@ -3,7 +3,6 @@
 //! runner behind them, and [`assemble_result`], which merges stage reports
 //! into an [`EngineResult`] wherever the stages ran.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -36,7 +35,10 @@ pub struct EngineResult {
     pub skew: f64,
     /// Messages processed (across all workers).
     pub processed: u64,
-    /// Wall-clock duration of the run in seconds.
+    /// Wall-clock duration of the run in seconds: from before the first
+    /// stage thread starts to the last join. Assembling the result is not
+    /// in it; since every window is merged by its one owner, that is
+    /// inserts only.
     pub elapsed_secs: f64,
     /// Throughput in events per second.
     pub throughput_eps: f64,
@@ -54,7 +56,7 @@ pub struct EngineResult {
     pub imbalance: f64,
     /// Tuples per window per source sub-stream in this run.
     pub window_size: u64,
-    /// Number of aggregator shards in this run.
+    /// Number of aggregators in this run.
     pub aggregators: usize,
     /// Number of windows finalized by the aggregator stage.
     pub windows: u64,
@@ -106,7 +108,7 @@ pub struct TransportStats {
     /// Merged over all workers (receive side of source→worker plus send
     /// side of worker→aggregator).
     pub worker: HopStats,
-    /// Merged over all aggregator shards (receive side of
+    /// Merged over all aggregators (receive side of
     /// worker→aggregator).
     pub aggregator: HopStats,
 }
@@ -271,25 +273,23 @@ impl ScenarioConfig {
 ///
 /// `worker_reports` must be indexed by worker — a short vector is padded
 /// with empty reports (what an excluded worker contributes), one past
-/// `plan.spawned_workers` is ignored; aggregator reports may come
-/// in any order (their window sets are disjoint by sharding, and the merge
-/// is associative and commutative anyway). `source_reports` carry the sent
-/// counts, the per-source elasticity decision logs
-/// ([`ControllerMetrics::merged`] sorts them into the canonical
-/// (source, window) order), and the sources' trace/transport shares; the
-/// run's merged trace is sorted canonically and the per-stage transport
-/// counters are summed here.
-pub fn assemble_result<A>(
+/// `plan.spawned_workers` is ignored; `aggregator_reports` must be indexed
+/// by aggregator too. Their window sets are disjoint — aggregator `a`
+/// reports only the windows it owns — so assembly inserts and merges
+/// nothing; a second report of one window is a peer's bad word, counted in
+/// `partials_deduped`, and the owner's report is the one kept.
+/// `source_reports` carry the sent counts, the per-source elasticity
+/// decision logs ([`ControllerMetrics::merged`] sorts them into the
+/// canonical (source, window) order), and the sources' trace/transport
+/// shares; the run's merged trace is sorted canonically and the per-stage
+/// transport counters are summed here.
+pub fn assemble_result<P>(
     plan: &StagePlan,
-    aggregate: &A,
     source_reports: Vec<SourceStageReport>,
     mut worker_reports: Vec<WorkerStageReport>,
-    aggregator_reports: Vec<AggregatorStageReport<A::Partial>>,
+    aggregator_reports: Vec<AggregatorStageReport<P>>,
     elapsed_secs: f64,
-) -> WindowedRun<A::Partial>
-where
-    A: WindowAggregate<KeyId>,
-{
+) -> WindowedRun<P> {
     // Everything below indexes by worker up to the plan's universe.
     worker_reports.resize_with(plan.spawned_workers, WorkerStageReport::default);
     let n_phases = plan.phases.len();
@@ -343,12 +343,12 @@ where
         }
     }
 
-    let mut windows: BTreeMap<WindowId, A::Partial> = BTreeMap::new();
+    let mut windows: BTreeMap<WindowId, P> = BTreeMap::new();
     let mut aggregator_latencies = Vec::with_capacity(plan.aggregators);
     let mut partials_merged = 0u64;
     let mut partials_deduped = 0u64;
     let mut partials_transport_errors = 0u64;
-    for report in aggregator_reports {
+    for (index, report) in aggregator_reports.into_iter().enumerate() {
         partials_merged = partials_merged.saturating_add(report.merged);
         partials_deduped = partials_deduped.saturating_add(report.duplicates_dropped);
         partials_transport_errors =
@@ -357,11 +357,11 @@ where
         transport.aggregator.merge(&report.transport);
         aggregator_latencies.push(report.latencies);
         for (window, partial) in report.finalized {
-            match windows.entry(window) {
-                Entry::Vacant(slot) => {
-                    slot.insert(partial);
+            if let Some(kept) = windows.insert(window, partial) {
+                partials_deduped = partials_deduped.saturating_add(1);
+                if plan.aggregator_of(window) != index {
+                    windows.insert(window, kept);
                 }
-                Entry::Occupied(mut slot) => aggregate.merge(slot.get_mut(), partial),
             }
         }
     }
@@ -490,7 +490,7 @@ where
                 &plan,
                 agg_idx,
                 &aggregate,
-                receiver,
+                &receiver,
                 &exclusions,
                 &HopTelemetry::default(),
             )
@@ -578,7 +578,6 @@ where
 
     assemble_result(
         plan,
-        &aggregate,
         source_reports,
         worker_reports,
         aggregator_reports,
@@ -603,7 +602,7 @@ pub fn compare_schemes(base: &EngineConfig, schemes: &[PartitionerKind]) -> Vec<
 mod tests {
     use std::collections::HashMap;
 
-    use slb_telemetry::stage;
+    use slb_telemetry::{stage, trace_kind};
     use slb_workloads::{Arrival, Scenario, ScenarioPhase};
 
     use super::super::test_support::small_scenario;
@@ -694,7 +693,7 @@ mod tests {
                 transport: transport.clone(),
             })
             .collect();
-        let run = assemble_result(&plan, &CountAggregate, sources, workers, aggregators, 1.0);
+        let run = assemble_result(&plan, sources, workers, aggregators, 1.0);
         assert_eq!(
             run.windows,
             BTreeMap::from([(0, HashMap::from([(7, max)]))])
@@ -730,8 +729,7 @@ mod tests {
             ..WorkerStageReport::default()
         };
         let assemble = |reports| {
-            assemble_result::<CountAggregate>(&plan, &CountAggregate, vec![], reports, vec![], 1.0)
-                .result
+            assemble_result::<HashMap<KeyId, u64>>(&plan, vec![], reports, vec![], 1.0).result
         };
         for result in [assemble(vec![]), assemble(vec![report(5)])] {
             assert_eq!(result.worker_counts.len(), workers);
@@ -771,12 +769,13 @@ mod tests {
         assert_eq!(result.latency.samples, result.processed);
         assert_eq!(result.scheme, "PKG");
         // The aggregation stage ran: every window finalized, one partial per
-        // worker per shard per window merged.
+        // worker per window merged, whatever the aggregator count.
         let per_source = cfg.messages / cfg.sources as u64;
         assert_eq!(result.windows, per_source.div_ceil(cfg.window_size));
+        assert!(cfg.aggregators > 1);
         assert_eq!(
             result.aggregator_stage.items,
-            result.windows * (cfg.workers * cfg.aggregators) as u64
+            result.windows * cfg.workers as u64
         );
         assert!(result.aggregator_stage.latency.samples > 0);
         assert_eq!(result.worker_stage.items, result.processed);
@@ -906,15 +905,82 @@ mod tests {
         }
     }
 
+    /// Aggregator `a` owns the windows `w mod A == a`: each window closes
+    /// once, at its owner (the aggregators' `WINDOW_CLOSE` trace events), one
+    /// partial per worker per window is merged, whether or not A divides the
+    /// window count, and the windows assemble to the exact reference.
     #[test]
-    fn aggregator_shard_count_does_not_change_merged_windows() {
-        let base = EngineConfig::smoke(PartitionerKind::DChoices, 1.8)
-            .with_messages(8_000)
+    fn each_aggregator_merges_exactly_the_windows_it_owns() {
+        let base = EngineConfig::smoke(PartitionerKind::Pkg, 1.4)
             .with_service_time_us(0)
-            .with_window_size(750);
-        let one = Topology::new(base.clone().with_aggregators(1)).run_windowed(CountAggregate);
-        let three = Topology::new(base.with_aggregators(3)).run_windowed(CountAggregate);
-        assert_eq!(one.windows, three.windows);
+            .with_window_size(256)
+            .with_messages(2 * 7 * 256);
+        for aggregators in [1usize, 2, 3, 5] {
+            let cfg = base.clone().with_aggregators(aggregators);
+            assert_eq!(cfg.stage_plan().total_windows(), 7);
+            let run = Topology::new(cfg.clone()).run_windowed(CountAggregate);
+            let mut closed = vec![Vec::new(); aggregators];
+            for event in &run.result.trace {
+                if event.stage == stage::AGGREGATOR && event.kind == trace_kind::WINDOW_CLOSE {
+                    closed[event.instance as usize].push(event.window);
+                }
+            }
+            for (a, closed) in closed.iter_mut().enumerate() {
+                closed.sort_unstable();
+                let owned: Vec<WindowId> = (0..7)
+                    .filter(|w| w % aggregators as u64 == a as u64)
+                    .collect();
+                assert_eq!(*closed, owned, "aggregator {a} of {aggregators}");
+            }
+            let merged = &run.result.aggregator_stage;
+            assert_eq!(merged.items, 7 * cfg.workers as u64);
+            assert_eq!(merged.recovery.duplicates_dropped, 0);
+            assert_eq!(merged.recovery.transport_errors, 0);
+            assert_eq!(
+                run.windows,
+                crate::exact_windowed_counts(&cfg),
+                "{aggregators} aggregators"
+            );
+        }
+    }
+
+    /// Windows from different aggregators are disjoint, so assembly is an
+    /// insert: a second report of one window is counted, never summed, and
+    /// the owner's report is the one kept, whichever comes first.
+    #[test]
+    fn a_second_report_of_a_window_is_counted_and_the_owners_kept() {
+        let plan = EngineConfig::smoke(PartitionerKind::Pkg, 1.0)
+            .with_aggregators(2)
+            .stage_plan();
+        let report = |windows: &[(WindowId, u64)]| AggregatorStageReport {
+            finalized: windows
+                .iter()
+                .map(|&(w, count)| (w, HashMap::from([(7u64, count)])))
+                .collect(),
+            ..AggregatorStageReport::default()
+        };
+        // Window 1 is aggregator 1's; aggregator 0 claims it too, first.
+        let run = assemble_result(
+            &plan,
+            vec![],
+            vec![],
+            vec![report(&[(0, 3), (1, 100)]), report(&[(1, 5)])],
+            1.0,
+        );
+        assert_eq!(run.windows[&0][&7], 3);
+        assert_eq!(run.windows[&1][&7], 5, "the owner's report, not a sum");
+        assert_eq!(run.result.aggregator_stage.recovery.duplicates_dropped, 1);
+        // And with the owner's report first.
+        let run = assemble_result(
+            &plan,
+            vec![],
+            vec![],
+            vec![report(&[(0, 3)]), report(&[(1, 5), (0, 100)])],
+            1.0,
+        );
+        assert_eq!(run.windows[&0][&7], 3);
+        assert_eq!(run.windows[&1][&7], 5);
+        assert_eq!(run.result.aggregator_stage.recovery.duplicates_dropped, 1);
     }
 
     #[test]

@@ -286,8 +286,9 @@ pub enum WorkerRecovery<'a> {
 /// Everything one worker contributes to a run: drains whole runs of batches
 /// from `receiver`, spins for the phase's per-worker service time,
 /// accumulates per-window partial aggregates, and — once every source's
-/// close marker for a window has arrived — shards the window's partial and
-/// ships the slices through `partial_senders` (one per aggregator).
+/// close marker for a window has arrived — ships the window's partial whole
+/// to the one aggregator that owns the window,
+/// `partial_senders[plan.aggregator_of(window)]`.
 ///
 /// `epoch` anchors the report's span timestamps; pass the instant the run
 /// started (the same epoch on every node of a distributed run). `hop` is
@@ -346,7 +347,6 @@ where
     };
     let n_phases = plan.phases.len();
     let sources = plan.sources;
-    let aggregators = plan.aggregators;
     let total_windows = plan.total_windows();
     // Stands in for this worker's durable medium (local disk, replicated
     // log): a simulated crash discards `state` below and restores only
@@ -541,7 +541,7 @@ where
                     // admits each marker once, so with all sources'
                     // markers in hand this worker holds every tuple of
                     // the window that was routed to it: finalize and
-                    // ship the shard slices. The window joins the
+                    // ship it whole to its aggregator. The window joins the
                     // finalized prefix the checkpoint below records.
                     let OpenWindow {
                         partial,
@@ -555,22 +555,18 @@ where
                     // The next window to open starts at this one's size.
                     room = Some(aggregate.with_room(&partial));
                     let closed_at = Instant::now();
-                    let slices = aggregate.shard(partial, aggregators);
-                    // Only the sends count as stalled, not the shard pass.
-                    let sending = Instant::now();
-                    for (shard, slice) in slices.into_iter().enumerate() {
-                        partial_senders[shard]
-                            .send(PartialWindow {
-                                window,
-                                worker: worker_idx,
-                                partial: slice,
-                                closed_at,
-                            })
-                            .expect("aggregator queue closed prematurely");
-                    }
-                    hop.send_stall_us.add(sending.elapsed().as_micros() as u64);
-                    hop.batches_sent.add(aggregators as u64);
-                    hop.tuples_sent.add(aggregators as u64);
+                    partial_senders[plan.aggregator_of(window)]
+                        .send(PartialWindow {
+                            window,
+                            worker: worker_idx,
+                            partial,
+                            closed_at,
+                        })
+                        .expect("aggregator queue closed prematurely");
+                    hop.send_stall_us
+                        .add(closed_at.elapsed().as_micros() as u64);
+                    hop.batches_sent.add(1);
+                    hop.tuples_sent.add(1);
                     state.windows_closed += 1;
                     trace.push(trace_kind::WINDOW_CLOSE, window, state.windows_closed, 0);
                     // Checkpoint at the finalization boundary: shipping
@@ -964,10 +960,10 @@ mod tests {
     }
 
     /// `send_stall_us` is wall time inside blocking sends and nothing else:
-    /// a 200 k-key window sharded four ways into queues with room to spare
-    /// stalls for a small part of what the shard pass alone takes.
+    /// a 200 k-key window shipped whole into a queue with room to spare
+    /// stalls for a small part of the time the worker took to fill it.
     #[test]
-    fn send_stall_times_the_sends_not_the_shard_pass() {
+    fn send_stall_times_the_send_not_the_window() {
         let mut plan = scripted_plan(1);
         plan.aggregators = 4;
         let script = staggered_script(1, 0, |source, _| {
@@ -975,18 +971,15 @@ mod tests {
             vec![(from..from + 100_000).collect()]
         });
         let hop = HopTelemetry::default();
-        let (report, mut shipped) = run_durable_script(&plan, None, &script, &mut |_| {}, &hop);
-        let window = shipped.remove(&0).expect("the window shipped");
-        assert_eq!(window.len(), 200_000);
-        // The shard pass over the same window, timed on its own.
         let started = Instant::now();
-        let slices = CountAggregate.shard(window, plan.aggregators);
-        let shard_us = started.elapsed().as_micros() as u64;
-        assert_eq!(slices.len(), plan.aggregators);
+        let (report, shipped) = run_durable_script(&plan, None, &script, &mut |_| {}, &hop);
+        let run_us = started.elapsed().as_micros() as u64;
+        assert_eq!(shipped[&0].len(), 200_000);
+        assert_eq!(report.transport.batches_sent, 1, "one window, one send");
         let stalled = report.transport.send_stall_us;
         assert!(
-            stalled * 4 < shard_us,
-            "{stalled} µs stalled in sends against a {shard_us} µs shard pass"
+            stalled * 4 < run_us,
+            "{stalled} µs stalled in the send of a window filled in {run_us} µs"
         );
     }
 

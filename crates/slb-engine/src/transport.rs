@@ -6,7 +6,7 @@
 //! 2. **source → worker punctuation** ([`SourceMessage::CloseWindow`]) —
 //!    the markers that close tuple-count windows,
 //! 3. **worker → aggregator partials** ([`PartialWindow`]) — one finalized
-//!    per-window shard slice per worker per aggregator.
+//!    window's whole partial per worker, to the window's one aggregator.
 //!
 //! Nothing flows from a worker back to a source on the data plane: a
 //! recovering worker's replay request is a
@@ -91,8 +91,8 @@ impl SourceMessage {
     }
 }
 
-/// One worker's finalized partial aggregate for one window, sliced to one
-/// aggregator shard's key range.
+/// One worker's finalized partial aggregate for one window, whole, bound
+/// for the aggregator that owns the window.
 pub struct PartialWindow<P> {
     /// The window the partial belongs to.
     pub window: WindowId,
@@ -101,7 +101,7 @@ pub struct PartialWindow<P> {
     /// a partial it already shipped is dropped as a duplicate instead of
     /// double-counted.
     pub worker: usize,
-    /// The shard slice of the worker's partial aggregate.
+    /// The worker's partial aggregate of the window.
     pub partial: P,
     /// When the worker finalized the window (all close markers collected).
     pub closed_at: Instant,

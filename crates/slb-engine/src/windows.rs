@@ -26,7 +26,7 @@
 //! [`exact_windowed_counts`] replays the same seeded sub-streams on one
 //! thread and counts keys per window into plain hash maps. The differential
 //! suite asserts the engine's merged output is bit-identical to it for every
-//! grouping scheme, skew, seed, batch size, and aggregator shard count.
+//! grouping scheme, skew, seed, batch size, and aggregator count.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -50,7 +50,7 @@ pub fn window_of(local_idx: u64, window_size: u64) -> WindowId {
 }
 
 /// Outcome of a windowed engine run: the usual measurements plus the final
-/// merged per-window aggregates (shards already merged back together).
+/// merged per-window aggregates (each merged by the aggregator that owns it).
 #[derive(Debug, Clone)]
 pub struct WindowedRun<P> {
     /// Throughput/latency/imbalance measurements, as for [`crate::Topology::run`].
@@ -101,7 +101,7 @@ pub fn exact_windowed_counts(cfg: &EngineConfig) -> BTreeMap<WindowId, HashMap<K
 /// phases. The engine's merged scenario output under
 /// [`slb_core::CountAggregate`] must equal this map bit for bit, for every
 /// grouping scheme, worker-count change, drift epoch, burst pattern, batch
-/// size, and aggregator shard count.
+/// size, and aggregator count.
 ///
 /// # Panics
 /// Panics if the scenario is invalid.

@@ -1,7 +1,7 @@
-//! Determinism suite: thread interleaving, transport batching, and
-//! aggregator sharding never leak into the engine's aggregates.
+//! Determinism suite: thread interleaving, transport batching, and the
+//! aggregator count never leak into the engine's aggregates.
 //!
-//! The engine is heavily threaded (sources, workers, aggregator shards all
+//! The engine is heavily threaded (sources, workers, aggregators all
 //! race on bounded channels), so the *timing* numbers of two identical runs
 //! differ — but every aggregate that feeds the paper's figures must not:
 //! per-worker tuple counts, per-worker state footprints, imbalance, window
@@ -79,23 +79,24 @@ fn batch_size_one_and_256_yield_identical_aggregates() {
 }
 
 #[test]
-fn aggregator_shard_count_never_changes_the_merged_output() {
+fn aggregator_count_never_changes_the_merged_output() {
     let base = config(PartitionerKind::Pkg, 1.4);
     let reference = Topology::new(base.clone().with_aggregators(1)).run_windowed(CountAggregate);
     for aggregators in [2usize, 3, 7] {
-        let sharded =
+        let spread =
             Topology::new(base.clone().with_aggregators(aggregators)).run_windowed(CountAggregate);
         assert_eq!(
-            reference.windows, sharded.windows,
-            "{aggregators} shards changed the merged windows"
+            reference.windows, spread.windows,
+            "{aggregators} aggregators changed the merged windows"
         );
-        // The shard count does change how many partial messages flow…
+        // Each window has one owner, so the aggregator count does not change
+        // how many partial messages flow either…
         assert_eq!(
-            sharded.result.aggregator_stage.items,
-            sharded.result.windows * (base.workers * aggregators) as u64
+            spread.result.aggregator_stage.items,
+            spread.result.windows * base.workers as u64
         );
         // …but never the routing-side aggregates.
-        assert_eq!(reference.result.worker_counts, sharded.result.worker_counts);
+        assert_eq!(reference.result.worker_counts, spread.result.worker_counts);
     }
 }
 

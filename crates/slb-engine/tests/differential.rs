@@ -118,7 +118,7 @@ fn round_robin_merged_counts_match_exact_reference() {
 }
 
 /// The invariant is insensitive to every transport/parallelism knob: batch
-/// size (including tuple-at-a-time), aggregator shard count, worker count,
+/// size (including tuple-at-a-time), aggregator count, worker count,
 /// and window sizes that do not divide the stream evenly.
 #[test]
 fn invariant_holds_across_transport_and_sharding_knobs() {

@@ -51,14 +51,17 @@
 //! returns it hands the connection back for the final `Metrics` frame and
 //! the report. Nothing in the control plane sleeps or locks, and the node's
 //! two blocking reads of the control connection (for `Start`, and an
-//! aggregator's for `Release`) and a worker's or an aggregator's wait for
-//! its upstream data connections give up at `supervisor::CONTROL_TIMEOUT`.
+//! aggregator's for `Release` if its control loop stopped early) and a
+//! worker's or an aggregator's wait for its upstream data connections give
+//! up at `supervisor::CONTROL_TIMEOUT`.
 //!
 //! ## Fault tolerance
 //!
 //! Every run speaks the supervised protocol: workers stream `Heartbeat`
 //! frames, sources hold their connections for replay and aggregators take
-//! late connections until `Release`. `orchestrate --fault-tolerant` (see
+//! late connections until `Release` — after its stage returns an aggregator
+//! drains them, a re-shipped window counted as a duplicate, and reports at
+//! `Release`. `orchestrate --fault-tolerant` (see
 //! [`OrchestrateOptions`]) decides two things only. Workers are given a
 //! checkpoint directory and persist a checkpoint record — a
 //! [`WorkerCheckpoint`] base or a window-sized delta on top of it — through
@@ -104,8 +107,8 @@ use slb_engine::transport::{capacity_in_batches, partial_channel_capacity};
 use slb_engine::windows::source_stream;
 use slb_engine::{
     run_aggregator_stage, run_source_stage, run_worker_stage, AggregatorStageReport,
-    CheckpointRecord, RecoveryMetrics, SourceControl, SourceControlEvent, SourceStageReport,
-    StagePlan, WorkerRecovery, WorkerStageReport,
+    CheckpointRecord, PartialReceiver, RecoveryMetrics, RecvError, SourceControl,
+    SourceControlEvent, SourceStageReport, StagePlan, WorkerRecovery, WorkerStageReport,
 };
 use slb_telemetry::{log, stage, HopTelemetry, MetricsSnapshot};
 use slb_workloads::KeyId;
@@ -318,6 +321,9 @@ impl ControlLoop {
     }
 
     fn run(mut self, woken: &UnixStream) -> Self {
+        // What arrived with `Start` (an aggregator's `Release`, if the
+        // workers finished first) is already read: serve it before waiting.
+        self.serve_buffered();
         // A control connection that is gone leaves the loop nothing to do.
         while self.open {
             let now = Instant::now();
@@ -339,10 +345,13 @@ impl ControlLoop {
                 self.admit();
             }
             if fds[0].is_ready() {
-                self.read();
+                self.control.read_once();
+                self.serve_buffered();
             }
             self.tick(Instant::now());
         }
+        // Nothing admits once the loop has stopped.
+        self.late = None;
         self
     }
 
@@ -382,10 +391,8 @@ impl ControlLoop {
         }
     }
 
-    /// Reads the control connection once and serves every frame that
-    /// completed.
-    fn read(&mut self) {
-        self.control.read_once();
+    /// Serves every frame the control connection has completed.
+    fn serve_buffered(&mut self) {
         loop {
             match next_control(&mut self.control) {
                 Ok(Some(frame)) => self.serve(frame),
@@ -516,7 +523,7 @@ fn worker_final_snapshot(report: &WorkerStageReport) -> MetricsSnapshot {
     snap
 }
 
-/// What an aggregator shard's report says, as its end-of-stage snapshot.
+/// What an aggregator's report says, as its end-of-stage snapshot.
 fn aggregator_final_snapshot(report: &AggregatorStageReport<CountPartial>) -> MetricsSnapshot {
     MetricsSnapshot {
         items: report.merged,
@@ -783,7 +790,7 @@ impl Node {
     /// workers' fresh connections by the control loop, which also forwards
     /// exclusions into the stage and ticks live metrics.
     fn aggregator(&self, mut control: ControlLoop, listener: TcpListener) -> Result<(), String> {
-        let (index, epoch, plan) = (self.index, self.epoch, &self.plan);
+        let (index, epoch, plan, hop) = (self.index, self.epoch, &self.plan, &self.hop);
         let incoming = accept_peers(&listener, plan.spawned_workers, CONTROL_TIMEOUT)?;
         let capacity = partial_channel_capacity(plan.spawned_workers);
         let (forward, exclusions) = mpsc::channel();
@@ -801,19 +808,22 @@ impl Node {
             .map_err(|e| io_err("setting data listener non-blocking", e))?;
         control.late = Some((listener, attach));
         let (mut back, report) = control.beside(|| {
-            run_aggregator_stage(
-                plan,
-                index,
-                &CountAggregate,
-                receiver,
-                &exclusions,
-                &self.hop,
-            )
+            let mut report =
+                run_aggregator_stage(plan, index, &CountAggregate, &receiver, &exclusions, hop);
+            // Until `Release`, a respawned worker may re-ship a window this
+            // aggregator has finalized: take it as a duplicate, so its
+            // sender's credit wait ends, until the queue closes.
+            let mut late = Vec::new();
+            while receiver.recv_batch(&mut late) != Err(RecvError::Closed) {
+                report.duplicates_dropped += late.drain(..).len() as u64;
+            }
+            report
         })?;
         let snapshot = aggregator_final_snapshot(&report);
         let index = index as u32;
         back.finish(snapshot, &ControlFrame::AggregatorReport { index, report })?;
-        // Stay until the orchestrator's Release has been read (or its
+        // The drain ends at Release unless the control loop stopped early;
+        // then stay until the orchestrator's Release has been read (or its
         // connection is gone, or it has said nothing for the handshake
         // deadline). Exiting with that frame still unread closes
         // the socket with pending input, which resets the connection — and
@@ -889,6 +899,46 @@ fn persist_hook(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `Release` that arrived in the same read as `Start` is already in
+    /// the connection's buffer, where `poll` cannot see it: the loop serves
+    /// it before its first wait. An aggregator whose workers all finished
+    /// before it read `Start` would otherwise drain its queue forever.
+    #[test]
+    fn a_frame_read_with_start_is_served_before_the_loop_waits() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut orchestrator = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0);
+        conn.stream.set_nonblocking(false).unwrap();
+        let mut frames = Vec::new();
+        encode_frame(&ControlFrame::Release, &mut frames);
+        encode_frame(&ControlFrame::Release, &mut frames);
+        orchestrator.write_all(&frames).unwrap();
+        thread::sleep(Duration::from_millis(50));
+        // One read takes both frames; the first stands in for `Start`.
+        let first = recv_control(&mut conn, "Start", Duration::from_secs(5));
+        assert_eq!(first, Ok(ControlFrame::Release));
+        let (seen, served) = mpsc::channel();
+        let control = ControlLoop {
+            control: conn,
+            open: true,
+            stage: stage::AGGREGATOR,
+            index: 0,
+            on_frame: Box::new(move |frame| {
+                let _ = seen.send(frame);
+            }),
+            late: None,
+            heartbeat: None,
+            metrics: None,
+            seq: 0,
+            released: false,
+        };
+        let (back, got) = control
+            .beside(|| served.recv_timeout(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(got, Ok(ControlFrame::Release));
+        assert!(back.released);
+    }
 
     #[test]
     fn epoch_mapping_is_monotone_and_close_to_now() {

@@ -21,7 +21,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use slb_core::CountAggregate;
 use slb_engine::{
     assemble_result, exact_scenario_windowed_counts, exact_windowed_counts, EngineResult, WindowId,
     WindowedRun,
@@ -211,7 +210,6 @@ impl Cluster<'_> {
             .fold(0u64, |sum, report| sum.saturating_add(report.sent));
         let WindowedRun { result, windows } = assemble_result(
             &plan,
-            &CountAggregate,
             sources,
             complete(outcome.workers)?,
             complete(outcome.aggregators)?,

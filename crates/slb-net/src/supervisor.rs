@@ -964,7 +964,6 @@ mod tests {
         };
         let run = slb_engine::assemble_result(
             &cfg.stage_plan(),
-            &slb_core::CountAggregate,
             outcome.sources.into_iter().map(Option::unwrap).collect(),
             outcome.workers.into_iter().map(Option::unwrap).collect(),
             outcome

@@ -76,7 +76,7 @@ pub mod tag {
     pub const BATCH: u8 = 1;
     /// Window-close punctuation.
     pub const CLOSE: u8 = 2;
-    /// A per-window partial aggregate slice.
+    /// A worker's partial aggregate of one window.
     pub const PARTIAL: u8 = 3;
     /// End of stream: the sender will write nothing further.
     pub const EOF: u8 = 4;
@@ -571,8 +571,8 @@ wire_type! {
     /// One message on a worker → aggregator socket.
     #[derive(Debug, Clone, PartialEq)]
     pub enum PartialFrame<P: WirePartial> {
-        /// One worker's finalized partial for one window, sliced to this
-        /// aggregator's shard.
+        /// One worker's finalized partial for one window, whole, sent to the
+        /// aggregator that owns the window.
         Partial {
             /// The window the partial belongs to.
             window: u64,
@@ -581,7 +581,7 @@ wire_type! {
             worker: u32,
             /// Worker close time, µs since the run epoch.
             closed_us: u64,
-            /// The shard slice.
+            /// The worker's partial of the window.
             partial: P as partial,
         } = tag::PARTIAL,
         /// End of stream.
@@ -632,7 +632,7 @@ wire_type! {
         } = tag::WORKER_REPORT,
         /// Aggregator → orchestrator end-of-run report.
         AggregatorReport {
-            /// Aggregator shard index.
+            /// Aggregator index.
             index: u32,
             /// What the aggregator stage returned.
             report: AggregatorStageReport<CountPartial>,

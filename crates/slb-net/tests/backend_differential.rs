@@ -17,13 +17,17 @@
 //! how `ci.sh` sweeps its seed matrix without re-paying for the defaults.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use slb_core::{CountAggregate, PartitionerKind};
 use slb_engine::{
-    diff_windows, exact_scenario_windowed_counts, exact_windowed_counts, EngineConfig, InProc,
-    ScenarioConfig, Spsc, Topology, WindowId,
+    diff_windows, exact_scenario_windowed_counts, exact_windowed_counts, run_aggregator_stage,
+    EngineConfig, InProc, ScenarioConfig, Spsc, Topology, Transport, WindowId,
 };
 use slb_net::tcp::TcpTransport;
+use slb_telemetry::HopTelemetry;
 use slb_workloads::{Arrival, KeyId, Scenario, ScenarioPhase};
 
 /// Equality with a readable failure: instead of dumping two whole maps,
@@ -224,6 +228,57 @@ fn tcp_and_spsc_are_knob_insensitive_like_inproc() {
                 ),
             );
         }
+    }
+}
+
+/// Aggregator `index` of `cfg`'s plan, run over `transport` with its data
+/// channel held open and nothing sent: it must return within ten seconds.
+fn idle_aggregator_returns<T>(cfg: &EngineConfig, transport: &T, index: usize, backend: &str)
+where
+    T: Transport<HashMap<KeyId, u64>>,
+    T::PartialRx: Send + 'static,
+{
+    let plan = cfg.stage_plan();
+    let (senders, receivers) = transport.partial_channels(plan.aggregators, 8);
+    let receiver = receivers.into_iter().nth(index).expect("the plan has it");
+    let (done, report) = mpsc::channel();
+    thread::spawn(move || {
+        let (_, exclusions) = mpsc::channel();
+        let hop = HopTelemetry::default();
+        let _ = done.send(run_aggregator_stage(
+            &plan,
+            index,
+            &CountAggregate,
+            &receiver,
+            &exclusions,
+            &hop,
+        ));
+    });
+    let report = report.recv_timeout(Duration::from_secs(10));
+    let report = report.unwrap_or_else(|_| panic!("{backend}: idle aggregator {index} waited"));
+    assert!(
+        report.finalized.is_empty() && report.merged == 0,
+        "{backend}"
+    );
+    drop(senders);
+}
+
+/// More aggregators than windows: an aggregator that owns no window returns
+/// at once on either backend, and the run still reads the exact reference.
+#[test]
+fn an_aggregator_that_owns_no_window_returns_at_once() {
+    let cfg = differential_config(PartitionerKind::Pkg, 1.4, seeds()[0])
+        .with_messages(2 * 3 * 512)
+        .with_aggregators(5);
+    assert_eq!(cfg.stage_plan().total_windows(), 3);
+    idle_aggregator_returns(&cfg, &Spsc, 4, "SPSC");
+    idle_aggregator_returns(&cfg, &TcpTransport::loopback(), 4, "TCP");
+    let reference = exact_windowed_counts(&cfg);
+    let spsc = Topology::new(cfg.clone()).run_windowed_on(CountAggregate, &Spsc);
+    let tcp = Topology::new(cfg).run_windowed_on(CountAggregate, &TcpTransport::loopback());
+    for (run, backend) in [(&spsc, "SPSC"), (&tcp, "TCP")] {
+        assert_windows_match(&run.windows, &reference, backend);
+        assert_eq!(run.result.aggregator_stage.items, 3 * 4, "{backend}");
     }
 }
 

@@ -28,8 +28,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use slb_core::wire::WirePartial;
 use slb_core::{
-    CheckpointDelta, ControllerAction, ControllerConfig, ControllerEvent, CountAggregate,
-    OpenWindowState, PartitionerKind, SolverMode, WorkerCheckpoint,
+    CheckpointDelta, ControllerAction, ControllerConfig, ControllerEvent, OpenWindowState,
+    PartitionerKind, SolverMode, WorkerCheckpoint,
 };
 use slb_engine::{
     assemble_result, AggregatorStageReport, EngineConfig, RecoveryMetrics, ScenarioConfig,
@@ -293,7 +293,7 @@ fn orchestrator_plan() -> StagePlan {
 /// as JSON and folded into the cluster `rollup`, which is exported too; a
 /// stage report goes through `assemble_result` — here as the report of every
 /// instance of its role, so that each counter in it is also added to itself,
-/// every window it finalized is claimed by every shard, and every worker
+/// every window it finalized is claimed by every aggregator, and every worker
 /// counts tuples in every phase. None of it may panic, whatever the peer
 /// sent.
 fn use_like_the_orchestrator(frame: ControlFrame, rollup: &mut MetricsSnapshot, plan: &StagePlan) {
@@ -304,7 +304,6 @@ fn use_like_the_orchestrator(frame: ControlFrame, rollup: &mut MetricsSnapshot, 
                     aggregators: Option<AggregatorStageReport<_>>| {
         let _ = assemble_result(
             plan,
-            &CountAggregate,
             vec![sources.unwrap_or_default(); plan.sources],
             vec![workers.unwrap_or_default(); plan.spawned_workers],
             vec![aggregators.unwrap_or_default(); plan.aggregators.max(2)],
@@ -460,10 +459,11 @@ fn hostile_histograms_inside_the_embedded_hop_record_are_malformed() {
     assert!(rollup.latency.is_empty());
 }
 
-/// At the parent commit each of these two decoded reports panicked
-/// `assemble_result` in a debug build: a window claimed by two shards added
-/// its counts with a plain `+`, and a worker counting tuples in a phase it
-/// was not active in tripped a `debug_assert`.
+/// Each of these two decoded reports once panicked `assemble_result` in a
+/// debug build: a window claimed by two aggregators added its counts with a
+/// plain `+` (now the owner's report is kept and the other counted; nothing
+/// is added), and a worker counting tuples in a phase it was not active in
+/// tripped a `debug_assert`.
 #[test]
 fn decoded_reports_claiming_a_window_twice_or_an_inactive_phase_assemble() {
     let plan = orchestrator_plan();

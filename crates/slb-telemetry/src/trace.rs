@@ -15,7 +15,7 @@
 //! `w' < w` has already been delivered and (processing being serial)
 //! handled. Worker finalizations are therefore strictly ordered by window
 //! id, and the same argument applied to the workers' partial shipments
-//! orders each aggregator shard's finalizations. Checkpoint saves ride the
+//! orders each aggregator's finalizations. Checkpoint saves ride the
 //! finalization boundary, and controller/rescale decisions are made at
 //! source window boundaries from deterministic inputs (the
 //! `controller_differential` suite proves the decision stream itself).
@@ -25,7 +25,7 @@
 /// Event kinds for [`TraceEvent::kind`].
 pub mod kind {
     /// Source: a window's close markers were broadcast. Worker: a window
-    /// was finalized and its shards shipped (`a` = windows-closed
+    /// was finalized and its partial shipped (`a` = windows-closed
     /// ordinal). Aggregator: a window's merge quorum completed.
     pub const WINDOW_CLOSE: u8 = 0;
     /// Worker saved a checkpoint at a finalization boundary
@@ -56,7 +56,7 @@ pub mod kind {
 pub struct TraceEvent {
     /// Stage kind ([`crate::stage`] codes).
     pub stage: u8,
-    /// Stage instance index (source / worker / aggregator-shard id).
+    /// Stage instance index (source / worker / aggregator id).
     pub instance: u32,
     /// Per-(stage, instance) monotone ordinal, starting at 0.
     pub seq: u64,

@@ -9,8 +9,8 @@
 //! Sources generate a Zipf stream, route it with the chosen grouping scheme
 //! and push tuples into the workers' bounded queues; workers burn a fixed
 //! amount of CPU per tuple and accumulate per-window partial counts; the
-//! key-hash-sharded aggregator stage merges the partials into final
-//! per-window results. The most loaded worker is the bottleneck, so a
+//! aggregator stage — each aggregator owning the windows `w mod A` — merges
+//! the partials into final per-window results. The most loaded worker is the bottleneck, so a
 //! better-balanced scheme finishes sooner (higher throughput) and keeps
 //! queueing delay (latency percentiles) lower — while the merged windowed
 //! output is identical for every scheme, which is the whole point of having
@@ -25,7 +25,7 @@ fn main() {
     // Laptop-sized run: 4 sources, 8 workers, 200k messages, 50 µs/tuple.
     let base = EngineConfig::laptop(PartitionerKind::Pkg, skew).with_seed(7);
     println!(
-        "mini-DSPE: {} sources, {} workers, {} aggregator shard(s), {} messages, \
+        "mini-DSPE: {} sources, {} workers, {} aggregator(s), {} messages, \
          {}-tuple windows, {} µs of work per tuple, Zipf z={skew}\n",
         base.sources,
         base.workers,
@@ -86,7 +86,7 @@ fn main() {
             .iter()
             .all(|(w, counts)| reference.get(w) == Some(counts));
     println!(
-        "windowed aggregation: {} windows finalized across {} shard(s); merged counts identical \
+        "windowed aggregation: {} windows finalized across {} aggregator(s); merged counts identical \
          to the exact single-threaded reference: {}",
         windowed.result.windows, windowed.result.aggregators, identical
     );
