@@ -93,8 +93,31 @@ if grep -rnE 'run_windowed_without_|plan\.telemetry|plan\.checkpointing|TraceBuf
     echo "no A/B switch in the plan, no ratio gate in perf_smoke, no BENCH_<name>.json mirror in the criterion shim: compare builds with the repo benchmark"
     exit 1
 fi
-if ls docs/BENCH_*.json docs/BENCH_baseline_* 2>/dev/null | grep .; then
-    echo "the PR-2 bench files were deleted; per-PR pair files are docs/BENCH_prNN_pairs.jsonl"
+if ls docs/BENCH_*.json docs/BENCH_baseline_* docs/BENCH_pr*_pairs.jsonl 2>/dev/null | grep .; then
+    echo "the criterion-era bench files and the hand-written pair files were deleted; every measured change is one bench_compare row of docs/BENCH_history.jsonl"
+    exit 1
+fi
+
+echo "==> every PERF.md citation names a heading docs/PERF.md still has"
+# A citation is PERF.md "<title>" or PERF "<title>" (also `docs/PERF.md`,
+# "<title>" and [PERF.md](PERF.md) "<title>"), possibly across a line break
+# inside a doc comment; it names the heading that starts with <title>.
+perf_headings=$(sed -nE 's/^#+ //p' docs/PERF.md)
+stale=$(grep -rlE 'PERF' crates docs README.md ROADMAP.md .claude/skills |
+    while read -r file; do
+        sed -E 's%^[[:space:]]*(//[/!]?|#)[[:space:]]?%%' "$file" | tr '\n' ' ' |
+            { grep -oE 'PERF(\.md)?`?(\]\(PERF\.md\))?,?[[:space:]]+"[^"]+"' || true; } |
+            sed -E 's/^[^"]*"//; s/"$//' |
+            while read -r title; do
+                if ! printf '%s\n' "$perf_headings" |
+                    awk -v t="$title" 'index($0, t) == 1 && substr($0, length(t) + 1, 1) !~ /[[:alnum:]]/ { found = 1 } END { exit !found }'; then
+                    echo "$file: PERF.md \"$title\""
+                fi
+            done
+    done)
+if [ -n "$stale" ]; then
+    echo "$stale"
+    echo "these citations name no heading of docs/PERF.md: keep the heading or cite the one that holds the text now"
     exit 1
 fi
 

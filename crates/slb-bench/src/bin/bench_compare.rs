@@ -32,8 +32,14 @@
 //!   and `neutral` otherwise;
 //! * `anchor` — with `--anchor`, the median of the ratios change ÷ anchor.
 //!
+//! Each run's `user` and `sys` CPU seconds are the change in this process's
+//! own `cutime` / `cstime` (`/proc/self/stat`) around reaping its child. A
+//! second table prints their medians per workload and side, and on the
+//! change's line the median of the per-pair ratios change ÷ parent.
+//!
 //! `--history` appends one stamped row (commit label, box, date, ratios,
-//! verdicts) to a JSON-lines file; `--raw` appends every run's result line.
+//! verdicts, CPU seconds) to a JSON-lines file; `--raw` appends every run's
+//! result line with its CPU seconds.
 //! The exit code is 1 when any run failed, printed a result that is not
 //! `correct`, or reported failed operations; 2 on a usage error.
 
@@ -151,10 +157,25 @@ fn read_benchmark(path: &PathBuf) -> Result<(Vec<String>, Vec<Metric>), String> 
 }
 
 /// One run's result: whether it was correct and without failed operations,
-/// and the value of every metric, in `metrics` order.
+/// the value of every metric, in `metrics` order, and the child's CPU.
 struct Run {
     ok: bool,
     values: Vec<f64>,
+    cpu: [f64; 2],
+}
+
+/// The CPU kinds a run records, in `Run::cpu` order.
+const CPU: [&str; 2] = ["user_s", "sys_s"];
+
+/// The `user` and `sys` clock ticks (1/100 s) of this process's reaped
+/// children so far: fields 16 and 17 of `/proc/self/stat`, counted after the
+/// parenthesised command name, which may itself hold spaces.
+fn children_ticks() -> [u64; 2] {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    let after_name = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let fields: Vec<&str> = after_name.split_whitespace().collect();
+    let ticks = |field: usize| fields.get(field - 3).and_then(|v| v.parse().ok());
+    [ticks(16).unwrap_or(0), ticks(17).unwrap_or(0)]
 }
 
 fn run_once(
@@ -174,11 +195,14 @@ fn run_once(
         "--trace",
         "0",
     ];
+    let before = children_ticks();
     let output = Command::new(exe)
         .args(args)
         .stderr(Stdio::null())
         .output()
         .map_err(|e| format!("{exe}: {e}"))?;
+    let after = children_ticks();
+    let cpu = [0, 1].map(|k| after[k].saturating_sub(before[k]) as f64 / 100.0);
     let stdout = String::from_utf8_lossy(&output.stdout);
     let line = stdout
         .lines()
@@ -203,7 +227,7 @@ fn run_once(
     let correct = result.get("correct") == Some(&Value::Bool(true));
     let failed = result.get("failed").and_then(Value::as_f64).unwrap_or(1.0);
     let ok = output.status.success() && correct && failed == 0.0;
-    Ok((Run { ok, values }, line))
+    Ok((Run { ok, values, cpu }, line))
 }
 
 fn ratio(value: f64, of: f64) -> f64 {
@@ -308,8 +332,9 @@ fn append_line(path: &PathBuf, line: &str) -> Result<(), String> {
 fn compare(args: &Args) -> Result<bool, String> {
     let (workloads, metrics) = read_benchmark(&args.benchmark)?;
     let sides = args.exes.len();
-    // values[workload][side][metric][pair]
+    // values[workload][side][metric][pair], cpu[workload][side][kind][pair]
     let mut values = vec![vec![vec![Vec::new(); metrics.len()]; sides]; workloads.len()];
+    let mut cpu = vec![vec![vec![Vec::new(); CPU.len()]; sides]; workloads.len()];
     let mut all_ok = true;
     for pair in 0..args.pairs {
         let seed = args.seed_base + pair;
@@ -328,11 +353,16 @@ fn compare(args: &Args) -> Result<bool, String> {
                 for (m, value) in run.values.into_iter().enumerate() {
                     values[w][side][m].push(value);
                 }
+                for (k, seconds) in run.cpu.into_iter().enumerate() {
+                    cpu[w][side][k].push(seconds);
+                }
                 if let Some(raw) = &args.raw {
                     let row = format!(
-                        "{{\"pair\":{},\"seed\":{seed},\"workload\":\"{workload}\",\"side\":\"{}\",\"result\":{line}}}",
+                        "{{\"pair\":{},\"seed\":{seed},\"workload\":\"{workload}\",\"side\":\"{}\",\"user_s\":{},\"sys_s\":{},\"result\":{line}}}",
                         pair + 1,
-                        SIDES[side]
+                        SIDES[side],
+                        Value::Num(run.cpu[0]),
+                        Value::Num(run.cpu[1])
                     );
                     append_line(raw, &row)?;
                 }
@@ -377,6 +407,7 @@ fn compare(args: &Args) -> Result<bool, String> {
         }
         recorded.push((workload.clone(), Value::obj(fields)));
     }
+    let cpu_recorded = print_cpu(&workloads, &cpu);
     if let Some((path, commit)) = &args.history {
         let unix = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -391,6 +422,7 @@ fn compare(args: &Args) -> Result<bool, String> {
             ("anchored", Value::Bool(sides == 3)),
             ("all_runs_correct", Value::Bool(all_ok)),
             ("workloads", Value::obj(recorded)),
+            ("cpu", cpu_recorded),
         ]);
         append_line(path, &row.to_string())?;
     }
@@ -398,6 +430,57 @@ fn compare(args: &Args) -> Result<bool, String> {
         eprintln!("bench_compare: a run failed, was not correct, or reported failed operations");
     }
     Ok(all_ok)
+}
+
+/// Prints the children's CPU seconds per workload and side, the median over
+/// the pairs, with the median of the per-pair ratios change ÷ parent on the
+/// change's line, and returns them as the history row's `cpu` field.
+fn print_cpu(workloads: &[String], cpu: &[Vec<Vec<Vec<f64>>>]) -> Value {
+    println!(
+        "\n{:<8} {:<14} {:>8} {:>8} {:>12} {:>12}",
+        "side", "workload", CPU[0], CPU[1], "user÷parent", "sys÷parent"
+    );
+    let mut recorded = Vec::new();
+    for (w, workload) in workloads.iter().enumerate() {
+        let sides = &cpu[w];
+        let ratios: Vec<f64> = (0..CPU.len())
+            .map(|k| {
+                let pairs: Vec<f64> = sides[1][k]
+                    .iter()
+                    .zip(&sides[0][k])
+                    .map(|(&c, &p)| ratio(c, p))
+                    .collect();
+                median(&pairs)
+            })
+            .collect();
+        // medians[side][kind]
+        let medians: Vec<Vec<f64>> = sides
+            .iter()
+            .map(|runs| runs.iter().map(|r| median(r)).collect())
+            .collect();
+        for (side, m) in medians.iter().enumerate() {
+            let shown = if side == 1 {
+                format!(" {:>12.3} {:>12.3}", ratios[0], ratios[1])
+            } else {
+                String::new()
+            };
+            println!(
+                "{:<8} {:<14} {:>8.2} {:>8.2}{shown}",
+                SIDES[side], workload, m[0], m[1]
+            );
+        }
+        let kinds = (0..CPU.len()).map(|k| {
+            let mut fields: Vec<(&str, Value)> = medians
+                .iter()
+                .enumerate()
+                .map(|(side, m)| (SIDES[side], Value::Num(m[k])))
+                .collect();
+            fields.push(("ratio", Value::Num(ratios[k])));
+            (CPU[k], Value::obj(fields))
+        });
+        recorded.push((workload.clone(), Value::obj(kinds)));
+    }
+    Value::obj(recorded)
 }
 
 fn main() -> ExitCode {

@@ -218,3 +218,87 @@ fn an_incorrect_run_fails_the_comparison_and_a_bad_flag_is_refused() {
     assert_eq!(output.status.code(), Some(2));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `stub` of the baseline that first runs `prelude`.
+fn stub_after(dir: &Path, name: &str, prelude: &str) -> String {
+    let path = stub(dir, name, 1.0, false, true);
+    let script = std::fs::read_to_string(&path).expect("read stub");
+    let script = script.replacen("#!/bin/sh\n", &format!("#!/bin/sh\n{prelude}"), 1);
+    std::fs::write(&path, script).expect("write stub");
+    path
+}
+
+/// Runs `exe` as both sides for three pairs and returns the `user_s` it read
+/// for every run: from the stdout table (the median per side), from each
+/// `--raw` line, and from the history row (the median per side).
+fn user_seconds(dir: &Path, exe: &str) -> Vec<f64> {
+    let raw = PathBuf::from(format!("{exe}.raw.jsonl"));
+    let history = PathBuf::from(format!("{exe}.history.jsonl"));
+    let (raw_arg, history_arg) = (raw.to_string_lossy(), history.to_string_lossy());
+    let args = [
+        "--parent",
+        exe,
+        "--change",
+        exe,
+        "--pairs",
+        "3",
+        "--raw",
+        &raw_arg,
+        "--history",
+        &history_arg,
+        "--commit",
+        "cpu",
+    ];
+    let output = bench_compare(dir, &args);
+    verdicts(&output);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let mut seconds: Vec<f64> = stdout
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|row| matches!(row.first(), Some(&"parent" | &"change")) && row[1] == "route_hot")
+        .map(|row| row[2].parse().expect("user_s is a number"))
+        .collect();
+    assert_eq!(seconds.len(), 2, "one cpu line per side\n{stdout}");
+    let raw = std::fs::read_to_string(&raw).expect("raw written");
+    for line in raw.lines() {
+        let run = Value::parse(line).expect("raw line is JSON");
+        assert!(run.get("sys_s").and_then(Value::as_f64).is_some(), "{line}");
+        seconds.push(run.get("user_s").and_then(Value::as_f64).expect("user_s"));
+    }
+    assert_eq!(seconds.len(), 2 + 6, "one raw line per run");
+    let row = std::fs::read_to_string(&history).expect("history written");
+    let row = Value::parse(row.trim()).expect("history row is JSON");
+    let user = row
+        .get("cpu")
+        .and_then(|cpu| cpu.get("route_hot"))
+        .and_then(|w| w.get("user_s"))
+        .expect("a user_s entry");
+    assert!(user.get("ratio").and_then(Value::as_f64).is_some());
+    for side in ["parent", "change"] {
+        seconds.push(user.get(side).and_then(Value::as_f64).expect("a side"));
+    }
+    seconds
+}
+
+/// Each run's CPU is its own child's: a stub that spins for 0.3 s of CPU
+/// reads at least 0.1 s of `user`, one that only sleeps under 0.05 s.
+#[test]
+fn each_run_records_its_childs_user_and_sys_seconds() {
+    let dir = fresh_dir("cpu");
+    // `times` in the shell itself, not in a subshell, reports its own CPU.
+    let busy = stub_after(
+        &dir,
+        "busy",
+        "while :; do\n\
+         i=0; while [ $i -lt 1000 ]; do i=$((i + 1)); done\n\
+         times > \"$0.times\"; read user rest < \"$0.times\"\n\
+         case $user in 0m0.[0-2]*) ;; *) break ;; esac\n\
+         done\n",
+    );
+    let seconds = user_seconds(&dir, &busy);
+    assert!(seconds.iter().all(|&s| s >= 0.1), "{seconds:?}");
+    let sleepy = stub_after(&dir, "sleepy", "sleep 0.3\n");
+    let seconds = user_seconds(&dir, &sleepy);
+    assert!(seconds.iter().all(|&s| s < 0.05), "{seconds:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -16,32 +16,23 @@
 //! `SLB_TEST_SEED` (a single u64) replaces the pair with that seed, which is
 //! how `ci.sh` sweeps its seed matrix without re-paying for the defaults.
 
-use std::collections::{BTreeMap, HashMap};
+mod common;
+
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
 use slb_core::{CountAggregate, PartitionerKind};
 use slb_engine::{
-    diff_windows, exact_scenario_windowed_counts, exact_windowed_counts, run_aggregator_stage,
-    EngineConfig, InProc, ScenarioConfig, Spsc, Topology, Transport, WindowId,
+    exact_scenario_windowed_counts, exact_windowed_counts, run_aggregator_stage, EngineConfig,
+    InProc, ScenarioConfig, Spsc, Topology, Transport,
 };
 use slb_net::tcp::TcpTransport;
 use slb_telemetry::HopTelemetry;
 use slb_workloads::{Arrival, KeyId, Scenario, ScenarioPhase};
 
-/// Equality with a readable failure: instead of dumping two whole maps,
-/// a mismatch panics with the first divergent window and key.
-#[track_caller]
-fn assert_windows_match(
-    got: &BTreeMap<WindowId, HashMap<KeyId, u64>>,
-    expected: &BTreeMap<WindowId, HashMap<KeyId, u64>>,
-    context: &str,
-) {
-    if let Some(first_divergence) = diff_windows(got, expected) {
-        panic!("{context}: {first_divergence}");
-    }
-}
+use common::assert_windows_match;
 
 /// Seeds to exercise: `SLB_TEST_SEED` alone when set, the built-in pair
 /// otherwise (deliberately disjoint from ci.sh's {1, 42, 1337} matrix).

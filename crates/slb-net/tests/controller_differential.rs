@@ -30,28 +30,15 @@
 //! `SLB_TEST_SEED` (a single u64) replaces the pair with that seed, which
 //! is how `ci.sh` sweeps its {1, 42, 1337} matrix.
 
-use std::collections::{BTreeMap, HashMap};
+mod common;
 
 use slb_core::{ControllerConfig, CountAggregate, PartitionerKind, SolverMode};
-use slb_engine::{
-    diff_windows, exact_scenario_windowed_counts, FaultPlan, InProc, ScenarioConfig, Spsc, WindowId,
-};
+use slb_engine::{exact_scenario_windowed_counts, FaultPlan, InProc, ScenarioConfig, Spsc};
 use slb_net::tcp::TcpTransport;
 use slb_simulator::simulate_scenario_controlled;
-use slb_workloads::{KeyId, Scenario};
+use slb_workloads::Scenario;
 
-/// Equality with a readable failure: a mismatch panics with the first
-/// divergent window and key instead of dumping two whole maps.
-#[track_caller]
-fn assert_windows_match(
-    got: &BTreeMap<WindowId, HashMap<KeyId, u64>>,
-    expected: &BTreeMap<WindowId, HashMap<KeyId, u64>>,
-    context: &str,
-) {
-    if let Some(first_divergence) = diff_windows(got, expected) {
-        panic!("{context}: {first_divergence}");
-    }
-}
+use common::assert_windows_match;
 
 /// Seeds to exercise: `SLB_TEST_SEED` alone when set (how `ci.sh` sweeps
 /// its {1, 42, 1337} matrix), a built-in pair otherwise.

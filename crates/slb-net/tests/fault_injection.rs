@@ -28,29 +28,18 @@
 //! diagnostics (how much replay a gap needed depends on timing); the suite
 //! asserts signs and exact state, never exact replay volumes.
 
-use std::collections::{BTreeMap, HashMap};
+mod common;
 
 use slb_core::{CountAggregate, PartitionerKind};
 use slb_engine::{
-    diff_windows, exact_scenario_windowed_counts, exact_windowed_counts, EngineConfig, FaultEvent,
-    FaultPlan, InProc, ScenarioConfig, Spsc, Topology, WindowId,
+    exact_scenario_windowed_counts, exact_windowed_counts, EngineConfig, FaultEvent, FaultPlan,
+    InProc, ScenarioConfig, Spsc, Topology,
 };
 use slb_net::tcp::TcpTransport;
 use slb_telemetry::{stage, trace_kind};
-use slb_workloads::{Arrival, KeyId, Scenario, ScenarioPhase};
+use slb_workloads::{Arrival, Scenario, ScenarioPhase};
 
-/// Equality with a readable failure: a mismatch panics with the first
-/// divergent window and key instead of dumping two whole maps.
-#[track_caller]
-fn assert_windows_match(
-    got: &BTreeMap<WindowId, HashMap<KeyId, u64>>,
-    expected: &BTreeMap<WindowId, HashMap<KeyId, u64>>,
-    context: &str,
-) {
-    if let Some(first_divergence) = diff_windows(got, expected) {
-        panic!("{context}: {first_divergence}");
-    }
-}
+use common::assert_windows_match;
 
 /// Seeds to exercise: `SLB_TEST_SEED` alone when set (how `ci.sh` sweeps
 /// its {1, 42, 1337} matrix), a built-in pair otherwise.

@@ -30,33 +30,15 @@
 //! `service_time_us 50` the worker stage has a busy floor of hundreds of
 //! milliseconds, far past the kill delay.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::Command;
 
-fn node_exe() -> &'static str {
-    env!("CARGO_BIN_EXE_slb-node")
-}
-
-/// Pulls the integer that follows `prefix` out of a report line.
-fn parse_counter(stdout: &str, prefix: &str) -> u64 {
-    stdout
-        .lines()
-        .find_map(|l| l.strip_prefix(prefix))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|n| n.parse::<u64>().ok())
-        .unwrap_or_else(|| panic!("missing `{prefix}` report line in:\n{stdout}"))
-}
+use common::{node_exe, parse_counter, write_spec};
 
 fn seed() -> String {
     std::env::var("SLB_TEST_SEED").unwrap_or_else(|_| "42".into())
-}
-
-/// Writes `spec` to a unique temp file and returns its path.
-fn write_spec(name: &str, spec: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("slb-node-{name}-{}.spec", std::process::id()));
-    std::fs::write(&path, spec).expect("write spec file");
-    path
 }
 
 /// A unique checkpoint directory per test, removed afterwards.

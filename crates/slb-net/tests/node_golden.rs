@@ -11,20 +11,12 @@
 //! plane, the report merge, and the verification all run exactly as a user
 //! would invoke them (`CARGO_BIN_EXE_slb-node` is the built binary).
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::Command;
 
-fn node_exe() -> &'static str {
-    env!("CARGO_BIN_EXE_slb-node")
-}
-
-/// Writes `spec` to a unique temp file and returns its path.
-fn write_spec(name: &str, spec: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("slb-node-{name}-{}.spec", std::process::id()));
-    std::fs::write(&path, spec).expect("write spec file");
-    path
-}
+use common::{node_exe, write_spec};
 
 fn run_orchestrate(spec_path: &PathBuf) -> (String, String, bool) {
     let output = Command::new(node_exe())

@@ -16,22 +16,12 @@
 //!    every finalized window (the two latency populations), and
 //!    `checkpoints` is one durable save per worker per window.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::Command;
 
-fn node_exe() -> &'static str {
-    env!("CARGO_BIN_EXE_slb-node")
-}
-
-/// Pulls the integer that follows `prefix` out of a report line.
-fn parse_counter(stdout: &str, prefix: &str) -> u64 {
-    stdout
-        .lines()
-        .find_map(|l| l.strip_prefix(prefix))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|n| n.parse::<u64>().ok())
-        .unwrap_or_else(|| panic!("missing `{prefix}` report line in:\n{stdout}"))
-}
+use common::{node_exe, parse_counter};
 
 /// Pulls `word=N` out of a space-separated report line body.
 fn parse_field(line: &str, field: &str) -> u64 {
