@@ -255,10 +255,20 @@ if grep -rnE 'CorePinning|StageRole|core_pinning|pin_current_thread|sched_setaff
     echo "stage threads are placed by the OS scheduler on every backend; pinning was measured neutral on every Spsc workload (docs/PERF.md)"
     exit 1
 fi
-# The rings' five sites are the engine's only unsafe code: the ones a model
-# checker of spsc.rs has to cover.
+# The rings' five sites are the engine's only unsafe code, the ones the model
+# suite below covers; sync.rs hands them raw pointers and holds none itself.
 if grep -rnE 'extern "C"|unsafe' crates/slb-engine/src | grep -v '^crates/slb-engine/src/spsc.rs:'; then
     echo "slb-engine declares no FFI, and its unsafe code is spsc.rs's alone"
+    exit 1
+fi
+
+echo "==> spsc.rs reaches its concurrency through crate::sync"
+# Everything above spsc.rs's unit-test module: an atomic, lock, Arc, slot
+# cell or backoff step taken from std directly is one the model never sees.
+# A std::{..} group could hide one, so none is allowed either.
+if sed '/^#\[cfg(test)\]/,$d' crates/slb-engine/src/spsc.rs |
+    grep -nE 'std::(\{|sync|thread|hint)|std::cell::[^;]*UnsafeCell'; then
+    echo "spsc.rs takes its atomics, Arc, Mutex, UnsafeCell, spin_loop, yield_now and sleep from crate::sync, so the model checker sees them"
     exit 1
 fi
 
@@ -325,6 +335,10 @@ cargo test -q -p slb-core --test routing_golden
 PROPTEST_CASES=256 cargo test -q -p slb-sketch --test proptests
 PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
 PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props --test replay_props --test latency_props
+# The SPSC rings under the model checker, by name: every schedule up to the
+# preemption bound of each scenario, plus the checker's own tests
+# (docs/TESTING.md, "Model checking the SPSC rings").
+cargo test -q -p slb-engine --lib -- model::
 # What a recoverable source allocates per window close (counting allocator).
 cargo test -q -p slb-engine --test snapshot_cost
 PROPTEST_CASES=256 cargo test -q -p slb-telemetry --test histogram_props

@@ -39,7 +39,11 @@
 //!
 //! `--history` appends one stamped row (commit label, box, date, ratios,
 //! verdicts, CPU seconds) to a JSON-lines file; `--raw` appends every run's
-//! result line with its CPU seconds.
+//! result line with its CPU seconds and whether it was `ok`.
+//! A run whose last stdout line is no result (it does not parse, or lacks a
+//! metric) is a failed run: its raw line holds that line as a string, its
+//! pair leaves that workload's summaries (`won` counts the pairs kept), and
+//! the set goes on.
 //! The exit code is 1 when any run failed, printed a result that is not
 //! `correct`, or reported failed operations; 2 on a usage error.
 
@@ -157,10 +161,11 @@ fn read_benchmark(path: &PathBuf) -> Result<(Vec<String>, Vec<Metric>), String> 
 }
 
 /// One run's result: whether it was correct and without failed operations,
-/// the value of every metric, in `metrics` order, and the child's CPU.
+/// the value of every metric, in `metrics` order (or why its result line
+/// gave none), and the child's CPU.
 struct Run {
     ok: bool,
-    values: Vec<f64>,
+    values: Result<Vec<f64>, String>,
     cpu: [f64; 2],
 }
 
@@ -176,6 +181,27 @@ fn children_ticks() -> [u64; 2] {
     let fields: Vec<&str> = after_name.split_whitespace().collect();
     let ticks = |field: usize| fields.get(field - 3).and_then(|v| v.parse().ok());
     [ticks(16).unwrap_or(0), ticks(17).unwrap_or(0)]
+}
+
+/// The metric values of a result line, in `metrics` order, and whether it
+/// reads `correct` with no failed operations.
+fn read_result(line: &str, metrics: &[Metric]) -> Result<(Vec<f64>, bool), String> {
+    let result = Value::parse(line).map_err(|e| format!("{e} in {line:?}"))?;
+    let values = metrics
+        .iter()
+        .map(|m| {
+            let value = result
+                .get("metrics")
+                .and_then(|all| all.get(&m.name))
+                .and_then(|v| v.get("value"));
+            value
+                .and_then(Value::as_f64)
+                .ok_or(format!("no {}", m.name))
+        })
+        .collect::<Result<_, String>>()?;
+    let correct = result.get("correct") == Some(&Value::Bool(true));
+    let failed = result.get("failed").and_then(Value::as_f64).unwrap_or(1.0);
+    Ok((values, correct && failed == 0.0))
 }
 
 fn run_once(
@@ -210,23 +236,9 @@ fn run_once(
         .find(|l| !l.trim().is_empty())
         .unwrap_or_default()
         .to_string();
-    let result = Value::parse(&line)
-        .map_err(|e| format!("{exe} {workload} seed {seed}: {e} in {line:?}"))?;
-    let values = metrics
-        .iter()
-        .map(|m| {
-            let value = result
-                .get("metrics")
-                .and_then(|all| all.get(&m.name))
-                .and_then(|v| v.get("value"));
-            value
-                .and_then(Value::as_f64)
-                .ok_or(format!("{exe} {workload}: no {}", m.name))
-        })
-        .collect::<Result<_, String>>()?;
-    let correct = result.get("correct") == Some(&Value::Bool(true));
-    let failed = result.get("failed").and_then(Value::as_f64).unwrap_or(1.0);
-    let ok = output.status.success() && correct && failed == 0.0;
+    let read = read_result(&line, metrics);
+    let ok = output.status.success() && read.as_ref().is_ok_and(|&(_, good)| good);
+    let values = read.map(|(values, _)| values);
     Ok((Run { ok, values, cpu }, line))
 }
 
@@ -339,36 +351,59 @@ fn compare(args: &Args) -> Result<bool, String> {
     for pair in 0..args.pairs {
         let seed = args.seed_base + pair;
         for (w, workload) in workloads.iter().enumerate() {
+            // A pair in which some side's result line gave no values leaves
+            // this workload's summaries.
+            let mut pair_runs = vec![None; sides];
             for turn in 0..sides {
                 let side = (turn + pair as usize + w) % sides;
                 let (run, line) =
                     run_once(&args.exes[side], workload, seed, args.seconds, &metrics)?;
+                let error = run.values.as_ref().err();
                 eprintln!(
-                    "pair {} {workload} {}: ok={}",
+                    "pair {} {workload} {}: ok={}{}",
                     pair + 1,
                     SIDES[side],
-                    run.ok
+                    run.ok,
+                    error.map_or(String::new(), |e| format!(" ({e})"))
                 );
                 all_ok &= run.ok;
-                for (m, value) in run.values.into_iter().enumerate() {
-                    values[w][side][m].push(value);
-                }
-                for (k, seconds) in run.cpu.into_iter().enumerate() {
-                    cpu[w][side][k].push(seconds);
-                }
                 if let Some(raw) = &args.raw {
+                    // A line that is no result is kept as a string.
+                    let result = match error {
+                        None => line,
+                        Some(_) => Value::str(line).to_string(),
+                    };
                     let row = format!(
-                        "{{\"pair\":{},\"seed\":{seed},\"workload\":\"{workload}\",\"side\":\"{}\",\"user_s\":{},\"sys_s\":{},\"result\":{line}}}",
+                        "{{\"pair\":{},\"seed\":{seed},\"workload\":\"{workload}\",\"side\":\"{}\",\"user_s\":{},\"sys_s\":{},\"ok\":{},\"result\":{result}}}",
                         pair + 1,
                         SIDES[side],
                         Value::Num(run.cpu[0]),
-                        Value::Num(run.cpu[1])
+                        Value::Num(run.cpu[1]),
+                        run.ok
                     );
                     append_line(raw, &row)?;
+                }
+                pair_runs[side] = run.values.ok().map(|values| (values, run.cpu));
+            }
+            let Some(runs) = pair_runs.into_iter().collect::<Option<Vec<_>>>() else {
+                continue;
+            };
+            for (side, (run_values, run_cpu)) in runs.into_iter().enumerate() {
+                for (m, value) in run_values.into_iter().enumerate() {
+                    values[w][side][m].push(value);
+                }
+                for (k, seconds) in run_cpu.into_iter().enumerate() {
+                    cpu[w][side][k].push(seconds);
                 }
             }
         }
     }
+    // A workload with no pair left is not summarised.
+    let (workloads, (values, cpu)): (Vec<String>, (Vec<_>, Vec<_>)) = workloads
+        .into_iter()
+        .zip(values.into_iter().zip(cpu))
+        .filter(|(_, (by_side, _))| !by_side[0][0].is_empty())
+        .unzip();
 
     let anchor_column = if sides == 3 { "anchor" } else { "" };
     println!(
@@ -387,7 +422,7 @@ fn compare(args: &Args) -> Result<bool, String> {
                 workload,
                 metric.name,
                 row.ratio,
-                format!("{}/{}", row.won, args.pairs),
+                format!("{}/{}", row.won, runs[0].len()),
                 row.spread,
                 row.gap,
                 row.verdict,

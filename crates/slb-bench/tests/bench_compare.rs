@@ -219,6 +219,75 @@ fn an_incorrect_run_fails_the_comparison_and_a_bad_flag_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A change that prints garbage instead of its result on one pair: that run
+/// fails and its pair leaves the summaries, and the set still ends with the
+/// table, every raw line and the history row.
+#[test]
+fn a_run_with_no_result_line_fails_only_its_pair() {
+    let dir = fresh_dir("garbage");
+    let good = stub(&dir, "good", 1.0, false, true);
+    // The second pair's seed is 6002.
+    let garbage = stub_after(
+        &dir,
+        "garbage",
+        "if [ \"$4\" = 6002 ]; then echo 'garbage'; exit 0; fi\n",
+    );
+    let (raw, history) = (dir.join("raw.jsonl"), dir.join("history.jsonl"));
+    let (raw_arg, history_arg) = (raw.to_string_lossy(), history.to_string_lossy());
+    let args = [
+        "--parent",
+        &good,
+        "--change",
+        &garbage,
+        "--pairs",
+        "4",
+        "--raw",
+        &raw_arg,
+        "--history",
+        &history_arg,
+        "--commit",
+        "garbage",
+    ];
+    let output = bench_compare(&dir, &args);
+    assert_eq!(output.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let won: Vec<&str> = stdout
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|row| row.first() == Some(&"route_hot") && row.len() > 3)
+        .map(|row| row[3])
+        .collect();
+    assert_eq!(won.len(), 8, "one row per end-to-end metric\n{stdout}");
+    assert!(
+        won.iter().all(|w| w.ends_with("/3")),
+        "three pairs kept\n{stdout}"
+    );
+    let raw = std::fs::read_to_string(&raw).expect("raw written");
+    let runs: Vec<Value> = raw
+        .lines()
+        .map(|l| Value::parse(l).expect("raw line is JSON"))
+        .collect();
+    assert_eq!(runs.len(), 8, "one raw line per run");
+    let failed: Vec<&Value> = runs
+        .iter()
+        .filter(|r| r.get("ok") == Some(&Value::Bool(false)))
+        .collect();
+    assert_eq!(failed.len(), 1, "{raw}");
+    assert_eq!(failed[0].get("seed").and_then(Value::as_f64), Some(6002.0));
+    assert_eq!(
+        failed[0].get("result").and_then(Value::as_str),
+        Some("garbage")
+    );
+    let row = std::fs::read_to_string(&history).expect("history written");
+    let row = Value::parse(row.trim()).expect("history row is JSON");
+    assert_eq!(row.get("all_runs_correct"), Some(&Value::Bool(false)));
+    assert!(row
+        .get("workloads")
+        .and_then(|w| w.get("route_hot"))
+        .is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A `stub` of the baseline that first runs `prelude`.
 fn stub_after(dir: &Path, name: &str, prelude: &str) -> String {
     let path = stub(dir, name, 1.0, false, true);

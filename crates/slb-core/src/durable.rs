@@ -333,11 +333,6 @@ impl DurableCheckpointStore {
         &self.current
     }
 
-    /// Path of the previous-generation file.
-    pub fn prev_path(&self) -> &Path {
-        &self.prev
-    }
-
     /// Path of the transient mid-save file (a crashed save may leave it).
     pub fn tmp_path(&self) -> &Path {
         &self.tmp

@@ -53,6 +53,7 @@
 pub mod fault;
 pub mod latency;
 pub mod spsc;
+mod sync;
 pub mod topology;
 pub mod transport;
 pub mod windows;

@@ -49,16 +49,21 @@
 //! count of zero (`Acquire`, which synchronizes with every handle's
 //! `Release` decrement and therefore with every push and lane claim that
 //! preceded it) and then finds every adopted lane empty on one final drain.
+//!
+//! Every atomic, lock, slot cell and backoff step here goes through
+//! `crate::sync`, so the unit tests can run the protocol under a model
+//! checker that explores its bounded interleavings (`docs/TESTING.md`,
+//! "Model checking the SPSC rings").
 
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::RefCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::Duration;
 
 use slb_workloads::KeyId;
 
+use crate::sync::{
+    sleep, spin_loop, yield_now, Arc, AtomicBool, AtomicUsize, Mutex, Ordering, UnsafeCell,
+};
 use crate::transport::{
     ChannelClosed, PartialReceiver, PartialSender, PartialWindow, RecvError, SourceMessage,
     Transport, TupleReceiver, TupleSender,
@@ -91,12 +96,12 @@ impl Backoff {
     fn snooze(&mut self) {
         if self.0 < Self::SPIN_LIMIT {
             for _ in 0..(1u32 << self.0) {
-                std::hint::spin_loop();
+                spin_loop();
             }
         } else if self.0 < Self::YIELD_LIMIT {
-            thread::yield_now();
+            yield_now();
         } else {
-            thread::sleep(Duration::from_micros(50));
+            sleep(Duration::from_micros(50));
         }
         self.0 = (self.0 + 1).min(Self::YIELD_LIMIT);
     }
@@ -173,7 +178,7 @@ impl<T> Producer<T> {
         // SAFETY: the slot at `tail` is outside `[head, tail)`, so the
         // consumer will not touch it until the Release store below
         // publishes it; only this producer writes slots.
-        unsafe { (*self.ring.buf[self.tail % self.ring.cap].get()).write(value) };
+        self.ring.buf[self.tail % self.ring.cap].with_mut(|slot| unsafe { (*slot).write(value) });
         self.tail = self.tail.wrapping_add(1);
         self.ring.tail.0.store(self.tail, Ordering::Release);
         Ok(())
@@ -209,7 +214,8 @@ impl<T> Consumer<T> {
         // SAFETY: `head < cached_tail` (monotone indices), and the Acquire
         // load of `tail` ordered the producer's slot write before this
         // read; only this consumer reads initialized slots.
-        let value = unsafe { (*self.ring.buf[self.head % self.ring.cap].get()).assume_init_read() };
+        let slot = &self.ring.buf[self.head % self.ring.cap];
+        let value = slot.with(|slot| unsafe { (*slot).assume_init_read() });
         self.head = self.head.wrapping_add(1);
         self.ring.head.0.store(self.head, Ordering::Release);
         Some(value)
@@ -278,13 +284,10 @@ impl<T> EdgeShared<T> {
         } else {
             (None, None)
         };
-        self.pending
-            .lock()
-            .expect("lane mailbox poisoned")
-            .push(LaneRx {
-                consumer,
-                recycle_tx,
-            });
+        self.pending.lock().push(LaneRx {
+            consumer,
+            recycle_tx,
+        });
         self.announced.fetch_add(1, Ordering::Release);
         LaneTx {
             producer,
@@ -381,9 +384,8 @@ impl<T: Send + 'static> SpscSender<T> {
 /// surface works without making the receiver `Sync` (receivers are owned
 /// by exactly one stage thread).
 struct RxInner<T> {
+    /// Every lane adopted so far; `announced` counts the lanes ever claimed.
     lanes: Vec<LaneRx<T>>,
-    /// How many announced lanes have been adopted into `lanes`.
-    adopted: usize,
     /// Round-robin cursors: where the next drain pass starts, and which
     /// lane receives the next recycled buffer.
     next_lane: usize,
@@ -405,21 +407,15 @@ impl<T> Drop for SpscReceiver<T> {
         self.edge.receiver_gone.store(true, Ordering::Release);
         // Then free the lanes still in the mailbox now rather than with the
         // last sender handle: nobody will drain their frames.
-        self.edge
-            .pending
-            .lock()
-            .expect("lane mailbox poisoned")
-            .clear();
+        self.edge.pending.lock().clear();
     }
 }
 
 impl<T: Send + 'static> SpscReceiver<T> {
     /// Adopts every lane announced since the last call.
     fn adopt_lanes(&self, inner: &mut RxInner<T>) {
-        if self.edge.announced.load(Ordering::Acquire) > inner.adopted {
-            let mut pending = self.edge.pending.lock().expect("lane mailbox poisoned");
-            inner.adopted += pending.len();
-            inner.lanes.append(&mut pending);
+        if self.edge.announced.load(Ordering::Acquire) > inner.lanes.len() {
+            inner.lanes.append(&mut self.edge.pending.lock());
         }
     }
 
@@ -519,7 +515,6 @@ fn edge<T: Send + 'static>(capacity: usize, recycle: bool) -> (SpscSender<T>, Sp
             edge: shared,
             inner: RefCell::new(RxInner {
                 lanes: Vec::new(),
-                adopted: 0,
                 next_lane: 0,
                 next_recycle: 0,
             }),
@@ -598,6 +593,8 @@ impl<P: Send + 'static> Transport<P> for Spsc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::thread;
 
     #[test]
     fn ring_push_pop_fifo_and_wraparound() {
@@ -700,33 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_sender_fails_once_receiver_drops() {
-        // A sender spinning on a full lane is released by the receiver's
-        // drop, whether the receiver had adopted that lane or not.
-        for adopt_first in [false, true] {
-            let (tx, rx) = edge::<PartialWindow<u64>>(2, false);
-            let (full_tx, full_rx) = std::sync::mpsc::channel();
-            let sender = thread::spawn(move || {
-                PartialSender::send(&tx, partial(0)).unwrap();
-                PartialSender::send(&tx, partial(1)).unwrap();
-                full_tx.send(()).unwrap();
-                PartialSender::send(&tx, partial(2))
-            });
-            full_rx.recv().unwrap();
-            if adopt_first {
-                rx.adopt_lanes(&mut rx.inner.borrow_mut());
-                assert_eq!(rx.inner.borrow().lanes.len(), 1);
-            }
-            // Makes "the third send is already backing off" the likely
-            // interleaving; the other one (the drop lands first) must end
-            // in `ChannelClosed` too.
-            thread::sleep(Duration::from_millis(20));
-            drop(rx);
-            assert_eq!(sender.join().unwrap(), Err(ChannelClosed));
-        }
-    }
-
-    #[test]
     fn a_lane_claimed_after_the_first_drain_arrives_whole_before_closed() {
         // The receiver has adopted and drained the first lane before the
         // second one exists, so only the announce counter tells it a lane
@@ -790,5 +760,244 @@ mod tests {
         producer.join().unwrap();
         let windows: Vec<u64> = got.iter().map(|p| p.window).collect();
         assert_eq!(windows, (0..100).collect::<Vec<_>>());
+    }
+
+    /// The rings' protocol over every schedule with at most [`BOUND`]
+    /// preemptions, two with three threads (`docs/TESTING.md`, "Model
+    /// checking the SPSC rings").
+    mod model {
+        use std::collections::BTreeSet;
+        use std::sync::{Arc as StdArc, Mutex as StdMutex};
+
+        use super::*;
+        use crate::sync::model::{explore, spawn};
+
+        const BOUND: usize = 3;
+
+        fn close(source: usize, seq: u64) -> SourceMessage {
+            SourceMessage::CloseWindow {
+                window: seq,
+                source,
+                seq,
+            }
+        }
+
+        fn send_all(tx: &SpscSender<SourceMessage>, source: usize, frames: u64) {
+            for seq in 0..frames {
+                TupleSender::send(tx, close(source, seq)).unwrap();
+            }
+        }
+
+        /// Everything received until `Closed`, as (source, seq) in arrival order.
+        fn receive_until_closed(rx: &SpscReceiver<SourceMessage>) -> Vec<(usize, u64)> {
+            let mut out = Vec::new();
+            while TupleReceiver::recv_batch(rx, &mut out).is_ok() {}
+            out.iter().map(SourceMessage::source_seq).collect()
+        }
+
+        /// Source `s` sent `frames[s]` frames: each arrived exactly once, in
+        /// the order it was sent.
+        fn assert_fifo_exactly_once(got: &[(usize, u64)], frames: &[u64]) {
+            for (source, &sent) in frames.iter().enumerate() {
+                let seqs: Vec<u64> = got
+                    .iter()
+                    .filter(|(s, _)| *s == source)
+                    .map(|&(_, seq)| seq)
+                    .collect();
+                assert_eq!(
+                    seqs,
+                    (0..sent).collect::<Vec<_>>(),
+                    "source {source} in {got:?}"
+                );
+            }
+            assert_eq!(got.len() as u64, frames.iter().sum::<u64>(), "{got:?}");
+        }
+
+        #[test]
+        fn one_sender_at_capacity_one_delivers_in_order_exactly_once() {
+            let executions = explore(BOUND, || {
+                let (tx, rx) = edge::<SourceMessage>(1, false);
+                let sender = spawn(move || send_all(&tx, 0, 3));
+                let got = receive_until_closed(&rx);
+                sender.join();
+                assert_fifo_exactly_once(&got, &[3]);
+            });
+            println!("one sender: {executions} executions");
+        }
+
+        /// Three model threads: two preemptions keep it to seconds.
+        #[test]
+        fn two_senders_at_capacity_one_deliver_in_order_exactly_once() {
+            let executions = explore(2, || {
+                let (tx, rx) = edge::<SourceMessage>(1, false);
+                let senders: Vec<_> = (0..2)
+                    .map(|source| {
+                        let tx = tx.clone();
+                        spawn(move || send_all(&tx, source, 2 - source as u64))
+                    })
+                    .collect();
+                drop(tx);
+                let got = receive_until_closed(&rx);
+                senders.into_iter().for_each(|s| s.join());
+                assert_fifo_exactly_once(&got, &[2, 1]);
+            });
+            println!("two senders: {executions} executions");
+        }
+
+        /// Only the announce counter tells the receiver that a lane is new
+        /// once it has adopted and drained the first one.
+        #[test]
+        fn a_lane_claimed_after_the_first_drain_arrives_before_closed() {
+            let executions = explore(BOUND, || {
+                let (tx, rx) = edge::<SourceMessage>(1, false);
+                send_all(&tx, 0, 1);
+                let mut out = Vec::new();
+                assert_eq!(TupleReceiver::recv_batch(&rx, &mut out), Ok(1));
+                let late = tx.clone();
+                let sender = spawn(move || send_all(&late, 1, 2));
+                drop(tx);
+                let got = receive_until_closed(&rx);
+                sender.join();
+                assert_eq!(got, [(1, 0), (1, 1)]);
+                assert_eq!(rx.inner.borrow().lanes.len(), 2);
+            });
+            println!("late lane: {executions} executions");
+        }
+
+        /// A sender blocked on a full lane nobody drains fails once the
+        /// receiver drops, whether the receiver had adopted its lane or not;
+        /// both cases occur among the schedules.
+        #[test]
+        fn a_blocked_sender_fails_once_the_receiver_drops() {
+            let adopted = StdArc::new(StdMutex::new(BTreeSet::new()));
+            let seen = StdArc::clone(&adopted);
+            let executions = explore(BOUND, move || {
+                let (tx, rx) = edge::<PartialWindow<u64>>(1, false);
+                let sender = spawn(move || {
+                    let mut sent = 0;
+                    while PartialSender::send(&tx, partial(sent)).is_ok() {
+                        sent += 1;
+                    }
+                    sent
+                });
+                rx.adopt_lanes(&mut rx.inner.borrow_mut());
+                seen.lock().unwrap().insert(rx.inner.borrow().lanes.len());
+                drop(rx);
+                assert!(
+                    sender.join() <= 1,
+                    "a 1-slot lane nobody drains takes one frame"
+                );
+            });
+            assert_eq!(*adopted.lock().unwrap(), BTreeSet::from([0, 1]));
+            println!("blocked sender: {executions} executions");
+        }
+
+        /// Every buffer the sender takes back is one the receiver recycled,
+        /// unchanged, at most once, in the order recycled.
+        #[test]
+        fn recycled_buffers_come_back_intact_and_once() {
+            let executions = explore(BOUND, || {
+                let (tx, rx) = edge::<SourceMessage>(1, true);
+                let sender = spawn(move || {
+                    let mut back = Vec::new();
+                    for seq in 0..2 {
+                        TupleSender::send(&tx, close(0, seq)).unwrap();
+                        back.extend(tx.take_recycled());
+                    }
+                    back.extend(tx.take_recycled());
+                    back
+                });
+                let mut out = Vec::new();
+                let mut recycled = 0;
+                while TupleReceiver::recv_batch(&rx, &mut out).is_ok() {
+                    for _ in out.drain(..) {
+                        rx.recycle(vec![recycled, recycled + 100]);
+                        recycled += 1;
+                    }
+                }
+                let back = sender.join();
+                let ids: Vec<u64> = back.iter().map(|buffer| buffer[0]).collect();
+                for buffer in &back {
+                    assert_eq!(buffer, &vec![buffer[0], buffer[0] + 100]);
+                }
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+                assert!(ids.iter().all(|&id| id < recycled), "{ids:?}");
+            });
+            println!("recycling: {executions} executions");
+        }
+
+        /// The race check itself, on a real ring: a reader that waits for
+        /// `tail` with a `Relaxed` load is not ordered after the slot write.
+        #[test]
+        fn a_slot_read_after_a_relaxed_tail_load_is_a_race() {
+            for order in [Ordering::Acquire, Ordering::Relaxed] {
+                let run = move || {
+                    explore(BOUND, move || {
+                        let (mut tx, rx) = ring_pair::<u64>(1);
+                        let producer = spawn(move || tx.try_push(7).unwrap());
+                        while rx.ring.tail.0.load(order) == 0 {
+                            spin_loop();
+                        }
+                        rx.ring.buf[0].with(|_| ());
+                        producer.join();
+                    })
+                };
+                if order == Ordering::Acquire {
+                    run();
+                    continue;
+                }
+                let failure = std::panic::catch_unwind(run).expect_err("the model finds the race");
+                let failure = failure.downcast_ref::<String>().expect("a message");
+                assert!(failure.contains("data race: the read"), "{failure}");
+                assert!(
+                    failure.contains("t1 store(Release)"),
+                    "the schedule is printed: {failure}"
+                );
+            }
+        }
+
+        /// A value that logs its id when dropped.
+        struct Tracked(u32, StdArc<StdMutex<Vec<u32>>>);
+
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                self.1.lock().unwrap().push(self.0);
+            }
+        }
+
+        /// The ring's drop frees exactly the values pushed and never popped.
+        #[test]
+        fn ring_drop_frees_exactly_the_unconsumed_values() {
+            let executions = explore(BOUND, || {
+                let dropped = StdArc::new(StdMutex::new(Vec::new()));
+                let (mut tx, mut rx) = ring_pair::<Tracked>(2);
+                let log = StdArc::clone(&dropped);
+                let producer = spawn(move || {
+                    let mut refused = Vec::new();
+                    for id in 0..3 {
+                        if let Err(value) = tx.try_push(Tracked(id, StdArc::clone(&log))) {
+                            refused.push(value.0);
+                        }
+                    }
+                    refused
+                });
+                let popped: Vec<Tracked> = (0..2).filter_map(|_| rx.try_pop()).collect();
+                drop(rx);
+                let refused = producer.join();
+                let popped_ids: Vec<u32> = popped.iter().map(|t| t.0).collect();
+                let mut freed = dropped.lock().unwrap().clone();
+                freed.sort_unstable();
+                let unconsumed: Vec<u32> = (0..3).filter(|id| !popped_ids.contains(id)).collect();
+                assert_eq!(
+                    freed, unconsumed,
+                    "popped {popped_ids:?}, refused {refused:?}"
+                );
+                drop(popped);
+                let mut all = dropped.lock().unwrap().clone();
+                all.sort_unstable();
+                assert_eq!(all, [0, 1, 2], "every value dropped exactly once");
+            });
+            println!("ring drop: {executions} executions");
+        }
     }
 }

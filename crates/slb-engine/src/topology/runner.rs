@@ -10,7 +10,6 @@ use std::time::Instant;
 
 use slb_core::{
     ControllerMetrics, CountAggregate, PartitionerKind, PhaseLoadMatrix, WindowAggregate,
-    WirePartial,
 };
 use slb_telemetry::{
     sort_canonical, HopStats, HopTelemetry, LogHistogram, RecoveryMetrics, TraceEvent,
@@ -140,11 +139,7 @@ impl Topology {
     /// Runs the topology to completion under the given windowed aggregation
     /// on the in-process transport and returns the measurements together
     /// with the final merged per-window aggregates.
-    pub fn run_windowed<A>(&self, aggregate: A) -> WindowedRun<A::Partial>
-    where
-        A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
-    {
+    pub fn run_windowed<A: WindowAggregate<KeyId>>(&self, aggregate: A) -> WindowedRun<A::Partial> {
         self.run_windowed_on(aggregate, &InProc)
     }
 
@@ -153,7 +148,6 @@ impl Topology {
     pub fn run_windowed_on<A, T>(&self, aggregate: A, transport: &T) -> WindowedRun<A::Partial>
     where
         A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
         T: Transport<A::Partial>,
     {
         self.run_windowed_faulted_on(aggregate, transport, &FaultPlan::none())
@@ -176,7 +170,6 @@ impl Topology {
     ) -> WindowedRun<A::Partial>
     where
         A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
         T: Transport<A::Partial>,
     {
         let mut plan = self.config.stage_plan();
@@ -216,11 +209,7 @@ impl ScenarioConfig {
     ///
     /// # Panics
     /// Panics if the scenario or the engine knobs are invalid.
-    pub fn run_windowed<A>(&self, aggregate: A) -> WindowedRun<A::Partial>
-    where
-        A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
-    {
+    pub fn run_windowed<A: WindowAggregate<KeyId>>(&self, aggregate: A) -> WindowedRun<A::Partial> {
         self.run_windowed_on(aggregate, &InProc)
     }
 
@@ -232,7 +221,6 @@ impl ScenarioConfig {
     pub fn run_windowed_on<A, T>(&self, aggregate: A, transport: &T) -> WindowedRun<A::Partial>
     where
         A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
         T: Transport<A::Partial>,
     {
         self.run_windowed_faulted_on(aggregate, transport, &FaultPlan::none())
@@ -255,7 +243,6 @@ impl ScenarioConfig {
     ) -> WindowedRun<A::Partial>
     where
         A: WindowAggregate<KeyId>,
-        A::Partial: WirePartial,
         T: Transport<A::Partial>,
     {
         let mut plan = self.stage_plan();
@@ -458,7 +445,6 @@ fn run_plan<A, F, S, T>(
 ) -> WindowedRun<A::Partial>
 where
     A: WindowAggregate<KeyId>,
-    A::Partial: WirePartial,
     F: Fn(usize, usize) -> S + Send + Sync + 'static,
     S: KeyStream + Clone + Send,
     T: Transport<A::Partial>,

@@ -149,15 +149,6 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         v
     }
 
-    /// Guaranteed (lower-bound) count for `key`: `count - error` if monitored,
-    /// zero otherwise.
-    pub fn guaranteed_count(&self, key: &K) -> u64 {
-        self.index.get(key).map_or(0, |&pos| {
-            let c = &self.slots[pos];
-            c.count - c.error
-        })
-    }
-
     /// Moves the eviction cursor past a slot that just left the minimum run;
     /// when the run is used up, the new minimum's run is found again.
     fn advance_min_run(&mut self) {
@@ -423,14 +414,6 @@ mod tests {
             assert!(w[0].count >= w[1].count);
         }
         assert_eq!(sorted[0].key, 7);
-    }
-
-    #[test]
-    fn guaranteed_count_is_zero_for_unmonitored() {
-        let mut ss = SpaceSaving::new(2);
-        ss.observe(&1u64);
-        assert_eq!(ss.guaranteed_count(&2u64), 0);
-        assert_eq!(ss.guaranteed_count(&1u64), 1);
     }
 
     #[test]
