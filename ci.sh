@@ -86,8 +86,8 @@ if grep -rnE "$gone" crates src tests examples |
 fi
 
 echo "==> one measurement system: telemetry and checkpointing have no off switch, perf_smoke gates floors only, a layer is measured in benchmark/"
-# \bemit_json\b: the expt binaries' own EXPT_*.json hook (slb-bench/src/json.rs,
-# tested by expt_binaries_emit_json_via_the_env_hook) is a different thing.
+# \bemit_json\b: the expt binary's own EXPT_*.json hook (slb-bench/src/table.rs,
+# tested by tables_are_mirrored_to_json_via_the_env_hook) is a different thing.
 if grep -rnE 'run_windowed_without_|plan\.telemetry|plan\.checkpointing|TraceBuf::disabled|_MAX_OVERHEAD|_MIN_RATIO|\bemit_json\b|json_sink' \
     crates vendor/criterion; then
     echo "no A/B switch in the plan, no ratio gate in perf_smoke, no BENCH_<name>.json mirror in the criterion shim: compare builds with the repo benchmark"
@@ -284,6 +284,18 @@ if grep -rnE '\b(Serialize|Deserialize)\b|use serde' crates src tests examples; 
     exit 1
 fi
 
+echo "==> one experiment binary: every figure is a registered experiment of expt, every table one Table"
+extra=$(ls crates/slb-bench/src/bin | grep -vxE 'expt\.rs|perf_smoke\.rs|bench_compare\.rs' || true)
+if [ -n "$extra" ]; then
+    echo "$extra"
+    echo "slb-bench has three binaries: an experiment is a function in the EXPERIMENTS registry of expt, not a binary"
+    exit 1
+fi
+if grep -rn 'JsonValue' crates; then
+    echo "a table prints and records one row of cells through slb-bench's Table, written with slb_benchmark::json::Value"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -291,8 +303,8 @@ echo "==> release build"
 cargo build --release
 
 echo "==> workspace tests (all crates; superset of the tier-1 \`cargo test -q\`; includes the golden_bytes wire fixture)"
-# The golden suite inside this run executes every expt_* binary at smoke
-# scale and asserts the deterministic scheme orderings in their output
+# The golden suite inside this run executes every experiment of the expt
+# binary at smoke scale and asserts the deterministic scheme orderings in their output
 # (crates/slb-bench/tests/golden.rs), so there is no separate exit-code-only
 # experiment loop anymore.
 cargo test -q --workspace

@@ -1,29 +1,41 @@
 //! Experiment harness for the SLB reproduction.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation section and prints the corresponding rows/series to
-//! stdout. All binaries accept the same command-line flags:
+//! One binary, `expt`, regenerates every table and figure of the paper's
+//! evaluation section: `expt <name> [--scale smoke|laptop|paper] [--seed N]`
+//! runs the experiment [`EXPERIMENTS`] lists under `name` and prints its
+//! rows to stdout.
 //!
 //! * `--scale smoke|laptop|paper` — how big to run (default `smoke`, which
 //!   finishes in seconds and is what the integration tests and the recorded
 //!   `EXPERIMENTS.md` runs use unless stated otherwise).
 //! * `--seed <u64>` — RNG/hash seed (default `0x5EED0001`).
 //!
-//! The library part of the crate holds the small amount of shared plumbing:
-//! flag parsing, table formatting, and the [`json`] emission hook
-//! (`SLB_BENCH_JSON_DIR`) every binary mirrors its printed rows into.
+//! Every table goes through one `Table` (`table.rs`), which prints each row and,
+//! when the binary is given a JSON directory (`SLB_BENCH_JSON_DIR`),
+//! mirrors the same cells to `EXPT_<table>.json`.
 
-pub mod json;
+mod analysis;
+mod datasets;
+mod engine;
+mod scenarios;
+mod simulation;
+mod table;
 
+use std::path::PathBuf;
+
+use slb_engine::EngineConfig;
 use slb_simulator::experiments::ExperimentScale;
 
-/// Parsed command-line options shared by every experiment binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Parsed command-line options shared by every experiment.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentOptions {
     /// Requested run size.
     pub scale: ExperimentScale,
     /// Seed for workloads and hash functions.
     pub seed: u64,
+    /// Where each table's `emit` writes `EXPT_<table>.json`; `None`
+    /// writes nothing.
+    pub json_dir: Option<PathBuf>,
 }
 
 impl Default for ExperimentOptions {
@@ -31,26 +43,69 @@ impl Default for ExperimentOptions {
         Self {
             scale: ExperimentScale::Smoke,
             seed: slb_simulator::experiments::DEFAULT_SEED,
+            json_dir: None,
         }
     }
 }
 
-/// Usage text shared by every experiment binary.
-pub const USAGE: &str = "usage: <experiment> [--scale smoke|laptop|paper] [--seed N]";
+/// One experiment: what it prints, given the options.
+pub type Experiment = fn(&ExperimentOptions);
+
+/// Every experiment `expt` runs, by name, in the paper's order.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1_datasets", datasets::table1_datasets),
+    ("fig01_wp_scale", datasets::fig01_wp_scale),
+    ("fig03_head_cardinality", analysis::fig03_head_cardinality),
+    ("fig04_d_fraction", analysis::fig04_d_fraction),
+    ("fig05_memory_vs_pkg", analysis::fig05_memory_vs_pkg),
+    ("fig06_memory_vs_sg", analysis::fig06_memory_vs_sg),
+    ("fig07_threshold_sweep", simulation::fig07_threshold_sweep),
+    ("fig08_head_tail_load", simulation::fig08_head_tail_load),
+    ("fig09_d_vs_optimal", simulation::fig09_d_vs_optimal),
+    ("fig10_zipf_grid", simulation::fig10_zipf_grid),
+    ("fig11_realworld", datasets::fig11_realworld),
+    ("fig12_time_series", datasets::fig12_time_series),
+    ("fig13_14", engine::fig13_14),
+    ("fig15_aggregation_cost", engine::fig15_aggregation_cost),
+    ("ablation_sensitivity", simulation::ablation_sensitivity),
+    ("scenarios_drift", scenarios::scenarios_drift),
+    ("scenarios_hetero", scenarios::scenarios_hetero),
+    ("scenarios_scaleout", scenarios::scenarios_scaleout),
+    ("elasticity", scenarios::elasticity),
+];
+
+/// The experiment registered under `name`.
+pub fn experiment(name: &str) -> Option<Experiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, f)| f)
+}
+
+/// Usage text, with every registered name.
+pub fn usage() -> String {
+    let mut text =
+        "usage: expt <name> [--scale smoke|laptop|paper] [--seed N]\nexperiments:".to_string();
+    for (name, _) in EXPERIMENTS {
+        text.push_str("\n  ");
+        text.push_str(name);
+    }
+    text
+}
 
 /// Outcome of parsing experiment flags: either options to run with, or a
 /// request to show usage and exit successfully.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParsedArgs {
     /// Run the experiment with these options.
     Run(ExperimentOptions),
-    /// `--help`/`-h` was passed; print [`USAGE`] to stdout and exit 0.
+    /// `--help`/`-h` was passed; print [`usage`] to stdout and exit 0.
     Help,
 }
 
 /// Parses `--scale` and `--seed` from an iterator of command-line arguments
-/// (excluding the program name). Unknown flags are rejected with an error
-/// message so typos do not silently fall back to defaults.
+/// (those after the experiment name). Unknown flags are rejected with an
+/// error message so typos do not silently fall back to defaults.
 pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedArgs, String> {
     let mut options = ExperimentOptions::default();
     let mut iter = args.into_iter();
@@ -78,36 +133,23 @@ pub fn parse_options<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedAr
     Ok(ParsedArgs::Run(options))
 }
 
-/// Parses the process's actual arguments: prints usage to stdout and exits 0
-/// on `--help`, or exits 2 with an error message on a bad flag (the
-/// behaviour every experiment binary wants).
-pub fn options_from_env() -> ExperimentOptions {
-    match parse_options(std::env::args().skip(1)) {
-        Ok(ParsedArgs::Run(o)) => o,
-        Ok(ParsedArgs::Help) => {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Prints a named experiment header so that harness output is self-labelled
-/// when several binaries are run back-to-back and tee'd into one file.
-pub fn print_header(experiment: &str, description: &str, options: &ExperimentOptions) {
+/// when several experiments are run back-to-back and tee'd into one file.
+fn print_header(experiment: &str, description: &str, options: &ExperimentOptions) {
     println!("== {experiment} ==");
     println!("# {description}");
     println!("# scale={:?} seed={:#x}", options.scale, options.seed);
 }
 
-/// Formats a floating point value the way the paper's log-scale plots are
-/// easiest to compare: scientific notation with three significant digits.
-pub fn sci(value: f64) -> String {
-    format!("{value:.3e}")
+/// The mini-DSPE configuration at the requested scale, for `skew`.
+fn engine_config(options: &ExperimentOptions, skew: f64) -> EngineConfig {
+    let kind = slb_core::PartitionerKind::Pkg;
+    match options.scale {
+        ExperimentScale::Smoke => EngineConfig::smoke(kind, skew),
+        ExperimentScale::Laptop => EngineConfig::laptop(kind, skew),
+        ExperimentScale::Paper => EngineConfig::paper(kind, skew),
+    }
+    .with_seed(options.seed)
 }
 
 #[cfg(test)]
@@ -130,6 +172,7 @@ mod tests {
         let o = run(&[]);
         assert_eq!(o.scale, ExperimentScale::Smoke);
         assert_eq!(o.seed, slb_simulator::experiments::DEFAULT_SEED);
+        assert_eq!(o.json_dir, None);
     }
 
     #[test]
@@ -156,8 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn scientific_formatting() {
-        assert_eq!(sci(0.000123456), "1.235e-4");
-        assert_eq!(sci(1.0), "1.000e0");
+    fn the_registry_names_each_experiment_once_and_usage_lists_them() {
+        let usage = usage();
+        for (i, (name, _)) in EXPERIMENTS.iter().enumerate() {
+            assert!(experiment(name).is_some());
+            assert!(usage.lines().any(|l| l.trim() == *name), "{name}");
+            assert!(EXPERIMENTS[..i].iter().all(|(n, _)| n != name), "{name}");
+        }
+        assert!(experiment("fig13_throughput").is_none());
     }
 }

@@ -1,28 +1,29 @@
-//! Golden smoke tests for the experiment binaries.
+//! Golden smoke tests for the experiments.
 //!
-//! `ci.sh` used to be the only thing running the `expt_*` binaries, and it
-//! only checked exit codes. These tests run every binary at `--scale smoke`
+//! These tests run every experiment of the `expt` binary at `--scale smoke`
 //! inside `cargo test` and additionally assert the *scheme-ordering
 //! invariants* the paper's figures rest on — the orderings that are
 //! deterministic at a fixed seed (imbalance and replica counts come from
 //! deterministic routing; wall-clock throughput and latency orderings are
 //! noisy on loaded machines and are deliberately not asserted).
 //!
-//! The binaries are invoked through `CARGO_BIN_EXE_*`, so cargo builds them
+//! The binary is invoked through `CARGO_BIN_EXE_expt`, so cargo builds it
 //! as part of the test target and no nested cargo lock is taken.
 
 use std::collections::HashMap;
 use std::process::Command;
 
-/// Runs one experiment binary at smoke scale and returns its stdout.
-fn run_smoke(exe: &str) -> String {
-    let output = Command::new(exe)
-        .args(["--scale", "smoke"])
+use slb_benchmark::json::Value;
+
+/// Runs one experiment at smoke scale and returns its stdout.
+fn run_smoke(name: &str) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_expt"))
+        .args([name, "--scale", "smoke"])
         .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to spawn expt {name}: {e}"));
     assert!(
         output.status.success(),
-        "{exe} exited with {:?}\nstdout:\n{}\nstderr:\n{}",
+        "expt {name} exited with {:?}\nstdout:\n{}\nstderr:\n{}",
         output.status.code(),
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr),
@@ -30,53 +31,68 @@ fn run_smoke(exe: &str) -> String {
     let stdout = String::from_utf8(output.stdout).expect("experiment output is UTF-8");
     assert!(
         stdout.starts_with("== "),
-        "{exe}: missing the experiment header, got:\n{stdout}"
+        "{name}: missing the experiment header, got:\n{stdout}"
     );
     assert!(
         stdout.lines().count() >= 4,
-        "{exe}: suspiciously short output:\n{stdout}"
+        "{name}: suspiciously short output:\n{stdout}"
     );
     stdout
 }
 
-/// Basic golden check for binaries whose output has no deterministic
-/// ordering to pin (latency/throughput tables, dataset listings).
+/// Basic golden check for experiments whose output has no deterministic
+/// ordering to pin (dataset listings, solver-only sweeps).
 macro_rules! golden_smoke {
     ($($name:ident),+ $(,)?) => {$(
         #[test]
         fn $name() {
-            let _ = run_smoke(env!(concat!("CARGO_BIN_EXE_", stringify!($name))));
+            let _ = run_smoke(stringify!($name));
         }
     )+};
 }
 
 golden_smoke!(
-    expt_table1_datasets,
-    expt_fig01_wp_scale,
-    expt_fig03_head_cardinality,
-    expt_fig04_d_fraction,
-    expt_fig06_memory_vs_sg,
-    expt_fig07_threshold_sweep,
-    expt_fig08_head_tail_load,
-    expt_fig09_d_vs_optimal,
-    expt_fig11_realworld,
-    expt_fig12_time_series,
-    expt_fig14_latency,
-    expt_ablation_sensitivity,
+    table1_datasets,
+    fig01_wp_scale,
+    fig03_head_cardinality,
+    fig04_d_fraction,
+    fig06_memory_vs_sg,
+    fig07_threshold_sweep,
+    fig08_head_tail_load,
+    fig09_d_vs_optimal,
+    fig11_realworld,
+    fig12_time_series,
+    ablation_sensitivity,
 );
 
-/// Parses whitespace-separated data rows that follow the header line
-/// starting with `header`, returning one Vec of columns per row (rows end
-/// at the first `#`-prefixed footer line).
+/// Every table whose header line starts with `header`: the whitespace-split
+/// data rows under each header, up to the next `#`-prefixed line (a footer
+/// or section title) or the next header.
+fn tables_after(stdout: &str, header: &str) -> Vec<Vec<Vec<String>>> {
+    let mut tables = Vec::new();
+    let mut current: Option<Vec<Vec<String>>> = None;
+    for line in stdout.lines().map(str::trim_start) {
+        if line.starts_with(header) || line.starts_with('#') {
+            tables.extend(current.take());
+            if line.starts_with(header) {
+                current = Some(Vec::new());
+            }
+        } else if let Some(rows) = current.as_mut().filter(|_| !line.is_empty()) {
+            rows.push(line.split_whitespace().map(str::to_string).collect());
+        }
+    }
+    tables.extend(current);
+    tables
+}
+
+/// The data rows of the first table whose header starts with `header`.
 fn table_rows_after(stdout: &str, header: &str) -> Vec<Vec<String>> {
-    stdout
-        .lines()
-        .skip_while(|l| !l.trim_start().starts_with(header))
-        .skip(1)
-        .take_while(|l| !l.trim_start().starts_with('#'))
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| l.split_whitespace().map(str::to_string).collect())
-        .collect()
+    let mut tables = tables_after(stdout, header);
+    assert!(
+        !tables.is_empty(),
+        "no table headed {header:?} in:\n{stdout}"
+    );
+    tables.swap_remove(0)
 }
 
 /// Most experiment tables lead with a `scheme` column.
@@ -84,12 +100,21 @@ fn table_rows(stdout: &str) -> Vec<Vec<String>> {
     table_rows_after(stdout, "scheme")
 }
 
+/// Figures 13 and 14 print from one set of engine runs: two tables, one
+/// row per (scheme, skew) run each, in the same order.
 #[test]
-fn expt_fig13_throughput_preserves_imbalance_ordering() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_expt_fig13_throughput"));
+fn fig13_14_preserves_imbalance_ordering_over_one_set_of_runs() {
+    let stdout = run_smoke("fig13_14");
+    let tables = tables_after(&stdout, "scheme");
+    assert_eq!(
+        tables.len(),
+        2,
+        "expected the throughput and latency tables:\n{stdout}"
+    );
+    let (throughput, latency) = (&tables[0], &tables[1]);
     // Columns: scheme skew throughput imbalance elapsed.
     let mut imbalance: HashMap<(String, String), f64> = HashMap::new();
-    for row in table_rows(&stdout) {
+    for row in throughput {
         assert_eq!(row.len(), 5, "unexpected fig13 row: {row:?}");
         let value: f64 = row[3].parse().expect("imbalance parses");
         assert!(value >= 0.0);
@@ -97,6 +122,23 @@ fn expt_fig13_throughput_preserves_imbalance_ordering() {
         assert!(throughput > 0.0, "zero throughput in {row:?}");
         imbalance.insert((row[0].clone(), row[1].clone()), value);
     }
+    assert_eq!(throughput.len(), 15, "5 schemes × 3 skews:\n{stdout}");
+    // Columns: scheme skew max-avg p50 p95 p99, in µs.
+    for row in latency {
+        assert_eq!(row.len(), 6, "unexpected fig14 row: {row:?}");
+        for cell in &row[2..] {
+            let us: f64 = cell.parse().expect("latency parses");
+            assert!(us > 0.0, "zero latency in {row:?}");
+        }
+    }
+    let runs = |table: &[Vec<String>]| -> Vec<(String, String)> {
+        table.iter().map(|r| (r[0].clone(), r[1].clone())).collect()
+    };
+    assert_eq!(
+        runs(throughput),
+        runs(latency),
+        "the two figures must list the same runs in the same order"
+    );
     let get = |scheme: &str, skew: &str| {
         *imbalance
             .get(&(scheme.to_string(), skew.to_string()))
@@ -119,8 +161,8 @@ fn expt_fig13_throughput_preserves_imbalance_ordering() {
 }
 
 #[test]
-fn expt_fig10_zipf_grid_w_choices_wins_the_hardest_cell() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_expt_fig10_zipf_grid"));
+fn fig10_zipf_grid_w_choices_wins_the_hardest_cell() {
+    let stdout = run_smoke("fig10_zipf_grid");
     // Columns: scheme keys workers skew I(m) mean-I(t), in sci notation.
     let rows = table_rows(&stdout);
     assert!(!rows.is_empty(), "fig10 table empty");
@@ -146,8 +188,8 @@ fn expt_fig10_zipf_grid_w_choices_wins_the_hardest_cell() {
 }
 
 #[test]
-fn expt_fig05_memory_overhead_is_bounded_and_ordered() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_expt_fig05_memory_vs_pkg"));
+fn fig05_memory_overhead_is_bounded_and_ordered() {
+    let stdout = run_smoke("fig05_memory_vs_pkg");
     // Columns: skew workers scheme vs-PKG-%. This table's header starts
     // with `skew`, not `scheme`.
     let rows = table_rows_after(&stdout, "skew");
@@ -164,7 +206,7 @@ fn expt_fig05_memory_overhead_is_bounded_and_ordered() {
     }
 }
 
-/// Shared checker for the scenario bins' tables: collects imbalance by
+/// Shared checker for the scenario experiments' tables: collects imbalance by
 /// `(scheme, phase)` from a table whose first two columns are scheme and
 /// phase, with the imbalance in `column` (sci notation).
 fn scenario_imbalances(stdout: &str, column: usize) -> HashMap<(String, String), f64> {
@@ -186,8 +228,8 @@ fn lookup(map: &HashMap<(String, String), f64>, scheme: &str, phase: &str) -> f6
 }
 
 #[test]
-fn expt_scenarios_drift_orders_schemes_per_phase() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_expt_scenarios_drift"));
+fn scenarios_drift_orders_schemes_per_phase() {
+    let stdout = run_smoke("scenarios_drift");
     // Columns: scheme phase skew drift workers imbalance.
     let imb = scenario_imbalances(&stdout, 5);
     // Skewed phases (0: static z=2.0, 2: drifting z=1.4): key splitting
@@ -221,8 +263,8 @@ fn expt_scenarios_drift_orders_schemes_per_phase() {
 }
 
 #[test]
-fn expt_scenarios_hetero_surfaces_slow_workers_in_the_weighted_metric() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_expt_scenarios_hetero"));
+fn scenarios_hetero_surfaces_slow_workers_in_the_weighted_metric() {
+    let stdout = run_smoke("scenarios_hetero");
     // Columns: scheme phase skew speeds imbalance weighted-I.
     let plain = scenario_imbalances(&stdout, 4);
     let weighted = scenario_imbalances(&stdout, 5);
@@ -259,8 +301,8 @@ fn expt_scenarios_hetero_surfaces_slow_workers_in_the_weighted_metric() {
 }
 
 #[test]
-fn expt_scenarios_scaleout_keeps_orderings_and_matches_the_exact_reference() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_expt_scenarios_scaleout"));
+fn scenarios_scaleout_keeps_orderings_and_matches_the_exact_reference() {
+    let stdout = run_smoke("scenarios_scaleout");
     // Columns: scheme phase skew workers imbalance weighted-I.
     let imb = scenario_imbalances(&stdout, 4);
     // Skewed phases — including phase 2, which runs on the scaled-out
@@ -294,8 +336,8 @@ fn expt_scenarios_scaleout_keeps_orderings_and_matches_the_exact_reference() {
 }
 
 #[test]
-fn expt_elasticity_controller_acts_where_it_can() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_expt_elasticity"));
+fn elasticity_controller_acts_where_it_can() {
+    let stdout = run_smoke("elasticity");
     // Columns: scheme static_imb online_imb out in retune workers.
     let mut retunes = Vec::new();
     for line in stdout.lines().skip(4) {
@@ -330,12 +372,12 @@ fn expt_elasticity_controller_acts_where_it_can() {
 }
 
 #[test]
-fn expt_fig15_aggregation_accounting_is_exact() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_expt_fig15_aggregation_cost"));
+fn fig15_aggregation_accounting_is_exact() {
+    let stdout = run_smoke("fig15_aggregation_cost");
     // Columns: scheme window aggs tuples/s windows partials p50 p99.
     let rows = table_rows(&stdout);
     assert!(!rows.is_empty(), "fig15 table empty");
-    // The binary runs the smoke engine topology; read its worker count
+    // The experiment runs the smoke engine topology; read its worker count
     // rather than hardcoding it.
     let workers =
         slb_engine::EngineConfig::smoke(slb_core::PartitionerKind::Pkg, 2.0).workers as u64;
@@ -357,33 +399,82 @@ fn expt_fig15_aggregation_accounting_is_exact() {
 }
 
 #[test]
-fn expt_binaries_emit_json_via_the_env_hook() {
-    // The SLB_BENCH_JSON_DIR hook must mirror a binary's printed rows into
-    // EXPT_<experiment>.json. One cheap solver-only binary stands in for
-    // the fleet — every binary goes through the same `json::Table::emit`.
+fn tables_are_mirrored_to_json_via_the_env_hook() {
+    // The SLB_BENCH_JSON_DIR hook must mirror an experiment's printed rows
+    // into EXPT_<table>.json. One cheap solver-only experiment stands in for
+    // the rest — every table goes through the same `Table::emit`.
     let dir = std::env::temp_dir().join(format!("slb-golden-json-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create json dir");
-    let output = Command::new(env!("CARGO_BIN_EXE_expt_fig04_d_fraction"))
-        .args(["--scale", "smoke"])
+    let output = Command::new(env!("CARGO_BIN_EXE_expt"))
+        .args(["fig04_d_fraction", "--scale", "smoke"])
         .env("SLB_BENCH_JSON_DIR", &dir)
         .output()
-        .expect("spawn expt_fig04_d_fraction");
+        .expect("spawn expt fig04_d_fraction");
     assert!(output.status.success());
     let body =
         std::fs::read_to_string(dir.join("EXPT_fig04_d_fraction.json")).expect("JSON file written");
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        body.starts_with("{\"experiment\":\"fig04_d_fraction\""),
-        "unexpected JSON head: {body}"
+    let document = Value::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    assert_eq!(
+        document.get("experiment").and_then(Value::as_str),
+        Some("fig04_d_fraction")
     );
-    assert!(
-        body.contains("\"columns\":[\"skew\",\"workers\",\"d\",\"fraction\"]"),
-        "missing column list: {body}"
-    );
-    // Row objects are keyed by column name; the printed table is non-empty.
-    assert!(body.contains("\"rows\":[{\"skew\":"), "no rows: {body}");
+    let columns: Vec<&str> = document
+        .get("columns")
+        .and_then(Value::as_arr)
+        .expect("a column list")
+        .iter()
+        .map(|c| c.as_str().expect("column names are strings"))
+        .collect();
+    assert_eq!(columns, ["skew", "workers", "d", "fraction"]);
+    // Row objects are keyed by column name, every column in every row.
+    let rows = document.get("rows").and_then(Value::as_arr).expect("rows");
+    assert!(!rows.is_empty(), "no rows: {body}");
+    for row in rows {
+        let keys: Vec<&str> = row
+            .as_obj()
+            .expect("a row is an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, columns, "row {row}");
+    }
 
-    // The JSON mirror is additive: the human-readable table still prints.
+    // The JSON mirror is additive: the human-readable table still prints,
+    // one line per recorded row.
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("d/n"), "table still printed:\n{stdout}");
+    assert_eq!(
+        table_rows_after(&stdout, "skew").len(),
+        rows.len(),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn help_lists_every_experiment_and_an_unknown_name_exits_2_with_the_list() {
+    let expt = || Command::new(env!("CARGO_BIN_EXE_expt"));
+    let help = expt().arg("--help").output().expect("spawn expt --help");
+    assert!(help.status.success());
+    let refused = expt().arg("fig13_throughput").output().expect("spawn expt");
+    assert_eq!(refused.status.code(), Some(2));
+    let no_name = expt().output().expect("spawn expt");
+    assert_eq!(no_name.status.code(), Some(2));
+    let bad_flag = expt()
+        .args(["fig04_d_fraction", "--sclae", "smoke"])
+        .output();
+    assert_eq!(bad_flag.expect("spawn expt").status.code(), Some(2));
+    let (listed, stderr) = (
+        String::from_utf8_lossy(&help.stdout),
+        String::from_utf8_lossy(&refused.stderr),
+    );
+    for (name, _) in slb_bench::EXPERIMENTS {
+        assert!(
+            listed.lines().any(|l| l.trim() == *name),
+            "{name}:\n{listed}"
+        );
+        assert!(
+            stderr.lines().any(|l| l.trim() == *name),
+            "{name}:\n{stderr}"
+        );
+    }
 }

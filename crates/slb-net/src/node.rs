@@ -792,7 +792,6 @@ impl Node {
     fn aggregator(&self, mut control: ControlLoop, listener: TcpListener) -> Result<(), String> {
         let (index, epoch, plan, hop) = (self.index, self.epoch, &self.plan, &self.hop);
         let incoming = accept_peers(&listener, plan.spawned_workers, CONTROL_TIMEOUT)?;
-        let capacity = partial_channel_capacity(plan.spawned_workers);
         let (forward, exclusions) = mpsc::channel();
         let forward = move |frame| {
             if let ControlFrame::Exclude { worker } = frame {
@@ -800,25 +799,18 @@ impl Node {
             }
         };
         control.on_frame = Box::new(forward);
-        let (receiver, attach) =
-            TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity)
-                .map_err(|e| io_err("creating the attach wake-up pair", e))?;
+        let (receiver, attach) = TcpPartialReceiver::<CountPartial>::spawn_attachable(
+            incoming,
+            epoch,
+            AGGREGATOR_RECEIVE_BATCH,
+        )
+        .map_err(|e| io_err("creating the attach wake-up pair", e))?;
         listener
             .set_nonblocking(true)
             .map_err(|e| io_err("setting data listener non-blocking", e))?;
         control.late = Some((listener, attach));
-        let (mut back, report) = control.beside(|| {
-            let mut report =
-                run_aggregator_stage(plan, index, &CountAggregate, &receiver, &exclusions, hop);
-            // Until `Release`, a respawned worker may re-ship a window this
-            // aggregator has finalized: take it as a duplicate, so its
-            // sender's credit wait ends, until the queue closes.
-            let mut late = Vec::new();
-            while receiver.recv_batch(&mut late) != Err(RecvError::Closed) {
-                report.duplicates_dropped += late.drain(..).len() as u64;
-            }
-            report
-        })?;
+        let (mut back, report) =
+            control.beside(|| aggregate_until_closed(plan, index, &receiver, &exclusions, hop))?;
         let snapshot = aggregator_final_snapshot(&report);
         let index = index as u32;
         back.finish(snapshot, &ControlFrame::AggregatorReport { index, report })?;
@@ -861,6 +853,31 @@ impl Node {
     }
 }
 
+/// The most partials an aggregator's receiver hands its stage at once: one.
+/// The stage leaves at the partial that completes its last window, and a
+/// partial handed over with it in the same batch would leave with the
+/// stage, uncounted — a respawned worker's re-ship queued behind it. One at
+/// a time, that re-ship stays queued for the drain after the stage.
+const AGGREGATOR_RECEIVE_BATCH: usize = 1;
+
+/// An aggregator's stage, then its drain: until `Release`, a respawned
+/// worker may re-ship a window this aggregator has finalized; each is taken
+/// as a duplicate, so its sender's credit wait ends, until the queue closes.
+fn aggregate_until_closed(
+    plan: &StagePlan,
+    index: usize,
+    receiver: &TcpPartialReceiver<CountPartial>,
+    exclusions: &mpsc::Receiver<usize>,
+    hop: &HopTelemetry,
+) -> AggregatorStageReport<CountPartial> {
+    let mut report = run_aggregator_stage(plan, index, &CountAggregate, receiver, exclusions, hop);
+    let mut late = Vec::new();
+    while receiver.recv_batch(&mut late) != Err(RecvError::Closed) {
+        report.duplicates_dropped += late.drain(..).len() as u64;
+    }
+    report
+}
+
 /// The hook that mirrors every checkpoint record a worker saves to its
 /// durable log, if it keeps one.
 fn persist_hook(
@@ -899,6 +916,54 @@ fn persist_hook(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use slb_core::WindowAggregate;
+    use slb_engine::{EngineConfig, PartialSender, PartialWindow};
+
+    /// A re-shipped partial that reaches an aggregator in the same read as
+    /// the partial completing its last window is counted as a duplicate:
+    /// it stays queued for the post-stage drain instead of leaving, unseen,
+    /// with the stage.
+    #[test]
+    fn a_reship_behind_the_last_windows_partial_is_a_counted_duplicate() {
+        let mut cfg = EngineConfig::smoke(slb_core::PartitionerKind::Pkg, 1.0)
+            .with_window_size(64)
+            .with_messages(64)
+            .with_aggregators(1);
+        cfg.sources = 1;
+        cfg.workers = 2;
+        let plan = cfg.stage_plan();
+        assert_eq!(plan.total_windows(), 1);
+        let epoch = Instant::now();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let worker = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let sender = TcpPartialSender::<CountPartial>::new(worker, epoch, 8);
+        // Worker 0's and worker 1's partials of the one window, then worker
+        // 1's re-ship, all on the wire before the stage reads any of them.
+        for worker in [0, 1, 1] {
+            let mut partial = CountAggregate.empty();
+            CountAggregate.observe(&mut partial, &7, 1);
+            let closed_at = Instant::now();
+            let copy = PartialWindow {
+                window: 0,
+                worker,
+                partial,
+                closed_at,
+            };
+            sender.send(copy).unwrap();
+        }
+        let incoming = vec![listener.accept().unwrap().0];
+        let receiver = TcpPartialReceiver::spawn(incoming, epoch, AGGREGATOR_RECEIVE_BATCH);
+        // The sender's drop waits for its credits, which the drain pays.
+        let dropper = thread::spawn(move || drop(sender));
+        let (_, exclusions) = mpsc::channel();
+        let report =
+            aggregate_until_closed(&plan, 0, &receiver, &exclusions, &HopTelemetry::default());
+        dropper.join().unwrap();
+        assert_eq!(report.merged, 2);
+        assert_eq!(report.finalized[&0][&7], 2);
+        assert_eq!(report.duplicates_dropped, 1);
+    }
 
     /// A `Release` that arrived in the same read as `Start` is already in
     /// the connection's buffer, where `poll` cannot see it: the loop serves

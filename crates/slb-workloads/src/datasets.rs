@@ -230,7 +230,7 @@ impl Dataset for SyntheticDataset {
 }
 
 /// Returns the Table I rows for all four datasets at paper scale, used by the
-/// `expt_table1_datasets` harness.
+/// `table1_datasets` experiment of the `expt` binary.
 pub fn table1_rows() -> Vec<DatasetStats> {
     vec![
         SyntheticDataset::wikipedia_like(Scale::Paper, 0).stats(),
