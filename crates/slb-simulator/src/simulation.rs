@@ -221,17 +221,22 @@ impl Simulator {
             .filter(|(_, c)| *c as f64 / total >= theta)
             .map(|(k, _)| *k)
             .collect();
-        let mut head = vec![0.0; self.config.workers];
-        let mut tail = vec![0.0; self.config.workers];
+        // Integer sums, one division each: adding `f64` shares in the
+        // `HashMap`'s per-process order would move the last digits.
+        let mut head = vec![0u64; self.config.workers];
+        let mut tail = vec![0u64; self.config.workers];
         for (&(key, worker), &count) in counts {
-            let share = count as f64 / total;
             if head_keys.contains(&key) {
-                head[worker] += share;
+                head[worker] += count;
             } else {
-                tail[worker] += share;
+                tail[worker] += count;
             }
         }
-        Some(HeadTailLoad { head, tail })
+        let shares = |sums: Vec<u64>| sums.into_iter().map(|c| c as f64 / total).collect();
+        Some(HeadTailLoad {
+            head: shares(head),
+            tail: shares(tail),
+        })
     }
 }
 
@@ -303,6 +308,46 @@ mod tests {
         // z = 1.8 over 500 keys: the head carries most of the load.
         assert!(head_total > 0.5, "head share {head_total}");
         assert_eq!(ht.head.len(), 5);
+    }
+
+    /// Each head / tail share is the worker's integer count over the total,
+    /// divided once: summing per-pair `f64` shares in a `HashMap`'s order
+    /// differed in the last bits between two processes at the same seed.
+    #[test]
+    fn head_tail_shares_are_integer_sums_divided_once() {
+        let (workers, messages) = (5, 100_000u64);
+        let config = SimulationConfig::new(PartitionerKind::RoundRobin, workers)
+            .with_partition(
+                PartitionConfig::new(workers)
+                    .with_threshold(slb_core::HeadThreshold::new(1.0, 8.0)),
+            )
+            .with_placement_tracking(true);
+        let theta = config.partition.theta();
+        let mut sim = Simulator::new(config);
+        let mut routed = Vec::new();
+        let mut stream = zipf_stream(10_000, 1.2, 17, messages);
+        while let Some(key) = KeyStream::next_key(&mut stream) {
+            routed.push((key, sim.process(key)));
+        }
+        let mut frequency: HashMap<KeyId, u64> = HashMap::new();
+        for &(key, _) in &routed {
+            *frequency.entry(key).or_default() += 1;
+        }
+        let (mut head, mut tail) = (vec![0u64; workers], vec![0u64; workers]);
+        for &(key, worker) in &routed {
+            if frequency[&key] as f64 / messages as f64 >= theta {
+                head[worker] += 1;
+            } else {
+                tail[worker] += 1;
+            }
+        }
+        let ht = sim.finish().head_tail.expect("tracking enabled");
+        for w in 0..workers {
+            assert!(head[w] > 0 && tail[w] > 0, "worker {w}: {head:?} {tail:?}");
+            let expected = |count: u64| (count as f64 / messages as f64).to_bits();
+            assert_eq!(ht.head[w].to_bits(), expected(head[w]), "head of {w}");
+            assert_eq!(ht.tail[w].to_bits(), expected(tail[w]), "tail of {w}");
+        }
     }
 
     #[test]
