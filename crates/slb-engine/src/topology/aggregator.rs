@@ -30,9 +30,11 @@ pub struct AggregatorStageReport<P> {
     pub merged: u64,
     /// Partial-window messages dropped because their `(worker, window)` had
     /// already contributed — a recovered worker re-shipping a partial. Zero
-    /// on a fault-free run, and zero even under kill faults (checkpoints at
-    /// finalization mean closed windows are never re-finalized); the dedup
-    /// is the aggregator's own exactly-once guarantee regardless.
+    /// on a fault-free run. In process it stays zero under kill faults too;
+    /// across processes a worker killed between shipping a window's partial
+    /// and persisting its close re-ships that partial once respawned, and
+    /// the copy lands here (`slb-node --crash-worker` reads exactly 1). The
+    /// dedup is the aggregator's own exactly-once guarantee regardless.
     pub duplicates_dropped: u64,
     /// Transport-level receive errors survived (a malformed frame or a
     /// failed read instead of a clean EOF — e.g. a SIGKILLed worker's
@@ -56,10 +58,12 @@ pub struct AggregatorStageReport<P> {
 /// `(worker, window)` partial (a recovered worker re-shipping) is dropped,
 /// never double-merged.
 ///
-/// The stage returns as soon as the last window it owns has finalized — at
-/// once when it owns none — not at an EOF: a worker's connection (or, under
-/// a respawn, the listener accepting reconnections) may outlive the stage
-/// on purpose.
+/// The stage returns once the receive that finalized the last window it
+/// owns has been worked through — at once when it owns none — not at an
+/// EOF: a worker's connection (or, under a respawn, the listener accepting
+/// reconnections) may outlive the stage on purpose. A partial that came in
+/// the same receive as the last window's completing one is still merged,
+/// counted or shed like any other.
 ///
 /// `exclusions` is the one per-role argument: the workers a supervisor gave
 /// up on. An exclusion drops a permanently dead worker from every
@@ -102,7 +106,7 @@ where
     let mut open: HashMap<WindowId, (A::Partial, Vec<bool>, usize)> = HashMap::new();
     let mut finalized: BTreeMap<WindowId, A::Partial> = BTreeMap::new();
     let mut drained: Vec<PartialWindow<A::Partial>> = Vec::new();
-    'recv: while finalized.len() < owned_windows {
+    while finalized.len() < owned_windows {
         // Serve supervisor exclusions between receive rounds: the stage
         // drains them without blocking, then blocks on the data queue. The
         // orchestrator follows every Exclude broadcast with data-side
@@ -177,9 +181,6 @@ where
                 let (partial, _, _) = open.remove(&pw.window).expect("window is open");
                 finalized.insert(pw.window, partial);
                 trace.push(trace_kind::WINDOW_CLOSE, pw.window, 0, 0);
-                if finalized.len() == owned_windows {
-                    break 'recv;
-                }
             }
         }
     }
@@ -367,6 +368,43 @@ mod tests {
             vec![0, 2]
         );
         assert_eq!(strayed.finalized, clean.finalized);
+    }
+
+    /// A partial queued behind the one that completes the stage's last
+    /// window, in the same receive, is worked through before the stage
+    /// returns: worker 1's re-ship of window 0 is a counted duplicate.
+    #[test]
+    fn a_partial_in_the_last_windows_batch_is_not_dropped() {
+        let aggregate = CountAggregate;
+        let mut cfg = EngineConfig::smoke(PartitionerKind::Pkg, 1.0)
+            .with_window_size(64)
+            .with_messages(64)
+            .with_aggregators(1);
+        cfg.sources = 1;
+        cfg.workers = 2;
+        let plan = cfg.stage_plan();
+        assert_eq!(plan.total_windows(), 1);
+        let (sender, receiver) = crossbeam_channel::bounded(8);
+        for worker in [0, 1, 1] {
+            let mut partial = aggregate.empty();
+            aggregate.observe(&mut partial, &7, 1);
+            let closed_at = Instant::now();
+            sender
+                .send(PartialWindow {
+                    window: 0,
+                    worker,
+                    partial,
+                    closed_at,
+                })
+                .expect("the queue holds the script");
+        }
+        let (_, exclusions) = mpsc::channel();
+        let hop = HopTelemetry::default();
+        let report = run_aggregator_stage(&plan, 0, &aggregate, &receiver, &exclusions, &hop);
+        assert_eq!(report.merged, 2);
+        assert_eq!(report.finalized[&0][&7], 2);
+        assert_eq!(report.duplicates_dropped, 1);
+        drop(sender);
     }
 
     /// With nobody to exclude a worker and the data channel left open, the

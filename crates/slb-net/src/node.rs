@@ -799,12 +799,10 @@ impl Node {
             }
         };
         control.on_frame = Box::new(forward);
-        let (receiver, attach) = TcpPartialReceiver::<CountPartial>::spawn_attachable(
-            incoming,
-            epoch,
-            AGGREGATOR_RECEIVE_BATCH,
-        )
-        .map_err(|e| io_err("creating the attach wake-up pair", e))?;
+        let capacity = partial_channel_capacity(plan.spawned_workers);
+        let (receiver, attach) =
+            TcpPartialReceiver::<CountPartial>::spawn_attachable(incoming, epoch, capacity)
+                .map_err(|e| io_err("creating the attach wake-up pair", e))?;
         listener
             .set_nonblocking(true)
             .map_err(|e| io_err("setting data listener non-blocking", e))?;
@@ -853,16 +851,11 @@ impl Node {
     }
 }
 
-/// The most partials an aggregator's receiver hands its stage at once: one.
-/// The stage leaves at the partial that completes its last window, and a
-/// partial handed over with it in the same batch would leave with the
-/// stage, uncounted — a respawned worker's re-ship queued behind it. One at
-/// a time, that re-ship stays queued for the drain after the stage.
-const AGGREGATOR_RECEIVE_BATCH: usize = 1;
-
 /// An aggregator's stage, then its drain: until `Release`, a respawned
 /// worker may re-ship a window this aggregator has finalized; each is taken
 /// as a duplicate, so its sender's credit wait ends, until the queue closes.
+/// A connection that tears after the stage has left is counted in
+/// `transport_errors`, as the stage counts one that tears before.
 fn aggregate_until_closed(
     plan: &StagePlan,
     index: usize,
@@ -872,10 +865,13 @@ fn aggregate_until_closed(
 ) -> AggregatorStageReport<CountPartial> {
     let mut report = run_aggregator_stage(plan, index, &CountAggregate, receiver, exclusions, hop);
     let mut late = Vec::new();
-    while receiver.recv_batch(&mut late) != Err(RecvError::Closed) {
-        report.duplicates_dropped += late.drain(..).len() as u64;
+    loop {
+        match receiver.recv_batch(&mut late) {
+            Ok(_) => report.duplicates_dropped += late.drain(..).len() as u64,
+            Err(RecvError::Transport(_)) => report.transport_errors += 1,
+            Err(RecvError::Closed) => return report,
+        }
     }
-    report
 }
 
 /// The hook that mirrors every checkpoint record a worker saves to its
@@ -921,9 +917,8 @@ mod tests {
     use slb_engine::{EngineConfig, PartialSender, PartialWindow};
 
     /// A re-shipped partial that reaches an aggregator in the same read as
-    /// the partial completing its last window is counted as a duplicate:
-    /// it stays queued for the post-stage drain instead of leaving, unseen,
-    /// with the stage.
+    /// the partial completing its last window is counted as a duplicate,
+    /// not carried off, unseen, by the stage leaving.
     #[test]
     fn a_reship_behind_the_last_windows_partial_is_a_counted_duplicate() {
         let mut cfg = EngineConfig::smoke(slb_core::PartitionerKind::Pkg, 1.0)
@@ -953,7 +948,8 @@ mod tests {
             sender.send(copy).unwrap();
         }
         let incoming = vec![listener.accept().unwrap().0];
-        let receiver = TcpPartialReceiver::spawn(incoming, epoch, AGGREGATOR_RECEIVE_BATCH);
+        let capacity = partial_channel_capacity(plan.spawned_workers);
+        let receiver = TcpPartialReceiver::spawn(incoming, epoch, capacity);
         // The sender's drop waits for its credits, which the drain pays.
         let dropper = thread::spawn(move || drop(sender));
         let (_, exclusions) = mpsc::channel();
@@ -963,6 +959,62 @@ mod tests {
         assert_eq!(report.merged, 2);
         assert_eq!(report.finalized[&0][&7], 2);
         assert_eq!(report.duplicates_dropped, 1);
+    }
+
+    /// A connection that tears (half a frame, then a close) after the stage
+    /// has left is counted by the drain: the report holds every transport
+    /// error, whether the stage or the drain read it.
+    #[test]
+    fn a_connection_torn_after_the_last_window_is_a_counted_transport_error() {
+        let mut cfg = EngineConfig::smoke(slb_core::PartitionerKind::Pkg, 1.0)
+            .with_window_size(64)
+            .with_messages(64)
+            .with_aggregators(1);
+        cfg.sources = 1;
+        cfg.workers = 2;
+        let plan = cfg.stage_plan();
+        assert_eq!(plan.total_windows(), 1);
+        let epoch = Instant::now();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (worker, mut torn) = (TcpStream::connect(addr), TcpStream::connect(addr));
+        let (worker, incoming) = (worker.unwrap(), accept_peers(&listener, 2, CONTROL_TIMEOUT));
+        let capacity = partial_channel_capacity(plan.spawned_workers);
+        let receiver = TcpPartialReceiver::spawn(incoming.unwrap(), epoch, capacity);
+        let hop = Arc::new(HopTelemetry::default());
+        let stage_hop = Arc::clone(&hop);
+        let aggregator = thread::spawn(move || {
+            let (_, exclusions) = mpsc::channel();
+            aggregate_until_closed(&plan, 0, &receiver, &exclusions, &stage_hop)
+        });
+        let sender = TcpPartialSender::<CountPartial>::new(worker, epoch, 8);
+        for worker in [0, 1] {
+            let mut partial = CountAggregate.empty();
+            CountAggregate.observe(&mut partial, &7, 1);
+            let closed_at = Instant::now();
+            let copy = PartialWindow {
+                window: 0,
+                worker,
+                partial,
+                closed_at,
+            };
+            sender.send(copy).unwrap();
+        }
+        // Both partials handed over: the stage has finalized its one window
+        // and receives no more; what follows reaches the drain only.
+        while hop.tuples_received.get() < 2 {
+            thread::yield_now();
+        }
+        let announced_eight_bytes = [8, 0, 0, 0, 1, 2];
+        torn.as_mut()
+            .unwrap()
+            .write_all(&announced_eight_bytes)
+            .unwrap();
+        drop(torn);
+        drop(sender);
+        let report = aggregator.join().unwrap();
+        assert_eq!(report.merged, 2);
+        assert_eq!(report.transport_errors, 1);
     }
 
     /// A `Release` that arrived in the same read as `Start` is already in

@@ -215,8 +215,9 @@ pub struct RecoveryMetrics {
     pub duplicates_dropped: u64,
     /// Replay requests issued upstream (gap detected or post-crash resume).
     pub replay_requests: u64,
-    /// Transport-level receive errors survived (a reader thread reporting a
-    /// malformed frame or failed read instead of a clean EOF), plus
+    /// Transport-level receive errors survived (a connection that delivered
+    /// a malformed frame, failed a read or ended inside a frame, as the
+    /// stage's own receive reported it, instead of a clean EOF), plus
     /// well-formed messages shed for naming a source or worker outside the
     /// plan. Zero on a healthy run; nonzero means a peer died mid-frame (or
     /// a stray one wrote to a data port) and the stage kept going on the
