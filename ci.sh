@@ -296,6 +296,14 @@ if grep -rn 'JsonValue' crates; then
     exit 1
 fi
 
+echo "==> each figure is computed where it is printed: slb-simulator has no experiments module"
+if ls crates/slb-simulator/src | grep -xE 'experiments(\.rs)?' ||
+    grep -rnE '\bmod experiments\b' crates/slb-simulator/src ||
+    grep -rnE '(slb_simulator|slb::simulator)::(experiments\b|\{[^}]*\bexperiments\b)' crates src tests examples; then
+    echo "an expt experiment computes its cells and hands them to Table::row; slb-simulator keeps simulation, scenario and metrics"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -2,12 +2,14 @@
 //! exact Zipf distribution, the FINDOPTIMALCHOICES solver and the replica
 //! model of Section IV-B.
 
-use slb_simulator::experiments::{
-    d_fraction_vs_skew, head_cardinality_vs_skew, memory_overhead_vs_skew, MemoryRow,
-};
+use slb_core::{relative_overhead_pct, HeadThreshold, MemoryScheme};
+use slb_workloads::zipf::ZipfDistribution;
 
 use crate::table::{fixed, int, text, Table};
-use crate::{print_header, ExperimentOptions};
+use crate::{print_header, zipf_head, ExperimentOptions};
+
+/// The key-space size of Figures 3–6, |K| = 10⁴.
+const KEYS: usize = 10_000;
 
 /// Figure 3: number of keys in the head of the distribution.
 ///
@@ -16,7 +18,6 @@ use crate::{print_header, ExperimentOptions};
 /// (the paper plots n = 50 and n = 100 together; we print both).
 pub fn fig03_head_cardinality(o: &ExperimentOptions) {
     print_header("Figure 3", "Cardinality of the head vs skew (|K|=10^4)", o);
-    let rows = head_cardinality_vs_skew(&[50, 100], 10_000, &o.scale.skew_sweep());
     let mut table = Table::new(
         "fig03_head_cardinality",
         &[
@@ -26,11 +27,19 @@ pub fn fig03_head_cardinality(o: &ExperimentOptions) {
             int("cardinality", 12),
         ],
     );
-    for row in &rows {
-        table.row(&[&row.skew, &row.workers, &row.threshold, &row.cardinality]);
+    let thresholds = [HeadThreshold::new(1.0, 5.0), HeadThreshold::new(2.0, 1.0)];
+    let mut max_card = 0;
+    for z in o.scale.skew_sweep() {
+        let dist = ZipfDistribution::new(KEYS, z);
+        for workers in [50usize, 100] {
+            for t in &thresholds {
+                let cardinality = dist.head_cardinality(t.frequency(workers));
+                table.row(&[&z, &workers, &t.label(), &cardinality]);
+                max_card = max_card.max(cardinality);
+            }
+        }
     }
     table.emit(o.json_dir.as_deref());
-    let max_card = rows.iter().map(|r| r.cardinality).max().unwrap_or(0);
     println!("# maximum head cardinality across the sweep: {max_card} keys");
     println!("# (the paper's Figure 3 peaks below ~70 keys for these settings)");
 }
@@ -42,7 +51,6 @@ pub fn fig03_head_cardinality(o: &ExperimentOptions) {
 /// ε = 10⁻⁴ as in the paper.
 pub fn fig04_d_fraction(o: &ExperimentOptions) {
     print_header("Figure 4", "Fraction of workers d/n used by D-C vs skew", o);
-    let rows = d_fraction_vs_skew(&[5, 10, 50, 100], 10_000, &o.scale.skew_sweep(), 1e-4);
     let mut table = Table::new(
         "fig04_d_fraction",
         &[
@@ -52,20 +60,23 @@ pub fn fig04_d_fraction(o: &ExperimentOptions) {
             fixed("fraction", 10, 3),
         ],
     );
-    for row in &rows {
-        table.row(&[&row.skew, &row.workers, &row.d, &row.fraction]);
-    }
-    table.emit(o.json_dir.as_deref());
-
     // The paper's observation: at larger scales (n = 50, 100) the fraction
     // d/n stays clearly below 1 even at high skew.
-    for n in [50usize, 100] {
-        let max_fraction = rows
-            .iter()
-            .filter(|r| r.workers == n)
-            .map(|r| r.fraction)
-            .fold(0.0f64, f64::max);
-        println!("# n={n}: maximum d/n over the sweep = {max_fraction:.3}");
+    let mut max_fraction = [(50, 0.0f64), (100, 0.0)];
+    for z in o.scale.skew_sweep() {
+        let dist = ZipfDistribution::new(KEYS, z);
+        for workers in [5usize, 10, 50, 100] {
+            let (_, d) = zipf_head(&dist, workers);
+            let fraction = d as f64 / workers as f64;
+            table.row(&[&z, &workers, &d, &fraction]);
+            if let Some((_, max)) = max_fraction.iter_mut().find(|(n, _)| *n == workers) {
+                *max = max.max(fraction);
+            }
+        }
+    }
+    table.emit(o.json_dir.as_deref());
+    for (n, max) in max_fraction {
+        println!("# n={n}: maximum d/n over the sweep = {max:.3}");
     }
 }
 
@@ -77,7 +88,7 @@ pub fn fig04_d_fraction(o: &ExperimentOptions) {
 /// and D-C consistently below W-C.
 pub fn fig05_memory_vs_pkg(o: &ExperimentOptions) {
     print_header("Figure 5", "Memory overhead w.r.t. PKG (%) vs skew", o);
-    let overheads = memory_overhead(o, "fig05_memory_vs_pkg", "vs_pkg_pct", |r| r.vs_pkg_pct);
+    let overheads = memory_overhead(o, "fig05_memory_vs_pkg", "vs_pkg_pct", MemoryScheme::Pkg);
     let worst = overheads.into_iter().fold(0.0f64, f64::max);
     println!("# worst-case overhead vs PKG across the sweep: {worst:.1}%");
 }
@@ -89,20 +100,20 @@ pub fn fig05_memory_vs_pkg(o: &ExperimentOptions) {
 /// memory shuffle grouping needs (the paper reports at least ~80% savings).
 pub fn fig06_memory_vs_sg(o: &ExperimentOptions) {
     print_header("Figure 6", "Memory overhead w.r.t. SG (%) vs skew", o);
-    let overheads = memory_overhead(o, "fig06_memory_vs_sg", "vs_sg_pct", |r| r.vs_sg_pct);
+    let overheads = memory_overhead(o, "fig06_memory_vs_sg", "vs_sg_pct", MemoryScheme::Shuffle);
     let least_saving = overheads.into_iter().fold(f64::MIN, f64::max);
     println!("# smallest saving vs SG across the sweep: {least_saving:.1}%");
 }
 
-/// The replica-model table of Figures 5 and 6, against the baseline
-/// `overhead` picks; returns the printed overheads.
+/// The replica-model table of Figures 5 and 6: D-C's and W-C's overhead
+/// over `baseline`, in percent; returns the printed overheads.
 fn memory_overhead(
     o: &ExperimentOptions,
     name: &'static str,
     column: &'static str,
-    overhead: fn(&MemoryRow) -> f64,
+    baseline: MemoryScheme,
 ) -> Vec<f64> {
-    let rows = memory_overhead_vs_skew(&[50, 100], 10_000, 10_000_000, &o.scale.skew_sweep(), 1e-4);
+    let messages = 10_000_000u64;
     let mut table = Table::new(
         name,
         &[
@@ -112,9 +123,26 @@ fn memory_overhead(
             fixed(column, 14, 2),
         ],
     );
-    for row in &rows {
-        table.row(&[&row.skew, &row.workers, &row.scheme, &overhead(row)]);
+    let mut overheads = Vec::new();
+    for z in o.scale.skew_sweep() {
+        let dist = ZipfDistribution::new(KEYS, z);
+        let counts: Vec<u64> = dist
+            .probabilities()
+            .iter()
+            .map(|p| (p * messages as f64).round().max(0.0) as u64)
+            .collect();
+        for workers in [50usize, 100] {
+            let (head, d) = zipf_head(&dist, workers);
+            for (scheme, label) in [
+                (MemoryScheme::DChoices { d }, "D-C"),
+                (MemoryScheme::WChoices, "W-C"),
+            ] {
+                let overhead = relative_overhead_pct(&counts, head, workers, scheme, baseline);
+                table.row(&[&z, &workers, &label, &overhead]);
+                overheads.push(overhead);
+            }
+        }
     }
     table.emit(o.json_dir.as_deref());
-    rows.iter().map(overhead).collect()
+    overheads
 }

@@ -1,20 +1,57 @@
 //! The experiments on the real-world-like datasets: Table I and Figures 1,
 //! 11 and 12.
 
-use slb_core::PartitionerKind;
-use slb_simulator::experiments::{imbalance_over_time, imbalance_vs_workers, ExperimentScale};
+use slb_core::{PartitionConfig, PartitionerKind};
+use slb_simulator::{SimulationConfig, SimulationResult, Simulator};
 use slb_sketch::{ExactCounter, FrequencyEstimator};
 use slb_workloads::datasets::{table1_rows, Dataset, Scale, SyntheticDataset};
 
 use crate::table::{fixed, int, sci, text, Table};
-use crate::{print_header, ExperimentOptions};
+use crate::{print_header, ExperimentOptions, ExperimentScale};
 
-/// The schemes Figures 1 and 11 compare.
+/// The schemes Figures 1, 11 and 12 compare.
 const SCHEMES: [PartitionerKind; 3] = [
     PartitionerKind::Pkg,
     PartitionerKind::DChoices,
     PartitionerKind::WChoices,
 ];
+
+/// Replays `dataset` through `kind` over `workers` workers with the paper's
+/// partition defaults, sampling the imbalance `samples` times.
+fn replay(
+    dataset: &SyntheticDataset,
+    kind: PartitionerKind,
+    workers: usize,
+    samples: u64,
+) -> SimulationResult {
+    let partition = PartitionConfig::new(workers).with_seed(dataset.seed());
+    let config = SimulationConfig::new(kind, workers)
+        .with_partition(partition)
+        .with_checkpoint_interval((dataset.stats().messages / samples).max(1));
+    let mut stream = dataset.stream();
+    Simulator::run(config, stream.as_mut())
+}
+
+/// Figures 1 and 11 on one dataset: each of [`SCHEMES`] at 5–100 workers,
+/// every run handed to `row`. Returns PKG's and W-C's final imbalance at
+/// n = 50 and n = 100, which the figures' footers compare.
+fn imbalance_vs_workers(
+    dataset: &SyntheticDataset,
+    mut row: impl FnMut(&SimulationResult),
+) -> Vec<(usize, f64, f64)> {
+    let mut headline = Vec::new();
+    for workers in [5, 10, 20, 50, 100] {
+        let [pkg, _, wc] = SCHEMES.map(|kind| {
+            let result = replay(dataset, kind, workers, 40);
+            row(&result);
+            result.imbalance
+        });
+        if workers >= 50 {
+            headline.push((workers, pkg, wc));
+        }
+    }
+    headline
+}
 
 /// Table I: summary of the datasets used in the experiments.
 ///
@@ -102,7 +139,6 @@ pub fn fig01_wp_scale(o: &ExperimentOptions) {
         o,
     );
     let dataset = SyntheticDataset::wikipedia_like(o.scale.dataset_scale(), o.seed);
-    let rows = imbalance_vs_workers(&[dataset], &SCHEMES, &[5, 10, 20, 50, 100]);
     let mut table = Table::new(
         "fig01_wp_scale",
         &[
@@ -112,25 +148,13 @@ pub fn fig01_wp_scale(o: &ExperimentOptions) {
             sci("mean_imbalance", 14),
         ],
     );
-    for row in &rows {
-        table.row(&[
-            &row.scheme,
-            &row.workers,
-            &row.imbalance,
-            &row.mean_imbalance,
-        ]);
-    }
+    let headline = imbalance_vs_workers(&dataset, |r| {
+        table.row(&[&r.scheme, &r.workers, &r.imbalance, &r.mean_imbalance]);
+    });
     table.emit(o.json_dir.as_deref());
 
     // The headline comparison the paper draws from this figure.
-    for n in [50usize, 100] {
-        let find = |scheme: &str| {
-            rows.iter()
-                .find(|r| r.scheme == scheme && r.workers == n)
-                .expect("every scheme runs at every worker count")
-                .imbalance
-        };
-        let (pkg, wc) = (find("PKG"), find("W-C"));
+    for (n, pkg, wc) in headline {
         let reduction = if wc > 0.0 {
             (pkg / wc).round()
         } else {
@@ -144,8 +168,6 @@ pub fn fig01_wp_scale(o: &ExperimentOptions) {
 /// function of the number of workers, for PKG, D-C and W-C.
 pub fn fig11_realworld(o: &ExperimentOptions) {
     print_header("Figure 11", "Imbalance vs workers on WP, TW, CT", o);
-    let datasets = SyntheticDataset::real_world_suite(o.scale.dataset_scale(), o.seed);
-    let rows = imbalance_vs_workers(&datasets, &SCHEMES, &[5, 10, 20, 50, 100]);
     let mut table = Table::new(
         "fig11_realworld",
         &[
@@ -156,31 +178,27 @@ pub fn fig11_realworld(o: &ExperimentOptions) {
             sci("mean_imbalance", 14),
         ],
     );
-    for row in &rows {
-        table.row(&[
-            &row.dataset,
-            &row.scheme,
-            &row.workers,
-            &row.imbalance,
-            &row.mean_imbalance,
-        ]);
+    let mut footer = Vec::new();
+    for ds in SyntheticDataset::real_world_suite(o.scale.dataset_scale(), o.seed) {
+        let symbol = ds.stats().kind.symbol();
+        let headline = imbalance_vs_workers(&ds, |r| {
+            table.row(&[
+                &symbol,
+                &r.scheme,
+                &r.workers,
+                &r.imbalance,
+                &r.mean_imbalance,
+            ]);
+        });
+        for (n, pkg, wc) in headline {
+            footer.push(format!(
+                "# {symbol} at n={n}: PKG {pkg:.3e} vs W-C {wc:.3e}"
+            ));
+        }
     }
     table.emit(o.json_dir.as_deref());
-
-    for ds in &datasets {
-        let symbol = ds.stats().kind.symbol();
-        for n in [50usize, 100] {
-            let find = |scheme: &str| {
-                rows.iter()
-                    .find(|r| r.dataset == symbol && r.scheme == scheme && r.workers == n)
-            };
-            if let (Some(pkg), Some(wc)) = (find("PKG"), find("W-C")) {
-                println!(
-                    "# {symbol} at n={n}: PKG {:.3e} vs W-C {:.3e}",
-                    pkg.imbalance, wc.imbalance
-                );
-            }
-        }
+    for line in footer {
+        println!("{line}");
     }
 }
 
@@ -191,12 +209,10 @@ pub fn fig11_realworld(o: &ExperimentOptions) {
 /// visible as elevated and more variable imbalance, especially for PKG.
 pub fn fig12_time_series(o: &ExperimentOptions) {
     print_header("Figure 12", "Imbalance over time on TW, WP, CT", o);
-    let datasets = SyntheticDataset::real_world_suite(o.scale.dataset_scale(), o.seed);
     let worker_counts: Vec<usize> = match o.scale {
         ExperimentScale::Smoke => vec![5, 50],
         _ => vec![5, 10, 20, 50, 100],
     };
-    let rows = imbalance_over_time(&datasets, &worker_counts, 20);
     let mut table = Table::new(
         "fig12_time_series",
         &[
@@ -207,29 +223,36 @@ pub fn fig12_time_series(o: &ExperimentOptions) {
             sci("imbalance", 14),
         ],
     );
-    for row in &rows {
-        for (messages, imbalance) in &row.series {
-            table.row(&[&row.dataset, &row.scheme, &row.workers, messages, imbalance]);
+    // Stability summary: final vs. median imbalance per series.
+    let mut footer = Vec::new();
+    for ds in SyntheticDataset::real_world_suite(o.scale.dataset_scale(), o.seed) {
+        let symbol = ds.stats().kind.symbol();
+        for &workers in &worker_counts {
+            for kind in SCHEMES {
+                let r = replay(&ds, kind, workers, 20);
+                for p in &r.time_series {
+                    table.row(&[&symbol, &r.scheme, &workers, &p.messages, &p.imbalance]);
+                }
+                let mut imbs: Vec<f64> = r.time_series.iter().map(|p| p.imbalance).collect();
+                let Some(&last) = imbs.last() else {
+                    continue;
+                };
+                imbs.sort_by(f64::total_cmp);
+                let median = imbs[imbs.len() / 2];
+                footer.push(format!(
+                    "#   {:<4} {:<5} {:>4} {:>14} {:>14}",
+                    symbol,
+                    r.scheme,
+                    workers,
+                    format!("{median:.3e}"),
+                    format!("{last:.3e}")
+                ));
+            }
         }
     }
     table.emit(o.json_dir.as_deref());
-
-    // Stability summary: final vs. median imbalance per series.
     println!("# per-series summary (dataset, scheme, workers, median I, final I):");
-    for row in &rows {
-        let mut imbs: Vec<f64> = row.series.iter().map(|(_, i)| *i).collect();
-        let Some(&last) = imbs.last() else {
-            continue;
-        };
-        imbs.sort_by(f64::total_cmp);
-        let median = imbs[imbs.len() / 2];
-        println!(
-            "#   {:<4} {:<5} {:>4} {:>14} {:>14}",
-            row.dataset,
-            row.scheme,
-            row.workers,
-            format!("{median:.3e}"),
-            format!("{last:.3e}")
-        );
+    for line in footer {
+        println!("{line}");
     }
 }

@@ -4,10 +4,9 @@
 use slb_core::PartitionerKind;
 use slb_engine::topology::compare_schemes;
 use slb_engine::{EngineResult, Topology};
-use slb_simulator::experiments::ExperimentScale;
 
 use crate::table::{fixed, int, text, Table};
-use crate::{engine_config, print_header, ExperimentOptions};
+use crate::{engine_config, print_header, ExperimentOptions, ExperimentScale};
 
 /// Figures 13 and 14: throughput and end-to-end latency of KG, PKG, D-C,
 /// W-C and SG on the mini-DSPE, both read off the same runs.

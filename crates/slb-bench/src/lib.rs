@@ -10,6 +10,9 @@
 //!   `EXPERIMENTS.md` runs use unless stated otherwise).
 //! * `--seed <u64>` — RNG/hash seed (default `0x5EED0001`).
 //!
+//! Each experiment computes its cells in its own function (`datasets`,
+//! `analysis`, `simulation`, `engine`, `scenarios`) and hands them straight
+//! to its table; `slb-simulator` supplies only the replay engine.
 //! Every table goes through one `Table` (`table.rs`), which prints each row and,
 //! when the binary is given a JSON directory (`SLB_BENCH_JSON_DIR`),
 //! mirrors the same cells to `EXPT_<table>.json`.
@@ -23,8 +26,58 @@ mod table;
 
 use std::path::PathBuf;
 
+use slb_core::{find_optimal_choices, HeadThreshold};
 use slb_engine::EngineConfig;
-use slb_simulator::experiments::ExperimentScale;
+use slb_workloads::datasets::Scale;
+use slb_workloads::zipf::ZipfDistribution;
+
+/// How big to run an experiment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExperimentScale {
+    /// Tiny runs for CI / integration tests (seconds).
+    Smoke,
+    /// Laptop-scale runs preserving the paper's qualitative results (minutes).
+    Laptop,
+    /// The paper's full parameters (hours).
+    Paper,
+}
+
+impl ExperimentScale {
+    /// Number of messages for a synthetic (ZF) run at this scale.
+    pub fn zipf_messages(&self) -> u64 {
+        match self {
+            ExperimentScale::Smoke => 200_000,
+            ExperimentScale::Laptop => 2_000_000,
+            ExperimentScale::Paper => 10_000_000,
+        }
+    }
+
+    /// The dataset scale to use for real-world-like workloads.
+    pub fn dataset_scale(&self) -> Scale {
+        match self {
+            ExperimentScale::Smoke => Scale::Smoke,
+            ExperimentScale::Laptop => Scale::Laptop,
+            ExperimentScale::Paper => Scale::Paper,
+        }
+    }
+
+    /// Skew exponents to sweep at this scale (the paper sweeps 0.1…2.0).
+    pub fn skew_sweep(&self) -> Vec<f64> {
+        match self {
+            ExperimentScale::Smoke => vec![0.4, 1.2, 2.0],
+            _ => (1..=20).map(|i| i as f64 * 0.1).collect(),
+        }
+    }
+}
+
+/// The seed every experiment runs with unless `--seed` says otherwise (any
+/// fixed value works: each setting is one deterministic run, and
+/// `ablation_sensitivity` shows the run-to-run spread across seeds).
+pub const DEFAULT_SEED: u64 = 0x5EED_0001;
+
+/// The imbalance tolerance ε of the analysis figures (4, 5, 6 and 9), as
+/// in the paper.
+const EPSILON: f64 = 1e-4;
 
 /// Parsed command-line options shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +95,7 @@ impl Default for ExperimentOptions {
     fn default() -> Self {
         Self {
             scale: ExperimentScale::Smoke,
-            seed: slb_simulator::experiments::DEFAULT_SEED,
+            seed: DEFAULT_SEED,
             json_dir: None,
         }
     }
@@ -141,6 +194,18 @@ fn print_header(experiment: &str, description: &str, options: &ExperimentOptions
     println!("# scale={:?} seed={:#x}", options.scale, options.seed);
 }
 
+/// The head of `dist` for `workers` workers at the default threshold
+/// θ = 1/(5n), from the exact distribution: how many keys it holds, and the
+/// d FINDOPTIMALCHOICES gives them.
+fn zipf_head(dist: &ZipfDistribution, workers: usize) -> (usize, usize) {
+    let theta = HeadThreshold::DEFAULT.frequency(workers);
+    let cardinality = dist.head_cardinality(theta);
+    let head = &dist.probabilities()[..cardinality];
+    let tail_mass = 1.0 - head.iter().sum::<f64>();
+    let d = find_optimal_choices(head, tail_mass, workers, EPSILON).effective_d(workers);
+    (cardinality, d)
+}
+
 /// The mini-DSPE configuration at the requested scale, for `skew`.
 fn engine_config(options: &ExperimentOptions, skew: f64) -> EngineConfig {
     let kind = slb_core::PartitionerKind::Pkg;
@@ -171,7 +236,7 @@ mod tests {
     fn defaults_when_no_flags() {
         let o = run(&[]);
         assert_eq!(o.scale, ExperimentScale::Smoke);
-        assert_eq!(o.seed, slb_simulator::experiments::DEFAULT_SEED);
+        assert_eq!(o.seed, DEFAULT_SEED);
         assert_eq!(o.json_dir, None);
     }
 

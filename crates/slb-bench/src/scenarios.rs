@@ -3,12 +3,11 @@
 
 use slb_core::{ControllerAction, ControllerConfig, CountAggregate, PartitionerKind};
 use slb_engine::{exact_scenario_windowed_counts, ScenarioConfig};
-use slb_simulator::experiments::ExperimentScale;
 use slb_simulator::{simulate_scenario, simulate_scenario_controlled};
 use slb_workloads::{Scenario, ScenarioPhase};
 
 use crate::table::{fixed, int, sci, text, Table};
-use crate::{print_header, ExperimentOptions};
+use crate::{print_header, ExperimentOptions, ExperimentScale};
 
 /// Scenario study: grouping schemes under *drifting* skew.
 ///

@@ -11,14 +11,25 @@
 //! as part of the test target and no nested cargo lock is taken.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::Command;
 
 use slb_benchmark::json::Value;
 
 /// Runs one experiment at smoke scale and returns its stdout.
 fn run_smoke(name: &str) -> String {
-    let output = Command::new(env!("CARGO_BIN_EXE_expt"))
-        .args([name, "--scale", "smoke"])
+    expt_smoke(name, None)
+}
+
+/// Runs one experiment at smoke scale, mirroring its tables into
+/// `json_dir` if one is given, and returns its stdout.
+fn expt_smoke(name: &str, json_dir: Option<&Path>) -> String {
+    let mut expt = Command::new(env!("CARGO_BIN_EXE_expt"));
+    expt.args([name, "--scale", "smoke"]);
+    if let Some(dir) = json_dir {
+        expt.env("SLB_BENCH_JSON_DIR", dir);
+    }
+    let output = expt
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn expt {name}: {e}"));
     assert!(
@@ -53,17 +64,118 @@ macro_rules! golden_smoke {
 
 golden_smoke!(
     table1_datasets,
-    fig01_wp_scale,
-    fig03_head_cardinality,
-    fig04_d_fraction,
-    fig06_memory_vs_sg,
     fig07_threshold_sweep,
-    fig08_head_tail_load,
     fig09_d_vs_optimal,
     fig11_realworld,
-    fig12_time_series,
     ablation_sensitivity,
 );
+
+/// The rows of the table the experiment `name` emits under its own name,
+/// as recorded (full precision), from a smoke run with a JSON directory.
+fn smoke_table(name: &str) -> Vec<Value> {
+    let dir = std::env::temp_dir().join(format!("slb-golden-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create json dir");
+    let _ = expt_smoke(name, Some(&dir));
+    let body = std::fs::read_to_string(dir.join(format!("EXPT_{name}.json")));
+    let _ = std::fs::remove_dir_all(&dir);
+    let body = body.unwrap_or_else(|e| panic!("{name}: no JSON table: {e}"));
+    let document = Value::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let rows = document.get("rows").and_then(Value::as_arr);
+    rows.expect("a row list").to_vec()
+}
+
+/// A numeric cell of a recorded row.
+fn num(row: &Value, column: &str) -> f64 {
+    row.get(column)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no number in column {column}: {row}"))
+}
+
+/// A text cell of a recorded row.
+fn label<'a>(row: &'a Value, column: &str) -> &'a str {
+    row.get(column)
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("no text in column {column}: {row}"))
+}
+
+/// Figure 1's motivating claim: on WP at 50 and 100 workers, W-Choices
+/// balances strictly better than PKG.
+#[test]
+fn fig01_wp_scale_w_choices_beats_pkg_at_scale() {
+    let rows = smoke_table("fig01_wp_scale");
+    assert_eq!(rows.len(), 3 * 5, "3 schemes × 5 worker counts");
+    let imbalance = |scheme: &str, workers: f64| {
+        let row = rows
+            .iter()
+            .find(|r| label(r, "scheme") == scheme && num(r, "workers") == workers);
+        num(
+            row.unwrap_or_else(|| panic!("no {scheme} at n={workers}")),
+            "imbalance",
+        )
+    };
+    for workers in [50.0, 100.0] {
+        let (pkg, wc) = (imbalance("PKG", workers), imbalance("W-C", workers));
+        assert!(
+            wc < pkg,
+            "W-C ({wc}) must beat PKG ({pkg}) on WP at n={workers}"
+        );
+    }
+}
+
+/// Figure 3: the head holds a handful of keys — never more than 5n, and
+/// no more than ~70 at high skew — and the lower threshold 1/(5n) never
+/// admits fewer keys than 2/n.
+#[test]
+fn fig03_head_cardinality_is_small_and_ordered_by_threshold() {
+    let rows = smoke_table("fig03_head_cardinality");
+    assert_eq!(
+        rows.len(),
+        2 * 2 * 3,
+        "2 thresholds × 2 worker counts × 3 skews"
+    );
+    for pair in rows.chunks(2) {
+        let (low, high) = (&pair[0], &pair[1]);
+        assert_eq!(label(low, "threshold"), "1/(5n)");
+        assert_eq!(label(high, "threshold"), "2/n");
+        assert!(
+            num(low, "cardinality") >= num(high, "cardinality"),
+            "{low} {high}"
+        );
+    }
+    for row in &rows {
+        let cardinality = num(row, "cardinality");
+        assert!(cardinality <= 5.0 * num(row, "workers"), "{row}");
+        if num(row, "skew") >= 1.9 {
+            assert!(cardinality <= 70.0, "{row}");
+        }
+    }
+}
+
+/// Figure 4: d/n is the solver's d over n, in (0, 1], and shrinks with
+/// scale — at every skew, n = 100 needs no larger a fraction than n = 10.
+#[test]
+fn fig04_d_fraction_is_a_fraction_that_shrinks_with_scale() {
+    let rows = smoke_table("fig04_d_fraction");
+    assert_eq!(rows.len(), 4 * 3, "4 worker counts × 3 skews");
+    for row in &rows {
+        let fraction = num(row, "fraction");
+        assert!(fraction > 0.0 && fraction <= 1.0, "{row}");
+        assert_eq!(num(row, "d") / num(row, "workers"), fraction, "{row}");
+    }
+    for skew in [0.4, 1.2, 2.0] {
+        let fraction = |workers: f64| {
+            let row = rows
+                .iter()
+                .find(|r| num(r, "skew") == skew && num(r, "workers") == workers);
+            num(row.expect("every skew at every worker count"), "fraction")
+        };
+        let (f10, f100) = (fraction(10.0), fraction(100.0));
+        assert!(
+            f100 <= f10 + 1e-9,
+            "z={skew}: d/n at n=100 ({f100}) over n=10 ({f10})"
+        );
+    }
+}
 
 /// Every table whose header line starts with `header`: the whitespace-split
 /// data rows under each header, up to the next `#`-prefixed line (a footer
@@ -185,25 +297,102 @@ fn fig10_zipf_grid_w_choices_wins_the_hardest_cell() {
         let value: f64 = r[4].parse().expect("imbalance parses");
         assert!(value.is_finite() && value >= 0.0, "bad imbalance in {r:?}");
     }
+    // Every combination: 1 key space × 2 worker counts × 3 skews × 4 schemes.
+    assert_eq!(rows.len(), 2 * 3 * 4, "fig10 grid incomplete:\n{stdout}");
 }
 
+/// Figure 12: every (dataset, scheme, workers) series is there, sampled at
+/// (nearly) each of its 20 checkpoints, in stream order.
+#[test]
+fn fig12_time_series_has_every_series_at_every_checkpoint() {
+    let rows = smoke_table("fig12_time_series");
+    let mut series: HashMap<(String, String, u64), Vec<f64>> = HashMap::new();
+    for row in &rows {
+        let (dataset, scheme) = (label(row, "dataset"), label(row, "scheme"));
+        let key = (
+            dataset.to_string(),
+            scheme.to_string(),
+            num(row, "workers") as u64,
+        );
+        series.entry(key).or_default().push(num(row, "messages"));
+    }
+    for dataset in ["WP", "TW", "CT"] {
+        for scheme in ["PKG", "D-C", "W-C"] {
+            for workers in [5, 50] {
+                let key = (dataset.to_string(), scheme.to_string(), workers);
+                let points = series.get(&key);
+                let points = points.unwrap_or_else(|| panic!("no series {key:?}"));
+                assert!(points.len() >= 19, "{key:?}: {} points", points.len());
+                assert!(
+                    points.windows(2).all(|w| w[0] < w[1]),
+                    "{key:?}: {points:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(series.len(), 3 * 3 * 2, "no series beyond the grid");
+}
+
+/// Figure 5: the head-aware schemes never need less memory than PKG, at
+/// most 100% more, and D-C never more than W-C at the same setting.
 #[test]
 fn fig05_memory_overhead_is_bounded_and_ordered() {
-    let stdout = run_smoke("fig05_memory_vs_pkg");
-    // Columns: skew workers scheme vs-PKG-%. This table's header starts
-    // with `skew`, not `scheme`.
-    let rows = table_rows_after(&stdout, "skew");
-    assert!(!rows.is_empty(), "fig05 table empty");
+    let rows = smoke_table("fig05_memory_vs_pkg");
+    assert_eq!(
+        rows.len(),
+        2 * 2 * 3,
+        "2 schemes × 2 worker counts × 3 skews"
+    );
     for row in &rows {
-        assert_eq!(row.len(), 4, "unexpected fig05 row: {row:?}");
-        let pct: f64 = row[3].parse().expect("overhead parses");
+        let pct = num(row, "vs_pkg_pct");
         // The paper reports worst cases around 25-30%; anything beyond 100%
         // would mean the replica model broke.
         assert!(
-            (-100.0..=100.0).contains(&pct),
-            "memory overhead {pct}% out of the plausible band in {row:?}"
+            (-1e-9..=100.0).contains(&pct),
+            "memory overhead {pct}% out of the plausible band in {row}"
         );
     }
+    for pair in rows.chunks(2) {
+        let (dc, wc) = (&pair[0], &pair[1]);
+        assert_eq!((label(dc, "scheme"), label(wc, "scheme")), ("D-C", "W-C"));
+        let (dc_pct, wc_pct) = (num(dc, "vs_pkg_pct"), num(wc, "vs_pkg_pct"));
+        assert!(dc_pct <= wc_pct + 1e-9, "D-C {dc} over W-C {wc}");
+    }
+}
+
+/// Figure 6: against shuffle grouping, both head-aware schemes save memory.
+#[test]
+fn fig06_memory_is_saved_against_shuffle_grouping() {
+    let rows = smoke_table("fig06_memory_vs_sg");
+    assert_eq!(
+        rows.len(),
+        2 * 2 * 3,
+        "2 schemes × 2 worker counts × 3 skews"
+    );
+    for row in &rows {
+        assert!(num(row, "vs_sg_pct") <= 1e-9, "{row}");
+    }
+}
+
+/// Figure 8: each scheme's workers carry the whole stream between them,
+/// under z = 2.0 the head carries most of it, and two processes record the
+/// same values, to the last bit, at the same seed.
+#[test]
+fn fig08_head_tail_shares_add_up_and_reproduce() {
+    let rows = smoke_table("fig08_head_tail_load");
+    assert_eq!(rows.len(), 3 * 5, "3 schemes × 5 workers");
+    let share = |scheme: &str, column: &str| -> f64 {
+        let rows = rows.iter().filter(|r| label(r, "scheme") == scheme);
+        rows.map(|r| num(r, column)).sum()
+    };
+    for scheme in ["PKG", "W-C", "RR"] {
+        let total = share(scheme, "head_pct") + share(scheme, "tail_pct");
+        assert!((total - 100.0).abs() < 1e-6, "{scheme}: {total}");
+    }
+    let head = share("W-C", "head_pct");
+    assert!(head > 50.0, "W-C head share {head}");
+    let again = smoke_table("fig08_head_tail_load");
+    assert_eq!(rows, again, "fig08 is not reproducible at full precision");
 }
 
 /// Shared checker for the scenario experiments' tables: collects imbalance by
@@ -405,12 +594,7 @@ fn tables_are_mirrored_to_json_via_the_env_hook() {
     // the rest — every table goes through the same `Table::emit`.
     let dir = std::env::temp_dir().join(format!("slb-golden-json-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create json dir");
-    let output = Command::new(env!("CARGO_BIN_EXE_expt"))
-        .args(["fig04_d_fraction", "--scale", "smoke"])
-        .env("SLB_BENCH_JSON_DIR", &dir)
-        .output()
-        .expect("spawn expt fig04_d_fraction");
-    assert!(output.status.success());
+    let stdout = expt_smoke("fig04_d_fraction", Some(&dir));
     let body =
         std::fs::read_to_string(dir.join("EXPT_fig04_d_fraction.json")).expect("JSON file written");
     let _ = std::fs::remove_dir_all(&dir);
@@ -442,7 +626,6 @@ fn tables_are_mirrored_to_json_via_the_env_hook() {
 
     // The JSON mirror is additive: the human-readable table still prints,
     // one line per recorded row.
-    let stdout = String::from_utf8_lossy(&output.stdout);
     assert_eq!(
         table_rows_after(&stdout, "skew").len(),
         rows.len(),

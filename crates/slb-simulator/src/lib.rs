@@ -15,10 +15,10 @@
 //!   the threaded engine's routing.
 //! * [`metrics`] — result types: final imbalance, imbalance time series,
 //!   per-worker head/tail load split, replica (memory) counts.
-//! * [`experiments`] — parameterized drivers that regenerate each figure of
-//!   the paper's evaluation; the `slb-bench` binaries print their output.
+//!
+//! The figures themselves are computed where they are printed, in
+//! `slb-bench`'s `expt` experiments, which drive [`Simulator::run`] directly.
 
-pub mod experiments;
 pub mod metrics;
 pub mod scenario;
 pub mod simulation;

@@ -7,7 +7,7 @@
 //! ```
 
 use slb::core::PartitionerKind;
-use slb::simulator::experiments::imbalance_vs_workers;
+use slb::simulator::{SimulationConfig, Simulator};
 use slb::workloads::datasets::{Dataset, Scale, SyntheticDataset};
 
 fn main() {
@@ -26,15 +26,13 @@ fn main() {
         PartitionerKind::DChoices,
         PartitionerKind::WChoices,
     ];
-    let workers = [5usize, 10, 20, 50, 100];
-    let rows = imbalance_vs_workers(&[dataset], &schemes, &workers);
-
     println!("{:<8} {:>8} {:>16}", "scheme", "workers", "imbalance I(m)");
-    for row in &rows {
-        println!(
-            "{:<8} {:>8} {:>16.3e}",
-            row.scheme, row.workers, row.imbalance
-        );
+    for workers in [5usize, 10, 20, 50, 100] {
+        for kind in schemes {
+            let mut stream = dataset.stream();
+            let run = Simulator::run(SimulationConfig::new(kind, workers), stream.as_mut());
+            println!("{:<8} {:>8} {:>16.3e}", run.scheme, workers, run.imbalance);
+        }
     }
 
     println!();

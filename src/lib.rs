@@ -12,8 +12,10 @@
 //! * [`core`] — the paper's contribution: the grouping schemes (key grouping,
 //!   shuffle grouping, partial key grouping, D-Choices, W-Choices, round-robin
 //!   head) behind one `Partitioner` trait, plus the D-Choices solver.
-//! * [`simulator`] — the stream-replay simulator used for the imbalance
-//!   experiments (Figures 1 and 3–12).
+//! * [`simulator`] — the stream-replay simulator the imbalance experiments
+//!   (Figures 1 and 3–12) run on: the replay engine, multi-phase scenario
+//!   replay and their result types. The figures themselves are computed by
+//!   `slb-bench`'s `expt` binary.
 //! * [`engine`] — a threaded mini-DSPE used for the throughput/latency
 //!   experiments (Figures 13–14), with a pluggable channel transport.
 //! * [`net`] — the networked transport backend (length-prefixed wire codec,

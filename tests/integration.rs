@@ -6,9 +6,6 @@ use slb::core::{
     PartitionerKind,
 };
 use slb::engine::{EngineConfig, Topology};
-use slb::simulator::experiments::{
-    d_fraction_vs_skew, head_cardinality_vs_skew, memory_overhead_vs_skew,
-};
 use slb::simulator::{SimulationConfig, Simulator};
 use slb::sketch::{FrequencyEstimator, SpaceSaving};
 use slb::workloads::datasets::{Dataset, Scale, SyntheticDataset};
@@ -71,23 +68,6 @@ fn solver_reacts_to_the_sixty_percent_key() {
             "n={workers}: d={d} too small for a 60% hot key"
         );
     }
-}
-
-/// Figure 4's trend: the fraction of workers D-Choices dedicates to the head
-/// stays below 1 at scale, and the head cardinality (Figure 3) stays small.
-#[test]
-fn analysis_figures_have_expected_shape() {
-    let skews = [0.4f64, 1.2, 2.0];
-    let fractions = d_fraction_vs_skew(&[50, 100], 10_000, &skews, 1e-4);
-    assert!(fractions
-        .iter()
-        .all(|r| r.fraction <= 1.0 && r.fraction > 0.0));
-    let cards = head_cardinality_vs_skew(&[50, 100], 10_000, &skews);
-    assert!(cards.iter().all(|r| r.cardinality <= 5 * r.workers));
-    let memory = memory_overhead_vs_skew(&[50], 10_000, 10_000_000, &skews, 1e-4);
-    assert!(memory
-        .iter()
-        .all(|r| r.vs_pkg_pct >= -1e-9 && r.vs_sg_pct <= 1e-9));
 }
 
 /// Cross-substrate agreement: the SpaceSaving estimate of the hottest key's
