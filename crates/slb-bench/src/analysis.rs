@@ -6,10 +6,7 @@ use slb_core::{relative_overhead_pct, HeadThreshold, MemoryScheme};
 use slb_workloads::zipf::ZipfDistribution;
 
 use crate::table::{fixed, int, text, Table};
-use crate::{print_header, zipf_head, ExperimentOptions};
-
-/// The key-space size of Figures 3–6, |K| = 10⁴.
-const KEYS: usize = 10_000;
+use crate::{print_header, zipf_head, ExperimentOptions, KEYS};
 
 /// Figure 3: number of keys in the head of the distribution.
 ///

@@ -79,6 +79,9 @@ pub const DEFAULT_SEED: u64 = 0x5EED_0001;
 /// in the paper.
 const EPSILON: f64 = 1e-4;
 
+/// The key space of the Zipf figures 3–9, |K| = 10⁴, as in the paper.
+const KEYS: usize = 10_000;
+
 /// Parsed command-line options shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentOptions {

@@ -6,10 +6,7 @@ use slb_simulator::{SimulationConfig, SimulationResult, Simulator};
 use slb_workloads::zipf::{ZipfDistribution, ZipfGenerator};
 
 use crate::table::{fixed, int, sci, text, Table};
-use crate::{print_header, zipf_head, ExperimentOptions, ExperimentScale, EPSILON};
-
-/// The key-space size of Figures 7–9, |K| = 10⁴.
-const KEYS: usize = 10_000;
+use crate::{print_header, zipf_head, ExperimentOptions, ExperimentScale, EPSILON, KEYS};
 
 /// Replays `messages` Zipf(`z`) keys over `keys` keys, seeded with
 /// `partition`'s seed, through `kind` built on `partition`, sampling the
